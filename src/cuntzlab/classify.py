@@ -32,7 +32,7 @@ from math import inf, lcm
 from typing import ClassVar, NamedTuple
 
 from .errors import AlphabetMismatch, NotInCatalog, NotUnit, SchemaError, ValidationFailed
-from .linalg import hermitian_transpose, mat_vec, solve
+from .linalg import hermitian_transpose, mat_vec
 from .moments import IsometrySequence, MomentFunctional, hat_parameter_inverse
 from .scalars import (
     DEFAULT_RANK_TOL,
@@ -87,32 +87,51 @@ def _real(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramGrowth:
     """Pivot basis of the conjugate-cyclic subspace, grown level by level.
 
     ``pivots`` are words J whose vectors pi(s_J)* Omega form a basis of the
     span reached so far; ``gram`` is their (positive definite) Gram matrix;
-    ``level_ranks[L]`` is the rank over all words of length <= L.
+    ``level_ranks[L]`` is the rank over all words of length <= L.  A growth
+    is shared by every caller that asks for the same state, level cap and
+    tolerance, so all of it is immutable.
     """
 
-    pivots: list
-    gram: list
-    level_ranks: list
+    pivots: tuple
+    gram: tuple
+    level_ranks: tuple
     stabilized: bool
     last_level: int
 
 
-def _residual2(omega: MomentFunctional, gram, pivots, cand: Word):
-    """Squared distance of pi(s_cand)* Omega from the span of the pivots."""
-    r = [omega.moment(p, cand) for p in pivots]
-    coords = solve(gram, r)
-    proj = sum((conj(x) * v for x, v in zip(coords, r)), 0)
-    diag = _real(omega.moment(cand, cand))
-    res2 = diag - _real(proj)
-    if not isinstance(res2, Fraction):
-        res2 = max(res2, 0.0)
-    return res2, diag
+class _Candidate:
+    """A child word scored against the pivots admitted so far.
+
+    ``y`` solves L y = r for r_k = omega(s_{p_k} s_word*), so that
+    ``res2 = diag - sum_k |y_k|^2 / D_k`` is its squared distance from the
+    span of the pivots; ``sort_key`` orders candidates (largest residual
+    first, lexicographic tie-break).
+    """
+
+    __slots__ = ("word", "neg", "y", "diag", "res2")
+
+    def __init__(self, word: Word, diag):
+        self.word = word
+        self.neg = tuple(-a for a in word)
+        self.y: list = []
+        self.diag = diag
+        self.res2 = diag
+
+    def sort_key(self):
+        return self.res2, self.neg, self.word
+
+    def add_pivot(self, omega: MomentFunctional, p: Word, row: list, dp) -> None:
+        """Extend y by the coordinate along pivot p, whose factor row is
+        ``row`` (L_p,j for the earlier pivots j) and whose D entry is ``dp``."""
+        v = omega.moment(p, self.word) - sum((lj * yj for lj, yj in zip(row, self.y)), 0)
+        self.y.append(v)
+        self.res2 = self.res2 - abs2(v) / dp
 
 
 def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = None) -> GramGrowth:
@@ -124,45 +143,77 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
     residual and admits them greedily, largest residual first with a
     lexicographic tie-break.  A level that admits nothing stabilizes the
     subspace for good.
+
+    The pivot Gram is kept factored as G = L D L* (L unit lower triangular,
+    D positive).  A new candidate c costs one forward solve L y = r_c with
+    r_c,k = omega(s_{p_k} s_c*), O(d^2) for d pivots, and its squared residual
+    is omega(s_c s_c*) - sum_k |y_k|^2 / D_k.  Admitting a pivot b appends the
+    row L_b,j = conj(y_b,j) / D_j and D_b = res2(b); every remaining candidate
+    then appends one coordinate v = omega(s_b s_c*) - sum_j L_b,j y_c,j and
+    loses |v|^2 / D_b from its residual, O(d) per candidate per admission.
+    Exact states get exactly the residuals of a full solve.
+
+    The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
+    kappa and fcs of one state share it.
     """
     if L_max < 1:
         raise SchemaError(f"the level cap must be at least 1, got {L_max}")
+    key = (L_max, tol)
+    growth = omega._growths.get(key)
+    if growth is None:
+        growth = omega._growths[key] = _grow(omega, L_max, tol)
+    return growth
+
+
+def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
     rank_tol = DEFAULT_RANK_TOL if tol is None else tol
+
+    def admissible(c: _Candidate) -> bool:
+        if isinstance(c.res2, Fraction):
+            return c.res2 > 0
+        return max(c.res2, 0.0) > rank_tol * max(1.0, c.diag)
+
     pivots: list[Word] = [()]
     gram = [[omega.moment((), ())]]
+    lower: list[list] = [[]]  # row k holds L_k,j for j < k
+    dvals = [_real(gram[0][0])]
     level_ranks = [1]
     frontier: list[Word] = [()]
     stabilized = False
     level = 0
     for level in range(1, L_max + 1):
-        cands = [p + (i,) for p in frontier for i in range(1, omega.n + 1)]
+        cands = []
+        for word in (p + (i,) for p in frontier for i in range(1, omega.n + 1)):
+            c = _Candidate(word, _real(omega.moment(word, word)))
+            for p, row, dp in zip(pivots, lower, dvals):
+                c.add_pivot(omega, p, row, dp)
+            cands.append(c)
         added: list[Word] = []
-        while cands:
-            scored = []
-            for c in cands:
-                res2, diag = _residual2(omega, gram, pivots, c)
-                if isinstance(res2, Fraction):
-                    ok = res2 > 0
-                else:
-                    ok = res2 > rank_tol * max(1.0, diag)
-                if ok:
-                    scored.append((res2, tuple(-a for a in c), c))
-            if not scored:
+        while True:
+            # residuals only shrink, so a candidate that fails once is out for good
+            cands = [c for c in cands if admissible(c)]
+            if not cands:
                 break
-            scored.sort()
-            best = scored[-1][2]
-            for i, p in enumerate(pivots):
-                gram[i].append(omega.moment(p, best))
-            gram.append([omega.moment(best, p) for p in pivots] + [omega.moment(best, best)])
-            pivots.append(best)
-            added.append(best)
+            best = max(cands, key=_Candidate.sort_key)
             cands.remove(best)
+            b = best.word
+            row = [conj(yj) / dj for yj, dj in zip(best.y, dvals)]
+            db = best.res2
+            for c in cands:
+                c.add_pivot(omega, b, row, db)
+            for i, p in enumerate(pivots):
+                gram[i].append(omega.moment(p, b))
+            gram.append([omega.moment(b, p) for p in pivots] + [omega.moment(b, b)])
+            pivots.append(b)
+            lower.append(row)
+            dvals.append(db)
+            added.append(b)
         level_ranks.append(len(pivots))
         if not added:
             stabilized = True
             break
         frontier = added
-    return GramGrowth(pivots, gram, level_ranks, stabilized, level)
+    return GramGrowth(tuple(pivots), tuple(map(tuple, gram)), tuple(level_ranks), stabilized, level)
 
 
 @dataclass(frozen=True)
@@ -185,7 +236,7 @@ def cdim(omega: MomentFunctional, L_max: int = 8, tol: float | None = None) -> C
     """Dimension of K = span{pi(s_J)* Omega}, grown level by level."""
     g = gram_growth(omega, L_max, tol)
     status = "stabilized" if g.stabilized else "lower_bound"
-    return CdimResult(len(g.pivots), status, tuple(g.level_ranks), tuple(g.pivots))
+    return CdimResult(len(g.pivots), status, g.level_ranks, g.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +790,12 @@ def _format_kappa(value) -> str:
     return "infinite" if value == inf else str(value)
 
 
-def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, tol: float | None = None) -> EquivDecision:
+def equivalent(
+    omega1: MomentFunctional,
+    omega2: MomentFunctional,
+    tol: float | None = None,
+    L_max: int = 8,
+) -> EquivDecision:
     """Decide unitary equivalence of the GNS representations, family-pair-wise.
 
     The rules, in order: shared Cuntz parameters (two states each equivalent
@@ -749,6 +805,7 @@ def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, tol: float | 
     for uniquely determined progression states on the same code; the exact
     overlap-series criterion for induced product states; and separation by
     the certified invariants kappa and purity.  Everything else is Unknown.
+    ``L_max`` caps the Gram growth behind kappa.
     """
     if omega1.n != omega2.n:
         raise AlphabetMismatch(f"states live on O_{omega1.n} and O_{omega2.n}")
@@ -842,8 +899,8 @@ def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, tol: float | 
             "overlap series diverges",
         )
 
-    k1 = kappa(omega1, tol=tol)
-    k2 = kappa(omega2, tol=tol)
+    k1 = kappa(omega1, L_max, tol)
+    k2 = kappa(omega2, L_max, tol)
     if _kappa_certified(k1) and _kappa_certified(k2) and k1.value != k2.value:
         low, high = sorted((k1.value, k2.value), key=float)
         return EquivDecision(

@@ -208,7 +208,7 @@ def _cmd_kappa(args, cfg: RunConfig) -> int:
 def _cmd_equiv(args, cfg: RunConfig) -> int:
     omega1 = _require_state(parse_spec(args.spec1, cfg.mode, cfg.tol), "equiv")
     omega2 = _require_state(parse_spec(args.spec2, cfg.mode, cfg.tol), "equiv")
-    dec = equivalent(omega1, omega2, cfg.tol)
+    dec = equivalent(omega1, omega2, cfg.tol, cfg.max_level)
     _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, cfg)
     return EXIT_UNRESOLVED if cfg.strict and dec.verdict == "Unknown" else EXIT_OK
 
@@ -297,7 +297,7 @@ def _report_state(omega: MomentFunctional, cfg: RunConfig, label: str):
     cres = cdim(omega, cfg.max_level, cfg.tol)
     kres = kappa(omega, cfg.max_level, cfg.tol)
     pdec = pure(omega, cfg.tol)
-    bucket = decompose_spectrum_bucket(omega, cfg.max_level, cfg.tol)
+    bucket = "unresolved" if kres.value is None else kres.value
     doc = {
         "cdim": {"value": cres.value, "status": cres.status, "levels": list(cres.level_ranks)},
         "kappa": {"value": value_to_json(kres.value), **certificate_to_json(kres.certificate)},
@@ -346,7 +346,7 @@ def _cmd_report(args, cfg: RunConfig) -> int:
         lines.append("")
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                dec = equivalent(states[i][1], states[j][1], cfg.tol)
+                dec = equivalent(states[i][1], states[j][1], cfg.tol, cfg.max_level)
                 pairwise.append({"i": i, "j": j, "verdict": dec.verdict, "reason": dec.reason})
                 lines.append(f"{states[i][0]} vs {states[j][0]}: {dec.verdict} ({dec.reason})")
                 unresolved = unresolved or dec.verdict == "Unknown"

@@ -159,8 +159,8 @@ def extract_fcs(
         d=d,
         A=tuple(matrices),
         omega=tuple(1 if j == 0 else 0 for j in range(d)),
-        metric=tuple(tuple(row) for row in gram),
-        pivot_words=tuple(pivots),
+        metric=gram,
+        pivot_words=pivots,
         level=growth.last_level,
     )
 

@@ -135,6 +135,8 @@ class MomentFunctional:
         self.pure_hint = pure_hint
         self._evaluator = evaluator
         self._memo: dict[tuple[Word, Word], object] = {}
+        # finished Gram growths per (level cap, tol); see classify.gram_growth
+        self._growths: dict[tuple, object] = {}
 
     def moment(self, J: Word, K: Word = ()) -> object:
         """omega(s_J s_K*)."""

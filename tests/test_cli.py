@@ -20,6 +20,11 @@ SANDWICH = {
 GRID_STATE = {"family": "vector", "rep": {"kind": "grid", "n": 2}, "key": [1, 0]}
 GRID_REP = {"kind": "grid", "n": 2}
 SERIES = {"family": "sandwich_series"}
+# kappa 2 by a minimality certificate; the word state 112 has kappa 3, but its
+# Gram rank is still growing at level 2
+CODE_STATE = {"family": "prefix_code", "n": 2, "code": [[1, 1], [1, 2], [2]],
+              "z": [["2/3", 0], ["1/3", 0], [0, "2/3"]]}
+WORD112 = {"family": "sub_cuntz", "n": 2, "m": 3, "z": [0, 1, 0, 0, 0, 0, 0, 0]}
 
 
 class TestCdim:
@@ -115,6 +120,15 @@ class TestEquiv:
         code = run(["equiv", spec_file(WORD12), spec_file(mixture), "--strict"])
         assert code == 3
 
+    def test_kappa_separation_respects_level_cap(self, spec_file, capsys):
+        specs = [spec_file(CODE_STATE), spec_file(WORD112)]
+        assert run(["equiv", *specs]) == 0
+        assert capsys.readouterr().out.startswith(
+            "Inequivalent (the invariant kappa separates the states (2 vs 3)"
+        )
+        assert run(["equiv", *specs, "--max-level", "2"]) == 0
+        assert capsys.readouterr().out.startswith("Unknown (")
+
 
 class TestPure:
     def test_pure_line(self, spec_file, capsys):
@@ -190,6 +204,14 @@ class TestReport:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["states"]) == 2
         assert doc["pairwise"][0]["verdict"] == "Equivalent"
+
+    def test_pairwise_verdict_respects_level_cap(self, spec_file, capsys):
+        specs = [spec_file(CODE_STATE), spec_file(WORD112)]
+        assert run(["report", *specs, "--max-level", "2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["states"][1]["kappa"]["value"] is None
+        assert doc["states"][1]["bucket"] == "unresolved"
+        assert doc["pairwise"][0]["verdict"] == "Unknown"
 
 
 class TestErrors:
