@@ -1,0 +1,64 @@
+"""Golden outputs: exact ``report --format json`` must not move.
+
+``tests/golden/specs/`` holds one light spec per family at n = 2 (plus the
+extra members of one pairwise report); ``tests/golden/<name>.json`` holds the
+exact stdout of ``cuntzlab report <spec> --format json`` for each of them, and
+``tests/golden/pairwise.json`` that of one report over ``PAIRWISE``, whose
+pairs reach every rule of ``equivalent`` and whose states reach every purity
+reason.  The expected files were written by the code before the per-state
+facts record replaced the family switches, so a refactor that changes any
+printed answer fails here.  A deliberate answer change regenerates the file
+and says so in CHANGES.md.
+
+The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cuntzlab.cli import run
+
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden"
+SPECS = sorted(p.stem for p in (GOLDEN / "specs").glob("*.json"))
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
+
+# repeated names give the pairs of equal tensors and equal progression codes
+PAIRWISE = [
+    "cuntz", "cuntz_swapped", "cuntz_10", "gauge", "geometric_progression", "gauge_progression",
+    "sandwich_series", "sandwich_user", "sandwich", "shift", "shift_21", "shift_112", "vector_shift",
+    "vector_grid", "vector_lazy", "gauge_shift", "gauge_sub_cuntz", "sub_cuntz", "sub_cuntz",
+    "sub_cuntz_swapped", "sub_cuntz_twisted", "sub_cuntz_power", "progression_a", "progression_a",
+    "progression_b", "progression_open", "induced_product", "induced_shifted", "induced_other",
+    "mixture", "prefix_code",
+]
+
+
+def _report(names, capsys) -> str:
+    paths = [str(GOLDEN / "specs" / f"{name}.json") for name in names]
+    assert run(["report", *paths, "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_single_report(name, capsys):
+    assert _report([name], capsys) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_pairwise_report(capsys):
+    assert _report(PAIRWISE, capsys) == (GOLDEN / "pairwise.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    src = str(HERE.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    env["TMPDIR"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
