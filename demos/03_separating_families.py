@@ -51,7 +51,7 @@ square = {
 }
 avg = make_sub_cuntz(2, square, 2)
 print("averaged tensor square:", pure(avg).verdict,
-      "| solution space dimension:", avg.solution_dim)
+      "| solution space dimension:", avg.facts.solution_dim)
 
 # And the mixture separates from any pure presentation by purity alone.
 d = equivalent(basis, mix)

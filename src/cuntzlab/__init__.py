@@ -57,6 +57,7 @@ from .fcs import FCSPresentation, check_row_isometry, extract_fcs, fcs_moment, o
 from .moments import (
     IsometrySequence,
     MomentFunctional,
+    StateFacts,
     eval_moment,
     gram_matrix,
     hat_parameter,
@@ -99,7 +100,7 @@ __all__ = [
     # symbolic algebra
     "CuntzElement", "adjoint", "gauge_apply", "gen", "identity", "monomial", "multiply",
     # states
-    "IsometrySequence", "MomentFunctional", "eval_moment", "gram_matrix",
+    "IsometrySequence", "MomentFunctional", "StateFacts", "eval_moment", "gram_matrix",
     "hat_parameter", "hat_parameter_inverse", "make_cuntz", "make_geometric_progression",
     "make_induced_product", "make_mixture", "make_prefix_code_state",
     "make_split_series_sandwich", "make_sub_cuntz", "positivity_check",

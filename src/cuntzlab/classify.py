@@ -20,8 +20,11 @@ reported only together with a certificate --
 * ``EquivalentToCuntz(z)``: equivalence to a Cuntz state gives kappa = 1;
 * ``LowerBoundOnly``: everything else -- kappa stays an interval.
 
-Equivalence and purity are decided family-pair-wise with reasons naming the
-deciding rule; pairs outside the classified catalog come back ``Unknown``.
+Every certificate, purity verdict and equivalence rule reads only the
+:class:`~cuntzlab.moments.StateFacts` record each family constructor filled
+(``omega.facts``), never the family label.  Decisions carry reasons naming
+the deciding rule; pairs outside the classified catalog come back
+``Unknown``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import ClassVar, NamedTuple
 
 from .errors import AlphabetMismatch, NotInCatalog, NotUnit, SchemaError, ValidationFailed
 from .linalg import hermitian_transpose, mat_vec
-from .moments import IsometrySequence, MomentFunctional, hat_parameter_inverse
+from .moments import IsometrySequence, MomentFunctional, _progression_code
 from .scalars import (
     DEFAULT_RANK_TOL,
     abs2,
@@ -44,7 +47,7 @@ from .scalars import (
 )
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
 from .symalg import CuntzElement, adjoint, gauge_apply, identity, is_isometry_in_plus, multiply
-from .words import EventuallyPeriodicWord, Word, all_words, tail_equivalent
+from .words import Word, all_words, tail_equivalent
 
 __all__ = [
     "CdimResult",
@@ -355,7 +358,8 @@ def verify_properly_infinite(
     The cost grows with the number of terms of the prefix products, so dense
     multi-term sequences want a modest cutoff.
     """
-    seq = a if a is not None else omega.properly_infinite
+    flagged = omega.facts.sequence
+    seq = a if a is not None else flagged
     if seq is None:
         raise SchemaError("no isometry sequence supplied and the state carries none")
     if isinstance(seq, IsometrySequence):
@@ -388,7 +392,6 @@ def verify_properly_infinite(
                 delta_ok = False
         table.append(tuple(row))
 
-    flagged = omega.properly_infinite
     analytic = (
         delta_ok
         and flagged is not None
@@ -443,10 +446,7 @@ def _search_minimal_isometry(omega: MomentFunctional, depth: int, tol: float | N
     n = omega.n
     codes = [list(all_words(n, m)) for m in range(1, depth + 1)]
     for axis in range(1, n + 1):
-        for k in range(2, depth + 1):
-            code = [(axis,) * r + (i,) for r in range(k) for i in range(1, n + 1) if i != axis]
-            code.append((axis,) * k)
-            codes.append(code)
+        codes.extend(_progression_code(k, n, axis) for k in range(2, depth + 1))
     for code in codes:
         vals = {W: omega.moment(W, ()) for W in code}
         total = sum((abs2(v) for v in vals.values()), 0)
@@ -469,50 +469,35 @@ def kappa(
 ) -> KappaResult:
     """Minimum of cdim over the unitary-equivalence class, with a certificate.
 
-    Dispatch, most specific first: gauge twists delegate to their base (the
-    invariant is unchanged; certificates transport through the inverse
-    twist); shift-family states report the primitive period; an attached or
-    derived Cuntz equivalence gives 1; a proved delta-table gives infinity;
-    a verified minimality certificate pins kappa = cdim once the rank
-    stabilizes.  Anything else returns ``None`` with a ``LowerBoundOnly``
-    interval [low, high] -- never a guess.  With ``search_certificates`` a
-    bounded prefix-code search (depth ``search_depth``) tries to find a
-    minimality certificate first; its failure is reported in the note.
+    Read from ``omega.facts``, most specific first: a gauge twist delegates to
+    its base (the invariant is unchanged; certificates transport through the
+    inverse twist); a shift period d gives d; an isometry sequence known to
+    an evidence horizon gives infinity as evidence to that horizon; a Cuntz
+    parameter gives 1; a proved delta-table gives infinity; a verified
+    minimality certificate pins kappa = cdim once the rank stabilizes; any
+    other sequence gives infinity as evidence.  Anything else returns
+    ``None`` with a ``LowerBoundOnly`` interval [low, high] -- never a guess.
+    With ``search_certificates`` a bounded prefix-code search (depth
+    ``search_depth``) tries to find a minimality certificate first; its
+    failure is reported in the note.
     """
-    if omega.family == "gauge" and omega.base is not None:
-        inner = kappa(
-            omega.base, L_max, tol,
-            search_certificates=search_certificates, search_depth=search_depth,
-        )
-        return KappaResult(inner.value, _transport_certificate(inner.certificate, omega.params["g"]))
-
-    if omega.family == "shift":
-        d = len(omega.params["period"])
-        return KappaResult(d, ShiftPeriod(d))
-    if omega.family == "shift_vector":
-        d = omega.params["rep_word"].period_length
-        return KappaResult(d, ShiftPeriod(d))
-    if omega.family == "shift_lazy" and omega.properly_infinite is not None:
-        return KappaResult(
-            inf,
-            ProperlyInfinite(omega.properly_infinite, cutoff=omega.evidence_horizon, status="evidence"),
-        )
-
-    if omega.equivalent_to_cuntz is not None:
-        prov = omega.equivalence_provenance or "user"
-        return KappaResult(1, EquivalentToCuntz(tuple(omega.equivalent_to_cuntz), prov))
-    if omega.family == "geometric_progression":
-        y = hat_parameter_inverse(
-            omega.params["z_indexed"], omega.params["steps"], omega.n, tol=tol
-        )
-        if y is not None:
-            return KappaResult(1, EquivalentToCuntz(tuple(y), "family"))
-
-    if omega.properly_infinite is not None and omega.properly_infinite.status == "proved":
-        return KappaResult(inf, ProperlyInfinite(omega.properly_infinite, cutoff=None, status="proved"))
+    facts = omega.facts
+    if facts.twist is not None:
+        base, g = facts.twist
+        inner = kappa(base, L_max, tol, search_certificates=search_certificates, search_depth=search_depth)
+        return KappaResult(inner.value, _transport_certificate(inner.certificate, g))
+    if facts.shift_period is not None:
+        return KappaResult(facts.shift_period, ShiftPeriod(facts.shift_period))
+    seq = facts.sequence
+    if seq is not None and seq.horizon is not None:
+        return KappaResult(inf, ProperlyInfinite(seq, cutoff=seq.horizon, status="evidence"))
+    if facts.cuntz is not None:
+        return KappaResult(1, EquivalentToCuntz(*facts.cuntz))
+    if seq is not None and seq.status == "proved":
+        return KappaResult(inf, ProperlyInfinite(seq, cutoff=None, status="proved"))
 
     searched = False
-    u = omega.minimal_isometry
+    u = facts.minimal_isometry
     if u is None and search_certificates:
         searched = True
         u = _search_minimal_isometry(omega, search_depth, tol)
@@ -529,12 +514,8 @@ def kappa(
             ),
         )
 
-    if omega.properly_infinite is not None:
-        horizon = omega.evidence_horizon or 12
-        return KappaResult(
-            inf,
-            ProperlyInfinite(omega.properly_infinite, cutoff=horizon, status="evidence"),
-        )
+    if seq is not None:
+        return KappaResult(inf, ProperlyInfinite(seq, cutoff=12, status="evidence"))
 
     g = gram_growth(omega, L_max, tol)
     high = len(g.pivots) if g.stabilized else inf
@@ -557,66 +538,13 @@ class PurityDecision:
     reason: str
 
 
-_PURE_VECTOR_REASONS = {
-    "cuntz": "a Cuntz state is a vector state of an irreducible representation",
-    "shift": "vector state of an irreducible shift representation",
-    "shift_vector": "vector state of an irreducible shift representation",
-    "shift_lazy": "vector state of an irreducible shift representation",
-    "grid": "vector state of the irreducible grid representation",
-    "grid_vector": "vector state of the irreducible grid representation",
-    "sandwich": "unit vector state in the irreducible representation of a pure state",
-    "sandwich_series": "unit vector state in the irreducible representation of a pure state",
-}
-
-
 def pure(omega: MomentFunctional, tol: float | None = None) -> PurityDecision:
-    """Decide purity family-wise; outside the decided families return Unknown."""
-    if omega.family == "gauge" and omega.base is not None:
-        inner = pure(omega.base, tol)
-        if inner.verdict == "Unknown":
-            return inner
-        return PurityDecision(
-            inner.verdict,
-            inner.reason + "; composition with a gauge automorphism preserves purity",
-        )
-    if omega.pure_hint is True:
-        return PurityDecision(
-            "Pure",
-            _PURE_VECTOR_REASONS.get(omega.family, "vector state of an irreducible representation"),
-        )
-    if omega.pure_hint is False:
-        return PurityDecision("NotPure", "constructed as an explicit convex mixture")
+    """The purity verdict the state's constructor decided, with its reason.
 
-    if omega.family == "sub_cuntz":
-        if omega.solution_dim == 1:
-            return PurityDecision(
-                "Pure",
-                "the word moments pin the state uniquely (the defining tensor is not a "
-                "proper tensor power), and the unique solution is pure",
-            )
-        p = omega.solution_dim
-        return PurityDecision(
-            "NotPure",
-            f"the defining tensor is a {p}-th tensor power, so the canonical table is "
-            f"the uniform mixture of {p} phase-twisted pure states",
-        )
-    if omega.family == "geometric_progression":
-        if omega.solution_dim == 1:
-            return PurityDecision(
-                "Pure",
-                "the closing coefficient has modulus < 1, so the state is unique and pure",
-            )
-        return PurityDecision(
-            "Unknown",
-            "the defining system is underdetermined on this code and no purity criterion applies",
-        )
-    if omega.family == "induced_product":
-        return PurityDecision(
-            "NotPure",
-            "the inducing sequence is eventually periodic: a shift by one full cycle "
-            "aligns it with itself, the overlap series converges, and the state decomposes",
-        )
-    return PurityDecision("Unknown", "no purity criterion applies to this presentation")
+    The verdict is fixed at construction (with the constructor's ``tol``);
+    outside the decided families it is Unknown.
+    """
+    return PurityDecision(*omega.facts.purity)
 
 
 # ---------------------------------------------------------------------------
@@ -630,66 +558,6 @@ class EquivDecision:
 
     verdict: str
     reason: str
-
-
-def _cuntz_parameter(omega: MomentFunctional, tol: float | None):
-    """(z, provenance) when the state is known equivalent to the Cuntz state by z."""
-    if omega.equivalent_to_cuntz is not None:
-        return tuple(omega.equivalent_to_cuntz), (omega.equivalence_provenance or "user")
-    if omega.family == "geometric_progression":
-        y = hat_parameter_inverse(
-            omega.params["z_indexed"], omega.params["steps"], omega.n, tol=tol
-        )
-        if y is not None:
-            return tuple(y), "family"
-    if omega.family == "shift" and len(omega.params["period"]) == 1:
-        i = omega.params["period"][0]
-        return tuple(1 if j == i else 0 for j in range(1, omega.n + 1)), "family"
-    if omega.family == "gauge" and omega.base is not None:
-        inner = _cuntz_parameter(omega.base, tol)
-        if inner is not None:
-            z, prov = inner
-            return tuple(mat_vec(hermitian_transpose(omega.params["g"]), list(z))), prov
-    return None
-
-
-def _shift_class(omega: MomentFunctional, tol: float | None):
-    """The tail class (an eventually periodic word) of states living inside a
-    shift representation, when the presentation exposes one."""
-    if omega.family == "shift":
-        return omega.params["word"]
-    if omega.family == "shift_vector":
-        return omega.params["rep_word"]
-    if omega.family == "cuntz":
-        z = omega.params["z"]
-        support = [j for j, c in enumerate(z, start=1) if not scalar_is_zero(c, tol)]
-        if len(support) == 1 and scalars_close(z[support[0] - 1], 1, tol):
-            return EventuallyPeriodicWord((), (support[0],), omega.n)
-        return None
-    if omega.family in ("sub_cuntz", "geometric_progression", "prefix_code") and omega.solution_dim == 1:
-        pairs = [
-            (w, c)
-            for w, c in zip(omega.params["code"], omega.params["z"])
-            if not scalar_is_zero(c, tol)
-        ]
-        if len(pairs) == 1 and scalars_close(pairs[0][1], 1, tol):
-            return EventuallyPeriodicWord((), pairs[0][0], omega.n)
-    return None
-
-
-def _tensor_data(omega: MomentFunctional):
-    """(order m, coefficient map on words of length m, solution_dim) for states
-    prescribed on every word of a fixed length."""
-    if omega.family == "cuntz":
-        z = omega.params["z"]
-        return 1, {(j,): z[j - 1] for j in range(1, omega.n + 1)}, 1
-    if omega.family == "sub_cuntz":
-        return (
-            omega.params["order"],
-            dict(zip(omega.params["code"], omega.params["z"])),
-            omega.solution_dim,
-        )
-    return None
 
 
 def _tensor_conjugate(m: int, za: dict, zb: dict, n: int, tol: float | None):
@@ -729,16 +597,6 @@ def _tensor_conjugate(m: int, za: dict, zb: dict, n: int, tol: float | None):
     return False, None
 
 
-def _induced_blocks(omega: MomentFunctional):
-    return omega.params["pre"], omega.params["rep"]
-
-
-def _block_at(pre, rep, t: int):
-    if t <= len(pre):
-        return pre[t - 1]
-    return rep[(t - len(pre) - 1) % len(rep)]
-
-
 def _blocks_parallel(a, b, tol: float | None) -> bool:
     inner = sum((conj(x) * y for x, y in zip(a, b)), 0)
     return scalars_close(abs2(inner), 1, tol)
@@ -750,27 +608,22 @@ def _tails_parallel(first, second, k: int, tol: float | None) -> bool:
     Both sequences are eventually periodic in l, so it is enough to test one
     joint period beyond both preperiods.
     """
-    pre_a, rep_a = first
-    pre_b, rep_b = second
-    period = lcm(len(rep_a), len(rep_b))
-    start = max(len(pre_a), len(pre_b) - k) + 1
+    period = lcm(len(first.rep), len(second.rep))
+    start = max(len(first.pre), len(second.pre) - k) + 1
     return all(
-        _blocks_parallel(_block_at(pre_a, rep_a, l), _block_at(pre_b, rep_b, l + k), tol)
-        for l in range(start, start + period)
+        _blocks_parallel(first.at(l), second.at(l + k), tol) for l in range(start, start + period)
     )
 
 
-def _induced_series_shift(omega1: MomentFunctional, omega2: MomentFunctional, tol: float | None):
+def _induced_series_shift(b1, b2, tol: float | None):
     """Smallest shift aligning the inducing sequences up to phases, or None.
 
     The overlap series sum_l (1 - |<z^(l), y^(l+k)>|) converges exactly when
     all but finitely many terms vanish; for eventually periodic data the shift
     only matters through finitely many alignments, scanned in both directions.
     """
-    b1 = _induced_blocks(omega1)
-    b2 = _induced_blocks(omega2)
-    period = lcm(len(b1[1]), len(b2[1]))
-    span = len(b1[0]) + len(b2[0]) + period
+    period = lcm(len(b1.rep), len(b2.rep))
+    span = len(b1.pre) + len(b2.pre) + period
     for k in range(span + 1):
         if _tails_parallel(b1, b2, k, tol) or _tails_parallel(b2, b1, k, tol):
             return k
@@ -796,9 +649,10 @@ def equivalent(
     tol: float | None = None,
     L_max: int = 8,
 ) -> EquivDecision:
-    """Decide unitary equivalence of the GNS representations, family-pair-wise.
+    """Decide unitary equivalence of the GNS representations from the facts.
 
-    The rules, in order: shared Cuntz parameters (two states each equivalent
+    The rules, in order, each applying when both records hold its fact:
+    shared Cuntz parameters (two states each equivalent
     to a Cuntz state are equivalent exactly when the parameters agree);
     shared shift classes (tail equivalence of the defining words); tensor
     conjugacy of uniquely determined word-moment states; parameter equality
@@ -810,10 +664,9 @@ def equivalent(
     if omega1.n != omega2.n:
         raise AlphabetMismatch(f"states live on O_{omega1.n} and O_{omega2.n}")
 
-    c1 = _cuntz_parameter(omega1, tol)
-    c2 = _cuntz_parameter(omega2, tol)
-    if c1 is not None and c2 is not None:
-        (z1, p1), (z2, p2) = c1, c2
+    f1, f2 = omega1.facts, omega2.facts
+    if f1.cuntz is not None and f2.cuntz is not None:
+        (z1, p1), (z2, p2) = f1.cuntz, f2.cuntz
         trust = "" if "user" not in (p1, p2) else " (relies on a user-declared equivalence, taken on trust)"
         if all(scalars_close(a, b, tol) for a, b in zip(z1, z2)):
             return EquivDecision(
@@ -826,10 +679,8 @@ def equivalent(
             "and distinct Cuntz states are inequivalent" + trust,
         )
 
-    s1 = _shift_class(omega1, tol)
-    s2 = _shift_class(omega2, tol)
-    if s1 is not None and s2 is not None:
-        if tail_equivalent(s1, s2):
+    if f1.tail_class is not None and f2.tail_class is not None:
+        if tail_equivalent(f1.tail_class, f2.tail_class):
             return EquivDecision(
                 "Equivalent",
                 "the defining infinite words are tail equivalent, so both states are "
@@ -841,43 +692,32 @@ def equivalent(
             "representations are disjoint",
         )
 
-    t1 = _tensor_data(omega1)
-    t2 = _tensor_data(omega2)
-    if t1 is not None and t2 is not None:
-        m1, za, d1 = t1
-        m2, zb, d2 = t2
-        if d1 == 1 and d2 == 1:
-            if m1 != m2:
-                return EquivDecision(
-                    "Inequivalent",
-                    "uniquely determined word-moment states of different orders are never "
-                    "equivalent (conjugate tensors have equal orders)",
-                )
-            conjugate, split = _tensor_conjugate(m1, za, zb, omega1.n, tol)
-            if conjugate and split == 0:
-                return EquivDecision("Equivalent", "the defining tensors coincide")
-            if conjugate:
-                return EquivDecision(
-                    "Equivalent",
-                    f"the defining tensors are conjugate: swapping the factors split after "
-                    f"{split} letter(s) carries one to the other",
-                )
+    if f1.tensor is not None and f2.tensor is not None:
+        (m1, za), (m2, zb) = f1.tensor, f2.tensor
+        if m1 != m2:
             return EquivDecision(
                 "Inequivalent",
-                "the defining tensors are not conjugate at any split, and uniquely "
-                "determined word-moment states are equivalent exactly when conjugate",
+                "uniquely determined word-moment states of different orders are never "
+                "equivalent (conjugate tensors have equal orders)",
             )
+        conjugate, split = _tensor_conjugate(m1, za, zb, omega1.n, tol)
+        if conjugate and split == 0:
+            return EquivDecision("Equivalent", "the defining tensors coincide")
+        if conjugate:
+            return EquivDecision(
+                "Equivalent",
+                f"the defining tensors are conjugate: swapping the factors split after "
+                f"{split} letter(s) carries one to the other",
+            )
+        return EquivDecision(
+            "Inequivalent",
+            "the defining tensors are not conjugate at any split, and uniquely "
+            "determined word-moment states are equivalent exactly when conjugate",
+        )
 
-    if (
-        omega1.family == "geometric_progression"
-        and omega2.family == "geometric_progression"
-        and omega1.solution_dim == 1
-        and omega2.solution_dim == 1
-        and omega1.params["steps"] == omega2.params["steps"]
-    ):
-        zi1 = omega1.params["z_indexed"]
-        zi2 = omega2.params["z_indexed"]
-        if all(scalars_close(a, b, tol) for a, b in zip(zi1, zi2)):
+    p1, p2 = f1.progression, f2.progression
+    if p1 is not None and p2 is not None and p1[0] == p2[0]:
+        if all(scalars_close(a, b, tol) for a, b in zip(p1[1], p2[1])):
             return EquivDecision("Equivalent", "same parameter vector on the same progression code")
         return EquivDecision(
             "Inequivalent",
@@ -885,8 +725,8 @@ def equivalent(
             "only when the parameter vectors coincide",
         )
 
-    if omega1.family == "induced_product" and omega2.family == "induced_product":
-        k = _induced_series_shift(omega1, omega2, tol)
+    if f1.induced is not None and f2.induced is not None:
+        k = _induced_series_shift(f1.induced, f2.induced, tol)
         if k is not None:
             return EquivDecision(
                 "Equivalent",

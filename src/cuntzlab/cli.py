@@ -37,7 +37,6 @@ from .scalars import format_scalar, scalar_is_zero
 from .specio import (
     certificate_to_json,
     dump_json,
-    element_to_json,
     fcs_to_json,
     parse_spec,
     scalar_to_json,
@@ -180,7 +179,7 @@ def _kappa_doc(omega: MomentFunctional, cfg: RunConfig):
     if (
         isinstance(res.certificate, ProperlyInfinite)
         and res.certificate.status == "evidence"
-        and omega.properly_infinite is not None
+        and omega.facts.sequence is not None
     ):
         check = verify_properly_infinite(omega, cutoff=cfg.cutoff, tol=cfg.tol)
         lines.append(f"delta table re-checked to cutoff {cfg.cutoff}: status {check.status}")

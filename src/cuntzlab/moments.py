@@ -1,23 +1,54 @@
 """Moment functionals of states on O_n and their concrete families.
 
 A state omega is represented by its moments omega(s_J s_K*), exposed through
-:class:`MomentFunctional`.  Family constructors attach the structural data
-(parameters, certificates) that the classification layer consumes:
+:class:`MomentFunctional`.  Each family constructor also fills one frozen
+:class:`StateFacts` record, ``omega.facts``, with what the family proves about
+its state; the classification layer reads that record and never the family
+label.  Which constructor fills which fact:
 
-* ``make_cuntz(z)``               -- omega(s_J s_K*) = conj(z_J) z_K restricted
-                                     appropriately; the order-1 case.
+* ``make_cuntz(z)``               -- omega(s_J s_K*) = conj(z_J) z_K, the
+                                     order-1 case.  Purity, the Cuntz parameter
+                                     z, the tail class (i)^inf when z = e_i, the
+                                     order-1 tensor and the minimal isometry
+                                     u = sum_j z_j s_j.
 * ``make_prefix_code_state(P,z)`` -- the state(s) fixed by the isometry
                                      u = sum_W z_W s_W over a finite prefix
-                                     code P; covers uniform codes (order-m
-                                     states) and progression-shaped codes.
+                                     code P; covers uniform codes
+                                     (``make_sub_cuntz``, order-m states) and
+                                     progression codes
+                                     (``make_geometric_progression``).  The
+                                     minimal isometry u and the solution
+                                     dimension; for a unique solution the tail
+                                     class W^inf of a single code word with
+                                     coefficient 1, and the tensor (uniform
+                                     codes) or the parameter (progression
+                                     codes); the purity of both code shapes;
+                                     the Cuntz parameter y when a progression
+                                     parameter is hat_parameter(y, k).
 * ``make_induced_product(...)``   -- product states induced from a sequence of
                                      unit vectors, nonzero only on balanced
-                                     monomials.
-* ``transform_gauge`` / ``transform_sandwich`` -- pushforwards along gauge
-                                     automorphisms and isometric sandwiches.
+                                     monomials.  The inducing blocks, a proved
+                                     isometry sequence and purity (not pure).
+* ``make_mixture(...)``           -- convex combinations; purity (not pure).
+* ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
+                                     from the base only its Cuntz parameter
+                                     (moved by g^H) and its purity.
+* ``transform_sandwich``          -- isometric sandwiches.  Purity when the
+                                     base is decided pure; a user-declared
+                                     Cuntz parameter.
 * ``make_split_series_sandwich()``-- the series sandwich sum_l 2^-l
                                      omega(A_l* . A_l) with A_l = s_2^{l-1} s_1 s_2^l
-                                     over the Cuntz state by (1,0), in closed form.
+                                     over the Cuntz state by (1,0), in closed
+                                     form.  Purity and the Cuntz parameter (1,0).
+* ``shiftrep.vector_state``       -- vector states of the shift and grid
+                                     representations: purity, shift period,
+                                     tail class, minimal isometry or isometry
+                                     sequence.
+
+Facts that depend on a tolerance (the Cuntz parameter of a progression
+state, the tail class of a single-support state) are decided with the
+constructor's ``tol``; the command line passes the same ``--tol`` to
+construction and classification.
 
 Inner products are linear in the second argument throughout, so
 omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.
@@ -25,12 +56,13 @@ omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotPrefixFree, NotUnit, SchemaError, TailNotCertified
-from .linalg import hermitian_psd_check, kernel_basis, min_norm_solution
+from .linalg import hermitian_psd_check, hermitian_transpose, kernel_basis, mat_vec, min_norm_solution
 from .scalars import (
     DEFAULT_EQ_TOL,
     QQi,
@@ -41,11 +73,13 @@ from .scalars import (
     scalar_is_zero,
     scalars_close,
 )
-from .symalg import CuntzElement, adjoint, check_unitary, gen, is_isometry_in_plus, monomial, multiply
+from .symalg import CuntzElement, adjoint, check_unitary, is_isometry_in_plus, monomial, multiply
 from .words import EventuallyPeriodicWord, Word, all_words, check_word, is_prefix, words_upto
 
 __all__ = [
     "IsometrySequence",
+    "InducingBlocks",
+    "StateFacts",
     "MomentFunctional",
     "eval_moment",
     "gram_matrix",
@@ -72,15 +106,18 @@ class IsometrySequence:
 
     ``factory(i)`` returns a_i.  ``status`` records whether the delta table
     omega(a_1..a_l a_k*..a_1*) = delta_lk is known analytically ("proved") or
-    only finitely checkable ("evidence").
+    only finitely checkable ("evidence"); ``horizon`` is the depth to which
+    evidence holds when the sequence is read off a word known only that far.
     """
 
-    __slots__ = ("factory", "status", "description")
+    __slots__ = ("factory", "status", "description", "horizon")
 
-    def __init__(self, factory: Callable[[int], CuntzElement], status: str, description: str):
+    def __init__(self, factory: Callable[[int], CuntzElement], status: str, description: str,
+                 horizon: int | None = None):
         self.factory = factory
         self.status = status
         self.description = description
+        self.horizon = horizon
 
     def prefix_product(self, length: int) -> CuntzElement:
         """a_1 a_2 ... a_length (the empty product is the identity)."""
@@ -95,8 +132,65 @@ class IsometrySequence:
         return out
 
 
+class InducingBlocks(NamedTuple):
+    """The unit vectors z^(1), z^(2), ...: ``pre`` once, then ``rep`` cycling."""
+
+    pre: tuple
+    rep: tuple
+
+    def at(self, t: int):
+        """z^(t), 1-based."""
+        if t <= len(self.pre):
+            return self.pre[t - 1]
+        return self.rep[(t - len(self.pre) - 1) % len(self.rep)]
+
+
+_UNKNOWN_PURITY = ("Unknown", "no purity criterion applies to this presentation")
+_PURE_IN_PURE = "unit vector state in the irreducible representation of a pure state"
+
+
+@dataclass(frozen=True)
+class StateFacts:
+    """What a family constructor proved about its state.
+
+    * ``purity``: (verdict, reason), verdict "Pure", "NotPure" or "Unknown";
+    * ``cuntz``: (z, provenance) when the state is equivalent to the Cuntz
+      state by z, provenance "family" or "user" (declared, not verified);
+    * ``shift_period``: the primitive period d of a vector state of an
+      eventually periodic shift representation (kappa = d);
+    * ``tail_class``: the eventually periodic word whose shift representation
+      holds the state;
+    * ``tensor``: (m, coefficient map on the words of length m) of a uniquely
+      determined word-moment state;
+    * ``progression``: (k, parameter in progression order) of a uniquely
+      determined progression state on the k-step code;
+    * ``induced``: the inducing blocks of an induced product state;
+    * ``minimal_isometry``: an isometry u in the creation span with omega(u) = 1,
+      still to be verified;
+    * ``sequence``: an isometry sequence with its delta-table status;
+    * ``twist``: (base, g) for the state base o alpha_g;
+    * ``solution_dim``: dimension of the fixed-point system of a prefix code.
+    """
+
+    purity: tuple = _UNKNOWN_PURITY
+    cuntz: tuple | None = None
+    shift_period: int | None = None
+    tail_class: EventuallyPeriodicWord | None = None
+    tensor: tuple | None = None
+    progression: tuple | None = None
+    induced: InducingBlocks | None = None
+    minimal_isometry: CuntzElement | None = None
+    sequence: IsometrySequence | None = None
+    twist: tuple | None = None
+    solution_dim: int | None = None
+
+
 class MomentFunctional:
-    """A state on O_n presented through its moments omega(s_J s_K*)."""
+    """A state on O_n presented through its moments omega(s_J s_K*).
+
+    ``family`` labels the constructor (for display and tracing only);
+    ``facts`` holds what the constructor proved.
+    """
 
     def __init__(
         self,
@@ -104,35 +198,15 @@ class MomentFunctional:
         family: str,
         evaluator: Callable[[Word, Word], object],
         *,
-        params: dict | None = None,
+        facts: StateFacts = StateFacts(),
         exact: bool = True,
-        evidence_horizon: int | None = None,
-        minimal_isometry: CuntzElement | None = None,
-        properly_infinite: IsometrySequence | None = None,
-        equivalent_to_cuntz: tuple | None = None,
-        equivalence_provenance: str | None = None,
-        components: list | None = None,
-        base: "MomentFunctional | None" = None,
         warnings: Iterable[str] = (),
-        solution_dim: int | None = None,
-        pinned_by: str | None = None,
-        pure_hint: bool | None = None,
     ):
         self.n = n
         self.family = family
-        self.params = dict(params or {})
+        self.facts = facts
         self.exact = exact
-        self.evidence_horizon = evidence_horizon
-        self.minimal_isometry = minimal_isometry
-        self.properly_infinite = properly_infinite
-        self.equivalent_to_cuntz = equivalent_to_cuntz
-        self.equivalence_provenance = equivalence_provenance
-        self.components = components
-        self.base = base
         self.warnings = list(warnings)
-        self.solution_dim = solution_dim
-        self.pinned_by = pinned_by
-        self.pure_hint = pure_hint
         self._evaluator = evaluator
         self._memo: dict[tuple[Word, Word], object] = {}
         # finished Gram growths per (level cap, tol); see classify.gram_growth
@@ -187,6 +261,14 @@ def _word_product(z: Sequence, J: Word):
 # ---------------------------------------------------------------------------
 
 
+def _single_word_tail(pairs, n: int, tol: float | None):
+    """The tail class W^inf of a state prescribed on one word W with coefficient 1."""
+    support = [(w, c) for w, c in pairs if not scalar_is_zero(c, tol)]
+    if len(support) == 1 and scalars_close(support[0][1], 1, tol):
+        return EventuallyPeriodicWord((), support[0][0], n)
+    return None
+
+
 def make_cuntz(z, tol: float | None = None) -> MomentFunctional:
     """The state with pi(s_j)* Omega = z_j Omega, i.e. omega(s_J s_K*) = conj(z_J) z_K."""
     z = tuple(z)
@@ -199,18 +281,15 @@ def make_cuntz(z, tol: float | None = None) -> MomentFunctional:
     def evaluator(J: Word, K: Word):
         return conj(_word_product(z, J)) * _word_product(z, K)
 
-    u = CuntzElement(n, {((j,), ()): z[j - 1] for j in range(1, n + 1) if not scalar_is_zero(z[j - 1], 0.0)})
-    return MomentFunctional(
-        n,
-        "cuntz",
-        evaluator,
-        params={"z": z},
-        exact=exact,
-        minimal_isometry=u,
-        equivalent_to_cuntz=z,
-        equivalence_provenance="family",
-        pure_hint=True,
+    letters = {(j,): z[j - 1] for j in range(1, n + 1)}
+    facts = StateFacts(
+        purity=("Pure", "a Cuntz state is a vector state of an irreducible representation"),
+        cuntz=(z, "family"),
+        tail_class=_single_word_tail(letters.items(), n, tol),
+        tensor=(1, letters),
+        minimal_isometry=CuntzElement(n, {(w, ()): c for w, c in letters.items() if not scalar_is_zero(c, 0.0)}),
     )
+    return MomentFunctional(n, "cuntz", evaluator, facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +300,11 @@ def make_cuntz(z, tol: float | None = None) -> MomentFunctional:
 class LowMomentSolution:
     """Solved creation moments v_C = omega(s_C) for |C| <= max code length."""
 
-    __slots__ = ("table", "solution_dim", "pinned_by", "warnings")
+    __slots__ = ("table", "solution_dim", "warnings")
 
-    def __init__(self, table, solution_dim, pinned_by, warnings):
+    def __init__(self, table, solution_dim, warnings):
         self.table = table
         self.solution_dim = solution_dim
-        self.pinned_by = pinned_by
         self.warnings = warnings
 
 
@@ -387,11 +465,9 @@ def solve_low_moments(P, z, n: int | None = None, *, tol: float | None = None) -
 
     r1 = [r1_row(C) for C in table_words]
     kernel = kernel_basis(rows_of(r1), width, tol)
-    pinned_by = "fixed-point"
     if len(kernel) > 1:
         augmented = r1 + [sandwich_row(C) for C in table_words]
         kernel = kernel_basis(rows_of(augmented), width, tol)
-        pinned_by = "fixed-point+sandwich"
     dim = len(kernel)
     if dim == 0:
         raise Inconsistent("fixed-point system has no nonzero solution")
@@ -414,20 +490,21 @@ def solve_low_moments(P, z, n: int | None = None, *, tol: float | None = None) -
     if scalar_is_zero(v0, 1e-12):
         raise Inconsistent("solution space is orthogonal to the normalization v_empty = 1")
     table = {w: assemble(i) / v0 for w, i in index.items()}
-    return LowMomentSolution(table, dim, pinned_by, warnings)
+    return LowMomentSolution(table, dim, warnings)
 
 
 def _detect_code_family(code: set[Word], n: int):
+    """(family, m or k): the uniform code of order m, the k-step progression
+    code, or ("prefix_code", None)."""
     lengths = {len(w) for w in code}
     if len(lengths) == 1:
         m = lengths.pop()
         if code == set(all_words(n, m)):
-            return "sub_cuntz", {"order": m}
+            return "sub_cuntz", m
     k = max(len(w) for w in code)
-    progression = {(n,) * r + (i,) for r in range(k) for i in range(1, n)} | {(n,) * k}
-    if code == progression:
-        return "geometric_progression", {"steps": k}
-    return "prefix_code", {}
+    if code == set(_progression_code(k, n)):
+        return "geometric_progression", k
+    return "prefix_code", None
 
 
 def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = None) -> MomentFunctional:
@@ -435,14 +512,14 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
 
     Equivalently the state fixed by the isometry u = sum_W z_W s_W.  When the
     defining system does not pin omega uniquely, the symmetric mixture is
-    returned and ``solution_dim`` records the dimension.
+    returned and ``facts.solution_dim`` records the dimension.
     """
     if n is None:
         n = max(max(W) for W in P)
     code = _validate_prefix_code(P, n)
     zmap = _align_coefficients(code, z, n)
-    family, extra = _detect_code_family(set(code), n)
-    if family == "sub_cuntz" and extra["order"] == 1:
+    family, size = _detect_code_family(set(code), n)
+    if family == "sub_cuntz" and size == 1:
         return make_cuntz([zmap[(i,)] for i in range(1, n + 1)], tol)
 
     sol = solve_low_moments(code, zmap, n, tol=tol)
@@ -485,26 +562,36 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
     isometry, in_plus = is_isometry_in_plus(u, tol)
     if not (isometry and in_plus):
         raise NotUnit("the defining combination is not an isometry in the creation span")
-    params = {"code": tuple(code), "z": tuple(zmap[w] for w in code), **extra}
-    if family == "sub_cuntz":
-        m = extra["order"]
-        params["z_lex"] = tuple(zmap[w] for w in all_words(n, m))
-    if family == "geometric_progression":
-        k = extra["steps"]
-        ordered = [zmap[(n,) * r + (i,)] for r in range(k) for i in range(1, n)]
-        ordered.append(zmap[(n,) * k])
-        params["z_indexed"] = tuple(ordered)
-    return MomentFunctional(
-        n,
-        family,
-        evaluator,
-        params=params,
-        exact=exact,
+    dim = sol.solution_dim
+    unique = dim == 1
+    purity, tensor, progression, cuntz = _UNKNOWN_PURITY, None, None, None
+    if family == "sub_cuntz" and unique:
+        purity = ("Pure", "the word moments pin the state uniquely (the defining tensor is not a "
+                          "proper tensor power), and the unique solution is pure")
+        tensor = (size, zmap)
+    elif family == "sub_cuntz":
+        purity = ("NotPure", f"the defining tensor is a {dim}-th tensor power, so the canonical table is "
+                             f"the uniform mixture of {dim} phase-twisted pure states")
+    elif family == "geometric_progression":
+        z_indexed = tuple(zmap[w] for w in _progression_code(size, n))
+        y = hat_parameter_inverse(z_indexed, size, n, tol=tol)
+        cuntz = (y, "family") if y is not None else None
+        if unique:
+            purity = ("Pure", "the closing coefficient has modulus < 1, so the state is unique and pure")
+            progression = (size, z_indexed)
+        else:
+            purity = ("Unknown", "the defining system is underdetermined on this code and no purity "
+                                 "criterion applies")
+    facts = StateFacts(
+        purity=purity,
+        cuntz=cuntz,
+        tail_class=_single_word_tail(((w, zmap[w]) for w in code), n, tol) if unique else None,
+        tensor=tensor,
+        progression=progression,
         minimal_isometry=u,
-        warnings=sol.warnings,
-        solution_dim=sol.solution_dim,
-        pinned_by=sol.pinned_by,
+        solution_dim=dim,
     )
+    return MomentFunctional(n, family, evaluator, facts=facts, exact=exact, warnings=sol.warnings)
 
 
 def make_sub_cuntz(m: int, z, n: int, *, tol: float | None = None) -> MomentFunctional:
@@ -522,9 +609,12 @@ def make_sub_cuntz(m: int, z, n: int, *, tol: float | None = None) -> MomentFunc
     return make_prefix_code_state(words, z, n, tol=tol)
 
 
-def _progression_code(k: int, n: int) -> list[Word]:
-    code = [(n,) * r + (i,) for r in range(k) for i in range(1, n)]
-    code.append((n,) * k)
+def _progression_code(k: int, n: int, axis: int | None = None) -> list[Word]:
+    """The k-step progression code {a^r i : i != a, r < k} + {a^k} along the
+    letter a = ``axis`` (default n)."""
+    a = n if axis is None else axis
+    code = [(a,) * r + (i,) for r in range(k) for i in range(1, n + 1) if i != a]
+    code.append((a,) * k)
     return code
 
 
@@ -576,11 +666,9 @@ def hat_parameter_inverse(z, k: int, n: int, *, tol: float | None = None):
     y = tuple(first) + (yn,)
     if abs(complex(yn)) >= 1:
         return None
-    total = sum((abs2(c) for c in y), 0)
-    if is_exact_scalar(total) or isinstance(total, Fraction):
-        if total != 1:
-            return None
-    elif abs(float(total) - 1) > (DEFAULT_EQ_TOL if tol is None else tol):
+    try:
+        check_unit(y, tol)
+    except NotUnit:
         return None
     zhat = hat_parameter(y, k)
     if all(scalars_close(a, b, tol) for a, b in zip(zhat, z)):
@@ -609,12 +697,8 @@ def make_induced_product(pre_blocks, rep_blocks, n: int, *, tol: float | None = 
             raise SchemaError(f"block of length {len(b)}, expected {n}")
         check_unit(b, tol)
     exact = all(is_exact_scalar(x) for b in pre + rep for x in b)
-
-    def block(t: int):
-        # 1-based position
-        if t <= len(pre):
-            return pre[t - 1]
-        return rep[(t - len(pre) - 1) % len(rep)]
+    blocks = InducingBlocks(pre, rep)
+    block = blocks.at
 
     def path_product(J: Word):
         out = 1
@@ -632,14 +716,13 @@ def make_induced_product(pre_blocks, rep_blocks, n: int, *, tol: float | None = 
         "proved",
         "row isometries a_i = sum_j z^(i)_j s_j of the inducing sequence",
     )
-    return MomentFunctional(
-        n,
-        "induced_product",
-        evaluator,
-        params={"pre": pre, "rep": rep},
-        exact=exact,
-        properly_infinite=seq,
+    facts = StateFacts(
+        purity=("NotPure", "the inducing sequence is eventually periodic: a shift by one full cycle "
+                           "aligns it with itself, the overlap series converges, and the state decomposes"),
+        induced=blocks,
+        sequence=seq,
     )
+    return MomentFunctional(n, "induced_product", evaluator, facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -667,21 +750,20 @@ def make_mixture(states: Sequence[MomentFunctional], weights, *, tol: float | No
     def evaluator(J: Word, K: Word):
         return sum((w * s.moment(J, K) for w, s in zip(weights, states)), 0)
 
-    return MomentFunctional(
-        n,
-        "mixture",
-        evaluator,
-        params={"weights": tuple(weights)},
-        exact=exact,
-        components=list(zip(weights, states)),
-        pure_hint=False,
-    )
+    facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"))
+    return MomentFunctional(n, "mixture", evaluator, facts=facts, exact=exact)
 
 
 def transform_gauge(omega: MomentFunctional, g, *, tol: float | None = None) -> MomentFunctional:
-    """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j."""
+    """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j.
+
+    From its base the twist inherits only the Cuntz parameter, moved by g^H
+    (alpha_g is inverted by alpha of the conjugate transpose), and the purity
+    verdict; everything else classify derives through ``facts.twist``.
+    """
     n = omega.n
     check_unitary(g, n, tol)
+    g = tuple(tuple(row) for row in g)
     exact = omega.exact and all(is_exact_scalar(x) for row in g for x in row)
 
     def evaluator(J: Word, K: Word):
@@ -697,16 +779,16 @@ def transform_gauge(omega: MomentFunctional, g, *, tol: float | None = None) -> 
                 acc = acc + cj * conj(ck) * omega.moment(Jp, Kp)
         return acc
 
-    return MomentFunctional(
-        n,
-        "gauge",
-        evaluator,
-        params={"g": tuple(tuple(row) for row in g)},
-        exact=exact,
-        base=omega,
-        evidence_horizon=omega.evidence_horizon,
-        pure_hint=omega.pure_hint,
-    )
+    base = omega.facts
+    cuntz = None
+    if base.cuntz is not None:
+        z, provenance = base.cuntz
+        cuntz = (tuple(mat_vec(hermitian_transpose(g), list(z))), provenance)
+    verdict, reason = base.purity
+    if verdict != "Unknown":
+        reason += "; composition with a gauge automorphism preserves purity"
+    facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g))
+    return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=exact)
 
 
 def transform_sandwich(
@@ -730,9 +812,12 @@ def transform_sandwich(
 
         truncation_error = tail_bound^2 + 2 sqrt(mass) tail_bound,
 
-    recorded in ``params`` and in a warning, and the mass check is relaxed to
+    recorded in a warning, and the mass check is relaxed to
     |sqrt(mass) - 1| <= tail_bound.  A user-supplied ``equivalent_to_cuntz``
-    parameter is recorded with provenance "user" and is not verified.
+    parameter is recorded with provenance "user" and is not verified.  A
+    unit vector state of an irreducible representation is pure, so the
+    sandwich is decided pure when its base is; over any other base nothing
+    follows.
     """
     n = omega.n
     terms = [(c, A) for c, A in terms]
@@ -756,7 +841,6 @@ def transform_sandwich(
 
     eps = DEFAULT_EQ_TOL if tol is None else tol
     mass = evaluator((), ())
-    params: dict = {"terms": terms, "tail_bound": tail}
     warnings: list[str] = []
     if tail == 0:
         if is_exact_scalar(mass):
@@ -771,26 +855,15 @@ def transform_sandwich(
                 f"partial mass {complex(mass)} is not within the declared tail bound of a unit vector"
             )
         truncation_error = tail * tail + 2 * root * tail
-        params["truncation_error"] = truncation_error
         warnings.append(
             f"moments carry a truncation error of at most {format_float(truncation_error)}"
         )
 
-    return MomentFunctional(
-        n,
-        "sandwich",
-        evaluator,
-        params=params,
-        exact=exact,
-        base=omega,
-        evidence_horizon=omega.evidence_horizon,
-        equivalent_to_cuntz=tuple(equivalent_to_cuntz) if equivalent_to_cuntz is not None else None,
-        equivalence_provenance="user" if equivalent_to_cuntz is not None else None,
-        warnings=warnings,
-        # a unit vector state of an irreducible cyclic representation is pure;
-        # over a non-pure base nothing follows, so only True propagates
-        pure_hint=True if omega.pure_hint is True else None,
+    facts = StateFacts(
+        purity=("Pure", _PURE_IN_PURE) if omega.facts.purity[0] == "Pure" else _UNKNOWN_PURITY,
+        cuntz=(tuple(equivalent_to_cuntz), "user") if equivalent_to_cuntz is not None else None,
     )
+    return MomentFunctional(n, "sandwich", evaluator, facts=facts, exact=exact, warnings=warnings)
 
 
 def make_split_series_sandwich() -> MomentFunctional:
@@ -824,18 +897,8 @@ def make_split_series_sandwich() -> MomentFunctional:
             total += Fraction(1, 2 ** (lcut - 1))
         return QQi(total)
 
-    base = make_cuntz((QQi(1), QQi(0)))
-    return MomentFunctional(
-        n,
-        "sandwich_series",
-        evaluator,
-        params={"schedule": "dyadic", "axis": 2},
-        exact=True,
-        base=base,
-        equivalent_to_cuntz=(QQi(1), QQi(0)),
-        equivalence_provenance="family",
-        pure_hint=True,
-    )
+    facts = StateFacts(purity=("Pure", _PURE_IN_PURE), cuntz=((QQi(1), QQi(0)), "family"))
+    return MomentFunctional(n, "sandwich_series", evaluator, facts=facts)
 
 
 # ---------------------------------------------------------------------------

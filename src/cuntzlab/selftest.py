@@ -153,11 +153,16 @@ def _criterion_sandwich_interval(rng: random.Random):
     return True, "squeezed state: cdim 2 exact, kappa honestly in [1, 2]; user declaration pins kappa 1"
 
 
+def _own_isometry_verified(st) -> bool:
+    u = st.facts.minimal_isometry
+    return u is not None and verify_minimality_certificate(st, u)
+
+
 def _criterion_conjugate_words(rng: random.Random):
     w12 = make_sub_cuntz(2, {(1, 2): QQi(1)}, 2)
     w21 = make_sub_cuntz(2, {(2, 1): QQi(1)}, 2)
     for st in (w12, w21):
-        if st.minimal_isometry is None or not verify_minimality_certificate(st, st.minimal_isometry):
+        if not _own_isometry_verified(st):
             return False, "the defining isometry failed the minimality check"
         res = cdim(st)
         if not (res.value == 2 and res.status == "stabilized"):
@@ -212,7 +217,7 @@ def _criterion_progression(rng: random.Random):
         res = cdim(st)
         if not (res.status == "stabilized" and res.value <= k):
             return False, f"trial {trial}: cdim {res.value} ({res.status}), expected stabilized <= {k}"
-        if st.minimal_isometry is None or not verify_minimality_certificate(st, st.minimal_isometry):
+        if not _own_isometry_verified(st):
             return False, f"trial {trial}: the defining isometry failed the minimality check"
         kres = kappa(st)
         if kres.value is None or kres.value > res.value:
@@ -292,9 +297,9 @@ def _criterion_shift_dictionary(rng: random.Random):
         if not (kres.value == x.period_length and isinstance(kres.certificate, ShiftPeriod)):
             return False, f"{x!r}: kappa {kres.value}, expected the period {x.period_length}"
         if x.is_purely_periodic:
-            if st.minimal_isometry is None or not verify_minimality_certificate(st, st.minimal_isometry):
+            if not _own_isometry_verified(st):
                 return False, f"{x!r}: purely periodic but no verified minimality certificate"
-        elif st.minimal_isometry is not None:
+        elif st.facts.minimal_isometry is not None:
             return False, f"{x!r}: not purely periodic yet a minimality certificate is attached"
         checked += 1
     return True, f"{checked} canonical eventually periodic words: cdim = preperiod + period, kappa = period, minimal iff purely periodic"
@@ -360,8 +365,8 @@ def _criterion_structure(rng: random.Random):
                 c = c * v[w - 1]
             z[W] = c
         st = make_sub_cuntz(p, z, 2)
-        if st.solution_dim != p:
-            return False, f"tensor power p={p}: solution dimension {st.solution_dim}, expected {p}"
+        if st.facts.solution_dim != p:
+            return False, f"tensor power p={p}: solution dimension {st.facts.solution_dim}, expected {p}"
     return True, (
         "symmetry, row identity, positivity, and gauge invariance hold on 5 families; "
         "word states match their shift realizations exactly; tensor powers report their multiplicity"

@@ -15,11 +15,12 @@ Two models are provided:
 
 Vectors are finitely supported combinations of basis keys
 (:class:`StateVector`), operators act exactly, and :func:`vector_state` turns
-a vector into a :class:`~cuntzlab.moments.MomentFunctional` carrying the
-structural certificates the classification layer consumes.  The grading of
-the representation space generated by an s_i*-invariant subspace is computed
-by :func:`dhj_grading`, and :func:`lemma_convergence_check` tracks how fast
-a[l]* v approaches such a subspace.
+a vector into a :class:`~cuntzlab.moments.MomentFunctional` whose
+:class:`~cuntzlab.moments.StateFacts` hold what the representation proves.
+The grading of the representation space generated by an s_i*-invariant
+subspace is computed by :func:`dhj_grading`, and
+:func:`lemma_convergence_check` tracks how fast a[l]* v approaches such a
+subspace.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from math import sqrt
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotInvariant, NotUnit, SchemaError
-from .moments import IsometrySequence, MomentFunctional
-from .scalars import DEFAULT_RANK_TOL, abs2, conj, is_exact_scalar, scalar_is_zero
+from .moments import IsometrySequence, MomentFunctional, StateFacts
+from .scalars import DEFAULT_RANK_TOL, conj, is_exact_scalar, scalar_is_zero
 from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
-from .words import EventuallyPeriodicWord, LazyWord, Word, check_word
+from .words import EventuallyPeriodicWord, LazyWord, Word
 
 __all__ = [
     "StateVector",
@@ -290,11 +291,13 @@ def vector_state(rep, x) -> MomentFunctional:
     """The state omega(y) = <v, pi(y) v> / <v, v> of a vector in the representation.
 
     x may be a basis key or a StateVector.  Moments divide by the squared norm,
-    so unnormalized exact vectors stay exact.  Structural certificates are
-    attached where the representation provides them: a purely periodic basis
-    vector yields a fixed isometry (minimality), a grid basis vector yields a
-    proved delta-table isometry sequence (proper infiniteness), and a lazy
-    word yields the same table as finitely checked evidence.
+    so unnormalized exact vectors stay exact.  The facts record holds what the
+    representation provides: purity (both models are irreducible); for an
+    eventually periodic word the tail class and the shift period, plus a
+    fixed isometry (minimality) for a purely periodic basis vector; a grid
+    basis vector yields a proved delta-table isometry sequence (proper
+    infiniteness), and a lazy word yields the same table as evidence up to
+    its horizon.
     """
     v = x if isinstance(x, StateVector) else StateVector.basis(x)
     if isinstance(rep, GridRepresentation):
@@ -314,60 +317,66 @@ def vector_state(rep, x) -> MomentFunctional:
         return complex(val) / complex(nrm2)
 
     n = rep.n
-    kwargs: dict = {"params": {"rep": rep, "vector": v}, "exact": rep.exact and all(
-        is_exact_scalar(c) for c in v.coeffs.values()
-    )}
-    if isinstance(rep, (ShiftRepresentation, GridRepresentation)):
-        # vector state of an irreducible representation
-        kwargs["pure_hint"] = True
+    exact = rep.exact and all(is_exact_scalar(c) for c in v.coeffs.values())
     single_key = next(iter(v.coeffs)) if len(v) == 1 else None
+    # a vector state of an irreducible representation is pure
+    shift_pure = ("Pure", "vector state of an irreducible shift representation")
+    grid_pure = ("Pure", "vector state of the irreducible grid representation")
 
     if isinstance(rep, ShiftRepresentation) and not rep.lazy:
         if single_key is not None:
             y = single_key
-            kwargs["params"].update(word=y, preperiod=y.pre, period=y.per)
             family = "shift"
-            if y.is_purely_periodic:
-                kwargs["minimal_isometry"] = monomial(n, y.per)
+            facts = StateFacts(
+                purity=shift_pure,
+                cuntz=(tuple(1 if j == y.per[0] else 0 for j in range(1, n + 1)), "family")
+                if y.period_length == 1 else None,
+                shift_period=y.period_length,
+                tail_class=y,
+                minimal_isometry=monomial(n, y.per) if y.is_purely_periodic else None,
+            )
         else:
             family = "shift_vector"
-            kwargs["params"]["rep_word"] = rep.word
+            facts = StateFacts(purity=shift_pure, shift_period=rep.word.period_length, tail_class=rep.word)
     elif isinstance(rep, ShiftRepresentation):
         family = "shift_lazy"
-        kwargs["params"].update(rep_word=rep.word, key=single_key)
-        kwargs["evidence_horizon"] = rep.horizon
+        seq = None
         if single_key is not None:
             prefix, t = single_key
 
             def lazy_letter(i: int, prefix=prefix, t=t):
                 return prefix[i - 1] if i <= len(prefix) else rep.word.letter(t + i - len(prefix))
 
-            kwargs["properly_infinite"] = IsometrySequence(
+            seq = IsometrySequence(
                 lambda i: monomial(n, (lazy_letter(i),)),
                 "evidence",
                 "generators along the letters of the defining word",
+                horizon=rep.horizon,
             )
+        facts = StateFacts(purity=shift_pure, sequence=seq)
     elif isinstance(rep, GridRepresentation):
         if single_key is not None:
             k, m = single_key
             path = _grid_digit_path(k, n)
-            kwargs["params"].update(k=k, m=m, path=path)
             family = "grid"
 
             def grid_letter(i: int, path=path):
                 return path[i - 1] if i <= len(path) else 1
 
-            kwargs["properly_infinite"] = IsometrySequence(
+            seq = IsometrySequence(
                 lambda i: monomial(n, (grid_letter(i),)),
                 "proved",
                 "digit path of the base vector padded by the first generator; "
                 "the Z-grading makes the delta table exact at every order",
             )
+            facts = StateFacts(purity=grid_pure, sequence=seq)
         else:
             family = "grid_vector"
+            facts = StateFacts(purity=grid_pure)
     else:
         family = "vector"
-    return MomentFunctional(n, family, evaluator, **kwargs)
+        facts = StateFacts()
+    return MomentFunctional(n, family, evaluator, facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------

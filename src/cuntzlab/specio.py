@@ -261,6 +261,14 @@ def _require(obj: dict, key: str, family: str):
     return obj[key]
 
 
+def _require_int(obj: dict, key: str, family: str, low: int) -> int:
+    """A required integer field at least ``low``; booleans are not integers."""
+    v = _require(obj, key, family)
+    if not isinstance(v, int) or isinstance(v, bool) or v < low:
+        raise SchemaError(f'state spec ({family}): "{key}" must be an integer >= {low}, got {v!r}')
+    return v
+
+
 def state_from_spec(obj: dict, mode: str = "auto", tol: float | None = None) -> MomentFunctional:
     if not isinstance(obj, dict) or "family" not in obj:
         raise SchemaError('state spec: expected an object with a "family" field')
@@ -270,29 +278,29 @@ def state_from_spec(obj: dict, mode: str = "auto", tol: float | None = None) -> 
             z = _scalars_from_json(_require(obj, "z", family), mode, "z")
             return make_cuntz(z, tol)
         if family == "sub_cuntz":
-            m = _require(obj, "m", family)
-            n = _require(obj, "n", family)
+            m = _require_int(obj, "m", family, 1)
+            n = _require_int(obj, "n", family, 2)
             z = _scalars_from_json(_require(obj, "z", family), mode, "z")
             return make_sub_cuntz(m, z, n, tol=tol)
         if family == "geometric_progression":
-            k = _require(obj, "k", family)
-            n = _require(obj, "n", family)
+            k = _require_int(obj, "k", family, 1)
+            n = _require_int(obj, "n", family, 2)
             z = _scalars_from_json(_require(obj, "z", family), mode, "z")
             return make_geometric_progression(k, z, n, tol=tol)
         if family == "prefix_code":
-            n = _require(obj, "n", family)
+            n = _require_int(obj, "n", family, 2)
             code = [word_from_json(w, f"code[{i}]") for i, w in enumerate(_require(obj, "code", family))]
             z = _scalars_from_json(_require(obj, "z", family), mode, "z")
             if len(z) != len(code):
                 raise SchemaError(f"state spec (prefix_code): {len(code)} code words but {len(z)} coefficients")
             return make_prefix_code_state(code, dict(zip(code, z)), n, tol=tol)
         if family == "induced_product":
-            n = _require(obj, "n", family)
+            n = _require_int(obj, "n", family, 2)
             pre = [_scalars_from_json(b, mode, f"pre[{i}]") for i, b in enumerate(obj.get("pre", []))]
             rep = [_scalars_from_json(b, mode, f"rep[{i}]") for i, b in enumerate(_require(obj, "rep", family))]
             return make_induced_product(pre, rep, n, tol=tol)
         if family == "shift":
-            n = _require(obj, "n", family)
+            n = _require_int(obj, "n", family, 2)
             word = _word_or_lazy_from_json(_require(obj, "word", family), n, "word")
             return vector_state(ShiftRepresentation(word), word if isinstance(word, EventuallyPeriodicWord) else ((), 0))
         if family == "vector":

@@ -35,7 +35,6 @@ __all__ = [
     "LazyWord",
     "LAZY_PRESETS",
     "tail_equivalent",
-    "shifted_tail_data",
 ]
 
 Word = tuple[int, ...]
@@ -266,11 +265,3 @@ def tail_equivalent(x: EventuallyPeriodicWord, y: EventuallyPeriodicWord) -> boo
     if x.n != y.n:
         raise AlphabetMismatch(f"words over different alphabets: {x.n} vs {y.n}")
     return words_conjugate(x.per, y.per)
-
-
-def shifted_tail_data(x: EventuallyPeriodicWord) -> tuple[int, int]:
-    """(primitive period length d, number of distinct shifted tails of x).
-
-    The distinct tails of a canonical word are its first pre+per shifts.
-    """
-    return len(x.per), len(x.pre) + len(x.per)

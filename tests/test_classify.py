@@ -12,6 +12,7 @@ from cuntzlab import (
     LowerBoundOnly,
     Minimal,
     ProperlyInfinite,
+    PurityDecision,
     ShiftPeriod,
     ShiftRepresentation,
     cdim,
@@ -232,6 +233,28 @@ class TestPurity:
         d = pure(transform_sandwich(make_cuntz([q(1), q(0)]), [(1, gen(2, 2))]))
         assert d.verdict == "Pure"
         assert "unit vector state" in d.reason
+
+    def test_compression_follows_the_decided_verdict_of_its_base(self):
+        # the word state 12 is decided pure from its unique word moments, not
+        # built as a vector state; a unit vector in its irreducible GNS
+        # representation still gives a pure state
+        base = make_sub_cuntz(2, {(1, 2): 1}, 2)
+        assert pure(base).verdict == "Pure"
+        d = pure(transform_sandwich(base, [(1, gen(2, 2))]))
+        assert d == PurityDecision("Pure", "unit vector state in the irreducible representation of a pure state")
+
+    def test_gauge_twist_of_that_compression_is_pure(self):
+        sand = transform_sandwich(make_sub_cuntz(2, {(1, 2): 1}, 2), [(1, gen(2, 2))])
+        d = pure(transform_gauge(sand, [[q(1), q(0)], [q(0), q(0, 1)]]))
+        assert d == PurityDecision(
+            "Pure",
+            "unit vector state in the irreducible representation of a pure state; "
+            "composition with a gauge automorphism preserves purity",
+        )
+
+    def test_compression_of_a_mixture_stays_unknown(self):
+        m = make_mixture([make_cuntz([q(1), q(0)]), make_cuntz([q(0), q(1)])], [fr(1, 2), fr(1, 2)])
+        assert pure(transform_sandwich(m, [(1, gen(2, 1))])).verdict == "Unknown"
 
 
 class TestEquivalence:

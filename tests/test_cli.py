@@ -226,6 +226,24 @@ class TestErrors:
         assert run(["cdim", "/nonexistent.json"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"family": "sub_cuntz", "n": 2, "m": "2", "z": [0, 1, 0, 0]},
+             'state spec (sub_cuntz): "m" must be an integer >= 1, got \'2\''),
+            ({"family": "geometric_progression", "n": 2, "k": 2.0, "z": [0, 1, 0]},
+             'state spec (geometric_progression): "k" must be an integer >= 1, got 2.0'),
+            ({"family": "shift", "n": True, "word": {"pre": [], "per": [1]}},
+             'state spec (shift): "n" must be an integer >= 2, got True'),
+            ({"family": "prefix_code", "n": 1, "code": [[1]], "z": [1]},
+             'state spec (prefix_code): "n" must be an integer >= 2, got 1'),
+        ],
+        ids=["string_m", "float_k", "bool_n", "one_letter_code"],
+    )
+    def test_integer_fields_checked_at_the_boundary(self, spec_file, capsys, spec, message):
+        assert run(["pure", spec_file(spec)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_inexact_float_gated(self, spec_file, capsys):
         path = spec_file({"family": "cuntz", "z": [0.6, 0.8]})
         assert run(["cdim", path]) == 1

@@ -119,7 +119,7 @@ class TestWordStates:
 class TestSubCuntz:
     def test_basis_tensor_is_determined(self):
         w = make_sub_cuntz(2, {(1, 2): 1}, 2)
-        assert w.solution_dim == 1
+        assert w.facts.solution_dim == 1
         assert w.moment((1, 2), ()) == 1
         assert w.moment((1,), (1,)) == 1
 
@@ -130,7 +130,7 @@ class TestSubCuntz:
         for J in product((1, 2), repeat=2):
             zz[J] = Z35[J[0] - 1] * Z35[J[1] - 1]
         w = make_sub_cuntz(2, zz, 2)
-        assert w.solution_dim == 2
+        assert w.facts.solution_dim == 2
         assert w.moment((1,), ()) == 0
         assert w.moment((1, 2), ()) == fr(12, 25)
         assert w.moment((1,), (2,)) == fr(12, 25)
@@ -144,7 +144,7 @@ class TestSubCuntz:
                 v = v * Z35[a - 1]
             zz[J] = v
         w = make_sub_cuntz(p, zz, 2)
-        assert w.solution_dim == p
+        assert w.facts.solution_dim == p
 
 
 class TestGeometricProgression:
@@ -188,7 +188,7 @@ class TestInducedProduct:
 
     def test_carries_an_isometry_sequence(self):
         w = make_induced_product([], [Z35, [q(0), q(1)]], 2)
-        assert w.properly_infinite is not None
+        assert w.facts.sequence is not None
 
     def test_blocks_must_be_units(self):
         with pytest.raises(NotUnit):
@@ -261,8 +261,7 @@ class TestSandwich:
     def test_user_supplied_equivalence_is_recorded(self):
         base = make_cuntz([q(1), q(0)])
         w = transform_sandwich(base, [(1, gen(2, 2))], equivalent_to_cuntz=[1, 0])
-        assert w.equivalent_to_cuntz == (1, 0)
-        assert w.equivalence_provenance == "user"
+        assert w.facts.cuntz == ((1, 0), "user")
 
 
 class TestGauge:
@@ -281,6 +280,41 @@ class TestGauge:
 
         with pytest.raises(NotUnitary):
             transform_gauge(make_cuntz(Z35), [[1, 0], [0, 2]])
+
+
+class TestStateFacts:
+    def test_record_is_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        w = make_cuntz(Z35)
+        with pytest.raises(FrozenInstanceError):
+            w.facts.cuntz = None
+
+    def test_cuntz_state_facts(self):
+        f = make_cuntz([q(0), q(1)]).facts
+        assert f.cuntz == ((0, 1), "family")
+        assert f.tail_class.per == (2,) and f.tail_class.pre == ()
+        assert f.tensor == (1, {(1,): 0, (2,): 1})
+
+    def test_hat_parameter_gives_the_cuntz_parameter(self):
+        z = hat_parameter(Z35, 2)
+        f = make_geometric_progression(2, z, 2).facts
+        assert f.cuntz == (tuple(Z35), "family")
+        assert f.progression == (2, tuple(z))
+
+    def test_gauge_twist_inherits_only_parameter_and_purity(self):
+        base = make_sub_cuntz(2, {(1, 2): 1}, 2)
+        assert base.facts.tail_class is not None and base.facts.tensor is not None
+        g = ((q(1), q(0)), (q(0), q(0, 1)))
+        f = transform_gauge(base, g).facts
+        assert f.twist == (base, g)
+        assert (f.cuntz, f.tail_class, f.tensor, f.progression, f.minimal_isometry) == (None,) * 5
+        assert f.purity[0] == "Pure"
+
+    def test_gauge_moves_the_cuntz_parameter_by_the_adjoint(self):
+        swap = [[q(0), q(1)], [q(1), q(0)]]
+        f = transform_gauge(make_cuntz(Z35), swap).facts
+        assert f.cuntz == ((fr(4, 5), fr(3, 5)), "family")
 
 
 class TestStructureIdentities:

@@ -6,9 +6,15 @@ from cuntzlab import (
     LAZY_PRESETS,
     EventuallyPeriodicWord,
     GridRepresentation,
+    NotInvariant,
     ShiftRepresentation,
+    apply_element,
     apply_generator,
     cdim,
+    dhj_grading,
+    gen,
+    lemma_convergence_check,
+    monomial,
     vector_state,
 )
 from cuntzlab.shiftrep import LazyWord, StateVector
@@ -142,3 +148,44 @@ class TestStateVector:
     def test_scale_and_add(self):
         v = StateVector({(1, 0): q(1)})
         assert v.scale(q(2)).norm2() == 4
+
+
+class TestGradingAndConvergence:
+    """On the shift space of x = 1^inf the vector e_x is fixed by s_1* and
+    killed by s_2*, so M = {e_x} is invariant and every level is spanned by
+    basis vectors e_{w x}."""
+
+    X = ep((), (1,))
+
+    def test_levels_of_the_fixed_vector(self):
+        rep = ShiftRepresentation(self.X)
+        levels = dhj_grading(rep, [StateVector.basis(self.X)], 2)
+        # level 1 adds e_{2x} (s_1 e_x = e_x is old); level 2 adds e_{12x}, e_{22x}
+        assert levels == [
+            [StateVector.basis(self.X)],
+            [StateVector.basis(ep((2,), (1,)))],
+            [StateVector.basis(ep((1, 2), (1,))), StateVector.basis(ep((2, 2), (1,)))],
+        ]
+
+    def test_grading_needs_an_invariant_subspace(self):
+        rep = ShiftRepresentation(self.X)
+        # s_2* e_{2x} = e_x leaves span{e_{2x}}
+        with pytest.raises(NotInvariant):
+            dhj_grading(rep, [StateVector.basis(ep((2,), (1,)))], 1)
+
+    def test_distances_along_the_first_generator(self):
+        rep = ShiftRepresentation(self.X)
+        v = StateVector({ep((1, 2), (1,)): q(fr(3, 5)), ep((1, 1, 2), (1,)): q(fr(4, 5))})
+        # s_1* v = 3/5 e_{2x} + 4/5 e_{12x} (orthogonal to e_x, distance 1);
+        # s_1*^2 v = 4/5 e_{2x} (distance 4/5); s_1*^3 v = 0
+        dist = lemma_convergence_check(rep, [StateVector.basis(self.X)], [gen(2, 1)] * 3, v, 3)
+        assert dist == pytest.approx([1.0, 0.8, 0.0], abs=1e-12)
+
+    def test_element_on_a_lazy_word(self):
+        # Thue-Morse t = 1 2 2 1 2 ...: the key ((), 1) is the tail 2 2 1 2 ...,
+        # s_2* strips its 2, s_1 prepends 1; the tail t itself starts with 1,
+        # so s_2* kills the second term
+        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 64))
+        v = StateVector({((), 1): q(fr(3, 5)), ((), 0): q(fr(4, 5))})
+        out = apply_element(rep, monomial(2, (1,), (2,)), v)
+        assert out == StateVector({((1,), 2): q(fr(3, 5))})

@@ -186,7 +186,7 @@ class TestStateSpecs:
                 "equivalent_to_cuntz": [1, 0],
             }
         )
-        assert w.equivalent_to_cuntz == (1, 0)
+        assert w.facts.cuntz == ((1, 0), "user")
 
 
 class TestRepSpecs:
