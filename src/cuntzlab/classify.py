@@ -46,7 +46,7 @@ from .scalars import (
     scalars_close,
 )
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
-from .symalg import CuntzElement, adjoint, gauge_apply, identity, is_isometry_in_plus, multiply
+from .symalg import CuntzElement, gauge_apply, identity, is_isometry_in_plus, multiply
 from .words import Word, all_words, tail_equivalent
 
 __all__ = [
@@ -379,14 +379,15 @@ def verify_properly_infinite(
         if not (isometry and in_plus):
             raise NotUnit(f"sequence element {i} is not an isometry in the creation span")
         prods.append(multiply(prods[-1], ai))
-    adjoints = [adjoint(p) for p in prods]
+    # the prefix products stay in the creation span: s_J terms only
+    vectors = [{J: c for (J, _), c in p.terms.items()} for p in prods]
 
     table = []
     delta_ok = True
     for l in range(1, cutoff + 1):
         row = []
         for k in range(1, cutoff + 1):
-            val = omega.moment_of_element(multiply(prods[l], adjoints[k]))
+            val = omega.moment_of_pair(vectors[l], vectors[k])
             row.append(val)
             if not scalars_close(val, 1 if l == k else 0, tol):
                 delta_ok = False

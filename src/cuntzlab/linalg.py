@@ -18,7 +18,6 @@ __all__ = [
     "mat_vec",
     "mat_mul",
     "hermitian_transpose",
-    "identity_matrix",
     "solve",
     "kernel_basis",
     "rank",
@@ -44,10 +43,6 @@ def hermitian_transpose(rows):
     return [[conj(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))]
 
 
-def identity_matrix(d: int):
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-
 def _pivot_row(rows, col, start, exact: bool, thresh: float):
     if exact:
         for r in range(start, len(rows)):
@@ -65,8 +60,10 @@ def _pivot_row(rows, col, start, exact: bool, thresh: float):
 def _eliminate(rows, ncols, tol: float | None):
     """In-place forward elimination; returns list of (pivot_row, pivot_col)."""
     exact = matrix_is_exact(rows)
-    maxabs = max((abs(complex(x)) for row in rows for x in row), default=0.0)
-    thresh = 0.0 if exact else (DEFAULT_RANK_TOL if tol is None else tol) * max(1.0, maxabs)
+    thresh = 0.0
+    if not exact:
+        maxabs = max((abs(complex(x)) for row in rows for x in row), default=0.0)
+        thresh = (DEFAULT_RANK_TOL if tol is None else tol) * max(1.0, maxabs)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -192,29 +189,14 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs, tol: float | None 
     gram = [[sum((conj(basis[i][k]) * basis[j][k] for k in range(m)), 0) for j in range(r)] for i in range(r)]
     cb = [[sum((row[k] * basis[j][k] for k in range(m)), 0) for j in range(r)] for row in constraint_rows]
 
-    def _is_zero(x):
-        if is_exact_scalar(x):
-            return x == 0
-        eps = DEFAULT_RANK_TOL if tol is None else tol
-        return abs(complex(x)) <= eps
-
     # constraints may be dependent as functionals on the span (a row reducing
-    # to zero would make the KKT matrix singular); keep an independent subset
+    # to zero would make the KKT matrix singular); keep the reduced pivot rows,
+    # and a pivot in the rhs column means no combination meets them
     work = [list(cb[a]) + [constraint_rhs[a]] for a in range(len(cb))]
-    kept, pivot_cols = [], []
-    for row in work:
-        for kr, kc in zip(kept, pivot_cols):
-            f = row[kc]
-            if not _is_zero(f):
-                f = f / kr[kc]
-                row = [row[j] - f * kr[j] for j in range(r + 1)]
-        col = next((j for j in range(r) if not _is_zero(row[j])), None)
-        if col is None:
-            if not _is_zero(row[r]):
-                raise Inconsistent("constraints are unreachable on the solution space")
-            continue
-        kept.append(row)
-        pivot_cols.append(col)
+    pivots = _eliminate(work, r + 1, tol)
+    if any(c == r for _, c in pivots):
+        raise Inconsistent("constraints are unreachable on the solution space")
+    kept = [work[p] for p, _ in pivots]
     cb = [row[:r] for row in kept]
     q = len(cb)
     # KKT system: [2 gram, cb^H; cb, 0] [c; lam] = [0; rhs]

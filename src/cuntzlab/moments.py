@@ -58,7 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from functools import cache
+from math import prod, sqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotPrefixFree, NotUnit, SchemaError, TailNotCertified
@@ -118,18 +119,6 @@ class IsometrySequence:
         self.status = status
         self.description = description
         self.horizon = horizon
-
-    def prefix_product(self, length: int) -> CuntzElement:
-        """a_1 a_2 ... a_length (the empty product is the identity)."""
-        out = None
-        for i in range(1, length + 1):
-            a = self.factory(i)
-            out = a if out is None else multiply(out, a)
-        if out is None:
-            from .symalg import identity
-
-            return identity(self.factory(1).n)
-        return out
 
 
 class InducingBlocks(NamedTuple):
@@ -226,6 +215,11 @@ class MomentFunctional:
             raise SchemaError(f"element over n={x.n}, state over n={self.n}")
         return sum((c * self.moment(J, K) for (J, K), c in x.terms.items()), 0)
 
+    def moment_of_pair(self, x: dict, y: dict) -> object:
+        """omega(x y*) for creation-span x, y given as {word: coefficient}:
+        the sum of x_J conj(y_K) omega(s_J s_K*), with no product formed."""
+        return sum((cx * conj(cy) * self.moment(J, K) for J, cx in x.items() for K, cy in y.items()), 0)
+
     def __repr__(self):
         return f"MomentFunctional(n={self.n}, family={self.family!r})"
 
@@ -308,57 +302,6 @@ class LowMomentSolution:
         self.warnings = warnings
 
 
-class _RealLinearExpr:
-    """A complex-valued expression that is R-linear in the real unknowns."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def zero(cls, width: int, exact: bool):
-        z = Fraction(0) if exact else 0.0
-        return cls([z] * width, [z] * width)
-
-    @classmethod
-    def variable(cls, idx_re: int, idx_im: int, width: int, exact: bool):
-        e = cls.zero(width, exact)
-        one = Fraction(1) if exact else 1.0
-        e.re[idx_re] = one
-        e.im[idx_im] = one
-        return e
-
-    def plus(self, other: "_RealLinearExpr"):
-        return _RealLinearExpr(
-            [a + b for a, b in zip(self.re, other.re)],
-            [a + b for a, b in zip(self.im, other.im)],
-        )
-
-    def minus(self, other: "_RealLinearExpr"):
-        return _RealLinearExpr(
-            [a - b for a, b in zip(self.re, other.re)],
-            [a - b for a, b in zip(self.im, other.im)],
-        )
-
-    def conjugated(self):
-        return _RealLinearExpr(list(self.re), [-b for b in self.im])
-
-    def scaled(self, c):
-        # (a+bi)(re+im i) -> re' = a re - b im, im' = a im + b re
-        if is_exact_scalar(c):
-            q = c if isinstance(c, QQi) else QQi(c)
-            a, b = q.re, q.im
-        else:
-            cc = complex(c)
-            a, b = cc.real, cc.imag
-        return _RealLinearExpr(
-            [a * r - b * i for r, i in zip(self.re, self.im)],
-            [a * i + b * r for r, i in zip(self.re, self.im)],
-        )
-
-
 def _validate_prefix_code(P, n: int):
     words = []
     for W in P:
@@ -391,6 +334,57 @@ def _align_coefficients(code, z, n: int) -> dict:
     return zmap
 
 
+def _code_lookup(support: Sequence[Word]):
+    """(head, tails) over the code words of ``support``: head(X) is the code
+    word that is a prefix of X (equality included; a prefix code has at most
+    one), or None; tails(X) lists the code words X is a proper prefix of, in
+    support order."""
+    words = set(support)
+    lengths = sorted({len(w) for w in support})
+    below: dict[Word, list[Word]] = {}
+    for W in support:
+        for i in range(len(W)):
+            below.setdefault(W[:i], []).append(W)
+
+    def head(X: Word) -> Word | None:
+        for length in lengths:
+            if length > len(X):
+                break
+            if X[:length] in words:
+                return X[:length]
+        return None
+
+    return head, lambda X: below.get(X, ())
+
+
+class _PrefixCode(NamedTuple):
+    """A validated prefix code with its coefficients, read once per construction."""
+
+    code: list
+    z: dict
+    support: list  # words with a nonzero coefficient, in (length, lex) order
+    max_len: int
+    exact: bool
+    head: Callable[[Word], Word | None]
+    tails: Callable[[Word], Sequence[Word]]
+
+
+def _read_code(P, z, n: int) -> _PrefixCode:
+    code = _validate_prefix_code(P, n)
+    zmap = _align_coefficients(code, z, n)
+    support = sorted((w for w in code if not scalar_is_zero(zmap[w], 0.0)), key=lambda w: (len(w), w))
+    return _PrefixCode(code, zmap, support, max((len(w) for w in code), default=0),
+                       all(is_exact_scalar(zmap[w]) for w in code), *_code_lookup(support))
+
+
+def _add_scaled(acc: dict, expr: dict, c, conjugated: bool = False) -> None:
+    """acc += c * expr (or c * conj(expr)) for R-linear expressions
+    {(word, conjugated): coefficient} in the unknowns v_word."""
+    for (w, f), v in expr.items():
+        key = (w, f != conjugated)
+        acc[key] = acc.get(key, 0) + c * (conj(v) if conjugated else v)
+
+
 def solve_low_moments(P, z, n: int | None = None, *, tol: float | None = None) -> LowMomentSolution:
     """Solve for the creation moments of the state fixed by u = sum_W z_W s_W.
 
@@ -404,70 +398,69 @@ def solve_low_moments(P, z, n: int | None = None, *, tol: float | None = None) -
     """
     if n is None:
         n = max(max(W) for W in P)
-    code = _validate_prefix_code(P, n)
-    zmap = _align_coefficients(code, z, n)
-    check_unit([zmap[w] for w in code], tol)
-    exact = all(is_exact_scalar(zmap[w]) for w in code)
-    support = sorted((w for w in code if not scalar_is_zero(zmap[w], 0.0)), key=lambda w: (len(w), w))
+    return _solve_low_moments(_read_code(P, z, n), n, tol)
 
-    M = max(len(w) for w in code)
+
+def _solve_low_moments(pc: _PrefixCode, n: int, tol: float | None) -> LowMomentSolution:
+    check_unit([pc.z[w] for w in pc.code], tol)
+    zmap, M, head, tails = pc.z, pc.max_len, pc.head, pc.tails
     table_words = list(words_upto(n, M))
     index = {w: i for i, w in enumerate(table_words)}
     width = 2 * len(table_words)
+    creation_cache: dict[Word, dict] = {}
 
-    def var(wd: Word) -> _RealLinearExpr:
-        i = index[wd]
-        return _RealLinearExpr.variable(2 * i, 2 * i + 1, width, exact)
-
-    creation_cache: dict[Word, _RealLinearExpr] = {}
-
-    def creation_expr(C: Word) -> _RealLinearExpr:
+    def creation_expr(C: Word) -> dict:
         if len(C) <= M:
-            return var(C)
+            return {(C, False): 1}
         hit = creation_cache.get(C)
-        if hit is not None:
-            return hit
-        acc = _RealLinearExpr.zero(width, exact)
-        for W in support:
-            if is_prefix(W, C):
-                acc = acc.plus(creation_expr(C[len(W):]).scaled(conj(zmap[W])))
-        creation_cache[C] = acc
-        return acc
+        if hit is None:
+            hit = {}
+            W = head(C)
+            if W is not None:
+                _add_scaled(hit, creation_expr(C[len(W):]), conj(zmap[W]))
+            creation_cache[C] = hit
+        return hit
 
-    def r1_row(C: Word) -> _RealLinearExpr:
-        rhs = _RealLinearExpr.zero(width, exact)
-        for W in support:
-            zw = conj(zmap[W])
-            if is_prefix(W, C):
-                rhs = rhs.plus(var(C[len(W):]).scaled(zw))
-            elif is_prefix(C, W):
-                rhs = rhs.plus(var(W[len(C):]).conjugated().scaled(zw))
-        return var(C).minus(rhs)
+    def subtract_peeled(row: dict, D: Word, c) -> None:
+        # row -= c omega(u* s_D): the code word W <= D leaves s_{D - W}, and a
+        # code word W extending D leaves s_{W - D}*
+        W = head(D)
+        if W is not None:
+            _add_scaled(row, creation_expr(D[len(W):]), -c * conj(zmap[W]))
+        for W in tails(D):
+            _add_scaled(row, creation_expr(W[len(D):]), -c * conj(zmap[W]), conjugated=True)
 
-    def sandwich_row(C: Word) -> _RealLinearExpr:
-        rhs = _RealLinearExpr.zero(width, exact)
-        for A in support:
-            for B in support:
-                coeff = conj(zmap[A]) * zmap[B]
-                D = C + B
-                if is_prefix(A, D):
-                    rhs = rhs.plus(creation_expr(D[len(A):]).scaled(coeff))
-                elif is_prefix(D, A):
-                    rhs = rhs.plus(creation_expr(A[len(D):]).conjugated().scaled(coeff))
-        return var(C).minus(rhs)
+    def realified(row: dict):
+        # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i
+        zero = Fraction(0) if pc.exact else 0.0
+        re, im = [zero] * width, [zero] * width
+        for (w, conjugated), c in row.items():
+            if pc.exact:
+                q = c if isinstance(c, QQi) else QQi(c)
+                a, b = q.re, q.im
+            else:
+                cc = complex(c)
+                a, b = cc.real, cc.imag
+            i, s = 2 * index[w], -1 if conjugated else 1
+            re[i] += a
+            re[i + 1] -= s * b
+            im[i] += b
+            im[i + 1] += s * a
+        return [re, im]
 
-    def rows_of(exprs):
-        out = []
-        for e in exprs:
-            out.append(e.re)
-            out.append(e.im)
-        return out
+    def equation(C: Word, peeled) -> list:
+        # v_C - sum of c omega(u* s_D) over (D, c): the fixed-point equation takes
+        # D = C, the sandwich omega(u* s_C u) the words D = C B with c = z_B
+        row = {(C, False): 1}
+        for D, c in peeled:
+            subtract_peeled(row, D, c)
+        return realified(row)
 
-    r1 = [r1_row(C) for C in table_words]
-    kernel = kernel_basis(rows_of(r1), width, tol)
+    rows = [r for C in table_words for r in equation(C, [(C, 1)])]
+    kernel = kernel_basis(rows, width, tol)
     if len(kernel) > 1:
-        augmented = r1 + [sandwich_row(C) for C in table_words]
-        kernel = kernel_basis(rows_of(augmented), width, tol)
+        rows += [r for C in table_words for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
+        kernel = kernel_basis(rows, width, tol)
     dim = len(kernel)
     if dim == 0:
         raise Inconsistent("fixed-point system has no nonzero solution")
@@ -478,13 +471,11 @@ def solve_low_moments(P, z, n: int | None = None, *, tol: float | None = None) -
     else:
         vec = min_norm_solution(kernel, [[1 if j == 0 else 0 for j in range(width)],
                                          [1 if j == 1 else 0 for j in range(width)]], [1, 0], tol)
-        warnings.append(
-            f"solution space has dimension {dim}; returning the symmetric minimum-norm table"
-        )
+        warnings.append(f"solution space has dimension {dim}; returning the symmetric minimum-norm table")
 
     def assemble(i: int):
         re, im = vec[2 * i], vec[2 * i + 1]
-        return QQi(re, im) if exact else complex(re, im)
+        return QQi(re, im) if pc.exact else complex(re, im)
 
     v0 = assemble(0)
     if scalar_is_zero(v0, 1e-12):
@@ -516,26 +507,24 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
     """
     if n is None:
         n = max(max(W) for W in P)
-    code = _validate_prefix_code(P, n)
-    zmap = _align_coefficients(code, z, n)
+    pc = _read_code(P, z, n)
+    code, zmap, support, M, head, tails = pc.code, pc.z, pc.support, pc.max_len, pc.head, pc.tails
     family, size = _detect_code_family(set(code), n)
     if family == "sub_cuntz" and size == 1:
         return make_cuntz([zmap[(i,)] for i in range(1, n + 1)], tol)
 
-    sol = solve_low_moments(code, zmap, n, tol=tol)
-    exact = all(is_exact_scalar(v) for v in zmap.values())
-    support = sorted((w for w in code if not scalar_is_zero(zmap[w], 0.0)), key=lambda w: (len(w), w))
-    M = max(len(w) for w in code)
+    sol = _solve_low_moments(pc, n, tol)
     table = sol.table
-
     creation_memo: dict[Word, object] = {}
 
+    # a one-term sum is written 0 + x, as sum() computes it, so float zeros keep their sign
     def creation(C: Word):
         if len(C) <= M:
             return table[C]
         hit = creation_memo.get(C)
         if hit is None and C not in creation_memo:
-            hit = sum((conj(zmap[W]) * creation(C[len(W):]) for W in support if is_prefix(W, C)), 0)
+            W = head(C)
+            hit = 0 if W is None else 0 + conj(zmap[W]) * creation(C[len(W):])
             creation_memo[C] = hit
         return hit
 
@@ -548,14 +537,12 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
         key = (J, K)
         hit = moment_memo.get(key)
         if hit is None and key not in moment_memo:
-            acc = 0
-            for W in support:
-                if is_prefix(K, W):
-                    acc = acc + zmap[W] * creation(J + W[len(K):])
-                elif is_prefix(W, K):
-                    acc = acc + zmap[W] * evaluator(J, K[len(W):])
-            moment_memo[key] = acc
-            hit = acc
+            W = head(K)
+            if W is None:
+                hit = sum((zmap[V] * creation(J + V[len(K):]) for V in tails(K)), 0)
+            else:
+                hit = 0 + zmap[W] * evaluator(J, K[len(W):])
+            moment_memo[key] = hit
         return hit
 
     u = CuntzElement(n, {(w, ()): zmap[w] for w in support})
@@ -591,7 +578,7 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
         minimal_isometry=u,
         solution_dim=dim,
     )
-    return MomentFunctional(n, family, evaluator, facts=facts, exact=exact, warnings=sol.warnings)
+    return MomentFunctional(n, family, evaluator, facts=facts, exact=pc.exact, warnings=sol.warnings)
 
 
 def make_sub_cuntz(m: int, z, n: int, *, tol: float | None = None) -> MomentFunctional:
@@ -699,11 +686,17 @@ def make_induced_product(pre_blocks, rep_blocks, n: int, *, tol: float | None = 
     exact = all(is_exact_scalar(x) for b in pre + rep for x in b)
     blocks = InducingBlocks(pre, rep)
     block = blocks.at
+    paths = {(): 1}
 
     def path_product(J: Word):
-        out = 1
-        for t, a in enumerate(J, start=1):
-            out = out * block(t)[a - 1]
+        # z_J = z_{J minus its last letter} z^(|J|)_{last letter}, memoized by prefix
+        known = len(J)
+        while J[:known] not in paths:
+            known -= 1
+        out = paths[J[:known]]
+        for t in range(known, len(J)):
+            out = out * block(t + 1)[J[t] - 1]
+            paths[J[:t + 1]] = out
         return out
 
     def evaluator(J: Word, K: Word):
@@ -766,18 +759,13 @@ def transform_gauge(omega: MomentFunctional, g, *, tol: float | None = None) -> 
     g = tuple(tuple(row) for row in g)
     exact = omega.exact and all(is_exact_scalar(x) for row in g for x in row)
 
+    @cache
+    def image(J: Word) -> dict:
+        # alpha_g(s_J) = sum_J' (prod_t g[J'_t][J_t]) s_J'
+        return {Jp: prod(g[a - 1][b - 1] for a, b in zip(Jp, J)) for Jp in all_words(n, len(J))}
+
     def evaluator(J: Word, K: Word):
-        acc = 0
-        for Jp in all_words(n, len(J)):
-            cj = 1
-            for a, b in zip(Jp, J):
-                cj = cj * g[a - 1][b - 1]
-            for Kp in all_words(n, len(K)):
-                ck = 1
-                for a, b in zip(Kp, K):
-                    ck = ck * g[a - 1][b - 1]
-                acc = acc + cj * conj(ck) * omega.moment(Jp, Kp)
-        return acc
+        return omega.moment_of_pair(image(J), image(K))
 
     base = omega.facts
     cuntz = None

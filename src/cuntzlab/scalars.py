@@ -25,7 +25,6 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "conj",
     "abs2",
-    "as_complex",
     "is_exact_scalar",
     "scalar_is_zero",
     "scalars_close",
@@ -192,10 +191,6 @@ def abs2(x):
         return x * x
     c = complex(x)
     return c.real * c.real + c.imag * c.imag
-
-
-def as_complex(x) -> complex:
-    return complex(x)
 
 
 def is_exact_scalar(x) -> bool:

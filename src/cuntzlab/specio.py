@@ -207,40 +207,48 @@ def element_to_json(x: CuntzElement):
 # ---------------------------------------------------------------------------
 
 
-def _word_or_lazy_from_json(v, n: int, where: str):
+def _checked_int(v, key: str, where: str, low: int) -> int:
+    """``v`` as an integer at least ``low``; booleans are not integers."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < low:
+        raise SchemaError(f'{where}: "{key}" must be an integer >= {low}, got {v!r}')
+    return v
+
+
+def _word_or_lazy_from_json(v, n: int, where: str, spec: str):
     if isinstance(v, dict) and "preset" in v:
         preset = v["preset"]
         if preset not in LAZY_PRESETS:
             known = ", ".join(sorted(LAZY_PRESETS))
             raise SchemaError(f"{where}: unknown preset {preset!r} (known: {known})")
-        return LAZY_PRESETS[preset](n, v.get("horizon", 256))
+        return LAZY_PRESETS[preset](n, _checked_int(v.get("horizon", 256), "horizon", spec, 1))
     return epword_from_json(v, n, where)
 
 
 def rep_from_spec(obj: dict):
     kind = obj.get("kind")
+    spec = f"representation spec ({kind})"
     if kind == "grid":
         if "n" not in obj:
             raise SchemaError('representation spec: grid needs "n"')
-        return GridRepresentation(obj["n"])
+        return GridRepresentation(_checked_int(obj["n"], "n", spec, 2))
     if kind == "lazy":
-        word = _word_or_lazy_from_json(
-            {"preset": obj.get("preset"), "horizon": obj.get("horizon", 256)}, obj.get("n", 2), "lazy"
-        )
-        return ShiftRepresentation(word)
+        n = _checked_int(obj.get("n", 2), "n", spec, 2)
+        return ShiftRepresentation(_word_or_lazy_from_json(
+            {"preset": obj.get("preset"), "horizon": obj.get("horizon", 256)}, n, "lazy", spec))
     if kind == "shift":
         n = obj.get("n")
         word = obj.get("word")
         if word is None:
             raise SchemaError('representation spec: shift needs "word"')
-        if n is None:
-            if isinstance(word, dict) and "per" in word:
-                letters = list(word.get("pre", [])) + list(word["per"])
-                n = max(letters) if letters else 2
-                n = max(n, 2)
-            else:
-                raise SchemaError('representation spec: shift needs "n"')
-        return ShiftRepresentation(_word_or_lazy_from_json(word, n, "shift.word"))
+        if n is not None:
+            n = _checked_int(n, "n", spec, 2)
+        elif isinstance(word, dict) and "per" in word:
+            letters = list(word.get("pre", [])) + list(word["per"])
+            n = max(letters) if letters else 2
+            n = max(n, 2)
+        else:
+            raise SchemaError('representation spec: shift needs "n"')
+        return ShiftRepresentation(_word_or_lazy_from_json(word, n, "shift.word", spec))
     raise SchemaError(f"representation spec: unknown kind {kind!r}")
 
 
@@ -262,11 +270,7 @@ def _require(obj: dict, key: str, family: str):
 
 
 def _require_int(obj: dict, key: str, family: str, low: int) -> int:
-    """A required integer field at least ``low``; booleans are not integers."""
-    v = _require(obj, key, family)
-    if not isinstance(v, int) or isinstance(v, bool) or v < low:
-        raise SchemaError(f'state spec ({family}): "{key}" must be an integer >= {low}, got {v!r}')
-    return v
+    return _checked_int(_require(obj, key, family), key, f"state spec ({family})", low)
 
 
 def state_from_spec(obj: dict, mode: str = "auto", tol: float | None = None) -> MomentFunctional:
@@ -301,7 +305,7 @@ def state_from_spec(obj: dict, mode: str = "auto", tol: float | None = None) -> 
             return make_induced_product(pre, rep, n, tol=tol)
         if family == "shift":
             n = _require_int(obj, "n", family, 2)
-            word = _word_or_lazy_from_json(_require(obj, "word", family), n, "word")
+            word = _word_or_lazy_from_json(_require(obj, "word", family), n, "word", f"state spec ({family})")
             return vector_state(ShiftRepresentation(word), word if isinstance(word, EventuallyPeriodicWord) else ((), 0))
         if family == "vector":
             rep = rep_from_spec(_require(obj, "rep", family))

@@ -179,6 +179,25 @@ class TestRep:
         assert lines[1] == "endomorphism invariants: powers index 2, κ infinite"
         assert lines[2] == "spectrum bucket: infinite"
 
+    @pytest.mark.parametrize(
+        "command, spec, message",
+        [
+            ("rep", {"kind": "shift", "n": "2", "word": {"pre": [], "per": [1]}},
+             'representation spec (shift): "n" must be an integer >= 2, got \'2\''),
+            ("kappa", {"family": "vector", "rep": {"kind": "lazy", "preset": "thue_morse", "horizon": "64"},
+                       "key": [[], 0]},
+             'representation spec (lazy): "horizon" must be an integer >= 1, got \'64\''),
+            ("rep", {"kind": "lazy", "preset": "thue_morse", "horizon": 2.5},
+             'representation spec (lazy): "horizon" must be an integer >= 1, got 2.5'),
+            ("rep", {"kind": "shift", "n": 2.0, "word": {"pre": [1], "per": [1, 2]}},
+             'representation spec (shift): "n" must be an integer >= 2, got 2.0'),
+        ],
+        ids=["string_n", "string_horizon", "float_horizon", "float_n"],
+    )
+    def test_integer_fields_checked_at_the_boundary(self, spec_file, capsys, command, spec, message):
+        assert run([command, spec_file(spec)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestReport:
     def test_single_state_json(self, spec_file, capsys):

@@ -10,10 +10,12 @@ from itertools import product
 import pytest
 
 from cuntzlab import (
+    CuntzElement,
     NotPrefixFree,
     NotUnit,
     QQi,
     SchemaError,
+    adjoint,
     all_words,
     eval_moment,
     gen,
@@ -36,10 +38,13 @@ from cuntzlab import (
     words_upto,
 )
 from cuntzlab.linalg import rank
+from cuntzlab.moments import _code_lookup
+from cuntzlab.words import is_prefix
 
 from conftest import fr, q
 
 Z35 = [q(fr(3, 5)), q(fr(4, 5))]
+Z35I = [q(fr(3, 5)), q(0, fr(4, 5))]
 ROT = [
     [q(fr(3, 5)), q(fr(-4, 5))],
     [q(fr(4, 5)), q(fr(3, 5))],
@@ -317,6 +322,16 @@ class TestStateFacts:
         assert f.cuntz == ((fr(4, 5), fr(3, 5)), "family")
 
 
+# two states on the prefix code {11, 12, 2}: tails((1,)) holds two words in
+# the first; the second leaves 12 out of the support
+CODE_11_12_2 = {(1, 1): q(fr(3, 5)), (1, 2): q(0, fr(12, 25)), (2,): q(fr(16, 25))}
+CODE_11_2 = {(1, 1): q(fr(3, 5)), (1, 2): q(0), (2,): q(0, fr(4, 5))}
+
+
+def _code_states():
+    return [make_prefix_code_state(list(z), z, 2) for z in (CODE_11_12_2, CODE_11_2)]
+
+
 class TestStructureIdentities:
     FAMILIES = None
 
@@ -324,6 +339,7 @@ class TestStructureIdentities:
         return [
             make_cuntz(Z35),
             make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2),
+            *_code_states(),
             make_induced_product([], [Z35, [q(0), q(1)]], 2),
             make_split_series_sandwich(),
             make_mixture(
@@ -355,6 +371,49 @@ class TestStructureIdentities:
         for w in self._families():
             ok, _ = positivity_check(w, level=2)
             assert ok, w.family
+
+
+class TestPrefixCodeLookup:
+    def test_lookup_matches_prefix_scans(self):
+        for support in ([(2,), (1, 1), (1, 2)], [(2,), (1, 1)], [(1, 2)]):
+            head, tails = _code_lookup(support)
+            for X in words_upto(2, 4):
+                heads = [W for W in support if is_prefix(W, X)]
+                assert head(X) == (heads[0] if heads else None), (support, X)
+                assert list(tails(X)) == [W for W in support if W != X and is_prefix(X, W)], (support, X)
+
+    @pytest.mark.parametrize("which", ["code_11_12_2", "code_11_2", "tensor_square"])
+    def test_fixed_by_minimal_isometry(self, which):
+        # omega(u* s_J s_K* u) = omega(s_J s_K*), the defining fixed-point property,
+        # evaluated through normal-form products
+        if which == "tensor_square":
+            w = make_sub_cuntz(2, {(i, j): Z35I[i - 1] * Z35I[j - 1] for i in (1, 2) for j in (1, 2)}, 2)
+            assert w.facts.solution_dim > 1  # the sandwich rows and the min-norm table
+        else:
+            w = _code_states()[0 if which == "code_11_12_2" else 1]
+        u = w.facts.minimal_isometry
+        for J in words_upto(2, 2):
+            for K in words_upto(2, 2):
+                x = multiply(multiply(adjoint(u), monomial(2, J, K)), u)
+                assert w.moment_of_element(x) == w.moment(J, K), (which, J, K)
+
+
+class TestMomentOfPair:
+    X = {(): q(1), (1,): q(2), (1, 2): q(0, 1), (2, 2, 1): q(fr(1, 3), -1)}
+    Y = {(2,): q(1, 1), (1, 1): q(-1), (2, 1, 2): q(fr(2, 7))}
+
+    @pytest.mark.parametrize("which", ["cuntz", "induced_product", "prefix_code"])
+    def test_matches_normal_form_product(self, which):
+        w = {
+            "cuntz": lambda: make_cuntz(Z35),
+            "induced_product": lambda: make_induced_product([Z35], [[q(0), q(1)], Z35I], 2),
+            "prefix_code": lambda: _code_states()[0],
+        }[which]()
+        for x in (self.X, self.Y):
+            for y in (self.X, self.Y):
+                elem = multiply(CuntzElement(2, {(J, ()): c for J, c in x.items()}),
+                                adjoint(CuntzElement(2, {(K, ()): c for K, c in y.items()})))
+                assert w.moment_of_pair(x, y) == w.moment_of_element(elem), which
 
 
 class TestSolver:
