@@ -132,7 +132,7 @@ class _Candidate:
     def add_pivot(self, omega: MomentFunctional, p: Word, row: list, dp) -> None:
         """Extend y by the coordinate along pivot p, whose factor row is
         ``row`` (L_p,j for the earlier pivots j) and whose D entry is ``dp``."""
-        v = omega.moment(p, self.word) - sum((lj * yj for lj, yj in zip(row, self.y)), 0)
+        v = omega.lookup(p, self.word) - sum((lj * yj for lj, yj in zip(row, self.y)), 0)
         self.y.append(v)
         self.res2 = self.res2 - abs2(v) / dp
 
@@ -177,7 +177,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
         return max(c.res2, 0.0) > rank_tol * max(1.0, c.diag)
 
     pivots: list[Word] = [()]
-    gram = [[omega.moment((), ())]]
+    gram = [[omega.lookup((), ())]]
     lower: list[list] = [[]]  # row k holds L_k,j for j < k
     dvals = [_real(gram[0][0])]
     level_ranks = [1]
@@ -187,7 +187,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
     for level in range(1, L_max + 1):
         cands = []
         for word in (p + (i,) for p in frontier for i in range(1, omega.n + 1)):
-            c = _Candidate(word, _real(omega.moment(word, word)))
+            c = _Candidate(word, _real(omega.lookup(word, word)))
             for p, row, dp in zip(pivots, lower, dvals):
                 c.add_pivot(omega, p, row, dp)
             cands.append(c)
@@ -205,8 +205,8 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
             for c in cands:
                 c.add_pivot(omega, b, row, db)
             for i, p in enumerate(pivots):
-                gram[i].append(omega.moment(p, b))
-            gram.append([omega.moment(b, p) for p in pivots] + [omega.moment(b, b)])
+                gram[i].append(omega.lookup(p, b))
+            gram.append([omega.lookup(b, p) for p in pivots] + [omega.lookup(b, b)])
             pivots.append(b)
             lower.append(row)
             dvals.append(db)
@@ -449,7 +449,7 @@ def _search_minimal_isometry(omega: MomentFunctional, depth: int, tol: float | N
     for axis in range(1, n + 1):
         codes.extend(_progression_code(k, n, axis) for k in range(2, depth + 1))
     for code in codes:
-        vals = {W: omega.moment(W, ()) for W in code}
+        vals = {W: omega.lookup(W, ()) for W in code}
         total = sum((abs2(v) for v in vals.values()), 0)
         if not scalars_close(total, 1, tol):
             continue

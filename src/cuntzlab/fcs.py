@@ -151,7 +151,7 @@ def extract_fcs(
     for i in range(1, omega.n + 1):
         cols = []
         for p in pivots:
-            rhs = [omega.moment(q, p + (i,)) for q in pivots]
+            rhs = [omega.lookup(q, p + (i,)) for q in pivots]
             cols.append(solve(gram, rhs, tol))
         matrices.append(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d)))
 
@@ -174,7 +174,7 @@ def extract_fcs(
     for _ in range(_ROUND_TRIP_COUNT):
         J = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
         K = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
-        if not scalars_close(fcs_moment(F, J, K), omega.moment(J, K), tol):
+        if not scalars_close(fcs_moment(F, J, K), omega.lookup(J, K), tol):
             raise ValidationFailed(
                 f"moment round-trip mismatch at J={J}, K={K}; "
                 "in float mode this usually signals tolerance trouble (rerun exact)"

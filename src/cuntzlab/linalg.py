@@ -1,12 +1,16 @@
 """Small dense linear algebra over exact (Fraction/Gaussian-rational) or float scalars.
 
 Matrices are lists of row lists.  When every entry is exact the routines run
-rational Gaussian elimination and return exact answers; otherwise they fall
-back to numpy with a rank tolerance.  Problem sizes in this package are tiny
-(tens of rows), so clarity beats asymptotics.
+fraction-free Gauss-Jordan elimination on integers (or Gaussian integers) and
+return exact answers; otherwise they pivot on magnitudes with a rank
+tolerance, or fall back to numpy.  Problem sizes in this package are small
+(up to a few hundred rows), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -43,12 +47,7 @@ def hermitian_transpose(rows):
     return [[conj(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))]
 
 
-def _pivot_row(rows, col, start, exact: bool, thresh: float):
-    if exact:
-        for r in range(start, len(rows)):
-            if rows[r][col] != 0:
-                return r
-        return None
+def _pivot_row(rows, col, start, thresh: float):
     best, best_val = None, thresh
     for r in range(start, len(rows)):
         v = abs(complex(rows[r][col]))
@@ -57,17 +56,102 @@ def _pivot_row(rows, col, start, exact: bool, thresh: float):
     return best
 
 
-def _eliminate(rows, ncols, tol: float | None):
-    """In-place forward elimination; returns list of (pivot_row, pivot_col)."""
-    exact = matrix_is_exact(rows)
-    thresh = 0.0
-    if not exact:
-        maxabs = max((abs(complex(x)) for row in rows for x in row), default=0.0)
-        thresh = (DEFAULT_RANK_TOL if tol is None else tol) * max(1.0, maxabs)
+def _integral_rows(rows, gaussian: bool):
+    """Each row times one common denominator, its content divided out: lists
+    of ints, or of Gaussian-integer QQi when the matrix is not real."""
+    out = []
+    for row in rows:
+        if gaussian:
+            row = [x if isinstance(x, QQi) else QQi(x) for x in row]
+            den = lcm(*(lcm(x.re.denominator, x.im.denominator) for x in row))
+            out.append(_without_content([x * den for x in row], True))
+        else:
+            row = [x.re if isinstance(x, QQi) else x for x in row]
+            den = lcm(*(x.denominator for x in row))
+            out.append(_without_content([x.numerator * (den // x.denominator) for x in row], False))
+    return out
+
+
+def _without_content(row, gaussian: bool):
+    """The integer row divided by the gcd of its (real and imaginary) parts."""
+    if gaussian:
+        g = gcd(*(p for x in row if x for p in (x.re.numerator, x.im.numerator)))
+        return [x / g for x in row] if g > 1 else row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate_exact(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of an exact matrix.
+
+    As in Bareiss (1968, Math. Comp. 22) no fraction is formed on the way:
+    each row is scaled to integers once, a row is updated by
+    cross-multiplication with the pivot row over the pivot row's nonzero
+    columns, and its content is then divided out by a gcd.  Each pivot row is
+    divided by its pivot once at the end.  A matrix with a non-real entry
+    runs on Gaussian integers, each pivot made an integer by its conjugate.
+    """
+    has_qqi = QQi in {type(x) for row in rows for x in row}
+    gaussian = has_qqi and any(isinstance(x, QQi) and x.im for row in rows for x in row)
+    work = _integral_rows(rows, gaussian)
+    m = len(work)
     pivots = []
     r = 0
     for c in range(ncols):
-        p = _pivot_row(rows, c, r, exact, thresh)
+        p = next((k for k in range(r, m) if work[k][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        prow = work[r]
+        pv = prow[c]
+        if gaussian:
+            prow = work[r] = _without_content([x * pv.conjugate() for x in prow], True)
+            pv = prow[c].re.numerator
+        nonzero = [j for j, x in enumerate(prow) if x]
+        for k in range(m):
+            row = work[k]
+            f = row[c]
+            if k == r or not f:
+                continue
+            # row <- a row - b prow with a / b = pv / f in lowest terms
+            g = gcd(pv, f.re.numerator, f.im.numerator) if gaussian else gcd(pv, f)
+            a, b = pv // g, (f / g if gaussian else f // g)
+            if a != 1:
+                row = [a * x for x in row]
+            for j in nonzero:
+                row[j] = row[j] - b * prow[j]
+            work[k] = _without_content(row, gaussian)
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    # divide each pivot row by its pivot; the rows below are zero in the
+    # first ncols columns
+    zero = QQi(0) if has_qqi else Fraction(0)
+    for k, row in enumerate(work):
+        if k < r:
+            pv = row[pivots[k][1]]
+            if gaussian:
+                row = [x / pv if x else zero for x in row]
+            elif has_qqi:
+                row = [QQi(Fraction(x, pv)) if x else zero for x in row]
+            else:
+                row = [Fraction(x, pv) if x else zero for x in row]
+        rows[k] = row
+    return pivots
+
+
+def _eliminate(rows, ncols, tol: float | None):
+    """In-place elimination to the reduced echelon form; returns the list of
+    (pivot_row, pivot_col), the pivot rows first, in column order."""
+    if matrix_is_exact(rows):
+        return _eliminate_exact(rows, ncols)
+    maxabs = max((abs(complex(x)) for row in rows for x in row), default=0.0)
+    thresh = (DEFAULT_RANK_TOL if tol is None else tol) * max(1.0, maxabs)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = _pivot_row(rows, c, r, thresh)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
@@ -76,8 +160,6 @@ def _eliminate(rows, ncols, tol: float | None):
         for k in range(len(rows)):
             if k != r:
                 f = rows[k][c]
-                if exact and f == 0:
-                    continue
                 rows[k] = [xk - f * xr for xk, xr in zip(rows[k], rows[r])]
         pivots.append((r, c))
         r += 1
@@ -112,7 +194,7 @@ def kernel_basis(rows, ncols: int, tol: float | None = None):
         return [[1 if j == k else 0 for j in range(ncols)] for k in range(ncols)]
     if matrix_is_exact(rows):
         work = [list(r) for r in rows]
-        pivots = _eliminate(work, ncols, tol)
+        pivots = _eliminate_exact(work, ncols)
         pivot_cols = {c for _, c in pivots}
         basis = []
         for free in range(ncols):

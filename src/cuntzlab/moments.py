@@ -202,23 +202,28 @@ class MomentFunctional:
         self._growths: dict[tuple, object] = {}
 
     def moment(self, J: Word, K: Word = ()) -> object:
-        """omega(s_J s_K*)."""
-        key = (check_word(J, self.n), check_word(K, self.n))
-        hit = self._memo.get(key)
-        if hit is None and key not in self._memo:
-            hit = self._evaluator(*key)
-            self._memo[key] = hit
+        """omega(s_J s_K*), with J and K checked as words over 1..n."""
+        return self.lookup(check_word(J, self.n), check_word(K, self.n))
+
+    def lookup(self, J: Word, K: Word = ()) -> object:
+        """omega(s_J s_K*) for tuples J, K the caller built as words over 1..n:
+        the memoized value, with no validation."""
+        key = (J, K)
+        memo = self._memo
+        hit = memo.get(key)
+        if hit is None and key not in memo:
+            hit = memo[key] = self._evaluator(J, K)
         return hit
 
     def moment_of_element(self, x: CuntzElement) -> object:
         if x.n != self.n:
             raise SchemaError(f"element over n={x.n}, state over n={self.n}")
-        return sum((c * self.moment(J, K) for (J, K), c in x.terms.items()), 0)
+        return sum((c * self.lookup(J, K) for (J, K), c in x.terms.items()), 0)
 
     def moment_of_pair(self, x: dict, y: dict) -> object:
         """omega(x y*) for creation-span x, y given as {word: coefficient}:
         the sum of x_J conj(y_K) omega(s_J s_K*), with no product formed."""
-        return sum((cx * conj(cy) * self.moment(J, K) for J, cx in x.items() for K, cy in y.items()), 0)
+        return sum((cx * conj(cy) * self.lookup(J, K) for J, cx in x.items() for K, cy in y.items()), 0)
 
     def __repr__(self):
         return f"MomentFunctional(n={self.n}, family={self.family!r})"
@@ -432,7 +437,7 @@ def _solve_low_moments(pc: _PrefixCode, n: int, tol: float | None) -> LowMomentS
 
     def realified(row: dict):
         # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i
-        zero = Fraction(0) if pc.exact else 0.0
+        zero = 0 if pc.exact else 0.0
         re, im = [zero] * width, [zero] * width
         for (w, conjugated), c in row.items():
             if pc.exact:
@@ -517,33 +522,46 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
     table = sol.table
     creation_memo: dict[Word, object] = {}
 
-    # a one-term sum is written 0 + x, as sum() computes it, so float zeros keep their sign
+    # Both peel code words off a word in a loop, then multiply the factors
+    # back from the innermost one out.  A one-term sum is written 0 + x, as
+    # sum() computes it, so float zeros keep their sign.
     def creation(C: Word):
+        # omega(s_C) = conj(z_W) omega(s_{C - W}) for the code word W <= C
         if len(C) <= M:
             return table[C]
-        hit = creation_memo.get(C)
-        if hit is None and C not in creation_memo:
+        peeled = []
+        while len(C) > M and C not in creation_memo:
             W = head(C)
-            hit = 0 if W is None else 0 + conj(zmap[W]) * creation(C[len(W):])
-            creation_memo[C] = hit
-        return hit
+            if W is None:
+                creation_memo[C] = 0
+                break
+            peeled.append((C, W))
+            C = C[len(W):]
+        value = table[C] if len(C) <= M else creation_memo[C]
+        while peeled:
+            D, W = peeled.pop()
+            value = creation_memo[D] = 0 + conj(zmap[W]) * value
+        return value
 
     moment_memo: dict[tuple[Word, Word], object] = {}
 
     def evaluator(J: Word, K: Word):
-        # peel one code factor off the annihilation side: omega(x u) = omega(x)
+        # peel code factors off the annihilation side: omega(x u) = omega(x)
         if not K:
             return creation(J)
-        key = (J, K)
-        hit = moment_memo.get(key)
-        if hit is None and key not in moment_memo:
+        peeled = []
+        while K and (J, K) not in moment_memo:
             W = head(K)
             if W is None:
-                hit = sum((zmap[V] * creation(J + V[len(K):]) for V in tails(K)), 0)
-            else:
-                hit = 0 + zmap[W] * evaluator(J, K[len(W):])
-            moment_memo[key] = hit
-        return hit
+                moment_memo[J, K] = sum((zmap[V] * creation(J + V[len(K):]) for V in tails(K)), 0)
+                break
+            peeled.append((K, W))
+            K = K[len(W):]
+        value = moment_memo[J, K] if K else creation(J)
+        while peeled:
+            D, W = peeled.pop()
+            value = moment_memo[J, D] = 0 + zmap[W] * value
+        return value
 
     u = CuntzElement(n, {(w, ()): zmap[w] for w in support})
     isometry, in_plus = is_isometry_in_plus(u, tol)
@@ -741,7 +759,7 @@ def make_mixture(states: Sequence[MomentFunctional], weights, *, tol: float | No
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
 
     def evaluator(J: Word, K: Word):
-        return sum((w * s.moment(J, K) for w, s in zip(weights, states)), 0)
+        return sum((w * s.lookup(J, K) for w, s in zip(weights, states)), 0)
 
     facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"))
     return MomentFunctional(n, "mixture", evaluator, facts=facts, exact=exact)

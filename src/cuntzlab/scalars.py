@@ -16,6 +16,7 @@ Fraction(1, 1)
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Complex
 
 __all__ = [
@@ -51,71 +52,128 @@ def _to_fraction(x) -> Fraction:
 
 
 class QQi:
-    """A Gaussian rational a + b*i with exact Fraction coordinates."""
+    """A Gaussian rational (a + b*i)/d, kept as three integers.
 
-    __slots__ = ("re", "im")
+    The denominator is shared by both coordinates, d > 0 and
+    gcd(a, b, d) = 1, so every value has one representation and each ring
+    operation costs integer arithmetic plus one gcd.  ``re`` and ``im`` read
+    the coordinates as Fractions.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+        re, im = _to_fraction(re), _to_fraction(im)
+        p, q = re.denominator, im.denominator
+        d = lcm(p, q)
+        # both coordinates are in lowest terms, so (a, b, d) is already reduced
+        _set_abd(self, (re.numerator * (d // p), im.numerator * (d // q), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("QQi is immutable")
 
-    # -- ring operations ---------------------------------------------------
+    def __delattr__(self, name):
+        raise AttributeError("QQi is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, QQi):
-            return other
-        if isinstance(other, _RationalLike):
-            return QQi(other)
-        return None
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
+    # -- ring operations ---------------------------------------------------
+    # int and Fraction operands are read as (p, q) = p/q; float and complex
+    # operands degrade the result to a complex float
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) + other if isinstance(other, Complex) else NotImplemented
-        return QQi(self.re + o.re, self.im + o.im)
+        a, b, d = self._abd
+        if type(other) is QQi:
+            c, e, f = other._abd
+            if d == f:
+                return _make(a + c, b + e, d)
+            return _make(a * f + c * d, b * f + e * d, d * f)
+        if isinstance(other, int):
+            return _raw(a + other * d, b, d)  # gcd(a + kd, b, d) = gcd(a, b, d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _make(a * q + p * d, b * q, d * q)
+        return complex(self) + other if isinstance(other, Complex) else NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        a, b, d = self._abd
+        return _raw(-a, -b, d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) - other if isinstance(other, Complex) else NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
+        a, b, d = self._abd
+        if type(other) is QQi:
+            c, e, f = other._abd
+            if d == f:
+                return _make(a - c, b - e, d)
+            return _make(a * f - c * d, b * f - e * d, d * f)
+        if isinstance(other, int):
+            return _raw(a - other * d, b, d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _make(a * q - p * d, b * q, d * q)
+        return complex(self) - other if isinstance(other, Complex) else NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return other - complex(self) if isinstance(other, Complex) else NotImplemented
-        return QQi(o.re - self.re, o.im - self.im)
+        a, b, d = self._abd
+        if isinstance(other, int):
+            return _raw(other * d - a, -b, d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _make(p * d - a * q, -b * q, d * q)
+        return other - complex(self) if isinstance(other, Complex) else NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) * other if isinstance(other, Complex) else NotImplemented
-        return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b, d = self._abd
+        if type(other) is QQi:
+            c, e, f = other._abd
+            return _make(a * c - b * e, a * e + b * c, d * f)
+        if isinstance(other, int):
+            return _make(a * other, b * other, d)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _make(a * p, b * p, d * other.denominator)
+        return complex(self) * other if isinstance(other, Complex) else NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return complex(self) / other if isinstance(other, Complex) else NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+        a, b, d = self._abd
+        if type(other) is QQi:
+            # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+            c, e, f = other._abd
+            n2 = c * c + e * e
+            if n2 == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if p == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            if p < 0:
+                p, q = -p, -q
+            return _make(a * q, b * q, d * p)
+        return complex(self) / other if isinstance(other, Complex) else NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return other / complex(self) if isinstance(other, Complex) else NotImplemented
-        return o / self
+        a, b, d = self._abd
+        if isinstance(other, (int, Fraction)):
+            # p/q / ((a + bi)/d) = p d (a - bi) / (q (a^2 + b^2))
+            n2 = a * a + b * b
+            if n2 == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            pd = other.numerator * d
+            return _make(pd * a, -pd * b, other.denominator * n2)
+        return other / complex(self) if isinstance(other, Complex) else NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -132,33 +190,41 @@ class QQi:
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        a, b, d = self._abd
+        return _raw(a, -b, d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self._abd
+        return a != 0 or b != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QQi):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _RationalLike):
-            return self.im == 0 and self.re == other
+        if type(other) is QQi:
+            return self._abd == other._abd
+        if isinstance(other, int):
+            return self._abd == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self._abd == (other.numerator, 0, other.denominator)
         if isinstance(other, Complex):
             return complex(self) == complex(other)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        a, b, d = self._abd
+        if b == 0:
+            return hash(a) if d == 1 else hash(Fraction(a, d))
+        return hash((Fraction(a, d), Fraction(b, d)))
 
     def __repr__(self):
         def short(f: Fraction):
@@ -167,12 +233,37 @@ class QQi:
         return f"QQi({short(self.re)}, {short(self.im)})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+# the slot's own setter writes past the __setattr__ that keeps QQi immutable
+_set_abd = QQi._abd.__set__
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> QQi:
+    """(a + bi)/d for d > 0 already coprime to gcd(a, b)."""
+    q = _new(QQi)
+    _set_abd(q, (a, b, d))
+    return q
+
+
+def _make(a: int, b: int, d: int) -> QQi:
+    """(a + bi)/d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new(QQi)
+    _set_abd(q, (a, b, d))
+    return q
 
 
 Scalar = QQi | int | Fraction | float | complex

@@ -8,8 +8,15 @@ regression cannot silently redefine the oracle.
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from cuntzlab import QQi
+
+# property tests draw the same examples on every run, keep no example
+# database, and have no per-example deadline, so a slow or busy machine
+# cannot fail them on timing
+settings.register_profile("cuntzlab", derandomize=True, deadline=None, database=None)
+settings.load_profile("cuntzlab")
 
 
 def q(re, im=0):

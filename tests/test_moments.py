@@ -79,6 +79,20 @@ class TestCuntzStates:
         with pytest.raises(NotUnit):
             make_cuntz([q(1), q(1)])
 
+    @pytest.mark.parametrize("J, K", [((0,), ()), ((), (3,)), ((1, True), ()), ((), (False,))],
+                             ids=["letter_0", "letter_n_plus_1", "bool_true", "bool_false"])
+    def test_public_moment_validates_letters(self, J, K):
+        # letter 0, letter n + 1 and a bool are not letters of O_2
+        with pytest.raises(SchemaError):
+            make_cuntz(Z35).moment(J, K)
+        with pytest.raises(SchemaError):
+            eval_moment(make_cuntz(Z35), J, K)
+
+    def test_lookup_shares_the_memo_of_moment(self):
+        w = make_cuntz(Z35)
+        assert w.lookup((1, 2), (2,)) == w.moment([1, 2], [2]) == fr(48, 125)
+        assert list(w._memo) == [((1, 2), (2,))]
+
     def test_float_parameters_allowed(self):
         w = make_cuntz([2 ** -0.5, 2 ** -0.5])
         assert not w.exact
@@ -396,6 +410,19 @@ class TestPrefixCodeLookup:
             for K in words_upto(2, 2):
                 x = multiply(multiply(adjoint(u), monomial(2, J, K)), u)
                 assert w.moment_of_element(x) == w.moment(J, K), (which, J, K)
+
+
+class TestLongWords:
+    # on the code {11: 3/5, 12: 0, 2: 4/5} a run of 6000 ones peels 3000 code words
+    CODE = {(1, 1): q(fr(3, 5)), (1, 2): q(0), (2,): q(fr(4, 5))}
+
+    def test_creation_and_annihilation_side_do_not_recurse(self):
+        w = make_prefix_code_state(list(self.CODE), self.CODE, 2)
+        expected = QQi(Fraction(3, 5) ** 3000)
+        assert w.moment((1,) * 6000) == expected
+        assert w.moment((), (1,) * 6000) == expected
+        # omega(s_2 s_1^6000 s_2*) = z_2 conj(z_2) omega(s_1^6000)
+        assert w.moment((2,) + (1,) * 6000, (2,)) == expected * fr(16, 25)
 
 
 class TestMomentOfPair:
