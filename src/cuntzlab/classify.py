@@ -36,7 +36,7 @@ from typing import ClassVar, NamedTuple
 
 from .errors import AlphabetMismatch, NotInCatalog, NotUnit, SchemaError, ValidationFailed
 from .linalg import hermitian_transpose, mat_vec
-from .moments import IsometrySequence, MomentFunctional, _progression_code
+from .moments import IsometrySequence, MomentFunctional, _progression_code, sequence_factory
 from .scalars import (
     DEFAULT_RANK_TOL,
     abs2,
@@ -305,6 +305,13 @@ class KappaResult(NamedTuple):
     certificate: Certificate
 
 
+def format_value(value) -> str:
+    """A kappa-like value as text: the integer, "infinite", or "unresolved" for None."""
+    if value is None:
+        return "unresolved"
+    return "infinite" if value == inf else str(value)
+
+
 # ---------------------------------------------------------------------------
 # Certificate verification
 # ---------------------------------------------------------------------------
@@ -362,16 +369,7 @@ def verify_properly_infinite(
     seq = a if a is not None else flagged
     if seq is None:
         raise SchemaError("no isometry sequence supplied and the state carries none")
-    if isinstance(seq, IsometrySequence):
-        factory = seq.factory
-    elif callable(seq):
-        factory = seq
-    else:
-        elems = list(seq)
-        if len(elems) < cutoff:
-            raise SchemaError(f"need {cutoff} sequence elements, got {len(elems)}")
-        factory = lambda i: elems[i - 1]
-
+    factory = sequence_factory(seq, cutoff)
     prods = [identity(omega.n)]
     for i in range(1, cutoff + 1):
         ai = factory(i)
@@ -640,10 +638,6 @@ def _kappa_certified(result: KappaResult) -> bool:
     return True
 
 
-def _format_kappa(value) -> str:
-    return "infinite" if value == inf else str(value)
-
-
 def equivalent(
     omega1: MomentFunctional,
     omega2: MomentFunctional,
@@ -746,8 +740,8 @@ def equivalent(
         low, high = sorted((k1.value, k2.value), key=float)
         return EquivDecision(
             "Inequivalent",
-            f"the invariant kappa separates the states ({_format_kappa(low)} vs "
-            f"{_format_kappa(high)}); equivalent states share kappa",
+            f"the invariant kappa separates the states ({format_value(low)} vs "
+            f"{format_value(high)}); equivalent states share kappa",
         )
     pu1 = pure(omega1, tol)
     pu2 = pure(omega2, tol)

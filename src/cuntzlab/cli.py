@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from math import inf
 
 from .classify import (
     EquivalentToCuntz,
@@ -22,9 +20,8 @@ from .classify import (
     ProperlyInfinite,
     ShiftPeriod,
     cdim,
-    decompose_spectrum_bucket,
-    endo_invariants,
     equivalent,
+    format_value,
     kappa,
     kappa_rep,
     pure,
@@ -45,24 +42,11 @@ from .specio import (
 from .symalg import CuntzElement
 from .words import words_upto
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNRESOLVED = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flags shared by all commands."""
-
-    mode: str = "auto"  # "auto" | "exact" | "float"
-    tol: float | None = None
-    max_level: int = 8
-    cutoff: int = 12
-    format: str = "md"  # "md" | "json"
-    strict: bool = False
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +80,6 @@ def _element_str(x: CuntzElement) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _value_str(value) -> str:
-    if value is None:
-        return "unresolved"
-    if value == inf:
-        return "infinite"
-    return str(value)
-
-
 def _certificate_str(cert) -> str:
     if isinstance(cert, Minimal):
         return f"Minimal; u = {_element_str(cert.u)}"
@@ -119,8 +95,20 @@ def _certificate_str(cert) -> str:
     if isinstance(cert, LowerBoundOnly):
         where = f" at level {cert.level}" if cert.level is not None else ""
         note = f"; {cert.note}" if cert.note else ""
-        return f"LowerBoundOnly in [{cert.low}, {_value_str(cert.high)}]{where}{note}"
+        return f"LowerBoundOnly in [{cert.low}, {format_value(cert.high)}]{where}{note}"
     return type(cert).__name__
+
+
+def _kappa_str(res) -> str:
+    return f"κ={format_value(res.value)} ({_certificate_str(res.certificate)})"
+
+
+def _kappa_doc(res) -> dict:
+    return {"value": value_to_json(res.value), **certificate_to_json(res.certificate)}
+
+
+def _cdim_doc(res) -> dict:
+    return {"value": res.value, "status": res.status, "levels": list(res.level_ranks)}
 
 
 def _cdim_str(res) -> str:
@@ -136,8 +124,8 @@ def _require_state(obj, command: str) -> MomentFunctional:
     return obj
 
 
-def _emit(lines: list[str], doc, cfg: RunConfig) -> None:
-    if cfg.format == "json":
+def _emit(lines: list[str], doc, args) -> None:
+    if args.format == "json":
         print(dump_json(doc))
     else:
         for line in lines:
@@ -149,78 +137,58 @@ def _emit(lines: list[str], doc, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_cdim(args, cfg: RunConfig) -> int:
-    omega = _require_state(parse_spec(args.spec, cfg.mode, cfg.tol), "cdim")
-    res = cdim(omega, cfg.max_level, cfg.tol)
-    doc = {
-        "cdim": {
-            "value": res.value,
-            "status": res.status,
-            "levels": list(res.level_ranks),
-            "pivot_words": [list(p) for p in res.pivot_words],
-        }
-    }
+def _cmd_cdim(args) -> int:
+    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "cdim")
+    res = cdim(omega, args.max_level, args.tol)
+    doc = {"cdim": {**_cdim_doc(res), "pivot_words": [list(p) for p in res.pivot_words]}}
     lines = [_cdim_str(res)]
     if res.pivot_words:
         lines.append("pivot words: " + ", ".join(_word_str(p) for p in res.pivot_words))
-    _emit(lines, doc, cfg)
-    return EXIT_UNRESOLVED if cfg.strict and res.status != "stabilized" else EXIT_OK
+    _emit(lines, doc, args)
+    return EXIT_UNRESOLVED if args.strict and res.status != "stabilized" else EXIT_OK
 
 
-def _kappa_doc(omega: MomentFunctional, cfg: RunConfig):
-    res = kappa(omega, cfg.max_level, cfg.tol)
-    cres = cdim(omega, cfg.max_level, cfg.tol)
+def _cmd_kappa(args) -> int:
+    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "kappa")
+    if args.search_certificates:
+        res = kappa(omega, args.max_level, args.tol, search_certificates=True, search_depth=args.search_depth)
+        _emit([_kappa_str(res)], {"kappa": _kappa_doc(res)}, args)
+        return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
+    res = kappa(omega, args.max_level, args.tol)
+    cres = cdim(omega, args.max_level, args.tol)
     if cres.status == "stabilized":
         cdim_part = f"cdim {cres.value} (stabilized)"
     else:
         cdim_part = f"cdim lower bound {cres.value} at level {len(cres.level_ranks) - 1}"
-    line = f"κ={_value_str(res.value)} ({_certificate_str(res.certificate)}); {cdim_part}"
-    lines = [line]
+    lines = [f"{_kappa_str(res)}; {cdim_part}"]
     if (
         isinstance(res.certificate, ProperlyInfinite)
         and res.certificate.status == "evidence"
         and omega.facts.sequence is not None
     ):
-        check = verify_properly_infinite(omega, cutoff=cfg.cutoff, tol=cfg.tol)
-        lines.append(f"delta table re-checked to cutoff {cfg.cutoff}: status {check.status}")
-    doc = {
-        "kappa": {"value": value_to_json(res.value), **certificate_to_json(res.certificate)},
-        "cdim": {"value": cres.value, "status": cres.status, "levels": list(cres.level_ranks)},
-    }
-    unresolved = res.value is None
-    return res, lines, doc, unresolved
+        check = verify_properly_infinite(omega, cutoff=args.cutoff, tol=args.tol)
+        lines.append(f"delta table re-checked to cutoff {args.cutoff}: status {check.status}")
+    _emit(lines, {"kappa": _kappa_doc(res), "cdim": _cdim_doc(cres)}, args)
+    return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
 
 
-def _cmd_kappa(args, cfg: RunConfig) -> int:
-    omega = _require_state(parse_spec(args.spec, cfg.mode, cfg.tol), "kappa")
-    if args.search_certificates:
-        res = kappa(omega, cfg.max_level, cfg.tol, search_certificates=True, search_depth=args.search_depth)
-        line = f"κ={_value_str(res.value)} ({_certificate_str(res.certificate)})"
-        doc = {"kappa": {"value": value_to_json(res.value), **certificate_to_json(res.certificate)}}
-        _emit([line], doc, cfg)
-        return EXIT_UNRESOLVED if cfg.strict and res.value is None else EXIT_OK
-    res, lines, doc, unresolved = _kappa_doc(omega, cfg)
-    _emit(lines, doc, cfg)
-    return EXIT_UNRESOLVED if cfg.strict and unresolved else EXIT_OK
+def _cmd_equiv(args) -> int:
+    omega1 = _require_state(parse_spec(args.spec1, args.mode, args.tol), "equiv")
+    omega2 = _require_state(parse_spec(args.spec2, args.mode, args.tol), "equiv")
+    dec = equivalent(omega1, omega2, args.tol, args.max_level)
+    _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, args)
+    return EXIT_UNRESOLVED if args.strict and dec.verdict == "Unknown" else EXIT_OK
 
 
-def _cmd_equiv(args, cfg: RunConfig) -> int:
-    omega1 = _require_state(parse_spec(args.spec1, cfg.mode, cfg.tol), "equiv")
-    omega2 = _require_state(parse_spec(args.spec2, cfg.mode, cfg.tol), "equiv")
-    dec = equivalent(omega1, omega2, cfg.tol, cfg.max_level)
-    _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, cfg)
-    return EXIT_UNRESOLVED if cfg.strict and dec.verdict == "Unknown" else EXIT_OK
+def _cmd_pure(args) -> int:
+    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "pure")
+    dec = pure(omega, args.tol)
+    _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, args)
+    return EXIT_UNRESOLVED if args.strict and dec.verdict == "Unknown" else EXIT_OK
 
 
-def _cmd_pure(args, cfg: RunConfig) -> int:
-    omega = _require_state(parse_spec(args.spec, cfg.mode, cfg.tol), "pure")
-    dec = pure(omega, cfg.tol)
-    _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, cfg)
-    return EXIT_UNRESOLVED if cfg.strict and dec.verdict == "Unknown" else EXIT_OK
-
-
-def _cmd_moments(args, cfg: RunConfig) -> int:
-    omega = _require_state(parse_spec(args.spec, cfg.mode, cfg.tol), "moments")
+def _cmd_moments(args) -> int:
+    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "moments")
     words = list(words_upto(omega.n, args.level))
     rows = []
     doc_rows = []
@@ -230,50 +198,45 @@ def _cmd_moments(args, cfg: RunConfig) -> int:
             rows.append(f"| {_word_str(J)} | {_word_str(K)} | {format_scalar(v)} |")
             doc_rows.append({"J": list(J), "K": list(K), "value": scalar_to_json(v)})
     lines = [f"moments omega(s_J s_K*) up to level {args.level} (n={omega.n})", "", "| J | K | value |", "|---|---|---|"] + rows
-    _emit(lines, {"n": omega.n, "level": args.level, "moments": doc_rows}, cfg)
+    _emit(lines, {"n": omega.n, "level": args.level, "moments": doc_rows}, args)
     return EXIT_OK
 
 
-def _cmd_fcs(args, cfg: RunConfig) -> int:
-    omega = _require_state(parse_spec(args.spec, cfg.mode, cfg.tol), "fcs")
-    out = extract_fcs(omega, cfg.max_level, cfg.tol)
+def _cmd_fcs(args) -> int:
+    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "fcs")
+    out = extract_fcs(omega, args.max_level, args.tol)
     if isinstance(out, FCSPresentation):
         lines = [
             f"d={out.d}; pivot words: " + ", ".join(_word_str(p) for p in out.pivot_words),
             f"row relation sum_i A_i^H G A_i = G verified; stabilized at level {out.level}",
         ]
-        _emit(lines, fcs_to_json(out), cfg)
+        _emit(lines, fcs_to_json(out), args)
         return EXIT_OK
-    lines = [f"not finitely correlated within level {cfg.max_level}: rank >= {out.low} ({out.note})"]
-    _emit(lines, {"lower_bound": out.low, "level": out.level, "note": out.note}, cfg)
-    return EXIT_UNRESOLVED if cfg.strict else EXIT_OK
+    lines = [f"not finitely correlated within level {args.max_level}: rank >= {out.low} ({out.note})"]
+    _emit(lines, {"lower_bound": out.low, "level": out.level, "note": out.note}, args)
+    return EXIT_UNRESOLVED if args.strict else EXIT_OK
 
 
-def _cmd_rep(args, cfg: RunConfig) -> int:
-    rep = parse_spec(args.spec, cfg.mode, cfg.tol)
+def _cmd_rep(args) -> int:
+    rep = parse_spec(args.spec, args.mode, args.tol)
     if isinstance(rep, MomentFunctional):
         raise CuntzLabError("rep expects a representation spec, not a state spec")
-    res = kappa_rep(rep, cfg.max_level, cfg.tol)
-    invs = endo_invariants(rep)
-    bucket = decompose_spectrum_bucket(rep, cfg.max_level, cfg.tol)
+    res = kappa_rep(rep, args.max_level, args.tol)
+    # the endomorphism's powers index is the number of generators, its kappa the representation's
     lines = [
-        f"κ={_value_str(res.value)} ({_certificate_str(res.certificate)})",
-        f"endomorphism invariants: powers index {invs.powers_index}, κ {_value_str(invs.kappa)}",
-        f"spectrum bucket: {bucket if bucket != inf else 'infinite'}",
+        _kappa_str(res),
+        f"endomorphism invariants: powers index {rep.n}, κ {format_value(res.value)}",
+        f"spectrum bucket: {format_value(res.value)}",
     ]
-    doc = {
-        "kappa": {"value": value_to_json(res.value), **certificate_to_json(res.certificate)},
-        "powers_index": invs.powers_index,
-        "bucket": bucket if bucket != inf else "infinite",
-    }
-    _emit(lines, doc, cfg)
-    return EXIT_UNRESOLVED if cfg.strict and res.value is None else EXIT_OK
+    doc = {"kappa": _kappa_doc(res), "powers_index": rep.n, "bucket": value_to_json(res.value, "unresolved")}
+    _emit(lines, doc, args)
+    return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
 
 
-def _cmd_selftest(args, cfg: RunConfig) -> int:
+def _cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    seed = cfg.seed
+    seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CUNTZLAB_SEED", "20260814"))
     results = run_all(seed)
@@ -288,51 +251,45 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
         doc_rows.append({"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": round(r.seconds, 3)})
     ok = n_pass == len(results)
     lines.append(f"{n_pass} passed, {len(results) - n_pass} failed (seed {seed})")
-    _emit(lines, {"ok": ok, "seed": seed, "results": doc_rows}, cfg)
+    _emit(lines, {"ok": ok, "seed": seed, "results": doc_rows}, args)
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def _report_state(omega: MomentFunctional, cfg: RunConfig, label: str):
-    cres = cdim(omega, cfg.max_level, cfg.tol)
-    kres = kappa(omega, cfg.max_level, cfg.tol)
-    pdec = pure(omega, cfg.tol)
-    bucket = "unresolved" if kres.value is None else kres.value
+def _report_state(omega: MomentFunctional, args, label: str):
+    cres = cdim(omega, args.max_level, args.tol)
+    kres = kappa(omega, args.max_level, args.tol)
+    pdec = pure(omega, args.tol)
     doc = {
-        "cdim": {"value": cres.value, "status": cres.status, "levels": list(cres.level_ranks)},
-        "kappa": {"value": value_to_json(kres.value), **certificate_to_json(kres.certificate)},
+        "cdim": _cdim_doc(cres),
+        "kappa": _kappa_doc(kres),
         "pure": {"Pure": True, "NotPure": False}.get(pdec.verdict),
         "pure_reason": pdec.reason,
-        "bucket": bucket if bucket != inf else "infinite",
+        "bucket": value_to_json(kres.value, "unresolved"),
     }
     lines = [
         f"## {label}",
         "",
         f"family: {omega.family} (n={omega.n}, {'exact' if omega.exact else 'float'})",
         _cdim_str(cres),
-        f"κ={_value_str(kres.value)} ({_certificate_str(kres.certificate)})",
+        _kappa_str(kres),
         f"purity: {pdec.verdict} ({pdec.reason})",
-        f"spectrum bucket: {bucket if bucket != inf else 'infinite'}",
+        f"spectrum bucket: {format_value(kres.value)}",
     ]
     for w in omega.warnings:
         lines.append(f"warning: {w}")
-    unresolved = (
-        cres.status != "stabilized"
-        or kres.value is None
-        or pdec.verdict == "Unknown"
-        or bucket == "unresolved"
-    )
+    unresolved = cres.status != "stabilized" or kres.value is None or pdec.verdict == "Unknown"
     return doc, lines, unresolved
 
 
-def _cmd_report(args, cfg: RunConfig) -> int:
+def _cmd_report(args) -> int:
     states = []
     for path in args.specs:
-        states.append((path, _require_state(parse_spec(path, cfg.mode, cfg.tol), "report")))
+        states.append((path, _require_state(parse_spec(path, args.mode, args.tol), "report")))
     docs = []
     lines: list[str] = []
     unresolved = False
     for path, omega in states:
-        doc, ls, u = _report_state(omega, cfg, path)
+        doc, ls, u = _report_state(omega, args, path)
         docs.append(doc)
         lines.extend(ls)
         lines.append("")
@@ -345,13 +302,13 @@ def _cmd_report(args, cfg: RunConfig) -> int:
         lines.append("")
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                dec = equivalent(states[i][1], states[j][1], cfg.tol, cfg.max_level)
+                dec = equivalent(states[i][1], states[j][1], args.tol, args.max_level)
                 pairwise.append({"i": i, "j": j, "verdict": dec.verdict, "reason": dec.reason})
                 lines.append(f"{states[i][0]} vs {states[j][0]}: {dec.verdict} ({dec.reason})")
                 unresolved = unresolved or dec.verdict == "Unknown"
         out_doc = {"states": docs, "pairwise": pairwise}
-    _emit(lines, out_doc, cfg)
-    return EXIT_UNRESOLVED if cfg.strict and unresolved else EXIT_OK
+    _emit(lines, out_doc, args)
+    return EXIT_UNRESOLVED if args.strict and unresolved else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +318,7 @@ def _cmd_report(args, cfg: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["exact", "float"], default=None,
+    common.add_argument("--mode", choices=["exact", "float"], default="auto",
                         help="arithmetic mode; default is exact whenever all inputs are Gaussian rational")
     common.add_argument("--tol", type=float, default=None, help="float-mode comparison tolerance")
     common.add_argument("--max-level", type=int, default=8, help="level cap for Gram growth (default 8)")
@@ -417,19 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        mode=args.mode or "auto",
-        tol=args.tol,
-        max_level=args.max_level,
-        cutoff=args.cutoff,
-        format=args.format,
-        strict=args.strict,
-        seed=args.seed,
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except CuntzLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

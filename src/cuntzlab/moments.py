@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import prod, sqrt
+from math import sqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotPrefixFree, NotUnit, SchemaError, TailNotCertified
@@ -74,11 +74,12 @@ from .scalars import (
     scalar_is_zero,
     scalars_close,
 )
-from .symalg import CuntzElement, adjoint, check_unitary, is_isometry_in_plus, monomial, multiply
+from .symalg import CuntzElement, adjoint, check_unitary, gauge_image, is_isometry_in_plus, monomial, multiply
 from .words import EventuallyPeriodicWord, Word, all_words, check_word, is_prefix, words_upto
 
 __all__ = [
     "IsometrySequence",
+    "sequence_factory",
     "InducingBlocks",
     "StateFacts",
     "MomentFunctional",
@@ -119,6 +120,18 @@ class IsometrySequence:
         self.status = status
         self.description = description
         self.horizon = horizon
+
+
+def sequence_factory(a, count: int) -> Callable[[int], CuntzElement]:
+    """i -> a_i for an IsometrySequence, a callable, or a list of at least ``count`` elements."""
+    if isinstance(a, IsometrySequence):
+        return a.factory
+    if callable(a):
+        return a
+    elems = list(a)
+    if len(elems) < count:
+        raise SchemaError(f"need {count} sequence elements, got {len(elems)}")
+    return lambda i: elems[i - 1]
 
 
 class InducingBlocks(NamedTuple):
@@ -605,13 +618,13 @@ def make_sub_cuntz(m: int, z, n: int, *, tol: float | None = None) -> MomentFunc
     z may be a dict keyed by words or a flat sequence in lexicographic word
     order of length n^m.
     """
-    words = list(all_words(n, m))
     if not isinstance(z, dict):
         z = list(z)
-        if len(z) != len(words):
-            raise SchemaError(f"expected {len(words)} coefficients in lexicographic order, got {len(z)}")
-        z = dict(zip(words, z))
-    return make_prefix_code_state(words, z, n, tol=tol)
+        # sizes are compared before the n^m words are listed; n^m >= 2^m > len(z)
+        # once m reaches the bit length of len(z), so a huge m forms no power
+        if m >= len(z).bit_length() or n**m != len(z):
+            raise SchemaError(f"expected {n}^{m} coefficients in lexicographic order, got {len(z)}")
+    return make_prefix_code_state(list(all_words(n, m)), z, n, tol=tol)
 
 
 def _progression_code(k: int, n: int, axis: int | None = None) -> list[Word]:
@@ -629,11 +642,10 @@ def make_geometric_progression(k: int, z, n: int, *, tol: float | None = None) -
     z is indexed so that z[(n-1)r + i - 1] sits on the word n^r i and the last
     entry z[(n-1)k] on n^k.
     """
-    code = _progression_code(k, n)
     z = list(z)
     if len(z) != (n - 1) * k + 1:
         raise SchemaError(f"expected {(n - 1) * k + 1} coefficients, got {len(z)}")
-    return make_prefix_code_state(code, dict(zip(code, z)), n, tol=tol)
+    return make_prefix_code_state(_progression_code(k, n), z, n, tol=tol)
 
 
 def hat_parameter(y, k: int):
@@ -777,10 +789,7 @@ def transform_gauge(omega: MomentFunctional, g, *, tol: float | None = None) -> 
     g = tuple(tuple(row) for row in g)
     exact = omega.exact and all(is_exact_scalar(x) for row in g for x in row)
 
-    @cache
-    def image(J: Word) -> dict:
-        # alpha_g(s_J) = sum_J' (prod_t g[J'_t][J_t]) s_J'
-        return {Jp: prod(g[a - 1][b - 1] for a, b in zip(Jp, J)) for Jp in all_words(n, len(J))}
+    image = cache(lambda J: gauge_image(g, J))
 
     def evaluator(J: Word, K: Word):
         return omega.moment_of_pair(image(J), image(K))
@@ -820,10 +829,10 @@ def transform_sandwich(
 
     recorded in a warning, and the mass check is relaxed to
     |sqrt(mass) - 1| <= tail_bound.  A user-supplied ``equivalent_to_cuntz``
-    parameter is recorded with provenance "user" and is not verified.  A
-    unit vector state of an irreducible representation is pure, so the
-    sandwich is decided pure when its base is; over any other base nothing
-    follows.
+    parameter (a unit vector of length n) is recorded with provenance "user";
+    the equivalence itself is not verified.  A unit vector state of an
+    irreducible representation is pure, so the sandwich is decided pure when
+    its base is; over any other base nothing follows.
     """
     n = omega.n
     terms = [(c, A) for c, A in terms]
@@ -833,6 +842,10 @@ def transform_sandwich(
     tail = float(tail_bound)
     if tail < 0:
         raise SchemaError("tail_bound must be nonnegative")
+    if equivalent_to_cuntz is not None:
+        if len(equivalent_to_cuntz) != n:
+            raise SchemaError(f"equivalent_to_cuntz needs {n} entries, got {len(equivalent_to_cuntz)}")
+        check_unit(equivalent_to_cuntz, tol)
     exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms) and tail == 0
 
     def evaluator(J: Word, K: Word):

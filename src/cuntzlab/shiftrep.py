@@ -30,7 +30,7 @@ from math import sqrt
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotInvariant, NotUnit, SchemaError
-from .moments import IsometrySequence, MomentFunctional, StateFacts
+from .moments import IsometrySequence, MomentFunctional, StateFacts, sequence_factory
 from .scalars import DEFAULT_RANK_TOL, conj, is_exact_scalar, scalar_is_zero
 from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
 from .words import EventuallyPeriodicWord, LazyWord, Word
@@ -478,16 +478,7 @@ def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L:
     sits inside span(M).
     """
     eps = DEFAULT_RANK_TOL if tol is None else tol
-    if isinstance(a, IsometrySequence):
-        factory = a.factory
-    elif callable(a):
-        factory = a
-    else:
-        seq = list(a)
-
-        def factory(i: int, seq=seq):
-            return seq[i - 1]
-
+    factory = sequence_factory(a, L)
     key_equal = _inner_fn(rep)
     vectors = list(M)
     exact = rep.exact and all(is_exact_scalar(c) for w in vectors for c in w.coeffs.values())

@@ -6,32 +6,43 @@ Integer and string parts stay exact (Gaussian rationals); a float with a
 fractional part is accepted only in float mode, so exactness is never lost
 silently.
 
-State specs are discriminated by ``"family"``::
+Each spec object is read against one key table (``_STATES`` by family,
+``_REPS`` by kind, and ``_ELEMENT``, ``_MONOMIAL``, ``_EPWORD``,
+``_LAZY_WORD`` nested in them); unknown keys are rejected.  State specs are
+discriminated by ``"family"`` (keys in brackets are optional)::
 
-    {"n": 2, "family": "cuntz", "z": [[1, 0], [0, 0]]}
-    {"n": 2, "family": "sub_cuntz", "m": 2, "z": [...]}            # lex order
-    {"n": 2, "family": "geometric_progression", "k": 2, "z": [...]}
-    {"n": 2, "family": "prefix_code", "code": [[1], [2, 1]], "z": [...]}
-    {"n": 2, "family": "induced_product", "pre": [...], "rep": [...]}
-    {"n": 2, "family": "shift", "word": {"pre": [], "per": [1, 2]}}
-    {"n": 2, "family": "vector", "rep": {...}, "key": ...}
-    {"family": "sandwich", "base": {...}, "terms": [[[1,0], {...element}], ...]}
+    {"n": 2, "family": "cuntz", "z": [[1, 0], [0, 0]]}          # [n], equal to len(z)
+    {"family": "sub_cuntz", "m": 2, "n": 2, "z": [...]}         # n^m entries, lex order
+    {"family": "geometric_progression", "k": 2, "n": 2, "z": [...]}
+    {"family": "prefix_code", "n": 2, "code": [[1], [2, 1]], "z": [...]}
+    {"family": "induced_product", "n": 2, ["pre": [[...], ...]], "rep": [[...], ...]}
+    {"family": "shift", "n": 2, "word": {["pre": [...]], "per": [1, 2]}}
+    {"family": "vector", "rep": {...}, "key": ...}
+    {"family": "sandwich", "base": {...}, "terms": [[c, {...element}], ...],
+     ["tail_bound": 0], ["equivalent_to_cuntz": [...]]}
     {"family": "sandwich_series"}
-    {"family": "gauge", "base": {...}, "g": [[[..], ..], ..]}
+    {"family": "gauge", "base": {...}, "g": [[..], ..]}
     {"family": "mixture", "components": [{...}, ...], "weights": [...]}
 
-Representation specs are discriminated by ``"kind"``::
+A ``word`` may also be a lazy preset ``{"preset": "thue_morse",
+["horizon": 256]}``; both presets are binary, so n must be 2.  A vector
+``key`` is a word for a shift representation, ``[k, m]`` on the grid and
+``[prefix, offset]`` on a lazy word.  An element is ``{"n": 2, "terms":
+[{"J": [...], "K": [...], ["re": 0], ["im": 0]}, ...]}``.  Representation
+specs are discriminated by ``"kind"``::
 
-    {"kind": "shift", "word": {"pre": [...], "per": [...]}, "n": 2}
+    {"kind": "shift", ["n": 2], "word": {...}}    # n defaults to max(2, letters)
     {"kind": "grid", "n": 2}
-    {"kind": "lazy", "preset": "thue_morse", "horizon": 256}
+    {"kind": "lazy", ["n": 2], "preset": "thue_morse", ["horizon": 256]}
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import inf
+from math import inf, isfinite
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .classify import (
     EquivalentToCuntz,
@@ -40,15 +51,7 @@ from .classify import (
     ProperlyInfinite,
     ShiftPeriod,
 )
-from .errors import (
-    GateFailed,
-    Inconsistent,
-    NotPrefixFree,
-    NotUnit,
-    NotUnitary,
-    SchemaError,
-    TailNotCertified,
-)
+from .errors import CuntzLabError, GateFailed, SchemaError
 from .fcs import FCSPresentation
 from .moments import (
     MomentFunctional,
@@ -66,27 +69,13 @@ from .moments import (
 from .scalars import QQi, format_float, is_exact_scalar
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
 from .symalg import CuntzElement
-from .words import LAZY_PRESETS, EventuallyPeriodicWord, LazyWord
+from .words import LAZY_PRESETS, EventuallyPeriodicWord, check_word
 
 __all__ = [
-    "scalar_from_json",
-    "scalar_to_json",
-    "word_from_json",
-    "epword_from_json",
-    "epword_to_json",
-    "element_from_json",
-    "element_to_json",
-    "state_from_spec",
-    "rep_from_spec",
-    "parse_spec",
-    "fcs_to_json",
-    "certificate_to_json",
-    "value_to_json",
-    "dump_json",
+    "scalar_from_json", "scalar_to_json", "word_from_json", "epword_from_json", "epword_to_json",
+    "element_from_json", "element_to_json", "state_from_spec", "rep_from_spec", "parse_spec",
+    "fcs_to_json", "certificate_to_json", "value_to_json", "dump_json",
 ]
-
-_CONSTRUCTION_ERRORS = (NotUnit, NotPrefixFree, NotUnitary, TailNotCertified, Inconsistent)
-
 
 # ---------------------------------------------------------------------------
 # Scalars
@@ -105,6 +94,8 @@ def _part_from_json(p, where: str):
         except (ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"{where}: bad rational string {p!r}") from e
     if isinstance(p, float):
+        if not isfinite(p):
+            raise SchemaError(f"{where}: {p} is not a finite number")
         if p == int(p):
             return Fraction(int(p)), True
         return p, False
@@ -153,8 +144,167 @@ def scalar_to_json(x):
 
 
 # ---------------------------------------------------------------------------
-# Words and elements
+# Words, elements, and the spec tables of states and representations
 # ---------------------------------------------------------------------------
+
+
+class _Key(NamedTuple):
+    """A spec key: ``read(value, path, r)`` parses its value (``r`` holds ``mode``,
+    ``tol`` and the ``args`` read so far); a default of ``...`` marks it required."""
+
+    read: Callable
+    default: object = ...
+
+
+class _Labelled(SchemaError):
+    """A SchemaError whose message already names the spec it arose in."""
+
+
+def _read_keys(obj, table: dict, mode: str, tol, where: str = "", skip: str | None = None) -> dict:
+    """The values of the object at path ``where``, read key by key in table order."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f'"{where}" must be an object, got {obj!r}')
+    prefix = f"{where}." if where else ""
+    for k in obj:
+        if k not in table and k != skip:
+            raise SchemaError(f'unknown key "{prefix}{k}" (known: {", ".join(table) or "none"})')
+    r = SimpleNamespace(mode=mode, tol=tol, args={})
+    for key, (read, default) in table.items():
+        if key in obj:
+            r.args[key] = read(obj[key], prefix + key, r)
+        elif default is ...:
+            raise SchemaError(f'missing required field "{prefix}{key}"')
+        else:
+            r.args[key] = default
+    return r.args
+
+
+def _from_spec(obj, field: str, table: dict, noun: str, mode: str, tol):
+    """Read a spec discriminated by ``field`` and build it; every error names the spec."""
+    if not isinstance(obj, dict) or field not in obj:
+        raise _Labelled(f'{noun}: expected an object with a "{field}" field')
+    name = obj[field]
+    if not isinstance(name, str) or name not in table:
+        raise _Labelled(f"{noun}: unknown {field} {name!r}")
+    keys, build = table[name]
+    try:
+        return build(_read_keys(obj, keys, mode, tol, skip=field), tol)
+    except _Labelled:
+        raise
+    except CuntzLabError as e:
+        raise _Labelled(f"{noun} ({name}): {e}") from e
+
+
+def _valid(ok, what: str):
+    """The reader that passes a value on when ``ok(value)`` holds."""
+
+    def read(v, path, r=None):
+        if not ok(v):
+            raise SchemaError(f'"{path}" must be {what}, got {v!r}')
+        return v
+
+    return read
+
+
+def _int(low: int):
+    return _valid(lambda v: type(v) is int and v >= low, f"an integer >= {low}")
+
+
+def _each(read):
+    """The reader of an array whose items ``read`` parses."""
+    return lambda v, path, r: [read(x, f"{path}[{i}]", r) for i, x in enumerate(_array(v, path))]
+
+
+_array = _valid(lambda v: isinstance(v, (list, tuple)), "an array")
+_scalars = _each(lambda v, path, r: scalar_from_json(v, r.mode, path))
+_letters = lambda v, path, r: word_from_json(v, path)  # noqa: E731
+_state = lambda v, path, r: state_from_spec(v, r.mode, r.tol)  # noqa: E731
+_raw = lambda v, path, r: v  # noqa: E731
+_preset = _valid(lambda v: isinstance(v, str) and v in LAZY_PRESETS, "one of " + ", ".join(sorted(LAZY_PRESETS)))
+_nonnegative_real = _valid(lambda v: type(v) in (int, float) and 0 <= v < inf, "a nonnegative real number")
+
+
+def _lazy_word(a: dict, n):
+    if n != 2:
+        raise SchemaError(f'"n" must be 2 for the binary preset {a["preset"]!r}, got {n!r}')
+    return LAZY_PRESETS[a["preset"]](n, a["horizon"])
+
+
+def _word(v, path, r):
+    """An eventually periodic word or a lazy preset over the alphabet of the spec's ``n``."""
+    n = r.args.get("n")
+    if isinstance(v, dict) and "preset" in v:
+        return _lazy_word(_read_keys(v, _LAZY_WORD, r.mode, r.tol, path), n)
+    return epword_from_json(v, n, path)
+
+
+def _vector_key(v, path, r):
+    rep = r.args["rep"]
+    if isinstance(rep, GridRepresentation) or rep.lazy:
+        if not (isinstance(v, (list, tuple)) and len(v) == 2):
+            raise SchemaError("lazy keys are [prefix, offset]" if rep.lazy else "grid keys are [k, m]")
+        if not rep.lazy:
+            return rep.check_key(tuple(v))
+        return check_word(word_from_json(v[0], f"{path}[0]"), rep.n), _int(0)(v[1], f"{path}[1]", r)
+    return epword_from_json(v, rep.n, path)
+
+
+def _term(t, path, r):
+    if not (isinstance(t, (list, tuple)) and len(t) == 2):
+        raise SchemaError(f"{path} must be [coefficient, element]")
+    return scalar_from_json(t[0], r.mode, path + "[0]"), element_from_json(t[1], r.mode, path + "[1]")
+
+
+def _monomial(t, path, r):
+    a = _read_keys(t, _MONOMIAL, r.mode, None, path)
+    return (a["J"], a["K"]), scalar_from_json([a["re"], a["im"]], r.mode, path)
+
+
+def _cuntz(a, tol):
+    if a["n"] is not None and a["n"] != len(a["z"]):
+        raise SchemaError(f'"n" must equal the length of "z" ({len(a["z"])}), got {a["n"]}')
+    return make_cuntz(a["z"], tol)
+
+
+def _shift_state(a, tol):
+    rep = ShiftRepresentation(a["word"])
+    return vector_state(rep, rep.generator_key())
+
+
+# The build functions name the constructors at call time, so a tracer that rebinds
+# them sees every construction.
+_EPWORD = {"pre": _Key(_letters, ()), "per": _Key(_letters)}
+_LAZY_WORD = {"preset": _Key(_preset), "horizon": _Key(_int(1), 256)}
+_MONOMIAL = {"J": _Key(_letters), "K": _Key(_letters), "re": _Key(_raw, 0), "im": _Key(_raw, 0)}
+_ELEMENT = {"n": _Key(_int(2)), "terms": _Key(_each(_monomial))}
+_STATES = {
+    "cuntz": ({"n": _Key(_int(2), None), "z": _Key(_scalars)}, _cuntz),
+    "sub_cuntz": ({"m": _Key(_int(1)), "n": _Key(_int(2)), "z": _Key(_scalars)},
+                  lambda a, tol: make_sub_cuntz(a["m"], a["z"], a["n"], tol=tol)),
+    "geometric_progression": ({"k": _Key(_int(1)), "n": _Key(_int(2)), "z": _Key(_scalars)},
+                              lambda a, tol: make_geometric_progression(a["k"], a["z"], a["n"], tol=tol)),
+    "prefix_code": ({"n": _Key(_int(2)), "code": _Key(_each(_letters)), "z": _Key(_scalars)},
+                    lambda a, tol: make_prefix_code_state(a["code"], a["z"], a["n"], tol=tol)),
+    "induced_product": ({"n": _Key(_int(2)), "pre": _Key(_each(_scalars), ()), "rep": _Key(_each(_scalars))},
+                        lambda a, tol: make_induced_product(a["pre"], a["rep"], a["n"], tol=tol)),
+    "shift": ({"n": _Key(_int(2)), "word": _Key(_word)}, _shift_state),
+    "vector": ({"rep": _Key(lambda v, path, r: rep_from_spec(v)), "key": _Key(_vector_key)},
+               lambda a, tol: vector_state(a["rep"], a["key"])),
+    "sandwich": ({"base": _Key(_state), "terms": _Key(_each(_term)), "tail_bound": _Key(_nonnegative_real, 0),
+                  "equivalent_to_cuntz": _Key(_scalars, None)},
+                 lambda a, tol: transform_sandwich(a["base"], a["terms"], a["tail_bound"],
+                                                   equivalent_to_cuntz=a["equivalent_to_cuntz"], tol=tol)),
+    "sandwich_series": ({}, lambda a, tol: make_split_series_sandwich()),
+    "gauge": ({"base": _Key(_state), "g": _Key(_each(_scalars))},
+              lambda a, tol: transform_gauge(a["base"], a["g"], tol=tol)),
+    "mixture": ({"components": _Key(_each(_state)), "weights": _Key(_scalars)},
+                lambda a, tol: make_mixture(a["components"], a["weights"], tol=tol)),
+}
+_REPS = {
+    "grid": ({"n": _Key(_int(2))}, lambda a, tol: GridRepresentation(a["n"])),
+    "shift": ({"n": _Key(_int(2), None), "word": _Key(_word)}, lambda a, tol: ShiftRepresentation(a["word"])),
+    "lazy": ({"n": _Key(_int(2), 2), **_LAZY_WORD}, lambda a, tol: ShiftRepresentation(_lazy_word(a, a["n"]))),
+}
 
 
 def word_from_json(v, where: str = "word"):
@@ -163,14 +313,11 @@ def word_from_json(v, where: str = "word"):
     return tuple(v)
 
 
-def epword_from_json(v, n: int, where: str = "word"):
-    if not isinstance(v, dict) or "per" not in v:
-        raise SchemaError(f'{where}: expected {{"pre": [...], "per": [...]}}')
-    return EventuallyPeriodicWord(
-        word_from_json(v.get("pre", []), where + ".pre"),
-        word_from_json(v["per"], where + ".per"),
-        n,
-    )
+def epword_from_json(v, n: int | None, where: str = "word"):
+    """``{"pre", "per"}`` over 1..n; a shift representation may omit n, which
+    then is the largest letter, at least 2."""
+    a = _read_keys(v, _EPWORD, "auto", None, where)
+    return EventuallyPeriodicWord(a["pre"], a["per"], n or max((2, *a["pre"], *a["per"])))
 
 
 def epword_to_json(x: EventuallyPeriodicWord):
@@ -178,20 +325,11 @@ def epword_to_json(x: EventuallyPeriodicWord):
 
 
 def element_from_json(v, mode: str = "auto", where: str = "element") -> CuntzElement:
-    if not isinstance(v, dict) or "n" not in v or "terms" not in v:
-        raise SchemaError(f'{where}: expected {{"n": ..., "terms": [...]}}')
-    n = v["n"]
+    a = _read_keys(v, _ELEMENT, mode, None, where)
     terms = {}
-    for idx, t in enumerate(v["terms"]):
-        here = f"{where}.terms[{idx}]"
-        if not isinstance(t, dict) or "J" not in t or "K" not in t:
-            raise SchemaError(f"{here}: expected J, K and a coefficient")
-        J = word_from_json(t["J"], here + ".J")
-        K = word_from_json(t["K"], here + ".K")
-        coeff = scalar_from_json([t.get("re", 0), t.get("im", 0)], mode, here)
-        key = (J, K)
-        terms[key] = terms.get(key, 0) + coeff if key in terms else coeff
-    return CuntzElement(n, terms)
+    for key, c in a["terms"]:
+        terms[key] = terms[key] + c if key in terms else c
+    return CuntzElement(a["n"], terms)
 
 
 def element_to_json(x: CuntzElement):
@@ -202,148 +340,12 @@ def element_to_json(x: CuntzElement):
     return {"n": x.n, "terms": out}
 
 
-# ---------------------------------------------------------------------------
-# Representation specs
-# ---------------------------------------------------------------------------
-
-
-def _checked_int(v, key: str, where: str, low: int) -> int:
-    """``v`` as an integer at least ``low``; booleans are not integers."""
-    if not isinstance(v, int) or isinstance(v, bool) or v < low:
-        raise SchemaError(f'{where}: "{key}" must be an integer >= {low}, got {v!r}')
-    return v
-
-
-def _word_or_lazy_from_json(v, n: int, where: str, spec: str):
-    if isinstance(v, dict) and "preset" in v:
-        preset = v["preset"]
-        if preset not in LAZY_PRESETS:
-            known = ", ".join(sorted(LAZY_PRESETS))
-            raise SchemaError(f"{where}: unknown preset {preset!r} (known: {known})")
-        return LAZY_PRESETS[preset](n, _checked_int(v.get("horizon", 256), "horizon", spec, 1))
-    return epword_from_json(v, n, where)
+def state_from_spec(obj: dict, mode: str = "auto", tol: float | None = None) -> MomentFunctional:
+    return _from_spec(obj, "family", _STATES, "state spec", mode, tol)
 
 
 def rep_from_spec(obj: dict):
-    kind = obj.get("kind")
-    spec = f"representation spec ({kind})"
-    if kind == "grid":
-        if "n" not in obj:
-            raise SchemaError('representation spec: grid needs "n"')
-        return GridRepresentation(_checked_int(obj["n"], "n", spec, 2))
-    if kind == "lazy":
-        n = _checked_int(obj.get("n", 2), "n", spec, 2)
-        return ShiftRepresentation(_word_or_lazy_from_json(
-            {"preset": obj.get("preset"), "horizon": obj.get("horizon", 256)}, n, "lazy", spec))
-    if kind == "shift":
-        n = obj.get("n")
-        word = obj.get("word")
-        if word is None:
-            raise SchemaError('representation spec: shift needs "word"')
-        if n is not None:
-            n = _checked_int(n, "n", spec, 2)
-        elif isinstance(word, dict) and "per" in word:
-            letters = list(word.get("pre", [])) + list(word["per"])
-            n = max(letters) if letters else 2
-            n = max(n, 2)
-        else:
-            raise SchemaError('representation spec: shift needs "n"')
-        return ShiftRepresentation(_word_or_lazy_from_json(word, n, "shift.word", spec))
-    raise SchemaError(f"representation spec: unknown kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# State specs
-# ---------------------------------------------------------------------------
-
-
-def _scalars_from_json(vs, mode: str, where: str):
-    if not isinstance(vs, (list, tuple)):
-        raise SchemaError(f"{where}: expected an array of scalars")
-    return [scalar_from_json(v, mode, f"{where}[{i}]") for i, v in enumerate(vs)]
-
-
-def _require(obj: dict, key: str, family: str):
-    if key not in obj:
-        raise SchemaError(f'state spec ({family}): missing required field "{key}"')
-    return obj[key]
-
-
-def _require_int(obj: dict, key: str, family: str, low: int) -> int:
-    return _checked_int(_require(obj, key, family), key, f"state spec ({family})", low)
-
-
-def state_from_spec(obj: dict, mode: str = "auto", tol: float | None = None) -> MomentFunctional:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise SchemaError('state spec: expected an object with a "family" field')
-    family = obj["family"]
-    try:
-        if family == "cuntz":
-            z = _scalars_from_json(_require(obj, "z", family), mode, "z")
-            return make_cuntz(z, tol)
-        if family == "sub_cuntz":
-            m = _require_int(obj, "m", family, 1)
-            n = _require_int(obj, "n", family, 2)
-            z = _scalars_from_json(_require(obj, "z", family), mode, "z")
-            return make_sub_cuntz(m, z, n, tol=tol)
-        if family == "geometric_progression":
-            k = _require_int(obj, "k", family, 1)
-            n = _require_int(obj, "n", family, 2)
-            z = _scalars_from_json(_require(obj, "z", family), mode, "z")
-            return make_geometric_progression(k, z, n, tol=tol)
-        if family == "prefix_code":
-            n = _require_int(obj, "n", family, 2)
-            code = [word_from_json(w, f"code[{i}]") for i, w in enumerate(_require(obj, "code", family))]
-            z = _scalars_from_json(_require(obj, "z", family), mode, "z")
-            if len(z) != len(code):
-                raise SchemaError(f"state spec (prefix_code): {len(code)} code words but {len(z)} coefficients")
-            return make_prefix_code_state(code, dict(zip(code, z)), n, tol=tol)
-        if family == "induced_product":
-            n = _require_int(obj, "n", family, 2)
-            pre = [_scalars_from_json(b, mode, f"pre[{i}]") for i, b in enumerate(obj.get("pre", []))]
-            rep = [_scalars_from_json(b, mode, f"rep[{i}]") for i, b in enumerate(_require(obj, "rep", family))]
-            return make_induced_product(pre, rep, n, tol=tol)
-        if family == "shift":
-            n = _require_int(obj, "n", family, 2)
-            word = _word_or_lazy_from_json(_require(obj, "word", family), n, "word", f"state spec ({family})")
-            return vector_state(ShiftRepresentation(word), word if isinstance(word, EventuallyPeriodicWord) else ((), 0))
-        if family == "vector":
-            rep = rep_from_spec(_require(obj, "rep", family))
-            key = _require(obj, "key", family)
-            if isinstance(rep, GridRepresentation):
-                if not (isinstance(key, (list, tuple)) and len(key) == 2):
-                    raise SchemaError("state spec (vector): grid keys are [k, m]")
-                return vector_state(rep, (key[0], key[1]))
-            if isinstance(rep.word, LazyWord):
-                if not (isinstance(key, (list, tuple)) and len(key) == 2):
-                    raise SchemaError("state spec (vector): lazy keys are [prefix, offset]")
-                return vector_state(rep, (word_from_json(key[0], "key.prefix"), key[1]))
-            return vector_state(rep, epword_from_json(key, rep.n, "key"))
-        if family == "sandwich":
-            base = state_from_spec(_require(obj, "base", family), mode, tol)
-            terms = []
-            for i, t in enumerate(_require(obj, "terms", family)):
-                if not (isinstance(t, (list, tuple)) and len(t) == 2):
-                    raise SchemaError(f"state spec (sandwich): terms[{i}] must be [coefficient, element]")
-                c = scalar_from_json(t[0], mode, f"terms[{i}][0]")
-                A = element_from_json(t[1], mode, f"terms[{i}][1]")
-                terms.append((c, A))
-            eq = obj.get("equivalent_to_cuntz")
-            eqz = _scalars_from_json(eq, mode, "equivalent_to_cuntz") if eq is not None else None
-            return transform_sandwich(base, terms, obj.get("tail_bound", 0), equivalent_to_cuntz=eqz, tol=tol)
-        if family == "sandwich_series":
-            return make_split_series_sandwich()
-        if family == "gauge":
-            base = state_from_spec(_require(obj, "base", family), mode, tol)
-            g = [_scalars_from_json(row, mode, f"g[{i}]") for i, row in enumerate(_require(obj, "g", family))]
-            return transform_gauge(base, g, tol=tol)
-        if family == "mixture":
-            comps = [state_from_spec(c, mode, tol) for c in _require(obj, "components", family)]
-            weights = _scalars_from_json(_require(obj, "weights", family), mode, "weights")
-            return make_mixture(comps, weights, tol=tol)
-    except _CONSTRUCTION_ERRORS as e:
-        raise SchemaError(f"state spec ({family}): {e}") from e
-    raise SchemaError(f"state spec: unknown family {family!r}")
+    return _from_spec(obj, "kind", _REPS, "representation spec", "auto", None)
 
 
 def parse_spec(path: str, mode: str = "auto", tol: float | None = None, gate: bool = True):
@@ -358,7 +360,7 @@ def parse_spec(path: str, mode: str = "auto", tol: float | None = None, gate: bo
             obj = json.load(fh)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to convert
         raise SchemaError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a JSON object at the top level")
@@ -381,13 +383,11 @@ def parse_spec(path: str, mode: str = "auto", tol: float | None = None, gate: bo
 # ---------------------------------------------------------------------------
 
 
-def value_to_json(value):
-    """kappa-like values: integer, "infinite", or None."""
+def value_to_json(value, unresolved=None):
+    """kappa-like values: an integer, "infinite", or ``unresolved`` for None."""
     if value is None:
-        return None
-    if value == inf:
-        return "infinite"
-    return value
+        return unresolved
+    return "infinite" if value == inf else value
 
 
 def certificate_to_json(cert) -> dict:

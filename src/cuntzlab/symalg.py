@@ -13,11 +13,12 @@ equality of normal forms is equality in O_n.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
 from .errors import NotUnitary, SchemaError
 from .scalars import DEFAULT_EQ_TOL, abs2, conj, is_exact_scalar, format_scalar, scalar_is_zero
-from .words import Word, check_word, is_prefix
+from .words import Word, all_words, check_word, is_prefix
 
 __all__ = [
     "ReducedPair",
@@ -30,6 +31,7 @@ __all__ = [
     "multiply",
     "adjoint",
     "is_isometry_in_plus",
+    "gauge_image",
     "gauge_apply",
     "check_unitary",
 ]
@@ -229,23 +231,20 @@ def check_unitary(g, n: int, tol: float | None = None) -> None:
                 raise NotUnitary(f"g*g != I at entry ({a + 1},{b + 1}): {complex(s)}")
 
 
+def gauge_image(g, J: Word) -> dict:
+    """alpha_g(s_J) = sum_J' (prod_t g[J'_t][J_t]) s_J' as {J': coefficient},
+    for the gauge automorphism alpha_g(s_i) = sum_j g[j][i] s_j of O_len(g)."""
+    return {Jp: prod(g[a - 1][b - 1] for a, b in zip(Jp, J)) for Jp in all_words(len(g), len(J))}
+
+
 def gauge_apply(g, x: CuntzElement, tol: float | None = None) -> CuntzElement:
-    """Apply the gauge automorphism alpha_g(s_i) = sum_j g[j][i] s_j termwise."""
-    n = x.n
-    check_unitary(g, n, tol)
-    images = [None] + [
-        CuntzElement(n, {((j,), ()): g[j - 1][i - 1] for j in range(1, n + 1)})
-        for i in range(1, n + 1)
-    ]
-
-    def image_of_word(J: Word) -> CuntzElement:
-        out = identity(n)
-        for a in J:
-            out = multiply(out, images[a])
-        return out
-
-    total = zero(n)
+    """Apply the gauge automorphism alpha_g(s_i) = sum_j g[j][i] s_j termwise:
+    alpha_g(s_J s_K*) = sum_{J', K'} alpha_g(s_J)_J' conj(alpha_g(s_K)_K') s_J' s_K'*."""
+    check_unitary(g, x.n, tol)
+    raw: dict[tuple[Word, Word], object] = {}
     for (J, K), c in x.terms.items():
-        piece = multiply(image_of_word(J), adjoint(image_of_word(K)))
-        total = total + c * piece
-    return total
+        image_k = gauge_image(g, K)
+        for Jp, a in gauge_image(g, J).items():
+            for Kp, b in image_k.items():
+                raw[(Jp, Kp)] = raw.get((Jp, Kp), 0) + c * a * conj(b)
+    return CuntzElement(x.n, raw)

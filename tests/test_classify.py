@@ -181,6 +181,17 @@ class TestProperlyInfiniteVerifier:
         assert chk.table[0][0] == 1
         assert chk.table[0][1] == 0
 
+    def test_plain_list_sequence(self):
+        from cuntzlab import SchemaError
+
+        # s_1^l e_(1,0) = e_(1,l): distinct grid levels, so the table is the
+        # identity, but a sequence the caller supplies is only evidence
+        w = vector_state(GridRepresentation(2), (1, 0))
+        chk = verify_properly_infinite(w, [gen(2, 1)] * 4, cutoff=4)
+        assert chk.status == "evidence" and not chk.ok
+        with pytest.raises(SchemaError, match="need 4 sequence elements, got 2"):
+            verify_properly_infinite(w, [gen(2, 1)] * 2, cutoff=4)
+
     def test_state_without_sequence_cannot_be_checked(self):
         from cuntzlab import SchemaError
 

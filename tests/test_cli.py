@@ -1,9 +1,14 @@
 """Command-line interface: frozen output lines, exit codes, JSON shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cuntzlab.cli as cli
 from cuntzlab.cli import run
 
 from conftest import fr, q
@@ -263,6 +268,21 @@ class TestErrors:
         assert run(["pure", spec_file(spec)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("bad_utf8", b'\xff\xfe{"family": "cuntz"}'),
+            ("long_integer", ('{"family": "cuntz", "z": [' + "1" * 5000 + ", 0]}").encode()),
+            ("nan_scalar", b'{"family": "cuntz", "z": [NaN, 0]}'),
+        ],
+    )
+    def test_unreadable_numbers_and_bytes(self, tmp_path, capsys, name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert run(["pure", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_inexact_float_gated(self, spec_file, capsys):
         path = spec_file({"family": "cuntz", "z": [0.6, 0.8]})
         assert run(["cdim", path]) == 1
@@ -273,3 +293,81 @@ class TestErrors:
 class TestSeedPlumbing:
     def test_seed_flag_accepted(self, spec_file, capsys):
         assert run(["cdim", spec_file(CUNTZ35), "--seed", "7"]) == 0
+
+
+ELEMENT = {"n": 2, "terms": [{"J": [2], "K": [], "re": 1, "im": 0}]}
+CUNTZ10 = {"family": "cuntz", "z": [1, 0]}
+SUB_CUNTZ_M40 = {"family": "sub_cuntz", "n": 2, "m": 40, "z": [1, 0]}
+
+
+class TestMalformedSpecs:
+    """Each spec used to be ignored in part, end in a traceback, or hang."""
+
+    @pytest.mark.parametrize(
+        "command, spec, message",
+        [
+            ("report", {"family": "cuntz", "z": [[1, 0], [0, 0]], "tyop": 1},
+             'state spec (cuntz): unknown key "tyop" (known: n, z)'),
+            ("report", {"family": "cuntz", "n": 3, "z": [1, 0]},
+             'state spec (cuntz): "n" must equal the length of "z" (2), got 3'),
+            ("rep", {"kind": "lazy", "preset": "thue_morse", "n": 3},
+             "representation spec (lazy): \"n\" must be 2 for the binary preset 'thue_morse', got 3"),
+            ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, ELEMENT]], "tail_bound": "x"},
+             "state spec (sandwich): \"tail_bound\" must be a nonnegative real number, got 'x'"),
+            ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, {**ELEMENT, "n": "2"}]]},
+             "state spec (sandwich): \"terms[0][1].n\" must be an integer >= 2, got '2'"),
+            ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, {"n": 2, "terms": 5}]]},
+             'state spec (sandwich): "terms[0][1].terms" must be an array, got 5'),
+            ("report", {"family": "prefix_code", "n": 2, "code": 5, "z": [1]},
+             'state spec (prefix_code): "code" must be an array, got 5'),
+            ("report", {"family": "induced_product", "n": 2, "pre": 3, "rep": [[1, 0]]},
+             'state spec (induced_product): "pre" must be an array, got 3'),
+            ("report", {"family": "gauge", "base": CUNTZ10, "g": 7},
+             'state spec (gauge): "g" must be an array, got 7'),
+            ("report", {"family": "mixture", "components": 3, "weights": [1]},
+             'state spec (mixture): "components" must be an array, got 3'),
+            ("report", {"family": "vector", "rep": {"kind": "lazy", "preset": "thue_morse", "horizon": 64},
+                        "key": [[], "a"]},
+             "state spec (vector): \"key[1]\" must be an integer >= 0, got 'a'"),
+            ("report", SUB_CUNTZ_M40,
+             "state spec (sub_cuntz): expected 2^40 coefficients in lexicographic order, got 2"),
+            ("report", {"family": ["cuntz"], "z": [1, 0]}, "state spec: unknown family ['cuntz']"),
+            ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, ELEMENT]], "tail_bound": -1},
+             'state spec (sandwich): "tail_bound" must be a nonnegative real number, got -1'),
+            ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, ELEMENT]], "equivalent_to_cuntz": [1]},
+             "state spec (sandwich): equivalent_to_cuntz needs 2 entries, got 1"),
+        ],
+        ids=["typo", "cuntz_n", "lazy_n", "tail_bound", "element_n", "element_terms", "code", "pre", "g",
+             "components", "lazy_key", "sub_cuntz_m40", "family_list", "negative_tail_bound",
+             "declared_parameter_length"],
+    )
+    def test_one_error_line(self, spec_file, capsys, command, spec, message):
+        assert run([command, spec_file(spec)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_cuntz_n_equal_to_the_length_is_accepted(self, spec_file, capsys):
+        assert run(["cdim", spec_file({"family": "cuntz", "n": 2, "z": [["3/5", 0], ["4/5", 0]]})]) == 0
+        assert capsys.readouterr().out.startswith("cdim=1 (stabilized)")
+
+    def test_oversized_sub_cuntz_exits_at_once(self, spec_file):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-m", "cuntzlab.cli", "report", spec_file(SUB_CUNTZ_M40)],
+                              capture_output=True, text=True, timeout=5, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+class TestRepComputesKappaOnce:
+    def test_one_kappa_rep_call_at_the_given_level(self, spec_file, capsys, monkeypatch):
+        calls = []
+        kappa_rep = cli.kappa_rep
+
+        def counted(rep, L_max, tol):
+            calls.append((L_max, tol))
+            return kappa_rep(rep, L_max, tol)
+
+        monkeypatch.setattr(cli, "kappa_rep", counted)
+        assert run(["rep", spec_file(GRID_REP), "--max-level", "3"]) == 0
+        assert calls == [(3, None)]
+        assert capsys.readouterr().out.splitlines()[1] == "endomorphism invariants: powers index 2, κ infinite"

@@ -7,6 +7,7 @@ from cuntzlab import (
     EventuallyPeriodicWord,
     GridRepresentation,
     NotInvariant,
+    SchemaError,
     ShiftRepresentation,
     apply_element,
     apply_generator,
@@ -180,6 +181,12 @@ class TestGradingAndConvergence:
         # s_1*^2 v = 4/5 e_{2x} (distance 4/5); s_1*^3 v = 0
         dist = lemma_convergence_check(rep, [StateVector.basis(self.X)], [gen(2, 1)] * 3, v, 3)
         assert dist == pytest.approx([1.0, 0.8, 0.0], abs=1e-12)
+
+    def test_sequence_list_shorter_than_the_depth(self):
+        rep = ShiftRepresentation(self.X)
+        v = StateVector.basis(ep((2,), (1,)))
+        with pytest.raises(SchemaError, match="need 3 sequence elements, got 2"):
+            lemma_convergence_check(rep, [StateVector.basis(self.X)], [gen(2, 1)] * 2, v, 3)
 
     def test_element_on_a_lazy_word(self):
         # Thue-Morse t = 1 2 2 1 2 ...: the key ((), 1) is the tail 2 2 1 2 ...,

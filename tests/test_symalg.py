@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cuntzlab import (
+    CuntzElement,
     QQi,
     adjoint,
     gauge_apply,
@@ -120,6 +121,36 @@ class TestGaugeAction:
     def test_non_unitary_matrix_rejected(self):
         with pytest.raises(NotUnitary):
             gauge_apply([[1, 0], [0, 2]], gen(2, 1))
+
+    @pytest.mark.parametrize(
+        "g, x",
+        [
+            ([[q(fr(3, 5)), q(0, fr(-4, 5))], [q(fr(4, 5)), q(0, fr(3, 5))]],
+             monomial(2, (1, 2), (2, 1), q(fr(1, 2), fr(1, 3))) + monomial(2, (2, 2, 1), ()) + identity(2)
+             + monomial(2, (), (1, 2), q(0, 2)) + monomial(2, (2,), (1, 1, 2), q(-3))),
+            ([[q(fr(1, 3)), q(fr(2, 3)), q(fr(2, 3))],
+              [q(fr(2, 3)), q(fr(1, 3)), q(fr(-2, 3))],
+              [q(0, fr(2, 3)), q(0, fr(-2, 3)), q(0, fr(1, 3))]],
+             monomial(3, (3, 1), (2,), q(fr(2, 7))) + monomial(3, (1,), (3, 3)) + monomial(3, (2, 3), (2, 3))),
+        ],
+        ids=["n2", "n3"],
+    )
+    def test_equals_products_of_generator_images(self, g, x):
+        # reference: alpha_g(s_J s_K*) = alpha_g(s_j1)...alpha_g(s_jk) (alpha_g(s_K))*,
+        # each generator image sum_i g[i][j] s_i, multiplied out in O_n
+        n = x.n
+        gens = {j: CuntzElement(n, {((i,), ()): g[i - 1][j - 1] for i in range(1, n + 1)}) for j in range(1, n + 1)}
+
+        def image(J):
+            out = identity(n)
+            for a in J:
+                out = multiply(out, gens[a])
+            return out
+
+        want = CuntzElement(n, {})
+        for (J, K), c in x.terms.items():
+            want = want + c * multiply(image(J), adjoint(image(K)))
+        assert gauge_apply(g, x) == want
 
 
 class TestScalarStructure:
