@@ -96,8 +96,10 @@ class GramGrowth:
 
     ``pivots`` are words J whose vectors pi(s_J)* Omega form a basis of the
     span reached so far; ``gram`` is their (positive definite) Gram matrix;
-    ``level_ranks[L]`` is the rank over all words of length <= L.  A growth
-    is shared by every caller that asks for the same state, level cap and
+    ``level_ranks[L]`` is the rank over all words of length <= L.  The
+    growth keeps its factor G = L D L*: ``lower[k]`` holds L_k,j for j < k
+    (L is unit lower triangular) and ``dvals`` the positive D.  A growth is
+    shared by every caller that asks for the same state, level cap and
     tolerance, so all of it is immutable.
     """
 
@@ -106,6 +108,23 @@ class GramGrowth:
     level_ranks: tuple
     stabilized: bool
     last_level: int
+    lower: tuple
+    dvals: tuple
+
+    def solve(self, rhs) -> list:
+        """x with G x = rhs, in O(d^2) from the factor: the forward solve
+        L z = rhs, then the back solve L* x = D^-1 z.  Zero products are
+        skipped; exact factors and columns are often sparse."""
+        lower, dvals = self.lower, self.dvals
+        z: list = []
+        for row, r in zip(lower, rhs):
+            z.append(r - sum((lj * zj for lj, zj in zip(row, z) if lj and zj), 0))
+        d = len(dvals)
+        x: list = [0] * d
+        for k in reversed(range(d)):
+            tail = (conj(lower[j][k]) * x[j] for j in range(k + 1, d) if x[j] and lower[j][k])
+            x[k] = z[k] / dvals[k] - sum(tail, 0)
+        return x
 
 
 class _Candidate:
@@ -216,7 +235,10 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
             stabilized = True
             break
         frontier = added
-    return GramGrowth(tuple(pivots), tuple(map(tuple, gram)), tuple(level_ranks), stabilized, level)
+    return GramGrowth(
+        tuple(pivots), tuple(map(tuple, gram)), tuple(level_ranks), stabilized, level,
+        tuple(map(tuple, lower)), tuple(dvals),
+    )
 
 
 @dataclass(frozen=True)

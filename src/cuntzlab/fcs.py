@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .classify import LowerBoundOnly, gram_growth
 from .errors import SchemaError, ValidationFailed
-from .linalg import hermitian_transpose, mat_mul, mat_vec, rank, solve
+from .linalg import hermitian_transpose, mat_mul, mat_vec, rank
 from .moments import MomentFunctional
 from .scalars import conj, scalars_close
 from .words import Word, check_word
@@ -126,7 +126,8 @@ def extract_fcs(
     largest-residual pivoting (lexicographic tie-break).  Once a level adds no
     pivots the subspace is closed under every pi(s_i)* (new vectors only arise
     by one more letter), so the matrices A_i are filled in by solving the
-    metric against the children's correlation vectors.  The result is
+    metric against the children's correlation vectors, each column by two
+    triangular solves through the growth's factor G = L D L*.  The result is
     validated twice -- the compressed row relation sum_i A_i^H G A_i = G and
     twenty seeded random moment round-trips against the source -- and a
     failure raises ValidationFailed (in float mode this usually signals
@@ -152,7 +153,7 @@ def extract_fcs(
         cols = []
         for p in pivots:
             rhs = [omega.lookup(q, p + (i,)) for q in pivots]
-            cols.append(solve(gram, rhs, tol))
+            cols.append(growth.solve(rhs))
         matrices.append(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d)))
 
     F = FCSPresentation(

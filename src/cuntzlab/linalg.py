@@ -3,16 +3,16 @@
 Matrices are lists of row lists.  When every entry is exact the routines run
 fraction-free Gauss-Jordan elimination on integers (or Gaussian integers) and
 return exact answers; otherwise they pivot on magnitudes with a rank
-tolerance, or fall back to numpy.  Problem sizes in this package are small
-(up to a few hundred rows), so clarity beats asymptotics.
+tolerance, or fall back to numpy.  numpy is imported only inside those float
+fallbacks (and for the eigenvalue estimate of a failed exact PSD check), so
+exact work never loads it.  Problem sizes in this package are small (up to a
+few hundred rows), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 from .errors import Inconsistent
 from .scalars import DEFAULT_RANK_TOL, QQi, conj, is_exact_scalar
@@ -206,6 +206,8 @@ def kernel_basis(rows, ncols: int, tol: float | None = None):
                 v[c] = -work[r][free]
             basis.append(v)
         return basis
+    import numpy as np
+
     a = np.array([[complex(x) for x in row] for row in rows], dtype=complex)
     if np.allclose(a.imag, 0):
         a = a.real
@@ -215,36 +217,56 @@ def kernel_basis(rows, ncols: int, tol: float | None = None):
     return [list(vh[k].conj()) for k in range(r, vh.shape[0])]
 
 
+def _min_eig_estimate(g):
+    """The smallest eigenvalue of the Hermitian part of g by numpy, and the
+    largest entry magnitude (the float check's scale)."""
+    import numpy as np
+
+    approx = np.array([[complex(x) for x in row] for row in g], dtype=complex)
+    min_eig = float(np.linalg.eigvalsh((approx + approx.conj().T) / 2).min())
+    return min_eig, float(np.abs(approx).max())
+
+
 def hermitian_psd_check(g, tol: float | None = None):
     """Decide whether the Hermitian matrix g is positive semidefinite.
 
-    Returns (ok, min_eig_estimate).  Exact matrices are decided by rational
-    LDL* pivoting (a zero pivot must have a zero row); float matrices by the
-    smallest eigenvalue against -tol.
+    Returns (ok, min_eig_estimate).  Float matrices are decided by the
+    smallest eigenvalue (a float numpy estimate) against -tol.  Exact
+    matrices are decided by rational LDL* pivoting (a zero pivot must have a
+    zero row); the numpy estimate is computed only when that check fails, for
+    the failure message, so an exact matrix that passes comes back as
+    (True, None) and never loads numpy.
     """
     d = len(g)
     if d == 0:
         return True, 0.0
-    approx = np.array([[complex(x) for x in row] for row in g], dtype=complex)
-    min_eig = float(np.linalg.eigvalsh((approx + approx.conj().T) / 2).min())
     if not matrix_is_exact(g):
+        min_eig, scale = _min_eig_estimate(g)
         eps = DEFAULT_RANK_TOL if tol is None else tol
-        return min_eig >= -eps * max(1.0, float(np.abs(approx).max())), min_eig
+        return min_eig >= -eps * max(1.0, scale), min_eig
+    if _exact_psd(g):
+        return True, None
+    return False, _min_eig_estimate(g)[0]
+
+
+def _exact_psd(g) -> bool:
+    """Rational LDL* pivoting on the exact Hermitian matrix g."""
+    d = len(g)
     work = [list(row) for row in g]
     for k in range(d):
         piv = work[k][k]
         if isinstance(piv, QQi):
             if piv.im != 0:
-                return False, min_eig  # Hermitian diagonal must be real
+                return False  # Hermitian diagonal must be real
             piv_real = piv.re
         else:
             piv_real = piv
         if piv_real < 0:
-            return False, min_eig
+            return False
         if piv_real == 0:
             # a PSD matrix with zero diagonal entry has a zero row
             if any(work[k][j] != 0 for j in range(k + 1, d)):
-                return False, min_eig
+                return False
             continue
         # Schur complement of the pivot; stays Hermitian since work[k][j] = conj(work[j][k])
         for i in range(k + 1, d):
@@ -253,7 +275,7 @@ def hermitian_psd_check(g, tol: float | None = None):
             f = work[i][k] / piv
             for j in range(k + 1, d):
                 work[i][j] = work[i][j] - f * work[k][j]
-    return True, min_eig
+    return True
 
 
 def min_norm_solution(basis, constraint_rows, constraint_rhs, tol: float | None = None):

@@ -902,15 +902,21 @@ def make_split_series_sandwich() -> MomentFunctional:
     """
     n = 2
 
+    # x_l and its tails are built once per state, not once per moment
+    @cache
     def x_word(l: int) -> EventuallyPeriodicWord:
         return EventuallyPeriodicWord((2,) * (l - 1) + (1,) + (2,) * l, (1,), n)
+
+    @cache
+    def x_tail(l: int, t: int) -> EventuallyPeriodicWord:
+        return x_word(l).shift_by(t)
 
     def evaluator(J: Word, K: Word):
         lcut = max(len(J), len(K), 1) + 1
         total = Fraction(0)
         for l in range(1, lcut):
             x = x_word(l)
-            if x.starts_with(J) and x.starts_with(K) and x.shift_by(len(J)) == x.shift_by(len(K)):
+            if x.starts_with(J) and x.starts_with(K) and x_tail(l, len(J)) == x_tail(l, len(K)):
                 total += Fraction(1, 2**l)
         if len(J) == len(K) and set(J) <= {2} and set(K) <= {2} and J == K:
             total += Fraction(1, 2 ** (lcut - 1))
@@ -928,7 +934,9 @@ def make_split_series_sandwich() -> MomentFunctional:
 def positivity_check(omega: MomentFunctional, level: int = 2, tol: float | None = None):
     """PSD check of the Gram matrix of {pi(s_J)* Omega : |J| <= level}.
 
-    Returns (ok, min_eigenvalue_estimate).
+    Returns (ok, min_eigenvalue_estimate), as ``hermitian_psd_check`` does:
+    the estimate is a float numpy eigenvalue for a float state and for an
+    exact state that fails, and None for an exact state that passes.
     """
     words = list(words_upto(omega.n, level))
     return hermitian_psd_check(gram_matrix(omega, words), tol)

@@ -371,3 +371,45 @@ class TestRepComputesKappaOnce:
         assert run(["rep", spec_file(GRID_REP), "--max-level", "3"]) == 0
         assert calls == [(3, None)]
         assert capsys.readouterr().out.splitlines()[1] == "endomorphism invariants: powers index 2, κ infinite"
+
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
+
+# runs in a fresh interpreter: the argument lists come as JSON in argv[1]
+_NUMPY_GUARD = """
+import contextlib, io, json, sys
+import cuntzlab.cli as cli
+assert "numpy" not in sys.modules, "import cuntzlab.cli loaded numpy"
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    assert code == 0, (argv, code)
+    assert "numpy" not in sys.modules, ("numpy loaded by", argv)
+"""
+
+
+def _fresh_run(commands):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-c", _NUMPY_GUARD, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+class TestExactCommandsNeverLoadNumpy:
+    """numpy is loaded only for float work and exact PSD failure messages."""
+
+    def test_import_and_exact_report_and_fcs(self):
+        specs = sorted(str(p) for p in GOLDEN_SPECS.glob("*.json"))
+        commands = [["report", *specs, "--format", "json"]]
+        commands += [["fcs", spec, "--format", "json"] for spec in specs]
+        proc = _fresh_run(commands)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_the_guard_sees_a_float_report_load_numpy(self):
+        proc = _fresh_run([["report", str(GOLDEN_SPECS / "sub_cuntz_twisted.json"), "--mode", "float"]])
+        assert proc.returncode == 1
+        assert "numpy loaded by" in proc.stderr and "'--mode', 'float'" in proc.stderr
+
+    def test_float_report_succeeds(self, capsys):
+        assert run(["report", str(GOLDEN_SPECS / "sub_cuntz_twisted.json"), "--mode", "float"]) == 0
+        assert "cdim=3" in capsys.readouterr().out

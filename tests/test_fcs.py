@@ -1,20 +1,45 @@
 """Finitely correlated presentations extracted from stabilized states."""
 
+import math
+import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuntzlab import (
     check_row_isometry,
     extract_fcs,
     fcs_moment,
+    gram_growth,
     make_cuntz,
     make_prefix_code_state,
+    make_sub_cuntz,
     orbit_closure_cdim,
+    parse_spec,
     words_upto,
 )
+from cuntzlab.linalg import solve
+from cuntzlab.scalars import scalars_close
+from cuntzlab.selftest import random_exact_unit
 
 from conftest import fr, q
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
+
+
+@cache
+def golden_state(name: str, mode: str = "auto"):
+    return parse_spec(str(GOLDEN_SPECS / f"{name}.json"), mode)
+
+
+# the golden states whose Gram growth stabilizes at the default level cap
+STABILIZED = [
+    p.stem for p in sorted(GOLDEN_SPECS.glob("*.json")) if gram_growth(golden_state(p.stem)).stabilized
+]
 
 Z35 = [q(fr(3, 5)), q(fr(4, 5))]
 
@@ -76,3 +101,62 @@ class TestUnstabilizedInput:
         assert isinstance(out, LowerBoundOnly)
         assert out.low >= 5
         assert "still growing" in out.note
+
+
+def _fcs_columns(omega):
+    """The right-hand sides extract_fcs solves: one per letter and pivot."""
+    pivots = gram_growth(omega).pivots
+    for i in range(1, omega.n + 1):
+        for p in pivots:
+            yield [omega.lookup(q, p + (i,)) for q in pivots]
+
+
+def _dense_state(m: int, exact: bool):
+    """A sub_cuntz state of order m over n = 2 with every coefficient nonzero."""
+    rng = random.Random(m)
+    if exact:
+        return make_sub_cuntz(m, random_exact_unit(rng, 2**m), 2)
+    z = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2**m)]
+    norm = math.sqrt(sum(abs(x) ** 2 for x in z))
+    return make_sub_cuntz(m, [x / norm for x in z], 2)
+
+
+class TestFactorSolve:
+    """The growth's L D L* solve against a full elimination of its Gram."""
+
+    def test_oracle_cases_are_not_trivial(self):
+        assert len(STABILIZED) >= 20
+        assert len(gram_growth(_dense_state(4, True)).pivots) == 9
+
+    @pytest.mark.parametrize("name", [*STABILIZED, "dense_order_4"])
+    def test_exact_columns_equal_full_solve(self, name):
+        omega = _dense_state(4, True) if name == "dense_order_4" else golden_state(name)
+        growth = gram_growth(omega)
+        assert growth.stabilized
+        for rhs in _fcs_columns(omega):
+            assert growth.solve(rhs) == solve(growth.gram, rhs)
+
+    @pytest.mark.parametrize("name", ["gauge_shift", "sub_cuntz_twisted", "mixture", "dense_order_5"])
+    def test_float_columns_close_to_full_solve(self, name):
+        omega = _dense_state(5, False) if name == "dense_order_5" else golden_state(name, "float")
+        assert not omega.exact
+        growth = gram_growth(omega)
+        assert growth.stabilized
+        for rhs in _fcs_columns(omega):
+            got, want = growth.solve(rhs), solve(growth.gram, rhs)
+            assert all(scalars_close(a, b, 1e-12) for a, b in zip(got, want)), (got, want)
+
+
+@st.composite
+def golden_moments(draw):
+    name = draw(st.sampled_from(STABILIZED))
+    n = golden_state(name).n
+    word = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    return name, draw(word), draw(word)
+
+
+@given(golden_moments())
+def test_exact_presentation_round_trips_every_short_moment(case):
+    name, J, K = case
+    omega = golden_state(name)
+    assert fcs_moment(extract_fcs(omega), J, K) == omega.moment(J, K)

@@ -152,6 +152,19 @@ def test_float_level_ranks_match_exact_twin(name):
     assert floating.stabilized == exact.stabilized
 
 
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_exact_factor_multiplies_back_to_the_gram(name):
+    spec, L_max = STATES[name]
+    g = gram_growth(state_from_spec(spec, "exact"), L_max)
+    d = len(g.pivots)
+    unit_lower = [list(row) + [1] + [0] * (d - k - 1) for k, row in enumerate(g.lower)]
+    for i in range(d):
+        for j in range(d):
+            entry = sum((unit_lower[i][k] * g.dvals[k] * conj(unit_lower[j][k]) for k in range(d)), 0)
+            assert entry == g.gram[i][j], (i, j)
+    assert all(dk > 0 for dk in g.dvals)
+
+
 def test_growth_is_shared_and_immutable():
     omega = state_from_spec(STATES["n2_prefix_code"][0], "exact")
     g = gram_growth(omega, 8)
@@ -159,6 +172,7 @@ def test_growth_is_shared_and_immutable():
     assert gram_growth(omega, 5) is not g
     assert isinstance(g.pivots, tuple) and isinstance(g.level_ranks, tuple)
     assert all(isinstance(row, tuple) for row in g.gram)
+    assert isinstance(g.dvals, tuple) and all(isinstance(row, tuple) for row in g.lower)
     with pytest.raises(AttributeError):
         g.pivots = ()
 

@@ -107,6 +107,15 @@ class TestPsdCheck:
         assert not ok
         assert float(mineig) < 0
 
+    def test_exact_pass_carries_no_estimate(self):
+        assert hermitian_psd_check([[q(2), q(1)], [q(1), q(2)]], None) == (True, None)
+
+    def test_float_matrix_carries_its_estimate(self):
+        ok, mineig = hermitian_psd_check([[2.0, 1.0], [1.0, 2.0]], None)
+        assert ok and abs(mineig - 1.0) < 1e-12
+        ok, mineig = hermitian_psd_check([[0.0, 1.0], [1.0, 0.0]], None)
+        assert not ok and abs(mineig + 1.0) < 1e-12
+
 
 class TestMinNormSolution:
     def test_min_norm_point_on_affine_line(self):
