@@ -12,7 +12,8 @@ isometries with orthogonal ranges summing to the identity:
 - an exact simulator for permutative (shift and grid) representations.
 
 Arithmetic is exact (Gaussian rational) whenever the inputs are, and
-floating point with explicit tolerances otherwise.
+floating point with two fixed tolerances (``DEFAULT_EQ_TOL`` and
+``DEFAULT_RANK_TOL``) otherwise.
 """
 
 from .classify import (

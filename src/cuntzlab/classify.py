@@ -176,7 +176,9 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
     Exact states get exactly the residuals of a full solve.
 
     The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
-    kappa and fcs of one state share it.
+    kappa and fcs of one state share it.  Float rank decisions compare
+    against ``tol`` (default DEFAULT_RANK_TOL) relative to max(1, diag); the
+    library never passes it, but bench/tracer.py binds it by name.
     """
     if L_max < 1:
         raise SchemaError(f"the level cap must be at least 1, got {L_max}")
@@ -257,9 +259,9 @@ class CdimResult:
     pivot_words: tuple = ()
 
 
-def cdim(omega: MomentFunctional, L_max: int = 8, tol: float | None = None) -> CdimResult:
+def cdim(omega: MomentFunctional, L_max: int = 8) -> CdimResult:
     """Dimension of K = span{pi(s_J)* Omega}, grown level by level."""
-    g = gram_growth(omega, L_max, tol)
+    g = gram_growth(omega, L_max)
     status = "stabilized" if g.stabilized else "lower_bound"
     return CdimResult(len(g.pivots), status, g.level_ranks, g.pivots)
 
@@ -339,7 +341,7 @@ def format_value(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def verify_minimality_certificate(omega: MomentFunctional, u: CuntzElement, tol: float | None = None) -> bool:
+def verify_minimality_certificate(omega: MomentFunctional, u: CuntzElement) -> bool:
     """True when u is an isometry in the creation span with omega(u) = 1.
 
     Such a u fixes the cyclic vector (pi(u) Omega = Omega by the equality case
@@ -348,10 +350,10 @@ def verify_minimality_certificate(omega: MomentFunctional, u: CuntzElement, tol:
     """
     if u.n != omega.n:
         raise SchemaError(f"certificate over n={u.n}, state over n={omega.n}")
-    isometry, in_plus = is_isometry_in_plus(u, tol)
+    isometry, in_plus = is_isometry_in_plus(u)
     if not (isometry and in_plus):
         return False
-    return scalars_close(omega.moment_of_element(u), 1, tol)
+    return scalars_close(omega.moment_of_element(u), 1)
 
 
 @dataclass(frozen=True)
@@ -373,12 +375,7 @@ class PropInfCheck:
         return self.ok
 
 
-def verify_properly_infinite(
-    omega: MomentFunctional,
-    a=None,
-    cutoff: int = 12,
-    tol: float | None = None,
-) -> PropInfCheck:
+def verify_properly_infinite(omega: MomentFunctional, a=None, cutoff: int = 12) -> PropInfCheck:
     """Check omega(a_1..a_l a_k*..a_1*) = delta_lk for l, k <= cutoff.
 
     ``a`` may be an isometry sequence attached by a family constructor, a
@@ -395,7 +392,7 @@ def verify_properly_infinite(
     prods = [identity(omega.n)]
     for i in range(1, cutoff + 1):
         ai = factory(i)
-        isometry, in_plus = is_isometry_in_plus(ai, tol)
+        isometry, in_plus = is_isometry_in_plus(ai)
         if not (isometry and in_plus):
             raise NotUnit(f"sequence element {i} is not an isometry in the creation span")
         prods.append(multiply(prods[-1], ai))
@@ -409,7 +406,7 @@ def verify_properly_infinite(
         for k in range(1, cutoff + 1):
             val = omega.moment_of_pair(vectors[l], vectors[k])
             row.append(val)
-            if not scalars_close(val, 1 if l == k else 0, tol):
+            if not scalars_close(val, 1 if l == k else 0):
                 delta_ok = False
         table.append(tuple(row))
 
@@ -455,7 +452,7 @@ def _transport_certificate(cert: Certificate, g) -> Certificate:
     return cert
 
 
-def _search_minimal_isometry(omega: MomentFunctional, depth: int, tol: float | None):
+def _search_minimal_isometry(omega: MomentFunctional, depth: int):
     """Bounded search for a prefix code P with sum_{W in P} |omega(s_W)|^2 = 1.
 
     Saturation of the Bessel inequality on a prefix code P means Omega lies in
@@ -471,11 +468,11 @@ def _search_minimal_isometry(omega: MomentFunctional, depth: int, tol: float | N
     for code in codes:
         vals = {W: omega.lookup(W, ()) for W in code}
         total = sum((abs2(v) for v in vals.values()), 0)
-        if not scalars_close(total, 1, tol):
+        if not scalars_close(total, 1):
             continue
-        terms = {(W, ()): conj(v) for W, v in vals.items() if not scalar_is_zero(v, tol)}
+        terms = {(W, ()): conj(v) for W, v in vals.items() if not scalar_is_zero(v)}
         u = CuntzElement(n, terms)
-        if verify_minimality_certificate(omega, u, tol):
+        if verify_minimality_certificate(omega, u):
             return u
     return None
 
@@ -483,7 +480,6 @@ def _search_minimal_isometry(omega: MomentFunctional, depth: int, tol: float | N
 def kappa(
     omega: MomentFunctional,
     L_max: int = 8,
-    tol: float | None = None,
     *,
     search_certificates: bool = False,
     search_depth: int = 3,
@@ -505,7 +501,7 @@ def kappa(
     facts = omega.facts
     if facts.twist is not None:
         base, g = facts.twist
-        inner = kappa(base, L_max, tol, search_certificates=search_certificates, search_depth=search_depth)
+        inner = kappa(base, L_max, search_certificates=search_certificates, search_depth=search_depth)
         return KappaResult(inner.value, _transport_certificate(inner.certificate, g))
     if facts.shift_period is not None:
         return KappaResult(facts.shift_period, ShiftPeriod(facts.shift_period))
@@ -521,9 +517,9 @@ def kappa(
     u = facts.minimal_isometry
     if u is None and search_certificates:
         searched = True
-        u = _search_minimal_isometry(omega, search_depth, tol)
-    if u is not None and verify_minimality_certificate(omega, u, tol):
-        g = gram_growth(omega, L_max, tol)
+        u = _search_minimal_isometry(omega, search_depth)
+    if u is not None and verify_minimality_certificate(omega, u):
+        g = gram_growth(omega, L_max)
         if g.stabilized:
             return KappaResult(len(g.pivots), Minimal(u))
         return KappaResult(
@@ -538,7 +534,7 @@ def kappa(
     if seq is not None:
         return KappaResult(inf, ProperlyInfinite(seq, cutoff=12, status="evidence"))
 
-    g = gram_growth(omega, L_max, tol)
+    g = gram_growth(omega, L_max)
     high = len(g.pivots) if g.stabilized else inf
     note = "no certificate applies to this presentation"
     if searched:
@@ -559,11 +555,11 @@ class PurityDecision:
     reason: str
 
 
-def pure(omega: MomentFunctional, tol: float | None = None) -> PurityDecision:
+def pure(omega: MomentFunctional) -> PurityDecision:
     """The purity verdict the state's constructor decided, with its reason.
 
-    The verdict is fixed at construction (with the constructor's ``tol``);
-    outside the decided families it is Unknown.
+    The verdict is fixed at construction; outside the decided families it
+    is Unknown.
     """
     return PurityDecision(*omega.facts.purity)
 
@@ -581,7 +577,7 @@ class EquivDecision:
     reason: str
 
 
-def _tensor_conjugate(m: int, za: dict, zb: dict, n: int, tol: float | None):
+def _tensor_conjugate(m: int, za: dict, zb: dict, n: int):
     """Decide whether zb = za, or zb is the swap x2 (x) x1 of some splitting
     za = x1 (x) x2.  Returns (conjugate, split position or 0 for equality).
 
@@ -589,7 +585,7 @@ def _tensor_conjugate(m: int, za: dict, zb: dict, n: int, tol: float | None):
     arithmetic and absorb the reciprocal-scalar freedom of the factors.
     """
     words_m = list(all_words(n, m))
-    if all(scalars_close(za[w], zb[w], tol) for w in words_m):
+    if all(scalars_close(za[w], zb[w]) for w in words_m):
         return True, 0
     for t in range(1, m):
         rows = list(all_words(n, t))
@@ -599,10 +595,10 @@ def _tensor_conjugate(m: int, za: dict, zb: dict, n: int, tol: float | None):
             key=lambda rc: abs(complex(za[rc[0] + rc[1]])),
         )
         piv = za[pr + pc]
-        if scalar_is_zero(piv, tol):
+        if scalar_is_zero(piv):
             continue
         rank_one = all(
-            scalars_close(za[R + C] * piv, za[R + pc] * za[pr + C], tol)
+            scalars_close(za[R + C] * piv, za[R + pc] * za[pr + C])
             for R in rows
             for C in cols
         )
@@ -610,7 +606,7 @@ def _tensor_conjugate(m: int, za: dict, zb: dict, n: int, tol: float | None):
             continue
         # zb should be the swapped product: zb[C + R] * piv == za[pr + C] * za[R + pc]
         if all(
-            scalars_close(zb[C + R] * piv, za[pr + C] * za[R + pc], tol)
+            scalars_close(zb[C + R] * piv, za[pr + C] * za[R + pc])
             for R in rows
             for C in cols
         ):
@@ -618,12 +614,12 @@ def _tensor_conjugate(m: int, za: dict, zb: dict, n: int, tol: float | None):
     return False, None
 
 
-def _blocks_parallel(a, b, tol: float | None) -> bool:
+def _blocks_parallel(a, b) -> bool:
     inner = sum((conj(x) * y for x, y in zip(a, b)), 0)
-    return scalars_close(abs2(inner), 1, tol)
+    return scalars_close(abs2(inner), 1)
 
 
-def _tails_parallel(first, second, k: int, tol: float | None) -> bool:
+def _tails_parallel(first, second, k: int) -> bool:
     """Whether first^(l) is parallel to second^(l+k) for all large l.
 
     Both sequences are eventually periodic in l, so it is enough to test one
@@ -632,11 +628,11 @@ def _tails_parallel(first, second, k: int, tol: float | None) -> bool:
     period = lcm(len(first.rep), len(second.rep))
     start = max(len(first.pre), len(second.pre) - k) + 1
     return all(
-        _blocks_parallel(first.at(l), second.at(l + k), tol) for l in range(start, start + period)
+        _blocks_parallel(first.at(l), second.at(l + k)) for l in range(start, start + period)
     )
 
 
-def _induced_series_shift(b1, b2, tol: float | None):
+def _induced_series_shift(b1, b2):
     """Smallest shift aligning the inducing sequences up to phases, or None.
 
     The overlap series sum_l (1 - |<z^(l), y^(l+k)>|) converges exactly when
@@ -646,7 +642,7 @@ def _induced_series_shift(b1, b2, tol: float | None):
     period = lcm(len(b1.rep), len(b2.rep))
     span = len(b1.pre) + len(b2.pre) + period
     for k in range(span + 1):
-        if _tails_parallel(b1, b2, k, tol) or _tails_parallel(b2, b1, k, tol):
+        if _tails_parallel(b1, b2, k) or _tails_parallel(b2, b1, k):
             return k
     return None
 
@@ -660,12 +656,7 @@ def _kappa_certified(result: KappaResult) -> bool:
     return True
 
 
-def equivalent(
-    omega1: MomentFunctional,
-    omega2: MomentFunctional,
-    tol: float | None = None,
-    L_max: int = 8,
-) -> EquivDecision:
+def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, L_max: int = 8) -> EquivDecision:
     """Decide unitary equivalence of the GNS representations from the facts.
 
     The rules, in order, each applying when both records hold its fact:
@@ -685,7 +676,7 @@ def equivalent(
     if f1.cuntz is not None and f2.cuntz is not None:
         (z1, p1), (z2, p2) = f1.cuntz, f2.cuntz
         trust = "" if "user" not in (p1, p2) else " (relies on a user-declared equivalence, taken on trust)"
-        if all(scalars_close(a, b, tol) for a, b in zip(z1, z2)):
+        if all(scalars_close(a, b) for a, b in zip(z1, z2)):
             return EquivDecision(
                 "Equivalent",
                 "both states are equivalent to the Cuntz state with the same parameter vector" + trust,
@@ -717,7 +708,7 @@ def equivalent(
                 "uniquely determined word-moment states of different orders are never "
                 "equivalent (conjugate tensors have equal orders)",
             )
-        conjugate, split = _tensor_conjugate(m1, za, zb, omega1.n, tol)
+        conjugate, split = _tensor_conjugate(m1, za, zb, omega1.n)
         if conjugate and split == 0:
             return EquivDecision("Equivalent", "the defining tensors coincide")
         if conjugate:
@@ -734,7 +725,7 @@ def equivalent(
 
     p1, p2 = f1.progression, f2.progression
     if p1 is not None and p2 is not None and p1[0] == p2[0]:
-        if all(scalars_close(a, b, tol) for a, b in zip(p1[1], p2[1])):
+        if all(scalars_close(a, b) for a, b in zip(p1[1], p2[1])):
             return EquivDecision("Equivalent", "same parameter vector on the same progression code")
         return EquivDecision(
             "Inequivalent",
@@ -743,7 +734,7 @@ def equivalent(
         )
 
     if f1.induced is not None and f2.induced is not None:
-        k = _induced_series_shift(f1.induced, f2.induced, tol)
+        k = _induced_series_shift(f1.induced, f2.induced)
         if k is not None:
             return EquivDecision(
                 "Equivalent",
@@ -756,8 +747,8 @@ def equivalent(
             "overlap series diverges",
         )
 
-    k1 = kappa(omega1, L_max, tol)
-    k2 = kappa(omega2, L_max, tol)
+    k1 = kappa(omega1, L_max)
+    k2 = kappa(omega2, L_max)
     if _kappa_certified(k1) and _kappa_certified(k2) and k1.value != k2.value:
         low, high = sorted((k1.value, k2.value), key=float)
         return EquivDecision(
@@ -765,8 +756,8 @@ def equivalent(
             f"the invariant kappa separates the states ({format_value(low)} vs "
             f"{format_value(high)}); equivalent states share kappa",
         )
-    pu1 = pure(omega1, tol)
-    pu2 = pure(omega2, tol)
+    pu1 = pure(omega1)
+    pu2 = pure(omega2)
     if "Unknown" not in (pu1.verdict, pu2.verdict) and pu1.verdict != pu2.verdict:
         return EquivDecision(
             "Inequivalent",
@@ -780,7 +771,7 @@ def equivalent(
 # ---------------------------------------------------------------------------
 
 
-def kappa_rep(rep, L_max: int = 8, tol: float | None = None) -> KappaResult:
+def kappa_rep(rep, L_max: int = 8) -> KappaResult:
     """kappa of an irreducible catalog representation.
 
     The value is kappa of any unit vector state; independence of the choice
@@ -796,7 +787,7 @@ def kappa_rep(rep, L_max: int = 8, tol: float | None = None) -> KappaResult:
         keys = [(1, 0), (2, 3), (rep.n + 1, -2)]
     else:
         raise NotInCatalog(f"no kappa rule for representations of type {type(rep).__name__}")
-    results = [kappa(vector_state(rep, key), L_max, tol) for key in keys]
+    results = [kappa(vector_state(rep, key), L_max) for key in keys]
     if len({r.value for r in results}) != 1:
         raise ValidationFailed("kappa must not depend on the sampled vector")
     return results[0]
@@ -820,16 +811,16 @@ def endo_invariants(rep) -> EndoInvariants:
     return EndoInvariants(rep.n, result.value)
 
 
-def decompose_spectrum_bucket(obj, L_max: int = 8, tol: float | None = None):
+def decompose_spectrum_bucket(obj, L_max: int = 8):
     """The kappa stratum a state or catalog representation belongs to.
 
     Returns an integer, ``math.inf``, or the string "unresolved" when kappa
     carries no certificate.
     """
     if isinstance(obj, MomentFunctional):
-        result = kappa(obj, L_max, tol)
+        result = kappa(obj, L_max)
     else:
-        result = kappa_rep(obj, L_max, tol)
+        result = kappa_rep(obj, L_max)
     if result.value is None:
         return "unresolved"
     return result.value

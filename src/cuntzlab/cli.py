@@ -65,7 +65,7 @@ def _word_str(J) -> str:
 def _element_str(x: CuntzElement) -> str:
     parts = []
     for (J, K), c in sorted(x.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1])):
-        if scalar_is_zero(c, None):
+        if scalar_is_zero(c):
             continue
         if not J and not K:
             body = "I"
@@ -138,8 +138,8 @@ def _emit(lines: list[str], doc, args) -> None:
 
 
 def _cmd_cdim(args) -> int:
-    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "cdim")
-    res = cdim(omega, args.max_level, args.tol)
+    omega = _require_state(parse_spec(args.spec, args.mode), "cdim")
+    res = cdim(omega, args.max_level)
     doc = {"cdim": {**_cdim_doc(res), "pivot_words": [list(p) for p in res.pivot_words]}}
     lines = [_cdim_str(res)]
     if res.pivot_words:
@@ -149,13 +149,9 @@ def _cmd_cdim(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "kappa")
-    if args.search_certificates:
-        res = kappa(omega, args.max_level, args.tol, search_certificates=True, search_depth=args.search_depth)
-        _emit([_kappa_str(res)], {"kappa": _kappa_doc(res)}, args)
-        return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
-    res = kappa(omega, args.max_level, args.tol)
-    cres = cdim(omega, args.max_level, args.tol)
+    omega = _require_state(parse_spec(args.spec, args.mode), "kappa")
+    res = kappa(omega, args.max_level, search_certificates=args.search_certificates, search_depth=args.search_depth)
+    cres = cdim(omega, args.max_level)
     if cres.status == "stabilized":
         cdim_part = f"cdim {cres.value} (stabilized)"
     else:
@@ -166,29 +162,29 @@ def _cmd_kappa(args) -> int:
         and res.certificate.status == "evidence"
         and omega.facts.sequence is not None
     ):
-        check = verify_properly_infinite(omega, cutoff=args.cutoff, tol=args.tol)
+        check = verify_properly_infinite(omega, cutoff=args.cutoff)
         lines.append(f"delta table re-checked to cutoff {args.cutoff}: status {check.status}")
     _emit(lines, {"kappa": _kappa_doc(res), "cdim": _cdim_doc(cres)}, args)
     return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
 
 
 def _cmd_equiv(args) -> int:
-    omega1 = _require_state(parse_spec(args.spec1, args.mode, args.tol), "equiv")
-    omega2 = _require_state(parse_spec(args.spec2, args.mode, args.tol), "equiv")
-    dec = equivalent(omega1, omega2, args.tol, args.max_level)
+    omega1 = _require_state(parse_spec(args.spec1, args.mode), "equiv")
+    omega2 = _require_state(parse_spec(args.spec2, args.mode), "equiv")
+    dec = equivalent(omega1, omega2, args.max_level)
     _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, args)
     return EXIT_UNRESOLVED if args.strict and dec.verdict == "Unknown" else EXIT_OK
 
 
 def _cmd_pure(args) -> int:
-    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "pure")
-    dec = pure(omega, args.tol)
+    omega = _require_state(parse_spec(args.spec, args.mode), "pure")
+    dec = pure(omega)
     _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, args)
     return EXIT_UNRESOLVED if args.strict and dec.verdict == "Unknown" else EXIT_OK
 
 
 def _cmd_moments(args) -> int:
-    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "moments")
+    omega = _require_state(parse_spec(args.spec, args.mode), "moments")
     words = list(words_upto(omega.n, args.level))
     rows = []
     doc_rows = []
@@ -203,8 +199,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_fcs(args) -> int:
-    omega = _require_state(parse_spec(args.spec, args.mode, args.tol), "fcs")
-    out = extract_fcs(omega, args.max_level, args.tol)
+    omega = _require_state(parse_spec(args.spec, args.mode), "fcs")
+    out = extract_fcs(omega, args.max_level)
     if isinstance(out, FCSPresentation):
         lines = [
             f"d={out.d}; pivot words: " + ", ".join(_word_str(p) for p in out.pivot_words),
@@ -218,10 +214,10 @@ def _cmd_fcs(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    rep = parse_spec(args.spec, args.mode, args.tol)
+    rep = parse_spec(args.spec, args.mode)
     if isinstance(rep, MomentFunctional):
         raise CuntzLabError("rep expects a representation spec, not a state spec")
-    res = kappa_rep(rep, args.max_level, args.tol)
+    res = kappa_rep(rep, args.max_level)
     # the endomorphism's powers index is the number of generators, its kappa the representation's
     lines = [
         _kappa_str(res),
@@ -256,9 +252,9 @@ def _cmd_selftest(args) -> int:
 
 
 def _report_state(omega: MomentFunctional, args, label: str):
-    cres = cdim(omega, args.max_level, args.tol)
-    kres = kappa(omega, args.max_level, args.tol)
-    pdec = pure(omega, args.tol)
+    cres = cdim(omega, args.max_level)
+    kres = kappa(omega, args.max_level)
+    pdec = pure(omega)
     doc = {
         "cdim": _cdim_doc(cres),
         "kappa": _kappa_doc(kres),
@@ -284,7 +280,7 @@ def _report_state(omega: MomentFunctional, args, label: str):
 def _cmd_report(args) -> int:
     states = []
     for path in args.specs:
-        states.append((path, _require_state(parse_spec(path, args.mode, args.tol), "report")))
+        states.append((path, _require_state(parse_spec(path, args.mode), "report")))
     docs = []
     lines: list[str] = []
     unresolved = False
@@ -302,7 +298,7 @@ def _cmd_report(args) -> int:
         lines.append("")
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                dec = equivalent(states[i][1], states[j][1], args.tol, args.max_level)
+                dec = equivalent(states[i][1], states[j][1], args.max_level)
                 pairwise.append({"i": i, "j": j, "verdict": dec.verdict, "reason": dec.reason})
                 lines.append(f"{states[i][0]} vs {states[j][0]}: {dec.verdict} ({dec.reason})")
                 unresolved = unresolved or dec.verdict == "Unknown"
@@ -320,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=["exact", "float"], default="auto",
                         help="arithmetic mode; default is exact whenever all inputs are Gaussian rational")
-    common.add_argument("--tol", type=float, default=None, help="float-mode comparison tolerance")
     common.add_argument("--max-level", type=int, default=8, help="level cap for Gram growth (default 8)")
     common.add_argument("--cutoff", type=int, default=12, help="delta-table depth for evidence checks (default 12)")
     common.add_argument("--format", choices=["md", "json"], default="md", help="output format (default md)")

@@ -76,18 +76,18 @@ def fcs_moment(F: FCSPresentation, J: Word, K: Word = ()):
     return sum((conj(a) * b for a, b in zip(left, right)), 0)
 
 
-def orbit_closure_cdim(F: FCSPresentation, tol: float | None = None) -> int:
+def orbit_closure_cdim(F: FCSPresentation) -> int:
     """Dimension of span{A_J Omega : all words J}, by breadth-first closure.
 
     S_{L+1} = S_L + sum_i A_i S_L grows strictly until stationary and is then
     stationary forever; the loop asserts that and stops within d steps.
     """
     vectors = [list(F.omega)]
-    dim = rank(vectors, tol)
+    dim = rank(vectors)
     frontier = [list(F.omega)]
     while frontier:
         children = [mat_vec(A, v) for v in frontier for A in F.A]
-        new_dim = rank(vectors + children, tol)
+        new_dim = rank(vectors + children)
         if new_dim < dim:
             raise ValidationFailed("orbit span dimension decreased; the metric or matrices are inconsistent")
         if new_dim == dim:
@@ -100,7 +100,7 @@ def orbit_closure_cdim(F: FCSPresentation, tol: float | None = None) -> int:
     return dim
 
 
-def check_row_isometry(F: FCSPresentation, tol: float | None = None) -> bool:
+def check_row_isometry(F: FCSPresentation) -> bool:
     """Whether sum_i A_i^H G A_i = G, the compressed Cuntz row relation."""
     total = None
     for A in F.A:
@@ -109,17 +109,13 @@ def check_row_isometry(F: FCSPresentation, tol: float | None = None) -> bool:
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)
         ]
     return all(
-        scalars_close(total[i][j], F.metric[i][j], tol)
+        scalars_close(total[i][j], F.metric[i][j])
         for i in range(F.d)
         for j in range(F.d)
     )
 
 
-def extract_fcs(
-    omega: MomentFunctional,
-    L_max: int = 8,
-    tol: float | None = None,
-):
+def extract_fcs(omega: MomentFunctional, L_max: int = 8):
     """Compress a moment functional to an FCSPresentation, or report the rank.
 
     The Gram of {pi(s_J)* Omega} is grown level by level with greedy
@@ -136,7 +132,7 @@ def extract_fcs(
     """
     if L_max < 1:
         raise SchemaError(f"the level cap must be at least 1, got {L_max}")
-    growth = gram_growth(omega, L_max, tol)
+    growth = gram_growth(omega, L_max)
     d = len(growth.pivots)
     if not growth.stabilized:
         return LowerBoundOnly(
@@ -165,7 +161,7 @@ def extract_fcs(
         level=growth.last_level,
     )
 
-    if not check_row_isometry(F, tol):
+    if not check_row_isometry(F):
         raise ValidationFailed(
             "the compressed row relation sum_i A_i^H G A_i = G fails; "
             "in float mode this usually signals tolerance trouble (rerun exact)"
@@ -175,7 +171,7 @@ def extract_fcs(
     for _ in range(_ROUND_TRIP_COUNT):
         J = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
         K = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
-        if not scalars_close(fcs_moment(F, J, K), omega.lookup(J, K), tol):
+        if not scalars_close(fcs_moment(F, J, K), omega.lookup(J, K)):
             raise ValidationFailed(
                 f"moment round-trip mismatch at J={J}, K={K}; "
                 "in float mode this usually signals tolerance trouble (rerun exact)"

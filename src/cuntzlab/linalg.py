@@ -2,11 +2,12 @@
 
 Matrices are lists of row lists.  When every entry is exact the routines run
 fraction-free Gauss-Jordan elimination on integers (or Gaussian integers) and
-return exact answers; otherwise they pivot on magnitudes with a rank
-tolerance, or fall back to numpy.  numpy is imported only inside those float
-fallbacks (and for the eigenvalue estimate of a failed exact PSD check), so
-exact work never loads it.  Problem sizes in this package are small (up to a
-few hundred rows), so clarity beats asymptotics.
+return exact answers; otherwise they pivot on magnitudes above
+DEFAULT_RANK_TOL times the largest entry, or fall back to numpy.  numpy is
+imported only inside those float fallbacks (and for the eigenvalue estimate
+of a failed exact PSD check), so exact work never loads it.  Problem sizes in
+this package are small (up to a few hundred rows), so clarity beats
+asymptotics.
 """
 
 from __future__ import annotations
@@ -141,13 +142,13 @@ def _eliminate_exact(rows, ncols):
     return pivots
 
 
-def _eliminate(rows, ncols, tol: float | None):
+def _eliminate(rows, ncols):
     """In-place elimination to the reduced echelon form; returns the list of
     (pivot_row, pivot_col), the pivot rows first, in column order."""
     if matrix_is_exact(rows):
         return _eliminate_exact(rows, ncols)
     maxabs = max((abs(complex(x)) for row in rows for x in row), default=0.0)
-    thresh = (DEFAULT_RANK_TOL if tol is None else tol) * max(1.0, maxabs)
+    thresh = DEFAULT_RANK_TOL * max(1.0, maxabs)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -168,18 +169,18 @@ def _eliminate(rows, ncols, tol: float | None):
     return pivots
 
 
-def rank(rows, tol: float | None = None) -> int:
+def rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
     work = [list(r) for r in rows]
-    return len(_eliminate(work, len(work[0]), tol))
+    return len(_eliminate(work, len(work[0])))
 
 
-def solve(a, b, tol: float | None = None):
+def solve(a, b):
     """Solve the square system a x = b (single right-hand side as a vector)."""
     d = len(a)
     work = [list(a[i]) + [b[i]] for i in range(d)]
-    pivots = _eliminate(work, d, tol)
+    pivots = _eliminate(work, d)
     if len(pivots) != d:
         raise Inconsistent("singular linear system")
     x = [0] * d
@@ -188,7 +189,7 @@ def solve(a, b, tol: float | None = None):
     return x
 
 
-def kernel_basis(rows, ncols: int, tol: float | None = None):
+def kernel_basis(rows, ncols: int):
     """Basis of the nullspace of the given (possibly rectangular) matrix."""
     if not rows:
         return [[1 if j == k else 0 for j in range(ncols)] for k in range(ncols)]
@@ -212,7 +213,7 @@ def kernel_basis(rows, ncols: int, tol: float | None = None):
     if np.allclose(a.imag, 0):
         a = a.real
     _, s, vh = np.linalg.svd(a)
-    eps = (DEFAULT_RANK_TOL if tol is None else tol) * max(1.0, s[0] if len(s) else 0.0)
+    eps = DEFAULT_RANK_TOL * max(1.0, s[0] if len(s) else 0.0)
     r = int(np.sum(s > eps))
     return [list(vh[k].conj()) for k in range(r, vh.shape[0])]
 
@@ -227,11 +228,12 @@ def _min_eig_estimate(g):
     return min_eig, float(np.abs(approx).max())
 
 
-def hermitian_psd_check(g, tol: float | None = None):
+def hermitian_psd_check(g):
     """Decide whether the Hermitian matrix g is positive semidefinite.
 
     Returns (ok, min_eig_estimate).  Float matrices are decided by the
-    smallest eigenvalue (a float numpy estimate) against -tol.  Exact
+    smallest eigenvalue (a float numpy estimate) against -DEFAULT_RANK_TOL
+    times max(1, largest entry magnitude).  Exact
     matrices are decided by rational LDL* pivoting (a zero pivot must have a
     zero row); the numpy estimate is computed only when that check fails, for
     the failure message, so an exact matrix that passes comes back as
@@ -242,8 +244,7 @@ def hermitian_psd_check(g, tol: float | None = None):
         return True, 0.0
     if not matrix_is_exact(g):
         min_eig, scale = _min_eig_estimate(g)
-        eps = DEFAULT_RANK_TOL if tol is None else tol
-        return min_eig >= -eps * max(1.0, scale), min_eig
+        return min_eig >= -DEFAULT_RANK_TOL * max(1.0, scale), min_eig
     if _exact_psd(g):
         return True, None
     return False, _min_eig_estimate(g)[0]
@@ -278,7 +279,7 @@ def _exact_psd(g) -> bool:
     return True
 
 
-def min_norm_solution(basis, constraint_rows, constraint_rhs, tol: float | None = None):
+def min_norm_solution(basis, constraint_rows, constraint_rhs):
     """Minimize ||sum_i c_i basis_i||^2 subject to constraints on the combination.
 
     basis: list of kernel vectors (length-m lists).  constraint_rows: rows of a
@@ -297,7 +298,7 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs, tol: float | None 
     # to zero would make the KKT matrix singular); keep the reduced pivot rows,
     # and a pivot in the rhs column means no combination meets them
     work = [list(cb[a]) + [constraint_rhs[a]] for a in range(len(cb))]
-    pivots = _eliminate(work, r + 1, tol)
+    pivots = _eliminate(work, r + 1)
     if any(c == r for _, c in pivots):
         raise Inconsistent("constraints are unreachable on the solution space")
     kept = [work[p] for p, _ in pivots]
@@ -310,6 +311,6 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs, tol: float | None 
     for a in range(q):
         kkt.append([cb[a][j] for j in range(r)] + [0] * q)
     rhs = [0] * r + [row[r] for row in kept]
-    sol = solve(kkt, rhs, tol)
+    sol = solve(kkt, rhs)
     coeffs = sol[:r]
     return [sum((coeffs[i] * basis[i][k] for i in range(r)), 0) for k in range(m)]

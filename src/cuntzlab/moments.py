@@ -45,10 +45,10 @@ label.  Which constructor fills which fact:
                                      tail class, minimal isometry or isometry
                                      sequence.
 
-Facts that depend on a tolerance (the Cuntz parameter of a progression
-state, the tail class of a single-support state) are decided with the
-constructor's ``tol``; the command line passes the same ``--tol`` to
-construction and classification.
+Facts that depend on a float comparison (the Cuntz parameter of a
+progression state, the tail class of a single-support state) are decided at
+construction with the fixed tolerance ``scalars.DEFAULT_EQ_TOL``, the same
+one classification uses, so the two always agree.
 
 Inner products are linear in the second argument throughout, so
 omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.
@@ -74,7 +74,7 @@ from .scalars import (
     scalar_is_zero,
     scalars_close,
 )
-from .symalg import CuntzElement, adjoint, check_unitary, gauge_image, is_isometry_in_plus, monomial, multiply
+from .symalg import CuntzElement, adjoint, check_unitary, gauge_image, is_isometry_in_plus, monomial, multiply, zero
 from .words import EventuallyPeriodicWord, Word, all_words, check_word, is_prefix, words_upto
 
 __all__ = [
@@ -211,7 +211,7 @@ class MomentFunctional:
         self.warnings = list(warnings)
         self._evaluator = evaluator
         self._memo: dict[tuple[Word, Word], object] = {}
-        # finished Gram growths per (level cap, tol); see classify.gram_growth
+        # finished Gram growths per (level cap, rank tolerance); see classify.gram_growth
         self._growths: dict[tuple, object] = {}
 
     def moment(self, J: Word, K: Word = ()) -> object:
@@ -252,12 +252,12 @@ def gram_matrix(omega: MomentFunctional, words: Sequence[Word]):
     return [[omega.moment(a, b) for b in words] for a in words]
 
 
-def check_unit(vec, tol: float | None = None) -> None:
+def check_unit(vec) -> None:
     total = sum((abs2(x) for x in vec), 0)
     if is_exact_scalar(total) or isinstance(total, Fraction):
         if total != 1:
             raise NotUnit(f"parameter vector has squared norm {total}, expected 1")
-    elif abs(float(total) - 1.0) > (DEFAULT_EQ_TOL if tol is None else tol):
+    elif abs(float(total) - 1.0) > DEFAULT_EQ_TOL:
         raise NotUnit(f"parameter vector has squared norm {float(total)!r}, expected 1")
 
 
@@ -273,21 +273,21 @@ def _word_product(z: Sequence, J: Word):
 # ---------------------------------------------------------------------------
 
 
-def _single_word_tail(pairs, n: int, tol: float | None):
+def _single_word_tail(pairs, n: int):
     """The tail class W^inf of a state prescribed on one word W with coefficient 1."""
-    support = [(w, c) for w, c in pairs if not scalar_is_zero(c, tol)]
-    if len(support) == 1 and scalars_close(support[0][1], 1, tol):
+    support = [(w, c) for w, c in pairs if not scalar_is_zero(c)]
+    if len(support) == 1 and scalars_close(support[0][1], 1):
         return EventuallyPeriodicWord((), support[0][0], n)
     return None
 
 
-def make_cuntz(z, tol: float | None = None) -> MomentFunctional:
+def make_cuntz(z) -> MomentFunctional:
     """The state with pi(s_j)* Omega = z_j Omega, i.e. omega(s_J s_K*) = conj(z_J) z_K."""
     z = tuple(z)
     n = len(z)
     if n < 2:
         raise SchemaError("need at least two components")
-    check_unit(z, tol)
+    check_unit(z)
     exact = all(is_exact_scalar(x) for x in z)
 
     def evaluator(J: Word, K: Word):
@@ -297,7 +297,7 @@ def make_cuntz(z, tol: float | None = None) -> MomentFunctional:
     facts = StateFacts(
         purity=("Pure", "a Cuntz state is a vector state of an irreducible representation"),
         cuntz=(z, "family"),
-        tail_class=_single_word_tail(letters.items(), n, tol),
+        tail_class=_single_word_tail(letters.items(), n),
         tensor=(1, letters),
         minimal_isometry=CuntzElement(n, {(w, ()): c for w, c in letters.items() if not scalar_is_zero(c, 0.0)}),
     )
@@ -403,7 +403,7 @@ def _add_scaled(acc: dict, expr: dict, c, conjugated: bool = False) -> None:
         acc[key] = acc.get(key, 0) + c * (conj(v) if conjugated else v)
 
 
-def solve_low_moments(P, z, n: int | None = None, *, tol: float | None = None) -> LowMomentSolution:
+def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
     """Solve for the creation moments of the state fixed by u = sum_W z_W s_W.
 
     The fixed-point identity omega(u* s_C) = omega(s_C) gives one equation per
@@ -416,11 +416,11 @@ def solve_low_moments(P, z, n: int | None = None, *, tol: float | None = None) -
     """
     if n is None:
         n = max(max(W) for W in P)
-    return _solve_low_moments(_read_code(P, z, n), n, tol)
+    return _solve_low_moments(_read_code(P, z, n), n)
 
 
-def _solve_low_moments(pc: _PrefixCode, n: int, tol: float | None) -> LowMomentSolution:
-    check_unit([pc.z[w] for w in pc.code], tol)
+def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
+    check_unit([pc.z[w] for w in pc.code])
     zmap, M, head, tails = pc.z, pc.max_len, pc.head, pc.tails
     table_words = list(words_upto(n, M))
     index = {w: i for i, w in enumerate(table_words)}
@@ -475,10 +475,10 @@ def _solve_low_moments(pc: _PrefixCode, n: int, tol: float | None) -> LowMomentS
         return realified(row)
 
     rows = [r for C in table_words for r in equation(C, [(C, 1)])]
-    kernel = kernel_basis(rows, width, tol)
+    kernel = kernel_basis(rows, width)
     if len(kernel) > 1:
         rows += [r for C in table_words for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
-        kernel = kernel_basis(rows, width, tol)
+        kernel = kernel_basis(rows, width)
     dim = len(kernel)
     if dim == 0:
         raise Inconsistent("fixed-point system has no nonzero solution")
@@ -488,7 +488,7 @@ def _solve_low_moments(pc: _PrefixCode, n: int, tol: float | None) -> LowMomentS
         vec = kernel[0]
     else:
         vec = min_norm_solution(kernel, [[1 if j == 0 else 0 for j in range(width)],
-                                         [1 if j == 1 else 0 for j in range(width)]], [1, 0], tol)
+                                         [1 if j == 1 else 0 for j in range(width)]], [1, 0])
         warnings.append(f"solution space has dimension {dim}; returning the symmetric minimum-norm table")
 
     def assemble(i: int):
@@ -516,7 +516,7 @@ def _detect_code_family(code: set[Word], n: int):
     return "prefix_code", None
 
 
-def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = None) -> MomentFunctional:
+def make_prefix_code_state(P, z, n: int | None = None) -> MomentFunctional:
     """The state(s) omega with omega(s_W) = conj(z_W) on a finite prefix code P.
 
     Equivalently the state fixed by the isometry u = sum_W z_W s_W.  When the
@@ -529,9 +529,9 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
     code, zmap, support, M, head, tails = pc.code, pc.z, pc.support, pc.max_len, pc.head, pc.tails
     family, size = _detect_code_family(set(code), n)
     if family == "sub_cuntz" and size == 1:
-        return make_cuntz([zmap[(i,)] for i in range(1, n + 1)], tol)
+        return make_cuntz([zmap[(i,)] for i in range(1, n + 1)])
 
-    sol = _solve_low_moments(pc, n, tol)
+    sol = _solve_low_moments(pc, n)
     table = sol.table
     creation_memo: dict[Word, object] = {}
 
@@ -577,7 +577,7 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
         return value
 
     u = CuntzElement(n, {(w, ()): zmap[w] for w in support})
-    isometry, in_plus = is_isometry_in_plus(u, tol)
+    isometry, in_plus = is_isometry_in_plus(u)
     if not (isometry and in_plus):
         raise NotUnit("the defining combination is not an isometry in the creation span")
     dim = sol.solution_dim
@@ -592,7 +592,7 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
                              f"the uniform mixture of {dim} phase-twisted pure states")
     elif family == "geometric_progression":
         z_indexed = tuple(zmap[w] for w in _progression_code(size, n))
-        y = hat_parameter_inverse(z_indexed, size, n, tol=tol)
+        y = hat_parameter_inverse(z_indexed, size, n)
         cuntz = (y, "family") if y is not None else None
         if unique:
             purity = ("Pure", "the closing coefficient has modulus < 1, so the state is unique and pure")
@@ -603,7 +603,7 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
     facts = StateFacts(
         purity=purity,
         cuntz=cuntz,
-        tail_class=_single_word_tail(((w, zmap[w]) for w in code), n, tol) if unique else None,
+        tail_class=_single_word_tail(((w, zmap[w]) for w in code), n) if unique else None,
         tensor=tensor,
         progression=progression,
         minimal_isometry=u,
@@ -612,7 +612,7 @@ def make_prefix_code_state(P, z, n: int | None = None, *, tol: float | None = No
     return MomentFunctional(n, family, evaluator, facts=facts, exact=pc.exact, warnings=sol.warnings)
 
 
-def make_sub_cuntz(m: int, z, n: int, *, tol: float | None = None) -> MomentFunctional:
+def make_sub_cuntz(m: int, z, n: int) -> MomentFunctional:
     """Order-m state: omega(s_J) = conj(z_J) for every |J| = m.
 
     z may be a dict keyed by words or a flat sequence in lexicographic word
@@ -624,7 +624,7 @@ def make_sub_cuntz(m: int, z, n: int, *, tol: float | None = None) -> MomentFunc
         # once m reaches the bit length of len(z), so a huge m forms no power
         if m >= len(z).bit_length() or n**m != len(z):
             raise SchemaError(f"expected {n}^{m} coefficients in lexicographic order, got {len(z)}")
-    return make_prefix_code_state(list(all_words(n, m)), z, n, tol=tol)
+    return make_prefix_code_state(list(all_words(n, m)), z, n)
 
 
 def _progression_code(k: int, n: int, axis: int | None = None) -> list[Word]:
@@ -636,7 +636,7 @@ def _progression_code(k: int, n: int, axis: int | None = None) -> list[Word]:
     return code
 
 
-def make_geometric_progression(k: int, z, n: int, *, tol: float | None = None) -> MomentFunctional:
+def make_geometric_progression(k: int, z, n: int) -> MomentFunctional:
     """State prescribed on the progression code {n^r i : r < k} + {n^k}.
 
     z is indexed so that z[(n-1)r + i - 1] sits on the word n^r i and the last
@@ -645,7 +645,7 @@ def make_geometric_progression(k: int, z, n: int, *, tol: float | None = None) -
     z = list(z)
     if len(z) != (n - 1) * k + 1:
         raise SchemaError(f"expected {(n - 1) * k + 1} coefficients, got {len(z)}")
-    return make_prefix_code_state(_progression_code(k, n), z, n, tol=tol)
+    return make_prefix_code_state(_progression_code(k, n), z, n)
 
 
 def hat_parameter(y, k: int):
@@ -666,13 +666,13 @@ def hat_parameter(y, k: int):
     return out
 
 
-def hat_parameter_inverse(z, k: int, n: int, *, tol: float | None = None):
+def hat_parameter_inverse(z, k: int, n: int):
     """Recover y with hat_parameter(y, k) == z, or None."""
     z = list(z)
     if len(z) != (n - 1) * k + 1:
         return None
     first = list(z[: n - 1])
-    if all(scalar_is_zero(c, tol) for c in first):
+    if all(scalar_is_zero(c) for c in first):
         return None
     if k >= 2:
         j = max(range(n - 1), key=lambda t: abs(complex(z[t])))
@@ -684,11 +684,11 @@ def hat_parameter_inverse(z, k: int, n: int, *, tol: float | None = None):
     if abs(complex(yn)) >= 1:
         return None
     try:
-        check_unit(y, tol)
+        check_unit(y)
     except NotUnit:
         return None
     zhat = hat_parameter(y, k)
-    if all(scalars_close(a, b, tol) for a, b in zip(zhat, z)):
+    if all(scalars_close(a, b) for a, b in zip(zhat, z)):
         return y
     return None
 
@@ -698,7 +698,7 @@ def hat_parameter_inverse(z, k: int, n: int, *, tol: float | None = None):
 # ---------------------------------------------------------------------------
 
 
-def make_induced_product(pre_blocks, rep_blocks, n: int, *, tol: float | None = None) -> MomentFunctional:
+def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
     """Product state induced by the eventually periodic sequence of unit vectors.
 
     z^(t) runs through pre_blocks then cycles rep_blocks; the moments are
@@ -712,7 +712,7 @@ def make_induced_product(pre_blocks, rep_blocks, n: int, *, tol: float | None = 
     for b in pre + rep:
         if len(b) != n:
             raise SchemaError(f"block of length {len(b)}, expected {n}")
-        check_unit(b, tol)
+        check_unit(b)
     exact = all(is_exact_scalar(x) for b in pre + rep for x in b)
     blocks = InducingBlocks(pre, rep)
     block = blocks.at
@@ -753,7 +753,7 @@ def make_induced_product(pre_blocks, rep_blocks, n: int, *, tol: float | None = 
 # ---------------------------------------------------------------------------
 
 
-def make_mixture(states: Sequence[MomentFunctional], weights, *, tol: float | None = None) -> MomentFunctional:
+def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctional:
     if len(states) < 2:
         raise SchemaError("a mixture needs at least two components")
     n = states[0].n
@@ -763,9 +763,7 @@ def make_mixture(states: Sequence[MomentFunctional], weights, *, tol: float | No
     if len(weights) != len(states):
         raise SchemaError("weights do not match components")
     total = sum(weights)
-    ok = total == 1 if all(is_exact_scalar(w) for w in weights) else abs(complex(total) - 1) <= (
-        DEFAULT_EQ_TOL if tol is None else tol
-    )
+    ok = total == 1 if all(is_exact_scalar(w) for w in weights) else abs(complex(total) - 1) <= DEFAULT_EQ_TOL
     if not ok or any(complex(w).real <= 0 for w in weights):
         raise SchemaError("weights must be positive and sum to 1")
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
@@ -777,7 +775,7 @@ def make_mixture(states: Sequence[MomentFunctional], weights, *, tol: float | No
     return MomentFunctional(n, "mixture", evaluator, facts=facts, exact=exact)
 
 
-def transform_gauge(omega: MomentFunctional, g, *, tol: float | None = None) -> MomentFunctional:
+def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
@@ -785,7 +783,7 @@ def transform_gauge(omega: MomentFunctional, g, *, tol: float | None = None) -> 
     verdict; everything else classify derives through ``facts.twist``.
     """
     n = omega.n
-    check_unitary(g, n, tol)
+    check_unitary(g, n)
     g = tuple(tuple(row) for row in g)
     exact = omega.exact and all(is_exact_scalar(x) for row in g for x in row)
 
@@ -812,12 +810,12 @@ def transform_sandwich(
     tail_bound=0,
     *,
     equivalent_to_cuntz=None,
-    tol: float | None = None,
 ) -> MomentFunctional:
     """The functional x -> sum_{l,l'} conj(c_l) c_l' omega(A_l* x A_l').
 
     ``terms`` is a finite list of (c_l, A_l), read as A Omega with
-    A = sum_l c_l A_l in the cyclic representation of the base state.
+    A = sum_l c_l A_l in the cyclic representation of the base state; A and
+    A* are built once, so each moment is the one product omega(A* s_J s_K* A).
 
     With ``tail_bound`` 0 the list is the whole sum, so the constructor
     evaluates the mass omega'(I) and refuses (TailNotCertified) unless it
@@ -835,9 +833,9 @@ def transform_sandwich(
     its base is; over any other base nothing follows.
     """
     n = omega.n
-    terms = [(c, A) for c, A in terms]
-    for _, A in terms:
-        if A.n != n:
+    terms = [(c, Al) for c, Al in terms]
+    for _, Al in terms:
+        if Al.n != n:
             raise SchemaError("sandwich element over a different algebra")
     tail = float(tail_bound)
     if tail < 0:
@@ -845,31 +843,26 @@ def transform_sandwich(
     if equivalent_to_cuntz is not None:
         if len(equivalent_to_cuntz) != n:
             raise SchemaError(f"equivalent_to_cuntz needs {n} entries, got {len(equivalent_to_cuntz)}")
-        check_unit(equivalent_to_cuntz, tol)
+        check_unit(equivalent_to_cuntz)
     exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms) and tail == 0
 
-    def evaluator(J: Word, K: Word):
-        mid = monomial(n, J, K)
-        acc = 0
-        for cl, Al in terms:
-            left = adjoint(Al)
-            for cl2, Al2 in terms:
-                x = multiply(multiply(left, mid), Al2)
-                acc = acc + conj(cl) * cl2 * omega.moment_of_element(x)
-        return acc
+    A = sum((c * Al for c, Al in terms), zero(n))
+    A_star = adjoint(A)
 
-    eps = DEFAULT_EQ_TOL if tol is None else tol
+    def evaluator(J: Word, K: Word):
+        return omega.moment_of_element(multiply(multiply(A_star, monomial(n, J, K)), A))
+
     mass = evaluator((), ())
     warnings: list[str] = []
     if tail == 0:
         if is_exact_scalar(mass):
             if mass != 1:
                 raise TailNotCertified(f"transform has total mass {mass}, expected 1")
-        elif abs(complex(mass) - 1) > eps:
+        elif abs(complex(mass) - 1) > DEFAULT_EQ_TOL:
             raise TailNotCertified(f"transform has total mass {complex(mass)}, expected 1")
     else:
         root = sqrt(max(float(complex(mass).real), 0.0))
-        if abs(root - 1) > tail + eps:
+        if abs(root - 1) > tail + DEFAULT_EQ_TOL:
             raise TailNotCertified(
                 f"partial mass {complex(mass)} is not within the declared tail bound of a unit vector"
             )
@@ -931,7 +924,7 @@ def make_split_series_sandwich() -> MomentFunctional:
 # ---------------------------------------------------------------------------
 
 
-def positivity_check(omega: MomentFunctional, level: int = 2, tol: float | None = None):
+def positivity_check(omega: MomentFunctional, level: int = 2):
     """PSD check of the Gram matrix of {pi(s_J)* Omega : |J| <= level}.
 
     Returns (ok, min_eigenvalue_estimate), as ``hermitian_psd_check`` does:
@@ -939,4 +932,4 @@ def positivity_check(omega: MomentFunctional, level: int = 2, tol: float | None 
     exact state that fails, and None for an exact state that passes.
     """
     words = list(words_upto(omega.n, level))
-    return hermitian_psd_check(gram_matrix(omega, words), tol)
+    return hermitian_psd_check(gram_matrix(omega, words))

@@ -384,7 +384,7 @@ def vector_state(rep, x) -> MomentFunctional:
 # ---------------------------------------------------------------------------
 
 
-def _project_out(w: StateVector, basis: Sequence[StateVector], key_equal, exact: bool, tol: float):
+def _project_out(w: StateVector, basis: Sequence[StateVector], key_equal, exact: bool):
     """Residual of w against an orthogonal basis (two passes in float mode)."""
     passes = 1 if exact else 2
     for _ in range(passes):
@@ -396,20 +396,19 @@ def _project_out(w: StateVector, basis: Sequence[StateVector], key_equal, exact:
             w = w - b.scale(bw / bb)
     return w
 
-def _residual_is_zero(r: StateVector, scale2, exact: bool, tol: float) -> bool:
+def _residual_is_zero(r: StateVector, scale2, exact: bool) -> bool:
     if exact:
         return r.is_zero(0.0)
     n2 = abs(complex(r.norm2()))
-    return n2 <= (tol * tol) * max(1.0, abs(complex(scale2)))
+    return n2 <= DEFAULT_RANK_TOL * DEFAULT_RANK_TOL * max(1.0, abs(complex(scale2)))
 
 
-def _orthogonal_basis(vectors: Iterable[StateVector], key_equal, exact: bool, tol: float,
-                      seed: Sequence[StateVector] = ()):
+def _orthogonal_basis(vectors: Iterable[StateVector], key_equal, exact: bool, seed: Sequence[StateVector] = ()):
     """Extend the orthogonal family ``seed`` by Gram-Schmidt over ``vectors``."""
     new: list[StateVector] = []
     for v in vectors:
-        r = _project_out(v, list(seed) + new, key_equal, exact, tol)
-        if not _residual_is_zero(r, v.norm2(key_equal), exact, tol):
+        r = _project_out(v, list(seed) + new, key_equal, exact)
+        if not _residual_is_zero(r, v.norm2(key_equal), exact):
             new.append(r)
     return new
 
@@ -423,18 +422,18 @@ def _normalize_float(basis: list[StateVector]) -> list[StateVector]:
 
 
 def _check_invariant(rep, vectors: Sequence[StateVector], basis: Sequence[StateVector],
-                     key_equal, exact: bool, tol: float) -> None:
+                     key_equal, exact: bool) -> None:
     for v in vectors:
         for i in range(1, rep.n + 1):
             w = apply_generator(rep, v, i, dagger=True)
-            r = _project_out(w, basis, key_equal, exact, tol)
-            if not _residual_is_zero(r, w.norm2(key_equal) if w.coeffs else 1, exact, tol):
+            r = _project_out(w, basis, key_equal, exact)
+            if not _residual_is_zero(r, w.norm2(key_equal) if w.coeffs else 1, exact):
                 raise NotInvariant(
                     f"pi(s_{i})* maps the subspace outside itself (residual on {rep.key_str(next(iter(r.coeffs)))})"
                 )
 
 
-def dhj_grading(rep, M: Sequence[StateVector], depth: int, tol: float | None = None) -> list[list[StateVector]]:
+def dhj_grading(rep, M: Sequence[StateVector], depth: int) -> list[list[StateVector]]:
     """Orthogonal grading H_0, ..., H_depth generated by the invariant subspace M.
 
     H_0 = span(M) and H_k is the orthogonal complement of the previous levels
@@ -442,24 +441,23 @@ def dhj_grading(rep, M: Sequence[StateVector], depth: int, tol: float | None = N
     orthonormal bases in float mode and unnormalized orthogonal bases in exact
     mode.  Raises NotInvariant unless pi(s_i)* M lies in span(M) for every i.
     """
-    eps = DEFAULT_RANK_TOL if tol is None else tol
     vectors = list(M)
     if not vectors:
         raise SchemaError("M must span a nonzero subspace")
     key_equal = _inner_fn(rep)
     exact = rep.exact and all(is_exact_scalar(c) for v in vectors for c in v.coeffs.values())
-    base = _orthogonal_basis(vectors, key_equal, exact, eps)
+    base = _orthogonal_basis(vectors, key_equal, exact)
     if not base:
         raise SchemaError("M must span a nonzero subspace")
-    _check_invariant(rep, vectors, base, key_equal, exact, eps)
+    _check_invariant(rep, vectors, base, key_equal, exact)
 
     levels = [base]
     accumulated = list(base)
     spanning = list(base)  # independent spanning set of the current level-k image
     for _ in range(depth):
         images = [apply_generator(rep, b, i) for b in spanning for i in range(1, rep.n + 1)]
-        spanning = _orthogonal_basis(images, key_equal, exact, eps)
-        new = _orthogonal_basis(images, key_equal, exact, eps, seed=accumulated)
+        spanning = _orthogonal_basis(images, key_equal, exact)
+        new = _orthogonal_basis(images, key_equal, exact, seed=accumulated)
         levels.append(new)
         accumulated.extend(new)
     if not exact:
@@ -467,8 +465,7 @@ def dhj_grading(rep, M: Sequence[StateVector], depth: int, tol: float | None = N
     return levels
 
 
-def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L: int,
-                            tol: float | None = None) -> list[float]:
+def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L: int) -> list[float]:
     """Distances || a[l]* v - P_M a[l]* v || for l = 1..L, a[l] = a_1 ... a_l.
 
     ``a`` may be an IsometrySequence, a callable i -> element, or a list of
@@ -477,24 +474,23 @@ def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L:
     decrease; its limit is 0 exactly when the subspace the a_i squeeze onto
     sits inside span(M).
     """
-    eps = DEFAULT_RANK_TOL if tol is None else tol
     factory = sequence_factory(a, L)
     key_equal = _inner_fn(rep)
     vectors = list(M)
     exact = rep.exact and all(is_exact_scalar(c) for w in vectors for c in w.coeffs.values())
-    basis = _orthogonal_basis(vectors, key_equal, exact, eps)
+    basis = _orthogonal_basis(vectors, key_equal, exact)
     if not basis:
         raise SchemaError("M must span a nonzero subspace")
-    _check_invariant(rep, vectors, basis, key_equal, exact, eps)
+    _check_invariant(rep, vectors, basis, key_equal, exact)
 
     norms = []
     w = v
     for l in range(1, L + 1):
         al = factory(l)
-        isometry, in_plus = is_isometry_in_plus(al, tol)
+        isometry, in_plus = is_isometry_in_plus(al)
         if not (isometry and in_plus):
             raise NotUnit(f"a_{l} is not an isometry in the creation span")
         w = apply_element(rep, adjoint(al), w)
-        r = _project_out(w, basis, key_equal, exact, eps)
+        r = _project_out(w, basis, key_equal, exact)
         norms.append(sqrt(abs(complex(r.norm2(key_equal)))))
     return norms

@@ -149,8 +149,8 @@ def scalar_to_json(x):
 
 
 class _Key(NamedTuple):
-    """A spec key: ``read(value, path, r)`` parses its value (``r`` holds ``mode``,
-    ``tol`` and the ``args`` read so far); a default of ``...`` marks it required."""
+    """A spec key: ``read(value, path, r)`` parses its value (``r`` holds ``mode``
+    and the ``args`` read so far); a default of ``...`` marks it required."""
 
     read: Callable
     default: object = ...
@@ -160,7 +160,7 @@ class _Labelled(SchemaError):
     """A SchemaError whose message already names the spec it arose in."""
 
 
-def _read_keys(obj, table: dict, mode: str, tol, where: str = "", skip: str | None = None) -> dict:
+def _read_keys(obj, table: dict, mode: str, where: str = "", skip: str | None = None) -> dict:
     """The values of the object at path ``where``, read key by key in table order."""
     if not isinstance(obj, dict):
         raise SchemaError(f'"{where}" must be an object, got {obj!r}')
@@ -168,7 +168,7 @@ def _read_keys(obj, table: dict, mode: str, tol, where: str = "", skip: str | No
     for k in obj:
         if k not in table and k != skip:
             raise SchemaError(f'unknown key "{prefix}{k}" (known: {", ".join(table) or "none"})')
-    r = SimpleNamespace(mode=mode, tol=tol, args={})
+    r = SimpleNamespace(mode=mode, args={})
     for key, (read, default) in table.items():
         if key in obj:
             r.args[key] = read(obj[key], prefix + key, r)
@@ -179,7 +179,7 @@ def _read_keys(obj, table: dict, mode: str, tol, where: str = "", skip: str | No
     return r.args
 
 
-def _from_spec(obj, field: str, table: dict, noun: str, mode: str, tol):
+def _from_spec(obj, field: str, table: dict, noun: str, mode: str):
     """Read a spec discriminated by ``field`` and build it; every error names the spec."""
     if not isinstance(obj, dict) or field not in obj:
         raise _Labelled(f'{noun}: expected an object with a "{field}" field')
@@ -188,7 +188,7 @@ def _from_spec(obj, field: str, table: dict, noun: str, mode: str, tol):
         raise _Labelled(f"{noun}: unknown {field} {name!r}")
     keys, build = table[name]
     try:
-        return build(_read_keys(obj, keys, mode, tol, skip=field), tol)
+        return build(_read_keys(obj, keys, mode, skip=field))
     except _Labelled:
         raise
     except CuntzLabError as e:
@@ -218,7 +218,7 @@ def _each(read):
 _array = _valid(lambda v: isinstance(v, (list, tuple)), "an array")
 _scalars = _each(lambda v, path, r: scalar_from_json(v, r.mode, path))
 _letters = lambda v, path, r: word_from_json(v, path)  # noqa: E731
-_state = lambda v, path, r: state_from_spec(v, r.mode, r.tol)  # noqa: E731
+_state = lambda v, path, r: state_from_spec(v, r.mode)  # noqa: E731
 _raw = lambda v, path, r: v  # noqa: E731
 _preset = _valid(lambda v: isinstance(v, str) and v in LAZY_PRESETS, "one of " + ", ".join(sorted(LAZY_PRESETS)))
 _nonnegative_real = _valid(lambda v: type(v) in (int, float) and 0 <= v < inf, "a nonnegative real number")
@@ -234,7 +234,7 @@ def _word(v, path, r):
     """An eventually periodic word or a lazy preset over the alphabet of the spec's ``n``."""
     n = r.args.get("n")
     if isinstance(v, dict) and "preset" in v:
-        return _lazy_word(_read_keys(v, _LAZY_WORD, r.mode, r.tol, path), n)
+        return _lazy_word(_read_keys(v, _LAZY_WORD, r.mode, path), n)
     return epword_from_json(v, n, path)
 
 
@@ -256,17 +256,17 @@ def _term(t, path, r):
 
 
 def _monomial(t, path, r):
-    a = _read_keys(t, _MONOMIAL, r.mode, None, path)
+    a = _read_keys(t, _MONOMIAL, r.mode, path)
     return (a["J"], a["K"]), scalar_from_json([a["re"], a["im"]], r.mode, path)
 
 
-def _cuntz(a, tol):
+def _cuntz(a):
     if a["n"] is not None and a["n"] != len(a["z"]):
         raise SchemaError(f'"n" must equal the length of "z" ({len(a["z"])}), got {a["n"]}')
-    return make_cuntz(a["z"], tol)
+    return make_cuntz(a["z"])
 
 
-def _shift_state(a, tol):
+def _shift_state(a):
     rep = ShiftRepresentation(a["word"])
     return vector_state(rep, rep.generator_key())
 
@@ -280,30 +280,30 @@ _ELEMENT = {"n": _Key(_int(2)), "terms": _Key(_each(_monomial))}
 _STATES = {
     "cuntz": ({"n": _Key(_int(2), None), "z": _Key(_scalars)}, _cuntz),
     "sub_cuntz": ({"m": _Key(_int(1)), "n": _Key(_int(2)), "z": _Key(_scalars)},
-                  lambda a, tol: make_sub_cuntz(a["m"], a["z"], a["n"], tol=tol)),
+                  lambda a: make_sub_cuntz(a["m"], a["z"], a["n"])),
     "geometric_progression": ({"k": _Key(_int(1)), "n": _Key(_int(2)), "z": _Key(_scalars)},
-                              lambda a, tol: make_geometric_progression(a["k"], a["z"], a["n"], tol=tol)),
+                              lambda a: make_geometric_progression(a["k"], a["z"], a["n"])),
     "prefix_code": ({"n": _Key(_int(2)), "code": _Key(_each(_letters)), "z": _Key(_scalars)},
-                    lambda a, tol: make_prefix_code_state(a["code"], a["z"], a["n"], tol=tol)),
+                    lambda a: make_prefix_code_state(a["code"], a["z"], a["n"])),
     "induced_product": ({"n": _Key(_int(2)), "pre": _Key(_each(_scalars), ()), "rep": _Key(_each(_scalars))},
-                        lambda a, tol: make_induced_product(a["pre"], a["rep"], a["n"], tol=tol)),
+                        lambda a: make_induced_product(a["pre"], a["rep"], a["n"])),
     "shift": ({"n": _Key(_int(2)), "word": _Key(_word)}, _shift_state),
     "vector": ({"rep": _Key(lambda v, path, r: rep_from_spec(v)), "key": _Key(_vector_key)},
-               lambda a, tol: vector_state(a["rep"], a["key"])),
+               lambda a: vector_state(a["rep"], a["key"])),
     "sandwich": ({"base": _Key(_state), "terms": _Key(_each(_term)), "tail_bound": _Key(_nonnegative_real, 0),
                   "equivalent_to_cuntz": _Key(_scalars, None)},
-                 lambda a, tol: transform_sandwich(a["base"], a["terms"], a["tail_bound"],
-                                                   equivalent_to_cuntz=a["equivalent_to_cuntz"], tol=tol)),
-    "sandwich_series": ({}, lambda a, tol: make_split_series_sandwich()),
+                 lambda a: transform_sandwich(a["base"], a["terms"], a["tail_bound"],
+                                              equivalent_to_cuntz=a["equivalent_to_cuntz"])),
+    "sandwich_series": ({}, lambda a: make_split_series_sandwich()),
     "gauge": ({"base": _Key(_state), "g": _Key(_each(_scalars))},
-              lambda a, tol: transform_gauge(a["base"], a["g"], tol=tol)),
+              lambda a: transform_gauge(a["base"], a["g"])),
     "mixture": ({"components": _Key(_each(_state)), "weights": _Key(_scalars)},
-                lambda a, tol: make_mixture(a["components"], a["weights"], tol=tol)),
+                lambda a: make_mixture(a["components"], a["weights"])),
 }
 _REPS = {
-    "grid": ({"n": _Key(_int(2))}, lambda a, tol: GridRepresentation(a["n"])),
-    "shift": ({"n": _Key(_int(2), None), "word": _Key(_word)}, lambda a, tol: ShiftRepresentation(a["word"])),
-    "lazy": ({"n": _Key(_int(2), 2), **_LAZY_WORD}, lambda a, tol: ShiftRepresentation(_lazy_word(a, a["n"]))),
+    "grid": ({"n": _Key(_int(2))}, lambda a: GridRepresentation(a["n"])),
+    "shift": ({"n": _Key(_int(2), None), "word": _Key(_word)}, lambda a: ShiftRepresentation(a["word"])),
+    "lazy": ({"n": _Key(_int(2), 2), **_LAZY_WORD}, lambda a: ShiftRepresentation(_lazy_word(a, a["n"]))),
 }
 
 
@@ -316,7 +316,7 @@ def word_from_json(v, where: str = "word"):
 def epword_from_json(v, n: int | None, where: str = "word"):
     """``{"pre", "per"}`` over 1..n; a shift representation may omit n, which
     then is the largest letter, at least 2."""
-    a = _read_keys(v, _EPWORD, "auto", None, where)
+    a = _read_keys(v, _EPWORD, "auto", where)
     return EventuallyPeriodicWord(a["pre"], a["per"], n or max((2, *a["pre"], *a["per"])))
 
 
@@ -325,7 +325,7 @@ def epword_to_json(x: EventuallyPeriodicWord):
 
 
 def element_from_json(v, mode: str = "auto", where: str = "element") -> CuntzElement:
-    a = _read_keys(v, _ELEMENT, mode, None, where)
+    a = _read_keys(v, _ELEMENT, mode, where)
     terms = {}
     for key, c in a["terms"]:
         terms[key] = terms[key] + c if key in terms else c
@@ -340,15 +340,15 @@ def element_to_json(x: CuntzElement):
     return {"n": x.n, "terms": out}
 
 
-def state_from_spec(obj: dict, mode: str = "auto", tol: float | None = None) -> MomentFunctional:
-    return _from_spec(obj, "family", _STATES, "state spec", mode, tol)
+def state_from_spec(obj: dict, mode: str = "auto") -> MomentFunctional:
+    return _from_spec(obj, "family", _STATES, "state spec", mode)
 
 
 def rep_from_spec(obj: dict):
-    return _from_spec(obj, "kind", _REPS, "representation spec", "auto", None)
+    return _from_spec(obj, "kind", _REPS, "representation spec", "auto")
 
 
-def parse_spec(path: str, mode: str = "auto", tol: float | None = None, gate: bool = True):
+def parse_spec(path: str, mode: str = "auto", gate: bool = True):
     """Load a state or representation spec file.
 
     State specs are gated by a level-2 positivity check of their moment
@@ -366,9 +366,9 @@ def parse_spec(path: str, mode: str = "auto", tol: float | None = None, gate: bo
         raise SchemaError(f"{path}: expected a JSON object at the top level")
     if "kind" in obj:
         return rep_from_spec(obj)
-    omega = state_from_spec(obj, mode, tol)
+    omega = state_from_spec(obj, mode)
     if gate:
-        ok, min_eig = positivity_check(omega, level=2, tol=tol)
+        ok, min_eig = positivity_check(omega, level=2)
         if not ok:
             witness = format_float(float(min_eig)) if not is_exact_scalar(min_eig) else str(min_eig)
             raise GateFailed(

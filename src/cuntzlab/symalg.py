@@ -129,12 +129,12 @@ class CuntzElement:
 
     # -- inspection ----------------------------------------------------------
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        return all(scalar_is_zero(c, tol) for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return all(scalar_is_zero(c) for c in self.terms.values())
 
-    def isclose(self, other: "CuntzElement", tol: float | None = None) -> bool:
+    def isclose(self, other: "CuntzElement") -> bool:
         self._check_same_algebra(other)
-        return (self - other).is_zero(tol)
+        return (self - other).is_zero()
 
     def in_plus_span(self) -> bool:
         """True when every term is a pure creation monomial s_J with J nonempty."""
@@ -208,18 +208,17 @@ def adjoint(x: CuntzElement) -> CuntzElement:
     return CuntzElement(x.n, {(K, J): conj(c) for (J, K), c in x.terms.items()})
 
 
-def is_isometry_in_plus(u: CuntzElement, tol: float | None = None) -> tuple[bool, bool]:
+def is_isometry_in_plus(u: CuntzElement) -> tuple[bool, bool]:
     """Return (isometry, in_plus): whether u*u = I and whether u lies in
     the span of the pure creation monomials {s_J : J nonempty}."""
-    isometry = multiply(adjoint(u), u).isclose(identity(u.n), tol)
+    isometry = multiply(adjoint(u), u).isclose(identity(u.n))
     return isometry, u.in_plus_span()
 
 
-def check_unitary(g, n: int, tol: float | None = None) -> None:
+def check_unitary(g, n: int) -> None:
     """Raise NotUnitary unless g is an n x n unitary matrix."""
     if len(g) != n or any(len(row) != n for row in g):
         raise NotUnitary(f"expected an {n} x {n} matrix")
-    eps = DEFAULT_EQ_TOL if tol is None else tol
     for a in range(n):
         for b in range(n):
             s = sum((conj(g[k][a]) * g[k][b] for k in range(n)), 0)
@@ -227,7 +226,7 @@ def check_unitary(g, n: int, tol: float | None = None) -> None:
             if is_exact_scalar(s):
                 if s != target:
                     raise NotUnitary(f"g*g != I at entry ({a + 1},{b + 1}): {s}")
-            elif abs(complex(s) - target) > eps:
+            elif abs(complex(s) - target) > DEFAULT_EQ_TOL:
                 raise NotUnitary(f"g*g != I at entry ({a + 1},{b + 1}): {complex(s)}")
 
 
@@ -237,10 +236,10 @@ def gauge_image(g, J: Word) -> dict:
     return {Jp: prod(g[a - 1][b - 1] for a, b in zip(Jp, J)) for Jp in all_words(len(g), len(J))}
 
 
-def gauge_apply(g, x: CuntzElement, tol: float | None = None) -> CuntzElement:
+def gauge_apply(g, x: CuntzElement) -> CuntzElement:
     """Apply the gauge automorphism alpha_g(s_i) = sum_j g[j][i] s_j termwise:
     alpha_g(s_J s_K*) = sum_{J', K'} alpha_g(s_J)_J' conj(alpha_g(s_K)_K') s_J' s_K'*."""
-    check_unitary(g, x.n, tol)
+    check_unitary(g, x.n)
     raw: dict[tuple[Word, Word], object] = {}
     for (J, K), c in x.terms.items():
         image_k = gauge_image(g, K)

@@ -21,6 +21,7 @@ from cuntzlab import (
     equivalent,
     gen,
     hat_parameter,
+    identity,
     kappa,
     kappa_rep,
     make_cuntz,
@@ -152,6 +153,26 @@ class TestKappaCertificates:
         k = kappa(make_cuntz(Z35))
         assert k.value == 1
         assert isinstance(k.certificate, EquivalentToCuntz)
+
+    def test_certificate_search_finds_the_fixing_isometry(self):
+        # the trivial sandwich of the Cuntz state by (1, 0) carries no fact, but
+        # |omega(s_1)|^2 + |omega(s_2)|^2 = 1 on the code {1, 2}, so u = s_1
+        w = transform_sandwich(make_cuntz([q(1), q(0)]), [(1, identity(2))])
+        k = kappa(w)
+        assert k.value is None
+        assert isinstance(k.certificate, LowerBoundOnly)
+        assert (k.certificate.low, k.certificate.high) == (1, 1)
+        k = kappa(w, search_certificates=True)
+        assert k.value == 1
+        assert k.certificate == Minimal(gen(2, 1))
+
+    def test_failed_certificate_search_is_noted(self):
+        # the even mixture of the Cuntz states by (1, 0) and (0, 1) has
+        # sum |omega(s_W)|^2 = 1/2 on every candidate code
+        m = make_mixture([make_cuntz([q(1), q(0)]), make_cuntz([q(0), q(1)])], [q(fr(1, 2)), q(fr(1, 2))])
+        k = kappa(m, search_certificates=True, search_depth=2)
+        assert k.value is None
+        assert k.certificate.note.endswith("; a prefix-code search up to depth 2 found no certificate")
 
 
 class TestMinimalityVerifier:

@@ -30,6 +30,14 @@ SERIES = {"family": "sandwich_series"}
 CODE_STATE = {"family": "prefix_code", "n": 2, "code": [[1, 1], [1, 2], [2]],
               "z": [["2/3", 0], ["1/3", 0], [0, "2/3"]]}
 WORD112 = {"family": "sub_cuntz", "n": 2, "m": 3, "z": [0, 1, 0, 0, 0, 0, 0, 0]}
+# no family fact certifies kappa here, but the search finds u = s_1
+TRIVIAL_SANDWICH = {
+    "family": "sandwich",
+    "base": {"family": "cuntz", "z": [1, 0]},
+    "terms": [[1, {"n": 2, "terms": [{"J": [], "K": [], "re": 1, "im": 0}]}]],
+}
+EVEN_MIXTURE = {"family": "mixture", "components": [{"family": "cuntz", "z": [1, 0]}, {"family": "cuntz", "z": [0, 1]}],
+                "weights": [["1/2", 0], ["1/2", 0]]}
 
 
 class TestCdim:
@@ -100,6 +108,27 @@ class TestKappa:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kappa"] == {"value": 2, "certificate": "shift_period", "d": 2}
         assert doc["cdim"]["value"] == 3
+
+    def test_search_certificates_line(self, spec_file, capsys):
+        path = spec_file(TRIVIAL_SANDWICH)
+        assert run(["kappa", path, "--strict"]) == 3
+        assert capsys.readouterr().out.splitlines()[0].startswith("κ=unresolved (LowerBoundOnly in [1, 1] at level 1")
+        assert run(["kappa", path, "--search-certificates", "--strict"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["κ=1 (Minimal; u = s[1]); cdim 1 (stabilized)"]
+
+    def test_search_certificates_json_keeps_the_cdim_part(self, spec_file, capsys):
+        assert run(["kappa", spec_file(TRIVIAL_SANDWICH), "--search-certificates", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kappa"] == {"value": 1, "certificate": "minimal",
+                                "u": {"n": 2, "terms": [{"J": [1], "K": [], "re": 1, "im": 0}]}}
+        assert doc["cdim"] == {"value": 1, "status": "stabilized", "levels": [1, 1]}
+
+    def test_failed_search_is_unresolved(self, spec_file, capsys):
+        args = ["kappa", spec_file(EVEN_MIXTURE), "--search-certificates", "--search-depth", "2", "--strict"]
+        assert run(args) == 3
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("κ=unresolved (LowerBoundOnly in [1, 2] at level 2")
+        assert "a prefix-code search up to depth 2 found no certificate); cdim 2 (stabilized)" in line
 
 
 class TestEquiv:
@@ -363,13 +392,13 @@ class TestRepComputesKappaOnce:
         calls = []
         kappa_rep = cli.kappa_rep
 
-        def counted(rep, L_max, tol):
-            calls.append((L_max, tol))
-            return kappa_rep(rep, L_max, tol)
+        def counted(rep, L_max):
+            calls.append(L_max)
+            return kappa_rep(rep, L_max)
 
         monkeypatch.setattr(cli, "kappa_rep", counted)
         assert run(["rep", spec_file(GRID_REP), "--max-level", "3"]) == 0
-        assert calls == [(3, None)]
+        assert calls == [3]
         assert capsys.readouterr().out.splitlines()[1] == "endomorphism invariants: powers index 2, κ infinite"
 
 

@@ -90,7 +90,7 @@ def matrices(elements):
 def assert_matches_reference(rows):
     ours = [list(r) for r in rows]
     ref = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    pivots = _eliminate(ours, len(rows[0]), None)
+    pivots = _eliminate(ours, len(rows[0]))
     assert pivots == reference_eliminate(ref, len(rows[0]))
     assert [ours[r] for r, _ in pivots] == [ref[r] for r, _ in pivots]
     return pivots, ours
@@ -125,7 +125,7 @@ def test_gaussian_matrices_match_sympy_and_reference(rows):
 
 def test_input_rows_are_left_in_reduced_form():
     rows = [list(r) for r in DUPLICATED]
-    pivots = _eliminate(rows, 3, None)
+    pivots = _eliminate(rows, 3)
     assert [c for _, c in pivots] == [0, 1]
     assert rows[0] == [1, 0, F(1, 3) / 2] and rows[1] == [0, 1, F(-3) - F(1, 12)]
     assert all(x == 0 for x in rows[2])

@@ -28,9 +28,8 @@ def _real(x):
     return complex(x).real
 
 
-def reference_growth(omega, L_max, tol=None):
+def reference_growth(omega, L_max):
     """(pivots, gram, level_ranks, stabilized, last_level) by a full solve per candidate."""
-    rank_tol = DEFAULT_RANK_TOL if tol is None else tol
     pivots = [()]
     gram = [[omega.moment((), ())]]
     level_ranks = [1]
@@ -44,14 +43,14 @@ def reference_growth(omega, L_max, tol=None):
             scored = []
             for c in cands:
                 r = [omega.moment(p, c) for p in pivots]
-                coords = solve(gram, r, tol)
+                coords = solve(gram, r)
                 proj = sum((conj(x) * v for x, v in zip(coords, r)), 0)
                 diag = _real(omega.moment(c, c))
                 res2 = diag - _real(proj)
                 if isinstance(res2, Fraction):
                     ok = res2 > 0
                 else:
-                    ok = max(res2, 0.0) > rank_tol * max(1.0, diag)
+                    ok = max(res2, 0.0) > DEFAULT_RANK_TOL * max(1.0, diag)
                 if ok:
                     scored.append((res2, tuple(-a for a in c), c))
             if not scored:

@@ -15,6 +15,7 @@ from cuntzlab import (
     NotUnit,
     QQi,
     SchemaError,
+    TailNotCertified,
     adjoint,
     all_words,
     eval_moment,
@@ -276,6 +277,32 @@ class TestSandwich:
         assert w.moment((2,), ()) == 0
         assert w.moment((2, 1), (2, 1)) == 1
         assert w.moment((2, 2), (2, 2)) == 0
+
+    def test_moments_match_the_double_sum_over_terms(self):
+        # omega'(x) = sum_{l,l'} conj(c_l) c_l' omega(A_l* x A_l'), term by term
+        base = make_cuntz(Z35I)
+        terms = [(q(fr(1, 2)), gen(2, 1)), (q(0, fr(1, 3)), monomial(2, (2, 1), (1,))), (q(fr(-1, 4)), gen(2, 2))]
+        w = transform_sandwich(base, terms, 2)  # a loose tail bound: A need not be unit
+        for J, K in product(words_upto(2, 2), repeat=2):
+            x = monomial(2, J, K)
+            want = sum(
+                (c.conjugate() * d * base.moment_of_element(multiply(multiply(adjoint(A), x), B))
+                 for c, A in terms for d, B in terms),
+                0,
+            )
+            assert w.moment(J, K) == want
+
+    def test_truncated_sum_carries_its_error_bound(self):
+        # A Omega = 3/5 s_1 Omega has norm 3/5, within 0.8 of a unit vector;
+        # the error bound is 0.8^2 + 2 (3/5) 0.8 = 1.6
+        w = transform_sandwich(make_cuntz([q(1), q(0)]), [(q(fr(3, 5)), gen(2, 1))], 0.8)
+        assert not w.exact
+        assert w.warnings == ["moments carry a truncation error of at most 1.6"]
+        assert w.moment((), ()) == fr(9, 25)
+
+    def test_truncation_beyond_the_tail_bound_is_refused(self):
+        with pytest.raises(TailNotCertified):
+            transform_sandwich(make_cuntz([q(1), q(0)]), [(q(fr(3, 5)), gen(2, 1))], 0.1)
 
     def test_user_supplied_equivalence_is_recorded(self):
         base = make_cuntz([q(1), q(0)])

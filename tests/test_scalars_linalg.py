@@ -99,21 +99,21 @@ class TestKernel:
 
 class TestPsdCheck:
     def test_positive_matrix_passes(self):
-        ok, mineig = hermitian_psd_check([[q(2), q(1)], [q(1), q(2)]], None)
+        ok, mineig = hermitian_psd_check([[q(2), q(1)], [q(1), q(2)]])
         assert ok
 
     def test_indefinite_matrix_fails_with_witness(self):
-        ok, mineig = hermitian_psd_check([[q(0), q(1)], [q(1), q(0)]], None)
+        ok, mineig = hermitian_psd_check([[q(0), q(1)], [q(1), q(0)]])
         assert not ok
         assert float(mineig) < 0
 
     def test_exact_pass_carries_no_estimate(self):
-        assert hermitian_psd_check([[q(2), q(1)], [q(1), q(2)]], None) == (True, None)
+        assert hermitian_psd_check([[q(2), q(1)], [q(1), q(2)]]) == (True, None)
 
     def test_float_matrix_carries_its_estimate(self):
-        ok, mineig = hermitian_psd_check([[2.0, 1.0], [1.0, 2.0]], None)
+        ok, mineig = hermitian_psd_check([[2.0, 1.0], [1.0, 2.0]])
         assert ok and abs(mineig - 1.0) < 1e-12
-        ok, mineig = hermitian_psd_check([[0.0, 1.0], [1.0, 0.0]], None)
+        ok, mineig = hermitian_psd_check([[0.0, 1.0], [1.0, 0.0]])
         assert not ok and abs(mineig + 1.0) < 1e-12
 
 
@@ -124,7 +124,6 @@ class TestMinNormSolution:
             [[q(1), q(0)], [q(0), q(1)]],
             [[q(1), q(1)]],
             [q(1)],
-            None,
         )
         assert sol == [q(fr(1, 2)), q(fr(1, 2))]
 
@@ -134,7 +133,6 @@ class TestMinNormSolution:
             [[q(1), q(0)], [q(0), q(1)]],
             [[q(1), q(1)], [q(2), q(2)]],
             [q(1), q(2)],
-            None,
         )
         assert sol == [q(fr(1, 2)), q(fr(1, 2))]
 
@@ -143,13 +141,12 @@ class TestMinNormSolution:
             [[q(1)]],
             [[q(0)], [q(1)]],
             [q(0), q(3)],
-            None,
         )
         assert sol == [q(3)]
 
     def test_unreachable_constraint_raises(self):
         with pytest.raises(Inconsistent):
-            min_norm_solution([[q(1)]], [[q(0)]], [q(1)], None)
+            min_norm_solution([[q(1)]], [[q(0)]], [q(1)])
 
 
 class TestMatMul:
