@@ -2,16 +2,19 @@
 
 Every command reads JSON spec files (see specio), prints a deterministic
 markdown summary or a JSON document, and exits 0 on success, 1 on errors,
-and 3 when --strict is set and the answer is unresolved.  Exact arithmetic
-is the default whenever all inputs are Gaussian rationals; inputs with
-inexact floats are accepted only under an explicit ``--mode float``.
+2 on an option the command does not take, and 3 when --strict is set and
+the answer is unresolved.  ``_COMMANDS`` lists the options of each command.
+Exact arithmetic is the default whenever all inputs are Gaussian rationals;
+inputs with inexact floats are accepted only under ``--mode float``.  The
+delta-table re-check of ``kappa`` runs to the fixed cutoff 12, and
+``selftest`` runs at the acceptance gate's seed unless ``--seed`` is given.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from functools import cache
 
 from .classify import (
     EquivalentToCuntz,
@@ -162,8 +165,8 @@ def _cmd_kappa(args) -> int:
         and res.certificate.status == "evidence"
         and omega.facts.sequence is not None
     ):
-        check = verify_properly_infinite(omega, cutoff=args.cutoff)
-        lines.append(f"delta table re-checked to cutoff {args.cutoff}: status {check.status}")
+        check = verify_properly_infinite(omega)
+        lines.append(f"delta table re-checked to cutoff {check.cutoff}: status {check.status}")
     _emit(lines, {"kappa": _kappa_doc(res), "cdim": _cdim_doc(cres)}, args)
     return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
 
@@ -214,7 +217,7 @@ def _cmd_fcs(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    rep = parse_spec(args.spec, args.mode)
+    rep = parse_spec(args.spec)
     if isinstance(rep, MomentFunctional):
         raise CuntzLabError("rep expects a representation spec, not a state spec")
     res = kappa_rep(rep, args.max_level)
@@ -230,11 +233,9 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_all
+    from .selftest import GATE_SEED, run_all
 
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("CUNTZLAB_SEED", "20260814"))
+    seed = GATE_SEED if args.seed is None else args.seed
     results = run_all(seed)
     lines = []
     doc_rows = []
@@ -312,59 +313,50 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["exact", "float"], default="auto",
-                        help="arithmetic mode; default is exact whenever all inputs are Gaussian rational")
-    common.add_argument("--max-level", type=int, default=8, help="level cap for Gram growth (default 8)")
-    common.add_argument("--cutoff", type=int, default=12, help="delta-table depth for evidence checks (default 12)")
-    common.add_argument("--format", choices=["md", "json"], default="md", help="output format (default md)")
-    common.add_argument("--strict", action="store_true", help="exit 3 when the answer is unresolved")
-    common.add_argument("--seed", type=int, default=None, help="sampling seed (overrides CUNTZLAB_SEED)")
+# Each command takes exactly the arguments it lists in _COMMANDS, each defined
+# once here, so no command accepts an option it does not read.
+_ARGUMENTS = {
+    "spec": {},
+    "spec1": {},
+    "spec2": {},
+    "specs": {"nargs": "+"},
+    "--mode": {"choices": ["float"], "default": "auto",
+               "help": "admit inexact float parameters; by default arithmetic is exact and inexact floats are refused"},
+    "--max-level": {"type": int, "default": 8, "help": "level cap for Gram growth (default 8)"},
+    "--format": {"choices": ["md", "json"], "default": "md", "help": "output format (default md)"},
+    "--strict": {"action": "store_true", "help": "exit 3 when the answer is unresolved"},
+    "--search-certificates": {"action": "store_true",
+                              "help": "search saturated prefix codes for a minimality certificate"},
+    "--search-depth": {"type": int, "default": 3, "help": "depth of the certificate search (default 3)"},
+    "--level": {"type": int, "default": 2, "help": "maximum word length (default 2)"},
+    "--seed": {"type": int, "help": "sampling seed (default: the acceptance gate's seed)"},
+}
+_STATE_OPTIONS = "--mode --max-level --format --strict"
+_COMMANDS = {
+    "cdim": (_cmd_cdim, "dimension of the conjugate-cyclic subspace", f"spec {_STATE_OPTIONS}"),
+    "kappa": (_cmd_kappa, "minimal cdim over the equivalence class, with certificate",
+              f"spec {_STATE_OPTIONS} --search-certificates --search-depth"),
+    "equiv": (_cmd_equiv, "decide equivalence of two states", f"spec1 spec2 {_STATE_OPTIONS}"),
+    "pure": (_cmd_pure, "decide purity of a state", "spec --mode --format --strict"),
+    "moments": (_cmd_moments, "table of moments omega(s_J s_K*)", "spec --mode --format --level"),
+    "fcs": (_cmd_fcs, "finitely correlated presentation (d, A, omega, metric)", f"spec {_STATE_OPTIONS}"),
+    "rep": (_cmd_rep, "invariants of a permutative representation", "spec --max-level --format --strict"),
+    "selftest": (_cmd_selftest, "run the built-in acceptance checks", "--format --seed"),
+    "report": (_cmd_report, "full report; several specs add a pairwise matrix", f"specs {_STATE_OPTIONS}"),
+}
 
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first run() of the process and reused after."""
     p = argparse.ArgumentParser(prog="cuntzlab",
                                 description="Invariants of concretely parameterized states on Cuntz algebras")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("cdim", parents=[common], help="dimension of the conjugate-cyclic subspace")
-    sp.add_argument("spec")
-    sp.set_defaults(fn=_cmd_cdim)
-
-    sp = sub.add_parser("kappa", parents=[common], help="minimal cdim over the equivalence class, with certificate")
-    sp.add_argument("spec")
-    sp.add_argument("--search-certificates", action="store_true",
-                    help="search saturated prefix codes for a minimality certificate")
-    sp.add_argument("--search-depth", type=int, default=3, help="depth of the certificate search (default 3)")
-    sp.set_defaults(fn=_cmd_kappa)
-
-    sp = sub.add_parser("equiv", parents=[common], help="decide equivalence of two states")
-    sp.add_argument("spec1")
-    sp.add_argument("spec2")
-    sp.set_defaults(fn=_cmd_equiv)
-
-    sp = sub.add_parser("pure", parents=[common], help="decide purity of a state")
-    sp.add_argument("spec")
-    sp.set_defaults(fn=_cmd_pure)
-
-    sp = sub.add_parser("moments", parents=[common], help="table of moments omega(s_J s_K*)")
-    sp.add_argument("spec")
-    sp.add_argument("--level", type=int, default=2, help="maximum word length (default 2)")
-    sp.set_defaults(fn=_cmd_moments)
-
-    sp = sub.add_parser("fcs", parents=[common], help="finitely correlated presentation (d, A, omega, metric)")
-    sp.add_argument("spec")
-    sp.set_defaults(fn=_cmd_fcs)
-
-    sp = sub.add_parser("rep", parents=[common], help="invariants of a permutative representation")
-    sp.add_argument("spec")
-    sp.set_defaults(fn=_cmd_rep)
-
-    sp = sub.add_parser("selftest", parents=[common], help="run the built-in acceptance checks")
-    sp.set_defaults(fn=_cmd_selftest)
-
-    sp = sub.add_parser("report", parents=[common], help="full report; several specs add a pairwise matrix")
-    sp.add_argument("specs", nargs="+")
-    sp.set_defaults(fn=_cmd_report)
+    for name, (fn, help_text, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for arg in arguments.split():
+            sp.add_argument(arg, **_ARGUMENTS[arg])
+        sp.set_defaults(fn=fn)
     return p
 
 

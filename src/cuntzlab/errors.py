@@ -46,7 +46,7 @@ class Inconsistent(CuntzLabError):
 
 
 class TailNotCertified(CuntzLabError):
-    """An infinite-sum transform lacks a certified tail bound."""
+    """A sandwich transform has mass other than 1, so it defines no state."""
 
 
 class NotInvariant(CuntzLabError):

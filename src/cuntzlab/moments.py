@@ -59,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import sqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotPrefixFree, NotUnit, SchemaError, TailNotCertified
@@ -69,7 +68,6 @@ from .scalars import (
     QQi,
     abs2,
     conj,
-    format_float,
     is_exact_scalar,
     scalar_is_zero,
     scalars_close,
@@ -807,7 +805,6 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
 def transform_sandwich(
     omega: MomentFunctional,
     terms: Sequence[tuple[object, CuntzElement]],
-    tail_bound=0,
     *,
     equivalent_to_cuntz=None,
 ) -> MomentFunctional:
@@ -817,34 +814,24 @@ def transform_sandwich(
     A = sum_l c_l A_l in the cyclic representation of the base state; A and
     A* are built once, so each moment is the one product omega(A* s_J s_K* A).
 
-    With ``tail_bound`` 0 the list is the whole sum, so the constructor
-    evaluates the mass omega'(I) and refuses (TailNotCertified) unless it
-    equals 1.  A positive ``tail_bound`` declares the list a truncation of a
-    longer series and certifies ||(A - A_given) Omega|| <= tail_bound; every
-    moment of a word pair then carries the error bound
-
-        truncation_error = tail_bound^2 + 2 sqrt(mass) tail_bound,
-
-    recorded in a warning, and the mass check is relaxed to
-    |sqrt(mass) - 1| <= tail_bound.  A user-supplied ``equivalent_to_cuntz``
-    parameter (a unit vector of length n) is recorded with provenance "user";
-    the equivalence itself is not verified.  A unit vector state of an
-    irreducible representation is pure, so the sandwich is decided pure when
-    its base is; over any other base nothing follows.
+    The list is the whole sum: the constructor evaluates the mass omega'(I)
+    and refuses (TailNotCertified) unless it equals 1, so the functional is
+    a state.  A user-supplied ``equivalent_to_cuntz`` parameter (a unit
+    vector of length n) is recorded with provenance "user"; the equivalence
+    itself is not verified.  A unit vector state of an irreducible
+    representation is pure, so the sandwich is decided pure when its base
+    is; over any other base nothing follows.
     """
     n = omega.n
     terms = [(c, Al) for c, Al in terms]
     for _, Al in terms:
         if Al.n != n:
             raise SchemaError("sandwich element over a different algebra")
-    tail = float(tail_bound)
-    if tail < 0:
-        raise SchemaError("tail_bound must be nonnegative")
     if equivalent_to_cuntz is not None:
         if len(equivalent_to_cuntz) != n:
             raise SchemaError(f"equivalent_to_cuntz needs {n} entries, got {len(equivalent_to_cuntz)}")
         check_unit(equivalent_to_cuntz)
-    exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms) and tail == 0
+    exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms)
 
     A = sum((c * Al for c, Al in terms), zero(n))
     A_star = adjoint(A)
@@ -853,29 +840,17 @@ def transform_sandwich(
         return omega.moment_of_element(multiply(multiply(A_star, monomial(n, J, K)), A))
 
     mass = evaluator((), ())
-    warnings: list[str] = []
-    if tail == 0:
-        if is_exact_scalar(mass):
-            if mass != 1:
-                raise TailNotCertified(f"transform has total mass {mass}, expected 1")
-        elif abs(complex(mass) - 1) > DEFAULT_EQ_TOL:
-            raise TailNotCertified(f"transform has total mass {complex(mass)}, expected 1")
-    else:
-        root = sqrt(max(float(complex(mass).real), 0.0))
-        if abs(root - 1) > tail + DEFAULT_EQ_TOL:
-            raise TailNotCertified(
-                f"partial mass {complex(mass)} is not within the declared tail bound of a unit vector"
-            )
-        truncation_error = tail * tail + 2 * root * tail
-        warnings.append(
-            f"moments carry a truncation error of at most {format_float(truncation_error)}"
-        )
+    if is_exact_scalar(mass):
+        if mass != 1:
+            raise TailNotCertified(f"transform has total mass {mass}, expected 1")
+    elif abs(complex(mass) - 1) > DEFAULT_EQ_TOL:
+        raise TailNotCertified(f"transform has total mass {complex(mass)}, expected 1")
 
     facts = StateFacts(
         purity=("Pure", _PURE_IN_PURE) if omega.facts.purity[0] == "Pure" else _UNKNOWN_PURITY,
         cuntz=(tuple(equivalent_to_cuntz), "user") if equivalent_to_cuntz is not None else None,
     )
-    return MomentFunctional(n, "sandwich", evaluator, facts=facts, exact=exact, warnings=warnings)
+    return MomentFunctional(n, "sandwich", evaluator, facts=facts, exact=exact)
 
 
 def make_split_series_sandwich() -> MomentFunctional:

@@ -21,7 +21,6 @@ from numbers import Complex
 
 __all__ = [
     "QQi",
-    "Scalar",
     "DEFAULT_EQ_TOL",
     "DEFAULT_RANK_TOL",
     "conj",
@@ -264,9 +263,6 @@ def _make(a: int, b: int, d: int) -> QQi:
     q = _new(QQi)
     _set_abd(q, (a, b, d))
     return q
-
-
-Scalar = QQi | int | Fraction | float | complex
 
 
 def conj(x):

@@ -4,7 +4,8 @@ Scalars travel as ``[re, im]`` pairs whose parts are integers, rational
 strings like ``"3/5"``, or floats; a bare number abbreviates a real scalar.
 Integer and string parts stay exact (Gaussian rationals); a float with a
 fractional part is accepted only in float mode, so exactness is never lost
-silently.
+silently.  The mode is "auto" (exact, refusing inexact floats) or "float"
+(every scalar becomes a complex float).
 
 Each spec object is read against one key table (``_STATES`` by family,
 ``_REPS`` by kind, and ``_ELEMENT``, ``_MONOMIAL``, ``_EPWORD``,
@@ -19,7 +20,7 @@ discriminated by ``"family"`` (keys in brackets are optional)::
     {"family": "shift", "n": 2, "word": {["pre": [...]], "per": [1, 2]}}
     {"family": "vector", "rep": {...}, "key": ...}
     {"family": "sandwich", "base": {...}, "terms": [[c, {...element}], ...],
-     ["tail_bound": 0], ["equivalent_to_cuntz": [...]]}
+     ["equivalent_to_cuntz": [...]]}
     {"family": "sandwich_series"}
     {"family": "gauge", "base": {...}, "g": [[..], ..]}
     {"family": "mixture", "components": [{...}, ...], "weights": [...]}
@@ -105,9 +106,8 @@ def _part_from_json(p, where: str):
 def scalar_from_json(v, mode: str = "auto", where: str = "scalar"):
     """Parse ``[re, im]`` (or a bare real) honoring the arithmetic mode.
 
-    mode "exact" rejects inexact floats, "float" converts everything to
-    complex, and "auto" stays exact when possible and otherwise demands the
-    explicit float flag.
+    mode "float" converts everything to complex; "auto" stays exact and
+    refuses an inexact float, pointing at the float flag.
     """
     if isinstance(v, (int, float, str)) and not isinstance(v, bool):
         pair = [v, 0]
@@ -122,8 +122,6 @@ def scalar_from_json(v, mode: str = "auto", where: str = "scalar"):
         return complex(re, im)
     if exact:
         return QQi(re, im)
-    if mode == "exact":
-        raise SchemaError(f"{where}: value {v!r} is not exactly representable in exact mode")
     raise SchemaError(
         f"{where}: value {v!r} is not exactly representable; pass --mode float to accept it"
     )
@@ -221,7 +219,6 @@ _letters = lambda v, path, r: word_from_json(v, path)  # noqa: E731
 _state = lambda v, path, r: state_from_spec(v, r.mode)  # noqa: E731
 _raw = lambda v, path, r: v  # noqa: E731
 _preset = _valid(lambda v: isinstance(v, str) and v in LAZY_PRESETS, "one of " + ", ".join(sorted(LAZY_PRESETS)))
-_nonnegative_real = _valid(lambda v: type(v) in (int, float) and 0 <= v < inf, "a nonnegative real number")
 
 
 def _lazy_word(a: dict, n):
@@ -290,10 +287,8 @@ _STATES = {
     "shift": ({"n": _Key(_int(2)), "word": _Key(_word)}, _shift_state),
     "vector": ({"rep": _Key(lambda v, path, r: rep_from_spec(v)), "key": _Key(_vector_key)},
                lambda a: vector_state(a["rep"], a["key"])),
-    "sandwich": ({"base": _Key(_state), "terms": _Key(_each(_term)), "tail_bound": _Key(_nonnegative_real, 0),
-                  "equivalent_to_cuntz": _Key(_scalars, None)},
-                 lambda a: transform_sandwich(a["base"], a["terms"], a["tail_bound"],
-                                              equivalent_to_cuntz=a["equivalent_to_cuntz"])),
+    "sandwich": ({"base": _Key(_state), "terms": _Key(_each(_term)), "equivalent_to_cuntz": _Key(_scalars, None)},
+                 lambda a: transform_sandwich(a["base"], a["terms"], equivalent_to_cuntz=a["equivalent_to_cuntz"])),
     "sandwich_series": ({}, lambda a: make_split_series_sandwich()),
     "gauge": ({"base": _Key(_state), "g": _Key(_each(_scalars))},
               lambda a: transform_gauge(a["base"], a["g"])),
@@ -348,7 +343,7 @@ def rep_from_spec(obj: dict):
     return _from_spec(obj, "kind", _REPS, "representation spec", "auto")
 
 
-def parse_spec(path: str, mode: str = "auto", gate: bool = True):
+def parse_spec(path: str, mode: str = "auto"):
     """Load a state or representation spec file.
 
     State specs are gated by a level-2 positivity check of their moment
@@ -367,14 +362,13 @@ def parse_spec(path: str, mode: str = "auto", gate: bool = True):
     if "kind" in obj:
         return rep_from_spec(obj)
     omega = state_from_spec(obj, mode)
-    if gate:
-        ok, min_eig = positivity_check(omega, level=2)
-        if not ok:
-            witness = format_float(float(min_eig)) if not is_exact_scalar(min_eig) else str(min_eig)
-            raise GateFailed(
-                f"{path}: the level-2 moment matrix is not positive semidefinite "
-                f"(smallest eigenvalue estimate {witness})"
-            )
+    ok, min_eig = positivity_check(omega, level=2)
+    if not ok:
+        witness = format_float(float(min_eig)) if not is_exact_scalar(min_eig) else str(min_eig)
+        raise GateFailed(
+            f"{path}: the level-2 moment matrix is not positive semidefinite "
+            f"(smallest eigenvalue estimate {witness})"
+        )
     return omega
 
 

@@ -14,15 +14,12 @@ equality of normal forms is equality in O_n.
 from __future__ import annotations
 
 from math import prod
-from typing import NamedTuple
 
 from .errors import NotUnitary, SchemaError
-from .scalars import DEFAULT_EQ_TOL, abs2, conj, is_exact_scalar, format_scalar, scalar_is_zero
-from .words import Word, all_words, check_word, is_prefix
+from .scalars import DEFAULT_EQ_TOL, conj, is_exact_scalar, format_scalar, scalar_is_zero
+from .words import Word, all_words, check_word
 
 __all__ = [
-    "ReducedPair",
-    "reduce_starred_pair",
     "CuntzElement",
     "identity",
     "zero",
@@ -35,29 +32,6 @@ __all__ = [
     "gauge_apply",
     "check_unitary",
 ]
-
-
-class ReducedPair(NamedTuple):
-    """Normal form of s_J* s_K: kind is identity|creation|annihilation|zero."""
-
-    kind: str
-    word: Word | None
-
-
-def reduce_starred_pair(J: Word, K: Word) -> ReducedPair:
-    """Reduce s_J* s_K using s_i* s_j = delta_ij I.
-
-    >>> reduce_starred_pair((1,), (1, 2))
-    ReducedPair(kind='creation', word=(2,))
-    """
-    J, K = tuple(J), tuple(K)
-    if J == K:
-        return ReducedPair("identity", None)
-    if is_prefix(J, K):
-        return ReducedPair("creation", K[len(J):])
-    if is_prefix(K, J):
-        return ReducedPair("annihilation", J[len(K):])
-    return ReducedPair("zero", None)
 
 
 def _normalized(n: int, raw: dict[tuple[Word, Word], object]) -> dict[tuple[Word, Word], object]:
@@ -185,22 +159,19 @@ def monomial(n: int, J: Word, K: Word = (), coeff=1) -> CuntzElement:
 
 
 def multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
-    """Product in O_n: (s_J s_K*)(s_L s_M*) reduced through s_K* s_L."""
+    """Product in O_n: (s_J s_K*)(s_L s_M*) reduced through s_K* s_L, which
+    is s_C when L = K.C (I when C is empty), s_C* when K = L.C, and 0 otherwise."""
     x._check_same_algebra(y)
     raw: dict[tuple[Word, Word], object] = {}
     for (J, K), cx in x.terms.items():
         for (L, M), cy in y.terms.items():
-            red = reduce_starred_pair(K, L)
-            if red.kind == "zero":
+            if L[:len(K)] == K:
+                key = (J + L[len(K):], M)
+            elif K[:len(L)] == L:  # s_C* s_M* = (s_M s_C)*
+                key = (J, M + K[len(L):])
+            else:
                 continue
-            if red.kind == "identity":
-                key = (J, M)
-            elif red.kind == "creation":
-                key = (J + red.word, M)
-            else:  # annihilation: s_K* s_L = s_C* with K = L.C, and s_C* s_M* = (s_M s_C)*
-                key = (J, M + red.word)
-            c = cx * cy
-            raw[key] = raw.get(key, 0) + c
+            raw[key] = raw.get(key, 0) + cx * cy
     return CuntzElement(x.n, raw)
 
 

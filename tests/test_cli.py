@@ -1,5 +1,6 @@
 """Command-line interface: frozen output lines, exit codes, JSON shapes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -38,6 +39,14 @@ TRIVIAL_SANDWICH = {
 }
 EVEN_MIXTURE = {"family": "mixture", "components": [{"family": "cuntz", "z": [1, 0]}, {"family": "cuntz", "z": [0, 1]}],
                 "weights": [["1/2", 0], ["1/2", 0]]}
+
+
+def _run_python(code, *args, timeout=60):
+    """Run ``code`` (or ``python -m cuntzlab.cli`` when None) in a fresh interpreter on this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    head = ["-m", "cuntzlab.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], capture_output=True, text=True, timeout=timeout, env=env)
 
 
 class TestCdim:
@@ -320,13 +329,96 @@ class TestErrors:
 
 
 class TestSeedPlumbing:
-    def test_seed_flag_accepted(self, spec_file, capsys):
-        assert run(["cdim", spec_file(CUNTZ35), "--seed", "7"]) == 0
+    def test_selftest_seed_reaches_run_all(self, monkeypatch, capsys):
+        import cuntzlab.selftest as selftest
+
+        seeds = []
+        monkeypatch.setattr(selftest, "run_all", lambda seed: seeds.append(seed) or [])
+        monkeypatch.delenv("CUNTZLAB_SEED", raising=False)
+        assert run(["selftest", "--seed", "7"]) == 0
+        assert run(["selftest"]) == 0
+        monkeypatch.setenv("CUNTZLAB_SEED", "7")
+        assert run(["selftest"]) == 0
+        assert seeds == [7, 20260814, 20260814]
+        assert capsys.readouterr().out.splitlines()[-1] == "0 passed, 0 failed (seed 20260814)"
+
+
+# the options of each command, 33 settable values in all; every other option exits 2
+STATE_OPTIONS = {"--mode", "--max-level", "--format", "--strict"}
+OPTIONS = {
+    "cdim": STATE_OPTIONS,
+    "kappa": STATE_OPTIONS | {"--search-certificates", "--search-depth"},
+    "equiv": STATE_OPTIONS,
+    "pure": {"--mode", "--format", "--strict"},
+    "moments": {"--mode", "--format", "--level"},
+    "fcs": STATE_OPTIONS,
+    "rep": {"--max-level", "--format", "--strict"},
+    "selftest": {"--format", "--seed"},
+    "report": STATE_OPTIONS,
+}
+# one option per command that the shared option set used to accept and ignore
+IGNORED = {
+    "cdim": ["--seed", "7"],
+    "kappa": ["--cutoff", "20"],
+    "equiv": ["--level", "1"],
+    "pure": ["--max-level", "3"],
+    "moments": ["--strict"],
+    "fcs": ["--seed", "7"],
+    "rep": ["--mode", "float"],
+    "selftest": ["--max-level", "3"],
+    "report": ["--cutoff", "20"],
+}
+POSITIONAL = {"equiv": ["a.json", "b.json"], "selftest": []}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_each_command_takes_only_the_options_it_reads(command, capsys):
+    sp = _subparsers()[command]
+    assert {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"} == OPTIONS[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *POSITIONAL.get(command, ["a.json"]), *IGNORED[command]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(IGNORED[command])}" in capsys.readouterr().err
+
+
+# runs in a fresh interpreter: counts the argument parsers built by the
+# import and by each of two runs of the spec in argv[1]
+_PARSER_COUNT = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import cuntzlab.cli as cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["cdim", sys.argv[1]]) == 0
+    counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_parser_is_built_once_on_the_first_run(spec_file):
+    proc = _run_python(_PARSER_COUNT, spec_file(CUNTZ35))
+    assert proc.returncode == 0, proc.stderr
+    imported, first, second = map(int, proc.stdout.split())
+    # the program parser and one parser per command, built by the first run only
+    assert (imported, first, second) == (0, 1 + len(OPTIONS), 1 + len(OPTIONS))
 
 
 ELEMENT = {"n": 2, "terms": [{"J": [2], "K": [], "re": 1, "im": 0}]}
 CUNTZ10 = {"family": "cuntz", "z": [1, 0]}
 SUB_CUNTZ_M40 = {"family": "sub_cuntz", "n": 2, "m": 40, "z": [1, 0]}
+# a sandwich is the whole sum: a truncated one with a tail bound is no state
+TAIL_BOUND_UNKNOWN = 'state spec (sandwich): unknown key "tail_bound" (known: base, terms, equivalent_to_cuntz)'
 
 
 class TestMalformedSpecs:
@@ -342,7 +434,7 @@ class TestMalformedSpecs:
             ("rep", {"kind": "lazy", "preset": "thue_morse", "n": 3},
              "representation spec (lazy): \"n\" must be 2 for the binary preset 'thue_morse', got 3"),
             ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, ELEMENT]], "tail_bound": "x"},
-             "state spec (sandwich): \"tail_bound\" must be a nonnegative real number, got 'x'"),
+             TAIL_BOUND_UNKNOWN),
             ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, {**ELEMENT, "n": "2"}]]},
              "state spec (sandwich): \"terms[0][1].n\" must be an integer >= 2, got '2'"),
             ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, {"n": 2, "terms": 5}]]},
@@ -362,7 +454,7 @@ class TestMalformedSpecs:
              "state spec (sub_cuntz): expected 2^40 coefficients in lexicographic order, got 2"),
             ("report", {"family": ["cuntz"], "z": [1, 0]}, "state spec: unknown family ['cuntz']"),
             ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, ELEMENT]], "tail_bound": -1},
-             'state spec (sandwich): "tail_bound" must be a nonnegative real number, got -1'),
+             TAIL_BOUND_UNKNOWN),
             ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, ELEMENT]], "equivalent_to_cuntz": [1]},
              "state spec (sandwich): equivalent_to_cuntz needs 2 entries, got 1"),
         ],
@@ -379,10 +471,7 @@ class TestMalformedSpecs:
         assert capsys.readouterr().out.startswith("cdim=1 (stabilized)")
 
     def test_oversized_sub_cuntz_exits_at_once(self, spec_file):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run([sys.executable, "-m", "cuntzlab.cli", "report", spec_file(SUB_CUNTZ_M40)],
-                              capture_output=True, text=True, timeout=5, env=env)
+        proc = _run_python(None, "report", spec_file(SUB_CUNTZ_M40), timeout=5)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -418,10 +507,7 @@ for argv in json.loads(sys.argv[1]):
 
 
 def _fresh_run(commands):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, "-c", _NUMPY_GUARD, json.dumps(commands)],
-                          capture_output=True, text=True, timeout=60, env=env)
+    return _run_python(_NUMPY_GUARD, json.dumps(commands))
 
 
 class TestExactCommandsNeverLoadNumpy:

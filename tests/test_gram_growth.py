@@ -137,15 +137,15 @@ STATES = {
 @pytest.mark.parametrize("name", sorted(STATES))
 def test_exact_growth_matches_full_solve_reference(name):
     spec, L_max = STATES[name]
-    g = gram_growth(state_from_spec(spec, "exact"), L_max)
-    want = reference_growth(state_from_spec(spec, "exact"), L_max)
+    g = gram_growth(state_from_spec(spec), L_max)
+    want = reference_growth(state_from_spec(spec), L_max)
     assert (g.pivots, g.gram, g.level_ranks, g.stabilized, g.last_level) == want
 
 
 @pytest.mark.parametrize("name", sorted(STATES))
 def test_float_level_ranks_match_exact_twin(name):
     spec, L_max = STATES[name]
-    exact = gram_growth(state_from_spec(spec, "exact"), L_max)
+    exact = gram_growth(state_from_spec(spec), L_max)
     floating = gram_growth(state_from_spec(spec, "float"), L_max)
     assert floating.level_ranks == exact.level_ranks
     assert floating.stabilized == exact.stabilized
@@ -154,7 +154,7 @@ def test_float_level_ranks_match_exact_twin(name):
 @pytest.mark.parametrize("name", sorted(STATES))
 def test_exact_factor_multiplies_back_to_the_gram(name):
     spec, L_max = STATES[name]
-    g = gram_growth(state_from_spec(spec, "exact"), L_max)
+    g = gram_growth(state_from_spec(spec), L_max)
     d = len(g.pivots)
     unit_lower = [list(row) + [1] + [0] * (d - k - 1) for k, row in enumerate(g.lower)]
     for i in range(d):
@@ -165,7 +165,7 @@ def test_exact_factor_multiplies_back_to_the_gram(name):
 
 
 def test_growth_is_shared_and_immutable():
-    omega = state_from_spec(STATES["n2_prefix_code"][0], "exact")
+    omega = state_from_spec(STATES["n2_prefix_code"][0])
     g = gram_growth(omega, 8)
     assert gram_growth(omega, 8) is g
     assert gram_growth(omega, 5) is not g

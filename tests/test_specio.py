@@ -34,20 +34,19 @@ from conftest import fr, q
 
 class TestScalarParsing:
     def test_bare_integers_and_fraction_strings(self):
-        assert scalar_from_json(1, "exact", "t") == QQi(1, 0)
-        assert scalar_from_json("3/5", "exact", "t") == QQi(fr(3, 5), 0)
+        assert scalar_from_json(1, where="t") == QQi(1, 0)
+        assert scalar_from_json("3/5", where="t") == QQi(fr(3, 5), 0)
 
     def test_pairs(self):
-        assert scalar_from_json(["3/5", "4/5"], "exact", "t") == QQi(fr(3, 5), fr(4, 5))
-        assert scalar_from_json([0, 1], "exact", "t") == QQi(0, 1)
+        assert scalar_from_json(["3/5", "4/5"], where="t") == QQi(fr(3, 5), fr(4, 5))
+        assert scalar_from_json([0, 1], where="t") == QQi(0, 1)
 
     def test_integral_floats_accepted_exactly(self):
-        assert scalar_from_json(1.0, "exact", "t") == QQi(1, 0)
+        assert scalar_from_json(1.0, where="t") == QQi(1, 0)
 
     def test_inexact_float_needs_the_flag(self):
-        with pytest.raises(SchemaError) as e:
-            scalar_from_json(0.6, "exact", "z[0]")
-        assert "exact mode" in str(e.value)
+        with pytest.raises(SchemaError):
+            scalar_from_json(0.6, where="z[0]")
         assert scalar_from_json(0.6, "float", "z[0]") == 0.6
 
     def test_auto_mode_points_at_the_flag(self):
@@ -57,16 +56,16 @@ class TestScalarParsing:
 
     def test_garbage_rejected(self):
         with pytest.raises(SchemaError):
-            scalar_from_json("3/5/7", "exact", "t")
+            scalar_from_json("3/5/7", where="t")
         with pytest.raises(SchemaError):
-            scalar_from_json({"re": 1}, "exact", "t")
+            scalar_from_json({"re": 1}, where="t")
 
 
 class TestScalarSerialization:
     def test_round_trip_exact(self):
         for z in [QQi(1, 0), QQi(fr(3, 5), fr(-4, 5)), QQi(0, 1), fr(1, 3), 7]:
             out = scalar_to_json(z)
-            back = scalar_from_json(out, "exact", "t")
+            back = scalar_from_json(out, where="t")
             assert back == QQi(z) if not isinstance(z, QQi) else back == z
 
     def test_integers_stay_integers(self):
@@ -100,7 +99,7 @@ class TestElementSerialization:
     def test_round_trip(self):
         x = monomial(2, (1, 2), (2, 1), QQi(fr(1, 2), fr(1, 3)))
         out = element_to_json(x)
-        back = element_from_json(out, "exact", "t")
+        back = element_from_json(out, where="t")
         assert back == x
 
     def test_terms_sorted_canonically(self):
@@ -266,21 +265,6 @@ class TestParseSpec:
         assert str(e.value).endswith(
             ": the level-2 moment matrix is not positive semidefinite (smallest eigenvalue estimate -1)"
         )
-
-    def test_gate_can_be_disabled(self, spec_file, monkeypatch):
-        import cuntzlab.specio as specio
-
-        class Rigged:
-            n = 2
-            exact = True
-            family = "cuntz"
-
-            def moment(self, J, K):
-                return -1 if (J == K and len(J) == 1) else (1 if J == K else 0)
-
-        monkeypatch.setattr(specio, "state_from_spec", lambda *a, **k: Rigged())
-        out = parse_spec(spec_file({"family": "cuntz", "z": [1, 0]}), gate=False)
-        assert out.moment((1,), (1,)) == -1
 
 
 class TestResultSerialization:
