@@ -47,11 +47,11 @@ from .errors import (
     Inconsistent,
     NotInCatalog,
     NotInvariant,
+    NotNormalized,
     NotPrefixFree,
     NotUnit,
     NotUnitary,
     SchemaError,
-    TailNotCertified,
     ValidationFailed,
 )
 from .fcs import FCSPresentation, check_row_isometry, extract_fcs, fcs_moment, orbit_closure_cdim
@@ -121,6 +121,6 @@ __all__ = [
     "parse_spec", "rep_from_spec", "state_from_spec",
     # errors
     "AlphabetMismatch", "CuntzLabError", "EmptyWord", "GateFailed", "Inconsistent",
-    "NotInCatalog", "NotInvariant", "NotPrefixFree", "NotUnit", "NotUnitary",
-    "SchemaError", "TailNotCertified", "ValidationFailed",
+    "NotInCatalog", "NotInvariant", "NotNormalized", "NotPrefixFree", "NotUnit", "NotUnitary",
+    "SchemaError", "ValidationFailed",
 ]

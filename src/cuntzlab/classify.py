@@ -126,6 +126,19 @@ class GramGrowth:
             x[k] = z[k] / dvals[k] - sum(tail, 0)
         return x
 
+    def matrices(self, omega: MomentFunctional) -> tuple:
+        """A_1..A_n, the matrices of pi(s_i)* on the pivot basis of ``omega``'s
+        growth: column p of A_i solves G x = (omega(s_q s_{p i}*))_q over the
+        pivots q, one O(d^2) solve per column.  They compress omega only when
+        the growth has stabilized."""
+        pivots = self.pivots
+        d = len(pivots)
+        out = []
+        for i in range(1, omega.n + 1):
+            cols = [self.solve([omega.lookup(q, p + (i,)) for q in pivots]) for p in pivots]
+            out.append(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d)))
+        return tuple(out)
+
 
 class _Candidate:
     """A child word scored against the pivots admitted so far.

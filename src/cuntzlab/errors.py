@@ -8,7 +8,7 @@ __all__ = [
     "NotUnitary",
     "NotPrefixFree",
     "Inconsistent",
-    "TailNotCertified",
+    "NotNormalized",
     "NotInvariant",
     "ValidationFailed",
     "NotInCatalog",
@@ -45,7 +45,7 @@ class Inconsistent(CuntzLabError):
     """A linear system that should admit a state solution does not."""
 
 
-class TailNotCertified(CuntzLabError):
+class NotNormalized(CuntzLabError):
     """A sandwich transform has mass other than 1, so it defines no state."""
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .classify import LowerBoundOnly, gram_growth
+from .classify import GramGrowth, LowerBoundOnly, gram_growth
 from .errors import SchemaError, ValidationFailed
-from .linalg import hermitian_transpose, mat_mul, mat_vec, rank
+from .linalg import hermitian_transpose, mat_vec, rank
 from .moments import MomentFunctional
 from .scalars import conj, scalars_close
 from .words import Word, check_word
@@ -29,6 +29,7 @@ __all__ = [
     "FCSPresentation",
     "fcs_moment",
     "orbit_closure_cdim",
+    "presentation",
     "extract_fcs",
     "check_row_isometry",
 ]
@@ -100,14 +101,18 @@ def orbit_closure_cdim(F: FCSPresentation) -> int:
     return dim
 
 
+def _sparse_mat_mul(a, b) -> list:
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), 0) for col in cols] for row in a]
+
+
 def check_row_isometry(F: FCSPresentation) -> bool:
-    """Whether sum_i A_i^H G A_i = G, the compressed Cuntz row relation."""
-    total = None
+    """Whether sum_i A_i^H G A_i = G, the compressed Cuntz row relation.
+    Zero products are skipped; exact presentations are often sparse."""
+    total = [[0] * F.d for _ in range(F.d)]
     for A in F.A:
-        term = mat_mul(mat_mul(hermitian_transpose(A), list(map(list, F.metric))), A)
-        total = term if total is None else [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)
-        ]
+        term = _sparse_mat_mul(hermitian_transpose(A), _sparse_mat_mul(F.metric, A))
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
     return all(
         scalars_close(total[i][j], F.metric[i][j])
         for i in range(F.d)
@@ -115,20 +120,46 @@ def check_row_isometry(F: FCSPresentation) -> bool:
     )
 
 
+def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation:
+    """The presentation a stabilized Gram growth of ``omega`` proves.
+
+    Once a level adds no pivots the pivot span is closed under every
+    pi(s_i)* (new vectors only arise by one more letter), so the matrices
+    A_i are filled in by solving the metric against the children's
+    correlation vectors, each column by two triangular solves through the
+    growth's factor G = L D L* (``GramGrowth.matrices``).  The compressed row
+    relation sum_i A_i^H G A_i = G is checked, exactly for an exact state; a
+    failure raises ValidationFailed (in float mode this usually signals
+    tolerance trouble; rerun in exact mode).
+    """
+    pivots = growth.pivots
+    F = FCSPresentation(
+        d=len(pivots),
+        A=growth.matrices(omega),
+        omega=tuple(1 if j == 0 else 0 for j in range(len(pivots))),
+        metric=growth.gram,
+        pivot_words=pivots,
+        level=growth.last_level,
+    )
+    if not check_row_isometry(F):
+        raise ValidationFailed(
+            "the compressed row relation sum_i A_i^H G A_i = G fails; "
+            "in float mode this usually signals tolerance trouble (rerun exact)"
+        )
+    return F
+
+
 def extract_fcs(omega: MomentFunctional, L_max: int = 8):
     """Compress a moment functional to an FCSPresentation, or report the rank.
 
     The Gram of {pi(s_J)* Omega} is grown level by level with greedy
-    largest-residual pivoting (lexicographic tie-break).  Once a level adds no
-    pivots the subspace is closed under every pi(s_i)* (new vectors only arise
-    by one more letter), so the matrices A_i are filled in by solving the
-    metric against the children's correlation vectors, each column by two
-    triangular solves through the growth's factor G = L D L*.  The result is
-    validated twice -- the compressed row relation sum_i A_i^H G A_i = G and
-    twenty seeded random moment round-trips against the source -- and a
-    failure raises ValidationFailed (in float mode this usually signals
-    tolerance trouble; rerun in exact mode).  If the rank is still growing at
-    L_max the rank bound is returned as a LowerBoundOnly value instead.
+    largest-residual pivoting (lexicographic tie-break).  Once it stabilizes,
+    ``presentation`` solves the matrices and checks the row relation, and
+    twenty seeded random moment round-trips against the source validate the
+    result again; a failure raises ValidationFailed (in float mode this
+    usually signals tolerance trouble; rerun in exact mode).  If the rank is
+    still growing at L_max the rank bound is returned as a LowerBoundOnly
+    value instead.
     """
     if L_max < 1:
         raise SchemaError(f"the level cap must be at least 1, got {L_max}")
@@ -142,30 +173,7 @@ def extract_fcs(omega: MomentFunctional, L_max: int = 8):
             "the state is not finitely correlated within reach",
         )
 
-    pivots = growth.pivots
-    gram = growth.gram
-    matrices = []
-    for i in range(1, omega.n + 1):
-        cols = []
-        for p in pivots:
-            rhs = [omega.lookup(q, p + (i,)) for q in pivots]
-            cols.append(growth.solve(rhs))
-        matrices.append(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d)))
-
-    F = FCSPresentation(
-        d=d,
-        A=tuple(matrices),
-        omega=tuple(1 if j == 0 else 0 for j in range(d)),
-        metric=gram,
-        pivot_words=pivots,
-        level=growth.last_level,
-    )
-
-    if not check_row_isometry(F):
-        raise ValidationFailed(
-            "the compressed row relation sum_i A_i^H G A_i = G fails; "
-            "in float mode this usually signals tolerance trouble (rerun exact)"
-        )
+    F = presentation(omega, growth)
     rng = random.Random(_ROUND_TRIP_SEED)
     max_len = min(growth.last_level + 2, L_max + 2)
     for _ in range(_ROUND_TRIP_COUNT):

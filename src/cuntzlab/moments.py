@@ -32,7 +32,12 @@ label.  Which constructor fills which fact:
 * ``make_mixture(...)``           -- convex combinations; purity (not pure).
 * ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
                                      from the base only its Cuntz parameter
-                                     (moved by g^H) and its purity.
+                                     (moved by g^H) and its purity.  Exact
+                                     twists read moments through the base's
+                                     presentation, O(|J| d^2) each; float
+                                     twists and bases whose Gram rank still
+                                     grows at the level cap expand both gauge
+                                     images, n^(|J|+|K|) base moments each.
 * ``transform_sandwich``          -- isometric sandwiches.  Purity when the
                                      base is decided pure; a user-declared
                                      Cuntz parameter.
@@ -61,7 +66,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyWord, Inconsistent, NotPrefixFree, NotUnit, SchemaError, TailNotCertified
+from .errors import EmptyWord, Inconsistent, NotNormalized, NotPrefixFree, NotUnit, SchemaError
 from .linalg import hermitian_psd_check, hermitian_transpose, kernel_basis, mat_vec, min_norm_solution
 from .scalars import (
     DEFAULT_EQ_TOL,
@@ -776,6 +781,20 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
 def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j.
 
+    Moments come one of two ways:
+
+    * Exact twists (an exact base and exact g) read the base's presentation
+      (A_i, Omega, G), fetched on the first moment from the base's Gram
+      growth at the default level cap 8 (shared with kappa, which delegates
+      a twist to its base).  The twist changes only the matrices,
+      A'_i = sum_j conj(g_ji) A_j, so omega(alpha_g(s_J s_K*)) =
+      <A'_J Omega, A'_K Omega>_G.  Vectors are memoized by prefix and their
+      metric images by word: O(|J| d^2) per new moment for d = cdim of the
+      base, after a one-time O(n d^3) solve.
+    * Float twists, and exact bases whose growth is still rising at the cap
+      (induced products, the series sandwich), expand alpha_g(s_J) into its
+      n^|J| words and sum n^(|J|+|K|) base moments per moment.
+
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), and the purity
     verdict; everything else classify derives through ``facts.twist``.
@@ -787,7 +806,7 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
 
     image = cache(lambda J: gauge_image(g, J))
 
-    def evaluator(J: Word, K: Word):
+    def expanded(J: Word, K: Word):
         return omega.moment_of_pair(image(J), image(K))
 
     base = omega.facts
@@ -799,7 +818,63 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
     facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g))
+    evaluator = _presented_twist(omega, g, expanded) if exact else expanded
     return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=exact)
+
+
+def _sparse_mat_vec(rows, v) -> list:
+    return [sum((a * x for a, x in zip(row, v) if a and x), 0) for row in rows]
+
+
+def _presented_twist(omega: MomentFunctional, g, fallback: Callable[[Word, Word], object]):
+    """The exact evaluator of omega o alpha_g through omega's presentation,
+    chosen on the first moment; ``fallback`` when the Gram growth of omega
+    does not stabilize by the default level cap."""
+    chosen = None
+
+    def presented():
+        # classify and fcs import this module
+        from .classify import gram_growth
+        from .fcs import presentation
+
+        # the default cap is the key kappa(omega) reads when kappa delegates the twist
+        growth = gram_growth(omega)
+        if not growth.stabilized:
+            return fallback
+        F = presentation(omega, growth)
+        n, d = omega.n, F.d
+        A = [[[sum((conj(g[j][i]) * F.A[j][r][c] for j in range(n)), 0) for c in range(d)] for r in range(d)]
+             for i in range(n)]
+        vectors: dict[Word, list] = {(): list(F.omega)}
+        metric_images: dict[Word, list] = {}
+
+        def vector(J: Word) -> list:
+            # A'_J Omega = A'_{j_l} (A'_{j_1..j_(l-1)} Omega), memoized by prefix
+            known = len(J)
+            while J[:known] not in vectors:
+                known -= 1
+            v = vectors[J[:known]]
+            for t in range(known, len(J)):
+                v = vectors[J[:t + 1]] = _sparse_mat_vec(A[J[t] - 1], v)
+            return v
+
+        def evaluator(J: Word, K: Word):
+            right = metric_images.get(K)
+            if right is None:
+                right = metric_images[K] = _sparse_mat_vec(F.metric, vector(K))
+            value = sum((conj(a) * b for a, b in zip(vector(J), right) if a and b), 0)
+            # a zero or real sum comes out as int or Fraction; the expansion gives QQi
+            return value if isinstance(value, QQi) else QQi(value)
+
+        return evaluator
+
+    def evaluator(J: Word, K: Word):
+        nonlocal chosen
+        if chosen is None:
+            chosen = presented()
+        return chosen(J, K)
+
+    return evaluator
 
 
 def transform_sandwich(
@@ -815,7 +890,7 @@ def transform_sandwich(
     A* are built once, so each moment is the one product omega(A* s_J s_K* A).
 
     The list is the whole sum: the constructor evaluates the mass omega'(I)
-    and refuses (TailNotCertified) unless it equals 1, so the functional is
+    and refuses (NotNormalized) unless it equals 1, so the functional is
     a state.  A user-supplied ``equivalent_to_cuntz`` parameter (a unit
     vector of length n) is recorded with provenance "user"; the equivalence
     itself is not verified.  A unit vector state of an irreducible
@@ -842,9 +917,9 @@ def transform_sandwich(
     mass = evaluator((), ())
     if is_exact_scalar(mass):
         if mass != 1:
-            raise TailNotCertified(f"transform has total mass {mass}, expected 1")
+            raise NotNormalized(f"transform has total mass {mass}, expected 1")
     elif abs(complex(mass) - 1) > DEFAULT_EQ_TOL:
-        raise TailNotCertified(f"transform has total mass {complex(mass)}, expected 1")
+        raise NotNormalized(f"transform has total mass {complex(mass)}, expected 1")
 
     facts = StateFacts(
         purity=("Pure", _PURE_IN_PURE) if omega.facts.purity[0] == "Pure" else _UNKNOWN_PURITY,

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuntzlab import (
+    ValidationFailed,
     check_row_isometry,
     extract_fcs,
     fcs_moment,
@@ -22,6 +23,7 @@ from cuntzlab import (
     parse_spec,
     words_upto,
 )
+from cuntzlab.fcs import presentation
 from cuntzlab.linalg import solve
 from cuntzlab.scalars import scalars_close
 from cuntzlab.selftest import random_exact_unit
@@ -90,6 +92,19 @@ class TestWordStateExtraction:
         f = extract_fcs(make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2))
         assert check_row_isometry(f)
         assert orbit_closure_cdim(f) == 2
+
+
+class TestPresentation:
+    @pytest.mark.parametrize("name", STABILIZED)
+    def test_extract_fcs_returns_the_growth_presentation(self, name):
+        omega = golden_state(name)
+        assert presentation(omega, gram_growth(omega)) == extract_fcs(omega)
+
+    def test_a_failed_row_relation_raises(self):
+        # the Cuntz state's moments solved against the word state 12's growth
+        word = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
+        with pytest.raises(ValidationFailed, match="row relation"):
+            presentation(make_cuntz(Z35), gram_growth(word))
 
 
 class TestUnstabilizedInput:

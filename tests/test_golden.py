@@ -1,14 +1,17 @@
 """Golden outputs: exact ``report --format json`` must not move.
 
 ``tests/golden/specs/`` holds one light spec per family at n = 2 (plus the
-extra members of one pairwise report); ``tests/golden/<name>.json`` holds the
+extra members of one pairwise report, and ``gauge_word_n3``, the word state
+123 on n = 3 under an exact unitary); ``tests/golden/<name>.json`` holds the
 exact stdout of ``cuntzlab report <spec> --format json`` for each of them, and
 ``tests/golden/pairwise.json`` that of one report over ``PAIRWISE``, whose
 pairs reach every rule of ``equivalent`` and whose states reach every purity
 reason.  The expected files were written by the code before the per-state
 facts record replaced the family switches, so a refactor that changes any
-printed answer fails here.  A deliberate answer change regenerates the file
-and says so in CHANGES.md.
+printed answer fails here.  ``tests/golden/<name>.fcs.json`` holds the stdout
+of ``cuntzlab fcs <spec> --format json`` for the gauge twists, written while
+every twisted moment was still the double sum over both gauge images.  A
+deliberate answer change regenerates the file and says so in CHANGES.md.
 
 The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
 """
@@ -25,6 +28,7 @@ from cuntzlab.cli import run
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 SPECS = sorted(p.stem for p in (GOLDEN / "specs").glob("*.json"))
+FCS_SPECS = sorted(p.name.removesuffix(".fcs.json") for p in GOLDEN.glob("*.fcs.json"))
 DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 # repeated names give the pairs of equal tensors and equal progression codes
@@ -38,19 +42,24 @@ PAIRWISE = [
 ]
 
 
-def _report(names, capsys) -> str:
+def _stdout(command, names, capsys) -> str:
     paths = [str(GOLDEN / "specs" / f"{name}.json") for name in names]
-    assert run(["report", *paths, "--format", "json"]) == 0
+    assert run([command, *paths, "--format", "json"]) == 0
     return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_single_report(name, capsys):
-    assert _report([name], capsys) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert _stdout("report", [name], capsys) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", FCS_SPECS)
+def test_single_fcs(name, capsys):
+    assert _stdout("fcs", [name], capsys) == (GOLDEN / f"{name}.fcs.json").read_text(encoding="utf-8")
 
 
 def test_pairwise_report(capsys):
-    assert _report(PAIRWISE, capsys) == (GOLDEN / "pairwise.json").read_text(encoding="utf-8")
+    assert _stdout("report", PAIRWISE, capsys) == (GOLDEN / "pairwise.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

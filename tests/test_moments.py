@@ -4,6 +4,7 @@ Every expected number below was computed by hand from the defining formulas
 before being compared against the library.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -11,11 +12,13 @@ import pytest
 
 from cuntzlab import (
     CuntzElement,
+    MomentFunctional,
+    NotNormalized,
     NotPrefixFree,
     NotUnit,
     QQi,
     SchemaError,
-    TailNotCertified,
+    ValidationFailed,
     adjoint,
     all_words,
     eval_moment,
@@ -40,6 +43,8 @@ from cuntzlab import (
 )
 from cuntzlab.linalg import rank
 from cuntzlab.moments import _code_lookup
+from cuntzlab.scalars import conj
+from cuntzlab.symalg import gauge_image
 from cuntzlab.words import is_prefix
 
 from conftest import fr, q
@@ -295,7 +300,7 @@ class TestSandwich:
 
     def test_mass_other_than_one_is_refused(self):
         # A Omega = 3/5 s_1 Omega has mass 9/25: a functional, not a state
-        with pytest.raises(TailNotCertified) as e:
+        with pytest.raises(NotNormalized) as e:
             transform_sandwich(make_cuntz([q(1), q(0)]), [(q(fr(3, 5)), gen(2, 1))])
         assert str(e.value) == "transform has total mass 9/25, expected 1"
 
@@ -321,6 +326,98 @@ class TestGauge:
 
         with pytest.raises(NotUnitary):
             transform_gauge(make_cuntz(Z35), [[1, 0], [0, 2]])
+
+
+# a unitary with complex entries, so the conjugation in A'_i = sum_j conj(g_ji) A_j shows
+G_C = [[q(fr(3, 5)), q(0, fr(4, 5))], [q(0, fr(4, 5)), q(fr(3, 5))]]
+
+
+def _expanded_moment(base, g, J, K):
+    """The independent oracle: omega(alpha_g(s_J) alpha_g(s_K)*) as the double
+    sum over the n^|J| and n^|K| words of the two gauge images."""
+    image_k = gauge_image(g, K)
+    return sum((a * conj(b) * base.lookup(Jp, Kp)
+                for Jp, a in gauge_image(g, J).items() for Kp, b in image_k.items()), 0)
+
+
+def _pairs(n, seed):
+    """Every pair with |J|, |K| <= 3, then 20 seeded pairs up to length 8 (at
+    most 11 letters in all, so the oracle's double sum stays small)."""
+    short = list(words_upto(n, 3))
+    yield from product(short, short)
+    rng = random.Random(seed)
+    for _ in range(20):
+        lj = rng.randint(4, 8)
+        lk = rng.randint(0, 11 - lj)
+        yield (tuple(rng.randint(1, n) for _ in range(lj)), tuple(rng.randint(1, n) for _ in range(lk)))
+
+
+def _product_matrix(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), 0) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+class TestGaugeThroughPresentation:
+    """Exact twists read the base's presentation; the double sum is the oracle."""
+
+    BASES = {
+        "word_112": lambda: make_prefix_code_state([(1, 1, 2)], [q(1)], 2),
+        "cuntz": lambda: make_cuntz(Z35I),
+        "prefix_code": lambda: make_prefix_code_state(
+            [(1, 1), (1, 2), (2,)], [q(fr(2, 3)), q(fr(1, 3)), q(0, fr(2, 3))], 2),
+        "dense_sub_cuntz": lambda: make_sub_cuntz(2, [q(fr(1, 2)), q(0, fr(1, 2)), q(fr(-1, 2)), q(fr(1, 2))], 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_matches_the_double_sum(self, name):
+        base = self.BASES[name]()
+        w = transform_gauge(base, G_C)
+        for J, K in _pairs(2, 17):
+            assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+
+    def test_twist_of_a_twist_is_the_twist_by_the_product(self):
+        # alpha_g1 alpha_g2 = alpha_(g1 g2), so the root base is the oracle's
+        base = self.BASES["word_112"]()
+        w = transform_gauge(transform_gauge(base, G_C), ROT)
+        g = _product_matrix(G_C, ROT)
+        for J, K in _pairs(2, 23):
+            assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
+
+    def test_float_twist_keeps_the_expansion(self):
+        base = self.BASES["word_112"]()
+        g = [[complex(x) for x in row] for row in G_C]
+        w = transform_gauge(base, g)
+        assert not w.exact
+        for J, K in product(words_upto(2, 3), repeat=2):
+            assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
+
+    def test_twist_of_an_induced_product_keeps_the_expansion(self):
+        # the base's rank grows by one per level, so no presentation is proved
+        base = make_induced_product([Z35], [Z35I], 2)
+        w = transform_gauge(base, G_C)
+        for J, K in product(words_upto(2, 3), repeat=2):
+            assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+
+    def test_a_base_that_breaks_the_row_relation_is_refused(self):
+        # omega(I) = 1 and every other moment 0: the growth stops at d = 1 with
+        # A_1 = A_2 = 0, so sum_i A_i^H G A_i = 0, not G
+        base = MomentFunctional(2, "bogus", lambda J, K: QQi(1) if J == K == () else QQi(0))
+        with pytest.raises(ValidationFailed, match="row relation"):
+            transform_gauge(base, ROT).moment((), ())
+
+    def test_a_long_moment_reads_few_base_moments(self, monkeypatch):
+        base = make_sub_cuntz(3, {(1, 1, 2): q(1)}, 2)
+        reads = []
+        evaluate = base._evaluator
+
+        def spy(J, K):
+            reads.append((J, K))
+            return evaluate(J, K)
+
+        monkeypatch.setattr(base, "_evaluator", spy)
+        w = transform_gauge(base, ROT)
+        w.moment((1, 2) * 4, (2, 1, 1) * 2 + (2, 2))
+        # the expansion would read up to 2^16 base moments
+        assert 0 < len(reads) < 100
 
 
 class TestStateFacts:
