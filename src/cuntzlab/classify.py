@@ -30,21 +30,13 @@ the deciding rule; pairs outside the classified catalog come back
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf, lcm
 from typing import ClassVar, NamedTuple
 
 from .errors import AlphabetMismatch, NotInCatalog, NotUnit, SchemaError, ValidationFailed
-from .linalg import hermitian_transpose, mat_vec
+from .linalg import LDLFactor, hermitian_transpose, mat_vec
 from .moments import IsometrySequence, MomentFunctional, _progression_code, sequence_factory
-from .scalars import (
-    DEFAULT_RANK_TOL,
-    abs2,
-    conj,
-    is_exact_scalar,
-    scalar_is_zero,
-    scalars_close,
-)
+from .scalars import abs2, conj, scalar_is_zero, scalars_close
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
 from .symalg import CuntzElement, gauge_apply, identity, is_isometry_in_plus, multiply
 from .words import Word, all_words, tail_equivalent
@@ -74,17 +66,6 @@ __all__ = [
 ]
 
 
-def _real(x):
-    """Real part: Fraction for exact scalars, float otherwise."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if is_exact_scalar(x):  # QQi
-        return x.re
-    return complex(x).real
-
-
 # ---------------------------------------------------------------------------
 # cdim: pivoted levelwise growth of the Gram matrix of {pi(s_J)* Omega}
 # ---------------------------------------------------------------------------
@@ -96,11 +77,11 @@ class GramGrowth:
 
     ``pivots`` are words J whose vectors pi(s_J)* Omega form a basis of the
     span reached so far; ``gram`` is their (positive definite) Gram matrix;
-    ``level_ranks[L]`` is the rank over all words of length <= L.  The
-    growth keeps its factor G = L D L*: ``lower[k]`` holds L_k,j for j < k
-    (L is unit lower triangular) and ``dvals`` the positive D.  A growth is
-    shared by every caller that asks for the same state, level cap and
-    tolerance, so all of it is immutable.
+    ``level_ranks[L]`` is the rank over all words of length <= L.  ``lower``
+    and ``dvals`` are the L and D of its factor G = L D L* (see
+    :class:`~cuntzlab.linalg.LDLFactor`).  A growth is shared by every caller
+    that asks for the same state, level cap and tolerance, so all of it is
+    immutable.
     """
 
     pivots: tuple
@@ -140,53 +121,15 @@ class GramGrowth:
         return tuple(out)
 
 
-class _Candidate:
-    """A child word scored against the pivots admitted so far.
-
-    ``y`` solves L y = r for r_k = omega(s_{p_k} s_word*), so that
-    ``res2 = diag - sum_k |y_k|^2 / D_k`` is its squared distance from the
-    span of the pivots; ``sort_key`` orders candidates (largest residual
-    first, lexicographic tie-break).
-    """
-
-    __slots__ = ("word", "neg", "y", "diag", "res2")
-
-    def __init__(self, word: Word, diag):
-        self.word = word
-        self.neg = tuple(-a for a in word)
-        self.y: list = []
-        self.diag = diag
-        self.res2 = diag
-
-    def sort_key(self):
-        return self.res2, self.neg, self.word
-
-    def add_pivot(self, omega: MomentFunctional, p: Word, row: list, dp) -> None:
-        """Extend y by the coordinate along pivot p, whose factor row is
-        ``row`` (L_p,j for the earlier pivots j) and whose D entry is ``dp``."""
-        v = omega.lookup(p, self.word) - sum((lj * yj for lj, yj in zip(row, self.y)), 0)
-        self.y.append(v)
-        self.res2 = self.res2 - abs2(v) / dp
-
-
 def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = None) -> GramGrowth:
     """Grow a pivot basis of span{pi(s_J)* Omega : |J| <= L} for L = 0..L_max.
 
     Only one-letter extensions of current pivots can add new directions
     (pi(s_i)* maps the level-L span into the level-(L+1) span), so each level
-    scores the children of the previous level's pivots by their squared
-    residual and admits them greedily, largest residual first with a
-    lexicographic tie-break.  A level that admits nothing stabilizes the
-    subspace for good.
-
-    The pivot Gram is kept factored as G = L D L* (L unit lower triangular,
-    D positive).  A new candidate c costs one forward solve L y = r_c with
-    r_c,k = omega(s_{p_k} s_c*), O(d^2) for d pivots, and its squared residual
-    is omega(s_c s_c*) - sum_k |y_k|^2 / D_k.  Admitting a pivot b appends the
-    row L_b,j = conj(y_b,j) / D_j and D_b = res2(b); every remaining candidate
-    then appends one coordinate v = omega(s_b s_c*) - sum_j L_b,j y_c,j and
-    loses |v|^2 / D_b from its residual, O(d) per candidate per admission.
-    Exact states get exactly the residuals of a full solve.
+    scores the children of the previous level's pivots on an
+    :class:`~cuntzlab.linalg.LDLFactor` of omega(s_J s_K*) and admits them
+    greedily, largest residual first with a lexicographic tie-break.  A level
+    that admits nothing stabilizes the subspace for good.
 
     The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
     kappa and fcs of one state share it.  Float rank decisions compare
@@ -203,57 +146,39 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
 
 
 def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
-    rank_tol = DEFAULT_RANK_TOL if tol is None else tol
-
-    def admissible(c: _Candidate) -> bool:
-        if isinstance(c.res2, Fraction):
-            return c.res2 > 0
-        return max(c.res2, 0.0) > rank_tol * max(1.0, c.diag)
-
-    pivots: list[Word] = [()]
-    gram = [[omega.lookup((), ())]]
-    lower: list[list] = [[]]  # row k holds L_k,j for j < k
-    dvals = [_real(gram[0][0])]
+    factor = LDLFactor(omega.lookup)
+    if tol is not None:
+        factor.rank_tol = tol
+    factor.admit(factor.score(()))
     level_ranks = [1]
     frontier: list[Word] = [()]
     stabilized = False
     level = 0
     for level in range(1, L_max + 1):
-        cands = []
-        for word in (p + (i,) for p in frontier for i in range(1, omega.n + 1)):
-            c = _Candidate(word, _real(omega.lookup(word, word)))
-            for p, row, dp in zip(pivots, lower, dvals):
-                c.add_pivot(omega, p, row, dp)
-            cands.append(c)
+        cands = [factor.score(p + (i,)) for p in frontier for i in range(1, omega.n + 1)]
+        # in word order, max() picks the lexicographically first of equal residuals
+        cands.sort(key=lambda c: c.item)
         added: list[Word] = []
         while True:
             # residuals only shrink, so a candidate that fails once is out for good
-            cands = [c for c in cands if admissible(c)]
+            cands = [c for c in cands if factor.admissible(c)]
             if not cands:
                 break
-            best = max(cands, key=_Candidate.sort_key)
+            best = max(cands, key=lambda c: c.res2)
             cands.remove(best)
-            b = best.word
-            row = [conj(yj) / dj for yj, dj in zip(best.y, dvals)]
-            db = best.res2
+            factor.admit(best)
             for c in cands:
-                c.add_pivot(omega, b, row, db)
-            for i, p in enumerate(pivots):
-                gram[i].append(omega.lookup(p, b))
-            gram.append([omega.lookup(b, p) for p in pivots] + [omega.lookup(b, b)])
-            pivots.append(b)
-            lower.append(row)
-            dvals.append(db)
-            added.append(b)
-        level_ranks.append(len(pivots))
+                factor.catch_up(c)
+            added.append(best.item)
+        level_ranks.append(len(factor.pivots))
         if not added:
             stabilized = True
             break
         frontier = added
-    return GramGrowth(
-        tuple(pivots), tuple(map(tuple, gram)), tuple(level_ranks), stabilized, level,
-        tuple(map(tuple, lower)), tuple(dvals),
-    )
+    pivots = tuple(factor.pivots)
+    gram = tuple(tuple(omega.lookup(p, q) for q in pivots) for p in pivots)
+    return GramGrowth(pivots, gram, tuple(level_ranks), stabilized, level, tuple(map(tuple, factor.lower)),
+                      tuple(factor.dvals))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ imported only inside those float fallbacks (and for the eigenvalue estimate
 of a failed exact PSD check), so exact work never loads it.  Problem sizes in
 this package are small (up to a few hundred rows), so clarity beats
 asymptotics.
+
+Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
+a pivoted L D L* factor grown one pivot at a time: the Gram growth of
+``classify`` admits candidates greedily by residual, the exact branch of
+:func:`hermitian_psd_check` streams a matrix's rows through it, and the
+grading of ``shiftrep`` reads Gram-Schmidt vectors off its unit-lower factor.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import Inconsistent
-from .scalars import DEFAULT_RANK_TOL, QQi, conj, is_exact_scalar
+from .scalars import DEFAULT_RANK_TOL, QQi, abs2, conj, is_exact_scalar
 
 __all__ = [
     "matrix_is_exact",
@@ -28,6 +34,7 @@ __all__ = [
     "rank",
     "hermitian_psd_check",
     "min_norm_solution",
+    "LDLFactor",
 ]
 
 
@@ -228,16 +235,92 @@ def _min_eig_estimate(g):
     return min_eig, float(np.abs(approx).max())
 
 
+def _real(x):
+    """Real part: Fraction for exact scalars, float otherwise."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return x.re if isinstance(x, QQi) else complex(x).real
+
+
+class Candidate:
+    """An item scored by an LDLFactor: coordinates ``y`` along its pivots,
+    squared residual ``res2`` (squared distance from their span)."""
+
+    __slots__ = ("item", "y", "diag", "res2")
+
+    def __init__(self, item, diag):
+        self.item = item
+        self.y: list = []
+        self.diag = diag
+        self.res2 = diag
+
+
+class LDLFactor:
+    """A pivoted L D L* factor of a Hermitian form, grown one pivot at a time.
+
+    ``inner(a, b)`` is linear in b: moments omega(s_a s_b*), entries g[a][b]
+    of a matrix, or inner products of vectors.  The Gram matrix of the pivots
+    p_0, p_1, ... is kept as G = L D L*: ``lower[k]`` holds L_k,j for j < k
+    (L is unit lower triangular) and ``dvals`` the positive D.
+
+    * ``score(c)``: the forward solve L y = r, r_k = inner(p_k, c), O(d^2) for
+      d pivots, and res2 = inner(c, c) - sum_k |y_k|^2 / D_k (for exact
+      scalars exactly the residual of a full solve);
+    * ``catch_up(c)``: y_k = inner(p_k, c) - sum_j L_k,j y_j along each pivot
+      admitted since, taking |y_k|^2 / D_k off res2;
+    * ``admit(c)``: the row L_c,j = conj(y_j) / D_j and D_c = res2.
+
+    In vector terms c = sum_j (y_j / D_j) b_j + b_c with b_c orthogonal to
+    the pivots and |b_c|^2 = res2.  ``admissible`` is the rank rule: an exact
+    res2 must be positive, a float one above ``rank_tol`` (DEFAULT_RANK_TOL)
+    times max(1, inner(c, c)).
+    """
+
+    rank_tol = DEFAULT_RANK_TOL
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pivots: list = []
+        self.lower: list[list] = []
+        self.dvals: list = []
+
+    def score(self, item) -> Candidate:
+        c = Candidate(item, _real(self.inner(item, item)))
+        self.catch_up(c)
+        return c
+
+    def catch_up(self, c: Candidate) -> None:
+        y = c.y
+        for k in range(len(y), len(self.pivots)):
+            v = self.inner(self.pivots[k], c.item) - sum((lj * yj for lj, yj in zip(self.lower[k], y)), 0)
+            y.append(v)
+            c.res2 = c.res2 - abs2(v) / self.dvals[k]
+
+    def admissible(self, c: Candidate) -> bool:
+        if isinstance(c.res2, Fraction):
+            return c.res2 > 0
+        return max(c.res2, 0.0) > self.rank_tol * max(1.0, c.diag)
+
+    def admit(self, c: Candidate) -> None:
+        """Make the fully caught-up candidate c the next pivot."""
+        self.lower.append([conj(yj) / dj for yj, dj in zip(c.y, self.dvals)])
+        self.dvals.append(c.res2)
+        self.pivots.append(c.item)
+
+
 def hermitian_psd_check(g):
     """Decide whether the Hermitian matrix g is positive semidefinite.
 
     Returns (ok, min_eig_estimate).  Float matrices are decided by the
     smallest eigenvalue (a float numpy estimate) against -DEFAULT_RANK_TOL
-    times max(1, largest entry magnitude).  Exact
-    matrices are decided by rational LDL* pivoting (a zero pivot must have a
-    zero row); the numpy estimate is computed only when that check fails, for
-    the failure message, so an exact matrix that passes comes back as
-    (True, None) and never loads numpy.
+    times max(1, largest entry magnitude).  Exact matrices stream their rows
+    through an :class:`LDLFactor`: a row with a positive residual becomes a
+    pivot, and g is PSD exactly when no diagonal entry is non-real, no
+    residual is negative, and every zero-residual (null) row stays null: no
+    coordinate along a later pivot, and a zero Schur coupling
+    g_ab - sum_k conj(y_a,k) y_b,k / D_k to every other null row.  Only a
+    failure computes the numpy estimate, for its message; an exact pass
+    returns (True, None) without loading numpy.
     """
     d = len(g)
     if d == 0:
@@ -251,31 +334,36 @@ def hermitian_psd_check(g):
 
 
 def _exact_psd(g) -> bool:
-    """Rational LDL* pivoting on the exact Hermitian matrix g."""
-    d = len(g)
-    work = [list(row) for row in g]
-    for k in range(d):
-        piv = work[k][k]
-        if isinstance(piv, QQi):
-            if piv.im != 0:
-                return False  # Hermitian diagonal must be real
-            piv_real = piv.re
-        else:
-            piv_real = piv
-        if piv_real < 0:
+    factor = LDLFactor(lambda a, b: g[a][b])
+    null = []
+    for k, row in enumerate(g):
+        if isinstance(row[k], QQi) and row[k].im:
             return False
-        if piv_real == 0:
-            # a PSD matrix with zero diagonal entry has a zero row
-            if any(work[k][j] != 0 for j in range(k + 1, d)):
+        if not any(row):
+            continue  # a zero row of a Hermitian matrix is null and couples to nothing
+        c = factor.score(k)
+        if c.res2 < 0:
+            return False
+        if c.res2:
+            factor.admit(c)
+        else:
+            null.append(c)
+    for c in null:
+        # a residual only shrinks, so a null row with a nonzero coordinate
+        # along a later pivot ends negative
+        factor.catch_up(c)
+        if c.res2:
+            return False
+    for i, a in enumerate(null):
+        row = g[a.item]
+        coords = [(k, conj(yk) / dk) for k, (yk, dk) in enumerate(zip(a.y, factor.dvals)) if yk]
+        for b in null[i + 1:]:
+            schur = row[b.item]
+            for k, w in coords:
+                if b.y[k]:
+                    schur = schur - w * b.y[k]
+            if schur:
                 return False
-            continue
-        # Schur complement of the pivot; stays Hermitian since work[k][j] = conj(work[j][k])
-        for i in range(k + 1, d):
-            if work[i][k] == 0:
-                continue
-            f = work[i][k] / piv
-            for j in range(k + 1, d):
-                work[i][j] = work[i][j] - f * work[k][j]
     return True
 
 

@@ -20,7 +20,10 @@ a vector into a :class:`~cuntzlab.moments.MomentFunctional` whose
 The grading of the representation space generated by an s_i*-invariant
 subspace is computed by :func:`dhj_grading`, and
 :func:`lemma_convergence_check` tracks how fast a[l]* v approaches such a
-subspace.
+subspace.  Both admit vectors in order into the L D L* factor of their
+inner products (:class:`~cuntzlab.linalg.LDLFactor`) and read orthogonal
+vectors off its unit-lower factor: Gram-Schmidt's in exact arithmetic, and
+in float mode the Gram growth's rank rule decides which vectors are new.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from math import sqrt
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotInvariant, NotUnit, SchemaError
+from .linalg import LDLFactor
 from .moments import IsometrySequence, MomentFunctional, StateFacts, sequence_factory
-from .scalars import DEFAULT_RANK_TOL, conj, is_exact_scalar, scalar_is_zero
+from .scalars import conj, is_exact_scalar, scalar_is_zero
 from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
 from .words import EventuallyPeriodicWord, LazyWord, Word
 
@@ -105,8 +109,8 @@ class StateVector:
     def norm2(self, key_equal: Callable | None = None):
         return self.inner(self, key_equal)
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        return all(scalar_is_zero(c, tol) for c in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return all(scalar_is_zero(c) for c in self.coeffs.values())
 
     def __eq__(self, other):
         if not isinstance(other, StateVector):
@@ -384,53 +388,46 @@ def vector_state(rep, x) -> MomentFunctional:
 # ---------------------------------------------------------------------------
 
 
-def _project_out(w: StateVector, basis: Sequence[StateVector], key_equal, exact: bool):
-    """Residual of w against an orthogonal basis (two passes in float mode)."""
-    passes = 1 if exact else 2
-    for _ in range(passes):
-        for b in basis:
-            bb = b.norm2(key_equal)
-            bw = b.inner(w, key_equal)
-            if scalar_is_zero(bw, 0.0):
-                continue
-            w = w - b.scale(bw / bb)
-    return w
+class _OrthogonalSpan:
+    """The span of the vectors admitted so far: an LDLFactor of their Gram
+    form, and the orthogonal vectors b_k = v_k - sum_j (y_kj / D_j) b_j its
+    unit-lower factor defines, exactly those of Gram-Schmidt in exact
+    arithmetic (|b_k|^2 = D_k)."""
 
-def _residual_is_zero(r: StateVector, scale2, exact: bool) -> bool:
-    if exact:
-        return r.is_zero(0.0)
-    n2 = abs(complex(r.norm2()))
-    return n2 <= DEFAULT_RANK_TOL * DEFAULT_RANK_TOL * max(1.0, abs(complex(scale2)))
+    def __init__(self, key_equal):
+        self.factor = LDLFactor(lambda a, b: a.inner(b, key_equal))
+        self.basis: list[StateVector] = []
 
+    def residual(self, c) -> StateVector:
+        r = c.item
+        for yj, dj, b in zip(c.y, self.factor.dvals, self.basis):
+            if yj:
+                r = r - b.scale(yj / dj)
+        return r
 
-def _orthogonal_basis(vectors: Iterable[StateVector], key_equal, exact: bool, seed: Sequence[StateVector] = ()):
-    """Extend the orthogonal family ``seed`` by Gram-Schmidt over ``vectors``."""
-    new: list[StateVector] = []
-    for v in vectors:
-        r = _project_out(v, list(seed) + new, key_equal, exact)
-        if not _residual_is_zero(r, v.norm2(key_equal), exact):
-            new.append(r)
-    return new
-
-
-def _normalize_float(basis: list[StateVector]) -> list[StateVector]:
-    out = []
-    for b in basis:
-        nrm = sqrt(abs(complex(b.norm2())))
-        out.append(b.scale(1.0 / nrm))
-    return out
+    def extend(self, vectors: Iterable[StateVector]) -> list[StateVector]:
+        """Admit the vectors in order; returns the b of each admitted one."""
+        start = len(self.basis)
+        for v in vectors:
+            c = self.factor.score(v)
+            if self.factor.admissible(c):
+                self.basis.append(self.residual(c))
+                self.factor.admit(c)
+        return self.basis[start:]
 
 
-def _check_invariant(rep, vectors: Sequence[StateVector], basis: Sequence[StateVector],
-                     key_equal, exact: bool) -> None:
+def _invariant_span(rep, vectors: Sequence[StateVector]) -> _OrthogonalSpan:
+    """The span of M, after checking that pi(s_i)* maps M into it."""
+    span = _OrthogonalSpan(_inner_fn(rep))
+    if not span.extend(vectors):
+        raise SchemaError("M must span a nonzero subspace")
     for v in vectors:
         for i in range(1, rep.n + 1):
-            w = apply_generator(rep, v, i, dagger=True)
-            r = _project_out(w, basis, key_equal, exact)
-            if not _residual_is_zero(r, w.norm2(key_equal) if w.coeffs else 1, exact):
-                raise NotInvariant(
-                    f"pi(s_{i})* maps the subspace outside itself (residual on {rep.key_str(next(iter(r.coeffs)))})"
-                )
+            c = span.factor.score(apply_generator(rep, v, i, dagger=True))
+            if span.factor.admissible(c):
+                key = rep.key_str(next(iter(span.residual(c).coeffs)))
+                raise NotInvariant(f"pi(s_{i})* maps the subspace outside itself (residual on {key})")
+    return span
 
 
 def dhj_grading(rep, M: Sequence[StateVector], depth: int) -> list[list[StateVector]]:
@@ -442,26 +439,16 @@ def dhj_grading(rep, M: Sequence[StateVector], depth: int) -> list[list[StateVec
     mode.  Raises NotInvariant unless pi(s_i)* M lies in span(M) for every i.
     """
     vectors = list(M)
-    if not vectors:
-        raise SchemaError("M must span a nonzero subspace")
-    key_equal = _inner_fn(rep)
     exact = rep.exact and all(is_exact_scalar(c) for v in vectors for c in v.coeffs.values())
-    base = _orthogonal_basis(vectors, key_equal, exact)
-    if not base:
-        raise SchemaError("M must span a nonzero subspace")
-    _check_invariant(rep, vectors, base, key_equal, exact)
-
-    levels = [base]
-    accumulated = list(base)
-    spanning = list(base)  # independent spanning set of the current level-k image
+    total = _invariant_span(rep, vectors)
+    levels = [list(total.basis)]
+    spanning = levels[0]  # independent spanning set of the current level-k image
     for _ in range(depth):
         images = [apply_generator(rep, b, i) for b in spanning for i in range(1, rep.n + 1)]
-        spanning = _orthogonal_basis(images, key_equal, exact)
-        new = _orthogonal_basis(images, key_equal, exact, seed=accumulated)
-        levels.append(new)
-        accumulated.extend(new)
+        spanning = _OrthogonalSpan(_inner_fn(rep)).extend(images)
+        levels.append(total.extend(images))
     if not exact:
-        levels = [_normalize_float(level) for level in levels]
+        levels = [[b.scale(1.0 / sqrt(abs(complex(b.norm2())))) for b in level] for level in levels]
     return levels
 
 
@@ -472,17 +459,12 @@ def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L:
     elements; each a_i must be an isometry inside the creation span.  M must
     be s_i*-invariant (NotInvariant otherwise).  The sequence is expected to
     decrease; its limit is 0 exactly when the subspace the a_i squeeze onto
-    sits inside span(M).
+    sits inside span(M).  Each distance is the norm of a[l]* v's residual
+    vector against M's factor: exactly sqrt(res2) for exact vectors, and in
+    float it keeps the digits that sqrt(res2) loses to cancellation near 0.
     """
     factory = sequence_factory(a, L)
-    key_equal = _inner_fn(rep)
-    vectors = list(M)
-    exact = rep.exact and all(is_exact_scalar(c) for w in vectors for c in w.coeffs.values())
-    basis = _orthogonal_basis(vectors, key_equal, exact)
-    if not basis:
-        raise SchemaError("M must span a nonzero subspace")
-    _check_invariant(rep, vectors, basis, key_equal, exact)
-
+    span = _invariant_span(rep, list(M))
     norms = []
     w = v
     for l in range(1, L + 1):
@@ -491,6 +473,6 @@ def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L:
         if not (isometry and in_plus):
             raise NotUnit(f"a_{l} is not an isometry in the creation span")
         w = apply_element(rep, adjoint(al), w)
-        r = _project_out(w, basis, key_equal, exact)
-        norms.append(sqrt(abs(complex(r.norm2(key_equal)))))
+        r = span.residual(span.factor.score(w))
+        norms.append(sqrt(abs(complex(span.factor.inner(r, r)))))
     return norms

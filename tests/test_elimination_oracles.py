@@ -1,22 +1,26 @@
 """Exact elimination against independent oracles.
 
-Two oracles: sympy (``Matrix.rref``, ``nullspace``, ``rank``, ``LUsolve`` and
-``gauss_jordan_solve``), and the rational Gauss-Jordan loop the package used
-before its elimination went fraction-free, kept here as
-``reference_eliminate``.  It is fed ints as Fractions, because its int / int
-division is a float.  Outputs must agree entry by entry, not only as spans:
-the reduced echelon form and the nullspace basis built from it are unique.
+Two oracles: sympy (``Matrix.rref``, ``nullspace``, ``rank``, ``LUsolve``,
+``gauss_jordan_solve`` and ``is_positive_semidefinite``), and the rational
+Gauss-Jordan loop the package used before its elimination went
+fraction-free, kept here as ``reference_eliminate``.  It is fed ints as
+Fractions, because its int / int division is a float.  Outputs must agree
+entry by entry, not only as spans: the reduced echelon form and the
+nullspace basis built from it are unique.  The exact PSD verdict must agree
+with sympy's on drawn Hermitian matrices, and each way the L D L* stream can
+refuse a matrix has a pinned case.
 """
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import Inconsistent, QQi
-from cuntzlab.linalg import _eliminate, kernel_basis, min_norm_solution, rank, solve
+from cuntzlab.linalg import _eliminate, hermitian_psd_check, kernel_basis, min_norm_solution, rank, solve
+from cuntzlab.scalars import conj
 
 
 def reference_eliminate(rows, ncols):
@@ -189,3 +193,119 @@ def test_min_norm_solution_of_the_solver_system():
     basis = [[F(1), F(0), F(1, 2), F(0)], [F(0), F(0), F(1), F(1)]]
     constraints = [[1, 0, 0, 0], [0, 1, 0, 0]]
     assert as_qqi(min_norm_solution(basis, constraints, [1, 0])) == min_norm_oracle(basis, constraints, [1, 0])
+
+
+def sympy_psd(g):
+    """sympy's verdict on the Hermitian g.  A Gaussian matrix H = A + iB goes
+    in as its real form [[A, -B], [B, A]], PSD exactly when H is: sympy's
+    Cholesky leaves complex radicals it cannot sign, and answers None."""
+    h = to_sympy(g)
+    if any(x.has(sympy.I) for x in h):
+        a, b = h.applyfunc(sympy.re), h.applyfunc(sympy.im)
+        h = sympy.BlockMatrix([[a, -b], [b, a]]).as_explicit()
+    verdict = h.is_positive_semidefinite
+    assert verdict is not None
+    return verdict
+
+
+def gram_of_rows(b):
+    """B B*: Hermitian and PSD, of rank at most the width of B."""
+    return [[sum((x * conj(y) for x, y in zip(ri, rj)), 0) for rj in b] for ri in b]
+
+
+def low_rank_factors(elements):
+    """B with d rows and fewer columns than rows (one column when d = 1)."""
+    return st.integers(1, 4).flatmap(lambda d: st.integers(1, max(1, d - 1)).flatmap(
+        lambda k: st.lists(st.lists(elements, min_size=k, max_size=k), min_size=d, max_size=d)))
+
+
+def perturbed(g, i, j, t):
+    """g with t added at (i, j) and conj(t) at (j, i); on the diagonal,
+    |Re t| is subtracted, so a diagonal entry only goes down."""
+    g = [list(row) for row in g]
+    if i == j:
+        t = t.re if isinstance(t, QQi) else t
+        g[i][i] = g[i][i] - abs(t)
+    else:
+        g[i][j] = g[i][j] + t
+        g[j][i] = g[j][i] + conj(t)
+    return g
+
+
+def perturbations(elements):
+    return low_rank_factors(elements).flatmap(lambda b: st.tuples(
+        st.just(gram_of_rows(b)), st.integers(0, len(b) - 1), st.integers(0, len(b) - 1), elements))
+
+
+int_entries = st.integers(-4, 4)
+
+
+@settings(max_examples=60)
+@given(low_rank_factors(entries))
+def test_psd_of_rank_deficient_rational_grams_matches_sympy(b):
+    g = gram_of_rows(b)
+    assert hermitian_psd_check(g)[0] is sympy_psd(g) is True
+
+
+@settings(max_examples=30)
+@given(low_rank_factors(gaussian_entries))
+def test_psd_of_rank_deficient_gaussian_grams_matches_sympy(b):
+    g = gram_of_rows(b)
+    assert hermitian_psd_check(g)[0] is sympy_psd(g) is True
+
+
+@settings(max_examples=60)
+@given(perturbations(entries))
+def test_psd_of_perturbed_rational_grams_matches_sympy(case):
+    g = perturbed(*case)
+    assert hermitian_psd_check(g)[0] == sympy_psd(g)
+
+
+@settings(max_examples=30)
+@given(perturbations(gaussian_entries))
+def test_psd_of_perturbed_gaussian_grams_matches_sympy(case):
+    g = perturbed(*case)
+    assert hermitian_psd_check(g)[0] == sympy_psd(g)
+
+
+@settings(max_examples=60)
+@given(perturbations(int_entries))
+def test_psd_of_int_matrices_matches_sympy(case):
+    # int entries, as the level-2 gate sees from a functional returning ints
+    g = perturbed(*case)
+    assert hermitian_psd_check(g)[0] == sympy_psd(g)
+
+
+# each way the exact stream refuses a matrix: rows are scored in order, a
+# positive residual makes a pivot, a zero residual a null row
+PSD_REFUSALS = {
+    # row 1 has zero diagonal but couples to pivot 0: its residual is -1
+    "zero_diagonal_with_a_coupling": [[1, 1], [1, 0]],
+    # row 1 is null against pivot 0; pivot 2 gives it the coordinate 1
+    "null_row_coupled_to_a_later_pivot": [[1, 1, 1], [1, 1, 2], [1, 2, 3]],
+    # rows 1 and 2 are null against pivot 0, with Schur coupling 2 - 1
+    "two_coupled_null_rows": [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
+    # no pivot at all: two zero diagonals joined by an entry
+    "two_coupled_zero_rows": [[F(0), F(1, 2)], [F(1, 2), F(0)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSD_REFUSALS))
+def test_psd_refusals_match_sympy(name):
+    g = PSD_REFUSALS[name]
+    assert sympy_psd(g) is False
+    ok, witness = hermitian_psd_check(g)
+    assert not ok and witness < 0
+
+
+def test_psd_refuses_a_non_real_diagonal():
+    # 1 + i on the diagonal: its real part alone would pass
+    assert hermitian_psd_check([[QQi(1), QQi(0)], [QQi(0), QQi(1, 1)]])[0] is False
+
+
+def test_null_rows_that_stay_null_pass():
+    # rows 1 and 3 repeat rows 0 and 2; row 4 is zero
+    v = [[F(1), F(2)], [F(1), F(2)], [F(0), F(3)], [F(0), F(3)], [F(0), F(0)]]
+    g = gram_of_rows(v)
+    assert hermitian_psd_check(g) == (True, None)
+    assert sympy_psd(g) is True

@@ -9,9 +9,13 @@ pairs reach every rule of ``equivalent`` and whose states reach every purity
 reason.  The expected files were written by the code before the per-state
 facts record replaced the family switches, so a refactor that changes any
 printed answer fails here.  ``tests/golden/<name>.fcs.json`` holds the stdout
-of ``cuntzlab fcs <spec> --format json`` for the gauge twists, written while
-every twisted moment was still the double sum over both gauge images.  A
-deliberate answer change regenerates the file and says so in CHANGES.md.
+of ``cuntzlab fcs <spec> --format json`` for every spec: those of the gauge
+twists were written while every twisted moment was still the double sum over
+both gauge images, the others before the Gram growth, the PSD gate and the
+grading moved onto one L D L* kernel.  They pin the pivot order, the metric
+and the A_i the factor drives, or the lower bound where the rank still grows
+at the level cap.  A deliberate answer change regenerates the file and says
+so in CHANGES.md.
 
 The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
 """

@@ -1,5 +1,7 @@
 """Exact simulator for permutative representations on shift and grid spaces."""
 
+from math import sqrt
+
 import pytest
 
 from cuntzlab import (
@@ -18,6 +20,7 @@ from cuntzlab import (
     monomial,
     vector_state,
 )
+from cuntzlab.scalars import DEFAULT_EQ_TOL
 from cuntzlab.shiftrep import LazyWord, StateVector
 
 from conftest import fr, q
@@ -196,3 +199,91 @@ class TestGradingAndConvergence:
         v = StateVector({((), 1): q(fr(3, 5)), ((), 0): q(fr(4, 5))})
         out = apply_element(rep, monomial(2, (1,), (2,)), v)
         assert out == StateVector({((1,), 2): q(fr(3, 5))})
+
+
+def gram_schmidt(vectors, seed=()):
+    """Modified Gram-Schmidt of ``vectors`` against the orthogonal ``seed``:
+    the residuals that are not zero, unnormalized."""
+    new = []
+    for v in vectors:
+        r = v
+        for b in list(seed) + new:
+            r = r - b.scale(b.inner(r) / b.norm2())
+        if not r.is_zero():
+            new.append(r)
+    return new
+
+
+def reference_grading(rep, M, depth):
+    """H_0 = span(M); H_k = the part of the level-k images orthogonal to
+    H_0 .. H_(k-1), each by Gram-Schmidt."""
+    levels = [gram_schmidt(M)]
+    spanning, accumulated = levels[0], list(levels[0])
+    for _ in range(depth):
+        images = [apply_generator(rep, b, i) for b in spanning for i in range(1, rep.n + 1)]
+        spanning = gram_schmidt(images)
+        levels.append(gram_schmidt(images, accumulated))
+        accumulated += levels[-1]
+    return levels
+
+
+class TestGradingOfANonOrthogonalSubspace:
+    """On the shift space of x = (12)^inf, s_1* and s_2* swap e_x and
+    e_x' (x' = (21)^inf) or kill them, so span{e_x, e_x'} is invariant.  M
+    spans it with two non-orthogonal Gaussian combinations, and the images
+    s_1 e_x' = e_x, s_2 e_x = e_x' fall back onto it."""
+
+    X, XP = ep((), (1, 2)), ep((), (2, 1))
+    M = [
+        StateVector({X: q(1, 1), XP: q(fr(1, 2))}),
+        StateVector({X: q(2), XP: q(fr(-1, 3), 1)}),
+    ]
+    # v = 3/5 e_{111x} + 4i/5 e_{122x} + e_x, pulled back along the letters
+    # 1, 1, 1, 2: at distances 1, 3/5 (3/5 e_{1x} is left outside), 0, 0
+    V = StateVector({ep((1, 1, 1), (1, 2)): q(fr(3, 5)), ep((1, 2, 2), (1, 2)): q(0, fr(4, 5)), X: q(1)})
+    LETTERS = (1, 1, 1, 2)
+    A = [gen(2, i) for i in LETTERS]
+
+    def float_twin(self, v):
+        return StateVector({k: complex(c) for k, c in v.items()})
+
+    def test_vectors_and_images_are_not_orthogonal(self):
+        rep = ShiftRepresentation(self.X)
+        assert self.M[0].inner(self.M[1]) != 0
+        images = [apply_generator(rep, v, i) for v in self.M for i in (1, 2)]
+        assert any(a.inner(b) != 0 for a in images for b in images if a is not b)
+
+    def test_exact_levels_match_gram_schmidt(self):
+        rep = ShiftRepresentation(self.X)
+        levels = dhj_grading(rep, self.M, 3)
+        assert levels == reference_grading(rep, self.M, 3)
+        assert [len(level) for level in levels] == [2, 2, 4, 8]
+        flat = [b for level in levels for b in level]
+        assert all(a.inner(b) == 0 for i, a in enumerate(flat) for b in flat[i + 1:])
+
+    def test_exact_distances_match_gram_schmidt(self):
+        rep = ShiftRepresentation(self.X)
+        base = gram_schmidt(self.M)
+        expected, w = [], self.V
+        for i in self.LETTERS:
+            w = apply_generator(rep, w, i, dagger=True)
+            r = gram_schmidt([w], base)
+            expected.append(sqrt(abs(complex(r[0].norm2()))) if r else 0.0)
+        assert lemma_convergence_check(rep, self.M, self.A, self.V, 4) == expected == [1.0, 0.6, 0.0, 0.0]
+
+    def test_float_grading_matches_its_exact_twin(self):
+        rep = ShiftRepresentation(self.X)
+        exact = dhj_grading(rep, self.M, 3)
+        levels = dhj_grading(rep, [self.float_twin(v) for v in self.M], 3)
+        assert [len(level) for level in levels] == [len(level) for level in exact]
+        flat = [b for level in levels for b in level]
+        for i, a in enumerate(flat):
+            for j, b in enumerate(flat):
+                assert abs(a.inner(b) - (i == j)) <= DEFAULT_EQ_TOL
+
+    def test_float_distances_match_their_exact_twins(self):
+        rep = ShiftRepresentation(self.X)
+        exact = lemma_convergence_check(rep, self.M, self.A, self.V, 4)
+        approx = lemma_convergence_check(rep, [self.float_twin(v) for v in self.M], self.A,
+                                         self.float_twin(self.V), 4)
+        assert approx == pytest.approx(exact, abs=1e-12)

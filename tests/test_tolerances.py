@@ -1,10 +1,10 @@
 """Float tolerances are fixed constants, not a knob threaded through the library.
 
 Equality tests compare against ``DEFAULT_EQ_TOL`` and rank decisions against
-``DEFAULT_RANK_TOL``.  Only the zero and closeness tests take a ``tol``,
-because some library callers need exact (0.0) or tighter comparisons, plus
-``gram_growth`` and its ``_grow``, whose ``tol`` the benchmark tracer binds by
-name.
+``DEFAULT_RANK_TOL``.  Only the scalar zero and closeness tests take a
+``tol``, because some library callers need exact (0.0) or tighter
+comparisons, plus ``gram_growth`` and its ``_grow``, whose ``tol`` the
+benchmark tracer binds by name.
 """
 
 import argparse
@@ -20,7 +20,6 @@ import cuntzlab.cli as cli
 TAKE_TOL = {
     "scalars.scalar_is_zero",
     "scalars.scalars_close",
-    "shiftrep.StateVector.is_zero",
     "classify.gram_growth",
     "classify._grow",
 }
@@ -48,7 +47,7 @@ def test_the_walk_sees_the_library():
     assert {"classify.kappa", "linalg.rank", "moments.MomentFunctional.lookup", "specio.parse_spec"} <= names
 
 
-def test_exactly_five_functions_take_tol():
+def test_exactly_four_functions_take_tol():
     assert {name for name, fn in _functions() if "tol" in inspect.signature(fn).parameters} == TAKE_TOL
 
 
