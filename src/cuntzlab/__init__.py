@@ -59,6 +59,7 @@ from .moments import (
     IsometrySequence,
     MomentFunctional,
     StateFacts,
+    VectorModel,
     eval_moment,
     gram_matrix,
     hat_parameter,
@@ -101,7 +102,7 @@ __all__ = [
     # symbolic algebra
     "CuntzElement", "adjoint", "gauge_apply", "gen", "identity", "monomial", "multiply",
     # states
-    "IsometrySequence", "MomentFunctional", "StateFacts", "eval_moment", "gram_matrix",
+    "IsometrySequence", "MomentFunctional", "StateFacts", "VectorModel", "eval_moment", "gram_matrix",
     "hat_parameter", "hat_parameter_inverse", "make_cuntz", "make_geometric_progression",
     "make_induced_product", "make_mixture", "make_prefix_code_state",
     "make_split_series_sandwich", "make_sub_cuntz", "positivity_check",

@@ -318,31 +318,48 @@ def verify_properly_infinite(omega: MomentFunctional, a=None, cutoff: int = 12) 
 
     ``a`` may be an isometry sequence attached by a family constructor, a
     callable i -> a_i, or a plain sequence; omitted, the state's own attached
-    sequence is used.  Each a_i must be an isometry in the creation span.
-    The cost grows with the number of terms of the prefix products, so dense
-    multi-term sequences want a modest cutoff.
+    sequence is used.  Each a_i must be an isometry in the creation span,
+    which is checked on the product a_i* a_i.
+
+    With P_l = a_1..a_l the entry is <v(P_l), v(P_k)> for v(P) = pi(P)* Omega.
+    A state with a vector model steps v(P_l) = pi(a_l)* v(P_(l-1)), with
+    pi(a)* = sum_W conj(b_W) pi(s_W)* for a = sum_W b_W s_W: cutoff steps of
+    one a_i each, then cutoff^2 inner products, and no prefix product is
+    multiplied out.  Any other state multiplies the prefix products out and reads the
+    double sum of omega(s_J s_K*) over their terms, which grows with their
+    number of terms: dense multi-term sequences want a modest cutoff there.
     """
     flagged = omega.facts.sequence
     seq = a if a is not None else flagged
     if seq is None:
         raise SchemaError("no isometry sequence supplied and the state carries none")
     factory = sequence_factory(seq, cutoff)
-    prods = [identity(omega.n)]
+    model = omega.facts.model
+    prods = [identity(omega.n) if model is None else model.vector(())]
     for i in range(1, cutoff + 1):
         ai = factory(i)
         isometry, in_plus = is_isometry_in_plus(ai)
         if not (isometry and in_plus):
             raise NotUnit(f"sequence element {i} is not an isometry in the creation span")
-        prods.append(multiply(prods[-1], ai))
-    # the prefix products stay in the creation span: s_J terms only
-    vectors = [{J: c for (J, _), c in p.terms.items()} for p in prods]
+        if model is None:
+            prods.append(multiply(prods[-1], ai))
+        elif ai.n != omega.n:
+            raise SchemaError(f"elements over different algebras: n={omega.n} vs n={ai.n}")
+        else:
+            prods.append(model.adjoint_image(ai, prods[-1]))
+    if model is None:
+        # the prefix products stay in the creation span: s_J terms only
+        vectors = [{J: c for (J, _), c in p.terms.items()} for p in prods]
+        entry = omega.moment_of_pair
+    else:
+        vectors, entry = prods, model.inner
 
     table = []
     delta_ok = True
     for l in range(1, cutoff + 1):
         row = []
         for k in range(1, cutoff + 1):
-            val = omega.moment_of_pair(vectors[l], vectors[k])
+            val = entry(vectors[l], vectors[k])
             row.append(val)
             if not scalars_close(val, 1 if l == k else 0):
                 delta_ok = False

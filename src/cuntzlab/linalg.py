@@ -38,8 +38,18 @@ __all__ = [
 ]
 
 
+_EXACT_TYPES = frozenset((int, Fraction, QQi))
+
+
 def matrix_is_exact(rows) -> bool:
-    return all(is_exact_scalar(x) for row in rows for x in row)
+    """Whether every entry is an exact scalar.  Row by row, the set of entry
+    types is checked against the exact ones, and the isinstance scan runs only
+    on a row where some other type appears, so a float matrix stops at its
+    first row."""
+    for row in rows:
+        if not set(map(type, row)) <= _EXACT_TYPES and not all(is_exact_scalar(x) for x in row):
+            return False
+    return True
 
 
 def mat_vec(rows, v):

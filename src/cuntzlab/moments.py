@@ -28,11 +28,14 @@ label.  Which constructor fills which fact:
 * ``make_induced_product(...)``   -- product states induced from a sequence of
                                      unit vectors, nonzero only on balanced
                                      monomials.  The inducing blocks, a proved
-                                     isometry sequence and purity (not pure).
+                                     isometry sequence, purity (not pure) and
+                                     a vector model.
 * ``make_mixture(...)``           -- convex combinations; purity (not pure).
 * ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
                                      from the base only its Cuntz parameter
                                      (moved by g^H) and its purity.  Exact
+                                     twists of a modelled base step its
+                                     vectors and keep a model; other exact
                                      twists read moments through the base's
                                      presentation, O(|J| d^2) each; float
                                      twists and bases whose Gram rank still
@@ -48,7 +51,7 @@ label.  Which constructor fills which fact:
 * ``shiftrep.vector_state``       -- vector states of the shift and grid
                                      representations: purity, shift period,
                                      tail class, minimal isometry or isometry
-                                     sequence.
+                                     sequence, and a vector model.
 
 Facts that depend on a float comparison (the Cuntz parameter of a
 progression state, the tail class of a single-support state) are decided at
@@ -56,7 +59,10 @@ construction with the fixed tolerance ``scalars.DEFAULT_EQ_TOL``, the same
 one classification uses, so the two always agree.
 
 Inner products are linear in the second argument throughout, so
-omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.
+omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Where a family knows
+these vectors in closed form it records a :class:`VectorModel`
+(``facts.model``), and its moments, the moments of its exact gauge twists
+and its delta tables are inner products of vectors memoized by prefix.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ __all__ = [
     "IsometrySequence",
     "sequence_factory",
     "InducingBlocks",
+    "VectorModel",
     "StateFacts",
     "MomentFunctional",
     "eval_moment",
@@ -150,6 +157,74 @@ class InducingBlocks(NamedTuple):
         return self.rep[(t - len(self.pre) - 1) % len(self.rep)]
 
 
+def _walk_prefixes(vectors: dict, J: Word, step: Callable):
+    """v_J from the longest prefix of J in ``vectors`` (which holds ()), by
+    v_{Ji} = step(v_J, i), memoizing every longer prefix on the way."""
+    v = vectors.get(J)
+    if v is None:
+        known = len(J) - 1
+        while J[:known] not in vectors:
+            known -= 1
+        v = vectors[J[:known]]
+        for t in range(known, len(J)):
+            v = vectors[J[:t + 1]] = step(v, J[t])
+    return v
+
+
+class VectorModel:
+    """The vectors v_J = pi(s_J)* Omega of a state, reached letter by letter.
+
+    ``start`` is Omega, ``step(v, i)`` is pi(s_i)* v, ``inner(a, b)`` the
+    inner product (linear in b) divided by |Omega|^2, and ``combine(pairs)``
+    the linear combination sum c v over (c, v) pairs.  Then
+    omega(s_J s_K*) = inner(v_J, v_K), and v_J is memoized by prefix:
+    v_{Ji} = step(v_J, i).  A vector may carry its own depth (the induced
+    products keep one coefficient per depth), so a step can depend on it.
+    ``exact`` says whether the model computes in exact scalars only.
+    """
+
+    __slots__ = ("step", "inner", "combine", "exact", "_vectors")
+
+    def __init__(self, start, step: Callable, inner: Callable, combine: Callable, exact: bool):
+        self.step = step
+        self.inner = inner
+        self.combine = combine
+        self.exact = exact
+        self._vectors: dict[Word, object] = {(): start}
+
+    def vector(self, J: Word):
+        """v_J = pi(s_J)* Omega, memoized with every prefix of J."""
+        return _walk_prefixes(self._vectors, J, self.step)
+
+    def moment(self, J: Word, K: Word):
+        """omega(s_J s_K*) = <v_J, v_K>."""
+        return self.inner(self.vector(J), self.vector(K))
+
+    def adjoint_image(self, x: CuntzElement, v):
+        """pi(x)* v = sum_W conj(b_W) pi(s_W)* v for x = sum_W b_W s_W in the
+        creation span; pi(s_W)* strips the letters of W first letter first."""
+        step = self.step
+
+        def strip(u, W: Word):
+            for i in W:
+                u = step(u, i)
+            return u
+
+        return self.combine([(conj(b), strip(v, W)) for (W, _), b in x.terms.items()])
+
+    def twisted(self, g) -> "VectorModel":
+        """The model of omega o alpha_g on the same vectors: pi(alpha_g(s_i))* =
+        sum_j conj(g_ji) pi(s_j)*, the zero entries of the exact g skipped."""
+        n = len(g)
+        columns = [[(conj(g[j][i]), j + 1) for j in range(n) if g[j][i] != 0] for i in range(n)]
+        step, combine = self.step, self.combine
+
+        def twisted_step(v, i: int):
+            return combine([(c, step(v, j)) for c, j in columns[i - 1]])
+
+        return VectorModel(self._vectors[()], twisted_step, self.inner, combine, self.exact)
+
+
 _UNKNOWN_PURITY = ("Unknown", "no purity criterion applies to this presentation")
 _PURE_IN_PURE = "unit vector state in the irreducible representation of a pure state"
 
@@ -174,7 +249,12 @@ class StateFacts:
       still to be verified;
     * ``sequence``: an isometry sequence with its delta-table status;
     * ``twist``: (base, g) for the state base o alpha_g;
-    * ``solution_dim``: dimension of the fixed-point system of a prefix code.
+    * ``solution_dim``: dimension of the fixed-point system of a prefix code;
+    * ``model``: a :class:`VectorModel` of the state, when the family has one
+      in closed form (induced products, shift and grid vector states, and
+      twists of an exactly modelled base by an exact g).  The family's
+      moments are its inner products, and a delta table steps its vectors
+      instead of multiplying out prefix products.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -188,13 +268,16 @@ class StateFacts:
     sequence: IsometrySequence | None = None
     twist: tuple | None = None
     solution_dim: int | None = None
+    model: VectorModel | None = None
 
 
 class MomentFunctional:
     """A state on O_n presented through its moments omega(s_J s_K*).
 
     ``family`` labels the constructor (for display and tracing only);
-    ``facts`` holds what the constructor proved.
+    ``facts`` holds what the constructor proved.  A modelled family's
+    ``evaluator`` reads ``facts.model``, whose prefix-memoized vectors live
+    as long as the state, next to the moment memo.
     """
 
     def __init__(
@@ -706,7 +789,9 @@ def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
 
     z^(t) runs through pre_blocks then cycles rep_blocks; the moments are
     omega(s_J s_K*) = conj(z_J) z_K when |J| = |K| and 0 otherwise, with
-    z_J = prod_t z^(t)_{j_t}.
+    z_J = prod_t z^(t)_{j_t}.  The vector model reads this off orthonormal
+    vectors e_0, e_1, ... with Omega = e_0 and pi(s_i)* e_t = z^(t+1)_i e_(t+1),
+    so v_J = z_J e_|J|; a vector is the map {depth t: coefficient of e_t}.
     """
     pre = tuple(tuple(b) for b in pre_blocks)
     rep = tuple(tuple(b) for b in rep_blocks)
@@ -719,23 +804,23 @@ def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
     exact = all(is_exact_scalar(x) for b in pre + rep for x in b)
     blocks = InducingBlocks(pre, rep)
     block = blocks.at
-    paths = {(): 1}
+    zero_moment = QQi(0) if exact else 0j
 
-    def path_product(J: Word):
-        # z_J = z_{J minus its last letter} z^(|J|)_{last letter}, memoized by prefix
-        known = len(J)
-        while J[:known] not in paths:
-            known -= 1
-        out = paths[J[:known]]
-        for t in range(known, len(J)):
-            out = out * block(t + 1)[J[t] - 1]
-            paths[J[:t + 1]] = out
+    def step(v: dict, i: int) -> dict:
+        return {t + 1: c * block(t + 1)[i - 1] for t, c in v.items()}
+
+    def inner(a: dict, b: dict):
+        terms = [conj(c) * b[t] for t, c in a.items() if t in b]
+        return sum(terms[1:], terms[0]) if terms else zero_moment
+
+    def combine(pairs) -> dict:
+        out: dict = {}
+        for c, v in pairs:
+            for t, x in v.items():
+                out[t] = out[t] + c * x if t in out else c * x
         return out
 
-    def evaluator(J: Word, K: Word):
-        if len(J) != len(K):
-            return QQi(0) if exact else 0j
-        return conj(path_product(J)) * path_product(K)
+    model = VectorModel({0: 1}, step, inner, combine, exact)
 
     seq = IsometrySequence(
         lambda i: CuntzElement(n, {((j,), ()): block(i)[j - 1] for j in range(1, n + 1)}),
@@ -747,8 +832,9 @@ def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
                            "aligns it with itself, the overlap series converges, and the state decomposes"),
         induced=blocks,
         sequence=seq,
+        model=model,
     )
-    return MomentFunctional(n, "induced_product", evaluator, facts=facts, exact=exact)
+    return MomentFunctional(n, "induced_product", model.moment, facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -781,28 +867,39 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
 def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j.
 
-    Moments come one of two ways:
+    Moments come one of three ways:
 
-    * Exact twists (an exact base and exact g) read the base's presentation
-      (A_i, Omega, G), fetched on the first moment from the base's Gram
-      growth at the default level cap 8 (shared with kappa, which delegates
-      a twist to its base).  The twist changes only the matrices,
-      A'_i = sum_j conj(g_ji) A_j, so omega(alpha_g(s_J s_K*)) =
+    * Twists by an exact g of a base with an exact vector model (exact
+      induced products; shift, lazy shift and grid vector states with exact
+      coefficients; such twists again) step the base's own vectors by
+      S'_i = sum_j conj(g_ji) S_j, where S_j is the base's pi(s_j)*:
+      omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>, a QQi.  The
+      twist keeps this model, needs no Gram growth of its base, and costs
+      at most n base steps per letter.  A lazy shift state computes
+      exactly but is marked inexact (its letters are known to a horizon),
+      and so is its twist.
+    * Other exact twists (an exact base and exact g) read the base's
+      presentation (A_i, Omega, G), fetched on the first moment from the
+      base's Gram growth at the default level cap 8 (shared with kappa,
+      which delegates a twist to its base).  The twist changes only the
+      matrices, A'_i = sum_j conj(g_ji) A_j, so omega(alpha_g(s_J s_K*)) =
       <A'_J Omega, A'_K Omega>_G.  Vectors are memoized by prefix and their
       metric images by word: O(|J| d^2) per new moment for d = cdim of the
       base, after a one-time O(n d^3) solve.
-    * Float twists, and exact bases whose growth is still rising at the cap
-      (induced products, the series sandwich), expand alpha_g(s_J) into its
-      n^|J| words and sum n^(|J|+|K|) base moments per moment.
+    * Float twists, and unmodelled exact bases whose growth is still rising
+      at the cap (the series sandwich), expand alpha_g(s_J) into its n^|J|
+      words and sum n^(|J|+|K|) base moments per moment.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
-    (alpha_g is inverted by alpha of the conjugate transpose), and the purity
-    verdict; everything else classify derives through ``facts.twist``.
+    (alpha_g is inverted by alpha of the conjugate transpose), the purity
+    verdict and, on the first path, the twisted model; everything else
+    classify derives through ``facts.twist``.
     """
     n = omega.n
     check_unitary(g, n)
     g = tuple(tuple(row) for row in g)
-    exact = omega.exact and all(is_exact_scalar(x) for row in g for x in row)
+    g_exact = all(is_exact_scalar(x) for row in g for x in row)
+    exact = omega.exact and g_exact
 
     image = cache(lambda J: gauge_image(g, J))
 
@@ -817,9 +914,24 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     verdict, reason = base.purity
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
-    facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g))
-    evaluator = _presented_twist(omega, g, expanded) if exact else expanded
+    model = base.model.twisted(g) if g_exact and base.model is not None and base.model.exact else None
+    facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
+    if model is not None:
+        evaluator = _as_qqi(model.moment)
+    elif exact:
+        evaluator = _presented_twist(omega, g, expanded)
+    else:
+        evaluator = expanded
     return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=exact)
+
+
+def _as_qqi(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], object]:
+    # an exact twist's moments are QQi on every path, as the expansion gives them
+    def evaluator(J: Word, K: Word):
+        value = evaluate(J, K)
+        return value if isinstance(value, QQi) else QQi(value)
+
+    return evaluator
 
 
 def _sparse_mat_vec(rows, v) -> list:
@@ -848,25 +960,21 @@ def _presented_twist(omega: MomentFunctional, g, fallback: Callable[[Word, Word]
         vectors: dict[Word, list] = {(): list(F.omega)}
         metric_images: dict[Word, list] = {}
 
+        def step(v: list, i: int) -> list:
+            return _sparse_mat_vec(A[i - 1], v)
+
         def vector(J: Word) -> list:
             # A'_J Omega = A'_{j_l} (A'_{j_1..j_(l-1)} Omega), memoized by prefix
-            known = len(J)
-            while J[:known] not in vectors:
-                known -= 1
-            v = vectors[J[:known]]
-            for t in range(known, len(J)):
-                v = vectors[J[:t + 1]] = _sparse_mat_vec(A[J[t] - 1], v)
-            return v
+            return _walk_prefixes(vectors, J, step)
 
         def evaluator(J: Word, K: Word):
             right = metric_images.get(K)
             if right is None:
                 right = metric_images[K] = _sparse_mat_vec(F.metric, vector(K))
-            value = sum((conj(a) * b for a, b in zip(vector(J), right) if a and b), 0)
-            # a zero or real sum comes out as int or Fraction; the expansion gives QQi
-            return value if isinstance(value, QQi) else QQi(value)
+            return sum((conj(a) * b for a, b in zip(vector(J), right) if a and b), 0)
 
-        return evaluator
+        # a zero or real sum comes out as int or Fraction
+        return _as_qqi(evaluator)
 
     def evaluator(J: Word, K: Word):
         nonlocal chosen
@@ -979,7 +1087,9 @@ def positivity_check(omega: MomentFunctional, level: int = 2):
 
     Returns (ok, min_eigenvalue_estimate), as ``hermitian_psd_check`` does:
     the estimate is a float numpy eigenvalue for a float state and for an
-    exact state that fails, and None for an exact state that passes.
+    exact state that fails, and None for an exact state that passes.  The
+    words are listed here, so their moments are read through ``lookup``
+    without validating each word again.
     """
     words = list(words_upto(omega.n, level))
-    return hermitian_psd_check(gram_matrix(omega, words))
+    return hermitian_psd_check([[omega.lookup(a, b) for b in words] for a in words])

@@ -28,13 +28,14 @@ in float mode the Gram growth's rank rule decides which vectors are new.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import sqrt
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotInvariant, NotUnit, SchemaError
 from .linalg import LDLFactor
-from .moments import IsometrySequence, MomentFunctional, StateFacts, sequence_factory
+from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, sequence_factory
 from .scalars import conj, is_exact_scalar, scalar_is_zero
 from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
 from .words import EventuallyPeriodicWord, LazyWord, Word
@@ -295,7 +296,10 @@ def vector_state(rep, x) -> MomentFunctional:
     """The state omega(y) = <v, pi(y) v> / <v, v> of a vector in the representation.
 
     x may be a basis key or a StateVector.  Moments divide by the squared norm,
-    so unnormalized exact vectors stay exact.  The facts record holds what the
+    so unnormalized exact vectors stay exact.  They are read off the state's
+    vector model (``facts.model``): v_J = pi(s_J)* v is the sparse vector
+    under ``apply_generator(..., dagger=True)``, memoized by prefix, and
+    omega(s_J s_K*) = <v_J, v_K> / <v, v>.  The facts record holds what the
     representation provides: purity (both models are irreducible); for an
     eventually periodic word the tail class and the shift period, plus a
     fixed isometry (minimality) for a purely periodic basis vector; a grid
@@ -312,16 +316,31 @@ def vector_state(rep, x) -> MomentFunctional:
     if scalar_is_zero(nrm2, None):
         raise SchemaError("the zero vector does not define a state")
 
-    def evaluator(J: Word, K: Word):
-        left = _strip_word(rep, v, J)
-        right = _strip_word(rep, v, K)
-        val = left.inner(right, key_equal)
+    ratios: dict[int, Fraction] = {}
+
+    def inner(a: StateVector, b: StateVector):
+        val = a.inner(b, key_equal)
+        if type(val) is int and type(nrm2) is int:
+            # a Gram matrix repeats a few integer values: one shared Fraction each, not one per entry
+            ratio = ratios.get(val)
+            if ratio is None:
+                ratio = ratios[val] = Fraction(val, nrm2)
+            return ratio
         if is_exact_scalar(val) and is_exact_scalar(nrm2):
-            return val / nrm2 if not isinstance(val, int) or not isinstance(nrm2, int) else Fraction(val, nrm2)
+            return val / nrm2
         return complex(val) / complex(nrm2)
 
+    exact_coeffs = all(is_exact_scalar(c) for c in v.coeffs.values())
+    model = VectorModel(
+        v,
+        lambda u, i: apply_generator(rep, u, i, dagger=True),
+        inner,
+        lambda pairs: sum((u.scale(c) for c, u in pairs), StateVector()),
+        exact_coeffs,
+    )
+
     n = rep.n
-    exact = rep.exact and all(is_exact_scalar(c) for c in v.coeffs.values())
+    exact = rep.exact and exact_coeffs
     single_key = next(iter(v.coeffs)) if len(v) == 1 else None
     # a vector state of an irreducible representation is pure
     shift_pure = ("Pure", "vector state of an irreducible shift representation")
@@ -380,7 +399,7 @@ def vector_state(rep, x) -> MomentFunctional:
     else:
         family = "vector"
         facts = StateFacts()
-    return MomentFunctional(n, family, evaluator, facts=facts, exact=exact)
+    return MomentFunctional(n, family, model.moment, facts=replace(facts, model=model), exact=exact)
 
 
 # ---------------------------------------------------------------------------

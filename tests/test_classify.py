@@ -6,6 +6,8 @@ from math import inf
 import pytest
 
 from cuntzlab import (
+    LAZY_PRESETS,
+    CuntzElement,
     EquivalentToCuntz,
     EventuallyPeriodicWord,
     GridRepresentation,
@@ -15,10 +17,13 @@ from cuntzlab import (
     PurityDecision,
     ShiftPeriod,
     ShiftRepresentation,
+    StateVector,
+    adjoint,
     cdim,
     decompose_spectrum_bucket,
     endo_invariants,
     equivalent,
+    gauge_apply,
     gen,
     hat_parameter,
     identity,
@@ -32,6 +37,7 @@ from cuntzlab import (
     make_split_series_sandwich,
     make_sub_cuntz,
     monomial,
+    multiply,
     pure,
     transform_gauge,
     transform_sandwich,
@@ -39,6 +45,8 @@ from cuntzlab import (
     verify_minimality_certificate,
     verify_properly_infinite,
 )
+from cuntzlab.linalg import hermitian_transpose
+from cuntzlab.scalars import conj
 
 from conftest import fr, q
 
@@ -218,6 +226,98 @@ class TestProperlyInfiniteVerifier:
 
         with pytest.raises(SchemaError):
             verify_properly_infinite(make_cuntz(Z35), cutoff=3)
+
+
+def _double_sum_table(omega, seq, cutoff):
+    """The delta table as it was computed before the vector model: multiply
+    the prefix products a_1..a_l out, then sum x_J conj(y_K) omega(s_J s_K*)
+    over their creation terms."""
+    factory = seq.factory if hasattr(seq, "factory") else (lambda i: seq[i - 1])
+    prods = [identity(omega.n)]
+    for i in range(1, cutoff + 1):
+        prods.append(multiply(prods[-1], factory(i)))
+    vecs = [{J: c for (J, _), c in p.terms.items()} for p in prods]
+    return tuple(
+        tuple(sum((x * conj(y) * omega.moment(J, K) for J, x in vecs[l].items() for K, y in vecs[k].items()), 0)
+              for k in range(1, cutoff + 1))
+        for l in range(1, cutoff + 1)
+    )
+
+
+Z35I = [q(fr(3, 5)), q(0, fr(4, 5))]
+G_C = [[q(fr(3, 5)), q(0, fr(4, 5))], [q(0, fr(4, 5)), q(fr(3, 5))]]
+# 3/5 s_1 + 4/5 s_21: an isometry whose terms have two lengths
+MIXED = CuntzElement(2, {((1,), ()): q(fr(3, 5)), ((2, 1), ()): q(fr(4, 5))})
+
+
+def _induced():
+    return make_induced_product([Z35], [Z35I, [q(fr(5, 13)), q(0, fr(-12, 13))]], 2)
+
+
+class TestDeltaTableThroughTheModel:
+    """Modelled states step v(P_l) = pi(a_l)* v(P_(l-1)); the double sum is the oracle."""
+
+    CASES = {
+        # (state, sequence or None for the state's own, cutoff, expected status)
+        "induced_own": lambda: (_induced(), None, 5, "proved"),
+        "grid_own": lambda: (vector_state(GridRepresentation(2), (5, 0)), None, 5, "proved"),
+        "lazy_own": lambda: (
+            vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 16)), ((), 0)), None, 5, "evidence"),
+        "induced_list": lambda: (
+            _induced(),
+            [CuntzElement(2, {((j,), ()): _induced().facts.induced.at(i)[j - 1] for j in (1, 2)})
+             for i in range(1, 6)],
+            5, "evidence"),
+        "grid_list": lambda: (vector_state(GridRepresentation(3), (1, 0)), [gen(3, 1)] * 4, 4, "evidence"),
+        "induced_mixed_lengths": lambda: (_induced(), [MIXED] * 4, 4, "failed"),
+        "grid_mixed_lengths": lambda: (
+            vector_state(GridRepresentation(2), StateVector({(1, 0): q(1), (4, 1): q(0, 2)})), [MIXED] * 4, 4,
+            "failed"),
+        "grid_wrong_letter": lambda: (vector_state(GridRepresentation(2), (1, 0)), [gen(2, 2)] * 3, 3, "failed"),
+        "twisted_induced_transported": lambda: (
+            transform_gauge(_induced(), G_C),
+            [gauge_apply(hermitian_transpose(G_C), _induced().facts.sequence.factory(i)) for i in range(1, 5)],
+            4, "evidence"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_table_matches_the_double_sum(self, name):
+        omega, seq, cutoff, status = self.CASES[name]()
+        assert omega.facts.model is not None
+        chk = verify_properly_infinite(omega, seq, cutoff=cutoff)
+        assert chk.status == status
+        assert chk.table == _double_sum_table(omega, seq if seq is not None else omega.facts.sequence, cutoff)
+
+    def test_induced_table_multiplies_only_the_isometry_checks_and_reads_no_moment(self, monkeypatch):
+        import cuntzlab.classify as classify_mod
+        import cuntzlab.symalg as symalg_mod
+
+        calls = []
+        real = symalg_mod.multiply
+
+        def counted(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(symalg_mod, "multiply", counted)
+        monkeypatch.setattr(classify_mod, "multiply", counted)
+        omega = _induced()
+
+        def no_moment(J, K):
+            raise AssertionError(f"moment ({J}, {K}) read")
+
+        monkeypatch.setattr(omega, "_evaluator", no_moment)
+        chk = verify_properly_infinite(omega, cutoff=8)
+        assert chk.status == "proved" and len(chk.table) == 8
+        # one product per element, the check a_i* a_i = I; no prefix product is formed
+        seq = omega.facts.sequence.factory
+        assert calls == [(adjoint(seq(i)), seq(i)) for i in range(1, 9)]
+
+    def test_a_sequence_over_another_algebra_is_refused(self):
+        from cuntzlab import SchemaError
+
+        with pytest.raises(SchemaError, match="different algebras"):
+            verify_properly_infinite(_induced(), [gen(3, 1)] * 2, cutoff=2)
 
 
 class TestPurity:

@@ -17,6 +17,14 @@ and the A_i the factor drives, or the lower bound where the rank still grows
 at the level cap.  A deliberate answer change regenerates the file and says
 so in CHANGES.md.
 
+``tests/golden/<name>.moments.json`` holds the stdout of
+``cuntzlab moments <spec> --level 3 --format json`` for every spec, and
+``tests/golden/vector_lazy.kappa.json`` and ``.kappa.txt`` that of ``cuntzlab
+kappa`` on the lazy shift state in both formats (the text one carries the
+delta-table re-check line).  All were written before the induced-product,
+shift and grid states and the exact twists of them read their moments off a
+vector model, so they pin every moment value and its printed form.
+
 The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
 """
 
@@ -33,6 +41,8 @@ HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 SPECS = sorted(p.stem for p in (GOLDEN / "specs").glob("*.json"))
 FCS_SPECS = sorted(p.name.removesuffix(".fcs.json") for p in GOLDEN.glob("*.fcs.json"))
+MOMENT_SPECS = sorted(p.name.removesuffix(".moments.json") for p in GOLDEN.glob("*.moments.json"))
+KAPPA_SPECS = sorted(p.name.removesuffix(".kappa.json") for p in GOLDEN.glob("*.kappa.json"))
 DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 # repeated names give the pairs of equal tensors and equal progression codes
@@ -46,9 +56,9 @@ PAIRWISE = [
 ]
 
 
-def _stdout(command, names, capsys) -> str:
+def _stdout(command, names, capsys, *options, fmt="json") -> str:
     paths = [str(GOLDEN / "specs" / f"{name}.json") for name in names]
-    assert run([command, *paths, "--format", "json"]) == 0
+    assert run([command, *paths, *options, "--format", fmt]) == 0
     return capsys.readouterr().out
 
 
@@ -60,6 +70,20 @@ def test_single_report(name, capsys):
 @pytest.mark.parametrize("name", FCS_SPECS)
 def test_single_fcs(name, capsys):
     assert _stdout("fcs", [name], capsys) == (GOLDEN / f"{name}.fcs.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", MOMENT_SPECS)
+def test_single_moments(name, capsys):
+    out = _stdout("moments", [name], capsys, "--level", "3")
+    assert out == (GOLDEN / f"{name}.moments.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", KAPPA_SPECS)
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_single_kappa(name, fmt, capsys):
+    suffix = "json" if fmt == "json" else "txt"
+    out = _stdout("kappa", [name], capsys, fmt=fmt)
+    assert out == (GOLDEN / f"{name}.kappa.{suffix}").read_text(encoding="utf-8")
 
 
 def test_pairwise_report(capsys):

@@ -10,8 +10,15 @@ from itertools import product
 
 import pytest
 
+from math import cos, sin
+
 from cuntzlab import (
+    LAZY_PRESETS,
     CuntzElement,
+    EventuallyPeriodicWord,
+    GridRepresentation,
+    ShiftRepresentation,
+    StateVector,
     MomentFunctional,
     NotNormalized,
     NotPrefixFree,
@@ -39,6 +46,7 @@ from cuntzlab import (
     solve_low_moments,
     transform_gauge,
     transform_sandwich,
+    vector_state,
     words_upto,
 )
 from cuntzlab.linalg import rank
@@ -220,6 +228,65 @@ class TestInducedProduct:
             make_induced_product([], [[q(1), q(1)]], 2)
 
 
+def _induced_formula(blocks, exact, J, K):
+    """The moments as they were computed before the vector model: conj(z_J) z_K
+    for |J| = |K|, z_J = z^(1)_{j_1} z^(2)_{j_2} ... multiplied left to right
+    from 1, and 0 otherwise."""
+    if len(J) != len(K):
+        return QQi(0) if exact else 0j
+
+    def z(W):
+        out = 1
+        for t, a in enumerate(W):
+            out = out * blocks.at(t + 1)[a - 1]
+        return out
+
+    return conj(z(J)) * z(K)
+
+
+def _model_pairs(n, seed):
+    """Every pair with |J|, |K| <= 4, then 30 seeded pairs of words up to length 12."""
+    short = list(words_upto(n, 4))
+    yield from product(short, short)
+    rng = random.Random(seed)
+    for _ in range(30):
+        length = rng.randint(5, 12)
+        yield tuple(rng.randint(1, n) for _ in range(length)), tuple(rng.randint(1, n) for _ in range(length))
+
+
+def _float_unit(a, b):
+    return [complex(cos(a), 0.0), complex(sin(a) * cos(b), sin(a) * sin(b))]
+
+
+class TestInducedProductModel:
+    """Moments are inner products of v_J = z_J e_|J|; the pre-model formula is the oracle."""
+
+    def test_exact_moments_match_the_formula(self):
+        w = make_induced_product([Z35], [Z35I, [q(fr(5, 13)), q(0, fr(-12, 13))]], 2)
+        for J, K in _model_pairs(2, 5):
+            assert w.moment(J, K) == _induced_formula(w.facts.induced, True, J, K), (J, K)
+
+    def test_exact_moments_over_three_letters(self):
+        w = make_induced_product([], [[q(fr(1, 3)), q(fr(2, 3)), q(0, fr(2, 3))], [q(0), q(1), q(0)]], 3)
+        for J, K in _model_pairs(3, 7):
+            assert w.moment(J, K) == _induced_formula(w.facts.induced, True, J, K), (J, K)
+
+    def test_float_moments_are_bit_identical(self):
+        w = make_induced_product([_float_unit(0.3, 1.1)], [_float_unit(2.0, -0.4), _float_unit(-1.2, 3.0)], 2)
+        assert not w.exact
+        for J, K in _model_pairs(2, 9):
+            # repr keeps every bit, the sign of a zero included
+            assert repr(w.moment(J, K)) == repr(_induced_formula(w.facts.induced, False, J, K)), (J, K)
+
+    def test_model_vectors_are_memoized_by_prefix(self):
+        w = make_induced_product([], [Z35, Z35I], 2)
+        model = w.facts.model
+        v = model.vector((1, 2, 2))
+        assert model.vector((1, 2, 2)) is v
+        assert set(model._vectors) >= {(), (1,), (1, 2), (1, 2, 2)}
+        assert v == {3: Z35[0] * Z35I[1] * Z35[1]}
+
+
 class TestSeriesState:
     def test_frozen_dyadic_moments(self):
         w = make_split_series_sandwich()
@@ -390,12 +457,64 @@ class TestGaugeThroughPresentation:
         for J, K in product(words_upto(2, 3), repeat=2):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
 
-    def test_twist_of_an_induced_product_keeps_the_expansion(self):
-        # the base's rank grows by one per level, so no presentation is proved
+    def test_twist_of_an_induced_product_steps_its_model(self):
+        # the base's rank grows by one per level, so no presentation exists;
+        # the twist steps the base's vectors by S'_i = sum_j conj(g_ji) S_j
         base = make_induced_product([Z35], [Z35I], 2)
         w = transform_gauge(base, G_C)
-        for J, K in product(words_upto(2, 3), repeat=2):
+        assert w.facts.model is not None
+        for J, K in _pairs(2, 29):
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+
+    VECTOR_BASES = {
+        "grid": lambda: vector_state(GridRepresentation(2), (1, 0)),
+        "grid_superposition": lambda: vector_state(
+            GridRepresentation(2), StateVector({(1, 0): q(1), (2, 0): q(0, 1), (3, 2): q(fr(1, 2))})),
+        "lazy_shift": lambda: vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 32)), ((), 0)),
+        "shift": lambda: vector_state(ShiftRepresentation(EventuallyPeriodicWord((1,), (1, 2), 2)),
+                                      EventuallyPeriodicWord((1,), (1, 2), 2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(VECTOR_BASES))
+    def test_twist_of_a_vector_state_steps_its_model(self, name):
+        base = self.VECTOR_BASES[name]()
+        w = transform_gauge(base, G_C)
+        assert w.facts.model is not None
+        for J, K in _pairs(2, 37):
+            assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+
+    def test_twist_of_a_modelled_twist(self):
+        base = make_induced_product([], [Z35I, Z35], 2)
+        w = transform_gauge(transform_gauge(base, G_C), ROT)
+        g = _product_matrix(G_C, ROT)
+        for J, K in _pairs(2, 41):
+            assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
+
+    def test_float_twist_of_a_modelled_base_keeps_the_expansion(self):
+        base = make_induced_product([Z35], [Z35I], 2)
+        g = [[complex(x) for x in row] for row in G_C]
+        w = transform_gauge(base, g)
+        assert w.facts.model is None
+        for J, K in product(words_upto(2, 3), repeat=2):
+            assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
+
+    def test_twist_of_an_induced_product_never_grows_its_base(self, monkeypatch):
+        import cuntzlab.classify as classify
+
+        grown = []
+        grow = classify.gram_growth
+
+        def spy(omega, *args, **kwargs):
+            grown.append(omega)
+            return grow(omega, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "gram_growth", spy)
+        base = make_induced_product([Z35], [Z35I, [q(0), q(1)]], 2)
+        w = transform_gauge(base, G_C)
+        for J, K in product(words_upto(2, 3), repeat=2):
+            w.moment(J, K)
+        assert classify.cdim(w, 4).value == 5
+        assert base not in grown and w in grown
 
     def test_a_base_that_breaks_the_row_relation_is_refused(self):
         # omega(I) = 1 and every other moment 0: the growth stops at d = 1 with

@@ -1,5 +1,8 @@
 """Exact simulator for permutative representations on shift and grid spaces."""
 
+import random
+from fractions import Fraction
+from itertools import product
 from math import sqrt
 
 import pytest
@@ -19,8 +22,9 @@ from cuntzlab import (
     lemma_convergence_check,
     monomial,
     vector_state,
+    words_upto,
 )
-from cuntzlab.scalars import DEFAULT_EQ_TOL
+from cuntzlab.scalars import DEFAULT_EQ_TOL, is_exact_scalar
 from cuntzlab.shiftrep import LazyWord, StateVector
 
 from conftest import fr, q
@@ -140,6 +144,73 @@ class TestGridRepresentation:
         r = cdim(w, L_max=4)
         assert r.status == "lower_bound"
         assert r.value >= 5
+
+
+def _strip_formula(rep, v, J, K):
+    """The moments as they were computed before the vector model: strip J and
+    K off v from scratch, letter by letter, and divide <left, right> by <v, v>."""
+
+    def strip(u, W):
+        for a in W:
+            u = apply_generator(rep, u, a, dagger=True)
+        return u
+
+    key_equal = rep.key_equal if rep.lazy else None
+    val = strip(v, J).inner(strip(v, K), key_equal)
+    nrm2 = v.norm2(key_equal)
+    if is_exact_scalar(val) and is_exact_scalar(nrm2):
+        return Fraction(val, nrm2) if isinstance(val, int) and isinstance(nrm2, int) else val / nrm2
+    return complex(val) / complex(nrm2)
+
+
+def _model_pairs(n, seed):
+    """Every pair with |J|, |K| <= 4, then 30 seeded pairs up to length 12."""
+    short = list(words_upto(n, 4))
+    yield from product(short, short)
+    rng = random.Random(seed)
+    for _ in range(30):
+        yield (tuple(rng.randint(1, n) for _ in range(rng.randint(5, 12))),
+               tuple(rng.randint(1, n) for _ in range(rng.randint(0, 12))))
+
+
+X12 = ep((2,), (1, 1, 2))
+VECTOR_CASES = {
+    "shift_basis": lambda: (ShiftRepresentation(X12), X12),
+    "shift_superposition": lambda: (
+        ShiftRepresentation(X12), StateVector({X12: q(1), X12.prepend((1, 2)): q(0, fr(2, 3)), X12.shift(): q(-1)})),
+    "lazy_basis": lambda: (ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 24)), ((), 0)),
+    "lazy_superposition": lambda: (
+        ShiftRepresentation(LAZY_PRESETS["sturmian"](2, 24)),
+        StateVector({((), 0): q(1), ((1,), 2): q(fr(1, 2), 1), ((), 3): q(2)})),
+    "grid_basis": lambda: (GridRepresentation(3), (7, -1)),
+    "grid_superposition": lambda: (
+        GridRepresentation(2), StateVector({(1, 0): q(1), (2, 1): q(0, 1), (6, 1): q(fr(3, 2)), (3, -2): q(2)})),
+    "grid_float": lambda: (GridRepresentation(2), StateVector({(1, 0): 0.5 + 0.25j, (2, 1): -0.75, (5, 1): 1.5j})),
+    # integer coefficients: integer inner products over the integer norm 6
+    "grid_integers": lambda: (GridRepresentation(2), StateVector({(1, 0): 1, (2, 1): 2, (4, 1): -1})),
+}
+
+
+class TestVectorStateModel:
+    """Moments are <v_J, v_K> / <v, v> over prefix-memoized v_J; the from-scratch strip is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(VECTOR_CASES))
+    def test_moments_match_the_strip_formula(self, name):
+        rep, x = VECTOR_CASES[name]()
+        w = vector_state(rep, x)
+        v = x if isinstance(x, StateVector) else StateVector.basis(x)
+        for J, K in _model_pairs(rep.n, 11):
+            got, want = w.moment(J, K), _strip_formula(rep, v, J, K)
+            # same type and, for floats, every bit
+            assert type(got) is type(want) and repr(got) == repr(want), (J, K)
+
+    def test_vectors_are_memoized_by_prefix(self):
+        rep = GridRepresentation(2)
+        model = vector_state(rep, (6, 0)).facts.model
+        # pi(s_2)* e_(6,0) = e_(3,-1) and pi(s_1)* e_(3,-1) = e_(2,-2)
+        v = model.vector((2, 1))
+        assert v == StateVector.basis((2, -2))
+        assert model.vector((2, 1)) is v and model.vector((2,)) == StateVector.basis((3, -1))
 
 
 class TestStateVector:

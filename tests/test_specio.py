@@ -259,6 +259,8 @@ class TestParseSpec:
                     return 1
                 return 0
 
+            lookup = moment  # the gate reads the words it listed itself through lookup
+
         monkeypatch.setattr(specio, "state_from_spec", lambda *a, **k: Rigged())
         with pytest.raises(GateFailed) as e:
             parse_spec(spec_file({"family": "cuntz", "z": [1, 0]}))
