@@ -79,9 +79,9 @@ class GramGrowth:
     span reached so far; ``gram`` is their (positive definite) Gram matrix;
     ``level_ranks[L]`` is the rank over all words of length <= L.  ``lower``
     and ``dvals`` are the L and D of its factor G = L D L* (see
-    :class:`~cuntzlab.linalg.LDLFactor`).  A growth is shared by every caller
-    that asks for the same state, level cap and tolerance, so all of it is
-    immutable.
+    :class:`~cuntzlab.linalg.LDLFactor`), through which ``fcs.presentation``
+    solves the metric.  A growth is shared by every caller that asks for the
+    same state, level cap and tolerance, so all of it is immutable.
     """
 
     pivots: tuple
@@ -91,34 +91,6 @@ class GramGrowth:
     last_level: int
     lower: tuple
     dvals: tuple
-
-    def solve(self, rhs) -> list:
-        """x with G x = rhs, in O(d^2) from the factor: the forward solve
-        L z = rhs, then the back solve L* x = D^-1 z.  Zero products are
-        skipped; exact factors and columns are often sparse."""
-        lower, dvals = self.lower, self.dvals
-        z: list = []
-        for row, r in zip(lower, rhs):
-            z.append(r - sum((lj * zj for lj, zj in zip(row, z) if lj and zj), 0))
-        d = len(dvals)
-        x: list = [0] * d
-        for k in reversed(range(d)):
-            tail = (conj(lower[j][k]) * x[j] for j in range(k + 1, d) if x[j] and lower[j][k])
-            x[k] = z[k] / dvals[k] - sum(tail, 0)
-        return x
-
-    def matrices(self, omega: MomentFunctional) -> tuple:
-        """A_1..A_n, the matrices of pi(s_i)* on the pivot basis of ``omega``'s
-        growth: column p of A_i solves G x = (omega(s_q s_{p i}*))_q over the
-        pivots q, one O(d^2) solve per column.  They compress omega only when
-        the growth has stabilized."""
-        pivots = self.pivots
-        d = len(pivots)
-        out = []
-        for i in range(1, omega.n + 1):
-            cols = [self.solve([omega.lookup(q, p + (i,)) for q in pivots]) for p in pivots]
-            out.append(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d)))
-        return tuple(out)
 
 
 def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = None) -> GramGrowth:

@@ -8,9 +8,11 @@ through
 
     omega(s_J s_K*) = <A_J Omega, A_K Omega>_G,   A_J = A_{j_l} ... A_{j_1},
 
-where the first letter of J acts first.  The Cuntz relation sum_i s_i s_i* = I
-survives the compression as sum_i A_i^H G A_i = G, which doubles as the
-validation identity for extracted presentations.
+where the first letter of J acts first.  A presentation is therefore a
+:class:`~cuntzlab.moments.VectorModel` (``FCSPresentation.model``): Omega
+stepped by v -> A_i v, read through <a, G b>.  The Cuntz relation
+sum_i s_i s_i* = I survives the compression as sum_i A_i^H G A_i = G, which
+doubles as the validation identity for extracted presentations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from .classify import GramGrowth, LowerBoundOnly, gram_growth
 from .errors import SchemaError, ValidationFailed
 from .linalg import hermitian_transpose, mat_vec, rank
-from .moments import MomentFunctional
+from .moments import MomentFunctional, VectorModel
 from .scalars import conj, scalars_close
 from .words import Word, check_word
 
@@ -60,21 +62,29 @@ class FCSPresentation:
     def n(self) -> int:
         return len(self.A)
 
+    def model(self) -> VectorModel:
+        """The presented state as a vector model: it starts at Omega, steps
+        v -> A_i v and reads <a, G b>.  Zero products are skipped, as exact
+        presentations are often sparse; the sums start at the metric's zero,
+        so a float presentation's values stay floats."""
+        A, metric, d = self.A, self.metric, self.d
+        zero = metric[0][0] * 0
 
-def _vector_of(F: FCSPresentation, J: Word):
-    vec = list(F.omega)
-    for letter in J:
-        vec = mat_vec(F.A[letter - 1], vec)
-    return vec
+        def apply(rows, v: list) -> list:
+            return [sum((a * x for a, x in zip(row, v) if a and x), zero) for row in rows]
+
+        def inner(a: list, b: list):
+            return sum((conj(x) * y for x, y in zip(a, apply(metric, b)) if x and y), zero)
+
+        def combine(pairs) -> list:
+            return [sum((c * v[r] for c, v in pairs if v[r]), zero) for r in range(d)]
+
+        return VectorModel(list(self.omega), lambda v, i: apply(A[i - 1], v), inner, combine)
 
 
 def fcs_moment(F: FCSPresentation, J: Word, K: Word = ()):
     """omega(s_J s_K*) = <A_J Omega, A_K Omega>_G (linear in the second word)."""
-    J = check_word(J, F.n)
-    K = check_word(K, F.n)
-    left = _vector_of(F, J)
-    right = mat_vec(F.metric, _vector_of(F, K))
-    return sum((conj(a) * b for a, b in zip(left, right)), 0)
+    return F.model().moment(check_word(J, F.n), check_word(K, F.n))
 
 
 def orbit_closure_cdim(F: FCSPresentation) -> int:
@@ -120,6 +130,36 @@ def check_row_isometry(F: FCSPresentation) -> bool:
     )
 
 
+def _solve(growth: GramGrowth, rhs) -> list:
+    """x with G x = rhs, in O(d^2) from the growth's factor G = L D L*: the
+    forward solve L z = rhs, then the back solve L* x = D^-1 z.  Zero
+    products are skipped; exact factors and columns are often sparse."""
+    lower, dvals = growth.lower, growth.dvals
+    z: list = []
+    for row, r in zip(lower, rhs):
+        z.append(r - sum((lj * zj for lj, zj in zip(row, z) if lj and zj), 0))
+    d = len(dvals)
+    x: list = [0] * d
+    for k in reversed(range(d)):
+        tail = (conj(lower[j][k]) * x[j] for j in range(k + 1, d) if x[j] and lower[j][k])
+        x[k] = z[k] / dvals[k] - sum(tail, 0)
+    return x
+
+
+def _matrices(growth: GramGrowth, omega: MomentFunctional) -> tuple:
+    """A_1..A_n, the matrices of pi(s_i)* on the pivot basis of ``omega``'s
+    growth: column p of A_i solves G x = (omega(s_q s_{p i}*))_q over the
+    pivots q, one O(d^2) solve per column.  They compress omega only when
+    the growth has stabilized."""
+    pivots = growth.pivots
+    d = len(pivots)
+    out = []
+    for i in range(1, omega.n + 1):
+        cols = [_solve(growth, [omega.lookup(q, p + (i,)) for q in pivots]) for p in pivots]
+        out.append(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d)))
+    return tuple(out)
+
+
 def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation:
     """The presentation a stabilized Gram growth of ``omega`` proves.
 
@@ -127,15 +167,15 @@ def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation
     pi(s_i)* (new vectors only arise by one more letter), so the matrices
     A_i are filled in by solving the metric against the children's
     correlation vectors, each column by two triangular solves through the
-    growth's factor G = L D L* (``GramGrowth.matrices``).  The compressed row
-    relation sum_i A_i^H G A_i = G is checked, exactly for an exact state; a
-    failure raises ValidationFailed (in float mode this usually signals
-    tolerance trouble; rerun in exact mode).
+    growth's factor G = L D L* (``_matrices``).  The compressed row relation
+    sum_i A_i^H G A_i = G is checked, exactly for an exact state; a failure
+    raises ValidationFailed (in float mode this usually signals tolerance
+    trouble; rerun in exact mode).
     """
     pivots = growth.pivots
     F = FCSPresentation(
         d=len(pivots),
-        A=growth.matrices(omega),
+        A=_matrices(growth, omega),
         omega=tuple(1 if j == 0 else 0 for j in range(len(pivots))),
         metric=growth.gram,
         pivot_words=pivots,

@@ -33,13 +33,10 @@ label.  Which constructor fills which fact:
 * ``make_mixture(...)``           -- convex combinations; purity (not pure).
 * ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
                                      from the base only its Cuntz parameter
-                                     (moved by g^H) and its purity.  Exact
-                                     twists of a modelled base step its
-                                     vectors and keep a model; other exact
-                                     twists read moments through the base's
-                                     presentation, O(|J| d^2) each; float
-                                     twists and bases whose Gram rank still
-                                     grows at the level cap expand both gauge
+                                     (moved by g^H) and its purity.  A twist
+                                     steps the base's model, closed-form or
+                                     its presentation's, and keeps it; only
+                                     a base with neither expands both gauge
                                      images, n^(|J|+|K|) base moments each.
 * ``transform_sandwich``          -- isometric sandwiches.  Purity when the
                                      base is decided pure; a user-declared
@@ -61,8 +58,10 @@ one classification uses, so the two always agree.
 Inner products are linear in the second argument throughout, so
 omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Where a family knows
 these vectors in closed form it records a :class:`VectorModel`
-(``facts.model``), and its moments, the moments of its exact gauge twists
-and its delta tables are inner products of vectors memoized by prefix.
+(``facts.model``), and its moments, the moments of its gauge twists and its
+delta tables are inner products of vectors memoized by prefix.  A finitely
+correlated presentation is such a model too (``fcs.FCSPresentation.model``),
+which a gauge twist of a base without a closed form steps.
 """
 
 from __future__ import annotations
@@ -180,16 +179,14 @@ class VectorModel:
     omega(s_J s_K*) = inner(v_J, v_K), and v_J is memoized by prefix:
     v_{Ji} = step(v_J, i).  A vector may carry its own depth (the induced
     products keep one coefficient per depth), so a step can depend on it.
-    ``exact`` says whether the model computes in exact scalars only.
     """
 
-    __slots__ = ("step", "inner", "combine", "exact", "_vectors")
+    __slots__ = ("step", "inner", "combine", "_vectors")
 
-    def __init__(self, start, step: Callable, inner: Callable, combine: Callable, exact: bool):
+    def __init__(self, start, step: Callable, inner: Callable, combine: Callable):
         self.step = step
         self.inner = inner
         self.combine = combine
-        self.exact = exact
         self._vectors: dict[Word, object] = {(): start}
 
     def vector(self, J: Word):
@@ -214,7 +211,7 @@ class VectorModel:
 
     def twisted(self, g) -> "VectorModel":
         """The model of omega o alpha_g on the same vectors: pi(alpha_g(s_i))* =
-        sum_j conj(g_ji) pi(s_j)*, the zero entries of the exact g skipped."""
+        sum_j conj(g_ji) pi(s_j)*, the zero entries of g skipped."""
         n = len(g)
         columns = [[(conj(g[j][i]), j + 1) for j in range(n) if g[j][i] != 0] for i in range(n)]
         step, combine = self.step, self.combine
@@ -222,7 +219,7 @@ class VectorModel:
         def twisted_step(v, i: int):
             return combine([(c, step(v, j)) for c, j in columns[i - 1]])
 
-        return VectorModel(self._vectors[()], twisted_step, self.inner, combine, self.exact)
+        return VectorModel(self._vectors[()], twisted_step, self.inner, combine)
 
 
 _UNKNOWN_PURITY = ("Unknown", "no purity criterion applies to this presentation")
@@ -251,10 +248,10 @@ class StateFacts:
     * ``twist``: (base, g) for the state base o alpha_g;
     * ``solution_dim``: dimension of the fixed-point system of a prefix code;
     * ``model``: a :class:`VectorModel` of the state, when the family has one
-      in closed form (induced products, shift and grid vector states, and
-      twists of an exactly modelled base by an exact g).  The family's
-      moments are its inner products, and a delta table steps its vectors
-      instead of multiplying out prefix products.
+      in closed form (induced products, shift and grid vector states) and
+      on every gauge twist whose base has a closed-form or presented model.
+      The state's moments are its inner products, and a delta table steps
+      its vectors instead of multiplying out prefix products.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -820,7 +817,7 @@ def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
                 out[t] = out[t] + c * x if t in out else c * x
         return out
 
-    model = VectorModel({0: 1}, step, inner, combine, exact)
+    model = VectorModel({0: 1}, step, inner, combine)
 
     seq = IsometrySequence(
         lambda i: CuntzElement(n, {((j,), ()): block(i)[j - 1] for j in range(1, n + 1)}),
@@ -867,44 +864,33 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
 def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j.
 
-    Moments come one of three ways:
+    Moments come one of two ways, chosen at construction:
 
-    * Twists by an exact g of a base with an exact vector model (exact
-      induced products; shift, lazy shift and grid vector states with exact
-      coefficients; such twists again) step the base's own vectors by
+    * A base with a vector model -- its closed-form ``facts.model``, or else
+      the model of its presentation (A_i, Omega, G) when its Gram growth
+      stabilizes at the default level cap 8 (the growth kappa shares, as it
+      delegates a twist to its base) -- has that model stepped by
       S'_i = sum_j conj(g_ji) S_j, where S_j is the base's pi(s_j)*:
-      omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>, a QQi.  The
-      twist keeps this model, needs no Gram growth of its base, and costs
-      at most n base steps per letter.  A lazy shift state computes
-      exactly but is marked inexact (its letters are known to a horizon),
-      and so is its twist.
-    * Other exact twists (an exact base and exact g) read the base's
-      presentation (A_i, Omega, G), fetched on the first moment from the
-      base's Gram growth at the default level cap 8 (shared with kappa,
-      which delegates a twist to its base).  The twist changes only the
-      matrices, A'_i = sum_j conj(g_ji) A_j, so omega(alpha_g(s_J s_K*)) =
-      <A'_J Omega, A'_K Omega>_G.  Vectors are memoized by prefix and their
-      metric images by word: O(|J| d^2) per new moment for d = cdim of the
-      base, after a one-time O(n d^3) solve.
-    * Float twists, and unmodelled exact bases whose growth is still rising
-      at the cap (the series sandwich), expand alpha_g(s_J) into its n^|J|
-      words and sum n^(|J|+|K|) base moments per moment.
+      omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The twist keeps
+      this model, so a twist of it needs no Gram growth, and each letter
+      costs at most n base steps.  As in the expansion, an exact g gives
+      QQi moments and a float g complex ones (but omega(I), the base's
+      own).  A lazy shift state computes exactly but is marked inexact (its
+      letters are known to a horizon), and so is its twist.  A presentation
+      that breaks the compressed row relation raises ValidationFailed.
+    * A base with neither model (the series sandwich; sandwiches and
+      mixtures over bases of infinite cdim) expands alpha_g(s_J) into its
+      n^|J| words and sums n^(|J|+|K|) base moments per moment.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), the purity
-    verdict and, on the first path, the twisted model; everything else
-    classify derives through ``facts.twist``.
+    verdict and the twisted model; everything else classify derives through
+    ``facts.twist``.
     """
     n = omega.n
     check_unitary(g, n)
     g = tuple(tuple(row) for row in g)
     g_exact = all(is_exact_scalar(x) for row in g for x in row)
-    exact = omega.exact and g_exact
-
-    image = cache(lambda J: gauge_image(g, J))
-
-    def expanded(J: Word, K: Word):
-        return omega.moment_of_pair(image(J), image(K))
 
     base = omega.facts
     cuntz = None
@@ -914,73 +900,46 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     verdict, reason = base.purity
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
-    model = base.model.twisted(g) if g_exact and base.model is not None and base.model.exact else None
-    facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
+    model = base.model or _presented_model(omega)
     if model is not None:
-        evaluator = _as_qqi(model.moment)
-    elif exact:
-        evaluator = _presented_twist(omega, g, expanded)
+        model = model.twisted(g)
+        evaluator = (_as_qqi if g_exact else _as_complex)(model.moment)
     else:
-        evaluator = expanded
-    return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=exact)
+        image = cache(lambda J: gauge_image(g, J))
+
+        def evaluator(J: Word, K: Word):
+            return omega.moment_of_pair(image(J), image(K))
+
+    facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
+    return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=omega.exact and g_exact)
+
+
+def _presented_model(omega: MomentFunctional) -> VectorModel | None:
+    """The model of omega's presentation, or None when its Gram growth still
+    rises at the default level cap."""
+    # classify and fcs import this module
+    from .classify import gram_growth
+    from .fcs import presentation
+
+    growth = gram_growth(omega)
+    return presentation(omega, growth).model() if growth.stabilized else None
 
 
 def _as_qqi(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], object]:
-    # an exact twist's moments are QQi on every path, as the expansion gives them
+    # a zero or real sum of exact scalars comes out as int or Fraction
     def evaluator(J: Word, K: Word):
         value = evaluate(J, K)
-        return value if isinstance(value, QQi) else QQi(value)
+        return QQi(value) if isinstance(value, (int, Fraction)) else value
 
     return evaluator
 
 
-def _sparse_mat_vec(rows, v) -> list:
-    return [sum((a * x for a, x in zip(row, v) if a and x), 0) for row in rows]
-
-
-def _presented_twist(omega: MomentFunctional, g, fallback: Callable[[Word, Word], object]):
-    """The exact evaluator of omega o alpha_g through omega's presentation,
-    chosen on the first moment; ``fallback`` when the Gram growth of omega
-    does not stabilize by the default level cap."""
-    chosen = None
-
-    def presented():
-        # classify and fcs import this module
-        from .classify import gram_growth
-        from .fcs import presentation
-
-        # the default cap is the key kappa(omega) reads when kappa delegates the twist
-        growth = gram_growth(omega)
-        if not growth.stabilized:
-            return fallback
-        F = presentation(omega, growth)
-        n, d = omega.n, F.d
-        A = [[[sum((conj(g[j][i]) * F.A[j][r][c] for j in range(n)), 0) for c in range(d)] for r in range(d)]
-             for i in range(n)]
-        vectors: dict[Word, list] = {(): list(F.omega)}
-        metric_images: dict[Word, list] = {}
-
-        def step(v: list, i: int) -> list:
-            return _sparse_mat_vec(A[i - 1], v)
-
-        def vector(J: Word) -> list:
-            # A'_J Omega = A'_{j_l} (A'_{j_1..j_(l-1)} Omega), memoized by prefix
-            return _walk_prefixes(vectors, J, step)
-
-        def evaluator(J: Word, K: Word):
-            right = metric_images.get(K)
-            if right is None:
-                right = metric_images[K] = _sparse_mat_vec(F.metric, vector(K))
-            return sum((conj(a) * b for a, b in zip(vector(J), right) if a and b), 0)
-
-        # a zero or real sum comes out as int or Fraction
-        return _as_qqi(evaluator)
-
+def _as_complex(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], object]:
+    # a float twist's moments are complex, as the expansion gives them, save
+    # omega(I), the base's own; an exact base's zero vectors read exact zeros
     def evaluator(J: Word, K: Word):
-        nonlocal chosen
-        if chosen is None:
-            chosen = presented()
-        return chosen(J, K)
+        value = evaluate(J, K)
+        return complex(value) if (J or K) and is_exact_scalar(value) else value
 
     return evaluator
 

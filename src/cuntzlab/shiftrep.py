@@ -330,17 +330,15 @@ def vector_state(rep, x) -> MomentFunctional:
             return val / nrm2
         return complex(val) / complex(nrm2)
 
-    exact_coeffs = all(is_exact_scalar(c) for c in v.coeffs.values())
     model = VectorModel(
         v,
         lambda u, i: apply_generator(rep, u, i, dagger=True),
         inner,
         lambda pairs: sum((u.scale(c) for c, u in pairs), StateVector()),
-        exact_coeffs,
     )
 
     n = rep.n
-    exact = rep.exact and exact_coeffs
+    exact = rep.exact and all(is_exact_scalar(c) for c in v.coeffs.values())
     single_key = next(iter(v.coeffs)) if len(v) == 1 else None
     # a vector state of an irreducible representation is pure
     shift_pure = ("Pure", "vector state of an irreducible shift representation")

@@ -278,6 +278,11 @@ class TestDeltaTableThroughTheModel:
             transform_gauge(_induced(), G_C),
             [gauge_apply(hermitian_transpose(G_C), _induced().facts.sequence.factory(i)) for i in range(1, 5)],
             4, "evidence"),
+        # a prefix-code state has no closed form: its twist steps the presented model
+        "twisted_word_transported": lambda: (
+            transform_gauge(make_prefix_code_state([(1, 1, 2)], [q(1)], 2), G_C),
+            [gauge_apply(hermitian_transpose(G_C), gen(2, 1))] * 4,
+            4, "failed"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -312,6 +317,15 @@ class TestDeltaTableThroughTheModel:
         # one product per element, the check a_i* a_i = I; no prefix product is formed
         seq = omega.facts.sequence.factory
         assert calls == [(adjoint(seq(i)), seq(i)) for i in range(1, 9)]
+
+    def test_an_unmodelled_state_multiplies_the_prefix_products_out(self):
+        # a mixture has no model, so its table is the double sum itself
+        omega = make_mixture([_induced(), make_induced_product([], [Z35I, Z35], 2)], [q(fr(1, 3)), q(fr(2, 3))])
+        assert omega.facts.model is None
+        seq = self.CASES["induced_list"]()[1]
+        chk = verify_properly_infinite(omega, seq, cutoff=5)
+        assert chk.status == "failed"
+        assert chk.table == _double_sum_table(omega, seq, 5)
 
     def test_a_sequence_over_another_algebra_is_refused(self):
         from cuntzlab import SchemaError

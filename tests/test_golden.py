@@ -25,9 +25,14 @@ delta-table re-check line).  All were written before the induced-product,
 shift and grid states and the exact twists of them read their moments off a
 vector model, so they pin every moment value and its printed form.
 
+Every spec twisted by a complex unitary reads its moments off a vector
+model, and only a base with neither a closed-form nor a presented model
+expands the gauge images.
+
 The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from cuntzlab.cli import run
+from cuntzlab.specio import parse_spec
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -84,6 +90,36 @@ def test_single_kappa(name, fmt, capsys):
     suffix = "json" if fmt == "json" else "txt"
     out = _stdout("kappa", [name], capsys, fmt=fmt)
     assert out == (GOLDEN / f"{name}.kappa.{suffix}").read_text(encoding="utf-8")
+
+
+# the complex unitary of the twist tests, block-extended by 1 on n = 3
+G_C = {
+    2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
+    3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
+}
+# the only golden base whose Gram rank still grows at the default cap 8
+NEITHER_MODEL = {"sandwich_series"}
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_a_twist_expands_only_a_base_with_neither_model(name, tmp_path, monkeypatch, capsys):
+    import cuntzlab.moments as moments
+
+    expanded = []
+    image = moments.gauge_image
+
+    def spy(g, J):
+        expanded.append(J)
+        return image(g, J)
+
+    monkeypatch.setattr(moments, "gauge_image", spy)
+    path = GOLDEN / "specs" / f"{name}.json"
+    twist = tmp_path / "twist.json"
+    twist.write_text(json.dumps({"family": "gauge", "base": json.loads(path.read_text(encoding="utf-8")),
+                                 "g": G_C[parse_spec(str(path)).n]}), encoding="utf-8")
+    assert run(["moments", str(twist), "--level", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert bool(expanded) == (name in NEITHER_MODEL)
 
 
 def test_pairwise_report(capsys):

@@ -51,7 +51,7 @@ from cuntzlab import (
 )
 from cuntzlab.linalg import rank
 from cuntzlab.moments import _code_lookup
-from cuntzlab.scalars import conj
+from cuntzlab.scalars import DEFAULT_EQ_TOL, conj
 from cuntzlab.symalg import gauge_image
 from cuntzlab.words import is_prefix
 
@@ -395,7 +395,7 @@ class TestGauge:
             transform_gauge(make_cuntz(Z35), [[1, 0], [0, 2]])
 
 
-# a unitary with complex entries, so the conjugation in A'_i = sum_j conj(g_ji) A_j shows
+# a unitary with complex entries, so the conjugation in S'_i = sum_j conj(g_ji) S_j shows
 G_C = [[q(fr(3, 5)), q(0, fr(4, 5))], [q(0, fr(4, 5)), q(fr(3, 5))]]
 
 
@@ -423,8 +423,30 @@ def _product_matrix(a, b):
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), 0) for j in range(len(b[0]))] for i in range(len(a))]
 
 
+def _close_to_expansion(w, base, g, pairs):
+    """A float twist against the double sum: within DEFAULT_EQ_TOL, not bit for bit."""
+    for J, K in pairs:
+        d = abs(complex(w.moment(J, K)) - complex(_expanded_moment(base, g, J, K)))
+        assert d <= DEFAULT_EQ_TOL, (J, K, d)
+
+
+def _spy_growth(monkeypatch) -> list:
+    """The states classify.gram_growth is called on from now on."""
+    import cuntzlab.classify as classify
+
+    grown = []
+    grow = classify.gram_growth
+
+    def spy(omega, *args, **kwargs):
+        grown.append(omega)
+        return grow(omega, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "gram_growth", spy)
+    return grown
+
+
 class TestGaugeThroughPresentation:
-    """Exact twists read the base's presentation; the double sum is the oracle."""
+    """Twists step the base's model, closed-form or presented; the double sum is the oracle."""
 
     BASES = {
         "word_112": lambda: make_prefix_code_state([(1, 1, 2)], [q(1)], 2),
@@ -449,13 +471,22 @@ class TestGaugeThroughPresentation:
         for J, K in _pairs(2, 23):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
 
-    def test_float_twist_keeps_the_expansion(self):
+    def test_float_twist_steps_the_presented_model(self):
         base = self.BASES["word_112"]()
         g = [[complex(x) for x in row] for row in G_C]
         w = transform_gauge(base, g)
-        assert not w.exact
-        for J, K in product(words_upto(2, 3), repeat=2):
+        assert not w.exact and w.facts.model is not None
+        _close_to_expansion(w, base, g, _pairs(2, 19))
+
+    def test_twist_of_a_twist_never_grows_the_inner_twist(self, monkeypatch):
+        grown = _spy_growth(monkeypatch)
+        base = self.BASES["word_112"]()
+        inner = transform_gauge(base, G_C)
+        w = transform_gauge(inner, ROT)
+        g = _product_matrix(G_C, ROT)
+        for J, K in _pairs(2, 31):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
+        assert grown == [base]
 
     def test_twist_of_an_induced_product_steps_its_model(self):
         # the base's rank grows by one per level, so no presentation exists;
@@ -490,25 +521,40 @@ class TestGaugeThroughPresentation:
         for J, K in _pairs(2, 41):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
 
-    def test_float_twist_of_a_modelled_base_keeps_the_expansion(self):
+    def test_float_twist_of_a_modelled_base_steps_its_model(self):
         base = make_induced_product([Z35], [Z35I], 2)
         g = [[complex(x) for x in row] for row in G_C]
         w = transform_gauge(base, g)
+        assert w.facts.model is not None
+        _close_to_expansion(w, base, g, _pairs(2, 43))
+        # the exact base's zeros (|J| != |K|) come out complex, as from the expansion
+        assert all(isinstance(w.moment(J, K), complex) for J, K in product(words_upto(2, 3), repeat=2) if J or K)
+
+    UNMODELLED_BASES = {
+        "series_sandwich": make_split_series_sandwich,
+        "induced_mixture": lambda: make_mixture(
+            [make_induced_product([Z35], [Z35I], 2), make_induced_product([], [Z35I, Z35], 2)],
+            [q(fr(1, 3)), q(fr(2, 3))]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNMODELLED_BASES))
+    def test_a_base_with_neither_model_keeps_the_expansion(self, name):
+        # the Gram rank of both still grows at the default cap 8
+        base = self.UNMODELLED_BASES[name]()
+        w = transform_gauge(base, G_C)
         assert w.facts.model is None
         for J, K in product(words_upto(2, 3), repeat=2):
-            assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
+            assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+
+    def test_an_exact_twist_of_the_lazy_shift_state_reads_qqi(self):
+        w = transform_gauge(self.VECTOR_BASES["lazy_shift"](), G_C)
+        assert not w.exact
+        assert all(isinstance(w.moment(J, K), QQi) for J, K in product(words_upto(2, 3), repeat=2))
 
     def test_twist_of_an_induced_product_never_grows_its_base(self, monkeypatch):
         import cuntzlab.classify as classify
 
-        grown = []
-        grow = classify.gram_growth
-
-        def spy(omega, *args, **kwargs):
-            grown.append(omega)
-            return grow(omega, *args, **kwargs)
-
-        monkeypatch.setattr(classify, "gram_growth", spy)
+        grown = _spy_growth(monkeypatch)
         base = make_induced_product([Z35], [Z35I, [q(0), q(1)]], 2)
         w = transform_gauge(base, G_C)
         for J, K in product(words_upto(2, 3), repeat=2):
@@ -521,7 +567,7 @@ class TestGaugeThroughPresentation:
         # A_1 = A_2 = 0, so sum_i A_i^H G A_i = 0, not G
         base = MomentFunctional(2, "bogus", lambda J, K: QQi(1) if J == K == () else QQi(0))
         with pytest.raises(ValidationFailed, match="row relation"):
-            transform_gauge(base, ROT).moment((), ())
+            transform_gauge(base, ROT)
 
     def test_a_long_moment_reads_few_base_moments(self, monkeypatch):
         base = make_sub_cuntz(3, {(1, 1, 2): q(1)}, 2)
