@@ -6,8 +6,9 @@ markdown summary or a JSON document, and exits 0 on success, 1 on errors,
 the answer is unresolved.  ``_COMMANDS`` lists the options of each command.
 Exact arithmetic is the default whenever all inputs are Gaussian rationals;
 inputs with inexact floats are accepted only under ``--mode float``.  The
-delta-table re-check of ``kappa`` runs to the fixed cutoff 12, and
-``selftest`` runs at the acceptance gate's seed unless ``--seed`` is given.
+delta-table re-check of ``kappa`` runs to the cutoff its certificate claims
+(12, or the horizon of a lazily generated word), and ``selftest`` runs at
+the acceptance gate's seed unless ``--seed`` is given.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _cmd_kappa(args) -> int:
         and res.certificate.status == "evidence"
         and omega.facts.sequence is not None
     ):
-        check = verify_properly_infinite(omega)
+        check = verify_properly_infinite(omega, cutoff=res.certificate.cutoff)
         lines.append(f"delta table re-checked to cutoff {check.cutoff}: status {check.status}")
     _emit(lines, {"kappa": _kappa_doc(res), "cdim": _cdim_doc(cres)}, args)
     return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK

@@ -1,13 +1,18 @@
-"""Small dense linear algebra over exact (Fraction/Gaussian-rational) or float scalars.
+"""Small linear algebra over exact (Fraction/Gaussian-rational) or float scalars.
 
 Matrices are lists of row lists.  When every entry is exact the routines run
 fraction-free Gauss-Jordan elimination on integers (or Gaussian integers) and
 return exact answers; otherwise they pivot on magnitudes above
 DEFAULT_RANK_TOL times the largest entry, or fall back to numpy.  numpy is
 imported only inside those float fallbacks (and for the eigenvalue estimate
-of a failed exact PSD check), so exact work never loads it.  Problem sizes in
-this package are small (up to a few hundred rows), so clarity beats
-asymptotics.
+of a failed exact PSD check), so exact work never loads it.
+
+:func:`kernel_basis` also takes sparse rows ``{column: entry}``.  It splits
+the columns into the connected components of the rows' sparsity graph and
+reduces each block on its own: exact blocks give exactly the whole matrix's
+reduced-echelon basis, and float blocks share one rank threshold, taken from
+the largest singular value of any block, as a dense SVD of the whole matrix
+would.  The fixed-point systems of ``moments`` split into a few such blocks.
 
 Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
 a pivoted L D L* factor grown one pivot at a time: the Gram growth of
@@ -207,32 +212,128 @@ def solve(a, b):
 
 
 def kernel_basis(rows, ncols: int):
-    """Basis of the nullspace of the given (possibly rectangular) matrix."""
-    if not rows:
-        return [[1 if j == k else 0 for j in range(ncols)] for k in range(ncols)]
-    if matrix_is_exact(rows):
-        work = [list(r) for r in rows]
-        pivots = _eliminate_exact(work, ncols)
+    """Basis of the nullspace of a (possibly rectangular) matrix.
+
+    A row is a mapping {column: entry} or a dense list; list rows are made
+    sparse once here, and zero entries are dropped.  The columns split into
+    the connected components of the rows' sparsity graph (one union-find),
+    and the matrix, with its columns permuted, is block diagonal over them:
+    each block is reduced on its own.
+
+    Exact rows run fraction-free elimination per block.  The kernel vector
+    of a free column f is e_f minus the reduced entries of f in the pivot
+    rows of its block, and the vectors are ordered by free column.  By the
+    uniqueness of the reduced echelon form this is exactly the basis that
+    eliminating the whole matrix gives.
+
+    Float rows take the SVD of each block; blocks of equal shape share one
+    stacked ``np.linalg.svd`` call.  The singular values of a block-diagonal
+    matrix are the union of its blocks', so the rank rule is the whole
+    matrix's: a singular value counts above DEFAULT_RANK_TOL times max(1,
+    the largest singular value of any block).  The kernel vectors are the
+    remaining right singular vectors of each block (any orthonormal basis of
+    the kernel is a valid answer in float), in block order.  A column no row
+    touches is a block of its own whose kernel vector is its unit vector.
+    """
+    exact = matrix_is_exact(row.values() if isinstance(row, dict) else row for row in rows)
+    sparse = []
+    for row in rows:
+        entries = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        if entries:
+            sparse.append(entries)
+    blocks = _column_blocks(sparse, ncols)
+    found = _exact_kernel(blocks) if exact else _float_kernel(blocks)
+    found.sort(key=lambda item: item[0])
+    zero = 0 if exact else 0.0
+    basis = []
+    for _, entries in found:
+        v = [zero] * ncols
+        for c, x in entries:
+            v[c] = x
+        basis.append(v)
+    return basis
+
+
+def _column_blocks(rows, ncols: int):
+    """The connected components of the columns, two columns joined when a row
+    has entries in both: a list of (columns ascending, rows), ordered by
+    smallest column.  Every row is nonempty; an untouched column has none."""
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in rows:
+        cols = iter(row)
+        root = find(next(cols))
+        for c in cols:
+            other = find(c)
+            if other != root:
+                parent[other] = root
+    blocks: dict[int, tuple[list, list]] = {}
+    for c in range(ncols):
+        blocks.setdefault(find(c), ([], []))[0].append(c)
+    for row in rows:
+        blocks[find(next(iter(row)))][1].append(row)
+    return list(blocks.values())
+
+
+def _exact_kernel(blocks):
+    """(free column, its kernel vector's entries) per free column of each block."""
+    found = []
+    for cols, rows in blocks:
+        local = {c: j for j, c in enumerate(cols)}
+        work = []
+        for row in rows:
+            dense = [0] * len(cols)
+            for c, x in row.items():
+                dense[local[c]] = x
+            work.append(dense)
+        pivots = _eliminate_exact(work, len(cols))
         pivot_cols = {c for _, c in pivots}
-        basis = []
-        for free in range(ncols):
-            if free in pivot_cols:
-                continue
-            v = [0] * ncols
-            v[free] = 1
-            for r, c in pivots:
-                v[c] = -work[r][free]
-            basis.append(v)
-        return basis
+        for free in range(len(cols)):
+            if free not in pivot_cols:
+                found.append((cols[free], [(cols[free], 1), *((cols[c], -work[r][free]) for r, c in pivots)]))
+    return found
+
+
+def _float_kernel(blocks):
+    """(smallest column of the block, a kernel vector's entries) per right
+    singular vector of each block beyond the shared rank threshold."""
     import numpy as np
 
-    a = np.array([[complex(x) for x in row] for row in rows], dtype=complex)
-    if np.allclose(a.imag, 0):
-        a = a.real
-    _, s, vh = np.linalg.svd(a)
-    eps = DEFAULT_RANK_TOL * max(1.0, s[0] if len(s) else 0.0)
-    r = int(np.sum(s > eps))
-    return [list(vh[k].conj()) for k in range(r, vh.shape[0])]
+    shapes: dict[tuple[int, int], list] = {}
+    found = []
+    for cols, rows in blocks:
+        if rows:
+            shapes.setdefault((len(rows), len(cols)), []).append((cols, rows))
+        else:
+            found.append((cols[0], [(cols[0], 1.0)]))
+    stacks = []
+    for (m, k), group in shapes.items():
+        bs, is_, js, values = [], [], [], []
+        for b, (cols, rows) in enumerate(group):
+            local = {c: j for j, c in enumerate(cols)}
+            for i, row in enumerate(rows):
+                for c, x in row.items():
+                    bs.append(b)
+                    is_.append(i)
+                    js.append(local[c])
+                    values.append(complex(x))
+        a = np.zeros((len(group), m, k), dtype=complex)
+        a[bs, is_, js] = values
+        stacks.append((group, a))
+    # a system whose imaginary parts all lie within 1e-8 of zero is reduced as real
+    if all(np.abs(a.imag).max() <= 1e-8 for _, a in stacks):
+        stacks = [(group, a.real) for group, a in stacks]
+    svds = [(group, *np.linalg.svd(a)[1:]) for group, a in stacks]
+    eps = DEFAULT_RANK_TOL * max(1.0, max((float(s.max()) for _, s, _ in svds), default=0.0))
+    for group, s, vh in svds:
+        for (cols, _), r, v in zip(group, (s > eps).sum(axis=1), vh):
+            found += [(cols[0], list(zip(cols, x))) for x in v[r:].conj().tolist()]
+    return found
 
 
 def _min_eig_estimate(g):

@@ -496,6 +496,16 @@ def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
     equations omega(u* s_C u) = omega(s_C) are added; if the dimension is
     still > 1 the minimum-norm table on the slice v_empty = 1 is returned
     (the symmetric mixture) together with a warning.
+
+    Each equation is two sparse real rows (real and imaginary part) over the
+    columns Re v_C, Im v_C, and ``kernel_basis`` reduces the system one
+    connected block of columns at a time.  The blocks are small: for the
+    uniform code of order m the equation of a word C of length l < m is
+    v_C = sum_{|B| = m - l} conj(z_CB) conj(v_B), and a code word W gives
+    v_W = conj(z_W) v_empty.  So length l couples only with length m - l,
+    and v_empty only with the code: the 510 columns of order 7 over two
+    letters split into blocks of 258, 132, 72 and 48.  A progression code
+    stays one block.
     """
     if n is None:
         n = max(max(W) for W in P)
@@ -532,9 +542,9 @@ def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
             _add_scaled(row, creation_expr(W[len(D):]), -c * conj(zmap[W]), conjugated=True)
 
     def realified(row: dict):
-        # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i
-        zero = 0 if pc.exact else 0.0
-        re, im = [zero] * width, [zero] * width
+        # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i:
+        # two sparse rows {column: entry}
+        re, im = {}, {}
         for (w, conjugated), c in row.items():
             if pc.exact:
                 q = c if isinstance(c, QQi) else QQi(c)
@@ -542,12 +552,12 @@ def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
             else:
                 cc = complex(c)
                 a, b = cc.real, cc.imag
-            i, s = 2 * index[w], -1 if conjugated else 1
-            re[i] += a
-            re[i + 1] -= s * b
-            im[i] += b
-            im[i + 1] += s * a
-        return [re, im]
+            i = 2 * index[w]
+            for acc, j, x in ((re, i, a), (im, i, b), (re, i + 1, b if conjugated else -b),
+                              (im, i + 1, -a if conjugated else a)):
+                if x:
+                    acc[j] = acc[j] + x if j in acc else x
+        return [{j: x for j, x in re.items() if x}, {j: x for j, x in im.items() if x}]
 
     def equation(C: Word, peeled) -> list:
         # v_C - sum of c omega(u* s_D) over (D, c): the fixed-point equation takes
@@ -591,7 +601,9 @@ def _detect_code_family(code: set[Word], n: int):
     lengths = {len(w) for w in code}
     if len(lengths) == 1:
         m = lengths.pop()
-        if code == set(all_words(n, m)):
+        # distinct words of length m are all of them exactly when there are
+        # n^m; n^m >= 2^m exceeds len(code) once m reaches its bit length
+        if m < len(code).bit_length() and n**m == len(code):
             return "sub_cuntz", m
     k = max(len(w) for w in code)
     if code == set(_progression_code(k, n)):

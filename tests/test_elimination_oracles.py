@@ -8,11 +8,15 @@ Fractions, because its int / int division is a float.  Outputs must agree
 entry by entry, not only as spans: the reduced echelon form and the
 nullspace basis built from it are unique.  The exact PSD verdict must agree
 with sympy's on drawn Hermitian matrices, and each way the L D L* stream can
-refuse a matrix has a pinned case.
+refuse a matrix has a pinned case.  ``kernel_basis`` reduces one connected
+block of columns at a time: on shuffled block-diagonal matrices, given as
+list rows and as mapping rows, it must return sympy's nullspace vector for
+vector, and its float twin must span what a dense SVD's kernel spans.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from cuntzlab import Inconsistent, QQi
 from cuntzlab.linalg import _eliminate, hermitian_psd_check, kernel_basis, min_norm_solution, rank, solve
-from cuntzlab.scalars import conj
+from cuntzlab.scalars import DEFAULT_RANK_TOL, conj
 
 
 def reference_eliminate(rows, ncols):
@@ -86,8 +90,8 @@ entries = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9)
 gaussian_entries = st.one_of(st.just(QQi(0)), st.builds(QQi, entries, entries))
 
 
-def matrices(elements):
-    return st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+def matrices(elements, largest=5):
+    return st.integers(1, largest).flatmap(lambda m: st.integers(1, largest).flatmap(
         lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=m, max_size=m)))
 
 
@@ -309,3 +313,91 @@ def test_null_rows_that_stay_null_pass():
     g = gram_of_rows(v)
     assert hermitian_psd_check(g) == (True, None)
     assert sympy_psd(g) is True
+
+
+# The kernel is reduced one connected block of columns at a time.  These
+# matrices are block diagonal up to a shuffle of their rows and columns, and
+# come both as dense list rows and as sparse {column: entry} rows.
+
+
+@st.composite
+def block_diagonal(draw, elements):
+    """(rows, ncols): 1-3 blocks of at most 3 x 3 entries and up to two
+    columns no row touches, with rows and columns shuffled."""
+    blocks = draw(st.lists(matrices(elements, largest=3), min_size=1, max_size=3))
+    ncols = sum(len(b[0]) for b in blocks) + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(ncols)))
+    rows, start = [], 0
+    for b in blocks:
+        for row in b:
+            dense = [Fraction(0)] * ncols
+            for j, x in enumerate(row):
+                dense[order[start + j]] = x
+            rows.append(dense)
+        start += len(b[0])
+    return draw(st.permutations(rows)), ncols
+
+
+def as_mapping(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def assert_blocks_match_sympy(rows, ncols):
+    expected = [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
+    assert [as_qqi(v) for v in kernel_basis(rows, ncols)] == expected
+    assert [as_qqi(v) for v in kernel_basis(as_mapping(rows), ncols)] == expected
+
+
+def float_projector(basis, ncols):
+    if not basis:
+        return np.zeros((ncols, ncols))
+    q, _ = np.linalg.qr(np.array(basis, dtype=complex).T)
+    return q @ q.conj().T
+
+
+def assert_float_twin_matches_dense_svd(rows, ncols):
+    floats = [[complex(x) for x in row] for row in rows]
+    _, s, vh = np.linalg.svd(np.array(floats))
+    r = int(np.sum(s > DEFAULT_RANK_TOL * max(1.0, s[0])))
+    expected = float_projector(list(vh[r:].conj()), ncols)
+    for twin in (floats, as_mapping(floats)):
+        basis = kernel_basis(twin, ncols)
+        assert len(basis) == ncols - r
+        assert np.abs(float_projector(basis, ncols) - expected).max() < 1e-12
+
+
+@settings(max_examples=60)
+@given(block_diagonal(entries))
+def test_rational_block_diagonal_kernels_match_sympy(case):
+    assert_blocks_match_sympy(*case)
+
+
+@settings(max_examples=40)
+@given(block_diagonal(gaussian_entries))
+def test_gaussian_block_diagonal_kernels_match_sympy(case):
+    assert_blocks_match_sympy(*case)
+
+
+@settings(max_examples=60)
+@given(block_diagonal(gaussian_entries))
+def test_float_block_diagonal_kernels_match_dense_svd(case):
+    assert_float_twin_matches_dense_svd(*case)
+
+
+# columns 0 and 3 form one block, 2 and 4 another, and no row touches column 1
+UNTOUCHED_COLUMN = [[F(1), F(0), F(0), F(2), F(0)], [F(0), F(0), F(3), F(0), F(-1, 2)],
+                    [F(2), F(0), F(0), F(4), F(0)]]
+
+
+def test_untouched_column_is_a_kernel_vector_of_its_own():
+    assert_blocks_match_sympy(UNTOUCHED_COLUMN, 5)
+    assert [0, 1, 0, 0, 0] in kernel_basis(as_mapping(UNTOUCHED_COLUMN), 5)
+    assert_float_twin_matches_dense_svd(UNTOUCHED_COLUMN, 5)
+
+
+def test_float_rank_threshold_is_shared_by_the_blocks():
+    # a dense SVD drops the singular value 1 below 1e-10 * 1e12: so must the
+    # block of column 1, although it is the largest in its own block
+    rows = [[1e12, 0.0], [0.0, 1.0]]
+    assert_float_twin_matches_dense_svd(rows, 2)
+    assert kernel_basis(as_mapping(rows), 2) == [[0.0, 1.0]]

@@ -49,6 +49,7 @@ from cuntzlab import (
     vector_state,
     words_upto,
 )
+import cuntzlab.moments as moments_mod
 from cuntzlab.linalg import rank
 from cuntzlab.moments import _code_lookup
 from cuntzlab.scalars import DEFAULT_EQ_TOL, conj
@@ -178,6 +179,22 @@ class TestSubCuntz:
             zz[J] = v
         w = make_sub_cuntz(p, zz, 2)
         assert w.facts.solution_dim == p
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_float_tensor_power_solution_space_dimension(self, p):
+        # the kernel spans several blocks of the fixed-point system, and the
+        # symmetric table is the minimum-norm point over all of it
+        exact, floats = {}, {}
+        for J in product((1, 2), repeat=p):
+            v = q(1)
+            for a in J:
+                v = v * Z35[a - 1]
+            exact[J], floats[J] = v, complex(v)
+        w, wf = make_sub_cuntz(p, exact, 2), make_sub_cuntz(p, floats, 2)
+        assert not wf.exact and wf.facts.solution_dim == p
+        for J in words_upto(2, p):
+            for K in words_upto(2, p):
+                assert abs(wf.moment(J, K) - complex(w.moment(J, K))) < 1e-12, (J, K)
 
 
 class TestGeometricProgression:
@@ -727,7 +744,53 @@ class TestMomentOfPair:
                 assert w.moment_of_pair(x, y) == w.moment_of_element(elem), which
 
 
+def _dense_unit(seed, count, moduli, denom, extra=()):
+    """``count`` Gaussian rationals (a + bi) / denom: each (a, b) is one of
+    ``moduli`` (or, for the first entries, ``extra``) times a random unit
+    power of i, in shuffled order; the moduli are chosen so that the vector is
+    a unit.  Returns the exact entries and their float renderings, which are
+    inexact in binary."""
+    rng = random.Random(seed)
+    parts = list(extra) + [rng.choice(moduli) for _ in range(count - len(extra))]
+    rng.shuffle(parts)
+    z = []
+    for a, b in parts:
+        for _ in range(rng.randrange(4)):
+            a, b = -b, a
+        z.append(QQi(Fraction(a, denom), Fraction(b, denom)))
+    assert sum(x.abs2() for x in z) == 1
+    return z, [complex(x) for x in z]
+
+
 class TestSolver:
+    # n = 2, m = 5: 32 entries of |c|^2 = 50 over 40^2; n = 3, m = 3: 26 entries
+    # of |c|^2 = 25 and one of 250 over 30^2
+    DENSE = {
+        "n2_m5": (2, 5, ((1, 7), (7, 1), (5, 5)), 40, ()),
+        "n3_m3": (3, 3, ((3, 4), (4, 3), (5, 0)), 30, ((15, 5),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DENSE))
+    def test_dense_float_moments_match_exact(self, name):
+        n, m, moduli, denom, extra = self.DENSE[name]
+        z, zf = _dense_unit(m, n**m, moduli, denom, extra)
+        w, wf = make_sub_cuntz(m, z, n), make_sub_cuntz(m, zf, n)
+        assert w.exact and not wf.exact
+        assert w.facts.solution_dim == wf.facts.solution_dim == 1
+        for J in words_upto(n, 3):
+            for K in words_upto(n, 3):
+                assert abs(wf.moment(J, K) - complex(w.moment(J, K))) < 1e-12, (J, K)
+
+    def test_long_uniform_word_is_classified_without_listing_words(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("all_words called")
+
+        full = set(all_words(2, 3))
+        monkeypatch.setattr(moments_mod, "all_words", refuse)
+        assert moments_mod._detect_code_family({(1,) * 30}, 2) == ("prefix_code", None)
+        assert moments_mod._detect_code_family(full, 2) == ("sub_cuntz", 3)
+        assert moments_mod._detect_code_family(full - {(2, 2, 2)}, 2) == ("prefix_code", None)
+
     def test_pinned_moments_reported(self):
         sol = solve_low_moments([(1, 2)], {(1, 2): 1}, 2)
         assert sol.solution_dim == 1
