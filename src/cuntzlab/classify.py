@@ -38,7 +38,7 @@ from .linalg import LDLFactor, hermitian_transpose, mat_vec
 from .moments import IsometrySequence, MomentFunctional, _progression_code, sequence_factory
 from .scalars import abs2, conj, scalar_is_zero, scalars_close
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
-from .symalg import CuntzElement, gauge_apply, identity, is_isometry_in_plus, multiply
+from .symalg import CuntzElement, gauge_apply, is_isometry_in_plus
 from .words import Word, all_words, tail_equivalent
 
 __all__ = [
@@ -293,45 +293,37 @@ def verify_properly_infinite(omega: MomentFunctional, a=None, cutoff: int = 12) 
     sequence is used.  Each a_i must be an isometry in the creation span,
     which is checked on the product a_i* a_i.
 
-    With P_l = a_1..a_l the entry is <v(P_l), v(P_k)> for v(P) = pi(P)* Omega.
-    A state with a vector model steps v(P_l) = pi(a_l)* v(P_(l-1)), with
-    pi(a)* = sum_W conj(b_W) pi(s_W)* for a = sum_W b_W s_W: cutoff steps of
-    one a_i each, then cutoff^2 inner products, and no prefix product is
-    multiplied out.  Any other state multiplies the prefix products out and reads the
-    double sum of omega(s_J s_K*) over their terms, which grows with their
-    number of terms: dense multi-term sequences want a modest cutoff there.
+    With P_l = a_1..a_l the entry is <v(P_l), v(P_k)> for v(P) = pi(P)* Omega,
+    stepped as v(P_l) = pi(a_l)* v(P_(l-1)) with pi(a)* = sum_W conj(b_W)
+    pi(s_W)* for a = sum_W b_W s_W: cutoff steps of one a_i each, then
+    cutoff^2 inner products.  The vectors are the state's ``facts.model``,
+    or else its word model, where v(P_l) is the prefix product P_l itself
+    and an inner product sums omega(s_J s_K*) over the terms of both, which
+    grows with their number: dense multi-term sequences want a modest cutoff
+    there.
     """
     flagged = omega.facts.sequence
     seq = a if a is not None else flagged
     if seq is None:
         raise SchemaError("no isometry sequence supplied and the state carries none")
     factory = sequence_factory(seq, cutoff)
-    model = omega.facts.model
-    prods = [identity(omega.n) if model is None else model.vector(())]
+    model = omega.facts.model or omega.word_model()
+    vectors = [model.vector(())]
     for i in range(1, cutoff + 1):
         ai = factory(i)
         isometry, in_plus = is_isometry_in_plus(ai)
         if not (isometry and in_plus):
             raise NotUnit(f"sequence element {i} is not an isometry in the creation span")
-        if model is None:
-            prods.append(multiply(prods[-1], ai))
-        elif ai.n != omega.n:
+        if ai.n != omega.n:
             raise SchemaError(f"elements over different algebras: n={omega.n} vs n={ai.n}")
-        else:
-            prods.append(model.adjoint_image(ai, prods[-1]))
-    if model is None:
-        # the prefix products stay in the creation span: s_J terms only
-        vectors = [{J: c for (J, _), c in p.terms.items()} for p in prods]
-        entry = omega.moment_of_pair
-    else:
-        vectors, entry = prods, model.inner
+        vectors.append(model.adjoint_image(ai, vectors[-1]))
 
     table = []
     delta_ok = True
     for l in range(1, cutoff + 1):
         row = []
         for k in range(1, cutoff + 1):
-            val = entry(vectors[l], vectors[k])
+            val = model.inner(vectors[l], vectors[k])
             row.append(val)
             if not scalars_close(val, 1 if l == k else 0):
                 delta_ok = False

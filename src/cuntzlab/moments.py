@@ -34,10 +34,9 @@ label.  Which constructor fills which fact:
 * ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
                                      from the base only its Cuntz parameter
                                      (moved by g^H) and its purity.  A twist
-                                     steps the base's model, closed-form or
-                                     its presentation's, and keeps it; only
-                                     a base with neither expands both gauge
-                                     images, n^(|J|+|K|) base moments each.
+                                     steps the base's model -- closed-form,
+                                     its presentation's, or its word model
+                                     -- and keeps it.
 * ``transform_sandwich``          -- isometric sandwiches.  Purity when the
                                      base is decided pure; a user-declared
                                      Cuntz parameter.
@@ -56,12 +55,14 @@ construction with the fixed tolerance ``scalars.DEFAULT_EQ_TOL``, the same
 one classification uses, so the two always agree.
 
 Inner products are linear in the second argument throughout, so
-omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Where a family knows
-these vectors in closed form it records a :class:`VectorModel`
-(``facts.model``), and its moments, the moments of its gauge twists and its
-delta tables are inner products of vectors memoized by prefix.  A finitely
-correlated presentation is such a model too (``fcs.FCSPresentation.model``),
-which a gauge twist of a base without a closed form steps.
+omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Every state has a
+:class:`VectorModel` of these vectors, and the moments of its gauge twists
+and its delta tables are inner products of vectors memoized by prefix.
+Where a family knows the vectors in closed form it records the model
+(``facts.model``); a finitely correlated presentation is a model too
+(``fcs.FCSPresentation.model``); and any state has its word model
+(``MomentFunctional.word_model``), the GNS space spanned by the words
+themselves, whose inner products read the moment memo.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .scalars import (
     scalar_is_zero,
     scalars_close,
 )
-from .symalg import CuntzElement, adjoint, check_unitary, gauge_image, is_isometry_in_plus, monomial, multiply, zero
+from .symalg import CuntzElement, adjoint, check_unitary, is_isometry_in_plus, monomial, multiply, zero
 from .words import EventuallyPeriodicWord, Word, all_words, check_word, is_prefix, words_upto
 
 __all__ = [
@@ -248,10 +249,10 @@ class StateFacts:
     * ``twist``: (base, g) for the state base o alpha_g;
     * ``solution_dim``: dimension of the fixed-point system of a prefix code;
     * ``model``: a :class:`VectorModel` of the state, when the family has one
-      in closed form (induced products, shift and grid vector states) and
-      on every gauge twist whose base has a closed-form or presented model.
-      The state's moments are its inner products, and a delta table steps
-      its vectors instead of multiplying out prefix products.
+      in closed form (induced products, shift and grid vector states), and
+      on every gauge twist: the twisted model of its base.  The state's
+      moments are its inner products.  A state without one steps its
+      ``MomentFunctional.word_model``.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -273,8 +274,9 @@ class MomentFunctional:
 
     ``family`` labels the constructor (for display and tracing only);
     ``facts`` holds what the constructor proved.  A modelled family's
-    ``evaluator`` reads ``facts.model``, whose prefix-memoized vectors live
-    as long as the state, next to the moment memo.
+    ``evaluator`` reads ``facts.model``; every state also has its word model
+    (:meth:`word_model`), built on first use.  The prefix-memoized vectors
+    of both live as long as the state, next to the moment memo.
     """
 
     def __init__(
@@ -296,6 +298,7 @@ class MomentFunctional:
         self._memo: dict[tuple[Word, Word], object] = {}
         # finished Gram growths per (level cap, rank tolerance); see classify.gram_growth
         self._growths: dict[tuple, object] = {}
+        self._word_model: VectorModel | None = None
 
     def moment(self, J: Word, K: Word = ()) -> object:
         """omega(s_J s_K*), with J and K checked as words over 1..n."""
@@ -321,8 +324,32 @@ class MomentFunctional:
         the sum of x_J conj(y_K) omega(s_J s_K*), with no product formed."""
         return sum((cx * conj(cy) * self.lookup(J, K) for J, cx in x.items() for K, cy in y.items()), 0)
 
+    def word_model(self) -> VectorModel:
+        """The model every state has: pi(P)* Omega for P = sum_J x_J s_J in
+        the creation span is the map {J: x_J}, starting at {(): 1}.  A step
+        appends the letter, pi(s_i)* pi(P)* Omega = pi(P s_i)* Omega, and the
+        inner product is omega(P Q*) = ``moment_of_pair``.  A twist by g then
+        steps v_J to the coefficients of alpha_g(s_J), and a delta table's
+        v(P_l) are the prefix products P_l; each inner product sums
+        |P| |Q| moments."""
+        if self._word_model is None:
+            # c pi(P)* Omega = pi(conj(c) P)* Omega
+            self._word_model = VectorModel({(): 1}, lambda x, i: {J + (i,): c for J, c in x.items()},
+                                           self.moment_of_pair,
+                                           lambda pairs: _combine_maps((conj(c), x) for c, x in pairs))
+        return self._word_model
+
     def __repr__(self):
         return f"MomentFunctional(n={self.n}, family={self.family!r})"
+
+
+def _combine_maps(pairs) -> dict:
+    """sum c x over (c, x) pairs of vectors stored as {key: coefficient}."""
+    out: dict = {}
+    for c, x in pairs:
+        for key, b in x.items():
+            out[key] = out[key] + c * b if key in out else c * b
+    return out
 
 
 def eval_moment(omega: MomentFunctional, J: Word, K: Word = ()) -> object:
@@ -478,6 +505,11 @@ def _read_code(P, z, n: int) -> _PrefixCode:
                        all(is_exact_scalar(zmap[w]) for w in code), *_code_lookup(support))
 
 
+# the most words the fixed-point table may list: over 64 times the order-7 table
+# over two letters (255 words), the largest any corpus or test state builds
+_MAX_TABLE_WORDS = 1 << 14
+
+
 def _add_scaled(acc: dict, expr: dict, c, conjugated: bool = False) -> None:
     """acc += c * expr (or c * conj(expr)) for R-linear expressions
     {(word, conjugated): coefficient} in the unknowns v_word."""
@@ -515,6 +547,11 @@ def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
 def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
     check_unit([pc.z[w] for w in pc.code])
     zmap, M, head, tails = pc.z, pc.max_len, pc.head, pc.tails
+    # the sum_{l <= M} n^l words are counted before any is listed; n^M >= 2^M
+    # exceeds the limit once M reaches its bit length, so a long word forms no power
+    if M >= _MAX_TABLE_WORDS.bit_length() or sum(n**l for l in range(M + 1)) > _MAX_TABLE_WORDS:
+        raise SchemaError(f"the fixed-point table of the words up to length {M} over {n} letters "
+                          f"exceeds {_MAX_TABLE_WORDS} words")
     table_words = list(words_upto(n, M))
     index = {w: i for i, w in enumerate(table_words)}
     width = 2 * len(table_words)
@@ -822,14 +859,7 @@ def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
         terms = [conj(c) * b[t] for t, c in a.items() if t in b]
         return sum(terms[1:], terms[0]) if terms else zero_moment
 
-    def combine(pairs) -> dict:
-        out: dict = {}
-        for c, v in pairs:
-            for t, x in v.items():
-                out[t] = out[t] + c * x if t in out else c * x
-        return out
-
-    model = VectorModel({0: 1}, step, inner, combine)
+    model = VectorModel({0: 1}, step, inner, _combine_maps)
 
     seq = IsometrySequence(
         lambda i: CuntzElement(n, {((j,), ()): block(i)[j - 1] for j in range(1, n + 1)}),
@@ -876,23 +906,21 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
 def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j.
 
-    Moments come one of two ways, chosen at construction:
-
-    * A base with a vector model -- its closed-form ``facts.model``, or else
-      the model of its presentation (A_i, Omega, G) when its Gram growth
-      stabilizes at the default level cap 8 (the growth kappa shares, as it
-      delegates a twist to its base) -- has that model stepped by
-      S'_i = sum_j conj(g_ji) S_j, where S_j is the base's pi(s_j)*:
-      omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The twist keeps
-      this model, so a twist of it needs no Gram growth, and each letter
-      costs at most n base steps.  As in the expansion, an exact g gives
-      QQi moments and a float g complex ones (but omega(I), the base's
-      own).  A lazy shift state computes exactly but is marked inexact (its
-      letters are known to a horizon), and so is its twist.  A presentation
-      that breaks the compressed row relation raises ValidationFailed.
-    * A base with neither model (the series sandwich; sandwiches and
-      mixtures over bases of infinite cdim) expands alpha_g(s_J) into its
-      n^|J| words and sums n^(|J|+|K|) base moments per moment.
+    The base's vector model, chosen at construction, is stepped by
+    S'_i = sum_j conj(g_ji) S_j, where S_j is the base's pi(s_j)*:
+    omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The model is the
+    base's closed-form ``facts.model``; or else the model of its
+    presentation (A_i, Omega, G) when its Gram growth stabilizes at the
+    default level cap 8 (the growth kappa shares, as it delegates a twist
+    to its base); or else its word model (the series sandwich; sandwiches
+    and mixtures over bases of infinite cdim), whose v_J are the n^|J|
+    coefficients of alpha_g(s_J), so a moment sums n^(|J|+|K|) base
+    moments.  The twist keeps this model, so a twist of it needs no Gram
+    growth, and each letter costs at most n base steps.  An exact g gives
+    QQi moments and a float g complex ones (but omega(I), the base's own).
+    A lazy shift state computes exactly but is marked inexact (its letters
+    are known to a horizon), and so is its twist.  A presentation that
+    breaks the compressed row relation raises ValidationFailed.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), the purity
@@ -912,16 +940,8 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     verdict, reason = base.purity
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
-    model = base.model or _presented_model(omega)
-    if model is not None:
-        model = model.twisted(g)
-        evaluator = (_as_qqi if g_exact else _as_complex)(model.moment)
-    else:
-        image = cache(lambda J: gauge_image(g, J))
-
-        def evaluator(J: Word, K: Word):
-            return omega.moment_of_pair(image(J), image(K))
-
+    model = (base.model or _presented_model(omega) or omega.word_model()).twisted(g)
+    evaluator = (_as_qqi if g_exact else _as_complex)(model.moment)
     facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
     return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=omega.exact and g_exact)
 
@@ -947,8 +967,8 @@ def _as_qqi(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], 
 
 
 def _as_complex(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], object]:
-    # a float twist's moments are complex, as the expansion gives them, save
-    # omega(I), the base's own; an exact base's zero vectors read exact zeros
+    # a float twist's moments are complex, save omega(I), the base's own; an
+    # exact base's zero vectors read exact zeros
     def evaluator(J: Word, K: Word):
         value = evaluate(J, K)
         return complex(value) if (J or K) and is_exact_scalar(value) else value

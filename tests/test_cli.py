@@ -476,6 +476,17 @@ class TestMalformedSpecs:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "geometric_progression", "n": 2, "k": 30, "z": [1] + [0] * 30},
+        {"family": "prefix_code", "n": 2, "code": [[1] * 30], "z": [1]},
+    ], ids=["progression_k30", "one_word_of_30_letters"])
+    def test_a_long_code_word_exits_before_listing_its_table(self, spec_file, spec):
+        # a short spec whose fixed-point table would list every word up to length 30
+        proc = _run_python(None, "report", spec_file(spec), timeout=5)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: state spec ({spec['family']}): the fixed-point table of the words up to "
+                               "length 30 over 2 letters exceeds 16384 words\n")
+
 
 class TestRepComputesKappaOnce:
     def test_one_kappa_rep_call_at_the_given_level(self, spec_file, capsys, monkeypatch):

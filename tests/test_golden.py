@@ -103,16 +103,18 @@ NEITHER_MODEL = {"sandwich_series"}
 
 @pytest.mark.parametrize("name", SPECS)
 def test_a_twist_expands_only_a_base_with_neither_model(name, tmp_path, monkeypatch, capsys):
-    import cuntzlab.moments as moments
+    # a base with neither a closed-form nor a presented model falls back to
+    # its word model, whose twisted vectors are the gauge images alpha_g(s_J)
+    from cuntzlab.moments import MomentFunctional
 
     expanded = []
-    image = moments.gauge_image
+    word_model = MomentFunctional.word_model
 
-    def spy(g, J):
-        expanded.append(J)
-        return image(g, J)
+    def spy(omega):
+        expanded.append(omega.family)
+        return word_model(omega)
 
-    monkeypatch.setattr(moments, "gauge_image", spy)
+    monkeypatch.setattr(MomentFunctional, "word_model", spy)
     path = GOLDEN / "specs" / f"{name}.json"
     twist = tmp_path / "twist.json"
     twist.write_text(json.dumps({"family": "gauge", "base": json.loads(path.read_text(encoding="utf-8")),

@@ -447,8 +447,9 @@ def _close_to_expansion(w, base, g, pairs):
         assert d <= DEFAULT_EQ_TOL, (J, K, d)
 
 
-def _spy_growth(monkeypatch) -> list:
-    """The states classify.gram_growth is called on from now on."""
+def _spy_growth(monkeypatch, only=None) -> list:
+    """The states classify.gram_growth is called on from now on; given
+    ``only``, growing any other state fails at once instead of running."""
     import cuntzlab.classify as classify
 
     grown = []
@@ -456,6 +457,7 @@ def _spy_growth(monkeypatch) -> list:
 
     def spy(omega, *args, **kwargs):
         grown.append(omega)
+        assert only is None or omega is only, f"grew {omega!r}"
         return grow(omega, *args, **kwargs)
 
     monkeypatch.setattr(classify, "gram_growth", spy)
@@ -556,12 +558,24 @@ class TestGaugeThroughPresentation:
 
     @pytest.mark.parametrize("name", sorted(UNMODELLED_BASES))
     def test_a_base_with_neither_model_keeps_the_expansion(self, name):
-        # the Gram rank of both still grows at the default cap 8
+        # the Gram rank of both still grows at the default cap 8, so the twist
+        # steps the base's word model, whose vectors are the gauge images
         base = self.UNMODELLED_BASES[name]()
         w = transform_gauge(base, G_C)
-        assert w.facts.model is None
+        assert w.facts.model is not None and base.facts.model is None
         for J, K in product(words_upto(2, 3), repeat=2):
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+
+    def test_twist_of_a_twisted_series_sandwich_never_grows_the_inner_twist(self, monkeypatch):
+        # the inner twist keeps the sandwich's twisted word model, so the outer
+        # twist steps it; growing the inner twist to level 8 took over a minute
+        base = make_split_series_sandwich()
+        grown = _spy_growth(monkeypatch, only=base)
+        w = transform_gauge(transform_gauge(base, G_C), ROT)
+        g = _product_matrix(G_C, ROT)
+        for J, K in product(words_upto(2, 3), repeat=2):
+            assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
+        assert grown == [base]
 
     def test_an_exact_twist_of_the_lazy_shift_state_reads_qqi(self):
         w = transform_gauge(self.VECTOR_BASES["lazy_shift"](), G_C)

@@ -13,6 +13,15 @@ rotations.  Every state must satisfy
 
 The identities hold by the Cuntz relations, independently of how the
 moments are computed.
+
+Mixtures of two drawn states with exact weights have no closed-form model,
+so their twists and delta tables step the word model; they must equal the
+double sums that define them:
+
+* twisted moments: omega(alpha_g(s_J) alpha_g(s_K)*) summed over the words
+  of both gauge images;
+* the delta table of row isometries a_i = sum_j z_j s_j: the prefix products
+  a_1..a_l multiplied out, and omega summed over their terms.
 """
 
 from fractions import Fraction
@@ -21,18 +30,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import (
+    CuntzElement,
     EventuallyPeriodicWord,
     GridRepresentation,
     QQi,
     ShiftRepresentation,
     StateVector,
     cdim,
+    identity,
     make_induced_product,
+    make_mixture,
+    multiply,
     transform_gauge,
     vector_state,
+    verify_properly_infinite,
 )
 from cuntzlab.linalg import mat_mul
 from cuntzlab.scalars import conj
+from cuntzlab.symalg import gauge_image
 
 alphabets = st.integers(2, 3)
 small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -132,3 +147,53 @@ def test_level_ranks_are_gauge_invariant(case):
     twisted = transform_gauge(omega, g)
     assert twisted.facts.model is not None
     assert cdim(twisted, 3).level_ranks == cdim(omega, 3).level_ranks
+
+
+@st.composite
+def mixtures(draw):
+    """omega_1 with weight w and omega_2 with weight 1 - w, over one alphabet."""
+    first = draw(states)
+    second = draw(states.filter(lambda omega: omega.n == first.n))
+    w = QQi(draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))))
+    return make_mixture([first, second], [w, 1 - w])
+
+
+@st.composite
+def mixture_twist_and_words(draw):
+    omega = draw(mixtures())
+    pairs = st.tuples(_letters(omega.n, 0, 3), _letters(omega.n, 0, 3))
+    return omega, draw(unitaries(omega.n)), draw(st.lists(pairs, min_size=1, max_size=4))
+
+
+@settings(max_examples=15)
+@given(mixture_twist_and_words())
+def test_twisted_mixture_moments_are_the_double_sum(case):
+    omega, g, pairs = case
+    twisted = transform_gauge(omega, g)
+    for J, K in pairs:
+        image_k = gauge_image(g, K)
+        want = sum((a * conj(b) * omega.moment(Jp, Kp)
+                    for Jp, a in gauge_image(g, J).items() for Kp, b in image_k.items()), 0)
+        assert twisted.moment(J, K) == want, (J, K)
+
+
+@st.composite
+def mixture_and_row_isometries(draw):
+    omega = draw(mixtures())
+    rows = draw(st.lists(units(omega.n), min_size=1, max_size=3))
+    return omega, [CuntzElement(omega.n, {((j + 1,), ()): z for j, z in enumerate(row)}) for row in rows]
+
+
+@settings(max_examples=15)
+@given(mixture_and_row_isometries())
+def test_mixture_delta_table_is_the_multiplied_out_double_sum(case):
+    omega, seq = case
+    prods = [identity(omega.n)]
+    for a in seq:
+        prods.append(multiply(prods[-1], a))
+    vecs = [{J: c for (J, _), c in p.terms.items()} for p in prods]
+    want = tuple(
+        tuple(sum((x * conj(y) * omega.moment(J, K) for J, x in vecs[l].items() for K, y in vecs[k].items()), 0)
+              for k in range(1, len(seq) + 1))
+        for l in range(1, len(seq) + 1))
+    assert verify_properly_infinite(omega, seq, cutoff=len(seq)).table == want
