@@ -18,7 +18,6 @@ floating point with two fixed tolerances (``DEFAULT_EQ_TOL`` and
 
 from .classify import (
     CdimResult,
-    EndoInvariants,
     EquivalentToCuntz,
     EquivDecision,
     KappaResult,
@@ -29,8 +28,6 @@ from .classify import (
     PurityDecision,
     ShiftPeriod,
     cdim,
-    decompose_spectrum_bucket,
-    endo_invariants,
     equivalent,
     gram_growth,
     kappa,
@@ -54,7 +51,7 @@ from .errors import (
     SchemaError,
     ValidationFailed,
 )
-from .fcs import FCSPresentation, check_row_isometry, extract_fcs, fcs_moment, orbit_closure_cdim
+from .fcs import FCSPresentation, check_row_isometry, extract_fcs, fcs_moment
 from .moments import (
     IsometrySequence,
     MomentFunctional,
@@ -111,11 +108,11 @@ __all__ = [
     "GridRepresentation", "ShiftRepresentation", "StateVector",
     "apply_element", "apply_generator", "dhj_grading", "lemma_convergence_check", "vector_state",
     # compression
-    "FCSPresentation", "check_row_isometry", "extract_fcs", "fcs_moment", "orbit_closure_cdim",
+    "FCSPresentation", "check_row_isometry", "extract_fcs", "fcs_moment",
     # invariants
-    "CdimResult", "EndoInvariants", "EquivalentToCuntz", "EquivDecision", "KappaResult",
+    "CdimResult", "EquivalentToCuntz", "EquivDecision", "KappaResult",
     "LowerBoundOnly", "Minimal", "ProperlyInfinite", "PropInfCheck", "PurityDecision",
-    "ShiftPeriod", "cdim", "decompose_spectrum_bucket", "endo_invariants", "equivalent",
+    "ShiftPeriod", "cdim", "equivalent",
     "gram_growth", "kappa", "kappa_rep", "pure",
     "verify_minimality_certificate", "verify_properly_infinite",
     # specs

@@ -53,7 +53,6 @@ __all__ = [
     "PropInfCheck",
     "EquivDecision",
     "PurityDecision",
-    "EndoInvariants",
     "cdim",
     "kappa",
     "pure",
@@ -61,8 +60,6 @@ __all__ = [
     "verify_minimality_certificate",
     "verify_properly_infinite",
     "kappa_rep",
-    "endo_invariants",
-    "decompose_spectrum_bucket",
 ]
 
 
@@ -710,36 +707,3 @@ def kappa_rep(rep, L_max: int = 8) -> KappaResult:
     if len({r.value for r in results}) != 1:
         raise ValidationFailed("kappa must not depend on the sampled vector")
     return results[0]
-
-
-class EndoInvariants(NamedTuple):
-    powers_index: int
-    kappa: object
-
-
-def endo_invariants(rep) -> EndoInvariants:
-    """Invariants of the endomorphism x -> sum_i pi(s_i) x pi(s_i)*.
-
-    The index equals the number of generators, and kappa is inherited from
-    the representation.  Within the catalog the representations are
-    irreducible, so the endomorphism is ergodic, and two such endomorphisms
-    are conjugate exactly when their indices match and the representations
-    agree up to a gauge twist.
-    """
-    result = kappa_rep(rep)
-    return EndoInvariants(rep.n, result.value)
-
-
-def decompose_spectrum_bucket(obj, L_max: int = 8):
-    """The kappa stratum a state or catalog representation belongs to.
-
-    Returns an integer, ``math.inf``, or the string "unresolved" when kappa
-    carries no certificate.
-    """
-    if isinstance(obj, MomentFunctional):
-        result = kappa(obj, L_max)
-    else:
-        result = kappa_rep(obj, L_max)
-    if result.value is None:
-        return "unresolved"
-    return result.value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .classify import GramGrowth, LowerBoundOnly, gram_growth
 from .errors import SchemaError, ValidationFailed
-from .linalg import hermitian_transpose, mat_vec, rank
+from .linalg import hermitian_transpose
 from .moments import MomentFunctional, VectorModel
 from .scalars import conj, scalars_close
 from .words import Word, check_word
@@ -30,7 +30,6 @@ from .words import Word, check_word
 __all__ = [
     "FCSPresentation",
     "fcs_moment",
-    "orbit_closure_cdim",
     "presentation",
     "extract_fcs",
     "check_row_isometry",
@@ -85,30 +84,6 @@ class FCSPresentation:
 def fcs_moment(F: FCSPresentation, J: Word, K: Word = ()):
     """omega(s_J s_K*) = <A_J Omega, A_K Omega>_G (linear in the second word)."""
     return F.model().moment(check_word(J, F.n), check_word(K, F.n))
-
-
-def orbit_closure_cdim(F: FCSPresentation) -> int:
-    """Dimension of span{A_J Omega : all words J}, by breadth-first closure.
-
-    S_{L+1} = S_L + sum_i A_i S_L grows strictly until stationary and is then
-    stationary forever; the loop asserts that and stops within d steps.
-    """
-    vectors = [list(F.omega)]
-    dim = rank(vectors)
-    frontier = [list(F.omega)]
-    while frontier:
-        children = [mat_vec(A, v) for v in frontier for A in F.A]
-        new_dim = rank(vectors + children)
-        if new_dim < dim:
-            raise ValidationFailed("orbit span dimension decreased; the metric or matrices are inconsistent")
-        if new_dim == dim:
-            break
-        vectors += children
-        frontier = children
-        dim = new_dim
-        if dim > F.d:
-            raise ValidationFailed("orbit span exceeded the ambient dimension")
-    return dim
 
 
 def _sparse_mat_mul(a, b) -> list:

@@ -24,26 +24,28 @@ label.  Which constructor fills which fact:
                                      codes) or the parameter (progression
                                      codes); the purity of both code shapes;
                                      the Cuntz parameter y when a progression
-                                     parameter is hat_parameter(y, k).
+                                     parameter is hat_parameter(y, k).  Both
+                                     step the suffix model of their code.
 * ``make_induced_product(...)``   -- product states induced from a sequence of
                                      unit vectors, nonzero only on balanced
                                      monomials.  The inducing blocks, a proved
                                      isometry sequence, purity (not pure) and
                                      a vector model.
-* ``make_mixture(...)``           -- convex combinations; purity (not pure).
+* ``make_mixture(...)``           -- convex combinations; purity (not pure);
+                                     the direct sum of the components' models.
 * ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
                                      from the base only its Cuntz parameter
                                      (moved by g^H) and its purity.  A twist
-                                     steps the base's model -- closed-form,
-                                     its presentation's, or its word model
-                                     -- and keeps it.
+                                     steps the base's model (its word model
+                                     when it has none) and keeps it.
 * ``transform_sandwich``          -- isometric sandwiches.  Purity when the
                                      base is decided pure; a user-declared
-                                     Cuntz parameter.
+                                     Cuntz parameter; pi(A) Omega's model.
 * ``make_split_series_sandwich()``-- the series sandwich sum_l 2^-l
                                      omega(A_l* . A_l) with A_l = s_2^{l-1} s_1 s_2^l
                                      over the Cuntz state by (1,0), in closed
-                                     form.  Purity and the Cuntz parameter (1,0).
+                                     form.  Purity and the Cuntz parameter
+                                     (1,0); no model.
 * ``shiftrep.vector_state``       -- vector states of the shift and grid
                                      representations: purity, shift period,
                                      tail class, minimal isometry or isometry
@@ -56,13 +58,13 @@ one classification uses, so the two always agree.
 
 Inner products are linear in the second argument throughout, so
 omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Every state has a
-:class:`VectorModel` of these vectors, and the moments of its gauge twists
-and its delta tables are inner products of vectors memoized by prefix.
-Where a family knows the vectors in closed form it records the model
-(``facts.model``); a finitely correlated presentation is a model too
-(``fcs.FCSPresentation.model``); and any state has its word model
-(``MomentFunctional.word_model``), the GNS space spanned by the words
-themselves, whose inner products read the moment memo.
+:class:`VectorModel` of these vectors, and its moments, the moments of its
+gauge twists and its delta tables are inner products of vectors memoized
+by prefix.  Every family but the series sandwich builds its model at
+construction and records it (``facts.model``); a finitely correlated
+presentation is a model too (``fcs.FCSPresentation.model``); and any state
+has its word model (``MomentFunctional.word_model``), the GNS space spanned
+by the words themselves, whose inner products read the moment memo.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from .scalars import (
     scalar_is_zero,
     scalars_close,
 )
-from .symalg import CuntzElement, adjoint, check_unitary, is_isometry_in_plus, monomial, multiply, zero
+from .symalg import CuntzElement, check_unitary, is_isometry_in_plus, zero
 from .words import EventuallyPeriodicWord, Word, all_words, check_word, is_prefix, words_upto
 
 __all__ = [
@@ -198,17 +200,16 @@ class VectorModel:
         """omega(s_J s_K*) = <v_J, v_K>."""
         return self.inner(self.vector(J), self.vector(K))
 
+    def strip(self, v, W: Word):
+        """pi(s_W)* v: the letters of W stepped first letter first."""
+        for i in W:
+            v = self.step(v, i)
+        return v
+
     def adjoint_image(self, x: CuntzElement, v):
         """pi(x)* v = sum_W conj(b_W) pi(s_W)* v for x = sum_W b_W s_W in the
-        creation span; pi(s_W)* strips the letters of W first letter first."""
-        step = self.step
-
-        def strip(u, W: Word):
-            for i in W:
-                u = step(u, i)
-            return u
-
-        return self.combine([(conj(b), strip(v, W)) for (W, _), b in x.terms.items()])
+        creation span."""
+        return self.combine([(conj(b), self.strip(v, W)) for (W, _), b in x.terms.items()])
 
     def twisted(self, g) -> "VectorModel":
         """The model of omega o alpha_g on the same vectors: pi(alpha_g(s_i))* =
@@ -248,11 +249,13 @@ class StateFacts:
     * ``sequence``: an isometry sequence with its delta-table status;
     * ``twist``: (base, g) for the state base o alpha_g;
     * ``solution_dim``: dimension of the fixed-point system of a prefix code;
-    * ``model``: a :class:`VectorModel` of the state, when the family has one
-      in closed form (induced products, shift and grid vector states), and
-      on every gauge twist: the twisted model of its base.  The state's
-      moments are its inner products.  A state without one steps its
-      ``MomentFunctional.word_model``.
+    * ``model``: the :class:`VectorModel` the family builds at construction:
+      the suffix model of a Cuntz or prefix-code state, the direct sum of a
+      mixture's components, pi(A) Omega over a sandwich's base, the closed
+      forms of induced products and shift and grid vector states, and on a
+      gauge twist the twisted model of its base.  The state's moments are
+      its inner products.  The series sandwich and raw functionals have
+      none and step their ``MomentFunctional.word_model``.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -273,10 +276,11 @@ class MomentFunctional:
     """A state on O_n presented through its moments omega(s_J s_K*).
 
     ``family`` labels the constructor (for display and tracing only);
-    ``facts`` holds what the constructor proved.  A modelled family's
-    ``evaluator`` reads ``facts.model``; every state also has its word model
-    (:meth:`word_model`), built on first use.  The prefix-memoized vectors
-    of both live as long as the state, next to the moment memo.
+    ``facts`` holds what the constructor proved.  Every family but the
+    series sandwich reads its moments off ``facts.model``; every state also
+    has its word model (:meth:`word_model`), built on first use.  The
+    prefix-memoized vectors of both live as long as the state, next to the
+    moment memo.
     """
 
     def __init__(
@@ -371,13 +375,6 @@ def check_unit(vec) -> None:
         raise NotUnit(f"parameter vector has squared norm {float(total)!r}, expected 1")
 
 
-def _word_product(z: Sequence, J: Word):
-    out = 1
-    for a in J:
-        out = out * z[a - 1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Cuntz states
 # ---------------------------------------------------------------------------
@@ -392,26 +389,97 @@ def _single_word_tail(pairs, n: int):
 
 
 def make_cuntz(z) -> MomentFunctional:
-    """The state with pi(s_j)* Omega = z_j Omega, i.e. omega(s_J s_K*) = conj(z_J) z_K."""
+    """The state with pi(s_j)* Omega = z_j Omega, i.e. omega(s_J s_K*) = conj(z_J) z_K:
+    the state fixed by u = sum_j z_j s_j, on the code of order 1."""
     z = tuple(z)
     n = len(z)
     if n < 2:
         raise SchemaError("need at least two components")
     check_unit(z)
     exact = all(is_exact_scalar(x) for x in z)
-
-    def evaluator(J: Word, K: Word):
-        return conj(_word_product(z, J)) * _word_product(z, K)
-
     letters = {(j,): z[j - 1] for j in range(1, n + 1)}
+    # every letter steps, a zero one too, so a float state's zero moments stay complex
+    model = _suffix_model(n, letters, {(): QQi(1) if exact else 1})
     facts = StateFacts(
         purity=("Pure", "a Cuntz state is a vector state of an irreducible representation"),
         cuntz=(z, "family"),
         tail_class=_single_word_tail(letters.items(), n),
         tensor=(1, letters),
         minimal_isometry=CuntzElement(n, {(w, ()): c for w, c in letters.items() if not scalar_is_zero(c, 0.0)}),
+        model=model,
     )
-    return MomentFunctional(n, "cuntz", evaluator, facts=facts, exact=exact)
+    return MomentFunctional(n, "cuntz", model.moment, facts=facts, exact=exact)
+
+
+class _Group(dict):
+    """The keys of one length of a suffix-model vector, {C: x_C}.  A group
+    meets many vectors whose keys are shorter, so the prefix sums their
+    inner products read are kept with it, one map per prefix length."""
+
+    reductions = None
+
+    def reduced(self, cut: int, table: dict) -> dict:
+        """{P: sum_X x_X omega(s_{X - P})} over the keys X with the prefix P of length cut."""
+        if self.reductions is None:
+            self.reductions = {}
+        sums = self.reductions.get(cut)
+        if sums is None:
+            sums = self.reductions[cut] = {}
+            for X, x in self.items():
+                sums[X[:cut]] = sums.get(X[:cut], 0) + x * table[X[cut:]]
+        return sums
+
+
+def _suffix_model(n: int, z: dict, table: dict) -> VectorModel:
+    """The model of the state fixed by u = sum_W z_W s_W on its code's suffixes.
+
+    omega(u) = 1 makes pi(u) Omega = Omega, so
+    pi(s_i)* Omega = sum_{W_1 = i} z_W pi(s_{W[1:]}) Omega.  A vector stands
+    for sum x_C pi(s_C) Omega over proper suffixes C of the code words in
+    ``z``, stored by key length as {|C|: {C: x_C}}; pi(s_i)* strips a leading
+    i and expands the key () by the rule above.  ``table`` holds omega(s_R)
+    for R shorter than the longest code word, its unit omega(1) starting the
+    vectors, and
+    <pi(s_C) Omega, pi(s_D) Omega> = omega(s_C* s_D) is table[D - C] when
+    C <= D, conj(table[C - D]) when D <= C, and 0 otherwise.  So two groups
+    of one key length pair up by equal keys, and two of different lengths
+    by the shorter keys looked up among the longer group's prefix sums.
+    """
+    expand: dict[int, dict] = {i: {} for i in range(1, n + 1)}
+    for W, c in z.items():
+        expand[W[0]].setdefault(len(W) - 1, {})[W[1:]] = c
+    zero = table[()] * 0
+
+    def step(v: dict, i: int) -> dict:
+        # distinct keys with the leading letter i stay distinct once it is stripped
+        parts = [(1, {length - 1: {C[1:]: x for C, x in group.items() if C[0] == i}})
+                 for length, group in v.items() if length]
+        if 0 in v:
+            parts.append((v[0][()], expand[i]))
+        return combine(parts)
+
+    def inner(a: dict, b: dict):
+        terms: list = []
+        for la, ga in a.items():
+            for lb, gb in b.items():
+                if la == lb:
+                    terms += [x.conjugate() * gb[C] for C, x in ga.items() if C in gb]
+                elif la < lb:
+                    sums = gb.reduced(la, table)
+                    terms += [x.conjugate() * sums[P] for P, x in ga.items() if P in sums]
+                else:
+                    sums = ga.reduced(lb, table)
+                    terms += [sums[P].conjugate() * y for P, y in gb.items() if P in sums]
+        # a one-term sum is that term, so a float moment keeps its bits
+        return sum(terms[1:], terms[0]) if terms else zero
+
+    def combine(pairs) -> dict:
+        pairs = list(pairs)
+        groups = {length: _Group(_combine_maps((c, v[length]) for c, v in pairs if length in v))
+                  for length in {length for _, v in pairs for length in v}}
+        return {length: group for length, group in groups.items() if group}
+
+    return VectorModel({0: _Group({(): table[()]})}, step, inner, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -658,56 +726,13 @@ def make_prefix_code_state(P, z, n: int | None = None) -> MomentFunctional:
     if n is None:
         n = max(max(W) for W in P)
     pc = _read_code(P, z, n)
-    code, zmap, support, M, head, tails = pc.code, pc.z, pc.support, pc.max_len, pc.head, pc.tails
+    code, zmap, support = pc.code, pc.z, pc.support
     family, size = _detect_code_family(set(code), n)
     if family == "sub_cuntz" and size == 1:
         return make_cuntz([zmap[(i,)] for i in range(1, n + 1)])
 
     sol = _solve_low_moments(pc, n)
-    table = sol.table
-    creation_memo: dict[Word, object] = {}
-
-    # Both peel code words off a word in a loop, then multiply the factors
-    # back from the innermost one out.  A one-term sum is written 0 + x, as
-    # sum() computes it, so float zeros keep their sign.
-    def creation(C: Word):
-        # omega(s_C) = conj(z_W) omega(s_{C - W}) for the code word W <= C
-        if len(C) <= M:
-            return table[C]
-        peeled = []
-        while len(C) > M and C not in creation_memo:
-            W = head(C)
-            if W is None:
-                creation_memo[C] = 0
-                break
-            peeled.append((C, W))
-            C = C[len(W):]
-        value = table[C] if len(C) <= M else creation_memo[C]
-        while peeled:
-            D, W = peeled.pop()
-            value = creation_memo[D] = 0 + conj(zmap[W]) * value
-        return value
-
-    moment_memo: dict[tuple[Word, Word], object] = {}
-
-    def evaluator(J: Word, K: Word):
-        # peel code factors off the annihilation side: omega(x u) = omega(x)
-        if not K:
-            return creation(J)
-        peeled = []
-        while K and (J, K) not in moment_memo:
-            W = head(K)
-            if W is None:
-                moment_memo[J, K] = sum((zmap[V] * creation(J + V[len(K):]) for V in tails(K)), 0)
-                break
-            peeled.append((K, W))
-            K = K[len(W):]
-        value = moment_memo[J, K] if K else creation(J)
-        while peeled:
-            D, W = peeled.pop()
-            value = moment_memo[J, D] = 0 + zmap[W] * value
-        return value
-
+    model = _suffix_model(n, {w: zmap[w] for w in support}, sol.table)
     u = CuntzElement(n, {(w, ()): zmap[w] for w in support})
     isometry, in_plus = is_isometry_in_plus(u)
     if not (isometry and in_plus):
@@ -740,8 +765,9 @@ def make_prefix_code_state(P, z, n: int | None = None) -> MomentFunctional:
         progression=progression,
         minimal_isometry=u,
         solution_dim=dim,
+        model=model,
     )
-    return MomentFunctional(n, family, evaluator, facts=facts, exact=pc.exact, warnings=sol.warnings)
+    return MomentFunctional(n, family, model.moment, facts=facts, exact=pc.exact, warnings=sol.warnings)
 
 
 def make_sub_cuntz(m: int, z, n: int) -> MomentFunctional:
@@ -895,12 +921,27 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
     if not ok or any(complex(w).real <= 0 for w in weights):
         raise SchemaError("weights must be positive and sum to 1")
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
+    model = _mixture_model(weights, [s.facts.model or s.word_model() for s in states])
+    facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"), model=model)
+    return MomentFunctional(n, "mixture", _as_qqi(model.moment) if exact else model.moment, facts=facts, exact=exact)
 
-    def evaluator(J: Word, K: Word):
-        return sum((w * s.lookup(J, K) for w, s in zip(weights, states)), 0)
 
-    facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"))
-    return MomentFunctional(n, "mixture", evaluator, facts=facts, exact=exact)
+def _mixture_model(weights, models: Sequence[VectorModel]) -> VectorModel:
+    """The direct sum of the components' models: Omega = (+)_k sqrt(w_k) Omega_k,
+    so a vector is the tuple of component vectors, stepped and combined
+    component by component, and <a, b> = sum_k w_k <a_k, b_k>_k."""
+
+    def step(v: tuple, i: int) -> tuple:
+        return tuple(m.step(x, i) for m, x in zip(models, v))
+
+    def inner(a: tuple, b: tuple):
+        return sum((w * m.inner(x, y) for w, m, x, y in zip(weights, models, a, b)), 0)
+
+    def combine(pairs) -> tuple:
+        pairs = list(pairs)
+        return tuple(m.combine([(c, v[k]) for c, v in pairs]) for k, m in enumerate(models))
+
+    return VectorModel(tuple(m.vector(()) for m in models), step, inner, combine)
 
 
 def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
@@ -909,18 +950,15 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     The base's vector model, chosen at construction, is stepped by
     S'_i = sum_j conj(g_ji) S_j, where S_j is the base's pi(s_j)*:
     omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The model is the
-    base's closed-form ``facts.model``; or else the model of its
-    presentation (A_i, Omega, G) when its Gram growth stabilizes at the
-    default level cap 8 (the growth kappa shares, as it delegates a twist
-    to its base); or else its word model (the series sandwich; sandwiches
-    and mixtures over bases of infinite cdim), whose v_J are the n^|J|
-    coefficients of alpha_g(s_J), so a moment sums n^(|J|+|K|) base
-    moments.  The twist keeps this model, so a twist of it needs no Gram
-    growth, and each letter costs at most n base steps.  An exact g gives
-    QQi moments and a float g complex ones (but omega(I), the base's own).
-    A lazy shift state computes exactly but is marked inexact (its letters
-    are known to a horizon), and so is its twist.  A presentation that
-    breaks the compressed row relation raises ValidationFailed.
+    base's ``facts.model``; only a state without one (the series sandwich,
+    a raw ``MomentFunctional``) falls back to its word model, whose v_J are
+    the n^|J| coefficients of alpha_g(s_J), so a moment sums n^(|J|+|K|)
+    base moments.  The twist keeps this model, so a twist of it steps it
+    again, and each letter costs at most n base steps.  Constructing a twist
+    grows no Gram basis.  An exact g gives QQi moments and a float g complex
+    ones (but omega(I), the base's own).  A lazy shift state computes
+    exactly but is marked inexact (its letters are known to a horizon), and
+    so is its twist.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), the purity
@@ -940,21 +978,10 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     verdict, reason = base.purity
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
-    model = (base.model or _presented_model(omega) or omega.word_model()).twisted(g)
+    model = (base.model or omega.word_model()).twisted(g)
     evaluator = (_as_qqi if g_exact else _as_complex)(model.moment)
     facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
     return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=omega.exact and g_exact)
-
-
-def _presented_model(omega: MomentFunctional) -> VectorModel | None:
-    """The model of omega's presentation, or None when its Gram growth still
-    rises at the default level cap."""
-    # classify and fcs import this module
-    from .classify import gram_growth
-    from .fcs import presentation
-
-    growth = gram_growth(omega)
-    return presentation(omega, growth).model() if growth.stabilized else None
 
 
 def _as_qqi(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], object]:
@@ -984,9 +1011,10 @@ def transform_sandwich(
 ) -> MomentFunctional:
     """The functional x -> sum_{l,l'} conj(c_l) c_l' omega(A_l* x A_l').
 
-    ``terms`` is a finite list of (c_l, A_l), read as A Omega with
-    A = sum_l c_l A_l in the cyclic representation of the base state; A and
-    A* are built once, so each moment is the one product omega(A* s_J s_K* A).
+    ``terms`` is a finite list of (c_l, A_l), read as pi(A) Omega with
+    A = sum_l c_l A_l in the cyclic representation of the base state, so
+    omega'(s_J s_K*) = <pi(s_J)* pi(A) Omega, pi(s_K)* pi(A) Omega>; the
+    vectors step the base's model (``_sandwich_model``).
 
     The list is the whole sum: the constructor evaluates the mass omega'(I)
     and refuses (NotNormalized) unless it equals 1, so the functional is
@@ -1007,12 +1035,8 @@ def transform_sandwich(
         check_unit(equivalent_to_cuntz)
     exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms)
 
-    A = sum((c * Al for c, Al in terms), zero(n))
-    A_star = adjoint(A)
-
-    def evaluator(J: Word, K: Word):
-        return omega.moment_of_element(multiply(multiply(A_star, monomial(n, J, K)), A))
-
+    model = _sandwich_model(omega.facts.model or omega.word_model(), sum((c * Al for c, Al in terms), zero(n)))
+    evaluator = _as_qqi(model.moment) if exact else model.moment
     mass = evaluator((), ())
     if is_exact_scalar(mass):
         if mass != 1:
@@ -1023,8 +1047,42 @@ def transform_sandwich(
     facts = StateFacts(
         purity=("Pure", _PURE_IN_PURE) if omega.facts.purity[0] == "Pure" else _UNKNOWN_PURITY,
         cuntz=(tuple(equivalent_to_cuntz), "user") if equivalent_to_cuntz is not None else None,
+        model=model,
     )
     return MomentFunctional(n, "sandwich", evaluator, facts=facts, exact=exact)
+
+
+def _sandwich_model(base: VectorModel, A: CuntzElement) -> VectorModel:
+    """The model of pi(A) Omega over the base's model.
+
+    A vector is {P: x_P}, standing for sum_P pi(s_P) x_P with x_P a vector
+    of the base.  The term b s_W s_V* of A starts at key W with b v_V; a step
+    pi(s_i)* strips a leading i, or steps x_() in the base; and for P <= Q,
+    <pi(s_P) x, pi(s_Q) y> = <pi(s_{Q - P})* x, y>, stepped in the base
+    (symmetrically for Q <= P)."""
+
+    def step(v: dict, i: int) -> dict:
+        stripped = [(1, {P[1:]: x}) for P, x in v.items() if P and P[0] == i]
+        return combine(stripped + ([(1, {(): base.step(v[()], i)})] if () in v else []))
+
+    def inner(a: dict, b: dict):
+        total = 0
+        for P, x in a.items():
+            for Q, y in b.items():
+                if Q[:len(P)] == P:
+                    total = total + base.inner(base.strip(x, Q[len(P):]), y)
+                elif P[:len(Q)] == Q:
+                    total = total + base.inner(x, base.strip(y, P[len(Q):]))
+        return total
+
+    def combine(pairs) -> dict:
+        grouped: dict = {}
+        for c, v in pairs:
+            for P, x in v.items():
+                grouped.setdefault(P, []).append((c, x))
+        return {P: base.combine(terms) for P, terms in grouped.items()}
+
+    return VectorModel(combine((b, {W: base.vector(V)}) for (W, V), b in A.terms.items()), step, inner, combine)
 
 
 def make_split_series_sandwich() -> MomentFunctional:

@@ -13,6 +13,7 @@ from cuntzlab import (
     GridRepresentation,
     LowerBoundOnly,
     Minimal,
+    MomentFunctional,
     ProperlyInfinite,
     PurityDecision,
     ShiftPeriod,
@@ -20,8 +21,6 @@ from cuntzlab import (
     StateVector,
     adjoint,
     cdim,
-    decompose_spectrum_bucket,
-    endo_invariants,
     equivalent,
     gauge_apply,
     gen,
@@ -278,7 +277,7 @@ class TestDeltaTableThroughTheModel:
             transform_gauge(_induced(), G_C),
             [gauge_apply(hermitian_transpose(G_C), _induced().facts.sequence.factory(i)) for i in range(1, 5)],
             4, "evidence"),
-        # a prefix-code state has no closed form: its twist steps the presented model
+        # a prefix-code twist steps the suffix model of its base
         "twisted_word_transported": lambda: (
             transform_gauge(make_prefix_code_state([(1, 1, 2)], [q(1)], 2), G_C),
             [gauge_apply(hermitian_transpose(G_C), gen(2, 1))] * 4,
@@ -317,14 +316,17 @@ class TestDeltaTableThroughTheModel:
         assert calls == [(adjoint(seq(i)), seq(i)) for i in range(1, 9)]
 
     def test_an_unmodelled_state_steps_its_word_model(self):
-        # a mixture has no closed-form model: its word model's vectors are the
-        # prefix products themselves, so its table is the double sum
-        omega = make_mixture([_induced(), make_induced_product([], [Z35I, Z35], 2)], [q(fr(1, 3)), q(fr(2, 3))])
-        assert omega.facts.model is None
+        # a raw functional has no model: its word model's vectors are the
+        # prefix products themselves, so its table is the double sum; the
+        # mixture it reads steps its own model to the same table
+        mixture = make_mixture([_induced(), make_induced_product([], [Z35I, Z35], 2)], [q(fr(1, 3)), q(fr(2, 3))])
+        omega = MomentFunctional(2, "raw", mixture.lookup)
+        assert omega.facts.model is None and mixture.facts.model is not None
         seq = self.CASES["induced_list"]()[1]
         chk = verify_properly_infinite(omega, seq, cutoff=5)
         assert chk.status == "failed"
         assert chk.table == _double_sum_table(omega, seq, 5)
+        assert verify_properly_infinite(mixture, seq, cutoff=5).table == chk.table
 
     def test_a_sequence_over_another_algebra_is_refused(self):
         from cuntzlab import SchemaError
@@ -459,20 +461,33 @@ class TestEquivalence:
         assert "no decision rule" in d.reason
 
 
+def _cli_doc(command, spec, spec_file, capsys) -> dict:
+    """The JSON document ``cuntzlab <command> <spec> --format json`` prints."""
+    import json
+
+    from cuntzlab.cli import run
+
+    assert run([command, spec_file(spec), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestSpectrumBuckets:
-    def test_finite_buckets(self):
-        assert decompose_spectrum_bucket(make_cuntz(Z35)) == 1
-        assert (
-            decompose_spectrum_bucket(make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2))
-            == 2
-        )
+    """The bucket `report` prints: kappa, or "unresolved" without a certificate."""
 
-    def test_infinite_bucket(self):
-        assert decompose_spectrum_bucket(vector_state(GridRepresentation(2), (1, 0))) == inf
+    def test_finite_buckets(self, spec_file, capsys):
+        cuntz = {"family": "cuntz", "z": ["3/5", "4/5"]}
+        word12 = {"family": "prefix_code", "n": 2, "code": [[1, 2]], "z": [1]}
+        assert _cli_doc("report", cuntz, spec_file, capsys)["bucket"] == 1
+        assert _cli_doc("report", word12, spec_file, capsys)["bucket"] == 2
 
-    def test_unresolved_bucket(self):
-        w = transform_sandwich(make_cuntz([q(1), q(0)]), [(1, gen(2, 2))])
-        assert decompose_spectrum_bucket(w) == "unresolved"
+    def test_infinite_bucket(self, spec_file, capsys):
+        grid = {"family": "vector", "rep": {"kind": "grid", "n": 2}, "key": [1, 0]}
+        assert _cli_doc("report", grid, spec_file, capsys)["bucket"] == "infinite"
+
+    def test_unresolved_bucket(self, spec_file, capsys):
+        s2 = {"n": 2, "terms": [{"J": [2], "K": [], "re": 1}]}
+        sandwich = {"family": "sandwich", "base": {"family": "cuntz", "z": [1, 0]}, "terms": [[1, s2]]}
+        assert _cli_doc("report", sandwich, spec_file, capsys)["bucket"] == "unresolved"
 
 
 class TestRepresentationInvariants:
@@ -486,11 +501,11 @@ class TestRepresentationInvariants:
         assert k.value == 2
         assert k.certificate == ShiftPeriod(d=2)
 
-    def test_endo_invariants(self):
-        inv = endo_invariants(GridRepresentation(2))
-        assert inv.powers_index == 2
-        assert inv.kappa == inf
+    def test_endo_invariants(self, spec_file, capsys):
+        # `rep` prints the endomorphism's powers index (n) and kappa
+        doc = _cli_doc("rep", {"kind": "grid", "n": 2}, spec_file, capsys)
+        assert (doc["powers_index"], doc["kappa"]["value"]) == (2, "infinite")
 
-    def test_shift_endo_invariants(self):
-        inv = endo_invariants(ShiftRepresentation(ep((), (1, 2))))
-        assert inv.kappa == 2
+    def test_shift_endo_invariants(self, spec_file, capsys):
+        doc = _cli_doc("rep", {"kind": "shift", "n": 2, "word": {"pre": [], "per": [1, 2]}}, spec_file, capsys)
+        assert (doc["powers_index"], doc["kappa"]["value"]) == (2, 2)

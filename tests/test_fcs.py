@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cuntzlab import (
     ValidationFailed,
+    cdim,
     check_row_isometry,
     extract_fcs,
     fcs_moment,
@@ -19,7 +20,6 @@ from cuntzlab import (
     make_cuntz,
     make_prefix_code_state,
     make_sub_cuntz,
-    orbit_closure_cdim,
     parse_spec,
     words_upto,
 )
@@ -67,7 +67,8 @@ class TestCuntzExtraction:
         assert check_row_isometry(extract_fcs(make_cuntz(Z35)))
 
     def test_orbit_closure_is_trivial(self):
-        assert orbit_closure_cdim(extract_fcs(make_cuntz(Z35))) == 1
+        w = make_cuntz(Z35)
+        assert extract_fcs(w).d == cdim(w).value == 1
 
 
 class TestWordStateExtraction:
@@ -89,9 +90,10 @@ class TestWordStateExtraction:
                 assert fcs_moment(f, J, K) == w.moment(J, K), (J, K)
 
     def test_row_isometry_and_orbit(self):
-        f = extract_fcs(make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2))
+        w = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
+        f = extract_fcs(w)
         assert check_row_isometry(f)
-        assert orbit_closure_cdim(f) == 2
+        assert f.d == cdim(w).value == 2
 
 
 class TestPresentation:

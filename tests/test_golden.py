@@ -26,8 +26,9 @@ shift and grid states and the exact twists of them read their moments off a
 vector model, so they pin every moment value and its printed form.
 
 Every spec twisted by a complex unitary reads its moments off a vector
-model, and only a base with neither a closed-form nor a presented model
-expands the gauge images.
+model, and only a base without a model of its own (the series sandwich)
+expands the gauge images.  Float ``moments --level 3`` of every spec stays
+within a fixed bound of its exact golden file.
 
 The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
 """
@@ -36,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,28 @@ def test_single_moments(name, capsys):
     assert out == (GOLDEN / f"{name}.moments.json").read_text(encoding="utf-8")
 
 
+# the largest |float - exact| over the level-3 moments of every golden spec
+# was 4.7e-13 (gauge_word_n3; 0 for every other spec once printed), so the
+# bound leaves a factor of two
+FLOAT_MOMENT_BOUND = 1e-12
+
+
+def _moment_values(doc: dict) -> list:
+    def part(x):
+        return float(Fraction(x)) if isinstance(x, str) else float(x)
+
+    return [(row["J"], row["K"], complex(part(row["value"][0]), part(row["value"][1]))) for row in doc["moments"]]
+
+
+@pytest.mark.parametrize("name", MOMENT_SPECS)
+def test_float_moments_stay_near_the_exact_golden(name, capsys):
+    got = _moment_values(json.loads(_stdout("moments", [name], capsys, "--level", "3", "--mode", "float")))
+    want = _moment_values(json.loads((GOLDEN / f"{name}.moments.json").read_text(encoding="utf-8")))
+    assert [(J, K) for J, K, _ in got] == [(J, K) for J, K, _ in want]
+    worst = max(abs(a - b) for (_, _, a), (_, _, b) in zip(got, want))
+    assert worst <= FLOAT_MOMENT_BOUND, worst
+
+
 @pytest.mark.parametrize("name", KAPPA_SPECS)
 @pytest.mark.parametrize("fmt", ["json", "md"])
 def test_single_kappa(name, fmt, capsys):
@@ -97,14 +121,16 @@ G_C = {
     2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
     3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
 }
-# the only golden base whose Gram rank still grows at the default cap 8
+# the only golden family without a model of its own
 NEITHER_MODEL = {"sandwich_series"}
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_a_twist_expands_only_a_base_with_neither_model(name, tmp_path, monkeypatch, capsys):
-    # a base with neither a closed-form nor a presented model falls back to
-    # its word model, whose twisted vectors are the gauge images alpha_g(s_J)
+    # a base without a model of its own falls back to its word model, whose
+    # twisted vectors are the gauge images alpha_g(s_J); constructing any
+    # golden twist grows no Gram basis
+    import cuntzlab.classify as classify
     from cuntzlab.moments import MomentFunctional
 
     expanded = []
@@ -115,6 +141,11 @@ def test_a_twist_expands_only_a_base_with_neither_model(name, tmp_path, monkeypa
         return word_model(omega)
 
     monkeypatch.setattr(MomentFunctional, "word_model", spy)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram growth")
+
+    monkeypatch.setattr(classify, "gram_growth", refuse)
     path = GOLDEN / "specs" / f"{name}.json"
     twist = tmp_path / "twist.json"
     twist.write_text(json.dumps({"family": "gauge", "base": json.loads(path.read_text(encoding="utf-8")),

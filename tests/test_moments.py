@@ -4,9 +4,11 @@ Every expected number below was computed by hand from the defining formulas
 before being compared against the library.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,7 @@ from cuntzlab import (
     make_sub_cuntz,
     monomial,
     multiply,
+    parse_spec,
     positivity_check,
     solve_low_moments,
     transform_gauge,
@@ -465,7 +468,9 @@ def _spy_growth(monkeypatch, only=None) -> list:
 
 
 class TestGaugeThroughPresentation:
-    """Twists step the base's model, closed-form or presented; the double sum is the oracle."""
+    """Twists step the base's model, chosen at construction: the family's own
+    (suffix, mixture, sandwich, induced, vector) or, for the series sandwich
+    and raw functionals, the word model.  The double sum is the oracle."""
 
     BASES = {
         "word_112": lambda: make_prefix_code_state([(1, 1, 2)], [q(1)], 2),
@@ -490,7 +495,7 @@ class TestGaugeThroughPresentation:
         for J, K in _pairs(2, 23):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
 
-    def test_float_twist_steps_the_presented_model(self):
+    def test_float_twist_steps_the_suffix_model(self):
         base = self.BASES["word_112"]()
         g = [[complex(x) for x in row] for row in G_C]
         w = transform_gauge(base, g)
@@ -498,6 +503,7 @@ class TestGaugeThroughPresentation:
         _close_to_expansion(w, base, g, _pairs(2, 19))
 
     def test_twist_of_a_twist_never_grows_the_inner_twist(self, monkeypatch):
+        # both twists step the prefix-code base's suffix model: nothing is grown
         grown = _spy_growth(monkeypatch)
         base = self.BASES["word_112"]()
         inner = transform_gauge(base, G_C)
@@ -505,7 +511,7 @@ class TestGaugeThroughPresentation:
         g = _product_matrix(G_C, ROT)
         for J, K in _pairs(2, 31):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
-        assert grown == [base]
+        assert grown == []
 
     def test_twist_of_an_induced_product_steps_its_model(self):
         # the base's rank grows by one per level, so no presentation exists;
@@ -549,17 +555,25 @@ class TestGaugeThroughPresentation:
         # the exact base's zeros (|J| != |K|) come out complex, as from the expansion
         assert all(isinstance(w.moment(J, K), complex) for J, K in product(words_upto(2, 3), repeat=2) if J or K)
 
+    def test_twist_of_a_mixture_steps_its_model(self, monkeypatch):
+        # the mixture's vectors are the tuples of its components' vectors
+        grown = _spy_growth(monkeypatch)
+        base = make_mixture([make_induced_product([Z35], [Z35I], 2), make_induced_product([], [Z35I, Z35], 2)],
+                            [q(fr(1, 3)), q(fr(2, 3))])
+        w = transform_gauge(base, G_C)
+        assert base.facts.model is not None and w.facts.model is not None
+        for J, K in _pairs(2, 47):
+            assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+        assert grown == []
+
     UNMODELLED_BASES = {
         "series_sandwich": make_split_series_sandwich,
-        "induced_mixture": lambda: make_mixture(
-            [make_induced_product([Z35], [Z35I], 2), make_induced_product([], [Z35I, Z35], 2)],
-            [q(fr(1, 3)), q(fr(2, 3))]),
     }
 
     @pytest.mark.parametrize("name", sorted(UNMODELLED_BASES))
     def test_a_base_with_neither_model_keeps_the_expansion(self, name):
-        # the Gram rank of both still grows at the default cap 8, so the twist
-        # steps the base's word model, whose vectors are the gauge images
+        # the series sandwich has no model of its own, so the twist steps its
+        # word model, whose vectors are the gauge images
         base = self.UNMODELLED_BASES[name]()
         w = transform_gauge(base, G_C)
         assert w.facts.model is not None and base.facts.model is None
@@ -568,14 +582,15 @@ class TestGaugeThroughPresentation:
 
     def test_twist_of_a_twisted_series_sandwich_never_grows_the_inner_twist(self, monkeypatch):
         # the inner twist keeps the sandwich's twisted word model, so the outer
-        # twist steps it; growing the inner twist to level 8 took over a minute
+        # twist steps it; growing the inner twist to level 8 took over a minute,
+        # and no twist grows its base either
         base = make_split_series_sandwich()
         grown = _spy_growth(monkeypatch, only=base)
         w = transform_gauge(transform_gauge(base, G_C), ROT)
         g = _product_matrix(G_C, ROT)
         for J, K in product(words_upto(2, 3), repeat=2):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
-        assert grown == [base]
+        assert grown == []
 
     def test_an_exact_twist_of_the_lazy_shift_state_reads_qqi(self):
         w = transform_gauge(self.VECTOR_BASES["lazy_shift"](), G_C)
@@ -594,11 +609,15 @@ class TestGaugeThroughPresentation:
         assert base not in grown and w in grown
 
     def test_a_base_that_breaks_the_row_relation_is_refused(self):
-        # omega(I) = 1 and every other moment 0: the growth stops at d = 1 with
-        # A_1 = A_2 = 0, so sum_i A_i^H G A_i = 0, not G
+        # omega(I) = 1 and every other moment 0, and so for its twist: the growth
+        # stops at d = 1 with A_1 = A_2 = 0, so sum_i A_i^H G A_i = 0, not G.
+        # The twist is built without a growth; its presentation refuses it.
+        from cuntzlab import extract_fcs
+
         base = MomentFunctional(2, "bogus", lambda J, K: QQi(1) if J == K == () else QQi(0))
+        w = transform_gauge(base, ROT)
         with pytest.raises(ValidationFailed, match="row relation"):
-            transform_gauge(base, ROT)
+            extract_fcs(w)
 
     def test_a_long_moment_reads_few_base_moments(self, monkeypatch):
         base = make_sub_cuntz(3, {(1, 1, 2): q(1)}, 2)
@@ -612,8 +631,87 @@ class TestGaugeThroughPresentation:
         monkeypatch.setattr(base, "_evaluator", spy)
         w = transform_gauge(base, ROT)
         w.moment((1, 2) * 4, (2, 1, 1) * 2 + (2, 2))
-        # the expansion would read up to 2^16 base moments
-        assert 0 < len(reads) < 100
+        # the expansion would read up to 2^16 base moments; the twist steps the
+        # base's suffix model and reads none
+        assert reads == []
+
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
+CODE_FAMILIES = ("cuntz", "sub_cuntz", "geometric_progression", "prefix_code")
+CODE_SPECS = sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")
+                    if json.loads(p.read_text(encoding="utf-8"))["family"] in CODE_FAMILIES)
+
+
+def _peeled_moment(z, table, J, K):
+    """omega(s_J s_K*) of the state fixed by u = sum_W z_W s_W, by the
+    fixed-point rules alone: pi(s_W)* Omega = z_W Omega for a code word W,
+    pi(s_K)* Omega = sum_{V > K} z_V pi(s_{V - K}) Omega when no code word
+    starts K, and omega(s_C) = conj(z_W) omega(s_{C - W}) past the table."""
+    longest = max(map(len, z))
+
+    def head(X):
+        return next((W for W in z if X[:len(W)] == W), None)
+
+    def creation(C):
+        if len(C) <= longest:
+            return table[C]
+        W = head(C)
+        return conj(z[W]) * creation(C[len(W):]) if W else 0
+
+    W = head(K)
+    if W:
+        return z[W] * _peeled_moment(z, table, J, K[len(W):])
+    if not K:
+        return creation(J)
+    return sum((c * creation(J + V[len(K):]) for V, c in z.items() if len(V) > len(K) and V[:len(K)] == K), 0)
+
+
+class TestFamilyModels:
+    """Each family's own model against an oracle that uses no model."""
+
+    @pytest.mark.parametrize("name", CODE_SPECS)
+    def test_suffix_model_matches_the_peel(self, name):
+        w = parse_spec(str(GOLDEN_SPECS / f"{name}.json"))
+        z = {W: c for (W, _), c in w.facts.minimal_isometry.terms.items()}
+        table = solve_low_moments(list(z), z, w.n).table
+        assert w.facts.model is not None
+        pairs = list(product(words_upto(w.n, 3), repeat=2)) + [((1, 2) * 4, (2, 1, 1) * 2), ((2,) * 7, (1,) * 5)]
+        for J, K in pairs:
+            assert w.moment(J, K) == _peeled_moment(z, table, J, K), (J, K)
+
+    @pytest.mark.parametrize("name", ["mixture", "sandwich_mixture"])
+    def test_mixture_model_sums_its_components(self, name):
+        parts = {
+            "mixture": ([make_cuntz([q(1), q(0)]), make_cuntz(Z35I)], [fr(1, 3), fr(2, 3)]),
+            "sandwich_mixture": ([make_prefix_code_state([(1, 1, 2)], [q(1)], 2),
+                                  transform_sandwich(make_cuntz(Z35), [(q(0, 1), gen(2, 2))]),
+                                  make_split_series_sandwich()], [q(fr(1, 2)), q(fr(1, 4)), q(fr(1, 4))]),
+        }[name]
+        m = make_mixture(*parts)
+        assert m.facts.model is not None
+        for J, K in product(words_upto(2, 3), repeat=2):
+            assert m.moment(J, K) == sum((c * s.moment(J, K) for s, c in zip(*parts)), 0), (J, K)
+
+    SANDWICH_BASES = {
+        "prefix_code": lambda: make_prefix_code_state([(1, 1), (1, 2), (2,)], [q(fr(2, 3)), q(fr(1, 3)), q(0, fr(2, 3))], 2),
+        "shift": lambda: vector_state(ShiftRepresentation(EventuallyPeriodicWord((1,), (1, 2), 2)),
+                                      EventuallyPeriodicWord((1,), (1, 2), 2)),
+        "twist": lambda: transform_gauge(make_sub_cuntz(2, {(1, 2): q(1)}, 2), G_C),
+        "mixture": lambda: make_mixture([make_cuntz(Z35), make_induced_product([Z35], [Z35I], 2)], [fr(1, 2), fr(1, 2)]),
+        "series": make_split_series_sandwich,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SANDWICH_BASES))
+    def test_sandwich_model_matches_the_multiplied_out_product(self, name):
+        # A = s_21 s_1* + i s_122 s_2*: A* A = s_1 s_1* + s_2 s_2* = I, so the mass is 1
+        # over every base, and the keys 21 and 122 have different lengths
+        base = self.SANDWICH_BASES[name]()
+        A = monomial(2, (2, 1), (1,)) + monomial(2, (1, 2, 2), (2,), q(0, 1))
+        w = transform_sandwich(base, [(1, A)])
+        assert w.facts.model is not None
+        for J, K in product(words_upto(2, 3), repeat=2):
+            want = base.moment_of_element(multiply(multiply(adjoint(A), monomial(2, J, K)), A))
+            assert w.moment(J, K) == want, (J, K)
 
 
 class TestStateFacts:

@@ -1,0 +1,45 @@
+"""The parent-versus-change output check in ``tools/same_outputs.py``: its
+command set and the number comparison of its json outputs (the script's
+runs are not repeated here)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def test_numbers_that_moved_are_counted_with_the_largest_delta():
+    old = {"A": [[0.5, 0.0], [1.0, 2.5e-16]], "d": 2, "words": ["()", "1"]}
+    new = {"A": [[0.5, 0.0], [1.0, 0.0]], "d": 2, "words": ["()", "1"]}
+    assert same_outputs.number_drift(old, new) == (1, 2.5e-16)
+    # an exact entry and a type change count as moved, the latter by 0
+    assert same_outputs.number_drift(["1/3", 1.0], ["1/3", 1]) == (1, 0.0)
+    assert same_outputs.number_drift({"d": 2}, {"d": 3}) == (1, 1.0)
+    # a different shape or text is not a drift
+    assert same_outputs.number_drift({"A": [1]}, {"A": [1, 2]}) is None
+    assert same_outputs.number_drift({"note": "a"}, {"note": "b"}) is None
+
+
+def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
+    plan = same_outputs.build_plan(tmp_path)
+    specs = sorted(p.stem for p in same_outputs.GOLDEN_SPECS.glob("*.json"))
+    for name in specs:
+        for command in (*same_outputs.GOLDEN_COMMANDS, "moments"):
+            assert f"golden/json/{command}:{name}" in plan
+            assert (f"twist/json/{command}:{name}" in plan) == (name not in same_outputs.SLOW_TWISTS)
+    workdir, argv = plan["twist/json/fcs:gauge_word_n3"]
+    twist = json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))
+    assert len(twist["g"]) == 3
+    assert sum(label.startswith("report_float/") for label in plan) == 4 * sum(
+        label.startswith("report_float/1/json/") for label in plan)
+    assert plan["selftest/json/selftest"][1] == ["selftest", "--format", "json"]
+
+
+def test_selftest_seconds_are_dropped_before_comparing():
+    doc = {"ok": True, "results": [{"name": "a", "ok": True, "seconds": 0.25}]}
+    record = same_outputs._normalize("selftest/json/selftest", [0, json.dumps(doc), "", None])
+    assert "seconds" not in record[1] and json.loads(record[1])["results"][0]["name"] == "a"

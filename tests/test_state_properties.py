@@ -1,9 +1,10 @@
 """Structure identities across generated exact states with a vector model.
 
-Hypothesis draws exact induced products and exact shift and grid vector
-states (basis vectors and superpositions with Gaussian rational
-coefficients), and exact unitaries built from phases and Pythagorean
-rotations.  Every state must satisfy
+Hypothesis draws exact induced products, exact shift and grid vector states
+(basis vectors and superpositions with Gaussian rational coefficients),
+prefix-code states (Cuntz states included), sandwiches of those by
+A = sum_l c_l s_{W_l} and mixtures of any two, and exact unitaries built
+from phases and Pythagorean rotations.  Every state must satisfy
 
 * Hermitian symmetry: omega(s_K s_J*) = conj(omega(s_J s_K*));
 * the row relation: sum_i omega(s_J s_i s_i* s_K*) = omega(s_J s_K*);
@@ -14,14 +15,20 @@ rotations.  Every state must satisfy
 The identities hold by the Cuntz relations, independently of how the
 moments are computed.
 
-Mixtures of two drawn states with exact weights have no closed-form model,
-so their twists and delta tables step the word model; they must equal the
-double sums that define them:
+Every family builds its own model, and each model must agree with the
+formula it replaces, computed without a model:
 
-* twisted moments: omega(alpha_g(s_J) alpha_g(s_K)*) summed over the words
-  of both gauge images;
-* the delta table of row isometries a_i = sum_j z_j s_j: the prefix products
-  a_1..a_l multiplied out, and omega summed over their terms.
+* a prefix-code state is fixed by its minimal isometry u:
+  omega(s_J s_K* u) = omega(s_J s_K*), u multiplied out;
+* a sandwich's moments are omega(A* s_J s_K* A), multiplied out over the
+  base;
+* a finitely correlated state's presentation gives its moments back:
+  fcs_moment(extract_fcs(omega), J, K) = omega(s_J s_K*);
+* a mixture's twists and delta tables equal the double sums that define
+  them: omega(alpha_g(s_J) alpha_g(s_K)*) summed over the words of both
+  gauge images, and the delta table of row isometries a_i = sum_j z_j s_j
+  with the prefix products a_1..a_l multiplied out and omega summed over
+  their terms.
 """
 
 from fractions import Fraction
@@ -32,16 +39,25 @@ from hypothesis import strategies as st
 from cuntzlab import (
     CuntzElement,
     EventuallyPeriodicWord,
+    FCSPresentation,
     GridRepresentation,
     QQi,
     ShiftRepresentation,
     StateVector,
+    adjoint,
+    all_words,
     cdim,
+    extract_fcs,
+    fcs_moment,
     identity,
+    make_cuntz,
     make_induced_product,
     make_mixture,
+    make_prefix_code_state,
+    monomial,
     multiply,
     transform_gauge,
+    transform_sandwich,
     vector_state,
     verify_properly_infinite,
 )
@@ -99,7 +115,44 @@ def _superposition(draw, rep, keys):
     return vector_state(rep, StateVector(coeffs))
 
 
-states = st.one_of(induced_products(), shift_states(), grid_states())
+@st.composite
+def prefix_codes(draw, n):
+    """A prefix code over n letters: the letters, with up to two leaves split
+    into their n children (words of at most three letters), some leaves
+    dropped so the code need not be complete."""
+    leaves = [(i,) for i in range(1, n + 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        W = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        leaves += [W + (i,) for i in range(1, n + 1)] if len(W) < 3 else [W]
+    keep = draw(st.lists(st.booleans(), min_size=len(leaves), max_size=len(leaves)))
+    return [W for W, k in zip(leaves, keep) if k] or leaves[:1]
+
+
+@st.composite
+def code_states(draw):
+    """A Cuntz state, or the state fixed by u = sum_W z_W s_W on a drawn code."""
+    n = draw(alphabets)
+    if draw(st.booleans()):
+        return make_cuntz(draw(units(n)))
+    code = draw(prefix_codes(n))
+    return make_prefix_code_state(code, draw(units(len(code))), n)
+
+
+@st.composite
+def sandwich_terms(draw):
+    """A drawn code state and the terms (c_l, s_{W_l}) of A = sum_l c_l s_{W_l},
+    over distinct words of one length with sum |c_l|^2 = 1, so that
+    omega(A* . A) has mass exactly 1."""
+    base = draw(code_states())
+    n = base.n
+    words = draw(st.lists(st.sampled_from(list(all_words(n, draw(st.integers(1, 2))))),
+                          min_size=1, max_size=3, unique=True))
+    return base, list(zip(draw(units(len(words))), (monomial(n, W) for W in words)))
+
+
+sandwiches = sandwich_terms().map(lambda case: transform_sandwich(*case))
+finite_states = st.one_of(code_states(), sandwiches)
+states = st.one_of(induced_products(), shift_states(), grid_states(), finite_states)
 
 _PHASES = (QQi(1), QQi(0, 1), QQi(-1), QQi(Fraction(3, 5), Fraction(4, 5)), QQi(Fraction(5, 13), Fraction(-12, 13)))
 
@@ -150,12 +203,51 @@ def test_level_ranks_are_gauge_invariant(case):
 
 
 @st.composite
-def mixtures(draw):
+def mixtures(draw, parts=states):
     """omega_1 with weight w and omega_2 with weight 1 - w, over one alphabet."""
-    first = draw(states)
-    second = draw(states.filter(lambda omega: omega.n == first.n))
+    first = draw(parts)
+    second = draw(parts.filter(lambda omega: omega.n == first.n))
     w = QQi(draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))))
     return make_mixture([first, second], [w, 1 - w])
+
+
+@st.composite
+def code_state_and_words(draw):
+    omega = draw(code_states())
+    return omega, draw(_letters(omega.n, 0, 3)), draw(_letters(omega.n, 0, 3))
+
+
+@settings(max_examples=30)
+@given(code_state_and_words())
+def test_a_code_state_is_fixed_by_its_minimal_isometry(case):
+    omega, J, K = case
+    u = omega.facts.minimal_isometry
+    assert omega.moment_of_element(multiply(monomial(omega.n, J, K), u)) == omega.moment(J, K)
+
+
+@st.composite
+def sandwich_and_words(draw):
+    base, terms = draw(sandwich_terms())
+    return base, terms, draw(_letters(base.n, 0, 3)), draw(_letters(base.n, 0, 3))
+
+
+@settings(max_examples=30)
+@given(sandwich_and_words())
+def test_sandwich_moments_are_the_multiplied_out_product(case):
+    base, terms, J, K = case
+    omega = transform_sandwich(base, terms)
+    A = sum((c * W for c, W in terms[1:]), terms[0][0] * terms[0][1])
+    assert base.moment_of_element(multiply(multiply(adjoint(A), monomial(base.n, J, K)), A)) == omega.moment(J, K)
+
+
+@settings(max_examples=15)
+@given(st.one_of(finite_states, mixtures(finite_states)), st.data())
+def test_the_presentation_gives_the_moments_back(omega, data):
+    F = extract_fcs(omega)
+    assert isinstance(F, FCSPresentation)
+    for _ in range(3):
+        J, K = data.draw(_letters(omega.n, 0, 4)), data.draw(_letters(omega.n, 0, 4))
+        assert fcs_moment(F, J, K) == omega.moment(J, K), (J, K)
 
 
 @st.composite

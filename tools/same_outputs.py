@@ -1,0 +1,254 @@
+"""Run one fixed command set under a parent revision and the working tree, and compare.
+
+    python3 tools/same_outputs.py --parent REV
+
+Run from anywhere inside a source checkout.  The parent's ``src/`` is
+exported with ``git archive`` (local git only) under
+``.bench_build/same_outputs/``; the working tree runs from its own ``src/``.
+Both run the same commands, in-process through ``cuntzlab.cli.run``, one
+fresh interpreter per tree, the two trees side by side:
+
+* the report_exact and report_float corpora of ``bench/corpus.py`` at seeds
+  1 and 99, each command in json and in md;
+* ``report``, ``fcs``, ``kappa``, ``pure`` and ``cdim`` (json and md) and
+  ``moments --level 3`` (json) on every spec under ``tests/golden/specs/``
+  and on its twist by the complex unitary G_C.  The twist of the series
+  sandwich is left out: its word-model twist takes 80-150 s per command;
+* ``selftest --format json``, with each criterion's seconds dropped.
+
+Each command's stdout, stderr and exit code (or traceback) are compared.
+A json output that moved is read as numbers: the table counts the numbers
+that moved and gives the largest |delta|.  The table goes to stdout, in
+markdown, followed by one line per command that differs.  The exit code is
+0 when every exact command (no ``--mode float``) is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import defaultdict
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import corpus as corpus_mod  # noqa: E402
+
+BUILD = ROOT / ".bench_build" / "same_outputs"
+SEEDS = (1, 99)
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_SPECS = GOLDEN / "specs"
+GOLDEN_COMMANDS = ("report", "fcs", "kappa", "pure", "cdim")
+# the complex unitary of the golden twist tests, block-extended by 1 on n = 3
+G_C = {
+    2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
+    3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
+}
+# a twist that steps the series sandwich's word model: 80-150 s per command
+SLOW_TWISTS = {"sandwich_series"}
+CHILD_TIMEOUT_S = 3600
+
+# Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
+# the plan (workdir and commands), argv[2] the result file.
+CHILD = r"""
+import contextlib, io, json, os, sys, traceback
+with open(sys.argv[1], encoding="utf-8") as fh:
+    plan = json.load(fh)
+import cuntzlab.cli as cli
+out_records = {}
+for label, (workdir, argv) in plan.items():
+    os.chdir(workdir)
+    out, err = io.StringIO(), io.StringIO()
+    rc, exc = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.run(argv)
+        except SystemExit as e:
+            rc = e.code if isinstance(e.code, int) else 1
+        except Exception:
+            exc = traceback.format_exc().splitlines()[-1]
+    out_records[label] = [rc, out.getvalue(), err.getvalue(), exc]
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(out_records, fh)
+"""
+
+
+def _write(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path.name
+
+
+def build_plan(work: Path) -> dict:
+    """{label: (workdir, argv)} over every command, with the spec files written under ``work``."""
+    plan: dict = {}
+    for workload in ("report_exact", "report_float"):
+        for seed in SEEDS:
+            d = work / f"{workload}_{seed}"
+            d.mkdir(parents=True)
+            corpus = corpus_mod.build(workload, seed)
+            for name, spec in corpus.specs.items():
+                _write(d / f"{name}.json", spec)
+            for cmd in corpus.commands:
+                plan[f"{workload}/{seed}/json/{cmd.label}"] = (str(d), cmd.argv)
+                md = [a for i, a in enumerate(cmd.argv)
+                      if a != "--format" and (i == 0 or cmd.argv[i - 1] != "--format")]
+                plan[f"{workload}/{seed}/md/{cmd.label}"] = (str(d), md)
+    d = work / "golden"
+    d.mkdir()
+    for path in sorted(GOLDEN_SPECS.glob("*.json")):
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        files = {"golden": _write(d / path.name, spec)}
+        if path.stem not in SLOW_TWISTS:
+            # the spec's golden moments file records its alphabet size
+            n = json.loads((GOLDEN / f"{path.stem}.moments.json").read_text(encoding="utf-8"))["n"]
+            twist = {"family": "gauge", "base": spec, "g": G_C[n]}
+            files["twist"] = _write(d / f"{path.stem}.gauge.json", twist)
+        for group, file in files.items():
+            for command in GOLDEN_COMMANDS:
+                plan[f"{group}/json/{command}:{path.stem}"] = (str(d), [command, file, "--format", "json"])
+                plan[f"{group}/md/{command}:{path.stem}"] = (str(d), [command, file])
+            plan[f"{group}/json/moments:{path.stem}"] = (str(d), ["moments", file, "--level", "3",
+                                                                   "--format", "json"])
+    plan["selftest/json/selftest"] = (str(d), ["selftest", "--format", "json"])
+    return plan
+
+
+def export_parent(rev: str, dest: Path) -> Path:
+    """The parent's src/ under ``dest``, exported by ``git archive``."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryFile() as fh:
+        fh.write(archive)
+        fh.seek(0)
+        with tarfile.open(fileobj=fh) as tar:
+            tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def start_child(src: Path, plan_path: Path, result_path: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
+    return subprocess.Popen([sys.executable, "-c", CHILD, str(plan_path), str(result_path)], env=env)
+
+
+def _normalize(label: str, record: list) -> list:
+    """A selftest record without the seconds of each criterion."""
+    if label.startswith("selftest/") and record[1]:
+        doc = json.loads(record[1])
+        for row in doc.get("results", []):
+            row.pop("seconds", None)
+        record = [record[0], json.dumps(doc, sort_keys=True), *record[2:]]
+    return record
+
+
+def _number(x):
+    if isinstance(x, bool):
+        return None
+    if isinstance(x, (int, float)):
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return None
+    return None
+
+
+def number_drift(a, b) -> tuple[int, float] | None:
+    """(numbers that moved, largest |delta|) between two json documents of
+    one shape, or None when their shapes or non-numeric leaves differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [number_drift(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        parts = [number_drift(x, y) for x, y in zip(a, b)]
+    else:
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            return (0, 0.0) if a == b else None
+        return (0, 0.0) if x == y and type(a) is type(b) else (1, float(abs(x - y)))
+    if any(p is None for p in parts):
+        return None
+    return sum(p[0] for p in parts), max((p[1] for p in parts), default=0.0)
+
+
+def compare(plan: dict, parent: dict, change: dict) -> tuple[list, list, bool]:
+    """The table rows per group, one line per differing command, and
+    whether every exact command is identical."""
+    groups: dict = defaultdict(lambda: [0, 0, 0, 0.0])  # commands, differing, moved numbers, max |delta|
+    lines, exact_same = [], True
+    for label, (_, argv) in plan.items():
+        group = label.rsplit("/", 1)[0]
+        old, new = _normalize(label, parent[label]), _normalize(label, change[label])
+        row = groups[group]
+        row[0] += 1
+        if old == new:
+            continue
+        row[1] += 1
+        floating = "--mode" in argv and argv[argv.index("--mode") + 1] == "float"
+        exact_same = exact_same and floating
+        drift = None
+        if old[0] == new[0] and old[2:] == new[2:] and "--format" in argv:
+            try:
+                drift = number_drift(json.loads(old[1]), json.loads(new[1]))
+            except json.JSONDecodeError:
+                drift = None
+        if drift is None:
+            what = f"exit {old[0]} -> {new[0]}" if old[0] != new[0] else "text differs"
+            if old[3] != new[3]:
+                what = f"exception {old[3]!r} -> {new[3]!r}"
+            lines.append(f"- `{label}`: {what}")
+        else:
+            row[2] += drift[0]
+            row[3] = max(row[3], drift[1])
+            lines.append(f"- `{label}`: {drift[0]} numbers moved, largest |delta| {drift[1]:.2g}")
+    rows = [(g, *v) for g, v in groups.items()]
+    return rows, lines, exact_same
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="the revision to compare the working tree against")
+    args = ap.parse_args(argv)
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", args.parent + "^{commit}"],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    if BUILD.exists():
+        shutil.rmtree(BUILD)
+    work = BUILD / "work"
+    plan = build_plan(work)
+    plan_path = BUILD / "plan.json"
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    trees = {"parent": export_parent(rev, BUILD / "parent"), "change": ROOT / "src"}
+    children = {name: start_child(src, plan_path, BUILD / f"{name}.json") for name, src in trees.items()}
+    for name, child in children.items():
+        if child.wait(timeout=CHILD_TIMEOUT_S) != 0:
+            print(f"error: the {name} run exited with {child.returncode}", file=sys.stderr)
+            return 2
+    results = {name: json.loads((BUILD / f"{name}.json").read_text(encoding="utf-8")) for name in trees}
+    rows, lines, exact_same = compare(plan, results["parent"], results["change"])
+    print(f"parent {rev[:12]} against the working tree: {len(plan)} commands")
+    print()
+    print("| group | commands | differ | numbers moved | largest \\|Δ\\| |")
+    print("|---|---:|---:|---:|---:|")
+    for group, count, differ, moved, delta in rows:
+        print(f"| {group} | {count} | {differ} | {moved} | {delta:.2g} |")
+    if lines:
+        print()
+        print("\n".join(lines))
+    return 0 if exact_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
