@@ -43,9 +43,9 @@ label.  Which constructor fills which fact:
                                      Cuntz parameter; pi(A) Omega's model.
 * ``make_split_series_sandwich()``-- the series sandwich sum_l 2^-l
                                      omega(A_l* . A_l) with A_l = s_2^{l-1} s_1 s_2^l
-                                     over the Cuntz state by (1,0), in closed
-                                     form.  Purity and the Cuntz parameter
-                                     (1,0); no model.
+                                     over the Cuntz state by (1,0).  Purity and
+                                     the Cuntz parameter (1,0); the direct sum
+                                     over l of its permutative models.
 * ``shiftrep.vector_state``       -- vector states of the shift and grid
                                      representations: purity, shift period,
                                      tail class, minimal isometry or isometry
@@ -60,18 +60,19 @@ Inner products are linear in the second argument throughout, so
 omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Every state has a
 :class:`VectorModel` of these vectors, and its moments, the moments of its
 gauge twists and its delta tables are inner products of vectors memoized
-by prefix.  Every family but the series sandwich builds its model at
-construction and records it (``facts.model``); a finitely correlated
+by prefix.  Every family builds its model at construction and records it
+(``facts.model``), and its Gram matrices are the inner products of N
+vectors (``gram_matrix``, ``positivity_check``); a finitely correlated
 presentation is a model too (``fcs.FCSPresentation.model``); and any state
 has its word model (``MomentFunctional.word_model``), the GNS space spanned
-by the words themselves, whose inner products read the moment memo.
+by the words themselves, whose inner products read the moment memo.  Only
+a raw ``MomentFunctional`` steps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotNormalized, NotPrefixFree, NotUnit, SchemaError
@@ -253,9 +254,11 @@ class StateFacts:
       the suffix model of a Cuntz or prefix-code state, the direct sum of a
       mixture's components, pi(A) Omega over a sandwich's base, the closed
       forms of induced products and shift and grid vector states, and on a
-      gauge twist the twisted model of its base.  The state's moments are
-      its inner products.  The series sandwich and raw functionals have
-      none and step their ``MomentFunctional.word_model``.
+      gauge twist the twisted model of its base, and the direct sum over
+      l of the permutative models of the series sandwich.  The state's
+      moments are its inner products, cast as ``MomentFunctional`` says.
+      Raw functionals have none and step their
+      ``MomentFunctional.word_model``.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -276,11 +279,13 @@ class MomentFunctional:
     """A state on O_n presented through its moments omega(s_J s_K*).
 
     ``family`` labels the constructor (for display and tracing only);
-    ``facts`` holds what the constructor proved.  Every family but the
-    series sandwich reads its moments off ``facts.model``; every state also
-    has its word model (:meth:`word_model`), built on first use.  The
-    prefix-memoized vectors of both live as long as the state, next to the
-    moment memo.
+    ``facts`` holds what the constructor proved.  Every family reads its
+    moments off ``facts.model``: the evaluator is the model's ``moment``,
+    and ``cast(value, J, K)``, when given, turns each inner product into
+    the moment's type, so a Gram matrix read off the vectors holds the
+    values and types the evaluator gives.  Every state also has its word
+    model (:meth:`word_model`), built on first use.  The prefix-memoized
+    vectors of both live as long as the state, next to the moment memo.
     """
 
     def __init__(
@@ -292,13 +297,15 @@ class MomentFunctional:
         facts: StateFacts = StateFacts(),
         exact: bool = True,
         warnings: Iterable[str] = (),
+        cast: Callable[[object, Word, Word], object] | None = None,
     ):
         self.n = n
         self.family = family
         self.facts = facts
         self.exact = exact
         self.warnings = list(warnings)
-        self._evaluator = evaluator
+        self._cast = cast
+        self._evaluator = evaluator if cast is None else (lambda J, K: cast(evaluator(J, K), J, K))
         self._memo: dict[tuple[Word, Word], object] = {}
         # finished Gram growths per (level cap, rank tolerance); see classify.gram_growth
         self._growths: dict[tuple, object] = {}
@@ -362,8 +369,23 @@ def eval_moment(omega: MomentFunctional, J: Word, K: Word = ()) -> object:
 
 
 def gram_matrix(omega: MomentFunctional, words: Sequence[Word]):
-    """Gram matrix of the vectors pi(s_J)* Omega for J in words."""
-    return [[omega.moment(a, b) for b in words] for a in words]
+    """Gram matrix of the vectors pi(s_J)* Omega for J in words, each word checked once."""
+    return _gram(omega, [check_word(J, omega.n) for J in words])
+
+
+def _gram(omega: MomentFunctional, words: Sequence[Word]) -> list:
+    """[omega(s_J s_K*)] over words the caller built as words over 1..n.  A
+    state with a model walks its N vectors and takes their N^2 inner
+    products, cast as its moments are, so the memo is left as it was; any
+    other state reads ``lookup``."""
+    model = omega.facts.model
+    if model is None:
+        return [[omega.lookup(a, b) for b in words] for a in words]
+    vectors = [model.vector(J) for J in words]
+    inner, cast = model.inner, omega._cast
+    if cast is None:
+        return [[inner(x, y) for y in vectors] for x in vectors]
+    return [[cast(inner(x, y), J, K) for K, y in zip(words, vectors)] for J, x in zip(words, vectors)]
 
 
 def check_unit(vec) -> None:
@@ -923,7 +945,7 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
     model = _mixture_model(weights, [s.facts.model or s.word_model() for s in states])
     facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"), model=model)
-    return MomentFunctional(n, "mixture", _as_qqi(model.moment) if exact else model.moment, facts=facts, exact=exact)
+    return MomentFunctional(n, "mixture", model.moment, facts=facts, exact=exact, cast=_as_qqi if exact else None)
 
 
 def _mixture_model(weights, models: Sequence[VectorModel]) -> VectorModel:
@@ -950,15 +972,15 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     The base's vector model, chosen at construction, is stepped by
     S'_i = sum_j conj(g_ji) S_j, where S_j is the base's pi(s_j)*:
     omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The model is the
-    base's ``facts.model``; only a state without one (the series sandwich,
-    a raw ``MomentFunctional``) falls back to its word model, whose v_J are
+    base's ``facts.model``; only a state without one (a raw
+    ``MomentFunctional``) falls back to its word model, whose v_J are
     the n^|J| coefficients of alpha_g(s_J), so a moment sums n^(|J|+|K|)
     base moments.  The twist keeps this model, so a twist of it steps it
     again, and each letter costs at most n base steps.  Constructing a twist
-    grows no Gram basis.  An exact g gives QQi moments and a float g complex
-    ones (but omega(I), the base's own).  A lazy shift state computes
-    exactly but is marked inexact (its letters are known to a horizon), and
-    so is its twist.
+    grows no Gram basis.  By the twist's ``cast``, an exact g gives QQi
+    moments and a float g complex ones (but omega(I), the base's own).  A
+    lazy shift state computes exactly but is marked inexact (its letters
+    are known to a horizon), and so is its twist.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), the purity
@@ -979,28 +1001,20 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
     model = (base.model or omega.word_model()).twisted(g)
-    evaluator = (_as_qqi if g_exact else _as_complex)(model.moment)
     facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
-    return MomentFunctional(n, "gauge", evaluator, facts=facts, exact=omega.exact and g_exact)
+    return MomentFunctional(n, "gauge", model.moment, facts=facts, exact=omega.exact and g_exact,
+                            cast=_as_qqi if g_exact else _as_complex)
 
 
-def _as_qqi(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], object]:
+def _as_qqi(value, J: Word, K: Word):
     # a zero or real sum of exact scalars comes out as int or Fraction
-    def evaluator(J: Word, K: Word):
-        value = evaluate(J, K)
-        return QQi(value) if isinstance(value, (int, Fraction)) else value
-
-    return evaluator
+    return QQi(value) if isinstance(value, (int, Fraction)) else value
 
 
-def _as_complex(evaluate: Callable[[Word, Word], object]) -> Callable[[Word, Word], object]:
+def _as_complex(value, J: Word, K: Word):
     # a float twist's moments are complex, save omega(I), the base's own; an
     # exact base's zero vectors read exact zeros
-    def evaluator(J: Word, K: Word):
-        value = evaluate(J, K)
-        return complex(value) if (J or K) and is_exact_scalar(value) else value
-
-    return evaluator
+    return complex(value) if (J or K) and is_exact_scalar(value) else value
 
 
 def transform_sandwich(
@@ -1036,8 +1050,9 @@ def transform_sandwich(
     exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms)
 
     model = _sandwich_model(omega.facts.model or omega.word_model(), sum((c * Al for c, Al in terms), zero(n)))
-    evaluator = _as_qqi(model.moment) if exact else model.moment
-    mass = evaluator((), ())
+    mass = model.moment((), ())
+    if exact:
+        mass = _as_qqi(mass, (), ())
     if is_exact_scalar(mass):
         if mass != 1:
             raise NotNormalized(f"transform has total mass {mass}, expected 1")
@@ -1049,7 +1064,7 @@ def transform_sandwich(
         cuntz=(tuple(equivalent_to_cuntz), "user") if equivalent_to_cuntz is not None else None,
         model=model,
     )
-    return MomentFunctional(n, "sandwich", evaluator, facts=facts, exact=exact)
+    return MomentFunctional(n, "sandwich", model.moment, facts=facts, exact=exact, cast=_as_qqi if exact else None)
 
 
 def _sandwich_model(base: VectorModel, A: CuntzElement) -> VectorModel:
@@ -1089,41 +1104,52 @@ def make_split_series_sandwich() -> MomentFunctional:
     """The series sandwich sum_l 2^-l omega(A_l* . A_l), A_l = s_2^{l-1} s_1 s_2^l,
     over the Cuntz state by (1, 0) on O_2.
 
-    In the permutative model of the base state, A Omega = sum_l 2^{-l/2} e_{x_l}
-    with x_l = 2^{l-1} 1 2^l 1 1 1 ...; two shifted tails of x_l and x_{l'} can
-    only agree when l = l' (the positions of the letter 1 pin l), so the moments
-    collapse to the diagonal series
+    The base state is the vector e_{1^inf} of the permutative (shift)
+    representation of 1^inf, where A_l Omega = e_{x_l} with
+    x_l = 2^{l-1} 1 2^l 1 1 1 ...  So the state is the mixture
+    sum_l 2^-l omega_{x_l} of vector states, with no cross terms.  (Shifted
+    tails of x_l and x_l' do agree for l != l': past 2l letters every tail
+    is 1^inf.)  Its model is the direct sum over l of the l-th vector's
+    representation, a vector being a map with two kinds of key:
 
-        omega'(s_J s_K*) = sum_l 2^-l [x_l starts J][x_l starts K]
-                                      [shift^{|J|} x_l = shift^{|K|} x_l],
+    * ("e", l, t) stands for 2^{-l/2} e_{shift^t x_l} in summand l, with t
+      capped at 2l, since shift^t x_l = 1^inf from there on;
+    * ("T", k) stands for T_k = sum_{l > k} 2^{-l/2} e_{shift^k x_l}.
 
-    which has an exact dyadic value: finitely many l plus a geometric tail that
-    only survives when J = K is a power of the letter 2.
+    Omega = T_0, pi(s_2)* T_k = T_{k+1} and pi(s_1)* T_k is the key
+    ("e", k+1, k+1), the one summand whose letter k+1 is 1; pi(s_i)* moves
+    ("e", l, t) to ("e", l, min(t + 1, 2l)) when letter t + 1 of x_l is i
+    and drops it otherwise.  The inner product weighs a shared key by 2^-l
+    on ("e", l, t) and by 2^-k on ("T", k).  The keys carry l, so summands
+    never pair; the T_k are orthogonal with <T_k, T_k> = 2^-k; and T_k holds
+    tails at t = k < l, while every "e" key a word reaches has t >= l, so
+    the two kinds never meet.  The weights are dyadic, so the moments are
+    exact QQi.
     """
-    n = 2
 
-    # x_l and its tails are built once per state, not once per moment
-    @cache
-    def x_word(l: int) -> EventuallyPeriodicWord:
-        return EventuallyPeriodicWord((2,) * (l - 1) + (1,) + (2,) * l, (1,), n)
+    def step(v: dict, i: int) -> dict:
+        # each key has at most one image under a letter, and distinct keys distinct ones
+        out = {}
+        for key, c in v.items():
+            if key[0] == "T":
+                k = key[1]
+                out[("T", k + 1) if i == 2 else ("e", k + 1, k + 1)] = c
+            else:
+                _, l, t = key
+                if i == (1 if t + 1 == l or t >= 2 * l else 2):
+                    out[("e", l, min(t + 1, 2 * l))] = c
+        return out
 
-    @cache
-    def x_tail(l: int, t: int) -> EventuallyPeriodicWord:
-        return x_word(l).shift_by(t)
+    zero = QQi(0)
 
-    def evaluator(J: Word, K: Word):
-        lcut = max(len(J), len(K), 1) + 1
-        total = Fraction(0)
-        for l in range(1, lcut):
-            x = x_word(l)
-            if x.starts_with(J) and x.starts_with(K) and x_tail(l, len(J)) == x_tail(l, len(K)):
-                total += Fraction(1, 2**l)
-        if len(J) == len(K) and set(J) <= {2} and set(K) <= {2} and J == K:
-            total += Fraction(1, 2 ** (lcut - 1))
-        return QQi(total)
+    def inner(a: dict, b: dict):
+        # key[1] is l of ("e", l, t) and k of ("T", k)
+        terms = [conj(x) * b[key] * Fraction(1, 1 << key[1]) for key, x in a.items() if key in b]
+        return sum(terms[1:], terms[0]) if terms else zero
 
-    facts = StateFacts(purity=("Pure", _PURE_IN_PURE), cuntz=((QQi(1), QQi(0)), "family"))
-    return MomentFunctional(n, "sandwich_series", evaluator, facts=facts)
+    model = VectorModel({("T", 0): QQi(1)}, step, inner, _combine_maps)
+    facts = StateFacts(purity=("Pure", _PURE_IN_PURE), cuntz=((QQi(1), QQi(0)), "family"), model=model)
+    return MomentFunctional(2, "sandwich_series", model.moment, facts=facts)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,8 +1163,8 @@ def positivity_check(omega: MomentFunctional, level: int = 2):
     Returns (ok, min_eigenvalue_estimate), as ``hermitian_psd_check`` does:
     the estimate is a float numpy eigenvalue for a float state and for an
     exact state that fails, and None for an exact state that passes.  The
-    words are listed here, so their moments are read through ``lookup``
-    without validating each word again.
+    words are listed here, so none is validated again; a state with a model
+    takes the inner products of its vectors and adds nothing to the moment
+    memo, and any other state reads ``lookup``.
     """
-    words = list(words_upto(omega.n, level))
-    return hermitian_psd_check([[omega.lookup(a, b) for b in words] for a in words])
+    return hermitian_psd_check(_gram(omega, list(words_upto(omega.n, level))))

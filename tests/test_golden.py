@@ -25,10 +25,13 @@ delta-table re-check line).  All were written before the induced-product,
 shift and grid states and the exact twists of them read their moments off a
 vector model, so they pin every moment value and its printed form.
 
-Every spec twisted by a complex unitary reads its moments off a vector
-model, and only a base without a model of its own (the series sandwich)
-expands the gauge images.  Float ``moments --level 3`` of every spec stays
-within a fixed bound of its exact golden file.
+Every golden state has a vector model of its own, so every spec twisted by
+a complex unitary steps it and none expands the gauge images.
+``tests/golden/sandwich_series.gauge.json`` holds the stdout of ``cuntzlab
+report --format json`` on the series sandwich twisted by that unitary,
+written while the twist still stepped the sandwich's word model.  Float
+``moments --level 3`` of every spec stays within a fixed bound of its exact
+golden file.
 
 The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
 """
@@ -121,15 +124,26 @@ G_C = {
     2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
     3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
 }
-# the only golden family without a model of its own
-NEITHER_MODEL = {"sandwich_series"}
+
+
+def _twist_file(name: str, tmp_path: Path) -> str:
+    path = GOLDEN / "specs" / f"{name}.json"
+    twist = tmp_path / "twist.json"
+    twist.write_text(json.dumps({"family": "gauge", "base": json.loads(path.read_text(encoding="utf-8")),
+                                 "g": G_C[parse_spec(str(path)).n]}), encoding="utf-8")
+    return str(twist)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_every_golden_state_has_a_model(name):
+    assert parse_spec(str(GOLDEN / "specs" / f"{name}.json")).facts.model is not None
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_a_twist_expands_only_a_base_with_neither_model(name, tmp_path, monkeypatch, capsys):
-    # a base without a model of its own falls back to its word model, whose
-    # twisted vectors are the gauge images alpha_g(s_J); constructing any
-    # golden twist grows no Gram basis
+    # a base without a model of its own would fall back to its word model,
+    # whose twisted vectors are the gauge images alpha_g(s_J); every golden
+    # base has one, and constructing any golden twist grows no Gram basis
     import cuntzlab.classify as classify
     from cuntzlab.moments import MomentFunctional
 
@@ -146,13 +160,14 @@ def test_a_twist_expands_only_a_base_with_neither_model(name, tmp_path, monkeypa
         raise AssertionError("a Gram growth")
 
     monkeypatch.setattr(classify, "gram_growth", refuse)
-    path = GOLDEN / "specs" / f"{name}.json"
-    twist = tmp_path / "twist.json"
-    twist.write_text(json.dumps({"family": "gauge", "base": json.loads(path.read_text(encoding="utf-8")),
-                                 "g": G_C[parse_spec(str(path)).n]}), encoding="utf-8")
-    assert run(["moments", str(twist), "--level", "3", "--format", "json"]) == 0
+    assert run(["moments", _twist_file(name, tmp_path), "--level", "3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)
-    assert bool(expanded) == (name in NEITHER_MODEL)
+    assert expanded == []
+
+
+def test_series_twist_report(tmp_path, capsys):
+    assert run(["report", _twist_file("sandwich_series", tmp_path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "sandwich_series.gauge.json").read_text(encoding="utf-8")
 
 
 def test_pairwise_report(capsys):

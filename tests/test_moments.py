@@ -335,6 +335,133 @@ class TestSeriesState:
         assert w.exact
 
 
+def _x_word(l: int) -> EventuallyPeriodicWord:
+    """x_l = 2^(l-1) 1 2^l 1 1 1 ..."""
+    return EventuallyPeriodicWord((2,) * (l - 1) + (1,) + (2,) * l, (1,), 2)
+
+
+def _series_closed_form(J, K):
+    """The independent oracle of the series sandwich: the diagonal series
+
+        omega(s_J s_K*) = sum_l 2^-l [x_l starts J][x_l starts K]
+                                     [shift^|J| x_l = shift^|K| x_l],
+
+    finitely many l plus the geometric tail over l > max(|J|, |K|), which
+    survives only when J = K is a power of the letter 2."""
+    lcut = max(len(J), len(K), 1) + 1
+    total = Fraction(0)
+    for l in range(1, lcut):
+        x = _x_word(l)
+        if x.starts_with(J) and x.starts_with(K) and x.shift_by(len(J)) == x.shift_by(len(K)):
+            total += Fraction(1, 2**l)
+    if J == K and set(J) <= {2}:
+        total += Fraction(1, 2 ** (lcut - 1))
+    return QQi(total)
+
+
+class TestSeriesModel:
+    """The series sandwich steps the direct sum over l of its permutative
+    models, keyed ("e", l, t) and ("T", k)."""
+
+    # T_k is written out over the summands l < CUTOFF
+    CUTOFF = 12
+
+    def _explicit(self, key) -> set:
+        """The basis vectors (l, shift^t x_l) a key stands for, each with
+        amplitude 2^(-l/2)."""
+        if key[0] == "T":
+            return {(l, _x_word(l).shift_by(key[1])) for l in range(key[1] + 1, self.CUTOFF)}
+        _, l, t = key
+        return {(l, _x_word(l).shift_by(t))}
+
+    @staticmethod
+    def _explicit_inner(a: set, b: set):
+        return sum((Fraction(1, 2**l) for l, y in a & b), Fraction(0))
+
+    def test_model_matches_the_closed_form(self):
+        w = make_split_series_sandwich()
+        assert w.facts.model is not None
+        words = list(words_upto(2, 6))
+        for J in words:
+            for K in words:
+                got = w.moment(J, K)
+                assert type(got) is QQi and got == _series_closed_form(J, K), (J, K)
+
+    def test_the_tail_keys(self):
+        model = make_split_series_sandwich().facts.model
+        assert model.vector(()) == {("T", 0): 1}
+        T = {k: {("T", k): QQi(1)} for k in range(8)}
+        for k in range(8):
+            for k2 in range(8):
+                assert model.inner(T[k], T[k2]) == (Fraction(1, 2**k) if k == k2 else 0), (k, k2)
+            # s_2* T_k = T_(k+1) and s_1* T_k = e(k+1, k+1), checked on the written-out sums
+            assert model.step(T[k], 2) == {("T", k + 1): 1}
+            assert model.step(T[k], 1) == {("e", k + 1, k + 1): 1}
+            ex = self._explicit(("T", k))
+            twos = {(l, y.shift()) for l, y in ex if y.letter(1) == 2}
+            ones = {(l, y.shift()) for l, y in ex if y.letter(1) == 1}
+            assert twos == self._explicit(("T", k + 1))
+            assert ones == self._explicit(("e", k + 1, k + 1))
+
+    def test_the_tail_keys_meet_no_e_key_a_word_reaches(self):
+        model = make_split_series_sandwich().facts.model
+        reached = {key for J in words_upto(2, 9) for key in model.vector(J) if key[0] == "e"}
+        assert all(l <= t <= 2 * l for _, l, t in reached)
+        for k in range(9):
+            tail = self._explicit(("T", k))
+            for key in reached:
+                assert model.inner({("T", k): QQi(1)}, {key: QQi(1)}) == 0
+                assert self._explicit_inner(tail, self._explicit(key)) == 0, (k, key)
+
+    def test_long_twisted_moments_match_the_double_sum(self):
+        base = make_split_series_sandwich()
+        w = transform_gauge(base, G_C)
+        rng = random.Random(53)
+        for _ in range(3):
+            J, K = (tuple(rng.randint(1, 2) for _ in range(8)) for _ in range(2))
+            assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
+        assert w.moment((2,) * 8, (2,) * 8) == _expanded_moment(base, G_C, (2,) * 8, (2,) * 8)
+
+
+class TestGramFromVectors:
+    """gram_matrix and positivity_check read a modelled state's Gram matrix
+    off its vectors: every entry equals the moment, type included, and the
+    moment memo stays empty."""
+
+    STATES = {
+        "series": make_split_series_sandwich,
+        "exact_twist": lambda: transform_gauge(make_split_series_sandwich(), G_C),
+        "float_twist": lambda: transform_gauge(make_prefix_code_state([(1, 1, 2)], [q(1)], 2),
+                                               [[complex(x) for x in row] for row in G_C]),
+        "mixture": lambda: make_mixture([make_cuntz(Z35), make_split_series_sandwich()], [fr(1, 2), fr(1, 2)]),
+        "sandwich": lambda: transform_sandwich(make_cuntz(Z35), [(q(0, 1), gen(2, 2))]),
+        "grid": lambda: vector_state(GridRepresentation(2), (2, 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_entries_are_the_moments(self, name):
+        w = self.STATES[name]()
+        words = list(words_upto(2, 3))
+        G = gram_matrix(w, words)
+        assert w._memo == {}
+        assert positivity_check(w, level=2)[0]
+        assert w._memo == {}
+        for J, row in zip(words, G):
+            for K, x in zip(words, row):
+                want = w.moment(J, K)
+                assert x == want and type(x) is type(want), (J, K)
+
+    def test_a_raw_functional_reads_lookup(self):
+        w = MomentFunctional(2, "sandwich_series", _series_closed_form)
+        words = list(words_upto(2, 2))
+        assert gram_matrix(w, words) == gram_matrix(make_split_series_sandwich(), words)
+        assert len(w._memo) == len(words) ** 2
+
+    def test_a_bad_word_is_refused(self):
+        with pytest.raises(SchemaError):
+            gram_matrix(make_split_series_sandwich(), [(1,), (3,)])
+
+
 class TestMixture:
     def test_even_mixture_of_orthogonal_cuntz_states(self):
         from cuntzlab import cdim
@@ -567,12 +694,13 @@ class TestGaugeThroughPresentation:
         assert grown == []
 
     UNMODELLED_BASES = {
-        "series_sandwich": make_split_series_sandwich,
+        # a raw functional over the series sandwich's closed form
+        "series_sandwich": lambda: MomentFunctional(2, "sandwich_series", _series_closed_form),
     }
 
     @pytest.mark.parametrize("name", sorted(UNMODELLED_BASES))
     def test_a_base_with_neither_model_keeps_the_expansion(self, name):
-        # the series sandwich has no model of its own, so the twist steps its
+        # a raw functional has no model of its own, so the twist steps its
         # word model, whose vectors are the gauge images
         base = self.UNMODELLED_BASES[name]()
         w = transform_gauge(base, G_C)
@@ -581,9 +709,8 @@ class TestGaugeThroughPresentation:
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
 
     def test_twist_of_a_twisted_series_sandwich_never_grows_the_inner_twist(self, monkeypatch):
-        # the inner twist keeps the sandwich's twisted word model, so the outer
-        # twist steps it; growing the inner twist to level 8 took over a minute,
-        # and no twist grows its base either
+        # the inner twist keeps the sandwich's twisted model, so the outer
+        # twist steps it, and no twist grows its base either
         base = make_split_series_sandwich()
         grown = _spy_growth(monkeypatch, only=base)
         w = transform_gauge(transform_gauge(base, G_C), ROT)

@@ -246,11 +246,13 @@ class TestParseSpec:
         # every built-in constructor is positive by construction, so rig one:
         # a fake functional whose level-2 moment matrix has a negative block
         import cuntzlab.specio as specio
+        from cuntzlab.moments import StateFacts
 
         class Rigged:
             n = 2
             exact = True
             family = "cuntz"
+            facts = StateFacts()  # no model, so the gate reads lookup
 
             def moment(self, J, K):
                 if J == K and len(J) == 1:
@@ -267,6 +269,12 @@ class TestParseSpec:
         assert str(e.value).endswith(
             ": the level-2 moment matrix is not positive semidefinite (smallest eigenvalue estimate -1)"
         )
+
+    def test_the_gate_of_a_modelled_state_leaves_the_memo_empty(self, spec_file):
+        # the level-2 Gram matrix is read off the n^0 + n + n^2 model vectors
+        omega = parse_spec(spec_file({"family": "vector", "rep": {"kind": "grid", "n": 3}, "key": [2, 0]}))
+        assert omega.facts.model is not None
+        assert omega._memo == {}
 
 
 class TestResultSerialization:

@@ -12,8 +12,7 @@ fresh interpreter per tree, the two trees side by side:
   1 and 99, each command in json and in md;
 * ``report``, ``fcs``, ``kappa``, ``pure`` and ``cdim`` (json and md) and
   ``moments --level 3`` (json) on every spec under ``tests/golden/specs/``
-  and on its twist by the complex unitary G_C.  The twist of the series
-  sandwich is left out: its word-model twist takes 80-150 s per command;
+  and on its twist by the complex unitary G_C;
 * ``selftest --format json``, with each criterion's seconds dropped.
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
@@ -52,8 +51,6 @@ G_C = {
     2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
     3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
 }
-# a twist that steps the series sandwich's word model: 80-150 s per command
-SLOW_TWISTS = {"sandwich_series"}
 CHILD_TIMEOUT_S = 3600
 
 # Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
@@ -105,12 +102,10 @@ def build_plan(work: Path) -> dict:
     d.mkdir()
     for path in sorted(GOLDEN_SPECS.glob("*.json")):
         spec = json.loads(path.read_text(encoding="utf-8"))
-        files = {"golden": _write(d / path.name, spec)}
-        if path.stem not in SLOW_TWISTS:
-            # the spec's golden moments file records its alphabet size
-            n = json.loads((GOLDEN / f"{path.stem}.moments.json").read_text(encoding="utf-8"))["n"]
-            twist = {"family": "gauge", "base": spec, "g": G_C[n]}
-            files["twist"] = _write(d / f"{path.stem}.gauge.json", twist)
+        # the spec's golden moments file records its alphabet size
+        n = json.loads((GOLDEN / f"{path.stem}.moments.json").read_text(encoding="utf-8"))["n"]
+        twist = {"family": "gauge", "base": spec, "g": G_C[n]}
+        files = {"golden": _write(d / path.name, spec), "twist": _write(d / f"{path.stem}.gauge.json", twist)}
         for group, file in files.items():
             for command in GOLDEN_COMMANDS:
                 plan[f"{group}/json/{command}:{path.stem}"] = (str(d), [command, file, "--format", "json"])
