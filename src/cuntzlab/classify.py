@@ -293,18 +293,14 @@ def verify_properly_infinite(omega: MomentFunctional, a=None, cutoff: int = 12) 
     With P_l = a_1..a_l the entry is <v(P_l), v(P_k)> for v(P) = pi(P)* Omega,
     stepped as v(P_l) = pi(a_l)* v(P_(l-1)) with pi(a)* = sum_W conj(b_W)
     pi(s_W)* for a = sum_W b_W s_W: cutoff steps of one a_i each, then
-    cutoff^2 inner products.  The vectors are the state's ``facts.model``,
-    or else its word model, where v(P_l) is the prefix product P_l itself
-    and an inner product sums omega(s_J s_K*) over the terms of both, which
-    grows with their number: dense multi-term sequences want a modest cutoff
-    there.
+    cutoff^2 inner products over the state's ``model``.
     """
     flagged = omega.facts.sequence
     seq = a if a is not None else flagged
     if seq is None:
         raise SchemaError("no isometry sequence supplied and the state carries none")
     factory = sequence_factory(seq, cutoff)
-    model = omega.facts.model or omega.word_model()
+    model = omega.model
     vectors = [model.vector(())]
     for i in range(1, cutoff + 1):
         ai = factory(i)

@@ -36,8 +36,8 @@ label.  Which constructor fills which fact:
 * ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
                                      from the base only its Cuntz parameter
                                      (moved by g^H) and its purity.  A twist
-                                     steps the base's model (its word model
-                                     when it has none) and keeps it.
+                                     steps the base's ``model`` and keeps
+                                     it.
 * ``transform_sandwich``          -- isometric sandwiches.  Purity when the
                                      base is decided pure; a user-declared
                                      Cuntz parameter; pi(A) Omega's model.
@@ -61,12 +61,12 @@ omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Every state has a
 :class:`VectorModel` of these vectors, and its moments, the moments of its
 gauge twists and its delta tables are inner products of vectors memoized
 by prefix.  Every family builds its model at construction and records it
-(``facts.model``), and its Gram matrices are the inner products of N
-vectors (``gram_matrix``, ``positivity_check``); a finitely correlated
-presentation is a model too (``fcs.FCSPresentation.model``); and any state
-has its word model (``MomentFunctional.word_model``), the GNS space spanned
-by the words themselves, whose inner products read the moment memo.  Only
-a raw ``MomentFunctional`` steps it.
+(``facts.model``); a raw ``MomentFunctional`` has the word model, the GNS
+space spanned by the words themselves, whose inner products read the
+moment memo.  ``MomentFunctional.model`` is the one or the other, and
+Gram matrices are the inner products of its N vectors (``gram_matrix``,
+``positivity_check``).  A finitely correlated presentation is a model too
+(``fcs.FCSPresentation.model``).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from .scalars import (
     scalar_is_zero,
     scalars_close,
 )
-from .symalg import CuntzElement, check_unitary, is_isometry_in_plus, zero
+from .symalg import CuntzElement, check_unitary, zero
 from .words import EventuallyPeriodicWord, Word, all_words, check_word, is_prefix, words_upto
 
 __all__ = [
@@ -257,8 +257,7 @@ class StateFacts:
       gauge twist the twisted model of its base, and the direct sum over
       l of the permutative models of the series sandwich.  The state's
       moments are its inner products, cast as ``MomentFunctional`` says.
-      Raw functionals have none and step their
-      ``MomentFunctional.word_model``.
+      Raw functionals have none.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -283,9 +282,9 @@ class MomentFunctional:
     moments off ``facts.model``: the evaluator is the model's ``moment``,
     and ``cast(value, J, K)``, when given, turns each inner product into
     the moment's type, so a Gram matrix read off the vectors holds the
-    values and types the evaluator gives.  Every state also has its word
-    model (:meth:`word_model`), built on first use.  The prefix-memoized
-    vectors of both live as long as the state, next to the moment memo.
+    values and types the evaluator gives.  Every consumer of vectors reads
+    :attr:`model`.  The prefix-memoized vectors live as long as the state,
+    next to the moment memo.
     """
 
     def __init__(
@@ -335,14 +334,19 @@ class MomentFunctional:
         the sum of x_J conj(y_K) omega(s_J s_K*), with no product formed."""
         return sum((cx * conj(cy) * self.lookup(J, K) for J, cx in x.items() for K, cy in y.items()), 0)
 
-    def word_model(self) -> VectorModel:
-        """The model every state has: pi(P)* Omega for P = sum_J x_J s_J in
-        the creation span is the map {J: x_J}, starting at {(): 1}.  A step
-        appends the letter, pi(s_i)* pi(P)* Omega = pi(P s_i)* Omega, and the
-        inner product is omega(P Q*) = ``moment_of_pair``.  A twist by g then
-        steps v_J to the coefficients of alpha_g(s_J), and a delta table's
-        v(P_l) are the prefix products P_l; each inner product sums
+    @property
+    def model(self) -> VectorModel:
+        """The state's vectors: the family's ``facts.model``, or else the word
+        model, built on first use.  In the word model pi(P)* Omega for
+        P = sum_J x_J s_J in the creation span is the map {J: x_J}, starting
+        at {(): 1}.  A step appends the letter,
+        pi(s_i)* pi(P)* Omega = pi(P s_i)* Omega, and the inner product is
+        omega(P Q*) = ``moment_of_pair``, read through the memo.  A twist by g
+        then steps v_J to the coefficients of alpha_g(s_J), and a delta
+        table's v(P_l) are the prefix products P_l; each inner product sums
         |P| |Q| moments."""
+        if self.facts.model is not None:
+            return self.facts.model
         if self._word_model is None:
             # c pi(P)* Omega = pi(conj(c) P)* Omega
             self._word_model = VectorModel({(): 1}, lambda x, i: {J + (i,): c for J, c in x.items()},
@@ -374,13 +378,11 @@ def gram_matrix(omega: MomentFunctional, words: Sequence[Word]):
 
 
 def _gram(omega: MomentFunctional, words: Sequence[Word]) -> list:
-    """[omega(s_J s_K*)] over words the caller built as words over 1..n.  A
-    state with a model walks its N vectors and takes their N^2 inner
-    products, cast as its moments are, so the memo is left as it was; any
-    other state reads ``lookup``."""
-    model = omega.facts.model
-    if model is None:
-        return [[omega.lookup(a, b) for b in words] for a in words]
+    """[omega(s_J s_K*)] over words the caller built as words over 1..n:
+    the N^2 inner products of the N vectors of ``omega.model``, cast as the
+    moments are.  A family's model leaves the memo as it was; the word model
+    of a raw functional reads its entries through ``lookup``."""
+    model = omega.model
     vectors = [model.vector(J) for J in words]
     inner, cast = model.inner, omega._cast
     if cast is None:
@@ -529,10 +531,12 @@ def _validate_prefix_code(P, n: int):
         words.append(w)
     if len(set(words)) != len(words):
         raise NotPrefixFree("repeated word in code")
-    for a in words:
-        for b in words:
-            if a != b and is_prefix(a, b):
-                raise NotPrefixFree(f"{a} is a prefix of {b}")
+    # every word between a and a word it is a proper prefix of, in
+    # lexicographic order, starts with a too; so a is a prefix of its successor
+    ordered = sorted(words)
+    for a, b in zip(ordered, ordered[1:]):
+        if is_prefix(a, b):
+            raise NotPrefixFree(f"{a} is a prefix of {b}")
     return words
 
 
@@ -755,10 +759,10 @@ def make_prefix_code_state(P, z, n: int | None = None) -> MomentFunctional:
 
     sol = _solve_low_moments(pc, n)
     model = _suffix_model(n, {w: zmap[w] for w in support}, sol.table)
+    # s_W* s_W' = delta_WW' I on a prefix code of nonempty words, so
+    # u*u = (sum_W |z_W|^2) I, and _solve_low_moments has checked that sum
+    # with check_unit: u is an isometry in the creation span
     u = CuntzElement(n, {(w, ()): zmap[w] for w in support})
-    isometry, in_plus = is_isometry_in_plus(u)
-    if not (isometry and in_plus):
-        raise NotUnit("the defining combination is not an isometry in the creation span")
     dim = sol.solution_dim
     unique = dim == 1
     purity, tensor, progression, cuntz = _UNKNOWN_PURITY, None, None, None
@@ -943,7 +947,7 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
     if not ok or any(complex(w).real <= 0 for w in weights):
         raise SchemaError("weights must be positive and sum to 1")
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
-    model = _mixture_model(weights, [s.facts.model or s.word_model() for s in states])
+    model = _mixture_model(weights, [s.model for s in states])
     facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"), model=model)
     return MomentFunctional(n, "mixture", model.moment, facts=facts, exact=exact, cast=_as_qqi if exact else None)
 
@@ -969,18 +973,15 @@ def _mixture_model(weights, models: Sequence[VectorModel]) -> VectorModel:
 def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     """The state omega o alpha_g for the gauge automorphism alpha_g(s_i) = sum_j g_ji s_j.
 
-    The base's vector model, chosen at construction, is stepped by
+    The base's vector model (``omega.model``) is stepped by
     S'_i = sum_j conj(g_ji) S_j, where S_j is the base's pi(s_j)*:
-    omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The model is the
-    base's ``facts.model``; only a state without one (a raw
-    ``MomentFunctional``) falls back to its word model, whose v_J are
-    the n^|J| coefficients of alpha_g(s_J), so a moment sums n^(|J|+|K|)
-    base moments.  The twist keeps this model, so a twist of it steps it
-    again, and each letter costs at most n base steps.  Constructing a twist
-    grows no Gram basis.  By the twist's ``cast``, an exact g gives QQi
-    moments and a float g complex ones (but omega(I), the base's own).  A
-    lazy shift state computes exactly but is marked inexact (its letters
-    are known to a horizon), and so is its twist.
+    omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The twist keeps
+    this model, so a twist of it steps it again, and each letter costs at
+    most n base steps.  Constructing a twist grows no Gram basis.  By the
+    twist's ``cast``, an exact g gives QQi moments and a float g complex
+    ones (but omega(I), the base's own).  A lazy shift state computes
+    exactly but is marked inexact (its letters are known to a horizon), and
+    so is its twist.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), the purity
@@ -1000,7 +1001,7 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     verdict, reason = base.purity
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
-    model = (base.model or omega.word_model()).twisted(g)
+    model = omega.model.twisted(g)
     facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
     return MomentFunctional(n, "gauge", model.moment, facts=facts, exact=omega.exact and g_exact,
                             cast=_as_qqi if g_exact else _as_complex)
@@ -1049,7 +1050,7 @@ def transform_sandwich(
         check_unit(equivalent_to_cuntz)
     exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms)
 
-    model = _sandwich_model(omega.facts.model or omega.word_model(), sum((c * Al for c, Al in terms), zero(n)))
+    model = _sandwich_model(omega.model, sum((c * Al for c, Al in terms), zero(n)))
     mass = model.moment((), ())
     if exact:
         mass = _as_qqi(mass, (), ())
@@ -1163,8 +1164,7 @@ def positivity_check(omega: MomentFunctional, level: int = 2):
     Returns (ok, min_eigenvalue_estimate), as ``hermitian_psd_check`` does:
     the estimate is a float numpy eigenvalue for a float state and for an
     exact state that fails, and None for an exact state that passes.  The
-    words are listed here, so none is validated again; a state with a model
-    takes the inner products of its vectors and adds nothing to the moment
-    memo, and any other state reads ``lookup``.
+    words are listed here, so none is validated again; the entries are the
+    inner products of the vectors of ``omega.model``, as in ``gram_matrix``.
     """
     return hermitian_psd_check(_gram(omega, list(words_upto(omega.n, level))))

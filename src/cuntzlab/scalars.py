@@ -293,8 +293,7 @@ def scalar_is_zero(x, tol: float | None = None) -> bool:
 
 def scalars_close(x, y, tol: float | None = None) -> bool:
     if is_exact_scalar(x) and is_exact_scalar(y):
-        qx = x if isinstance(x, QQi) else QQi(x)
-        return qx == (y if isinstance(y, QQi) else QQi(y))
+        return x == y
     return abs(complex(x) - complex(y)) <= (DEFAULT_EQ_TOL if tol is None else tol)
 
 

@@ -4,7 +4,7 @@
 ``gram_growth``'s ``tol`` by name.  A refactor that renames or drops one of
 them breaks the benchmark's traced runs, not the library, so this test loads
 the tracer by path (``bench/`` is not a package), installs it around one exact
-``report`` and checks its bindings and counters.
+``report`` and one ``moments`` and checks its bindings and counters.
 """
 
 import importlib
@@ -47,3 +47,17 @@ def test_traced_exact_report_counts_the_growth_and_the_gate(monkeypatch, capsys)
     assert tracer.totals()["classify.gram_growth_calls"] > 0
     assert tracer.calls["linalg.psd_check"] > 0
     assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "prefix_code.json").read_text(encoding="utf-8")
+
+
+def test_traced_moments_counts_the_public_moment_calls(monkeypatch, capsys):
+    # the tracer's counted_moment reads the state's _memo around every public
+    # moment(); ``moments`` is the command that calls it
+    tracer = _load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert run(["moments", str(SPEC), "--level", "3", "--format", "json"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["moments.moment_calls"] > 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "prefix_code.moments.json").read_text(
+        encoding="utf-8")

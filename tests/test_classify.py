@@ -316,12 +316,13 @@ class TestDeltaTableThroughTheModel:
         assert calls == [(adjoint(seq(i)), seq(i)) for i in range(1, 9)]
 
     def test_an_unmodelled_state_steps_its_word_model(self):
-        # a raw functional has no model: its word model's vectors are the
+        # a raw functional's model is its word model, whose vectors are the
         # prefix products themselves, so its table is the double sum; the
         # mixture it reads steps its own model to the same table
         mixture = make_mixture([_induced(), make_induced_product([], [Z35I, Z35], 2)], [q(fr(1, 3)), q(fr(2, 3))])
         omega = MomentFunctional(2, "raw", mixture.lookup)
-        assert omega.facts.model is None and mixture.facts.model is not None
+        assert omega.facts.model is None and omega.model.vector((1, 2)) == {(1, 2): 1}
+        assert mixture.model is mixture.facts.model
         seq = self.CASES["induced_list"]()[1]
         chk = verify_properly_infinite(omega, seq, cutoff=5)
         assert chk.status == "failed"

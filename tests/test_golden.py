@@ -141,20 +141,21 @@ def test_every_golden_state_has_a_model(name):
 
 @pytest.mark.parametrize("name", SPECS)
 def test_a_twist_expands_only_a_base_with_neither_model(name, tmp_path, monkeypatch, capsys):
-    # a base without a model of its own would fall back to its word model,
-    # whose twisted vectors are the gauge images alpha_g(s_J); every golden
-    # base has one, and constructing any golden twist grows no Gram basis
+    # a base without a model of its own would step its word model, whose
+    # twisted vectors are the gauge images alpha_g(s_J) and whose inner
+    # product is moment_of_pair; every golden base has one, and constructing
+    # any golden twist grows no Gram basis
     import cuntzlab.classify as classify
     from cuntzlab.moments import MomentFunctional
 
     expanded = []
-    word_model = MomentFunctional.word_model
+    moment_of_pair = MomentFunctional.moment_of_pair
 
-    def spy(omega):
+    def spy(omega, x, y):
         expanded.append(omega.family)
-        return word_model(omega)
+        return moment_of_pair(omega, x, y)
 
-    monkeypatch.setattr(MomentFunctional, "word_model", spy)
+    monkeypatch.setattr(MomentFunctional, "moment_of_pair", spy)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Gram growth")

@@ -11,6 +11,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from math import cos, sin
 
@@ -146,6 +148,22 @@ class TestWordStates:
     def test_code_must_be_prefix_free(self):
         with pytest.raises(NotPrefixFree):
             make_prefix_code_state([(1,), (1, 2)], {(1,): 1}, 2)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(1, n), min_size=1, max_size=4).map(tuple), min_size=1, max_size=6, unique=True))))
+    def test_prefix_freeness_is_the_all_pairs_test(self, case):
+        # the reference tests every ordered pair of distinct words; with
+        # several offending pairs the message names the first in lexicographic order
+        n, words = case
+        pairs = [(a, b) for a in words for b in words if a != b and is_prefix(a, b)]
+        if not pairs:
+            assert moments_mod._validate_prefix_code(words, n) == words
+            return
+        with pytest.raises(NotPrefixFree) as e:
+            moments_mod._validate_prefix_code(words, n)
+        a, b = min(pairs)
+        assert str(e.value) == f"{a} is a prefix of {b}"
 
     def test_order_one_code_is_a_cuntz_state(self):
         w = make_prefix_code_state([(1,), (2,)], {(1,): Z35[0], (2,): Z35[1]}, 2)
@@ -452,10 +470,38 @@ class TestGramFromVectors:
                 assert x == want and type(x) is type(want), (J, K)
 
     def test_a_raw_functional_reads_lookup(self):
+        # its word model's inner product reads the memo, one entry per pair
         w = MomentFunctional(2, "sandwich_series", _series_closed_form)
         words = list(words_upto(2, 2))
         assert gram_matrix(w, words) == gram_matrix(make_split_series_sandwich(), words)
         assert len(w._memo) == len(words) ** 2
+
+    def test_every_consumer_steps_the_one_model_of_a_raw_functional(self):
+        from cuntzlab import verify_properly_infinite
+
+        w = MomentFunctional(2, "raw", make_cuntz(Z35).lookup)
+        model = w.model
+        assert w.facts.model is None
+        inner, reads = model.inner, []
+
+        def spy(x, y):
+            reads.append((x, y))
+            return inner(x, y)
+
+        model.inner = spy
+        uses = {
+            "gram_matrix": lambda: gram_matrix(w, list(words_upto(2, 2))),
+            "twist": lambda: transform_gauge(w, ROT).moment((1,), (2, 1)),
+            "sandwich": lambda: transform_sandwich(w, [(q(1), gen(2, 1))]).moment((1,), (2,)),
+            "mixture": lambda: make_mixture([w, make_cuntz([q(1), q(0)])],
+                                            [q(fr(1, 2)), q(fr(1, 2))]).moment((1,), ()),
+            "delta table": lambda: verify_properly_infinite(w, [gen(2, 1)] * 3, cutoff=3),
+        }
+        for name, use in uses.items():
+            before = len(reads)
+            use()
+            assert len(reads) > before, name
+        assert w.model is model
 
     def test_a_bad_word_is_refused(self):
         with pytest.raises(SchemaError):
@@ -704,7 +750,7 @@ class TestGaugeThroughPresentation:
         # word model, whose vectors are the gauge images
         base = self.UNMODELLED_BASES[name]()
         w = transform_gauge(base, G_C)
-        assert w.facts.model is not None and base.facts.model is None
+        assert base.facts.model is None and w.facts.model.vector(()) is base.model.vector(())
         for J, K in product(words_upto(2, 3), repeat=2):
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
 

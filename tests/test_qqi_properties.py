@@ -1,7 +1,9 @@
 """Property tests of QQi against an independent oracle: a pair of Fractions.
 
 Every operation is recomputed on (re, im) Fraction pairs with the textbook
-formulas, and the QQi result must agree coordinate by coordinate.
+formulas, and the QQi result must agree coordinate by coordinate.  The
+exact branch of ``scalars_close`` must agree with the comparison of both
+sides converted to QQi.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuntzlab import QQi
+from cuntzlab.scalars import scalars_close
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60))
 rationals = st.one_of(st.integers(-50, 50), fractions)
@@ -188,3 +191,38 @@ class TestImmutability:
         for result in (a + b, a - b, a * b, -a, a.conjugate(), a ** 2):
             assert result is not a and result is not b
         assert pair_of(a) == x and pair_of(b) == y
+
+
+def _qqi_comparison(x, y):
+    # the reference: both sides converted to QQi, then compared
+    qx = x if isinstance(x, QQi) else QQi(x)
+    return qx == (y if isinstance(y, QQi) else QQi(y))
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+small_gaussians = st.tuples(small_fractions, st.one_of(st.just(Fraction(0)), small_fractions))
+
+
+def _typed(pair, kind):
+    """The value re + i im as an int, a Fraction or a QQi: the first of
+    those, from ``kind`` on, that holds it."""
+    re, im = pair
+    if im == 0 and kind == 0 and re.denominator == 1:
+        return int(re)
+    if im == 0 and kind <= 1:
+        return Fraction(re)
+    return QQi(re, im)
+
+
+@st.composite
+def exact_scalar_pairs(draw):
+    x = draw(small_gaussians)
+    y = x if draw(st.booleans()) else draw(small_gaussians)
+    return _typed(x, draw(st.integers(0, 2))), _typed(y, draw(st.integers(0, 2)))
+
+
+class TestScalarsClose:
+    @given(exact_scalar_pairs())
+    def test_exact_agreement_is_the_qqi_comparison(self, case):
+        x, y = case
+        assert scalars_close(x, y) == scalars_close(y, x) == _qqi_comparison(x, y)

@@ -246,24 +246,17 @@ class TestParseSpec:
         # every built-in constructor is positive by construction, so rig one:
         # a fake functional whose level-2 moment matrix has a negative block
         import cuntzlab.specio as specio
-        from cuntzlab.moments import StateFacts
+        from cuntzlab.moments import MomentFunctional
 
-        class Rigged:
-            n = 2
-            exact = True
-            family = "cuntz"
-            facts = StateFacts()  # no model, so the gate reads lookup
+        def rigged(J, K):
+            if J == K and len(J) == 1:
+                return -1  # diagonal Gram entry < 0
+            if J == K:
+                return 1
+            return 0
 
-            def moment(self, J, K):
-                if J == K and len(J) == 1:
-                    return -1  # diagonal Gram entry < 0
-                if J == K:
-                    return 1
-                return 0
-
-            lookup = moment  # the gate reads the words it listed itself through lookup
-
-        monkeypatch.setattr(specio, "state_from_spec", lambda *a, **k: Rigged())
+        # a raw functional: the gate reads its word model, whose entries are its moments
+        monkeypatch.setattr(specio, "state_from_spec", lambda *a, **k: MomentFunctional(2, "cuntz", rigged))
         with pytest.raises(GateFailed) as e:
             parse_spec(spec_file({"family": "cuntz", "z": [1, 0]}))
         assert str(e.value).endswith(

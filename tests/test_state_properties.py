@@ -19,7 +19,9 @@ Every family builds its own model, and each model must agree with the
 formula it replaces, computed without a model:
 
 * a prefix-code state is fixed by its minimal isometry u:
-  omega(s_J s_K* u) = omega(s_J s_K*), u multiplied out;
+  omega(s_J s_K* u) = omega(s_J s_K*), u multiplied out, and a unit
+  combination u = sum_W z_W s_W over a prefix code is an isometry in the
+  creation span, u* u multiplied out;
 * a sandwich's moments are omega(A* s_J s_K* A), multiplied out over the
   base;
 * a finitely correlated state's presentation gives its moments back:
@@ -63,7 +65,7 @@ from cuntzlab import (
 )
 from cuntzlab.linalg import mat_mul
 from cuntzlab.scalars import conj
-from cuntzlab.symalg import gauge_image
+from cuntzlab.symalg import gauge_image, is_isometry_in_plus
 
 alphabets = st.integers(2, 3)
 small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -289,3 +291,19 @@ def test_mixture_delta_table_is_the_multiplied_out_double_sum(case):
               for k in range(1, len(seq) + 1))
         for l in range(1, len(seq) + 1))
     assert verify_properly_infinite(omega, seq, cutoff=len(seq)).table == want
+
+
+@st.composite
+def unit_combinations(draw):
+    """u = sum_W z_W s_W over a drawn prefix code, with a unit vector z."""
+    n = draw(alphabets)
+    code = draw(prefix_codes(n))
+    return CuntzElement(n, {(W, ()): c for W, c in zip(code, draw(units(len(code)))) if c != 0})
+
+
+@settings(max_examples=60)
+@given(unit_combinations())
+def test_a_unit_combination_over_a_prefix_code_is_an_isometry(u):
+    # s_W* s_W' = delta_WW' I, so u*u = sum_W |z_W|^2 I: make_prefix_code_state
+    # takes the unit check on its coefficients as the proof that u is an isometry
+    assert is_isometry_in_plus(u) == (True, True)
