@@ -9,10 +9,15 @@ of a failed exact PSD check), so exact work never loads it.
 
 :func:`kernel_basis` also takes sparse rows ``{column: entry}``.  It splits
 the columns into the connected components of the rows' sparsity graph and
-reduces each block on its own: exact blocks give exactly the whole matrix's
-reduced-echelon basis, and float blocks share one rank threshold, taken from
-the largest singular value of any block, as a dense SVD of the whole matrix
-would.  The fixed-point systems of ``moments`` split into a few such blocks.
+reduces each block on its own.  Exact blocks run fraction-free Gauss-Jordan
+elimination on sparse integer rows, pivoting in Markowitz order (shortest
+row, then the column the fewest rows hold), and their kernel vectors are
+then restored to the whole matrix's reduced-echelon basis.  Float blocks
+share one rank threshold, taken from the largest singular value of any
+block, as a dense SVD of the whole matrix would.  The fixed-point systems of
+``moments`` split into a few such blocks, and arrive in exact mode as rows
+of ints.  :func:`rank`, :func:`solve` and the constraints of
+:func:`min_norm_solution` keep the dense, leftmost-pivot elimination.
 
 Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
 a pivoted L D L* factor grown one pivot at a time: the Gram growth of
@@ -24,6 +29,7 @@ grading of ``shiftrep`` reads Gram-Schmidt vectors off its unit-lower factor.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import Inconsistent
@@ -79,29 +85,57 @@ def _pivot_row(rows, col, start, thresh: float):
     return best
 
 
-def _integral_rows(rows, gaussian: bool):
-    """Each row times one common denominator, its content divided out: lists
-    of ints, or of Gaussian-integer QQi when the matrix is not real."""
-    out = []
-    for row in rows:
-        if gaussian:
-            row = [x if isinstance(x, QQi) else QQi(x) for x in row]
-            den = lcm(*(lcm(x.re.denominator, x.im.denominator) for x in row))
-            out.append(_without_content([x * den for x in row], True))
-        else:
-            row = [x.re if isinstance(x, QQi) else x for x in row]
-            den = lcm(*(x.denominator for x in row))
-            out.append(_without_content([x.numerator * (den // x.denominator) for x in row], False))
-    return out
+def _ring(values) -> tuple[bool, bool]:
+    """(has_qqi, gaussian) of exact entries: whether some entry is a QQi,
+    and whether some entry is not real."""
+    has_qqi = QQi in set(map(type, values))
+    return has_qqi, has_qqi and any(isinstance(x, QQi) and x.im for x in values)
+
+
+def _integral(row, gaussian: bool):
+    """The row (a list, or a mapping {column: entry}) times one common
+    denominator, its content divided out: ints, or Gaussian-integer QQi when
+    the matrix is not real."""
+    if isinstance(row, dict):
+        return dict(zip(row, _integral(list(row.values()), gaussian)))
+    if gaussian:
+        row = [x if isinstance(x, QQi) else QQi(x) for x in row]
+        den = lcm(*(lcm(x.re.denominator, x.im.denominator) for x in row))
+        return _without_content([x * den for x in row], True)
+    row = [x.re if isinstance(x, QQi) else x for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return _without_content([x.numerator * (den // x.denominator) for x in row], False)
 
 
 def _without_content(row, gaussian: bool):
-    """The integer row divided by the gcd of its (real and imaginary) parts."""
+    """The integer row (a list or a mapping) divided by the gcd of its (real
+    and imaginary) parts."""
+    values = row.values() if isinstance(row, dict) else row
     if gaussian:
-        g = gcd(*(p for x in row if x for p in (x.re.numerator, x.im.numerator)))
-        return [x / g for x in row] if g > 1 else row
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+        g = gcd(*(p for x in values if x for p in (x.re.numerator, x.im.numerator)))
+    else:
+        g = gcd(*values)
+    if g <= 1:
+        return row
+    if isinstance(row, dict):
+        return {j: x / g for j, x in row.items()} if gaussian else {j: x // g for j, x in row.items()}
+    return [x / g for x in row] if gaussian else [x // g for x in row]
+
+
+def _real_pivot(prow, c):
+    """A Gaussian pivot row times the conjugate of its pivot, content divided
+    out, and that pivot, now an integer."""
+    pc = prow[c].conjugate()
+    prow = {j: x * pc for j, x in prow.items()} if isinstance(prow, dict) else [x * pc for x in prow]
+    prow = _without_content(prow, True)
+    return prow, prow[c].re.numerator
+
+
+def _cross_factors(pv: int, f, gaussian: bool):
+    """(a, b) with a / b = pv / f in lowest terms: a row with entry f in the
+    pivot column becomes a row - b prow, zero there."""
+    g = gcd(pv, f.re.numerator, f.im.numerator) if gaussian else gcd(pv, f)
+    return pv // g, (f / g if gaussian else f // g)
 
 
 def _eliminate_exact(rows, ncols):
@@ -114,9 +148,8 @@ def _eliminate_exact(rows, ncols):
     divided by its pivot once at the end.  A matrix with a non-real entry
     runs on Gaussian integers, each pivot made an integer by its conjugate.
     """
-    has_qqi = QQi in {type(x) for row in rows for x in row}
-    gaussian = has_qqi and any(isinstance(x, QQi) and x.im for row in rows for x in row)
-    work = _integral_rows(rows, gaussian)
+    has_qqi, gaussian = _ring([x for row in rows for x in row])
+    work = [_integral(row, gaussian) for row in rows]
     m = len(work)
     pivots = []
     r = 0
@@ -128,17 +161,15 @@ def _eliminate_exact(rows, ncols):
         prow = work[r]
         pv = prow[c]
         if gaussian:
-            prow = work[r] = _without_content([x * pv.conjugate() for x in prow], True)
-            pv = prow[c].re.numerator
+            prow, pv = _real_pivot(prow, c)
+            work[r] = prow
         nonzero = [j for j, x in enumerate(prow) if x]
         for k in range(m):
             row = work[k]
             f = row[c]
             if k == r or not f:
                 continue
-            # row <- a row - b prow with a / b = pv / f in lowest terms
-            g = gcd(pv, f.re.numerator, f.im.numerator) if gaussian else gcd(pv, f)
-            a, b = pv // g, (f / g if gaussian else f // g)
+            a, b = _cross_factors(pv, f, gaussian)
             if a != 1:
                 row = [a * x for x in row]
             for j in nonzero:
@@ -150,18 +181,20 @@ def _eliminate_exact(rows, ncols):
             break
     # divide each pivot row by its pivot; the rows below are zero in the
     # first ncols columns
-    zero = QQi(0) if has_qqi else Fraction(0)
     for k, row in enumerate(work):
-        if k < r:
-            pv = row[pivots[k][1]]
-            if gaussian:
-                row = [x / pv if x else zero for x in row]
-            elif has_qqi:
-                row = [QQi(Fraction(x, pv)) if x else zero for x in row]
-            else:
-                row = [Fraction(x, pv) if x else zero for x in row]
-        rows[k] = row
+        rows[k] = _divided(row, row[pivots[k][1]], has_qqi, gaussian) if k < r else row
     return pivots
+
+
+def _divided(values, pv, has_qqi: bool, gaussian: bool) -> list:
+    """Integer (or Gaussian-integer) entries divided by a pivot: Fractions,
+    or QQi when the matrix had a QQi entry, a zero entry made the ring's 0."""
+    zero = QQi(0) if has_qqi else Fraction(0)
+    if gaussian:
+        return [x / pv if x else zero for x in values]
+    if has_qqi:
+        return [QQi(Fraction(x, pv)) if x else zero for x in values]
+    return [Fraction(x, pv) if x else zero for x in values]
 
 
 def _eliminate(rows, ncols):
@@ -220,11 +253,17 @@ def kernel_basis(rows, ncols: int):
     and the matrix, with its columns permuted, is block diagonal over them:
     each block is reduced on its own.
 
-    Exact rows run fraction-free elimination per block.  The kernel vector
-    of a free column f is e_f minus the reduced entries of f in the pivot
-    rows of its block, and the vectors are ordered by free column.  By the
-    uniqueness of the reduced echelon form this is exactly the basis that
-    eliminating the whole matrix gives.
+    Exact rows are scaled to integers (ints, already, from ``moments``) and
+    run sparse fraction-free elimination per block, in Markowitz order: the
+    shortest active row, and in it the column the fewest rows hold, ties to
+    the lowest index.  A block of one column with a row is not reduced; it
+    has no kernel vector.  The kernel vectors that order gives are reduced
+    once more with pivots from the last column backwards and divided by
+    their pivots: the unique basis whose vectors have distinct last nonzero
+    columns, 1 there and 0 at the others'.  The reduced echelon form's
+    kernel vector of a free column f is e_f minus the entries of f in the
+    pivot rows, all at pivot columns before f, so that basis is exactly the
+    one that eliminating the whole matrix gives, ordered by free column.
 
     Float rows take the SVD of each block; blocks of equal shape share one
     stacked ``np.linalg.svd`` call.  The singular values of a block-diagonal
@@ -281,22 +320,111 @@ def _column_blocks(rows, ncols: int):
 
 
 def _exact_kernel(blocks):
-    """(free column, its kernel vector's entries) per free column of each block."""
+    """(free column, its kernel vector's entries) per free column of each block.
+
+    A block's rows, made integral, are reduced by :func:`_sparse_reduce` in
+    Markowitz order.  A free column g of that order gives the integer kernel
+    vector L e_g - sum_r (L / p_r) R_r[g] e_(c_r) over the pivot rows R_r
+    with an entry at g, p_r the pivot of R_r at column c_r and L their lcm.
+    These vectors span the block's kernel, but which columns are free depends
+    on the order.  Reduced once more, with pivots taken from the last column
+    backwards, and each divided by its pivot, they become the one basis of
+    the kernel whose vectors have distinct last nonzero columns, each 1 there
+    and 0 at the others': the kernel vectors of the reduced echelon form,
+    whose free columns are exactly those last columns.  A block of one
+    column with a row has no kernel vector and is not reduced.
+    """
     found = []
     for cols, rows in blocks:
-        local = {c: j for j, c in enumerate(cols)}
-        work = []
-        for row in rows:
-            dense = [0] * len(cols)
-            for c, x in row.items():
-                dense[local[c]] = x
-            work.append(dense)
-        pivots = _eliminate_exact(work, len(cols))
+        if not rows:
+            found.append((cols[0], [(cols[0], 1)]))
+            continue
+        if len(cols) == 1:
+            continue
+        has_qqi, gaussian = _ring([x for row in rows for x in row.values()])
+        work = [_integral(row, gaussian) for row in rows]
+        pivots = _sparse_reduce(work, _MARKOWITZ, gaussian)
+        held: dict[int, list] = {}  # free column -> (pivot column, pivot, entry) of the rows holding it
+        for r, c in pivots:
+            row = work[r]
+            pv = row[c].re.numerator if gaussian else row[c]
+            for j, x in row.items():
+                if j != c:
+                    held.setdefault(j, []).append((c, pv, x))
         pivot_cols = {c for _, c in pivots}
-        for free in range(len(cols)):
-            if free not in pivot_cols:
-                found.append((cols[free], [(cols[free], 1), *((cols[c], -work[r][free]) for r, c in pivots)]))
+        one = QQi(1) if gaussian else 1
+        vectors = []
+        for g in cols:
+            if g not in pivot_cols:
+                terms = held.get(g, ())
+                lead = lcm(*(pv for _, pv, _ in terms))
+                v = {g: lead * one}
+                for c, pv, x in terms:
+                    v[c] = -(lead // pv) * x
+                vectors.append(_without_content(v, gaussian))
+        for r, c in _sparse_reduce(vectors, _LAST_COLUMN, gaussian):
+            v = vectors[r]
+            others = [j for j in v if j != c]
+            found.append((c, [(c, 1), *zip(others, _divided([v[j] for j in others], v[c], has_qqi, gaussian))]))
     return found
+
+
+# pivot orders of _sparse_reduce: (key of a row, the least first; pivot column in the chosen row)
+_MARKOWITZ = (lambda row, k: (len(row), k), lambda row, holders: min(row, key=lambda j: (len(holders[j]), j)))
+_LAST_COLUMN = (lambda row, k: (-max(row), k), lambda row, holders: max(row))
+
+
+def _sparse_reduce(work, order, gaussian: bool):
+    """Fraction-free Gauss-Jordan elimination of integer rows {column: entry}
+    in place, with the row update of :func:`_eliminate_exact`.  ``order`` is
+    (row_key, pick): the next pivot row is the unreduced nonzero row of least
+    ``row_key(row, index)``, its pivot column ``pick(row, holders)``, where
+    ``holders`` maps each column to the rows with an entry there.  In
+    Markowitz order that is the shortest row and its column held by the
+    fewest rows, ties going to the lowest index.  Returns the (row, column)
+    pivots in the order taken; every other row ends empty."""
+    row_key, pick = order
+    holders: dict[int, set] = {}
+    for k, row in enumerate(work):
+        for j in row:
+            holders.setdefault(j, set()).add(k)
+    queue = [(row_key(row, k), k) for k, row in enumerate(work)]
+    heapify(queue)
+    pivots = []
+    done = set()
+    while queue:
+        key, r = heappop(queue)
+        prow = work[r]
+        if r in done or not prow or key != row_key(prow, r):
+            continue  # an entry left behind by a later update of the row
+        done.add(r)
+        c = pick(prow, holders)
+        pv = prow[c]
+        if gaussian:
+            prow, pv = _real_pivot(prow, c)
+            work[r] = prow
+        for k in holders[c] - {r}:
+            row = work[k]
+            a, b = _cross_factors(pv, row[c], gaussian)
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -b * x
+                    holders[j].add(k)
+                else:
+                    y -= b * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        holders[j].discard(k)
+            work[k] = row = _without_content(row, gaussian)
+            if row and k not in done:
+                heappush(queue, (row_key(row, k), k))
+        pivots.append((r, c))
+    return pivots
 
 
 def _float_kernel(blocks):
@@ -484,14 +612,20 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs):
     basis: list of kernel vectors (length-m lists).  constraint_rows: rows of a
     matrix C acting on the *combination vector* x = sum c_i basis_i, with
     C x = constraint_rhs.  Returns the combination vector x.
+
+    The Gram entries, the constraint products and x are summed over the
+    nonzero entries of each basis vector alone, in column order: a skipped
+    term is a zero product, so every sum is the dense sum.
     """
     r = len(basis)
     if r == 0:
         raise Inconsistent("empty solution space")
     m = len(basis[0])
+    support = [[(k, x) for k, x in enumerate(v) if x] for v in basis]
     # gram[i][j] = <basis_i, basis_j>; entries are real for real bases
-    gram = [[sum((conj(basis[i][k]) * basis[j][k] for k in range(m)), 0) for j in range(r)] for i in range(r)]
-    cb = [[sum((row[k] * basis[j][k] for k in range(m)), 0) for j in range(r)] for row in constraint_rows]
+    gram = [[sum((conj(x) * basis[j][k] for k, x in support[i] if basis[j][k]), 0) for j in range(r)]
+            for i in range(r)]
+    cb = [[sum((row[k] * x for k, x in entries if row[k]), 0) for entries in support] for row in constraint_rows]
 
     # constraints may be dependent as functionals on the span (a row reducing
     # to zero would make the KKT matrix singular); keep the reduced pivot rows,
@@ -511,5 +645,8 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs):
         kkt.append([cb[a][j] for j in range(r)] + [0] * q)
     rhs = [0] * r + [row[r] for row in kept]
     sol = solve(kkt, rhs)
-    coeffs = sol[:r]
-    return [sum((coeffs[i] * basis[i][k] for i in range(r)), 0) for k in range(m)]
+    combination = [0] * m
+    for c, entries in zip(sol[:r], support):
+        for k, x in entries:
+            combination[k] = combination[k] + c * x
+    return combination

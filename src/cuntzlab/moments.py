@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotNormalized, NotPrefixFree, NotUnit, SchemaError
@@ -82,6 +83,7 @@ from .scalars import (
     QQi,
     abs2,
     conj,
+    gaussian_parts,
     is_exact_scalar,
     scalar_is_zero,
     scalars_close,
@@ -624,9 +626,10 @@ def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
     (the symmetric mixture) together with a warning.
 
     Each equation is two sparse real rows (real and imaginary part) over the
-    columns Re v_C, Im v_C, and ``kernel_basis`` reduces the system one
-    connected block of columns at a time.  The blocks are small: for the
-    uniform code of order m the equation of a word C of length l < m is
+    columns Re v_C, Im v_C, of ints in exact mode (the row scaled by the lcm
+    of its coefficients' denominators), and ``kernel_basis`` reduces the
+    system one connected block of columns at a time.  The blocks are small:
+    for the uniform code of order m the equation of a word C of length l < m is
     v_C = sum_{|B| = m - l} conj(z_CB) conj(v_B), and a code word W gives
     v_W = conj(z_W) v_empty.  So length l couples only with length m - l,
     and v_empty only with the code: the 510 columns of order 7 over two
@@ -674,12 +677,15 @@ def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
 
     def realified(row: dict):
         # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i:
-        # two sparse rows {column: entry}
+        # two sparse rows {column: entry}.  An exact coefficient is (a + bi)/d, and the
+        # homogeneous rows are scaled by the lcm of the d, so their entries are ints.
         re, im = {}, {}
+        if pc.exact:
+            den = lcm(*(gaussian_parts(c)[2] for c in row.values()))
         for (w, conjugated), c in row.items():
             if pc.exact:
-                q = c if isinstance(c, QQi) else QQi(c)
-                a, b = q.re, q.im
+                a, b, d = gaussian_parts(c)
+                a, b = a * (den // d), b * (den // d)
             else:
                 cc = complex(c)
                 a, b = cc.real, cc.imag

@@ -26,6 +26,7 @@ __all__ = [
     "conj",
     "abs2",
     "is_exact_scalar",
+    "gaussian_parts",
     "scalar_is_zero",
     "scalars_close",
     "format_float",
@@ -282,6 +283,14 @@ def abs2(x):
 
 def is_exact_scalar(x) -> bool:
     return isinstance(x, (QQi, int, Fraction))
+
+
+def gaussian_parts(x) -> tuple[int, int, int]:
+    """(a, b, d) with x = (a + bi)/d, d > 0 and gcd(a, b, d) = 1, for an
+    exact scalar x; a QQi gives its own triple, so nothing is built."""
+    if type(x) is QQi:
+        return x._abd
+    return x.numerator, 0, x.denominator
 
 
 def scalar_is_zero(x, tol: float | None = None) -> bool:

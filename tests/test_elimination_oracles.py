@@ -12,9 +12,20 @@ refuse a matrix has a pinned case.  ``kernel_basis`` reduces one connected
 block of columns at a time: on shuffled block-diagonal matrices, given as
 list rows and as mapping rows, it must return sympy's nullspace vector for
 vector, and its float twin must span what a dense SVD's kernel spans.
+
+An exact block is reduced sparsely in Markowitz order, which frees other
+columns than the leftmost order, and its basis is then restored to the
+reduced-echelon one.  Sparse systems of up to 10 x 12 with kernels of
+dimension two or more must give sympy's nullspace, a pinned case frees
+other columns, and ``reference_exact_kernel``, the dense per-block
+elimination the package used before, must give the same basis on every
+fixed-point system that building the golden code, progression and mixture
+states and the benchmark's heavy exact states solves.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +33,22 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzlab import Inconsistent, QQi
-from cuntzlab.linalg import _eliminate, hermitian_psd_check, kernel_basis, min_norm_solution, rank, solve
+from cuntzlab import Inconsistent, QQi, linalg, moments
+from cuntzlab.linalg import (
+    _MARKOWITZ,
+    _eliminate,
+    _eliminate_exact,
+    _integral,
+    _sparse_reduce,
+    hermitian_psd_check,
+    kernel_basis,
+    matrix_is_exact,
+    min_norm_solution,
+    rank,
+    solve,
+)
 from cuntzlab.scalars import DEFAULT_RANK_TOL, conj
+from cuntzlab.specio import state_from_spec
 
 
 def reference_eliminate(rows, ncols):
@@ -401,3 +425,98 @@ def test_float_rank_threshold_is_shared_by_the_blocks():
     rows = [[1e12, 0.0], [0.0, 1.0]]
     assert_float_twin_matches_dense_svd(rows, 2)
     assert kernel_basis(as_mapping(rows), 2) == [[0.0, 1.0]]
+
+
+# Sparse systems wider than they are tall, so every kernel has two or more
+# vectors for the basis restoration to reduce.
+
+nonzero_entries = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+nonzero_gaussian_entries = st.builds(QQi, entries, entries).filter(bool)
+
+
+@st.composite
+def sparse_wide(draw, elements):
+    """(rows, ncols): up to 10 rows over 3-12 columns, at least two columns
+    more than rows, and at most 30 % of the entries nonzero."""
+    ncols = draw(st.integers(3, 12))
+    nrows = draw(st.integers(1, min(10, ncols - 2)))
+    cells = [(i, j) for i in range(nrows) for j in range(ncols)]
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for i, j in draw(st.lists(st.sampled_from(cells), unique=True, max_size=3 * len(cells) // 10)):
+        rows[i][j] = draw(elements)
+    return rows, ncols
+
+
+@settings(max_examples=80)
+@given(sparse_wide(nonzero_entries))
+def test_rational_sparse_kernels_match_sympy(case):
+    assert_blocks_match_sympy(*case)
+
+
+@settings(max_examples=40)
+@given(sparse_wide(nonzero_gaussian_entries))
+def test_gaussian_sparse_kernels_match_sympy(case):
+    assert_blocks_match_sympy(*case)
+
+
+# x1 - x2 + x3 = 0 and x0 + x1 = 0: the leftmost order pivots on columns 0
+# and 1 and frees 2 and 3.  The Markowitz order takes the shorter row first,
+# on column 0, which only it holds, then column 2, and frees 1 and 3; its
+# kernel vector of column 3, e3 + e2, must lose its entry at column 2, the
+# last column of the other vector, e1 - e0 + e2
+MARKOWITZ_FREES_OTHERS = [[F(0), F(1), F(-1), F(1)], [F(1), F(1), F(0), F(0)]]
+
+
+def test_markowitz_order_frees_other_columns_and_the_basis_is_restored():
+    work = [_integral(row, False) for row in as_mapping(MARKOWITZ_FREES_OTHERS)]
+    assert [c for _, c in _sparse_reduce(work, _MARKOWITZ, False)] == [0, 2]
+    assert [c for _, c in _eliminate([list(r) for r in MARKOWITZ_FREES_OTHERS], 4)] == [0, 1]
+    assert kernel_basis(MARKOWITZ_FREES_OTHERS, 4) == [[-1, 1, 1, 0], [1, -1, 0, 1]]
+    assert_blocks_match_sympy(MARKOWITZ_FREES_OTHERS, 4)
+
+
+def reference_exact_kernel(blocks):
+    """The exact block kernel the package used before it went sparse: each
+    block's rows made dense and reduced by ``_eliminate_exact`` in leftmost
+    order, one kernel vector per free column."""
+    found = []
+    for cols, rows in blocks:
+        local = {c: j for j, c in enumerate(cols)}
+        work = []
+        for row in rows:
+            dense = [0] * len(cols)
+            for c, x in row.items():
+                dense[local[c]] = x
+            work.append(dense)
+        pivots = _eliminate_exact(work, len(cols))
+        pivot_cols = {c for _, c in pivots}
+        for free in range(len(cols)):
+            if free not in pivot_cols:
+                found.append((cols[free], [(cols[free], 1), *((cols[c], -work[r][free]) for r, c in pivots)]))
+    return found
+
+
+SOLVED_FAMILIES = ("sub_cuntz", "prefix_code", "geometric_progression", "mixture")
+GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
+
+
+def test_every_solved_system_gives_the_reference_basis(heavy_twins, monkeypatch):
+    specs = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN_SPECS.glob("*.json"))]
+    specs = [spec for spec in specs if spec["family"] in SOLVED_FAMILIES] + list(heavy_twins.values())
+    systems = []
+
+    def spy(rows, ncols):
+        systems.append(([dict(row) for row in rows], ncols))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(moments, "kernel_basis", spy)
+    for spec in specs:
+        state_from_spec(spec)
+    monkeypatch.undo()
+    assert len(systems) >= len(specs)
+    for rows, ncols in systems:
+        assert matrix_is_exact(row.values() for row in rows)
+        found = kernel_basis(rows, ncols)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_exact_kernel", reference_exact_kernel)
+            assert found == kernel_basis(rows, ncols)

@@ -33,6 +33,12 @@ written while the twist still stepped the sandwich's word model.  Float
 ``moments --level 3`` of every spec stays within a fixed bound of its exact
 golden file.
 
+The exact twins of the benchmark's heavy float states (dense sub-Cuntz
+states of order 6 and 7 over n = 2 and of order 4 over n = 3), the largest
+fixed-point solves, must print the exact ``report`` and ``fcs`` answers the
+benchmark recorded for them in ``bench/reference/report_float.json``, which
+this suite only reads.
+
 The demo smoke test runs every script under ``demos/`` in a fresh interpreter.
 """
 
@@ -55,6 +61,7 @@ FCS_SPECS = sorted(p.name.removesuffix(".fcs.json") for p in GOLDEN.glob("*.fcs.
 MOMENT_SPECS = sorted(p.name.removesuffix(".moments.json") for p in GOLDEN.glob("*.moments.json"))
 KAPPA_SPECS = sorted(p.name.removesuffix(".kappa.json") for p in GOLDEN.glob("*.kappa.json"))
 DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
+REPORT_FLOAT_REFERENCE = HERE.parent / "bench" / "reference" / "report_float.json"
 
 # repeated names give the pairs of equal tensors and equal progression codes
 PAIRWISE = [
@@ -76,6 +83,19 @@ def _stdout(command, names, capsys, *options, fmt="json") -> str:
 @pytest.mark.parametrize("name", SPECS)
 def test_single_report(name, capsys):
     assert _stdout("report", [name], capsys) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["report", "fcs"])
+def test_heavy_exact_twins_match_the_benchmark_reference(command, heavy_twins, tmp_path, capsys):
+    reference = json.loads(REPORT_FLOAT_REFERENCE.read_text(encoding="utf-8"))["exact"]
+    found, expected = {}, {}
+    for name, spec in sorted(heavy_twins.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert run([command, str(path), "--format", "json"]) == 0
+        found[name] = json.loads(capsys.readouterr().out)
+        expected[name] = reference[f"{command}:{name}"]
+    assert found == expected
 
 
 @pytest.mark.parametrize("name", FCS_SPECS)

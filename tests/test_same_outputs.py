@@ -37,6 +37,15 @@ def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
     assert sum(label.startswith("report_float/") for label in plan) == 4 * sum(
         label.startswith("report_float/1/json/") for label in plan)
     assert plan["selftest/json/selftest"][1] == ["selftest", "--format", "json"]
+    # the heavy exact twins and the one-word code 1^10, whose solves are the largest
+    for name in ("n2_heavy_dense_m6", "n2_heavy_dense_m7", "n3_heavy_dense_m4"):
+        for command in ("report", "fcs"):
+            workdir, argv = plan[f"solve/json/{command}:{name}"]
+            spec = json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))
+            assert spec["family"] == "sub_cuntz" and argv[0] == command
+    workdir, argv = plan["solve/json/report:one_word_1x10"]
+    assert json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))["code"] == [[1] * 10]
+    assert sum(label.startswith("solve/") for label in plan) == 7
 
 
 def test_selftest_seconds_are_dropped_before_comparing():

@@ -16,6 +16,7 @@ from cuntzlab.scalars import (
     abs2,
     conj,
     format_float,
+    gaussian_parts,
     is_exact_scalar,
     scalars_close,
 )
@@ -58,6 +59,13 @@ class TestQQi:
         assert is_exact_scalar(7)
         assert not is_exact_scalar(0.5)
         assert not is_exact_scalar(1 + 2j)
+
+    def test_gaussian_parts(self):
+        # (a, b, d) with x = (a + bi)/d, d > 0 and gcd(a, b, d) = 1
+        assert gaussian_parts(QQi(fr(1, 2), fr(-1, 3))) == (3, -2, 6)
+        assert gaussian_parts(QQi(fr(2, 4), 0)) == (1, 0, 2)
+        assert gaussian_parts(fr(-6, 4)) == (-3, 0, 2)
+        assert gaussian_parts(7) == (7, 0, 1)
 
     def test_scalars_close(self):
         assert scalars_close(QQi(1, 0), 1.0 + 1e-12j)

@@ -13,7 +13,11 @@ fresh interpreter per tree, the two trees side by side:
 * ``report``, ``fcs``, ``kappa``, ``pure`` and ``cdim`` (json and md) and
   ``moments --level 3`` (json) on every spec under ``tests/golden/specs/``
   and on its twist by the complex unitary G_C;
-* ``selftest --format json``, with each criterion's seconds dropped.
+* ``selftest --format json``, with each criterion's seconds dropped;
+* exact ``report`` and ``fcs`` (json) on the exact twins of the heavy
+  report_float states (dense order 6 and 7 over n = 2, order 4 over n = 3),
+  and ``report`` (json) on the one-word code 1^10: the states with the
+  largest fixed-point solves.
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -51,6 +55,9 @@ G_C = {
     2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
     3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
 }
+# the one-word code 1^10: a fixed-point system over 4094 columns with a
+# ten-dimensional solution space, whose table is the minimum-norm one
+ONE_WORD = {"family": "prefix_code", "n": 2, "code": [[1] * 10], "z": [1]}
 CHILD_TIMEOUT_S = 3600
 
 # Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
@@ -113,6 +120,14 @@ def build_plan(work: Path) -> dict:
             plan[f"{group}/json/moments:{path.stem}"] = (str(d), ["moments", file, "--level", "3",
                                                                    "--format", "json"])
     plan["selftest/json/selftest"] = (str(d), ["selftest", "--format", "json"])
+    d = work / "solve"
+    d.mkdir()
+    for name, (n, m, z) in corpus_mod.heavy_float().items():
+        file = _write(d / f"{name}.json", corpus_mod.sub_cuntz(n, m, z))
+        for command in ("report", "fcs"):
+            plan[f"solve/json/{command}:{name}"] = (str(d), [command, file, "--format", "json"])
+    file = _write(d / "one_word_1x10.json", ONE_WORD)
+    plan["solve/json/report:one_word_1x10"] = (str(d), ["report", file, "--format", "json"])
     return plan
 
 
