@@ -1,23 +1,25 @@
 """Small linear algebra over exact (Fraction/Gaussian-rational) or float scalars.
 
 Matrices are lists of row lists.  When every entry is exact the routines run
-fraction-free Gauss-Jordan elimination on integers (or Gaussian integers) and
-return exact answers; otherwise they pivot on magnitudes above
-DEFAULT_RANK_TOL times the largest entry, or fall back to numpy.  numpy is
-imported only inside those float fallbacks (and for the eigenvalue estimate
-of a failed exact PSD check), so exact work never loads it.
+one fraction-free Gauss-Jordan elimination, :func:`_sparse_reduce`, on
+sparse rows of integers (or Gaussian integers) and return exact answers;
+otherwise they pivot on magnitudes above DEFAULT_RANK_TOL times the largest
+entry, or fall back to numpy.  numpy is imported only inside those float
+fallbacks (and for the eigenvalue estimate of a failed exact PSD check), so
+exact work never loads it.
 
-:func:`kernel_basis` also takes sparse rows ``{column: entry}``.  It splits
-the columns into the connected components of the rows' sparsity graph and
-reduces each block on its own.  Exact blocks run fraction-free Gauss-Jordan
-elimination on sparse integer rows, pivoting in Markowitz order (shortest
-row, then the column the fewest rows hold), and their kernel vectors are
-then restored to the whole matrix's reduced-echelon basis.  Float blocks
-share one rank threshold, taken from the largest singular value of any
-block, as a dense SVD of the whole matrix would.  The fixed-point systems of
-``moments`` split into a few such blocks, and arrive in exact mode as rows
-of ints.  :func:`rank`, :func:`solve` and the constraints of
-:func:`min_norm_solution` keep the dense, leftmost-pivot elimination.
+The exact elimination has three pivot orders.  :func:`rank`, :func:`solve`
+and the constraints of :func:`min_norm_solution` reduce in leftmost order,
+which gives the reduced echelon form.  :func:`kernel_basis` also takes
+sparse rows ``{column: entry}``.  It splits the columns into the connected
+components of the rows' sparsity graph and reduces each block on its own.
+Exact blocks pivot in Markowitz order (shortest row, then the column the
+fewest rows hold), and their kernel vectors are then reduced from the last
+column backwards, which restores the whole matrix's reduced-echelon basis.
+Float blocks share one rank threshold, taken from the largest singular value
+of any block, as a dense SVD of the whole matrix would.  The fixed-point
+systems of ``moments`` split into a few such blocks, and arrive in exact
+mode as rows of ints.
 
 Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
 a pivoted L D L* factor grown one pivot at a time: the Gram growth of
@@ -33,7 +35,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import Inconsistent
-from .scalars import DEFAULT_RANK_TOL, QQi, abs2, conj, is_exact_scalar
+from .scalars import DEFAULT_RANK_TOL, QQi, abs2, conj, gaussian_parts, is_exact_scalar
 
 __all__ = [
     "matrix_is_exact",
@@ -92,98 +94,43 @@ def _ring(values) -> tuple[bool, bool]:
     return has_qqi, has_qqi and any(isinstance(x, QQi) and x.im for x in values)
 
 
-def _integral(row, gaussian: bool):
-    """The row (a list, or a mapping {column: entry}) times one common
-    denominator, its content divided out: ints, or Gaussian-integer QQi when
-    the matrix is not real."""
-    if isinstance(row, dict):
-        return dict(zip(row, _integral(list(row.values()), gaussian)))
+def _integral(row: dict, gaussian: bool) -> dict:
+    """The row {column: entry} times one common denominator, its content
+    divided out: ints, or Gaussian-integer QQi when the matrix is not real."""
+    parts = [gaussian_parts(x) for x in row.values()]
+    den = lcm(*(d for _, _, d in parts))
     if gaussian:
-        row = [x if isinstance(x, QQi) else QQi(x) for x in row]
-        den = lcm(*(lcm(x.re.denominator, x.im.denominator) for x in row))
-        return _without_content([x * den for x in row], True)
-    row = [x.re if isinstance(x, QQi) else x for x in row]
-    den = lcm(*(x.denominator for x in row))
-    return _without_content([x.numerator * (den // x.denominator) for x in row], False)
-
-
-def _without_content(row, gaussian: bool):
-    """The integer row (a list or a mapping) divided by the gcd of its (real
-    and imaginary) parts."""
-    values = row.values() if isinstance(row, dict) else row
-    if gaussian:
-        g = gcd(*(p for x in values if x for p in (x.re.numerator, x.im.numerator)))
+        scaled = ((x if isinstance(x, QQi) else QQi(x)) * den for x in row.values())
     else:
-        g = gcd(*values)
+        scaled = (a * (den // d) for a, _, d in parts)
+    return _without_content(dict(zip(row, scaled)), gaussian)
+
+
+def _without_content(row: dict, gaussian: bool) -> dict:
+    """The integer row {column: entry} divided by the gcd of its (real and
+    imaginary) parts."""
+    if gaussian:
+        g = gcd(*(p for x in row.values() for p in gaussian_parts(x)[:2]))
+    else:
+        g = gcd(*row.values())
     if g <= 1:
         return row
-    if isinstance(row, dict):
-        return {j: x / g for j, x in row.items()} if gaussian else {j: x // g for j, x in row.items()}
-    return [x / g for x in row] if gaussian else [x // g for x in row]
+    return {j: x / g for j, x in row.items()} if gaussian else {j: x // g for j, x in row.items()}
 
 
-def _real_pivot(prow, c):
+def _real_pivot(prow: dict, c):
     """A Gaussian pivot row times the conjugate of its pivot, content divided
     out, and that pivot, now an integer."""
     pc = prow[c].conjugate()
-    prow = {j: x * pc for j, x in prow.items()} if isinstance(prow, dict) else [x * pc for x in prow]
-    prow = _without_content(prow, True)
-    return prow, prow[c].re.numerator
+    prow = _without_content({j: x * pc for j, x in prow.items()}, True)
+    return prow, gaussian_parts(prow[c])[0]
 
 
 def _cross_factors(pv: int, f, gaussian: bool):
     """(a, b) with a / b = pv / f in lowest terms: a row with entry f in the
     pivot column becomes a row - b prow, zero there."""
-    g = gcd(pv, f.re.numerator, f.im.numerator) if gaussian else gcd(pv, f)
+    g = gcd(pv, *gaussian_parts(f)[:2]) if gaussian else gcd(pv, f)
     return pv // g, (f / g if gaussian else f // g)
-
-
-def _eliminate_exact(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of an exact matrix.
-
-    As in Bareiss (1968, Math. Comp. 22) no fraction is formed on the way:
-    each row is scaled to integers once, a row is updated by
-    cross-multiplication with the pivot row over the pivot row's nonzero
-    columns, and its content is then divided out by a gcd.  Each pivot row is
-    divided by its pivot once at the end.  A matrix with a non-real entry
-    runs on Gaussian integers, each pivot made an integer by its conjugate.
-    """
-    has_qqi, gaussian = _ring([x for row in rows for x in row])
-    work = [_integral(row, gaussian) for row in rows]
-    m = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((k for k in range(r, m) if work[k][c]), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        prow = work[r]
-        pv = prow[c]
-        if gaussian:
-            prow, pv = _real_pivot(prow, c)
-            work[r] = prow
-        nonzero = [j for j, x in enumerate(prow) if x]
-        for k in range(m):
-            row = work[k]
-            f = row[c]
-            if k == r or not f:
-                continue
-            a, b = _cross_factors(pv, f, gaussian)
-            if a != 1:
-                row = [a * x for x in row]
-            for j in nonzero:
-                row[j] = row[j] - b * prow[j]
-            work[k] = _without_content(row, gaussian)
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    # divide each pivot row by its pivot; the rows below are zero in the
-    # first ncols columns
-    for k, row in enumerate(work):
-        rows[k] = _divided(row, row[pivots[k][1]], has_qqi, gaussian) if k < r else row
-    return pivots
 
 
 def _divided(values, pv, has_qqi: bool, gaussian: bool) -> list:
@@ -197,16 +144,30 @@ def _divided(values, pv, has_qqi: bool, gaussian: bool) -> list:
     return [Fraction(x, pv) if x else zero for x in values]
 
 
-def _eliminate(rows, ncols):
-    """In-place elimination to the reduced echelon form; returns the list of
-    (pivot_row, pivot_col), the pivot rows first, in column order."""
+def _eliminate(rows):
+    """In-place elimination to the reduced echelon form over every column;
+    returns the list of (pivot_row, pivot_col), the pivot rows first, in
+    column order, and every other row is left zero.
+
+    Exact rows are made sparse and integral, their zero rows dropped, and
+    reduced by :func:`_sparse_reduce` in leftmost order; each pivot row is
+    then divided by its pivot.  Float rows pivot on the largest magnitude in
+    each column, above DEFAULT_RANK_TOL times max(1, the largest entry)."""
     if matrix_is_exact(rows):
-        return _eliminate_exact(rows, ncols)
+        has_qqi, gaussian = _ring([x for row in rows for x in row])
+        sparse = ({j: x for j, x in enumerate(row) if x} for row in rows)
+        work = [_integral(row, gaussian) for row in sparse if row]
+        pivots = _sparse_reduce(work, _LEFTMOST, gaussian)
+        for k, (r, c) in enumerate(pivots):
+            rows[k] = _divided([work[r].get(j, 0) for j in range(len(rows[k]))], work[r][c], has_qqi, gaussian)
+        for k in range(len(pivots), len(rows)):
+            rows[k] = _divided([0] * len(rows[k]), 1, has_qqi, gaussian)
+        return [(k, c) for k, (_, c) in enumerate(pivots)]
     maxabs = max((abs(complex(x)) for row in rows for x in row), default=0.0)
     thresh = DEFAULT_RANK_TOL * max(1.0, maxabs)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         p = _pivot_row(rows, c, r, thresh)
         if p is None:
             continue
@@ -227,16 +188,17 @@ def _eliminate(rows, ncols):
 def rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
-    work = [list(r) for r in rows]
-    return len(_eliminate(work, len(work[0])))
+    return len(_eliminate([list(r) for r in rows]))
 
 
 def solve(a, b):
-    """Solve the square system a x = b (single right-hand side as a vector)."""
+    """Solve the square system a x = b (single right-hand side as a vector).
+    The augmented matrix [a | b] is reduced: a is regular exactly when its
+    pivots are the columns 0..d-1."""
     d = len(a)
     work = [list(a[i]) + [b[i]] for i in range(d)]
-    pivots = _eliminate(work, d)
-    if len(pivots) != d:
+    pivots = _eliminate(work)
+    if [c for _, c in pivots] != list(range(d)):
         raise Inconsistent("singular linear system")
     x = [0] * d
     for r, c in pivots:
@@ -347,7 +309,7 @@ def _exact_kernel(blocks):
         held: dict[int, list] = {}  # free column -> (pivot column, pivot, entry) of the rows holding it
         for r, c in pivots:
             row = work[r]
-            pv = row[c].re.numerator if gaussian else row[c]
+            pv = gaussian_parts(row[c])[0]
             for j, x in row.items():
                 if j != c:
                     held.setdefault(j, []).append((c, pv, x))
@@ -370,19 +332,31 @@ def _exact_kernel(blocks):
 
 
 # pivot orders of _sparse_reduce: (key of a row, the least first; pivot column in the chosen row)
+_LEFTMOST = (lambda row, k: (min(row), k), lambda row, holders: min(row))
 _MARKOWITZ = (lambda row, k: (len(row), k), lambda row, holders: min(row, key=lambda j: (len(holders[j]), j)))
 _LAST_COLUMN = (lambda row, k: (-max(row), k), lambda row, holders: max(row))
 
 
 def _sparse_reduce(work, order, gaussian: bool):
-    """Fraction-free Gauss-Jordan elimination of integer rows {column: entry}
-    in place, with the row update of :func:`_eliminate_exact`.  ``order`` is
-    (row_key, pick): the next pivot row is the unreduced nonzero row of least
-    ``row_key(row, index)``, its pivot column ``pick(row, holders)``, where
-    ``holders`` maps each column to the rows with an entry there.  In
-    Markowitz order that is the shortest row and its column held by the
-    fewest rows, ties going to the lowest index.  Returns the (row, column)
-    pivots in the order taken; every other row ends empty."""
+    """Fraction-free Gauss-Jordan elimination of nonempty integer rows
+    {column: entry} in place.
+
+    As in Bareiss (1968, Math. Comp. 22) no fraction is formed on the way:
+    a row is updated by cross-multiplication with the pivot row over the
+    pivot row's entries, and its content is then divided out by a gcd.  Rows
+    over the Gaussian integers pivot on an integer, the pivot row first
+    multiplied by the conjugate of its pivot.
+
+    ``order`` is (row_key, pick): the next pivot row is the unreduced nonzero
+    row of least ``row_key(row, index)``, its pivot column ``pick(row,
+    holders)``, where ``holders`` maps each column to the rows with an entry
+    there.  Leftmost order takes the row of least first column and pivots
+    there; an update adds entries only right of the pivot, so the pivots come
+    in increasing column order and give the reduced echelon form.  Markowitz
+    order takes the shortest row and its column held by the fewest rows, and
+    last-column order the row of greatest last column, pivoting there; ties
+    go to the lowest index.  Returns the (row, column) pivots in the order
+    taken; every other row ends empty."""
     row_key, pick = order
     holders: dict[int, set] = {}
     for k, row in enumerate(work):
@@ -631,7 +605,7 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs):
     # to zero would make the KKT matrix singular); keep the reduced pivot rows,
     # and a pivot in the rhs column means no combination meets them
     work = [list(cb[a]) + [constraint_rhs[a]] for a in range(len(cb))]
-    pivots = _eliminate(work, r + 1)
+    pivots = _eliminate(work)
     if any(c == r for _, c in pivots):
         raise Inconsistent("constraints are unreachable on the solution space")
     kept = [work[p] for p, _ in pivots]

@@ -1,30 +1,38 @@
 """Exact elimination against independent oracles.
 
-Two oracles: sympy (``Matrix.rref``, ``nullspace``, ``rank``, ``LUsolve``,
-``gauss_jordan_solve`` and ``is_positive_semidefinite``), and the rational
-Gauss-Jordan loop the package used before its elimination went
-fraction-free, kept here as ``reference_eliminate``.  It is fed ints as
-Fractions, because its int / int division is a float.  Outputs must agree
-entry by entry, not only as spans: the reduced echelon form and the
-nullspace basis built from it are unique.  The exact PSD verdict must agree
-with sympy's on drawn Hermitian matrices, and each way the L D L* stream can
-refuse a matrix has a pinned case.  ``kernel_basis`` reduces one connected
+Two oracles: sympy (``Matrix.rref``, ``nullspace``, ``rank``, ``det``,
+``LUsolve``, ``gauss_jordan_solve``, ``is_positive_semidefinite`` and
+``DomainMatrix.rref_den``), and the rational Gauss-Jordan loop the package
+used before its elimination went fraction-free, kept here as
+``reference_eliminate``.  It is fed ints as Fractions, because its int / int
+division is a float.  Outputs must agree entry by entry, not only as spans:
+the reduced echelon form and the nullspace basis built from it are unique.
+The exact PSD verdict must agree with sympy's on drawn Hermitian matrices,
+and each way the L D L* stream can refuse a matrix has a pinned case.
+``LDLFactor`` itself, grown on drawn Hermitian PSD matrices, must take
+sympy's rank in pivots, with the product of its D equal to the determinant
+of the pivots' Gram minor, and ``mat_vec`` must agree with sympy on exact
+matrices and numpy on a float one.  ``kernel_basis`` reduces one connected
 block of columns at a time: on shuffled block-diagonal matrices, given as
 list rows and as mapping rows, it must return sympy's nullspace vector for
 vector, and its float twin must span what a dense SVD's kernel spans.
 
-An exact block is reduced sparsely in Markowitz order, which frees other
-columns than the leftmost order, and its basis is then restored to the
-reduced-echelon one.  Sparse systems of up to 10 x 12 with kernels of
-dimension two or more must give sympy's nullspace, a pinned case frees
-other columns, and ``reference_exact_kernel``, the dense per-block
-elimination the package used before, must give the same basis on every
+Every exact elimination runs one sparse fraction-free loop.  ``rank``,
+``solve`` and the minimum-norm constraints reduce in leftmost order, which
+must give the reference's reduced echelon form also on sparse systems of up
+to 10 x 12, where updates fill rows in.  An exact block of ``kernel_basis``
+is reduced in Markowitz order, which frees other columns than the leftmost
+order, and its basis is then restored to the reduced-echelon one.  Sparse
+systems with kernels of dimension two or more must give sympy's nullspace,
+a pinned case frees other columns, and ``reference_exact_kernel``, sympy's
+per-block reduced echelon form, must give the same basis on every
 fixed-point system that building the golden code, progression and mixture
 states and the benchmark's heavy exact states solves.
 """
 
 import json
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -32,17 +40,19 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from cuntzlab import Inconsistent, QQi, linalg, moments
 from cuntzlab.linalg import (
     _MARKOWITZ,
+    LDLFactor,
     _eliminate,
-    _eliminate_exact,
     _integral,
     _sparse_reduce,
     hermitian_psd_check,
     kernel_basis,
-    matrix_is_exact,
+    mat_vec,
     min_norm_solution,
     rank,
     solve,
@@ -122,7 +132,7 @@ def matrices(elements, largest=5):
 def assert_matches_reference(rows):
     ours = [list(r) for r in rows]
     ref = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    pivots = _eliminate(ours, len(rows[0]))
+    pivots = _eliminate(ours)
     assert pivots == reference_eliminate(ref, len(rows[0]))
     assert [ours[r] for r, _ in pivots] == [ref[r] for r, _ in pivots]
     return pivots, ours
@@ -157,7 +167,7 @@ def test_gaussian_matrices_match_sympy_and_reference(rows):
 
 def test_input_rows_are_left_in_reduced_form():
     rows = [list(r) for r in DUPLICATED]
-    pivots = _eliminate(rows, 3)
+    pivots = _eliminate(rows)
     assert [c for _, c in pivots] == [0, 1]
     assert rows[0] == [1, 0, F(1, 3) / 2] and rows[1] == [0, 1, F(-3) - F(1, 12)]
     assert all(x == 0 for x in rows[2])
@@ -331,6 +341,36 @@ def test_psd_refuses_a_non_real_diagonal():
     assert hermitian_psd_check([[QQi(1), QQi(0)], [QQi(0), QQi(1, 1)]])[0] is False
 
 
+@settings(max_examples=40)
+@given(st.one_of(low_rank_factors(entries), low_rank_factors(gaussian_entries)))
+def test_ldl_factor_of_psd_grams_matches_sympy(b):
+    # every candidate with a positive residual is admitted, as the PSD stream does
+    g = gram_of_rows(b)
+    factor = LDLFactor(lambda i, j: g[i][j])
+    for k in range(len(g)):
+        c = factor.score(k)
+        if factor.admissible(c):
+            factor.admit(c)
+    assert len(factor.pivots) == to_sympy(g).rank()
+    minor = to_sympy([[g[i][j] for j in factor.pivots] for i in factor.pivots])
+    assert from_sympy(minor.det()) == QQi(prod(factor.dvals))
+
+
+@given(matrices(gaussian_entries).flatmap(lambda a: st.tuples(
+    st.just(a), st.lists(gaussian_entries, min_size=len(a[0]), max_size=len(a[0])))))
+def test_mat_vec_matches_sympy(case):
+    a, v = case
+    expected = [from_sympy(x) for x in to_sympy(a) * to_sympy([[x] for x in v])]
+    assert as_qqi(mat_vec(a, v)) == expected
+
+
+def test_mat_vec_of_a_float_matrix_matches_numpy():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    v = rng.standard_normal(3)
+    assert np.abs(np.array(mat_vec(a.tolist(), v.tolist())) - a @ v).max() < 1e-12
+
+
 def test_null_rows_that_stay_null_pass():
     # rows 1 and 3 repeat rows 0 and 2; row 4 is zero
     v = [[F(1), F(2)], [F(1), F(2)], [F(0), F(3)], [F(0), F(3)], [F(0), F(0)]]
@@ -367,6 +407,7 @@ def as_mapping(rows):
 
 
 def assert_blocks_match_sympy(rows, ncols):
+    assert_matches_reference(rows)
     expected = [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
     assert [as_qqi(v) for v in kernel_basis(rows, ncols)] == expected
     assert [as_qqi(v) for v in kernel_basis(as_mapping(rows), ncols)] == expected
@@ -470,29 +511,25 @@ MARKOWITZ_FREES_OTHERS = [[F(0), F(1), F(-1), F(1)], [F(1), F(1), F(0), F(0)]]
 def test_markowitz_order_frees_other_columns_and_the_basis_is_restored():
     work = [_integral(row, False) for row in as_mapping(MARKOWITZ_FREES_OTHERS)]
     assert [c for _, c in _sparse_reduce(work, _MARKOWITZ, False)] == [0, 2]
-    assert [c for _, c in _eliminate([list(r) for r in MARKOWITZ_FREES_OTHERS], 4)] == [0, 1]
+    assert [c for _, c in _eliminate([list(r) for r in MARKOWITZ_FREES_OTHERS])] == [0, 1]
     assert kernel_basis(MARKOWITZ_FREES_OTHERS, 4) == [[-1, 1, 1, 0], [1, -1, 0, 1]]
     assert_blocks_match_sympy(MARKOWITZ_FREES_OTHERS, 4)
 
 
 def reference_exact_kernel(blocks):
-    """The exact block kernel the package used before it went sparse: each
-    block's rows made dense and reduced by ``_eliminate_exact`` in leftmost
-    order, one kernel vector per free column."""
+    """The exact block kernel by sympy: each block's reduced echelon form
+    R / den, R over the integers from ``DomainMatrix.rref_den``, and one
+    kernel vector e_f - sum_r (R[r][f] / den) e_(c_r) per free column f."""
     found = []
     for cols, rows in blocks:
         local = {c: j for j, c in enumerate(cols)}
-        work = []
-        for row in rows:
-            dense = [0] * len(cols)
-            for c, x in row.items():
-                dense[local[c]] = x
-            work.append(dense)
-        pivots = _eliminate_exact(work, len(cols))
-        pivot_cols = {c for _, c in pivots}
+        entries = {i: {local[c]: ZZ(x) for c, x in row.items()} for i, row in enumerate(rows)}
+        rref, den, pivots = DomainMatrix(entries, (len(rows), len(cols)), ZZ).rref_den()
+        rref = rref.to_list()
         for free in range(len(cols)):
-            if free not in pivot_cols:
-                found.append((cols[free], [(cols[free], 1), *((cols[c], -work[r][free]) for r, c in pivots)]))
+            if free not in pivots:
+                found.append((cols[free], [(cols[free], 1), *(
+                    (cols[c], -Fraction(int(rref[r][free]), int(den))) for r, c in enumerate(pivots))]))
     return found
 
 
@@ -515,7 +552,7 @@ def test_every_solved_system_gives_the_reference_basis(heavy_twins, monkeypatch)
     monkeypatch.undo()
     assert len(systems) >= len(specs)
     for rows, ncols in systems:
-        assert matrix_is_exact(row.values() for row in rows)
+        assert all(type(x) is int for row in rows for x in row.values())
         found = kernel_basis(rows, ncols)
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_exact_kernel", reference_exact_kernel)
