@@ -29,9 +29,8 @@ the deciding rule; pairs outside the classified catalog come back
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, lcm
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .errors import AlphabetMismatch, NotInCatalog, NotUnit, SchemaError, ValidationFailed
 from .linalg import LDLFactor, hermitian_transpose, mat_vec
@@ -68,8 +67,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramGrowth:
+class GramGrowth(NamedTuple):
     """Pivot basis of the conjugate-cyclic subspace, grown level by level.
 
     ``pivots`` are words J whose vectors pi(s_J)* Omega form a basis of the
@@ -150,8 +148,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
                       tuple(factor.dvals))
 
 
-@dataclass(frozen=True)
-class CdimResult:
+class CdimResult(NamedTuple):
     """Rank of the conjugate-cyclic subspace with its stabilization status.
 
     ``status`` is "stabilized" when two consecutive levels agree (then the
@@ -178,16 +175,14 @@ def cdim(omega: MomentFunctional, L_max: int = 8) -> CdimResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Minimal:
+class Minimal(NamedTuple):
     """Isometry u in the creation span with omega(u) = 1: kappa = cdim."""
 
     u: CuntzElement
-    kind: ClassVar[str] = "minimal"
+    kind = "minimal"
 
 
-@dataclass(frozen=True)
-class ProperlyInfinite:
+class ProperlyInfinite(NamedTuple):
     """Isometry sequence with delta-table omega(a_1..a_l a_k*..a_1*) = delta_lk.
 
     ``status`` is "proved" when the table holds at every order by the family's
@@ -197,35 +192,32 @@ class ProperlyInfinite:
     a: IsometrySequence | None
     cutoff: int | None = None
     status: str = "proved"
-    kind: ClassVar[str] = "properly_infinite"
+    kind = "properly_infinite"
 
 
-@dataclass(frozen=True)
-class ShiftPeriod:
+class ShiftPeriod(NamedTuple):
     """kappa = d for vector states of the shift of an eventually periodic word."""
 
     d: int
-    kind: ClassVar[str] = "shift_period"
+    kind = "shift_period"
 
 
-@dataclass(frozen=True)
-class EquivalentToCuntz:
+class EquivalentToCuntz(NamedTuple):
     """The state is equivalent to the Cuntz state by z, so kappa = 1."""
 
     z: tuple
     provenance: str = "family"
-    kind: ClassVar[str] = "equivalent_to_cuntz"
+    kind = "equivalent_to_cuntz"
 
 
-@dataclass(frozen=True)
-class LowerBoundOnly:
+class LowerBoundOnly(NamedTuple):
     """No certificate applies; the value is only bracketed, never guessed."""
 
     low: int
     high: object = inf
     level: int | None = None
     note: str = ""
-    kind: ClassVar[str] = "lower_bound_only"
+    kind = "lower_bound_only"
 
 
 Certificate = Minimal | ProperlyInfinite | ShiftPeriod | EquivalentToCuntz | LowerBoundOnly
@@ -263,8 +255,7 @@ def verify_minimality_certificate(omega: MomentFunctional, u: CuntzElement) -> b
     return scalars_close(omega.moment_of_element(u), 1)
 
 
-@dataclass(frozen=True)
-class PropInfCheck:
+class PropInfCheck(NamedTuple):
     """Outcome of a delta-table check.
 
     ``status``: "proved" when the checked sequence is the state's own and the
@@ -459,8 +450,7 @@ def kappa(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PurityDecision:
+class PurityDecision(NamedTuple):
     """Verdict "Pure" | "NotPure" | "Unknown" with the deciding rule."""
 
     verdict: str
@@ -481,8 +471,7 @@ def pure(omega: MomentFunctional) -> PurityDecision:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivDecision:
+class EquivDecision(NamedTuple):
     """Verdict "Equivalent" | "Inequivalent" | "Unknown" with the deciding rule."""
 
     verdict: str

@@ -18,7 +18,7 @@ doubles as the validation identity for extracted presentations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import GramGrowth, LowerBoundOnly, gram_growth
 from .errors import SchemaError, ValidationFailed
@@ -39,8 +39,7 @@ _ROUND_TRIP_SEED = 271828
 _ROUND_TRIP_COUNT = 20
 
 
-@dataclass(frozen=True)
-class FCSPresentation:
+class FCSPresentation(NamedTuple):
     """A state compressed to its conjugate-cyclic subspace.
 
     ``A[i-1]`` is the d x d matrix of pi(s_i)* in the pivot-word basis,
@@ -170,11 +169,11 @@ def extract_fcs(omega: MomentFunctional, L_max: int = 8):
     The Gram of {pi(s_J)* Omega} is grown level by level with greedy
     largest-residual pivoting (lexicographic tie-break).  Once it stabilizes,
     ``presentation`` solves the matrices and checks the row relation, and
-    twenty seeded random moment round-trips against the source validate the
-    result again; a failure raises ValidationFailed (in float mode this
-    usually signals tolerance trouble; rerun in exact mode).  If the rank is
-    still growing at L_max the rank bound is returned as a LowerBoundOnly
-    value instead.
+    twenty seeded random moment round-trips, read off one model of the
+    presentation, validate the result against the source again; a failure
+    raises ValidationFailed (in float mode this usually signals tolerance
+    trouble; rerun in exact mode).  If the rank is still growing at L_max
+    the rank bound is returned as a LowerBoundOnly value instead.
     """
     if L_max < 1:
         raise SchemaError(f"the level cap must be at least 1, got {L_max}")
@@ -189,12 +188,13 @@ def extract_fcs(omega: MomentFunctional, L_max: int = 8):
         )
 
     F = presentation(omega, growth)
+    model = F.model()
     rng = random.Random(_ROUND_TRIP_SEED)
     max_len = min(growth.last_level + 2, L_max + 2)
     for _ in range(_ROUND_TRIP_COUNT):
         J = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
         K = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
-        if not scalars_close(fcs_moment(F, J, K), omega.lookup(J, K)):
+        if not scalars_close(model.moment(J, K), omega.lookup(J, K)):
             raise ValidationFailed(
                 f"moment round-trip mismatch at J={J}, K={K}; "
                 "in float mode this usually signals tolerance trouble (rerun exact)"

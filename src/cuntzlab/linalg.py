@@ -91,7 +91,7 @@ def _ring(values) -> tuple[bool, bool]:
     """(has_qqi, gaussian) of exact entries: whether some entry is a QQi,
     and whether some entry is not real."""
     has_qqi = QQi in set(map(type, values))
-    return has_qqi, has_qqi and any(isinstance(x, QQi) and x.im for x in values)
+    return has_qqi, has_qqi and any(gaussian_parts(x)[1] for x in values)
 
 
 def _integral(row: dict, gaussian: bool) -> dict:

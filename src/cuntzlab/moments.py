@@ -71,7 +71,6 @@ Gram matrices are the inner products of its N vectors (``gram_matrix``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -231,8 +230,7 @@ _UNKNOWN_PURITY = ("Unknown", "no purity criterion applies to this presentation"
 _PURE_IN_PURE = "unit vector state in the irreducible representation of a pure state"
 
 
-@dataclass(frozen=True)
-class StateFacts:
+class StateFacts(NamedTuple):
     """What a family constructor proved about its state.
 
     * ``purity``: (verdict, reason), verdict "Pure", "NotPure" or "Unknown";

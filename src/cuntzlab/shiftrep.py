@@ -28,7 +28,6 @@ in float mode the Gram growth's rank rule decides which vectors are new.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from math import sqrt
 from typing import Callable, Iterable, Sequence
@@ -397,7 +396,7 @@ def vector_state(rep, x) -> MomentFunctional:
     else:
         family = "vector"
         facts = StateFacts()
-    return MomentFunctional(n, family, model.moment, facts=replace(facts, model=model), exact=exact)
+    return MomentFunctional(n, family, model.moment, facts=facts._replace(model=model), exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,7 @@ _NUMPY_GUARD = """
 import contextlib, io, json, sys
 import cuntzlab.cli as cli
 assert "numpy" not in sys.modules, "import cuntzlab.cli loaded numpy"
+assert "dataclasses" not in sys.modules, "import cuntzlab.cli loaded dataclasses"
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(argv)

@@ -21,6 +21,11 @@ from cuntzlab import (
     CuntzElement,
     EventuallyPeriodicWord,
     GridRepresentation,
+    LowerBoundOnly,
+    Minimal,
+    PropInfCheck,
+    ProperlyInfinite,
+    ShiftPeriod,
     ShiftRepresentation,
     StateVector,
     MomentFunctional,
@@ -32,11 +37,16 @@ from cuntzlab import (
     ValidationFailed,
     adjoint,
     all_words,
+    cdim,
+    equivalent,
     eval_moment,
+    extract_fcs,
     gen,
+    gram_growth,
     gram_matrix,
     hat_parameter,
     hat_parameter_inverse,
+    kappa,
     make_cuntz,
     make_geometric_progression,
     make_induced_product,
@@ -48,6 +58,7 @@ from cuntzlab import (
     multiply,
     parse_spec,
     positivity_check,
+    pure,
     solve_low_moments,
     transform_gauge,
     transform_sandwich,
@@ -887,13 +898,33 @@ class TestFamilyModels:
             assert w.moment(J, K) == want, (J, K)
 
 
-class TestStateFacts:
-    def test_record_is_frozen(self):
-        from dataclasses import FrozenInstanceError
+# one instance of each immutable record type, keyed by its class name,
+# read off or made beside the Cuntz state w
+_RECORDS = {
+    "StateFacts": lambda w: w.facts,
+    "GramGrowth": lambda w: gram_growth(w, 2),
+    "CdimResult": lambda w: cdim(w, 2),
+    "Minimal": lambda w: Minimal(monomial(2, (), ())),
+    "ProperlyInfinite": lambda w: ProperlyInfinite(None, 4, "evidence"),
+    "ShiftPeriod": lambda w: ShiftPeriod(2),
+    "EquivalentToCuntz": lambda w: kappa(w).certificate,
+    "LowerBoundOnly": lambda w: LowerBoundOnly(1, level=3),
+    "PropInfCheck": lambda w: PropInfCheck(False, "failed", (), 0),
+    "PurityDecision": pure,
+    "EquivDecision": lambda w: equivalent(w, w),
+    "FCSPresentation": extract_fcs,
+}
 
-        w = make_cuntz(Z35)
-        with pytest.raises(FrozenInstanceError):
-            w.facts.cuntz = None
+
+class TestStateFacts:
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_record_is_frozen(self, name):
+        record = _RECORDS[name](make_cuntz(Z35))
+        assert type(record).__name__ == name
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
 
     def test_cuntz_state_facts(self):
         f = make_cuntz([q(0), q(1)]).facts
