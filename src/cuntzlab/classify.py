@@ -29,6 +29,7 @@ the deciding rule; pairs outside the classified catalog come back
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import inf, lcm
 from typing import NamedTuple
 
@@ -95,7 +96,9 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
     (pi(s_i)* maps the level-L span into the level-(L+1) span), so each level
     scores the children of the previous level's pivots on an
     :class:`~cuntzlab.linalg.LDLFactor` of omega(s_J s_K*) and admits them
-    greedily, largest residual first with a lexicographic tie-break.  A level
+    greedily, largest residual first with a lexicographic tie-break.  Float
+    residuals within the rank tolerance times max(1, diag) of the largest
+    are tied, so a float growth breaks ties as its exact twin does.  A level
     that admits nothing stabilizes the subspace for good.
 
     The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
@@ -132,6 +135,10 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
             if not cands:
                 break
             best = max(cands, key=lambda c: c.res2)
+            if not isinstance(best.res2, Fraction):
+                # float residuals within the rank tolerance of the best are a tie
+                floor = best.res2 - factor.rank_tol * max(1.0, best.diag)
+                best = next(c for c in cands if c.res2 >= floor)
             cands.remove(best)
             factor.admit(best)
             for c in cands:

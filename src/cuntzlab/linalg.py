@@ -26,6 +26,10 @@ a pivoted L D L* factor grown one pivot at a time: the Gram growth of
 ``classify`` admits candidates greedily by residual, the exact branch of
 :func:`hermitian_psd_check` streams a matrix's rows through it, and the
 grading of ``shiftrep`` reads Gram-Schmidt vectors off its unit-lower factor.
+While its inner products are exact it too runs on integers: coordinates and
+rows of L as Gaussian-integer triples (a, b, d) = (a + bi) / d, D and the
+residuals as (num, den) pairs, one gcd per entry, and the public values
+(Fractions and QQi, of the types the rational loop gives) built once each.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import Inconsistent
-from .scalars import DEFAULT_RANK_TOL, QQi, abs2, conj, gaussian_parts, is_exact_scalar
+from .scalars import DEFAULT_RANK_TOL, QQi, _raw, abs2, conj, gaussian_parts, is_exact_scalar
 
 __all__ = [
     "matrix_is_exact",
@@ -457,15 +461,19 @@ def _real(x):
 
 class Candidate:
     """An item scored by an LDLFactor: coordinates ``y`` along its pivots,
-    squared residual ``res2`` (squared distance from their span)."""
+    squared residual ``res2`` (squared distance from their span).  An exact
+    candidate, one whose diag is a Fraction, also holds y as integer
+    triples ``_ys``; that is None for a float candidate and once an exact
+    one has met a non-exact value."""
 
-    __slots__ = ("item", "y", "diag", "res2")
+    __slots__ = ("item", "y", "diag", "res2", "_ys")
 
     def __init__(self, item, diag):
         self.item = item
         self.y: list = []
         self.diag = diag
         self.res2 = diag
+        self._ys: list | None = [] if isinstance(diag, Fraction) else None
 
 
 class LDLFactor:
@@ -487,6 +495,20 @@ class LDLFactor:
     the pivots and |b_c|^2 = res2.  ``admissible`` is the rank rule: an exact
     res2 must be positive, a float one above ``rank_tol`` (DEFAULT_RANK_TOL)
     times max(1, inner(c, c)).
+
+    The mode is read from the values.  While every inner product is exact,
+    the steps run on integers: y_k and L_k,j as Gaussian-integer triples
+    (a, b, d) = (a + bi) / d, read by :func:`~cuntzlab.scalars.gaussian_parts`,
+    and D_k and res2 as (num, den) pairs.  A step sums L_k,j y_j over one
+    running denominator and reduces the entry by one gcd, and res2 by one
+    more.  The public ``y``, ``lower``, ``dvals``, ``res2`` and ``diag`` hold
+    the values and types the rational loop gives, each entry built once: a
+    y_k is an int, Fraction or QQi as inner(p_k, c) - sum_j L_k,j y_j would
+    be, and res2 one Fraction per ``catch_up``.  A non-exact value (a float
+    state whose omega(1) is the int 1 starts with an exact pivot) ends the
+    integer steps of its candidate, and a pivot admitted from such a
+    candidate those of the factor: from there the steps run the generic
+    loop on the public values, as a float factor does throughout.
     """
 
     rank_tol = DEFAULT_RANK_TOL
@@ -496,6 +518,9 @@ class LDLFactor:
         self.pivots: list = []
         self.lower: list[list] = []
         self.dvals: list = []
+        # the exact leading pivots: L rows as triples, D as (num, den)
+        self._lower: list[list] = []
+        self._dvals: list = []
 
     def score(self, item) -> Candidate:
         c = Candidate(item, _real(self.inner(item, item)))
@@ -503,11 +528,80 @@ class LDLFactor:
         return c
 
     def catch_up(self, c: Candidate) -> None:
-        y = c.y
-        for k in range(len(y), len(self.pivots)):
-            v = self.inner(self.pivots[k], c.item) - sum((lj * yj for lj, yj in zip(self.lower[k], y)), 0)
-            y.append(v)
-            c.res2 = c.res2 - abs2(v) / self.dvals[k]
+        k = len(c.y)
+        if c._ys is not None and k < len(self._lower):
+            k = self._exact_steps(c)
+        if k < len(self.pivots):
+            c._ys = None
+            for k in range(k, len(self.pivots)):
+                self._step(c, k, self.inner(self.pivots[k], c.item))
+
+    def _step(self, c: Candidate, k: int, r) -> None:
+        """The step along pivot k in the scalars' own arithmetic."""
+        v = r - sum((lj * yj for lj, yj in zip(self.lower[k], c.y)), 0)
+        c.y.append(v)
+        c.res2 = c.res2 - abs2(v) / self.dvals[k]
+
+    def _exact_steps(self, c: Candidate) -> int:
+        """The steps along the exact pivots c has not met, on integers;
+        returns its count of coordinates after them."""
+        inner, item, pivots = self.inner, c.item, self.pivots
+        lower, dvals, public = self._lower, self._dvals, self.lower
+        y, ys = c.y, c._ys
+        n, m = c.res2.numerator, c.res2.denominator
+        # the types along y and along a row of L only widen (int, Fraction,
+        # QQi), so the last entry tells whether any is a QQi
+        qqi = bool(y) and type(y[-1]) is QQi
+        for k in range(len(ys), len(lower)):
+            r = inner(pivots[k], item)
+            t = type(r)
+            if t not in _EXACT_TYPES:
+                c.res2, c._ys = Fraction(n, m), None
+                self._step(c, k, r)
+                return k + 1
+            ar, br, dr = gaussian_parts(r)
+            # sum_j L_k,j y_j = (x + wi) / den
+            x = w = 0
+            den = 1
+            for (p, s, e), (a, b, d) in zip(lower[k], ys):
+                if (a or b) and (p or s):
+                    e *= d
+                    u = p * a - s * b
+                    v = p * b + s * a
+                    if e == den:
+                        x += u
+                        w += v
+                    else:
+                        x = x * e + u * den
+                        w = w * e + v * den
+                        den *= e
+            a = ar * den - x * dr
+            b = br * den - w * dr
+            d = dr * den
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+            ys.append((a, b, d))
+            if k:
+                qqi = qqi or t is QQi or type(public[k][-1]) is QQi
+                y.append(_raw(a, b, d) if qqi else Fraction(a, d))
+            else:
+                qqi = t is QQi
+                y.append(r)
+            if a or b:
+                # res2 - |y_k|^2 / D_k
+                dn, dm = dvals[k]
+                e = d * d * dn
+                n = n * e - m * (a * a + b * b) * dm
+                m *= e
+                g = gcd(n, m)
+                if g != 1:
+                    n //= g
+                    m //= g
+        c.res2 = Fraction(n, m)
+        return len(y)
 
     def admissible(self, c: Candidate) -> bool:
         if isinstance(c.res2, Fraction):
@@ -516,7 +610,18 @@ class LDLFactor:
 
     def admit(self, c: Candidate) -> None:
         """Make the fully caught-up candidate c the next pivot."""
-        self.lower.append([conj(yj) / dj for yj, dj in zip(c.y, self.dvals)])
+        if c._ys is None:
+            self.lower.append([conj(yj) / dj for yj, dj in zip(c.y, self.dvals)])
+        else:
+            row = []
+            for (a, b, d), (dn, dm) in zip(c._ys, self._dvals):
+                # conj(y_j) / D_j = (a - bi) dm / (d dn)
+                a, b, d = a * dm, -b * dm, d * dn
+                g = gcd(a, b, d)
+                row.append((a // g, b // g, d // g))
+            self._lower.append(row)
+            self._dvals.append((c.res2.numerator, c.res2.denominator))
+            self.lower.append([_raw(*t) if type(yj) is QQi else Fraction(t[0], t[2]) for t, yj in zip(row, c.y)])
         self.dvals.append(c.res2)
         self.pivots.append(c.item)
 
@@ -550,7 +655,7 @@ def _exact_psd(g) -> bool:
     factor = LDLFactor(lambda a, b: g[a][b])
     null = []
     for k, row in enumerate(g):
-        if isinstance(row[k], QQi) and row[k].im:
+        if gaussian_parts(row[k])[1]:
             return False
         if not any(row):
             continue  # a zero row of a Hermitian matrix is null and couples to nothing

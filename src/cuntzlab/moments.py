@@ -80,6 +80,7 @@ from .linalg import hermitian_psd_check, hermitian_transpose, kernel_basis, mat_
 from .scalars import (
     DEFAULT_EQ_TOL,
     QQi,
+    _make,
     abs2,
     conj,
     gaussian_parts,
@@ -719,15 +720,29 @@ def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
                                          [1 if j == 1 else 0 for j in range(width)]], [1, 0])
         warnings.append(f"solution space has dimension {dim}; returning the symmetric minimum-norm table")
 
-    def assemble(i: int):
-        re, im = vec[2 * i], vec[2 * i + 1]
-        return QQi(re, im) if pc.exact else complex(re, im)
+    if pc.exact:
+        def parts(i: int):
+            # word i's int or Fraction coordinates as (a + bi)/d
+            re, im = vec[2 * i], vec[2 * i + 1]
+            p, q = re.denominator, im.denominator
+            return (re.numerator, im.numerator, p) if p == q else (re.numerator * q, im.numerator * p, p * q)
 
-    v0 = assemble(0)
-    if scalar_is_zero(v0, 1e-12):
-        raise Inconsistent("solution space is orthogonal to the normalization v_empty = 1")
-    table = {w: assemble(i) / v0 for w, i in index.items()}
-    return LowMomentSolution(table, dim, warnings)
+        c, e, f = parts(0)
+        n2 = c * c + e * e
+
+        def entry(i: int) -> QQi:
+            # v_w / v_empty = f (a + bi)(c - ei) / (d (c^2 + e^2)), reduced as QQi divides
+            a, b, d = parts(i)
+            return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
+
+        if n2:
+            return LowMomentSolution({w: entry(i) for w, i in index.items()}, dim, warnings)
+    else:
+        v0 = complex(vec[0], vec[1])
+        if not scalar_is_zero(v0, 1e-12):
+            return LowMomentSolution({w: complex(vec[2 * i], vec[2 * i + 1]) / v0 for w, i in index.items()},
+                                     dim, warnings)
+    raise Inconsistent("solution space is orthogonal to the normalization v_empty = 1")
 
 
 def _detect_code_family(code: set[Word], n: int):

@@ -12,7 +12,14 @@ and each way the L D L* stream can refuse a matrix has a pinned case.
 ``LDLFactor`` itself, grown on drawn Hermitian PSD matrices, must take
 sympy's rank in pivots, with the product of its D equal to the determinant
 of the pivots' Gram minor, and ``mat_vec`` must agree with sympy on exact
-matrices and numpy on a float one.  ``kernel_basis`` reduces one connected
+matrices and numpy on a float one.  Its exact steps run on integer
+triples; ``reference_ldl`` grows the same Grams greedily, as
+``classify._grow`` does, with the rational loop the factor ran before, and
+every candidate's y and res2 and the factor's pivots, lower and dvals must
+equal it in value and in type, on Grams of int, Fraction and QQi entries
+with tied and zero rows.  On float Grams whose first entry is the int 1,
+as a float state with omega(1) = 1 gives, the pivots must agree and the
+residuals lie within 1e-12.  ``kernel_basis`` reduces one connected
 block of columns at a time: on shuffled block-diagonal matrices, given as
 list rows and as mapping rows, it must return sympy's nullspace vector for
 vector, and its float twin must span what a dense SVD's kernel spans.
@@ -34,6 +41,7 @@ import json
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,8 +65,9 @@ from cuntzlab.linalg import (
     rank,
     solve,
 )
-from cuntzlab.scalars import DEFAULT_RANK_TOL, conj
+from cuntzlab.scalars import DEFAULT_RANK_TOL, abs2, conj, gaussian_parts
 from cuntzlab.specio import state_from_spec
+from cuntzlab.words import words_upto
 
 
 def reference_eliminate(rows, ncols):
@@ -354,6 +363,172 @@ def test_ldl_factor_of_psd_grams_matches_sympy(b):
     assert len(factor.pivots) == to_sympy(g).rank()
     minor = to_sympy([[g[i][j] for j in factor.pivots] for i in factor.pivots])
     assert from_sympy(minor.det()) == QQi(prod(factor.dvals))
+
+
+def real_part(x):
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return x.re if isinstance(x, QQi) else complex(x).real
+
+
+class RationalLDL:
+    """``LDLFactor``'s interface over the loop it ran before its exact steps
+    went to integer triples: every step in the scalars' own arithmetic."""
+
+    rank_tol = DEFAULT_RANK_TOL
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pivots, self.lower, self.dvals = [], [], []
+
+    def score(self, item):
+        diag = real_part(self.inner(item, item))
+        c = SimpleNamespace(item=item, y=[], diag=diag, res2=diag)
+        self.catch_up(c)
+        return c
+
+    def catch_up(self, c):
+        for k in range(len(c.y), len(self.pivots)):
+            v = self.inner(self.pivots[k], c.item) - sum((lj * yj for lj, yj in zip(self.lower[k], c.y)), 0)
+            c.y.append(v)
+            c.res2 = c.res2 - abs2(v) / self.dvals[k]
+
+    def admissible(self, c):
+        if isinstance(c.res2, Fraction):
+            return c.res2 > 0
+        return max(c.res2, 0.0) > self.rank_tol * max(1.0, c.diag)
+
+    def admit(self, c):
+        self.lower.append([conj(yj) / dj for yj, dj in zip(c.y, self.dvals)])
+        self.dvals.append(c.res2)
+        self.pivots.append(c.item)
+
+
+def greedy(factor, levels):
+    """Each level's items scored on ``factor`` and admitted as
+    ``classify._grow`` admits them: largest residual first, ties (for a
+    float residual, within the rank tolerance) to the first item.  Returns
+    (every candidate's (item, y, res2) after each scoring and catch-up,
+    pivots, lower, dvals)."""
+    trace = []
+    for items in levels:
+        cands = [factor.score(item) for item in items]
+        trace += [(c.item, list(c.y), c.res2) for c in cands]
+        while cands := [c for c in cands if factor.admissible(c)]:
+            best = max(cands, key=lambda c: c.res2)
+            if not isinstance(best.res2, Fraction):
+                floor = best.res2 - factor.rank_tol * max(1.0, best.diag)
+                best = next(c for c in cands if c.res2 >= floor)
+            cands.remove(best)
+            factor.admit(best)
+            for c in cands:
+                factor.catch_up(c)
+            trace += [(c.item, list(c.y), c.res2) for c in cands]
+    return trace, factor.pivots, factor.lower, factor.dvals
+
+
+def reference_ldl(g, split):
+    """The greedy growth over the Hermitian g by the rational loop: rows
+    before ``split`` form the first level, the others the second."""
+    return greedy(RationalLDL(lambda i, j: g[i][j]), [range(split), range(split, len(g))])
+
+
+def identical(a, b):
+    """Equal in value and in type, entry by entry."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(identical(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def retyped(x, form):
+    """x as it is, as the narrowest of int, Fraction and QQi that holds it,
+    or as a QQi."""
+    if form == "as_is":
+        return x
+    a, b, d = gaussian_parts(x)
+    if form == "qqi" or b:
+        return QQi(Fraction(a, d), Fraction(b, d))
+    return a if d == 1 else Fraction(a, d)
+
+
+@st.composite
+def psd_grams(draw, unit_first=False):
+    """(B B*, split): rows of B of rank at most 3, each row of ints,
+    Fractions or QQi, some rows repeated (tied candidates) and zero rows;
+    each entry then kept, narrowed or made a QQi.  With ``unit_first`` the
+    first row of B is e_1, so the Gram starts with the int 1."""
+    k = draw(st.integers(1, 3))
+    kinds = st.sampled_from([int_entries, entries, gaussian_entries])
+    rows = draw(st.lists(kinds.flatmap(lambda e: st.lists(e, min_size=k, max_size=k)), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    for _ in range(draw(st.integers(0, 1))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * k)
+    if unit_first:
+        rows.insert(0, [1] + [0] * (k - 1))
+    g = gram_of_rows(rows)
+    forms = st.sampled_from(["as_is", "narrow", "qqi"])
+    g = [[retyped(x, draw(forms)) for x in row] for row in g]
+    if unit_first:
+        g[0][0] = 1
+    return g, draw(st.integers(1, len(g)))
+
+
+@settings(max_examples=150)
+@given(psd_grams())
+def test_ldl_factor_matches_the_rational_loop_entry_by_entry(case):
+    g, split = case
+    ours = greedy(LDLFactor(lambda i, j: g[i][j]), [range(split), range(split, len(g))])
+    assert identical(ours, reference_ldl(g, split))
+
+
+def close(a, b):
+    if isinstance(a, list):
+        return len(a) == len(b) and all(close(x, y) for x, y in zip(a, b))
+    return abs(complex(a) - complex(b)) <= 1e-12
+
+
+def floated(x, to_float):
+    """A non-integer entry as a complex float; an integer one too when drawn."""
+    a, b, d = gaussian_parts(x)
+    return complex(x) if b or d != 1 or to_float else a
+
+
+@settings(max_examples=80)
+@given(psd_grams(unit_first=True).flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(st.booleans(), min_size=len(case[0]) ** 2, max_size=len(case[0]) ** 2))))
+def test_float_gram_with_an_exact_first_pivot_follows_the_rational_loop(case):
+    # as a float state whose omega(1) is the int 1 gives: the first pivot is
+    # exact, and a step that meets a float continues on the float loop
+    (g, split), to_float = case
+    d = len(g)
+    g = [[floated(x, to_float[i * d + j]) if (i, j) != (0, 0) else 1 for j, x in enumerate(row)]
+         for i, row in enumerate(g)]
+    trace, pivots, lower, dvals = greedy(LDLFactor(lambda i, j: g[i][j]), [range(split), range(split, d)])
+    ref_trace, ref_pivots, ref_lower, ref_dvals = reference_ldl(g, split)
+    assert pivots == ref_pivots
+    assert [item for item, _, _ in trace] == [item for item, _, _ in ref_trace]
+    assert close([[*y, res2] for _, y, res2 in trace], [[*y, res2] for _, y, res2 in ref_trace])
+    assert close(lower, ref_lower) and close(dvals, ref_dvals)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "cuntz", "z": [["3/5", 0], ["4/5", 0]]},
+    {"family": "gauge", "base": {"family": "shift", "n": 2, "word": {"pre": [1], "per": [1, 2]}},
+     "g": [[1, 0], [0, [0, 1]]]},
+], ids=["cuntz", "gauge_shift"])
+def test_float_state_with_an_exact_omega_one_follows_the_rational_loop(spec):
+    # omega(1) is the int 1 or the Fraction 1 and every other moment a
+    # complex float: the factor's first pivot is exact, the rest float
+    omega = state_from_spec(spec, "float")
+    levels = [[()], *([w for w in words_upto(2, L) if len(w) == L] for L in (1, 2, 3))]
+    assert type(omega.lookup((), ())) in (int, Fraction)
+    assert {type(omega.lookup(J, K)) for J in levels[1] for K in levels[2]} == {complex}
+    trace, pivots, lower, dvals = greedy(LDLFactor(omega.lookup), levels)
+    ref_trace, ref_pivots, ref_lower, ref_dvals = greedy(RationalLDL(omega.lookup), levels)
+    assert pivots == ref_pivots
+    assert close([[*y, res2] for _, y, res2 in trace], [[*y, res2] for _, y, res2 in ref_trace])
+    assert close(lower, ref_lower) and close(dvals, ref_dvals)
 
 
 @given(matrices(gaussian_entries).flatmap(lambda a: st.tuples(

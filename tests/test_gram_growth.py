@@ -15,6 +15,7 @@ import cuntzlab.classify as classify
 from cuntzlab import gram_growth, state_from_spec
 from cuntzlab.cli import run
 from cuntzlab.linalg import solve
+from cuntzlab.moments import MomentFunctional
 from cuntzlab.scalars import DEFAULT_RANK_TOL, conj
 
 from conftest import fr, q
@@ -149,6 +150,17 @@ def test_float_level_ranks_match_exact_twin(name):
     floating = gram_growth(state_from_spec(spec, "float"), L_max)
     assert floating.level_ranks == exact.level_ranks
     assert floating.stabilized == exact.stabilized
+
+
+def test_float_residuals_within_the_rank_tolerance_tie_in_word_order():
+    # a raw float functional whose level-1 residuals differ by 1e-15 in
+    # favour of (2,): within the rank tolerance, so (1,) is admitted first
+    moments = {((), ()): 1.0, ((1,), (1,)): 0.5, ((2,), (2,)): 0.5 + 1e-15}
+    omega = MomentFunctional(2, "raw", lambda J, K: moments.get((J, K), 0.0), exact=False)
+    assert moments[(2,), (2,)] > moments[(1,), (1,)]
+    g = gram_growth(omega, 1)
+    assert g.pivots == ((), (1,), (2,))
+    assert g.level_ranks == (1, 3)
 
 
 @pytest.mark.parametrize("name", sorted(STATES))

@@ -52,3 +52,25 @@ def test_selftest_seconds_are_dropped_before_comparing():
     doc = {"ok": True, "results": [{"name": "a", "ok": True, "seconds": 0.25}]}
     record = same_outputs._normalize("selftest/json/selftest", [0, json.dumps(doc), "", None])
     assert "seconds" not in record[1] and json.loads(record[1])["results"][0]["name"] == "a"
+
+
+def test_every_fixed_float_member_has_an_exact_twin(tmp_path):
+    plan = same_outputs.build_plan(tmp_path)
+    twins = same_outputs.float_twins(plan)
+    pairs = [pair for by_seed in twins.values() for pair in by_seed.values()]
+    assert all(label in plan and twin in plan for label, twin in pairs)
+    assert twins["report:n2_cuntz"][1] == ("report_float/1/json/report:n2_cuntz", "report_exact/1/json/report:n2_cuntz")
+    # a heavy float state's twin is the solve command on its exact twin
+    assert twins["fcs:n2_heavy_dense_m7"][99] == ("report_float/99/json/fcs:n2_heavy_dense_m7",
+                                                  "solve/json/fcs:n2_heavy_dense_m7")
+    # seeded members and pairwise reports have none
+    assert not any("seed" in label or label.startswith("pairwise") for label in twins)
+    assert len(twins) == 2 * (16 + 3)
+
+
+def test_twin_drift_is_the_largest_delta_or_none_on_a_shape_change():
+    results = {"float": [0, json.dumps({"A": [0.5000000001, 1.0]}), "", None],
+               "exact": [0, json.dumps({"A": ["1/2", 1]}), "", None],
+               "other": [0, json.dumps({"A": ["1/2"]}), "", None]}
+    assert abs(same_outputs.twin_drift(results, [("float", "exact")]) - 1e-10) < 1e-15
+    assert same_outputs.twin_drift(results, [("float", "exact"), ("float", "other")]) is None

@@ -22,8 +22,13 @@ fresh interpreter per tree, the two trees side by side:
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
 that moved and gives the largest |delta|.  The table goes to stdout, in
-markdown, followed by one line per command that differs.  The exit code is
-0 when every exact command (no ``--mode float``) is identical, 1 otherwise.
+markdown, followed by one line per command that differs.  A second table
+gives, for the ``report`` and ``fcs`` commands of each fixed report_float
+member, the largest |delta| between its json output and its exact twin's in
+each tree: the report_exact command of the same label, or for a heavy float
+state the ``solve`` command on its exact twin.  Seeded members have no twin.
+The exit code is 0 when every exact command (no ``--mode float``) is
+identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -228,6 +233,38 @@ def compare(plan: dict, parent: dict, change: dict) -> tuple[list, list, bool]:
     return rows, lines, exact_same
 
 
+def float_twins(plan: dict) -> dict:
+    """{float command label: {seed: (float label, exact twin label)}} over
+    the report and fcs commands of the fixed report_float members."""
+    twins: dict = defaultdict(dict)
+    for seed in SEEDS:
+        corpus = corpus_mod.build("report_float", seed)
+        for cmd in corpus.commands:
+            if cmd.kind == "pairwise" or corpus.seeded(cmd.specs[0]):
+                continue
+            twin = f"report_exact/{seed}/json/{cmd.label}"
+            if twin not in plan:
+                twin = f"solve/json/{cmd.label}"
+            twins[cmd.label][seed] = (f"report_float/{seed}/json/{cmd.label}", twin)
+    return dict(twins)
+
+
+def twin_drift(results: dict, pairs) -> float | None:
+    """The largest |delta| between float outputs and their exact twins' over
+    (float label, twin label) pairs, or None when a pair differs in shape,
+    text or exit code."""
+    worst = 0.0
+    for label, twin in pairs:
+        out, ref = results[label], results[twin]
+        if out[0] != 0 or ref[0] != 0:
+            return None
+        drift = number_drift(json.loads(out[1]), json.loads(ref[1]))
+        if drift is None:
+            return None
+        worst = max(worst, drift[1])
+    return worst
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the revision to compare the working tree against")
@@ -257,6 +294,12 @@ def main(argv=None) -> int:
     if lines:
         print()
         print("\n".join(lines))
+    print()
+    print("| float command | largest \\|Δ\\| to the exact twin, parent | change |")
+    print("|---|---:|---:|")
+    for label, pairs in float_twins(plan).items():
+        cells = [twin_drift(results[name], pairs.values()) for name in trees]
+        print(f"| {label} | " + " | ".join("differs" if d is None else f"{d:.2g}" for d in cells) + " |")
     return 0 if exact_same else 1
 
 
