@@ -95,11 +95,12 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
     Only one-letter extensions of current pivots can add new directions
     (pi(s_i)* maps the level-L span into the level-(L+1) span), so each level
     scores the children of the previous level's pivots on an
-    :class:`~cuntzlab.linalg.LDLFactor` of omega(s_J s_K*) and admits them
-    greedily, largest residual first with a lexicographic tie-break.  Float
+    :class:`~cuntzlab.linalg.LDLFactor` of ``omega.model.moment`` and admits
+    them greedily, largest residual first with a lexicographic tie-break.  Float
     residuals within the rank tolerance times max(1, diag) of the largest
     are tied, so a float growth breaks ties as its exact twin does.  A level
-    that admits nothing stabilizes the subspace for good.
+    that admits nothing stabilizes the subspace for good.  ``gram`` is
+    ``model.gram(pivots)``, so a built-in state's growth fills no memo.
 
     The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
     kappa and fcs of one state share it.  Float rank decisions compare
@@ -116,7 +117,7 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
 
 
 def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
-    factor = LDLFactor(omega.lookup)
+    factor = LDLFactor(omega.model.moment)
     if tol is not None:
         factor.rank_tol = tol
     factor.admit(factor.score(()))
@@ -150,7 +151,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
             break
         frontier = added
     pivots = tuple(factor.pivots)
-    gram = tuple(tuple(omega.lookup(p, q) for q in pivots) for p in pivots)
+    gram = tuple(map(tuple, omega.model.gram(pivots)))
     return GramGrowth(pivots, gram, tuple(level_ranks), stabilized, level, tuple(map(tuple, factor.lower)),
                       tuple(factor.dvals))
 
@@ -259,7 +260,7 @@ def verify_minimality_certificate(omega: MomentFunctional, u: CuntzElement) -> b
     isometry, in_plus = is_isometry_in_plus(u)
     if not (isometry and in_plus):
         return False
-    return scalars_close(omega.moment_of_element(u), 1)
+    return scalars_close(sum((c * omega.model.moment(J, K) for (J, K), c in u.terms.items()), 0), 1)
 
 
 class PropInfCheck(NamedTuple):
@@ -376,7 +377,7 @@ def _search_minimal_isometry(omega: MomentFunctional, depth: int):
     for axis in range(1, n + 1):
         codes.extend(_progression_code(k, n, axis) for k in range(2, depth + 1))
     for code in codes:
-        vals = {W: omega.lookup(W, ()) for W in code}
+        vals = {W: omega.model.moment(W, ()) for W in code}
         total = sum((abs2(v) for v in vals.values()), 0)
         if not scalars_close(total, 1):
             continue
@@ -408,6 +409,8 @@ def kappa(
     ``search_depth``) tries to find a minimality certificate first; its
     failure is reported in the note.
     """
+    if search_depth < 1:
+        raise SchemaError(f"the search depth must be at least 1, got {search_depth}")
     facts = omega.facts
     if facts.twist is not None:
         base, g = facts.twist

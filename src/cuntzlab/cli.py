@@ -31,7 +31,7 @@ from .classify import (
     pure,
     verify_properly_infinite,
 )
-from .errors import CuntzLabError
+from .errors import CuntzLabError, SchemaError
 from .fcs import FCSPresentation, extract_fcs
 from .moments import MomentFunctional
 from .scalars import format_scalar, scalar_is_zero
@@ -188,6 +188,8 @@ def _cmd_pure(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.level < 0:
+        raise SchemaError(f"the word length must be at least 0, got {args.level}")
     omega = _require_state(parse_spec(args.spec, args.mode), "moments")
     words = list(words_upto(omega.n, args.level))
     rows = []

@@ -21,7 +21,7 @@ import random
 from typing import NamedTuple
 
 from .classify import GramGrowth, LowerBoundOnly, gram_growth
-from .errors import SchemaError, ValidationFailed
+from .errors import ValidationFailed
 from .linalg import hermitian_transpose
 from .moments import MomentFunctional, VectorModel
 from .scalars import conj, scalars_close
@@ -123,14 +123,15 @@ def _solve(growth: GramGrowth, rhs) -> list:
 def _matrices(growth: GramGrowth, omega: MomentFunctional) -> tuple:
     """A_1..A_n, the matrices of pi(s_i)* on the pivot basis of ``omega``'s
     growth: column p of A_i solves G x = (omega(s_q s_{p i}*))_q over the
-    pivots q, one O(d^2) solve per column.  They compress omega only when
-    the growth has stabilized."""
+    pivots q, one O(d^2) solve per column, the right-hand sides read as one
+    block ``omega.model.gram(pivots, children)`` per letter.  They compress
+    omega only when the growth has stabilized."""
     pivots = growth.pivots
-    d = len(pivots)
     out = []
     for i in range(1, omega.n + 1):
-        cols = [_solve(growth, [omega.lookup(q, p + (i,)) for q in pivots]) for p in pivots]
-        out.append(tuple(tuple(cols[j][r] for j in range(d)) for r in range(d)))
+        block = omega.model.gram(pivots, [p + (i,) for p in pivots])
+        cols = [_solve(growth, column) for column in zip(*block)]
+        out.append(tuple(zip(*cols)))
     return tuple(out)
 
 
@@ -170,13 +171,12 @@ def extract_fcs(omega: MomentFunctional, L_max: int = 8):
     largest-residual pivoting (lexicographic tie-break).  Once it stabilizes,
     ``presentation`` solves the matrices and checks the row relation, and
     twenty seeded random moment round-trips, read off one model of the
-    presentation, validate the result against the source again; a failure
+    presentation, validate the result against the source's model; a failure
     raises ValidationFailed (in float mode this usually signals tolerance
     trouble; rerun in exact mode).  If the rank is still growing at L_max
-    the rank bound is returned as a LowerBoundOnly value instead.
+    the rank bound is returned as a LowerBoundOnly value instead; a level
+    cap below 1 is refused by ``gram_growth``.
     """
-    if L_max < 1:
-        raise SchemaError(f"the level cap must be at least 1, got {L_max}")
     growth = gram_growth(omega, L_max)
     d = len(growth.pivots)
     if not growth.stabilized:
@@ -188,13 +188,13 @@ def extract_fcs(omega: MomentFunctional, L_max: int = 8):
         )
 
     F = presentation(omega, growth)
-    model = F.model()
+    model, source = F.model(), omega.model
     rng = random.Random(_ROUND_TRIP_SEED)
     max_len = min(growth.last_level + 2, L_max + 2)
     for _ in range(_ROUND_TRIP_COUNT):
         J = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
         K = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
-        if not scalars_close(model.moment(J, K), omega.lookup(J, K)):
+        if not scalars_close(model.moment(J, K), source.moment(J, K)):
             raise ValidationFailed(
                 f"moment round-trip mismatch at J={J}, K={K}; "
                 "in float mode this usually signals tolerance trouble (rerun exact)"

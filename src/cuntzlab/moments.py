@@ -58,15 +58,15 @@ one classification uses, so the two always agree.
 
 Inner products are linear in the second argument throughout, so
 omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Every state has a
-:class:`VectorModel` of these vectors, and its moments, the moments of its
-gauge twists and its delta tables are inner products of vectors memoized
-by prefix.  Every family builds its model at construction and records it
-(``facts.model``); a raw ``MomentFunctional`` has the word model, the GNS
-space spanned by the words themselves, whose inner products read the
-moment memo.  ``MomentFunctional.model`` is the one or the other, and
-Gram matrices are the inner products of its N vectors (``gram_matrix``,
-``positivity_check``).  A finitely correlated presentation is a model too
-(``fcs.FCSPresentation.model``).
+:class:`VectorModel` of these vectors, memoized by prefix, and it is the
+one reader of the state's moments: ``model.moment`` and ``model.gram``
+apply the model's ``cast``, which fixes each moment's type (``_as_qqi``
+for exact mixtures, sandwiches and twists, ``_as_complex`` for float
+twists).  Every family builds its model at construction (``facts.model``);
+a raw ``MomentFunctional`` has the word model, spanned by the words
+themselves, whose inner products read the moment memo.  Otherwise the
+memo backs only ``moment()`` and ``moment_of_element``.  A finitely
+correlated presentation is a model too (``fcs.FCSPresentation.model``).
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _walk_prefixes(vectors: dict, J: Word, step: Callable):
 
 
 class VectorModel:
-    """The vectors v_J = pi(s_J)* Omega of a state, reached letter by letter.
+    """The vectors v_J = pi(s_J)* Omega of a state, and the reader of its moments.
 
     ``start`` is Omega, ``step(v, i)`` is pi(s_i)* v, ``inner(a, b)`` the
     inner product (linear in b) divided by |Omega|^2, and ``combine(pairs)``
@@ -185,14 +185,18 @@ class VectorModel:
     omega(s_J s_K*) = inner(v_J, v_K), and v_J is memoized by prefix:
     v_{Ji} = step(v_J, i).  A vector may carry its own depth (the induced
     products keep one coefficient per depth), so a step can depend on it.
+    The constructor's ``cast(value, J, K)`` turns inner(v_J, v_K) into the
+    moment's type in ``moment`` and ``gram``; ``inner``, read by sums and
+    sandwiches over the model, stays uncast.
     """
 
-    __slots__ = ("step", "inner", "combine", "_vectors")
+    __slots__ = ("step", "inner", "combine", "cast", "_vectors")
 
-    def __init__(self, start, step: Callable, inner: Callable, combine: Callable):
+    def __init__(self, start, step: Callable, inner: Callable, combine: Callable, cast: Callable | None = None):
         self.step = step
         self.inner = inner
         self.combine = combine
+        self.cast = cast
         self._vectors: dict[Word, object] = {(): start}
 
     def vector(self, J: Word):
@@ -200,8 +204,18 @@ class VectorModel:
         return _walk_prefixes(self._vectors, J, self.step)
 
     def moment(self, J: Word, K: Word):
-        """omega(s_J s_K*) = <v_J, v_K>."""
-        return self.inner(self.vector(J), self.vector(K))
+        """omega(s_J s_K*) = <v_J, v_K>, cast."""
+        value = self.inner(self.vector(J), self.vector(K))
+        return value if self.cast is None else self.cast(value, J, K)
+
+    def gram(self, rows: Sequence[Word], cols: Sequence[Word] | None = None) -> list:
+        """[[moment(J, K) for K in cols] for J in rows], cols defaulting to rows, each vector fetched once."""
+        xs = [self.vector(J) for J in rows]
+        ys = xs if cols is None else [self.vector(K) for K in cols]
+        inner, cast = self.inner, self.cast
+        if cast is None:
+            return [[inner(x, y) for y in ys] for x in xs]
+        return [[cast(inner(x, y), J, K) for K, y in zip(cols or rows, ys)] for J, x in zip(rows, xs)]
 
     def strip(self, v, W: Word):
         """pi(s_W)* v: the letters of W stepped first letter first."""
@@ -214,9 +228,10 @@ class VectorModel:
         creation span."""
         return self.combine([(conj(b), self.strip(v, W)) for (W, _), b in x.terms.items()])
 
-    def twisted(self, g) -> "VectorModel":
+    def twisted(self, g, g_exact: bool) -> "VectorModel":
         """The model of omega o alpha_g on the same vectors: pi(alpha_g(s_i))* =
-        sum_j conj(g_ji) pi(s_j)*, the zero entries of g skipped."""
+        sum_j conj(g_ji) pi(s_j)*, the zero entries of g skipped.  An exact g
+        casts its moments to QQi, a float g to complex."""
         n = len(g)
         columns = [[(conj(g[j][i]), j + 1) for j in range(n) if g[j][i] != 0] for i in range(n)]
         step, combine = self.step, self.combine
@@ -224,7 +239,7 @@ class VectorModel:
         def twisted_step(v, i: int):
             return combine([(c, step(v, j)) for c, j in columns[i - 1]])
 
-        return VectorModel(self._vectors[()], twisted_step, self.inner, combine)
+        return VectorModel(self._vectors[()], twisted_step, self.inner, combine, _as_qqi if g_exact else _as_complex)
 
 
 _UNKNOWN_PURITY = ("Unknown", "no purity criterion applies to this presentation")
@@ -257,8 +272,8 @@ class StateFacts(NamedTuple):
       forms of induced products and shift and grid vector states, and on a
       gauge twist the twisted model of its base, and the direct sum over
       l of the permutative models of the series sandwich.  The state's
-      moments are its inner products, cast as ``MomentFunctional`` says.
-      Raw functionals have none.
+      moments are its ``moment``s, cast by the model.  Raw functionals
+      have none.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -279,13 +294,11 @@ class MomentFunctional:
     """A state on O_n presented through its moments omega(s_J s_K*).
 
     ``family`` labels the constructor (for display and tracing only);
-    ``facts`` holds what the constructor proved.  Every family reads its
-    moments off ``facts.model``: the evaluator is the model's ``moment``,
-    and ``cast(value, J, K)``, when given, turns each inner product into
-    the moment's type, so a Gram matrix read off the vectors holds the
-    values and types the evaluator gives.  Every consumer of vectors reads
-    :attr:`model`.  The prefix-memoized vectors live as long as the state,
-    next to the moment memo.
+    ``facts`` holds what the constructor proved.  A family's evaluator is
+    its model's ``moment``, which casts, so ``moment()`` gives the values
+    and types the library reads off :attr:`model` (the Gram growth, fcs,
+    the gate).  The memo backs only ``moment()``, ``moment_of_element``
+    and the word model of a raw functional.
     """
 
     def __init__(
@@ -297,15 +310,13 @@ class MomentFunctional:
         facts: StateFacts = StateFacts(),
         exact: bool = True,
         warnings: Iterable[str] = (),
-        cast: Callable[[object, Word, Word], object] | None = None,
     ):
         self.n = n
         self.family = family
         self.facts = facts
         self.exact = exact
         self.warnings = list(warnings)
-        self._cast = cast
-        self._evaluator = evaluator if cast is None else (lambda J, K: cast(evaluator(J, K), J, K))
+        self._evaluator = evaluator
         self._memo: dict[tuple[Word, Word], object] = {}
         # finished Gram growths per (level cap, rank tolerance); see classify.gram_growth
         self._growths: dict[tuple, object] = {}
@@ -317,7 +328,8 @@ class MomentFunctional:
 
     def lookup(self, J: Word, K: Word = ()) -> object:
         """omega(s_J s_K*) for tuples J, K the caller built as words over 1..n:
-        the memoized value, with no validation."""
+        the memoized value, with no validation, behind ``moment()``,
+        ``moment_of_element`` and the word model; the library reads ``model``."""
         key = (J, K)
         memo = self._memo
         hit = memo.get(key)
@@ -338,14 +350,10 @@ class MomentFunctional:
     @property
     def model(self) -> VectorModel:
         """The state's vectors: the family's ``facts.model``, or else the word
-        model, built on first use.  In the word model pi(P)* Omega for
-        P = sum_J x_J s_J in the creation span is the map {J: x_J}, starting
-        at {(): 1}.  A step appends the letter,
-        pi(s_i)* pi(P)* Omega = pi(P s_i)* Omega, and the inner product is
-        omega(P Q*) = ``moment_of_pair``, read through the memo.  A twist by g
-        then steps v_J to the coefficients of alpha_g(s_J), and a delta
-        table's v(P_l) are the prefix products P_l; each inner product sums
-        |P| |Q| moments."""
+        model, built on first use, where pi(P)* Omega for P = sum_J x_J s_J
+        is the map {J: x_J}, starting at {(): 1}.  A step appends the letter,
+        pi(s_i)* pi(P)* Omega = pi(P s_i)* Omega, and the inner product
+        omega(P Q*) = ``moment_of_pair`` sums |P| |Q| moments of the memo."""
         if self.facts.model is not None:
             return self.facts.model
         if self._word_model is None:
@@ -374,21 +382,9 @@ def eval_moment(omega: MomentFunctional, J: Word, K: Word = ()) -> object:
 
 
 def gram_matrix(omega: MomentFunctional, words: Sequence[Word]):
-    """Gram matrix of the vectors pi(s_J)* Omega for J in words, each word checked once."""
-    return _gram(omega, [check_word(J, omega.n) for J in words])
-
-
-def _gram(omega: MomentFunctional, words: Sequence[Word]) -> list:
-    """[omega(s_J s_K*)] over words the caller built as words over 1..n:
-    the N^2 inner products of the N vectors of ``omega.model``, cast as the
-    moments are.  A family's model leaves the memo as it was; the word model
-    of a raw functional reads its entries through ``lookup``."""
-    model = omega.model
-    vectors = [model.vector(J) for J in words]
-    inner, cast = model.inner, omega._cast
-    if cast is None:
-        return [[inner(x, y) for y in vectors] for x in vectors]
-    return [[cast(inner(x, y), J, K) for K, y in zip(words, vectors)] for J, x in zip(words, vectors)]
+    """Gram matrix of the vectors pi(s_J)* Omega for J in words, each word
+    checked once, read off ``omega.model``, so only a raw functional fills the memo."""
+    return omega.model.gram([check_word(J, omega.n) for J in words])
 
 
 def check_unit(vec) -> None:
@@ -966,15 +962,16 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
     if not ok or any(complex(w).real <= 0 for w in weights):
         raise SchemaError("weights must be positive and sum to 1")
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
-    model = _mixture_model(weights, [s.model for s in states])
+    model = _mixture_model(weights, [s.model for s in states], exact)
     facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"), model=model)
-    return MomentFunctional(n, "mixture", model.moment, facts=facts, exact=exact, cast=_as_qqi if exact else None)
+    return MomentFunctional(n, "mixture", model.moment, facts=facts, exact=exact)
 
 
-def _mixture_model(weights, models: Sequence[VectorModel]) -> VectorModel:
+def _mixture_model(weights, models: Sequence[VectorModel], exact: bool) -> VectorModel:
     """The direct sum of the components' models: Omega = (+)_k sqrt(w_k) Omega_k,
     so a vector is the tuple of component vectors, stepped and combined
-    component by component, and <a, b> = sum_k w_k <a_k, b_k>_k."""
+    component by component, and <a, b> = sum_k w_k <a_k, b_k>_k, cast to
+    QQi when exact."""
 
     def step(v: tuple, i: int) -> tuple:
         return tuple(m.step(x, i) for m, x in zip(models, v))
@@ -986,7 +983,7 @@ def _mixture_model(weights, models: Sequence[VectorModel]) -> VectorModel:
         pairs = list(pairs)
         return tuple(m.combine([(c, v[k]) for c, v in pairs]) for k, m in enumerate(models))
 
-    return VectorModel(tuple(m.vector(()) for m in models), step, inner, combine)
+    return VectorModel(tuple(m.vector(()) for m in models), step, inner, combine, _as_qqi if exact else None)
 
 
 def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
@@ -997,8 +994,8 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     omega(alpha_g(s_J s_K*)) = <S'_J Omega, S'_K Omega>.  The twist keeps
     this model, so a twist of it steps it again, and each letter costs at
     most n base steps.  Constructing a twist grows no Gram basis.  By the
-    twist's ``cast``, an exact g gives QQi moments and a float g complex
-    ones (but omega(I), the base's own).  A lazy shift state computes
+    twisted model's ``cast``, an exact g gives QQi moments and a float g
+    complex ones (but omega(I), the base's own).  A lazy shift state computes
     exactly but is marked inexact (its letters are known to a horizon), and
     so is its twist.
 
@@ -1020,10 +1017,9 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     verdict, reason = base.purity
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
-    model = omega.model.twisted(g)
+    model = omega.model.twisted(g, g_exact)
     facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
-    return MomentFunctional(n, "gauge", model.moment, facts=facts, exact=omega.exact and g_exact,
-                            cast=_as_qqi if g_exact else _as_complex)
+    return MomentFunctional(n, "gauge", model.moment, facts=facts, exact=omega.exact and g_exact)
 
 
 def _as_qqi(value, J: Word, K: Word):
@@ -1069,10 +1065,8 @@ def transform_sandwich(
         check_unit(equivalent_to_cuntz)
     exact = omega.exact and all(is_exact_scalar(c) for c, _ in terms)
 
-    model = _sandwich_model(omega.model, sum((c * Al for c, Al in terms), zero(n)))
+    model = _sandwich_model(omega.model, sum((c * Al for c, Al in terms), zero(n)), exact)
     mass = model.moment((), ())
-    if exact:
-        mass = _as_qqi(mass, (), ())
     if is_exact_scalar(mass):
         if mass != 1:
             raise NotNormalized(f"transform has total mass {mass}, expected 1")
@@ -1084,11 +1078,11 @@ def transform_sandwich(
         cuntz=(tuple(equivalent_to_cuntz), "user") if equivalent_to_cuntz is not None else None,
         model=model,
     )
-    return MomentFunctional(n, "sandwich", model.moment, facts=facts, exact=exact, cast=_as_qqi if exact else None)
+    return MomentFunctional(n, "sandwich", model.moment, facts=facts, exact=exact)
 
 
-def _sandwich_model(base: VectorModel, A: CuntzElement) -> VectorModel:
-    """The model of pi(A) Omega over the base's model.
+def _sandwich_model(base: VectorModel, A: CuntzElement, exact: bool) -> VectorModel:
+    """The model of pi(A) Omega over the base's model, cast to QQi when exact.
 
     A vector is {P: x_P}, standing for sum_P pi(s_P) x_P with x_P a vector
     of the base.  The term b s_W s_V* of A starts at key W with b v_V; a step
@@ -1117,7 +1111,8 @@ def _sandwich_model(base: VectorModel, A: CuntzElement) -> VectorModel:
                 grouped.setdefault(P, []).append((c, x))
         return {P: base.combine(terms) for P, terms in grouped.items()}
 
-    return VectorModel(combine((b, {W: base.vector(V)}) for (W, V), b in A.terms.items()), step, inner, combine)
+    start = combine((b, {W: base.vector(V)}) for (W, V), b in A.terms.items())
+    return VectorModel(start, step, inner, combine, _as_qqi if exact else None)
 
 
 def make_split_series_sandwich() -> MomentFunctional:
@@ -1186,4 +1181,4 @@ def positivity_check(omega: MomentFunctional, level: int = 2):
     words are listed here, so none is validated again; the entries are the
     inner products of the vectors of ``omega.model``, as in ``gram_matrix``.
     """
-    return hermitian_psd_check(_gram(omega, list(words_upto(omega.n, level))))
+    return hermitian_psd_check(omega.model.gram(list(words_upto(omega.n, level))))

@@ -322,6 +322,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, spec, option, least, message",
+        [
+            ("moments", CUNTZ35, ["--level", "-3"], ["--level", "0"], "the word length must be at least 0, got -3"),
+            ("kappa", EVEN_MIXTURE, ["--search-certificates", "--search-depth", "-2"],
+             ["--search-certificates", "--search-depth", "1"], "the search depth must be at least 1, got -2"),
+        ],
+        ids=["negative_level", "negative_search_depth"],
+    )
+    def test_a_bound_below_its_least_value_is_refused(self, spec_file, capsys, command, spec, option, least,
+                                                      message):
+        # a word length below 0 listed no moments, a search depth below 1 searched no code
+        path = spec_file(spec)
+        assert run([command, path, *option, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert run([command, path, *least, "--format", "json"]) == 0
+
     def test_inexact_float_gated(self, spec_file, capsys):
         path = spec_file({"family": "cuntz", "z": [0.6, 0.8]})
         assert run(["cdim", path]) == 1

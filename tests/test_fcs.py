@@ -25,6 +25,7 @@ from cuntzlab import (
 )
 from cuntzlab.fcs import _solve, presentation
 from cuntzlab.linalg import solve
+from cuntzlab.moments import MomentFunctional
 from cuntzlab.scalars import scalars_close
 from cuntzlab.selftest import random_exact_unit
 
@@ -107,6 +108,28 @@ class TestPresentation:
         word = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
         with pytest.raises(ValidationFailed, match="row relation"):
             presentation(make_cuntz(Z35), gram_growth(word))
+
+
+def _typed(x):
+    """x with every scalar paired with its type, so that == compares types too."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_typed(y) for y in x)
+    return type(x), x
+
+
+class TestRawTwin:
+    """A raw functional over a state's memoized moments reads them through its
+    word model; the state reads its own model, whose cast must give each
+    moment the value and type the evaluator gives."""
+
+    @pytest.mark.parametrize("mode", ["auto", "float"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")))
+    def test_growth_and_presentation_match_the_state(self, name, mode):
+        omega = parse_spec(str(GOLDEN_SPECS / f"{name}.json"), mode)
+        twin = MomentFunctional(omega.n, "raw", omega.lookup, exact=omega.exact)
+        assert twin.facts.model is None
+        for read in (gram_growth, extract_fcs):
+            assert _typed(read(twin)) == _typed(read(omega)), read.__name__
 
 
 class TestUnstabilizedInput:

@@ -480,6 +480,25 @@ class TestGramFromVectors:
                 want = w.moment(J, K)
                 assert x == want and type(x) is type(want), (J, K)
 
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_a_rectangular_block_is_the_moments(self, name):
+        w = self.STATES[name]()
+        rows, cols = list(words_upto(2, 2)), [(2,), (1, 2, 1), (), (2, 2)]
+        G = w.model.gram(rows, cols)
+        assert w._memo == {}
+        assert [len(row) for row in G] == [len(cols)] * len(rows)
+        for J, row in zip(rows, G):
+            for K, x in zip(cols, row):
+                want = w.moment(J, K)
+                assert x == want and type(x) is type(want), (J, K)
+        assert w.model.gram(cols) == w.model.gram(cols, cols)
+
+    def test_the_float_twist_reads_its_exact_unit_next_to_complex_zeros(self):
+        # omega(I) is the base's own; every other moment of a float twist is complex
+        [[one, zero]] = self.STATES["float_twist"]().model.gram([()], [(), (1,)])
+        assert type(one) is QQi and one == 1
+        assert type(zero) is complex and zero == 0
+
     def test_a_raw_functional_reads_lookup(self):
         # its word model's inner product reads the memo, one entry per pair
         w = MomentFunctional(2, "sandwich_series", _series_closed_form)

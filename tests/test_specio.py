@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,8 @@ from cuntzlab.specio import (
 )
 
 from conftest import fr, q
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
 
 
 class TestScalarParsing:
@@ -268,6 +271,26 @@ class TestParseSpec:
         omega = parse_spec(spec_file({"family": "vector", "rep": {"kind": "grid", "n": 3}, "key": [2, 0]}))
         assert omega.facts.model is not None
         assert omega._memo == {}
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")))
+    def test_every_invariant_of_a_modelled_state_leaves_the_memo_empty(self, name, monkeypatch, capsys):
+        # the Gram growth, the certificate checks and searches, the fcs
+        # matrices and round trips all read the state's model
+        import cuntzlab.cli as cli
+        from cuntzlab import cdim, extract_fcs, kappa
+
+        path = str(GOLDEN_SPECS / f"{name}.json")
+        omega = parse_spec(path)
+        assert omega.facts.model is not None
+        cdim(omega)
+        kappa(omega, search_certificates=True)
+        extract_fcs(omega)
+        assert omega._memo == {}
+        reported = []
+        monkeypatch.setattr(cli, "parse_spec", lambda *args: reported.append(parse_spec(*args)) or reported[-1])
+        assert cli.run(["report", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert [state._memo for state in reported] == [{}]
 
 
 class TestResultSerialization:

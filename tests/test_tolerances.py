@@ -5,6 +5,9 @@ Equality tests compare against ``DEFAULT_EQ_TOL`` and rank decisions against
 ``tol``, because some library callers need exact (0.0) or tighter
 comparisons, plus ``gram_growth`` and its ``_grow``, whose ``tol`` the
 benchmark tracer binds by name.
+
+Likewise a moment's type is fixed by the vector model that reads it: the
+model's constructor is the one function that takes a ``cast``.
 """
 
 import argparse
@@ -49,6 +52,12 @@ def test_the_walk_sees_the_library():
 
 def test_exactly_four_functions_take_tol():
     assert {name for name, fn in _functions() if "tol" in inspect.signature(fn).parameters} == TAKE_TOL
+
+
+def test_only_the_vector_model_takes_a_cast():
+    assert [name for name, fn in _functions() if "cast" in inspect.signature(fn).parameters] == [
+        "moments.VectorModel.__init__"
+    ]
 
 
 def _commands():
