@@ -72,16 +72,15 @@ class GramGrowth(NamedTuple):
     """Pivot basis of the conjugate-cyclic subspace, grown level by level.
 
     ``pivots`` are words J whose vectors pi(s_J)* Omega form a basis of the
-    span reached so far; ``gram`` is their (positive definite) Gram matrix;
-    ``level_ranks[L]`` is the rank over all words of length <= L.  ``lower``
-    and ``dvals`` are the L and D of its factor G = L D L* (see
+    span reached so far; ``level_ranks[L]`` is the rank over all words of
+    length <= L.  ``lower`` and ``dvals`` are the L and D of the factor
+    G = L D L* of their (positive definite) Gram matrix G (see
     :class:`~cuntzlab.linalg.LDLFactor`), through which ``fcs.presentation``
     solves the metric.  A growth is shared by every caller that asks for the
     same state, level cap and tolerance, so all of it is immutable.
     """
 
     pivots: tuple
-    gram: tuple
     level_ranks: tuple
     stabilized: bool
     last_level: int
@@ -99,8 +98,8 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
     them greedily, largest residual first with a lexicographic tie-break.  Float
     residuals within the rank tolerance times max(1, diag) of the largest
     are tied, so a float growth breaks ties as its exact twin does.  A level
-    that admits nothing stabilizes the subspace for good.  ``gram`` is
-    ``model.gram(pivots)``, so a built-in state's growth fills no memo.
+    that admits nothing stabilizes the subspace for good.  The growth reads
+    only ``model.moment``, so a built-in state's growth fills no memo.
 
     The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
     kappa and fcs of one state share it.  Float rank decisions compare
@@ -150,9 +149,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
             stabilized = True
             break
         frontier = added
-    pivots = tuple(factor.pivots)
-    gram = tuple(map(tuple, omega.model.gram(pivots)))
-    return GramGrowth(pivots, gram, tuple(level_ranks), stabilized, level, tuple(map(tuple, factor.lower)),
+    return GramGrowth(tuple(factor.pivots), tuple(level_ranks), stabilized, level, tuple(map(tuple, factor.lower)),
                       tuple(factor.dvals))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .classify import GramGrowth, LowerBoundOnly, gram_growth
 from .errors import ValidationFailed
-from .linalg import hermitian_transpose
+from .linalg import hermitian_transpose, mat_mul
 from .moments import MomentFunctional, VectorModel
 from .scalars import conj, scalars_close
 from .words import Word, check_word
@@ -85,17 +85,11 @@ def fcs_moment(F: FCSPresentation, J: Word, K: Word = ()):
     return F.model().moment(check_word(J, F.n), check_word(K, F.n))
 
 
-def _sparse_mat_mul(a, b) -> list:
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col) if x and y), 0) for col in cols] for row in a]
-
-
 def check_row_isometry(F: FCSPresentation) -> bool:
-    """Whether sum_i A_i^H G A_i = G, the compressed Cuntz row relation.
-    Zero products are skipped; exact presentations are often sparse."""
+    """Whether sum_i A_i^H G A_i = G, the compressed Cuntz row relation."""
     total = [[0] * F.d for _ in range(F.d)]
     for A in F.A:
-        term = _sparse_mat_mul(hermitian_transpose(A), _sparse_mat_mul(F.metric, A))
+        term = mat_mul(hermitian_transpose(A), mat_mul(F.metric, A))
         total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
     return all(
         scalars_close(total[i][j], F.metric[i][j])
@@ -152,7 +146,7 @@ def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation
         d=len(pivots),
         A=_matrices(growth, omega),
         omega=tuple(1 if j == 0 else 0 for j in range(len(pivots))),
-        metric=growth.gram,
+        metric=tuple(map(tuple, omega.model.gram(pivots))),
         pivot_words=pivots,
         level=growth.last_level,
     )

@@ -1,25 +1,25 @@
 """Small linear algebra over exact (Fraction/Gaussian-rational) or float scalars.
 
-Matrices are lists of row lists.  When every entry is exact the routines run
-one fraction-free Gauss-Jordan elimination, :func:`_sparse_reduce`, on
-sparse rows of integers (or Gaussian integers) and return exact answers;
-otherwise they pivot on magnitudes above DEFAULT_RANK_TOL times the largest
-entry, or fall back to numpy.  numpy is imported only inside those float
-fallbacks (and for the eigenvalue estimate of a failed exact PSD check), so
-exact work never loads it.
+Matrices are lists of row lists.  Every linear system is read off one
+primitive, :func:`kernel_basis`: :func:`rank` is the width less the
+dimension of the kernel, :func:`solve` reads x off the kernel of [a | -b],
+and :func:`min_norm_solution` the combinations that meet its constraints.
+Each mode has one engine.  Exact rows run one fraction-free Gauss-Jordan
+elimination, :func:`_sparse_reduce`, on sparse rows of integers (or Gaussian
+integers) and give exact answers; float rows take a stacked numpy SVD.
+numpy is imported only inside the float kernel and the eigenvalue estimates,
+so exact work never loads it.
 
-The exact elimination has three pivot orders.  :func:`rank`, :func:`solve`
-and the constraints of :func:`min_norm_solution` reduce in leftmost order,
-which gives the reduced echelon form.  :func:`kernel_basis` also takes
-sparse rows ``{column: entry}``.  It splits the columns into the connected
-components of the rows' sparsity graph and reduces each block on its own.
-Exact blocks pivot in Markowitz order (shortest row, then the column the
-fewest rows hold), and their kernel vectors are then reduced from the last
-column backwards, which restores the whole matrix's reduced-echelon basis.
-Float blocks share one rank threshold, taken from the largest singular value
-of any block, as a dense SVD of the whole matrix would.  The fixed-point
-systems of ``moments`` split into a few such blocks, and arrive in exact
-mode as rows of ints.
+:func:`kernel_basis` takes dense list rows or sparse rows ``{column:
+entry}``.  It splits the columns into the connected components of the
+rows' sparsity graph and reduces each block on its own.  Exact blocks pivot
+in Markowitz order (shortest row, then the column the fewest rows hold), and
+their kernel vectors are then reduced from the last column backwards, which
+restores the whole matrix's reduced-echelon basis.  Float blocks share one
+rank threshold, taken from the largest singular value of any block, as a
+dense SVD of the whole matrix would.  The fixed-point systems of
+``moments`` split into a few such blocks, and arrive in exact mode as rows
+of ints.
 
 Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
 a pivoted L D L* factor grown one pivot at a time: the Gram growth of
@@ -74,21 +74,13 @@ def mat_vec(rows, v):
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum((ra[k] * col[k] for k in range(len(ra))), 0) for col in bt] for ra in a]
+    """The product a b.  Zero products are skipped; exact factors are often sparse."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), 0) for col in cols] for row in a]
 
 
 def hermitian_transpose(rows):
     return [[conj(rows[i][j]) for i in range(len(rows))] for j in range(len(rows[0]))]
-
-
-def _pivot_row(rows, col, start, thresh: float):
-    best, best_val = None, thresh
-    for r in range(start, len(rows)):
-        v = abs(complex(rows[r][col]))
-        if v > best_val:
-            best, best_val = r, v
-    return best
 
 
 def _ring(values) -> tuple[bool, bool]:
@@ -148,66 +140,38 @@ def _divided(values, pv, has_qqi: bool, gaussian: bool) -> list:
     return [Fraction(x, pv) if x else zero for x in values]
 
 
-def _eliminate(rows):
-    """In-place elimination to the reduced echelon form over every column;
-    returns the list of (pivot_row, pivot_col), the pivot rows first, in
-    column order, and every other row is left zero.
-
-    Exact rows are made sparse and integral, their zero rows dropped, and
-    reduced by :func:`_sparse_reduce` in leftmost order; each pivot row is
-    then divided by its pivot.  Float rows pivot on the largest magnitude in
-    each column, above DEFAULT_RANK_TOL times max(1, the largest entry)."""
-    if matrix_is_exact(rows):
-        has_qqi, gaussian = _ring([x for row in rows for x in row])
-        sparse = ({j: x for j, x in enumerate(row) if x} for row in rows)
-        work = [_integral(row, gaussian) for row in sparse if row]
-        pivots = _sparse_reduce(work, _LEFTMOST, gaussian)
-        for k, (r, c) in enumerate(pivots):
-            rows[k] = _divided([work[r].get(j, 0) for j in range(len(rows[k]))], work[r][c], has_qqi, gaussian)
-        for k in range(len(pivots), len(rows)):
-            rows[k] = _divided([0] * len(rows[k]), 1, has_qqi, gaussian)
-        return [(k, c) for k, (_, c) in enumerate(pivots)]
-    maxabs = max((abs(complex(x)) for row in rows for x in row), default=0.0)
-    thresh = DEFAULT_RANK_TOL * max(1.0, maxabs)
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        p = _pivot_row(rows, c, r, thresh)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r:
-                f = rows[k][c]
-                rows[k] = [xk - f * xr for xk, xr in zip(rows[k], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
 def rank(rows) -> int:
+    """The width of the matrix less the dimension of its kernel: exact rows
+    count the pivots of the fraction-free elimination, float rows the
+    singular values above DEFAULT_RANK_TOL times max(1, the largest)."""
     if not rows or not rows[0]:
         return 0
-    return len(_eliminate([list(r) for r in rows]))
+    return len(rows[0]) - len(kernel_basis(rows, len(rows[0])))
 
 
 def solve(a, b):
     """Solve the square system a x = b (single right-hand side as a vector).
-    The augmented matrix [a | b] is reduced: a is regular exactly when its
-    pivots are the columns 0..d-1."""
+
+    x is read off the kernel of [a | -b]: a is regular exactly when that
+    kernel is one vector whose last entry is nonzero, and x is that vector
+    scaled to end in 1 (see :func:`_scaled_to_end_in_one`)."""
     d = len(a)
-    work = [list(a[i]) + [b[i]] for i in range(d)]
-    pivots = _eliminate(work)
-    if [c for _, c in pivots] != list(range(d)):
+    kernel = kernel_basis([[*a[i], -b[i]] for i in range(d)], d + 1)
+    x = _scaled_to_end_in_one(kernel[0], d) if len(kernel) == 1 else None
+    if x is None:
         raise Inconsistent("singular linear system")
-    x = [0] * d
-    for r, c in pivots:
-        x[c] = work[r][d]
     return x
+
+
+def _scaled_to_end_in_one(v, d):
+    """v[:d] / v[d] for a kernel vector v of length d + 1, or None when v[d]
+    is zero: exactly, for an exact vector, whose last entry is the int 1 or
+    0, and up to DEFAULT_RANK_TOL for a float one, which has unit norm."""
+    last = v[d]
+    if not last or isinstance(last, (float, complex)) and abs(last) <= DEFAULT_RANK_TOL:
+        return None
+    # v[:d] as it is when it ends in 1, so an exact int stays an int
+    return v[:d] if last == 1 else [x / last for x in v[:d]]
 
 
 def kernel_basis(rows, ncols: int):
@@ -336,7 +300,6 @@ def _exact_kernel(blocks):
 
 
 # pivot orders of _sparse_reduce: (key of a row, the least first; pivot column in the chosen row)
-_LEFTMOST = (lambda row, k: (min(row), k), lambda row, holders: min(row))
 _MARKOWITZ = (lambda row, k: (len(row), k), lambda row, holders: min(row, key=lambda j: (len(holders[j]), j)))
 _LAST_COLUMN = (lambda row, k: (-max(row), k), lambda row, holders: max(row))
 
@@ -354,13 +317,11 @@ def _sparse_reduce(work, order, gaussian: bool):
     ``order`` is (row_key, pick): the next pivot row is the unreduced nonzero
     row of least ``row_key(row, index)``, its pivot column ``pick(row,
     holders)``, where ``holders`` maps each column to the rows with an entry
-    there.  Leftmost order takes the row of least first column and pivots
-    there; an update adds entries only right of the pivot, so the pivots come
-    in increasing column order and give the reduced echelon form.  Markowitz
-    order takes the shortest row and its column held by the fewest rows, and
-    last-column order the row of greatest last column, pivoting there; ties
-    go to the lowest index.  Returns the (row, column) pivots in the order
-    taken; every other row ends empty."""
+    there.  :func:`_exact_kernel` reduces a block's rows in Markowitz order,
+    the shortest row and its column held by the fewest rows, and the kernel
+    vectors that gives in last-column order, the row of greatest last column,
+    pivoting there; ties go to the lowest index.  Returns the (row, column)
+    pivots in the order taken; every other row ends empty."""
     row_key, pick = order
     holders: dict[int, set] = {}
     for k, row in enumerate(work):
@@ -692,6 +653,16 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs):
     matrix C acting on the *combination vector* x = sum c_i basis_i, with
     C x = constraint_rhs.  Returns the combination vector x.
 
+    The coefficients c that meet the constraints are read off the kernel of
+    [C B | -rhs], B the matrix whose columns are the basis.  Its vector of
+    largest last entry, scaled to end in 1, gives one such c, p; when that
+    entry is zero no c meets them.  Each other vector, less its multiple of
+    p's, ends in 0 and gives a direction along which C B vanishes: an exact
+    kernel has at most one vector not ending in 0, but the orthonormal float
+    one can have several.  Over c = p + N t, with those directions the
+    columns of N and G the Gram matrix of the basis, the norm is least where
+    (N* G N) t = -N* G p.
+
     The Gram entries, the constraint products and x are summed over the
     nonzero entries of each basis vector alone, in column order: a skipped
     term is a zero product, so every sum is the dense sum.
@@ -706,26 +677,20 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs):
             for i in range(r)]
     cb = [[sum((row[k] * x for k, x in entries if row[k]), 0) for entries in support] for row in constraint_rows]
 
-    # constraints may be dependent as functionals on the span (a row reducing
-    # to zero would make the KKT matrix singular); keep the reduced pivot rows,
-    # and a pivot in the rhs column means no combination meets them
-    work = [list(cb[a]) + [constraint_rhs[a]] for a in range(len(cb))]
-    pivots = _eliminate(work)
-    if any(c == r for _, c in pivots):
+    kernel = kernel_basis([[*row, -b] for row, b in zip(cb, constraint_rhs)], r + 1)
+    top = max(kernel, key=lambda v: abs(complex(v[r])), default=None)
+    p = None if top is None else _scaled_to_end_in_one(top, r)
+    if p is None:
         raise Inconsistent("constraints are unreachable on the solution space")
-    kept = [work[p] for p, _ in pivots]
-    cb = [row[:r] for row in kept]
-    q = len(cb)
-    # KKT system: [2 gram, cb^H; cb, 0] [c; lam] = [0; rhs]
-    kkt = []
-    for i in range(r):
-        kkt.append([2 * gram[i][j] for j in range(r)] + [conj(cb[a][i]) for a in range(q)])
-    for a in range(q):
-        kkt.append([cb[a][j] for j in range(r)] + [0] * q)
-    rhs = [0] * r + [row[r] for row in kept]
-    sol = solve(kkt, rhs)
+    null = [[x - v[r] * y for x, y in zip(v, p)] if v[r] else v[:r] for v in kernel if v is not top]
+    c = p
+    if null:
+        nh = [[conj(x) for x in v] for v in null]  # N*
+        n = hermitian_transpose(nh)
+        t = solve(mat_mul(nh, mat_mul(gram, n)), [-x for x in mat_vec(nh, mat_vec(gram, p))])
+        c = [x + y for x, y in zip(p, mat_vec(n, t))]
     combination = [0] * m
-    for c, entries in zip(sol[:r], support):
+    for ci, entries in zip(c, support):
         for k, x in entries:
-            combination[k] = combination[k] + c * x
+            combination[k] = combination[k] + ci * x
     return combination

@@ -1,12 +1,9 @@
-"""Exact elimination against independent oracles.
+"""Exact elimination against independent oracles, and its float twin.
 
-Two oracles: sympy (``Matrix.rref``, ``nullspace``, ``rank``, ``det``,
-``LUsolve``, ``gauss_jordan_solve``, ``is_positive_semidefinite`` and
-``DomainMatrix.rref_den``), and the rational Gauss-Jordan loop the package
-used before its elimination went fraction-free, kept here as
-``reference_eliminate``.  It is fed ints as Fractions, because its int / int
-division is a float.  Outputs must agree entry by entry, not only as spans:
-the reduced echelon form and the nullspace basis built from it are unique.
+The oracle is sympy (``nullspace``, ``rank``, ``det``, ``LUsolve``,
+``gauss_jordan_solve``, ``is_positive_semidefinite`` and
+``DomainMatrix.rref_den``).  Outputs must agree entry by entry, not only
+as spans: the nullspace basis built from the reduced echelon form is unique.
 The exact PSD verdict must agree with sympy's on drawn Hermitian matrices,
 and each way the L D L* stream can refuse a matrix has a pinned case.
 ``LDLFactor`` itself, grown on drawn Hermitian PSD matrices, must take
@@ -24,17 +21,20 @@ block of columns at a time: on shuffled block-diagonal matrices, given as
 list rows and as mapping rows, it must return sympy's nullspace vector for
 vector, and its float twin must span what a dense SVD's kernel spans.
 
-Every exact elimination runs one sparse fraction-free loop.  ``rank``,
-``solve`` and the minimum-norm constraints reduce in leftmost order, which
-must give the reference's reduced echelon form also on sparse systems of up
-to 10 x 12, where updates fill rows in.  An exact block of ``kernel_basis``
-is reduced in Markowitz order, which frees other columns than the leftmost
-order, and its basis is then restored to the reduced-echelon one.  Sparse
-systems with kernels of dimension two or more must give sympy's nullspace,
-a pinned case frees other columns, and ``reference_exact_kernel``, sympy's
-per-block reduced echelon form, must give the same basis on every
-fixed-point system that building the golden code, progression and mixture
-states and the benchmark's heavy exact states solves.
+Every linear system is read off ``kernel_basis``, so ``rank``, ``solve``
+and ``min_norm_solution`` are checked against sympy in exact mode, and
+their float twins against the exact answers: the float rank of each named
+case equals its exact rank, every float singular system raises, and every
+float minimum-norm case lies within 1e-12 of its exact answer, although
+its orthonormal kernel can hold several vectors that do not end in 0.  An
+exact block of ``kernel_basis`` is reduced in Markowitz order, which frees
+other columns than the reduced echelon form does, and its basis is then
+restored to the reduced-echelon one.  Sparse systems with kernels of
+dimension two or more must give sympy's nullspace, a pinned case frees
+other columns, and ``reference_exact_kernel``, sympy's per-block reduced
+echelon form, must give the same basis on every fixed-point system that
+building the golden code, progression and mixture states and the
+benchmark's heavy exact states solves.
 """
 
 import json
@@ -55,7 +55,6 @@ from cuntzlab import Inconsistent, QQi, linalg, moments
 from cuntzlab.linalg import (
     _MARKOWITZ,
     LDLFactor,
-    _eliminate,
     _integral,
     _sparse_reduce,
     hermitian_psd_check,
@@ -68,34 +67,6 @@ from cuntzlab.linalg import (
 from cuntzlab.scalars import DEFAULT_RANK_TOL, abs2, conj, gaussian_parts
 from cuntzlab.specio import state_from_spec
 from cuntzlab.words import words_upto
-
-
-def reference_eliminate(rows, ncols):
-    """The exact branch of the former rational Gauss-Jordan loop, in place."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = None
-        for k in range(r, len(rows)):
-            if rows[k][c] != 0:
-                p = k
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r:
-                f = rows[k][c]
-                if f == 0:
-                    continue
-                rows[k] = [xk - f * xr for xk, xr in zip(rows[k], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def to_sympy(rows):
@@ -138,55 +109,43 @@ def matrices(elements, largest=5):
         lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), min_size=m, max_size=m)))
 
 
-def assert_matches_reference(rows):
-    ours = [list(r) for r in rows]
-    ref = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    pivots = _eliminate(ours)
-    assert pivots == reference_eliminate(ref, len(rows[0]))
-    assert [ours[r] for r, _ in pivots] == [ref[r] for r, _ in pivots]
-    return pivots, ours
+def as_float(rows):
+    """The float twin of an exact matrix: complex entries when some entry is a QQi."""
+    gaussian = any(isinstance(x, QQi) for row in rows for x in row)
+    return [[complex(x) if gaussian else float(x) for x in row] for row in rows]
 
 
 def assert_matches_sympy(rows):
     ncols = len(rows[0])
-    pivots, ours = assert_matches_reference(rows)
-    rref, pivot_cols = to_sympy(rows).rref()
-    assert [c for _, c in pivots] == list(pivot_cols)
-    assert [as_qqi(ours[r]) for r, _ in pivots] == [[from_sympy(x) for x in rref.row(k)]
-                                                    for k in range(len(pivots))]
-    assert rank(rows) == to_sympy(rows).rank() == len(pivots)
+    assert rank(rows) == to_sympy(rows).rank()
     basis = kernel_basis(rows, ncols)
     assert [as_qqi(v) for v in basis] == [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_named_cases_match_sympy_and_reference(name):
+def test_named_cases_match_sympy(name):
     assert_matches_sympy(CASES[name])
+    assert rank(as_float(CASES[name])) == rank(CASES[name])
 
 
 @given(matrices(entries))
-def test_rational_matrices_match_sympy_and_reference(rows):
+def test_rational_matrices_match_sympy(rows):
     assert_matches_sympy(rows)
 
 
 @given(matrices(gaussian_entries))
-def test_gaussian_matrices_match_sympy_and_reference(rows):
+def test_gaussian_matrices_match_sympy(rows):
     assert_matches_sympy(rows)
 
 
-def test_input_rows_are_left_in_reduced_form():
-    rows = [list(r) for r in DUPLICATED]
-    pivots = _eliminate(rows)
-    assert [c for _, c in pivots] == [0, 1]
-    assert rows[0] == [1, 0, F(1, 3) / 2] and rows[1] == [0, 1, F(-3) - F(1, 12)]
-    assert all(x == 0 for x in rows[2])
 
 
 @pytest.mark.parametrize("name", ["rank_deficient_square", "duplicated_rows", "all_zero"])
 def test_singular_square_systems_raise(name):
-    rows = CASES[name][:3]
-    with pytest.raises(Inconsistent):
-        solve([r[:3] for r in rows], [1, 2, 3])
+    rows = [r[:3] for r in CASES[name][:3]]
+    for a in (rows, as_float(rows)):
+        with pytest.raises(Inconsistent):
+            solve(a, [1, 2, 3])
 
 
 @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
@@ -201,6 +160,20 @@ def test_solve_matches_sympy(system):
         return
     expected = [from_sympy(x) for x in A.LUsolve(B)]
     assert as_qqi(solve(a, b)) == expected
+
+
+def test_exact_solution_of_an_int_system_holds_no_float():
+    # the kernel vector of [a | -b] ends in the int 1, which must not turn
+    # its int entries into floats by a division
+    x = solve([[1, 0], [0, 1]], [0, 1])
+    assert x == [0, 1] and not any(isinstance(v, float) for v in x)
+
+
+@pytest.mark.parametrize("b", [[1.0, 2.0], [1.0, 3.0]], ids=["consistent", "inconsistent"])
+def test_float_singular_systems_raise(b):
+    # the kernel vector of [a | -b] for the inconsistent b ends in about 1e-16
+    with pytest.raises(Inconsistent):
+        solve([[1.0, 2.0], [2.0, 4.0]], b)
 
 
 def min_norm_oracle(basis, constraint_rows, rhs):
@@ -232,6 +205,17 @@ MIN_NORM_CASES = {
 def test_min_norm_solution_matches_sympy(name):
     basis, constraints, rhs = MIN_NORM_CASES[name]
     assert as_qqi(min_norm_solution(basis, constraints, rhs)) == min_norm_oracle(basis, constraints, rhs)
+
+
+@pytest.mark.parametrize("name", sorted(MIN_NORM_CASES))
+def test_float_min_norm_solution_is_the_exact_one(name):
+    # the float kernel of [C B | -rhs] is orthonormal: several of its vectors
+    # can end in a nonzero entry, and each must lose its multiple of p
+    basis, constraints, rhs = MIN_NORM_CASES[name]
+    exact = min_norm_solution(basis, constraints, rhs)
+    got = min_norm_solution(as_float(basis), as_float(constraints), as_float([rhs])[0])
+    assert all(isinstance(x, (float, complex)) for x in got)
+    assert max(abs(complex(x) - complex(y)) for x, y in zip(got, exact)) < 1e-12
 
 
 def test_min_norm_solution_of_the_solver_system():
@@ -582,7 +566,7 @@ def as_mapping(rows):
 
 
 def assert_blocks_match_sympy(rows, ncols):
-    assert_matches_reference(rows)
+    assert rank(rows) == to_sympy(rows).rank()
     expected = [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
     assert [as_qqi(v) for v in kernel_basis(rows, ncols)] == expected
     assert [as_qqi(v) for v in kernel_basis(as_mapping(rows), ncols)] == expected
@@ -675,18 +659,17 @@ def test_gaussian_sparse_kernels_match_sympy(case):
     assert_blocks_match_sympy(*case)
 
 
-# x1 - x2 + x3 = 0 and x0 + x1 = 0: the leftmost order pivots on columns 0
-# and 1 and frees 2 and 3.  The Markowitz order takes the shorter row first,
-# on column 0, which only it holds, then column 2, and frees 1 and 3; its
-# kernel vector of column 3, e3 + e2, must lose its entry at column 2, the
-# last column of the other vector, e1 - e0 + e2
+# x1 - x2 + x3 = 0 and x0 + x1 = 0: the reduced echelon form pivots on
+# columns 0 and 1 and frees 2 and 3.  The Markowitz order takes the shorter
+# row first, on column 0, which only it holds, then column 2, and frees 1
+# and 3; its kernel vector of column 3, e3 + e2, must lose its entry at
+# column 2, the last column of the other vector, e1 - e0 + e2
 MARKOWITZ_FREES_OTHERS = [[F(0), F(1), F(-1), F(1)], [F(1), F(1), F(0), F(0)]]
 
 
 def test_markowitz_order_frees_other_columns_and_the_basis_is_restored():
     work = [_integral(row, False) for row in as_mapping(MARKOWITZ_FREES_OTHERS)]
     assert [c for _, c in _sparse_reduce(work, _MARKOWITZ, False)] == [0, 2]
-    assert [c for _, c in _eliminate([list(r) for r in MARKOWITZ_FREES_OTHERS])] == [0, 1]
     assert kernel_basis(MARKOWITZ_FREES_OTHERS, 4) == [[-1, 1, 1, 0], [1, -1, 0, 1]]
     assert_blocks_match_sympy(MARKOWITZ_FREES_OTHERS, 4)
 

@@ -45,7 +45,12 @@ def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
             assert spec["family"] == "sub_cuntz" and argv[0] == command
     workdir, argv = plan["solve/json/report:one_word_1x10"]
     assert json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))["code"] == [[1] * 10]
-    assert sum(label.startswith("solve/") for label in plan) == 7
+    # float tables from the minimum-norm step: kernels of more than one vector
+    for name in ("sub_cuntz_power", "one_word_1x10"):
+        workdir, argv = plan[f"solve/json/moments:{name}"]
+        assert argv[0] == "moments" and argv[argv.index("--mode") + 1] == "float"
+        assert (Path(workdir) / argv[1]).is_file()
+    assert sum(label.startswith("solve/") for label in plan) == 9
 
 
 def test_selftest_seconds_are_dropped_before_comparing():

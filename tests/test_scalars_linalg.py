@@ -136,7 +136,7 @@ class TestMinNormSolution:
         assert sol == [q(fr(1, 2)), q(fr(1, 2))]
 
     def test_redundant_constraints_are_reduced_not_fatal(self):
-        # the same constraint twice must not make the KKT system singular
+        # the same constraint twice must not make the minimum-norm step singular
         sol = min_norm_solution(
             [[q(1), q(0)], [q(0), q(1)]],
             [[q(1), q(1)], [q(2), q(2)]],

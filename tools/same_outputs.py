@@ -17,7 +17,10 @@ fresh interpreter per tree, the two trees side by side:
 * exact ``report`` and ``fcs`` (json) on the exact twins of the heavy
   report_float states (dense order 6 and 7 over n = 2, order 4 over n = 3),
   and ``report`` (json) on the one-word code 1^10: the states with the
-  largest fixed-point solves.
+  largest fixed-point solves;
+* ``moments --level 3 --mode float`` (json) on ``sub_cuntz_power`` and on
+  the code 1^10, whose float fixed-point kernels have more than one vector,
+  so their tables come from the float minimum-norm step.
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -133,6 +136,11 @@ def build_plan(work: Path) -> dict:
             plan[f"solve/json/{command}:{name}"] = (str(d), [command, file, "--format", "json"])
     file = _write(d / "one_word_1x10.json", ONE_WORD)
     plan["solve/json/report:one_word_1x10"] = (str(d), ["report", file, "--format", "json"])
+    power = d / "sub_cuntz_power.json"
+    power.write_text((GOLDEN_SPECS / power.name).read_text(encoding="utf-8"), encoding="utf-8")
+    for name, spec_file in (("sub_cuntz_power", power.name), ("one_word_1x10", file)):
+        argv = ["moments", spec_file, "--level", "3", "--mode", "float", "--format", "json"]
+        plan[f"solve/json/moments:{name}"] = (str(d), argv)
     return plan
 
 
