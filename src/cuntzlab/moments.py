@@ -996,8 +996,8 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     most n base steps.  Constructing a twist grows no Gram basis.  By the
     twisted model's ``cast``, an exact g gives QQi moments and a float g
     complex ones (but omega(I), the base's own).  A lazy shift state computes
-    exactly but is marked inexact (its letters are known to a horizon), and
-    so is its twist.
+    exactly but is still marked inexact (its delta table is evidence to a
+    horizon), and so is its twist.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), the purity

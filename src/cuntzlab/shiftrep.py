@@ -5,9 +5,11 @@ Two models are provided:
 * :class:`ShiftRepresentation` -- the shift representation on the tail class
   of a one-sided infinite word x: basis vectors e_y for words y with the same
   tail as x, with pi(s_i) e_y = e_{i.y} and pi(s_i)* e_y = [y_1 = i] e_{shift y}.
-  Eventually periodic words give a fully exact model; lazily defined words
-  (rule-based, e.g. Thue-Morse) are simulated up to a declared horizon and
-  results that depend on letters beyond it are marked as cutoff-verified.
+  Eventually periodic words give a fully exact model.  So do lazily defined
+  words (rule-based, e.g. Thue-Morse), which must not be eventually periodic:
+  their canonical keys name one vector exactly when they are equal tuples, so
+  moments are exact, and only the delta table of the state's isometry
+  sequence is evidence up to the declared horizon.
 
 * :class:`GridRepresentation` -- the representation on l^2(N x Z) with
   pi(s_i) e_{k,m} = e_{n(k-1)+i, m+1}; the extra Z-grading rules out any
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotInvariant, NotUnit, SchemaError
 from .linalg import LDLFactor
@@ -55,7 +57,8 @@ class StateVector:
     """A finitely supported vector: a map from basis keys to coefficients.
 
     Zero coefficients are never stored.  The inner product is linear in the
-    second argument and, by default, sums over structurally equal keys.
+    second argument and sums over equal keys, so two keys must name the same
+    basis vector exactly when they are equal.
     """
 
     __slots__ = ("coeffs",)
@@ -95,19 +98,12 @@ class StateVector:
     def scale(self, c) -> "StateVector":
         return StateVector({k: c * v for k, v in self.coeffs.items()})
 
-    def inner(self, other: "StateVector", key_equal: Callable | None = None):
-        """<self, other>, linear in the second argument."""
-        if key_equal is None:
-            return sum(
-                (conj(c) * other.coeffs[k] for k, c in self.coeffs.items() if k in other.coeffs), 0
-            )
-        return sum(
-            (conj(c) * d for k, c in self.coeffs.items() for l, d in other.coeffs.items() if key_equal(k, l)),
-            0,
-        )
+    def inner(self, other: "StateVector"):
+        """<self, other>, linear in the second argument: a sum over the keys both vectors hold."""
+        return sum((conj(c) * other.coeffs[k] for k, c in self.coeffs.items() if k in other.coeffs), 0)
 
-    def norm2(self, key_equal: Callable | None = None):
-        return self.inner(self, key_equal)
+    def norm2(self):
+        return self.inner(self)
 
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for c in self.coeffs.values())
@@ -126,11 +122,15 @@ class ShiftRepresentation:
     """Shift representation on the tail class of the word x.
 
     For eventually periodic x the basis keys are canonical
-    :class:`EventuallyPeriodicWord` objects and everything is exact.  For a
-    :class:`LazyWord` the keys are pairs (prefix, t) standing for
-    prefix . shift^t(x), canonicalized so the prefix cannot be absorbed into
-    the tail; key equality beyond the canonical form is checked letterwise up
-    to the word's horizon.
+    :class:`EventuallyPeriodicWord` objects.  For a :class:`LazyWord` the
+    keys are pairs (prefix, t) standing for prefix . shift^t(x), canonicalized
+    so the prefix cannot be absorbed into the tail.  Since x is not eventually
+    periodic, prefix . shift^t(x) = prefix' . shift^t'(x) forces
+    t + |w| = t' for prefix' = prefix . w, and the last letter of a nonempty w
+    would be letter t' of x, which the canonical form strips: two canonical
+    keys name one vector only when they are equal, and the moments are exact
+    in both cases.  ``exact`` stays False for a lazy word: its delta table is
+    evidence to the horizon only.
     """
 
     def __init__(self, word: EventuallyPeriodicWord | LazyWord):
@@ -156,13 +156,6 @@ class ShiftRepresentation:
             t -= 1
         return (prefix, t)
 
-    def key_letter(self, key, i: int) -> int:
-        """The i-th letter (1-based) of the word named by the key."""
-        if self.lazy:
-            prefix, t = key
-            return prefix[i - 1] if i <= len(prefix) else self.word.letter(t + i - len(prefix))
-        return key.letter(i)
-
     def up(self, key, i: int):
         """Key of pi(s_i) e_key."""
         if self.lazy:
@@ -178,15 +171,6 @@ class ShiftRepresentation:
                 return (prefix[1:], t) if prefix[0] == i else None
             return ((), t + 1) if self.word.letter(t + 1) == i else None
         return key.shift() if key.letter(1) == i else None
-
-    def key_equal(self, a, b) -> bool:
-        if a == b:
-            return True
-        if not self.lazy:
-            return False
-        # letterwise comparison up to the horizon: a disagreement is exact,
-        # agreement is only cutoff-verified (the representation is marked so)
-        return all(self.key_letter(a, i) == self.key_letter(b, i) for i in range(1, self.horizon + 1))
 
     def key_str(self, key) -> str:
         if self.lazy:
@@ -231,17 +215,8 @@ class GridRepresentation:
             return None
         return ((k - 1) // self.n + 1, m - 1)
 
-    def key_equal(self, a, b) -> bool:
-        return a == b
-
     def key_str(self, key) -> str:
         return f"({key[0]},{key[1]})"
-
-
-def _inner_fn(rep):
-    if getattr(rep, "lazy", False):
-        return rep.key_equal
-    return None
 
 
 def apply_generator(rep, v: StateVector, i: int, dagger: bool = False) -> StateVector:
@@ -294,7 +269,9 @@ def _grid_digit_path(k: int, n: int) -> tuple[int, ...]:
 def vector_state(rep, x) -> MomentFunctional:
     """The state omega(y) = <v, pi(y) v> / <v, v> of a vector in the representation.
 
-    x may be a basis key or a StateVector.  Moments divide by the squared norm,
+    x may be a basis key or a StateVector.  The keys of a lazy word are put in
+    canonical form here, the coefficients of keys that name one vector merged;
+    ``up`` and ``down`` keep them canonical.  Moments divide by the squared norm,
     so unnormalized exact vectors stay exact.  They are read off the state's
     vector model (``facts.model``): v_J = pi(s_J)* v is the sparse vector
     under ``apply_generator(..., dagger=True)``, memoized by prefix, and
@@ -310,15 +287,21 @@ def vector_state(rep, x) -> MomentFunctional:
     if isinstance(rep, GridRepresentation):
         for key in v.coeffs:
             rep.check_key(key)
-    key_equal = _inner_fn(rep)
-    nrm2 = v.norm2(key_equal)
+    elif isinstance(rep, ShiftRepresentation) and rep.lazy:
+        # keys that name one vector become one tuple, so the dict inner product is exact
+        merged: dict = {}
+        for key, c in v.items():
+            key = rep._canonical(*key)
+            merged[key] = merged.get(key, 0) + c
+        v = StateVector(merged)
+    nrm2 = v.norm2()
     if scalar_is_zero(nrm2, None):
         raise SchemaError("the zero vector does not define a state")
 
     ratios: dict[int, Fraction] = {}
 
     def inner(a: StateVector, b: StateVector):
-        val = a.inner(b, key_equal)
+        val = a.inner(b)
         if type(val) is int and type(nrm2) is int:
             # a Gram matrix repeats a few integer values: one shared Fraction each, not one per entry
             ratio = ratios.get(val)
@@ -410,8 +393,8 @@ class _OrthogonalSpan:
     unit-lower factor defines, exactly those of Gram-Schmidt in exact
     arithmetic (|b_k|^2 = D_k)."""
 
-    def __init__(self, key_equal):
-        self.factor = LDLFactor(lambda a, b: a.inner(b, key_equal))
+    def __init__(self):
+        self.factor = LDLFactor(StateVector.inner)
         self.basis: list[StateVector] = []
 
     def residual(self, c) -> StateVector:
@@ -434,7 +417,7 @@ class _OrthogonalSpan:
 
 def _invariant_span(rep, vectors: Sequence[StateVector]) -> _OrthogonalSpan:
     """The span of M, after checking that pi(s_i)* maps M into it."""
-    span = _OrthogonalSpan(_inner_fn(rep))
+    span = _OrthogonalSpan()
     if not span.extend(vectors):
         raise SchemaError("M must span a nonzero subspace")
     for v in vectors:
@@ -461,7 +444,7 @@ def dhj_grading(rep, M: Sequence[StateVector], depth: int) -> list[list[StateVec
     spanning = levels[0]  # independent spanning set of the current level-k image
     for _ in range(depth):
         images = [apply_generator(rep, b, i) for b in spanning for i in range(1, rep.n + 1)]
-        spanning = _OrthogonalSpan(_inner_fn(rep)).extend(images)
+        spanning = _OrthogonalSpan().extend(images)
         levels.append(total.extend(images))
     if not exact:
         levels = [[b.scale(1.0 / sqrt(abs(complex(b.norm2())))) for b in level] for level in levels]

@@ -385,34 +385,26 @@ def value_to_json(value, unresolved=None):
 
 
 def certificate_to_json(cert) -> dict:
-    """Flatten a certificate into the report-JSON shape keyed by kind."""
+    """Flatten a certificate into the report-JSON shape keyed by its kind."""
     if isinstance(cert, Minimal):
-        return {"certificate": "minimal", "u": element_to_json(cert.u)}
-    if isinstance(cert, ProperlyInfinite):
-        out = {"certificate": "properly_infinite", "status": cert.status}
+        fields = {"u": element_to_json(cert.u)}
+    elif isinstance(cert, ProperlyInfinite):
+        fields = {"status": cert.status}
         if cert.cutoff is not None:
-            out["cutoff"] = cert.cutoff
+            fields["cutoff"] = cert.cutoff
         if cert.a is not None:
-            out["sequence"] = cert.a.description
-        return out
-    if isinstance(cert, ShiftPeriod):
-        return {"certificate": "shift_period", "d": cert.d}
-    if isinstance(cert, EquivalentToCuntz):
-        return {
-            "certificate": "equivalent_to_cuntz",
-            "z": [scalar_to_json(c) for c in cert.z],
-            "provenance": cert.provenance,
-        }
-    if isinstance(cert, LowerBoundOnly):
-        out = {
-            "certificate": "lower_bound_only",
-            "interval": [cert.low, value_to_json(cert.high)],
-            "note": cert.note,
-        }
+            fields["sequence"] = cert.a.description
+    elif isinstance(cert, ShiftPeriod):
+        fields = {"d": cert.d}
+    elif isinstance(cert, EquivalentToCuntz):
+        fields = {"z": [scalar_to_json(c) for c in cert.z], "provenance": cert.provenance}
+    elif isinstance(cert, LowerBoundOnly):
+        fields = {"interval": [cert.low, value_to_json(cert.high)], "note": cert.note}
         if cert.level is not None:
-            out["level"] = cert.level
-        return out
-    raise SchemaError(f"unknown certificate type {type(cert).__name__}")
+            fields["level"] = cert.level
+    else:
+        raise SchemaError(f"unknown certificate type {type(cert).__name__}")
+    return {"certificate": cert.kind, **fields}
 
 
 def fcs_to_json(F: FCSPresentation) -> dict:

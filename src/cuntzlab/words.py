@@ -6,8 +6,8 @@ s_1 s_2 s_2.  Infinite words come in two flavors:
 * :class:`EventuallyPeriodicWord` -- ``pre . per per per ...`` stored in a
   canonical form (primitive period, right-stripped preperiod) so that equality
   of infinite words is structural equality;
-* :class:`LazyWord` -- rule-generated words (Thue-Morse, Sturmian) whose
-  comparisons are only certified up to a finite horizon.
+* :class:`LazyWord` -- rule-generated words (Thue-Morse, Sturmian) that are
+  not eventually periodic, read letter by letter up to a finite horizon.
 
 >>> primitive_root((1, 2, 1, 2))
 ((1, 2), 2)
@@ -193,11 +193,14 @@ class EventuallyPeriodicWord:
 
 
 class LazyWord:
-    """A rule-generated infinite word compared only up to a horizon.
+    """A rule-generated infinite word that is not eventually periodic.
 
-    The rule maps a 1-based index to a letter in {1..n}.  Nothing is assumed
-    about periodicity; any decision that consumes a LazyWord is marked as
-    cutoff-verified at ``horizon`` letters.
+    The rule maps a 1-based index to a letter in {1..n}.  The word must not be
+    eventually periodic (both presets are not): the shift representation then
+    tells its canonical keys apart by tuple equality, with no letter compared.
+    ``horizon`` bounds only the checks that read letters one by one, such as
+    the delta table of the state's isometry sequence, whose answers are
+    evidence up to it.
     """
 
     __slots__ = ("n", "rule", "horizon", "name", "_cache")

@@ -20,10 +20,13 @@ so in CHANGES.md.
 ``tests/golden/<name>.moments.json`` holds the stdout of
 ``cuntzlab moments <spec> --level 3 --format json`` for every spec, and
 ``tests/golden/vector_lazy.kappa.json`` and ``.kappa.txt`` that of ``cuntzlab
-kappa`` on the lazy shift state in both formats (the text one carries the
+kappa`` on the lazy Thue-Morse state in both formats (the text one carries the
 delta-table re-check line).  All were written before the induced-product,
 shift and grid states and the exact twists of them read their moments off a
-vector model, so they pin every moment value and its printed form.
+vector model, so they pin every moment value and its printed form.  The files
+of ``vector_sturmian``, the lazy Sturmian state, were written once its keys
+compared as tuples; only its ``kappa`` text moved then, from a failed
+delta-table re-check to evidence.
 
 Every golden state has a vector model of its own, so every spec twisted by
 a complex unitary steps it and none expands the gauge images.

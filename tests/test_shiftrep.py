@@ -6,6 +6,8 @@ from itertools import product
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzlab import (
     LAZY_PRESETS,
@@ -22,8 +24,10 @@ from cuntzlab import (
     lemma_convergence_check,
     monomial,
     vector_state,
+    verify_properly_infinite,
     words_upto,
 )
+from cuntzlab.cli import run
 from cuntzlab.scalars import DEFAULT_EQ_TOL, is_exact_scalar
 from cuntzlab.shiftrep import LazyWord, StateVector
 
@@ -108,6 +112,47 @@ class TestLazyWords:
         assert r.value >= 5
 
 
+class TestLazyKeysAreTuples:
+    """A preset is not eventually periodic, so two canonical keys name one
+    vector only when they are equal tuples; keys are made canonical once, as
+    the state is built."""
+
+    def test_keys_that_name_one_vector_merge_at_entry(self):
+        # Thue-Morse starts with 1, so 1 . shift^1(t) is t itself: the vector
+        # is 2 e_t, whose state is that of e_t
+        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 64))
+        w = vector_state(rep, StateVector({((1,), 1): 1, ((), 0): 1}))
+        base = vector_state(rep, ((), 0))
+        assert w.moment((1,), (1,)) == 1
+        for J in words_upto(2, 3):
+            for K in words_upto(2, 3):
+                assert w.moment(J, K) == base.moment(J, K), (J, K)
+
+    # the Fibonacci word x agrees with shift^K x beyond the horizon when K is
+    # a Fibonacci number, yet x is not eventually periodic: omega(s_K*) = 0
+    # for K the first F letters of x
+    @pytest.mark.parametrize("horizon, length", [(16, 13), (64, 55), (256, 233)])
+    def test_sturmian_long_repetitions_are_told_apart(self, horizon, length):
+        lw = LAZY_PRESETS["sturmian"](2, horizon)
+        w = vector_state(ShiftRepresentation(lw), ((), 0))
+        assert w.moment((), lw.prefix(length)) == 0
+
+    @pytest.mark.parametrize("horizon", [16, 64])
+    def test_sturmian_kappa_recheck_holds(self, horizon, spec_file, capsys):
+        spec = {"family": "vector", "rep": {"kind": "lazy", "preset": "sturmian", "horizon": horizon}, "key": [[], 0]}
+        assert run(["kappa", spec_file(spec)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"delta table re-checked to cutoff {horizon}: status evidence")
+
+    @settings(max_examples=12)
+    @given(preset=st.sampled_from(sorted(LAZY_PRESETS)), horizon=st.integers(1, 64))
+    def test_delta_table_is_exactly_delta(self, preset, horizon):
+        w = vector_state(ShiftRepresentation(LAZY_PRESETS[preset](2, horizon)), ((), 0))
+        check = verify_properly_infinite(w, cutoff=horizon)
+        assert check.status == "evidence"
+        assert check.table == tuple(tuple(int(l == k) for k in range(horizon)) for l in range(horizon))
+
+
 class TestGridRepresentation:
     def test_up_and_down_moves(self):
         g = GridRepresentation(2)
@@ -148,16 +193,25 @@ class TestGridRepresentation:
 
 def _strip_formula(rep, v, J, K):
     """The moments as they were computed before the vector model: strip J and
-    K off v from scratch, letter by letter, and divide <left, right> by <v, v>."""
+    K off v from scratch, letter by letter, and divide <left, right> by <v, v>.
+    A lazy key (prefix, t) is first rebuilt as pi(s_prefix) e_{shift^t x},
+    raised one letter at a time from the bare tail."""
 
     def strip(u, W):
         for a in W:
             u = apply_generator(rep, u, a, dagger=True)
         return u
 
-    key_equal = rep.key_equal if rep.lazy else None
-    val = strip(v, J).inner(strip(v, K), key_equal)
-    nrm2 = v.norm2(key_equal)
+    def lift(prefix, t):
+        u = StateVector.basis(((), t))
+        for a in reversed(prefix):
+            u = apply_generator(rep, u, a)
+        return u
+
+    if rep.lazy:
+        v = sum((lift(*key).scale(c) for key, c in v.items()), StateVector())
+    val = strip(v, J).inner(strip(v, K))
+    nrm2 = v.norm2()
     if is_exact_scalar(val) and is_exact_scalar(nrm2):
         return Fraction(val, nrm2) if isinstance(val, int) and isinstance(nrm2, int) else val / nrm2
     return complex(val) / complex(nrm2)
