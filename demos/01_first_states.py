@@ -10,15 +10,15 @@ minimum kappa).
 
 from fractions import Fraction
 
-from cuntzlab import QQi, cdim, eval_moment, kappa, make_cuntz, make_prefix_code_state
+from cuntzlab import QQi, cdim, kappa, make_cuntz, make_prefix_code_state
 
 # A state is parameterized concretely.  The simplest family takes a unit
 # vector z and acts like a coherent state: omega(s_J s_K*) = conj(z_J) z_K.
 z = [QQi(Fraction(3, 5)), QQi(Fraction(4, 5))]
 omega = make_cuntz(z)
 
-print("omega(s_1 s_2*)      =", eval_moment(omega, (1,), (2,)))  # 12/25, exact
-print("omega(s_12 s_21*)    =", eval_moment(omega, (1, 2), (2, 1)))  # 144/625
+print("omega(s_1 s_2*)      =", omega.moment((1,), (2,)))  # 12/25, exact
+print("omega(s_12 s_21*)    =", omega.moment((1, 2), (2, 1)))  # 144/625
 
 # cdim counts the dimensions the annihilators can reach from the cyclic
 # vector.  For this family that span is one-dimensional, and the engine
@@ -34,8 +34,8 @@ print("kappa =", k.value, "certified by", type(k.certificate).__name__)
 # (1 2) repeats with period two, so two tail vectors appear.
 word_state = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
 print()
-print("word state omega'(s_12)   =", eval_moment(word_state, (1, 2)))  # 1
-print("word state omega'(s_1)    =", eval_moment(word_state, (1,)))  # 0
+print("word state omega'(s_12)   =", word_state.moment((1, 2)))  # 1
+print("word state omega'(s_1)    =", word_state.moment((1,)))  # 0
 r2 = cdim(word_state)
 print("cdim =", r2.value, "with pivot words", r2.pivot_words)
 k2 = kappa(word_state)

@@ -51,13 +51,12 @@ from .errors import (
     SchemaError,
     ValidationFailed,
 )
-from .fcs import FCSPresentation, check_row_isometry, extract_fcs, fcs_moment
+from .fcs import FCSPresentation, check_row_isometry, extract_fcs
 from .moments import (
     IsometrySequence,
     MomentFunctional,
     StateFacts,
     VectorModel,
-    eval_moment,
     gram_matrix,
     hat_parameter,
     hat_parameter_inverse,
@@ -99,7 +98,7 @@ __all__ = [
     # symbolic algebra
     "CuntzElement", "adjoint", "gauge_apply", "gen", "identity", "monomial", "multiply",
     # states
-    "IsometrySequence", "MomentFunctional", "StateFacts", "VectorModel", "eval_moment", "gram_matrix",
+    "IsometrySequence", "MomentFunctional", "StateFacts", "VectorModel", "gram_matrix",
     "hat_parameter", "hat_parameter_inverse", "make_cuntz", "make_geometric_progression",
     "make_induced_product", "make_mixture", "make_prefix_code_state",
     "make_split_series_sandwich", "make_sub_cuntz", "positivity_check",
@@ -108,7 +107,7 @@ __all__ = [
     "GridRepresentation", "ShiftRepresentation", "StateVector",
     "apply_element", "apply_generator", "dhj_grading", "lemma_convergence_check", "vector_state",
     # compression
-    "FCSPresentation", "check_row_isometry", "extract_fcs", "fcs_moment",
+    "FCSPresentation", "check_row_isometry", "extract_fcs",
     # invariants
     "CdimResult", "EquivalentToCuntz", "EquivDecision", "KappaResult",
     "LowerBoundOnly", "Minimal", "ProperlyInfinite", "PropInfCheck", "PurityDecision",

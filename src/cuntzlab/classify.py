@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import AlphabetMismatch, NotInCatalog, NotUnit, SchemaError, ValidationFailed
 from .linalg import LDLFactor, hermitian_transpose, mat_vec
-from .moments import IsometrySequence, MomentFunctional, _progression_code, sequence_factory
+from .moments import IsometrySequence, MomentFunctional, _check_table_words, _progression_code, sequence_factory
 from .scalars import abs2, conj, scalar_is_zero, scalars_close
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
 from .symalg import CuntzElement, gauge_apply, is_isometry_in_plus
@@ -98,21 +98,24 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
     them greedily, largest residual first with a lexicographic tie-break.  Float
     residuals within the rank tolerance times max(1, diag) of the largest
     are tied, so a float growth breaks ties as its exact twin does.  A level
-    that admits nothing stabilizes the subspace for good.  The growth reads
-    only ``model.moment``, so a built-in state's growth fills no memo.
+    that admits nothing stabilizes the subspace for good.
 
     The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
     kappa and fcs of one state share it.  Float rank decisions compare
     against ``tol`` (default DEFAULT_RANK_TOL) relative to max(1, diag); the
     library never passes it, but bench/tracer.py binds it by name.
     """
-    if L_max < 1:
-        raise SchemaError(f"the level cap must be at least 1, got {L_max}")
+    _check_level_cap(L_max)
     key = (L_max, tol)
     growth = omega._growths.get(key)
     if growth is None:
         growth = omega._growths[key] = _grow(omega, L_max, tol)
     return growth
+
+
+def _check_level_cap(L_max: int) -> None:
+    if L_max < 1:
+        raise SchemaError(f"the level cap must be at least 1, got {L_max}")
 
 
 def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
@@ -367,9 +370,11 @@ def _search_minimal_isometry(omega: MomentFunctional, depth: int):
     the span of {pi(s_W) Omega : W in P}, and u = sum conj(omega(s_W)) s_W is
     then an isometry with omega(u) = 1.  Candidates: the uniform codes of each
     order m <= depth and, for every letter, the codes {a^r i : i != a, r < k}
-    + {a^k} for k <= depth.
+    + {a^k} for k <= depth.  A depth whose uniform codes exceed the table
+    limit is refused before any word is listed.
     """
     n = omega.n
+    _check_table_words(n, 1, depth, f"the uniform codes of a search to depth {depth} over {n} letters exceed")
     codes = [list(all_words(n, m)) for m in range(1, depth + 1)]
     for axis in range(1, n + 1):
         codes.extend(_progression_code(k, n, axis) for k in range(2, depth + 1))
@@ -404,8 +409,10 @@ def kappa(
     ``None`` with a ``LowerBoundOnly`` interval [low, high] -- never a guess.
     With ``search_certificates`` a bounded prefix-code search (depth
     ``search_depth``) tries to find a minimality certificate first; its
-    failure is reported in the note.
+    failure is reported in the note.  The level cap is checked whatever the
+    facts say.
     """
+    _check_level_cap(L_max)
     if search_depth < 1:
         raise SchemaError(f"the search depth must be at least 1, got {search_depth}")
     facts = omega.facts
@@ -575,8 +582,10 @@ def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, L_max: int = 
     for uniquely determined progression states on the same code; the exact
     overlap-series criterion for induced product states; and separation by
     the certified invariants kappa and purity.  Everything else is Unknown.
-    ``L_max`` caps the Gram growth behind kappa.
+    ``L_max`` caps the Gram growth behind kappa, and is checked whichever
+    rule decides.
     """
+    _check_level_cap(L_max)
     if omega1.n != omega2.n:
         raise AlphabetMismatch(f"states live on O_{omega1.n} and O_{omega2.n}")
 

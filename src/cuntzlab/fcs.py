@@ -25,11 +25,9 @@ from .errors import ValidationFailed
 from .linalg import hermitian_transpose, mat_mul
 from .moments import MomentFunctional, VectorModel
 from .scalars import conj, scalars_close
-from .words import Word, check_word
 
 __all__ = [
     "FCSPresentation",
-    "fcs_moment",
     "presentation",
     "extract_fcs",
     "check_row_isometry",
@@ -78,11 +76,6 @@ class FCSPresentation(NamedTuple):
             return [sum((c * v[r] for c, v in pairs if v[r]), zero) for r in range(d)]
 
         return VectorModel(list(self.omega), lambda v, i: apply(A[i - 1], v), inner, combine)
-
-
-def fcs_moment(F: FCSPresentation, J: Word, K: Word = ()):
-    """omega(s_J s_K*) = <A_J Omega, A_K Omega>_G (linear in the second word)."""
-    return F.model().moment(check_word(J, F.n), check_word(K, F.n))
 
 
 def check_row_isometry(F: FCSPresentation) -> bool:

@@ -35,9 +35,8 @@ label.  Which constructor fills which fact:
                                      the direct sum of the components' models.
 * ``transform_gauge``             -- omega o alpha_g.  The twist (omega, g);
                                      from the base only its Cuntz parameter
-                                     (moved by g^H) and its purity.  A twist
-                                     steps the base's ``model`` and keeps
-                                     it.
+                                     (moved by g^H) and its purity; the
+                                     base's model, twisted.
 * ``transform_sandwich``          -- isometric sandwiches.  Purity when the
                                      base is decided pure; a user-declared
                                      Cuntz parameter; pi(A) Omega's model.
@@ -57,16 +56,15 @@ construction with the fixed tolerance ``scalars.DEFAULT_EQ_TOL``, the same
 one classification uses, so the two always agree.
 
 Inner products are linear in the second argument throughout, so
-omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  Every state has a
-:class:`VectorModel` of these vectors, memoized by prefix, and it is the
-one reader of the state's moments: ``model.moment`` and ``model.gram``
-apply the model's ``cast``, which fixes each moment's type (``_as_qqi``
-for exact mixtures, sandwiches and twists, ``_as_complex`` for float
-twists).  Every family builds its model at construction (``facts.model``);
-a raw ``MomentFunctional`` has the word model, spanned by the words
-themselves, whose inner products read the moment memo.  Otherwise the
-memo backs only ``moment()`` and ``moment_of_element``.  A finitely
-correlated presentation is a model too (``fcs.FCSPresentation.model``).
+omega(s_J s_K*) = <pi(s_J)* Omega, pi(s_K)* Omega>.  A state is its
+:class:`VectorModel` of these vectors, memoized by prefix, ``omega.model``:
+the one reader of its moments.  ``model.moment`` and ``model.gram`` apply
+the model's ``cast``, which fixes each moment's type (``_as_qqi`` for exact
+mixtures, sandwiches and twists, ``_as_complex`` for float twists).  Every
+family constructor hands its model to ``MomentFunctional`` as the moment
+function; any other function is read through its ``word_model``, whose
+inner products fill the state's ``_memo``.  A finitely correlated
+presentation is a model too (``fcs.FCSPresentation.model``).
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ __all__ = [
     "VectorModel",
     "StateFacts",
     "MomentFunctional",
-    "eval_moment",
+    "word_model",
     "gram_matrix",
     "make_cuntz",
     "make_prefix_code_state",
@@ -208,6 +206,9 @@ class VectorModel:
         value = self.inner(self.vector(J), self.vector(K))
         return value if self.cast is None else self.cast(value, J, K)
 
+    # a model is a moment function, so it can be a state's source
+    __call__ = moment
+
     def gram(self, rows: Sequence[Word], cols: Sequence[Word] | None = None) -> list:
         """[[moment(J, K) for K in cols] for J in rows], cols defaulting to rows, each vector fetched once."""
         xs = [self.vector(J) for J in rows]
@@ -265,15 +266,7 @@ class StateFacts(NamedTuple):
       still to be verified;
     * ``sequence``: an isometry sequence with its delta-table status;
     * ``twist``: (base, g) for the state base o alpha_g;
-    * ``solution_dim``: dimension of the fixed-point system of a prefix code;
-    * ``model``: the :class:`VectorModel` the family builds at construction:
-      the suffix model of a Cuntz or prefix-code state, the direct sum of a
-      mixture's components, pi(A) Omega over a sandwich's base, the closed
-      forms of induced products and shift and grid vector states, and on a
-      gauge twist the twisted model of its base, and the direct sum over
-      l of the permutative models of the series sandwich.  The state's
-      moments are its ``moment``s, cast by the model.  Raw functionals
-      have none.
+    * ``solution_dim``: dimension of the fixed-point system of a prefix code.
     """
 
     purity: tuple = _UNKNOWN_PURITY
@@ -287,84 +280,68 @@ class StateFacts(NamedTuple):
     sequence: IsometrySequence | None = None
     twist: tuple | None = None
     solution_dim: int | None = None
-    model: VectorModel | None = None
 
 
 class MomentFunctional:
     """A state on O_n presented through its moments omega(s_J s_K*).
 
-    ``family`` labels the constructor (for display and tracing only);
-    ``facts`` holds what the constructor proved.  A family's evaluator is
-    its model's ``moment``, which casts, so ``moment()`` gives the values
-    and types the library reads off :attr:`model` (the Gram growth, fcs,
-    the gate).  The memo backs only ``moment()``, ``moment_of_element``
-    and the word model of a raw functional.
+    ``source`` is the moment function (J, K) -> omega(s_J s_K*).  A
+    :class:`VectorModel` source is the state's ``model``; any other is read
+    through ``word_model(source, self._memo)``.  The source is positional
+    and the memo kept because ``bench/tracer.py`` wraps the source in a
+    plain function and counts the memo's growth around ``moment()``, so a
+    traced state reads its word model.  ``family`` labels the constructor
+    (for display and tracing only); ``facts`` holds what it proved.
     """
 
-    def __init__(
-        self,
-        n: int,
-        family: str,
-        evaluator: Callable[[Word, Word], object],
-        *,
-        facts: StateFacts = StateFacts(),
-        exact: bool = True,
-        warnings: Iterable[str] = (),
-    ):
+    def __init__(self, n: int, family: str, source: Callable[[Word, Word], object], *,
+                 facts: StateFacts = StateFacts(), exact: bool = True, warnings: Iterable[str] = ()):
         self.n = n
         self.family = family
         self.facts = facts
         self.exact = exact
         self.warnings = list(warnings)
-        self._evaluator = evaluator
         self._memo: dict[tuple[Word, Word], object] = {}
+        self.model = source if isinstance(source, VectorModel) else word_model(source, self._memo)
         # finished Gram growths per (level cap, rank tolerance); see classify.gram_growth
         self._growths: dict[tuple, object] = {}
-        self._word_model: VectorModel | None = None
 
     def moment(self, J: Word, K: Word = ()) -> object:
         """omega(s_J s_K*), with J and K checked as words over 1..n."""
-        return self.lookup(check_word(J, self.n), check_word(K, self.n))
-
-    def lookup(self, J: Word, K: Word = ()) -> object:
-        """omega(s_J s_K*) for tuples J, K the caller built as words over 1..n:
-        the memoized value, with no validation, behind ``moment()``,
-        ``moment_of_element`` and the word model; the library reads ``model``."""
-        key = (J, K)
-        memo = self._memo
-        hit = memo.get(key)
-        if hit is None and key not in memo:
-            hit = memo[key] = self._evaluator(J, K)
-        return hit
+        return self.model.moment(check_word(J, self.n), check_word(K, self.n))
 
     def moment_of_element(self, x: CuntzElement) -> object:
         if x.n != self.n:
             raise SchemaError(f"element over n={x.n}, state over n={self.n}")
-        return sum((c * self.lookup(J, K) for (J, K), c in x.terms.items()), 0)
-
-    def moment_of_pair(self, x: dict, y: dict) -> object:
-        """omega(x y*) for creation-span x, y given as {word: coefficient}:
-        the sum of x_J conj(y_K) omega(s_J s_K*), with no product formed."""
-        return sum((cx * conj(cy) * self.lookup(J, K) for J, cx in x.items() for K, cy in y.items()), 0)
-
-    @property
-    def model(self) -> VectorModel:
-        """The state's vectors: the family's ``facts.model``, or else the word
-        model, built on first use, where pi(P)* Omega for P = sum_J x_J s_J
-        is the map {J: x_J}, starting at {(): 1}.  A step appends the letter,
-        pi(s_i)* pi(P)* Omega = pi(P s_i)* Omega, and the inner product
-        omega(P Q*) = ``moment_of_pair`` sums |P| |Q| moments of the memo."""
-        if self.facts.model is not None:
-            return self.facts.model
-        if self._word_model is None:
-            # c pi(P)* Omega = pi(conj(c) P)* Omega
-            self._word_model = VectorModel({(): 1}, lambda x, i: {J + (i,): c for J, c in x.items()},
-                                           self.moment_of_pair,
-                                           lambda pairs: _combine_maps((conj(c), x) for c, x in pairs))
-        return self._word_model
+        moment = self.model.moment
+        return sum((c * moment(J, K) for (J, K), c in x.terms.items()), 0)
 
     def __repr__(self):
         return f"MomentFunctional(n={self.n}, family={self.family!r})"
+
+
+def word_model(moment: Callable[[Word, Word], object], memo: dict) -> VectorModel:
+    """The model of a moment function spanned by the words themselves.
+
+    pi(P)* Omega for P = sum_J x_J s_J is the map {J: x_J}, starting at
+    {(): 1}.  A step appends the letter, pi(s_i)* pi(P)* Omega =
+    pi(P s_i)* Omega, and the inner product omega(P Q*) is the sum of
+    x_J conj(y_K) omega(s_J s_K*), each moment read once into ``memo``.
+    """
+
+    def read(J: Word, K: Word):
+        if (J, K) not in memo:
+            memo[J, K] = moment(J, K)
+        return memo[J, K]
+
+    def inner(x: dict, y: dict):
+        terms = [cx * conj(cy) * read(J, K) for J, cx in x.items() for K, cy in y.items()]
+        # a one-term sum is that term, with no int 0 added
+        return sum(terms[1:], terms[0]) if terms else 0
+
+    # c pi(P)* Omega = pi(conj(c) P)* Omega
+    return VectorModel({(): 1}, lambda x, i: {J + (i,): c for J, c in x.items()}, inner,
+                       lambda pairs: _combine_maps((conj(c), x) for c, x in pairs))
 
 
 def _combine_maps(pairs) -> dict:
@@ -376,14 +353,9 @@ def _combine_maps(pairs) -> dict:
     return out
 
 
-def eval_moment(omega: MomentFunctional, J: Word, K: Word = ()) -> object:
-    """omega(s_J s_K*); K defaults to the empty word."""
-    return omega.moment(J, K)
-
-
 def gram_matrix(omega: MomentFunctional, words: Sequence[Word]):
     """Gram matrix of the vectors pi(s_J)* Omega for J in words, each word
-    checked once, read off ``omega.model``, so only a raw functional fills the memo."""
+    checked once, read off ``omega.model``."""
     return omega.model.gram([check_word(J, omega.n) for J in words])
 
 
@@ -427,9 +399,8 @@ def make_cuntz(z) -> MomentFunctional:
         tail_class=_single_word_tail(letters.items(), n),
         tensor=(1, letters),
         minimal_isometry=CuntzElement(n, {(w, ()): c for w, c in letters.items() if not scalar_is_zero(c, 0.0)}),
-        model=model,
     )
-    return MomentFunctional(n, "cuntz", model.moment, facts=facts, exact=exact)
+    return MomentFunctional(n, "cuntz", model, facts=facts, exact=exact)
 
 
 class _Group(dict):
@@ -601,6 +572,14 @@ def _read_code(P, z, n: int) -> _PrefixCode:
 _MAX_TABLE_WORDS = 1 << 14
 
 
+def _check_table_words(n: int, lo: int, hi: int, what: str) -> None:
+    """Refuse, before any is listed, the words of lengths lo..hi over n
+    letters when they exceed _MAX_TABLE_WORDS; ``what`` leads the error."""
+    # n^hi >= 2^hi exceeds the limit once hi reaches its bit length, so a long word forms no power
+    if hi >= _MAX_TABLE_WORDS.bit_length() or sum(n**l for l in range(lo, hi + 1)) > _MAX_TABLE_WORDS:
+        raise SchemaError(f"{what} {_MAX_TABLE_WORDS} words")
+
+
 def _add_scaled(acc: dict, expr: dict, c, conjugated: bool = False) -> None:
     """acc += c * expr (or c * conj(expr)) for R-linear expressions
     {(word, conjugated): coefficient} in the unknowns v_word."""
@@ -639,11 +618,7 @@ def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
 def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
     check_unit([pc.z[w] for w in pc.code])
     zmap, M, head, tails = pc.z, pc.max_len, pc.head, pc.tails
-    # the sum_{l <= M} n^l words are counted before any is listed; n^M >= 2^M
-    # exceeds the limit once M reaches its bit length, so a long word forms no power
-    if M >= _MAX_TABLE_WORDS.bit_length() or sum(n**l for l in range(M + 1)) > _MAX_TABLE_WORDS:
-        raise SchemaError(f"the fixed-point table of the words up to length {M} over {n} letters "
-                          f"exceeds {_MAX_TABLE_WORDS} words")
+    _check_table_words(n, 0, M, f"the fixed-point table of the words up to length {M} over {n} letters exceeds")
     table_words = list(words_upto(n, M))
     index = {w: i for i, w in enumerate(table_words)}
     width = 2 * len(table_words)
@@ -806,9 +781,8 @@ def make_prefix_code_state(P, z, n: int | None = None) -> MomentFunctional:
         progression=progression,
         minimal_isometry=u,
         solution_dim=dim,
-        model=model,
     )
-    return MomentFunctional(n, family, model.moment, facts=facts, exact=pc.exact, warnings=sol.warnings)
+    return MomentFunctional(n, family, model, facts=facts, exact=pc.exact, warnings=sol.warnings)
 
 
 def make_sub_cuntz(m: int, z, n: int) -> MomentFunctional:
@@ -938,9 +912,8 @@ def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
                            "aligns it with itself, the overlap series converges, and the state decomposes"),
         induced=blocks,
         sequence=seq,
-        model=model,
     )
-    return MomentFunctional(n, "induced_product", model.moment, facts=facts, exact=exact)
+    return MomentFunctional(n, "induced_product", model, facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -963,8 +936,8 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
         raise SchemaError("weights must be positive and sum to 1")
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
     model = _mixture_model(weights, [s.model for s in states], exact)
-    facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"), model=model)
-    return MomentFunctional(n, "mixture", model.moment, facts=facts, exact=exact)
+    facts = StateFacts(purity=("NotPure", "constructed as an explicit convex mixture"))
+    return MomentFunctional(n, "mixture", model, facts=facts, exact=exact)
 
 
 def _mixture_model(weights, models: Sequence[VectorModel], exact: bool) -> VectorModel:
@@ -1018,8 +991,8 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     if verdict != "Unknown":
         reason += "; composition with a gauge automorphism preserves purity"
     model = omega.model.twisted(g, g_exact)
-    facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g), model=model)
-    return MomentFunctional(n, "gauge", model.moment, facts=facts, exact=omega.exact and g_exact)
+    facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g))
+    return MomentFunctional(n, "gauge", model, facts=facts, exact=omega.exact and g_exact)
 
 
 def _as_qqi(value, J: Word, K: Word):
@@ -1076,9 +1049,8 @@ def transform_sandwich(
     facts = StateFacts(
         purity=("Pure", _PURE_IN_PURE) if omega.facts.purity[0] == "Pure" else _UNKNOWN_PURITY,
         cuntz=(tuple(equivalent_to_cuntz), "user") if equivalent_to_cuntz is not None else None,
-        model=model,
     )
-    return MomentFunctional(n, "sandwich", model.moment, facts=facts, exact=exact)
+    return MomentFunctional(n, "sandwich", model, facts=facts, exact=exact)
 
 
 def _sandwich_model(base: VectorModel, A: CuntzElement, exact: bool) -> VectorModel:
@@ -1163,8 +1135,8 @@ def make_split_series_sandwich() -> MomentFunctional:
         return sum(terms[1:], terms[0]) if terms else zero
 
     model = VectorModel({("T", 0): QQi(1)}, step, inner, _combine_maps)
-    facts = StateFacts(purity=("Pure", _PURE_IN_PURE), cuntz=((QQi(1), QQi(0)), "family"), model=model)
-    return MomentFunctional(2, "sandwich_series", model.moment, facts=facts)
+    facts = StateFacts(purity=("Pure", _PURE_IN_PURE), cuntz=((QQi(1), QQi(0)), "family"))
+    return MomentFunctional(2, "sandwich_series", model, facts=facts)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def vector_state(rep, x) -> MomentFunctional:
     canonical form here, the coefficients of keys that name one vector merged;
     ``up`` and ``down`` keep them canonical.  Moments divide by the squared norm,
     so unnormalized exact vectors stay exact.  They are read off the state's
-    vector model (``facts.model``): v_J = pi(s_J)* v is the sparse vector
+    vector model (``omega.model``): v_J = pi(s_J)* v is the sparse vector
     under ``apply_generator(..., dagger=True)``, memoized by prefix, and
     omega(s_J s_K*) = <v_J, v_K> / <v, v>.  The facts record holds what the
     representation provides: purity (both models are irreducible); for an
@@ -379,7 +379,7 @@ def vector_state(rep, x) -> MomentFunctional:
     else:
         family = "vector"
         facts = StateFacts()
-    return MomentFunctional(n, family, model.moment, facts=facts._replace(model=model), exact=exact)
+    return MomentFunctional(n, family, model, facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------

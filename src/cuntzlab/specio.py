@@ -67,7 +67,7 @@ from .moments import (
     transform_gauge,
     transform_sandwich,
 )
-from .scalars import QQi, format_float, is_exact_scalar
+from .scalars import QQi, format_float
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
 from .symalg import CuntzElement
 from .words import LAZY_PRESETS, EventuallyPeriodicWord, check_word
@@ -364,10 +364,9 @@ def parse_spec(path: str, mode: str = "auto"):
     omega = state_from_spec(obj, mode)
     ok, min_eig = positivity_check(omega, level=2)
     if not ok:
-        witness = format_float(float(min_eig)) if not is_exact_scalar(min_eig) else str(min_eig)
         raise GateFailed(
             f"{path}: the level-2 moment matrix is not positive semidefinite "
-            f"(smallest eigenvalue estimate {witness})"
+            f"(smallest eigenvalue estimate {format_float(min_eig)})"
         )
     return omega
 

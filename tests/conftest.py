@@ -47,6 +47,18 @@ def spec_file(tmp_path):
     return write
 
 
+@pytest.fixture
+def no_word_model(monkeypatch):
+    """Fail the test if a state is built on a moment function that is not a
+    vector model: every family constructor hands in the model it builds."""
+    import cuntzlab.moments as moments
+
+    def refuse(moment, memo):
+        raise AssertionError(f"a word model over {moment!r}")
+
+    monkeypatch.setattr(moments, "word_model", refuse)
+
+
 BENCH_CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
 
 

@@ -16,9 +16,11 @@ from cuntzlab import (
     MomentFunctional,
     ProperlyInfinite,
     PurityDecision,
+    SchemaError,
     ShiftPeriod,
     ShiftRepresentation,
     StateVector,
+    VectorModel,
     adjoint,
     cdim,
     equivalent,
@@ -181,6 +183,17 @@ class TestKappaCertificates:
         assert k.value is None
         assert k.certificate.note.endswith("; a prefix-code search up to depth 2 found no certificate")
 
+    def test_a_search_past_the_table_limit_is_refused_only_when_it_runs(self):
+        # depth 3 over 26 letters lists 18278 > 2^14 uniform-code words, but a
+        # Cuntz parameter decides kappa before any search would run
+        z = [q(1)] + [q(0)] * 25
+        omega = make_cuntz(z)
+        for search in (False, True):
+            assert kappa(omega, search_certificates=search) == (1, EquivalentToCuntz(tuple(z), "family"))
+        m = make_mixture([omega, make_cuntz(z[1:] + z[:1])], [q(fr(1, 2)), q(fr(1, 2))])
+        with pytest.raises(SchemaError, match="^the uniform codes of a search to depth 3 over 26 letters exceed 16384 words$"):
+            kappa(m, search_certificates=True)
+
 
 class TestMinimalityVerifier:
     def test_word_isometry_accepted(self):
@@ -285,9 +298,8 @@ class TestDeltaTableThroughTheModel:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_table_matches_the_double_sum(self, name):
+    def test_table_matches_the_double_sum(self, name, no_word_model):
         omega, seq, cutoff, status = self.CASES[name]()
-        assert omega.facts.model is not None
         chk = verify_properly_infinite(omega, seq, cutoff=cutoff)
         assert chk.status == status
         assert chk.table == _double_sum_table(omega, seq if seq is not None else omega.facts.sequence, cutoff)
@@ -305,10 +317,10 @@ class TestDeltaTableThroughTheModel:
         monkeypatch.setattr(symalg_mod, "multiply", counted)
         omega = _induced()
 
-        def no_moment(J, K):
+        def no_moment(model, J, K=()):
             raise AssertionError(f"moment ({J}, {K}) read")
 
-        monkeypatch.setattr(omega, "_evaluator", no_moment)
+        monkeypatch.setattr(VectorModel, "moment", no_moment)
         chk = verify_properly_infinite(omega, cutoff=8)
         assert chk.status == "proved" and len(chk.table) == 8
         # one product per element, the check a_i* a_i = I; no prefix product is formed
@@ -320,9 +332,11 @@ class TestDeltaTableThroughTheModel:
         # prefix products themselves, so its table is the double sum; the
         # mixture it reads steps its own model to the same table
         mixture = make_mixture([_induced(), make_induced_product([], [Z35I, Z35], 2)], [q(fr(1, 3)), q(fr(2, 3))])
-        omega = MomentFunctional(2, "raw", mixture.lookup)
-        assert omega.facts.model is None and omega.model.vector((1, 2)) == {(1, 2): 1}
-        assert mixture.model is mixture.facts.model
+        omega = MomentFunctional(2, "raw", lambda J, K: mixture.model(J, K))
+        assert omega.model.vector((1, 2)) == {(1, 2): 1}
+        # the mixture's own model is the direct sum, one vector per component
+        vector = mixture.model.vector((1, 2))
+        assert isinstance(vector, tuple) and len(vector) == 2
         seq = self.CASES["induced_list"]()[1]
         chk = verify_properly_infinite(omega, seq, cutoff=5)
         assert chk.status == "failed"

@@ -340,6 +340,35 @@ class TestErrors:
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert run([command, path, *least, "--format", "json"]) == 0
 
+    @pytest.mark.parametrize("level", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["cdim", "kappa", "equiv", "fcs", "rep", "report"])
+    def test_a_level_cap_below_one_is_refused(self, spec_file, capsys, command, level):
+        # a Cuntz parameter decides kappa and equiv, and the grid's kappa_rep, with no Gram growth
+        specs = {"equiv": [CUNTZ35, CUNTZ35], "rep": [GRID_REP]}.get(command, [CUNTZ35])
+        assert run([command, *map(spec_file, specs), "--max-level", level]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: the level cap must be at least 1, got {level}\n")
+
+    @pytest.mark.parametrize("n, deepest", [(2, 13), (3, 8)])
+    def test_a_search_past_the_table_limit_is_refused(self, spec_file, capsys, n, deepest):
+        # the uniform codes up to depth 13 over 2 letters hold 2^14 - 2 words, up to depth 8
+        # over 3 letters 9840, and one level more exceeds 2^14; the search finds u = s_1 first
+        base = {"family": "cuntz", "z": [1] + [0] * (n - 1)}
+        path = spec_file({**TRIVIAL_SANDWICH, "base": base, "terms": [[1, {**TRIVIAL_SANDWICH["terms"][0][1], "n": n}]]})
+        for depth in (deepest + 1, 40):
+            assert run(["kappa", path, "--search-certificates", "--search-depth", str(depth)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: the uniform codes of a search to depth {depth} "
+                                                        f"over {n} letters exceed 16384 words\n")
+        assert run(["kappa", path, "--search-certificates", "--search-depth", str(deepest)]) == 0
+        assert capsys.readouterr().out.startswith("κ=1 (Minimal")
+
+    def test_a_state_over_26_letters_is_held_to_no_search_bound(self, spec_file, capsys):
+        # the uniform codes of the default depth 3 over 26 letters hold 18278 > 2^14 words,
+        # but no search lists them: kappa_rep reads the grid's facts
+        assert run(["rep", spec_file({**GRID_REP, "n": 26})]) == 0
+        assert capsys.readouterr().out.startswith("κ=infinite (ProperlyInfinite, proved)\n")
+
     def test_inexact_float_gated(self, spec_file, capsys):
         path = spec_file({"family": "cuntz", "z": [0.6, 0.8]})
         assert run(["cdim", path]) == 1

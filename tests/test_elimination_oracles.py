@@ -506,10 +506,11 @@ def test_float_state_with_an_exact_omega_one_follows_the_rational_loop(spec):
     # complex float: the factor's first pivot is exact, the rest float
     omega = state_from_spec(spec, "float")
     levels = [[()], *([w for w in words_upto(2, L) if len(w) == L] for L in (1, 2, 3))]
-    assert type(omega.lookup((), ())) in (int, Fraction)
-    assert {type(omega.lookup(J, K)) for J in levels[1] for K in levels[2]} == {complex}
-    trace, pivots, lower, dvals = greedy(LDLFactor(omega.lookup), levels)
-    ref_trace, ref_pivots, ref_lower, ref_dvals = greedy(RationalLDL(omega.lookup), levels)
+    moment = omega.model.moment
+    assert type(moment((), ())) in (int, Fraction)
+    assert {type(moment(J, K)) for J in levels[1] for K in levels[2]} == {complex}
+    trace, pivots, lower, dvals = greedy(LDLFactor(moment), levels)
+    ref_trace, ref_pivots, ref_lower, ref_dvals = greedy(RationalLDL(moment), levels)
     assert pivots == ref_pivots
     assert close([[*y, res2] for _, y, res2 in trace], [[*y, res2] for _, y, res2 in ref_trace])
     assert close(lower, ref_lower) and close(dvals, ref_dvals)

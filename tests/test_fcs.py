@@ -1,5 +1,6 @@
 """Finitely correlated presentations extracted from stabilized states."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from cuntzlab import (
     cdim,
     check_row_isometry,
     extract_fcs,
-    fcs_moment,
     gram_growth,
     make_cuntz,
     make_prefix_code_state,
@@ -25,7 +25,7 @@ from cuntzlab import (
 )
 from cuntzlab.fcs import _solve, presentation
 from cuntzlab.linalg import solve
-from cuntzlab.moments import MomentFunctional
+from cuntzlab.moments import MomentFunctional, VectorModel
 from cuntzlab.scalars import scalars_close
 from cuntzlab.selftest import random_exact_unit
 
@@ -59,10 +59,11 @@ class TestCuntzExtraction:
     def test_moments_reproduced(self):
         w = make_cuntz(Z35)
         f = extract_fcs(w)
-        assert fcs_moment(f, (1, 2), (2, 1)) == fr(144, 625)
+        model = f.model()
+        assert model.moment((1, 2), (2, 1)) == fr(144, 625)
         for J in words_upto(2, 3):
             for K in words_upto(2, 3):
-                assert fcs_moment(f, J, K) == w.moment(J, K), (J, K)
+                assert model.moment(J, K) == w.moment(J, K), (J, K)
 
     def test_row_isometry_holds(self):
         assert check_row_isometry(extract_fcs(make_cuntz(Z35)))
@@ -86,9 +87,10 @@ class TestWordStateExtraction:
     def test_parity_moments_reproduced(self):
         w = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
         f = extract_fcs(w)
+        model = f.model()
         for J in words_upto(2, 4):
             for K in words_upto(2, 4):
-                assert fcs_moment(f, J, K) == w.moment(J, K), (J, K)
+                assert model.moment(J, K) == w.moment(J, K), (J, K)
 
     def test_row_isometry_and_orbit(self):
         w = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
@@ -117,19 +119,36 @@ def _typed(x):
     return type(x), x
 
 
+def _plain(model):
+    """A plain function that only calls the model, as a profiler's wrapper does."""
+
+    @functools.wraps(model)
+    def moment(J, K):
+        return model(J, K)
+
+    return moment
+
+
 class TestRawTwin:
-    """A raw functional over a state's memoized moments reads them through its
-    word model; the state reads its own model, whose cast must give each
-    moment the value and type the evaluator gives."""
+    """A state built on a plain function that calls a state's model reads it
+    through its word model; the state reads its own model, and both must
+    give each moment the same value and type."""
 
     @pytest.mark.parametrize("mode", ["auto", "float"])
     @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")))
     def test_growth_and_presentation_match_the_state(self, name, mode):
         omega = parse_spec(str(GOLDEN_SPECS / f"{name}.json"), mode)
-        twin = MomentFunctional(omega.n, "raw", omega.lookup, exact=omega.exact)
-        assert twin.facts.model is None
+        twin = MomentFunctional(omega.n, "raw", _plain(omega.model), exact=omega.exact)
+        assert twin.model is not omega.model and twin.model.vector((1,)) == {(1,): 1}
         for read in (gram_growth, extract_fcs):
             assert _typed(read(twin)) == _typed(read(omega)), read.__name__
+        assert twin._memo and not omega._memo
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")))
+    def test_a_model_source_is_the_state_model(self, name):
+        omega = golden_state(name)
+        assert isinstance(omega.model, VectorModel)
+        assert MomentFunctional(omega.n, "twin", omega.model).model is omega.model
 
 
 class TestUnstabilizedInput:
@@ -148,7 +167,7 @@ def _fcs_columns(omega):
     pivots = gram_growth(omega).pivots
     for i in range(1, omega.n + 1):
         for p in pivots:
-            yield [omega.lookup(q, p + (i,)) for q in pivots]
+            yield [omega.model.moment(q, p + (i,)) for q in pivots]
 
 
 def _dense_state(m: int, exact: bool):
@@ -199,4 +218,4 @@ def golden_moments(draw):
 def test_exact_presentation_round_trips_every_short_moment(case):
     name, J, K = case
     omega = golden_state(name)
-    assert fcs_moment(extract_fcs(omega), J, K) == omega.moment(J, K)
+    assert extract_fcs(omega).model().moment(J, K) == omega.moment(J, K)

@@ -28,6 +28,7 @@ from cuntzlab import (
     ShiftPeriod,
     ShiftRepresentation,
     StateVector,
+    VectorModel,
     MomentFunctional,
     NotNormalized,
     NotPrefixFree,
@@ -39,7 +40,6 @@ from cuntzlab import (
     all_words,
     cdim,
     equivalent,
-    eval_moment,
     extract_fcs,
     gen,
     gram_growth,
@@ -67,7 +67,7 @@ from cuntzlab import (
 )
 import cuntzlab.moments as moments_mod
 from cuntzlab.linalg import rank
-from cuntzlab.moments import _code_lookup
+from cuntzlab.moments import _code_lookup, word_model
 from cuntzlab.scalars import DEFAULT_EQ_TOL, conj
 from cuntzlab.symalg import gauge_image
 from cuntzlab.words import is_prefix
@@ -96,9 +96,9 @@ class TestCuntzStates:
         assert w.moment((1,), ()) == QQi(0, -1)
         assert w.moment((), (1,)) == QQi(0, 1)
 
-    def test_eval_moment_matches_method(self):
+    def test_moment_reads_the_model(self):
         w = make_cuntz(Z35)
-        assert eval_moment(w, (1, 2), (2, 1)) == w.moment((1, 2), (2, 1))
+        assert w.model((1, 2), (2, 1)) == w.model.moment((1, 2), (2, 1)) == w.moment([1, 2], [2, 1])
 
     def test_moment_of_element_sums_terms(self):
         w = make_cuntz(Z35)
@@ -117,12 +117,13 @@ class TestCuntzStates:
         with pytest.raises(SchemaError):
             make_cuntz(Z35).moment(J, K)
         with pytest.raises(SchemaError):
-            eval_moment(make_cuntz(Z35), J, K)
+            MomentFunctional(2, "raw", make_cuntz(Z35).model.moment).moment(J, K)
 
-    def test_lookup_shares_the_memo_of_moment(self):
+    def test_only_a_function_built_state_fills_the_memo(self):
         w = make_cuntz(Z35)
-        assert w.lookup((1, 2), (2,)) == w.moment([1, 2], [2]) == fr(48, 125)
-        assert list(w._memo) == [((1, 2), (2,))]
+        raw = MomentFunctional(2, "raw", lambda J, K: w.model(J, K))
+        assert raw.moment([1, 2], [2]) == w.moment([1, 2], [2]) == fr(48, 125)
+        assert list(raw._memo) == [((1, 2), (2,))] and w._memo == {}
 
     def test_float_parameters_allowed(self):
         w = make_cuntz([2 ** -0.5, 2 ** -0.5])
@@ -329,7 +330,7 @@ class TestInducedProductModel:
 
     def test_model_vectors_are_memoized_by_prefix(self):
         w = make_induced_product([], [Z35, Z35I], 2)
-        model = w.facts.model
+        model = w.model
         v = model.vector((1, 2, 2))
         assert model.vector((1, 2, 2)) is v
         assert set(model._vectors) >= {(), (1,), (1, 2), (1, 2, 2)}
@@ -407,9 +408,8 @@ class TestSeriesModel:
     def _explicit_inner(a: set, b: set):
         return sum((Fraction(1, 2**l) for l, y in a & b), Fraction(0))
 
-    def test_model_matches_the_closed_form(self):
+    def test_model_matches_the_closed_form(self, no_word_model):
         w = make_split_series_sandwich()
-        assert w.facts.model is not None
         words = list(words_upto(2, 6))
         for J in words:
             for K in words:
@@ -417,7 +417,7 @@ class TestSeriesModel:
                 assert type(got) is QQi and got == _series_closed_form(J, K), (J, K)
 
     def test_the_tail_keys(self):
-        model = make_split_series_sandwich().facts.model
+        model = make_split_series_sandwich().model
         assert model.vector(()) == {("T", 0): 1}
         T = {k: {("T", k): QQi(1)} for k in range(8)}
         for k in range(8):
@@ -433,7 +433,7 @@ class TestSeriesModel:
             assert ones == self._explicit(("e", k + 1, k + 1))
 
     def test_the_tail_keys_meet_no_e_key_a_word_reaches(self):
-        model = make_split_series_sandwich().facts.model
+        model = make_split_series_sandwich().model
         reached = {key for J in words_upto(2, 9) for key in model.vector(J) if key[0] == "e"}
         assert all(l <= t <= 2 * l for _, l, t in reached)
         for k in range(9):
@@ -499,7 +499,7 @@ class TestGramFromVectors:
         assert type(one) is QQi and one == 1
         assert type(zero) is complex and zero == 0
 
-    def test_a_raw_functional_reads_lookup(self):
+    def test_a_raw_functional_reads_its_memo(self):
         # its word model's inner product reads the memo, one entry per pair
         w = MomentFunctional(2, "sandwich_series", _series_closed_form)
         words = list(words_upto(2, 2))
@@ -509,9 +509,10 @@ class TestGramFromVectors:
     def test_every_consumer_steps_the_one_model_of_a_raw_functional(self):
         from cuntzlab import verify_properly_infinite
 
-        w = MomentFunctional(2, "raw", make_cuntz(Z35).lookup)
+        cuntz = make_cuntz(Z35)
+        w = MomentFunctional(2, "raw", lambda J, K: cuntz.model(J, K))
         model = w.model
-        assert w.facts.model is None
+        assert model.vector((1,)) == {(1,): 1}
         inner, reads = model.inner, []
 
         def spy(x, y):
@@ -626,7 +627,7 @@ def _expanded_moment(base, g, J, K):
     """The independent oracle: omega(alpha_g(s_J) alpha_g(s_K)*) as the double
     sum over the n^|J| and n^|K| words of the two gauge images."""
     image_k = gauge_image(g, K)
-    return sum((a * conj(b) * base.lookup(Jp, Kp)
+    return sum((a * conj(b) * base.model.moment(Jp, Kp)
                 for Jp, a in gauge_image(g, J).items() for Kp, b in image_k.items()), 0)
 
 
@@ -698,11 +699,11 @@ class TestGaugeThroughPresentation:
         for J, K in _pairs(2, 23):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
 
-    def test_float_twist_steps_the_suffix_model(self):
+    def test_float_twist_steps_the_suffix_model(self, no_word_model):
         base = self.BASES["word_112"]()
         g = [[complex(x) for x in row] for row in G_C]
         w = transform_gauge(base, g)
-        assert not w.exact and w.facts.model is not None
+        assert not w.exact
         _close_to_expansion(w, base, g, _pairs(2, 19))
 
     def test_twist_of_a_twist_never_grows_the_inner_twist(self, monkeypatch):
@@ -716,12 +717,11 @@ class TestGaugeThroughPresentation:
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
         assert grown == []
 
-    def test_twist_of_an_induced_product_steps_its_model(self):
+    def test_twist_of_an_induced_product_steps_its_model(self, no_word_model):
         # the base's rank grows by one per level, so no presentation exists;
         # the twist steps the base's vectors by S'_i = sum_j conj(g_ji) S_j
         base = make_induced_product([Z35], [Z35I], 2)
         w = transform_gauge(base, G_C)
-        assert w.facts.model is not None
         for J, K in _pairs(2, 29):
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
 
@@ -735,10 +735,9 @@ class TestGaugeThroughPresentation:
     }
 
     @pytest.mark.parametrize("name", sorted(VECTOR_BASES))
-    def test_twist_of_a_vector_state_steps_its_model(self, name):
+    def test_twist_of_a_vector_state_steps_its_model(self, name, no_word_model):
         base = self.VECTOR_BASES[name]()
         w = transform_gauge(base, G_C)
-        assert w.facts.model is not None
         for J, K in _pairs(2, 37):
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
 
@@ -749,22 +748,20 @@ class TestGaugeThroughPresentation:
         for J, K in _pairs(2, 41):
             assert w.moment(J, K) == _expanded_moment(base, g, J, K), (J, K)
 
-    def test_float_twist_of_a_modelled_base_steps_its_model(self):
+    def test_float_twist_of_a_modelled_base_steps_its_model(self, no_word_model):
         base = make_induced_product([Z35], [Z35I], 2)
         g = [[complex(x) for x in row] for row in G_C]
         w = transform_gauge(base, g)
-        assert w.facts.model is not None
         _close_to_expansion(w, base, g, _pairs(2, 43))
         # the exact base's zeros (|J| != |K|) come out complex, as from the expansion
         assert all(isinstance(w.moment(J, K), complex) for J, K in product(words_upto(2, 3), repeat=2) if J or K)
 
-    def test_twist_of_a_mixture_steps_its_model(self, monkeypatch):
+    def test_twist_of_a_mixture_steps_its_model(self, monkeypatch, no_word_model):
         # the mixture's vectors are the tuples of its components' vectors
         grown = _spy_growth(monkeypatch)
         base = make_mixture([make_induced_product([Z35], [Z35I], 2), make_induced_product([], [Z35I, Z35], 2)],
                             [q(fr(1, 3)), q(fr(2, 3))])
         w = transform_gauge(base, G_C)
-        assert base.facts.model is not None and w.facts.model is not None
         for J, K in _pairs(2, 47):
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
         assert grown == []
@@ -780,7 +777,7 @@ class TestGaugeThroughPresentation:
         # word model, whose vectors are the gauge images
         base = self.UNMODELLED_BASES[name]()
         w = transform_gauge(base, G_C)
-        assert base.facts.model is None and w.facts.model.vector(()) is base.model.vector(())
+        assert base.model.vector((1,)) == {(1,): 1} and w.model.vector(()) is base.model.vector(())
         for J, K in product(words_upto(2, 3), repeat=2):
             assert w.moment(J, K) == _expanded_moment(base, G_C, J, K), (J, K)
 
@@ -825,13 +822,14 @@ class TestGaugeThroughPresentation:
     def test_a_long_moment_reads_few_base_moments(self, monkeypatch):
         base = make_sub_cuntz(3, {(1, 1, 2): q(1)}, 2)
         reads = []
-        evaluate = base._evaluator
+        moment = VectorModel.moment
 
-        def spy(J, K):
-            reads.append((J, K))
-            return evaluate(J, K)
+        def spy(model, J, K=()):
+            if model is base.model:
+                reads.append((J, K))
+            return moment(model, J, K)
 
-        monkeypatch.setattr(base, "_evaluator", spy)
+        monkeypatch.setattr(VectorModel, "moment", spy)
         w = transform_gauge(base, ROT)
         w.moment((1, 2) * 4, (2, 1, 1) * 2 + (2, 2))
         # the expansion would read up to 2^16 base moments; the twist steps the
@@ -873,17 +871,16 @@ class TestFamilyModels:
     """Each family's own model against an oracle that uses no model."""
 
     @pytest.mark.parametrize("name", CODE_SPECS)
-    def test_suffix_model_matches_the_peel(self, name):
+    def test_suffix_model_matches_the_peel(self, name, no_word_model):
         w = parse_spec(str(GOLDEN_SPECS / f"{name}.json"))
         z = {W: c for (W, _), c in w.facts.minimal_isometry.terms.items()}
         table = solve_low_moments(list(z), z, w.n).table
-        assert w.facts.model is not None
         pairs = list(product(words_upto(w.n, 3), repeat=2)) + [((1, 2) * 4, (2, 1, 1) * 2), ((2,) * 7, (1,) * 5)]
         for J, K in pairs:
             assert w.moment(J, K) == _peeled_moment(z, table, J, K), (J, K)
 
     @pytest.mark.parametrize("name", ["mixture", "sandwich_mixture"])
-    def test_mixture_model_sums_its_components(self, name):
+    def test_mixture_model_sums_its_components(self, name, no_word_model):
         parts = {
             "mixture": ([make_cuntz([q(1), q(0)]), make_cuntz(Z35I)], [fr(1, 3), fr(2, 3)]),
             "sandwich_mixture": ([make_prefix_code_state([(1, 1, 2)], [q(1)], 2),
@@ -891,7 +888,6 @@ class TestFamilyModels:
                                   make_split_series_sandwich()], [q(fr(1, 2)), q(fr(1, 4)), q(fr(1, 4))]),
         }[name]
         m = make_mixture(*parts)
-        assert m.facts.model is not None
         for J, K in product(words_upto(2, 3), repeat=2):
             assert m.moment(J, K) == sum((c * s.moment(J, K) for s, c in zip(*parts)), 0), (J, K)
 
@@ -905,13 +901,12 @@ class TestFamilyModels:
     }
 
     @pytest.mark.parametrize("name", sorted(SANDWICH_BASES))
-    def test_sandwich_model_matches_the_multiplied_out_product(self, name):
+    def test_sandwich_model_matches_the_multiplied_out_product(self, name, no_word_model):
         # A = s_21 s_1* + i s_122 s_2*: A* A = s_1 s_1* + s_2 s_2* = I, so the mass is 1
         # over every base, and the keys 21 and 122 have different lengths
         base = self.SANDWICH_BASES[name]()
         A = monomial(2, (2, 1), (1,)) + monomial(2, (1, 2, 2), (2,), q(0, 1))
         w = transform_sandwich(base, [(1, A)])
-        assert w.facts.model is not None
         for J, K in product(words_upto(2, 3), repeat=2):
             want = base.moment_of_element(multiply(multiply(adjoint(A), monomial(2, J, K)), A))
             assert w.moment(J, K) == want, (J, K)
@@ -1061,7 +1056,10 @@ class TestLongWords:
         assert w.moment((2,) + (1,) * 6000, (2,)) == expected * fr(16, 25)
 
 
-class TestMomentOfPair:
+class TestWordModelInner:
+    """The word model's inner product omega(x y*) of creation-span x, y,
+    the double sum over their words, against the multiplied-out product."""
+
     X = {(): q(1), (1,): q(2), (1, 2): q(0, 1), (2, 2, 1): q(fr(1, 3), -1)}
     Y = {(2,): q(1, 1), (1, 1): q(-1), (2, 1, 2): q(fr(2, 7))}
 
@@ -1076,7 +1074,7 @@ class TestMomentOfPair:
             for y in (self.X, self.Y):
                 elem = multiply(CuntzElement(2, {(J, ()): c for J, c in x.items()}),
                                 adjoint(CuntzElement(2, {(K, ()): c for K, c in y.items()})))
-                assert w.moment_of_pair(x, y) == w.moment_of_element(elem), which
+                assert word_model(w.model, {}).inner(x, y) == w.moment_of_element(elem), which
 
 
 def _dense_unit(seed, count, moduli, denom, extra=()):

@@ -31,6 +31,10 @@ def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
         for command in (*same_outputs.GOLDEN_COMMANDS, "moments"):
             assert f"golden/json/{command}:{name}" in plan
             assert f"twist/json/{command}:{name}" in plan
+        for group in ("golden", "twist"):
+            workdir, argv = plan[f"{group}/json/kappa_search:{name}"]
+            assert argv[0] == "kappa" and "--search-certificates" in argv and argv[-2:] == ["--format", "json"]
+            assert (Path(workdir) / argv[1]).is_file()
     workdir, argv = plan["twist/json/fcs:gauge_word_n3"]
     twist = json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))
     assert len(twist["g"]) == 3

@@ -260,7 +260,7 @@ class TestVectorStateModel:
 
     def test_vectors_are_memoized_by_prefix(self):
         rep = GridRepresentation(2)
-        model = vector_state(rep, (6, 0)).facts.model
+        model = vector_state(rep, (6, 0)).model
         # pi(s_2)* e_(6,0) = e_(3,-1) and pi(s_1)* e_(3,-1) = e_(2,-2)
         v = model.vector((2, 1))
         assert v == StateVector.basis((2, -2))

@@ -266,14 +266,27 @@ class TestParseSpec:
             ": the level-2 moment matrix is not positive semidefinite (smallest eigenvalue estimate -1)"
         )
 
-    def test_the_gate_of_a_modelled_state_leaves_the_memo_empty(self, spec_file):
+    @pytest.fixture
+    def moment_calls(self, monkeypatch):
+        """The states whose checked ``moment()`` or ``moment_of_element`` is called."""
+        from cuntzlab.moments import MomentFunctional
+
+        calls = []
+        for name in ("moment", "moment_of_element"):
+            def spy(self, *args, _read=getattr(MomentFunctional, name)):
+                calls.append(self)
+                return _read(self, *args)
+            monkeypatch.setattr(MomentFunctional, name, spy)
+        return calls
+
+    def test_the_gate_of_a_modelled_state_reads_the_model(self, spec_file, no_word_model, moment_calls):
         # the level-2 Gram matrix is read off the n^0 + n + n^2 model vectors
-        omega = parse_spec(spec_file({"family": "vector", "rep": {"kind": "grid", "n": 3}, "key": [2, 0]}))
-        assert omega.facts.model is not None
-        assert omega._memo == {}
+        parse_spec(spec_file({"family": "vector", "rep": {"kind": "grid", "n": 3}, "key": [2, 0]}))
+        assert moment_calls == []
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")))
-    def test_every_invariant_of_a_modelled_state_leaves_the_memo_empty(self, name, monkeypatch, capsys):
+    def test_every_invariant_of_a_modelled_state_reads_the_model(self, name, monkeypatch, capsys,
+                                                                 no_word_model, moment_calls):
         # the Gram growth, the certificate checks and searches, the fcs
         # matrices and round trips all read the state's model
         import cuntzlab.cli as cli
@@ -281,16 +294,13 @@ class TestParseSpec:
 
         path = str(GOLDEN_SPECS / f"{name}.json")
         omega = parse_spec(path)
-        assert omega.facts.model is not None
         cdim(omega)
         kappa(omega, search_certificates=True)
         extract_fcs(omega)
-        assert omega._memo == {}
-        reported = []
-        monkeypatch.setattr(cli, "parse_spec", lambda *args: reported.append(parse_spec(*args)) or reported[-1])
+        assert moment_calls == []
         assert cli.run(["report", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)
-        assert [state._memo for state in reported] == [{}]
+        assert moment_calls == []
 
 
 class TestResultSerialization:

@@ -25,7 +25,7 @@ formula it replaces, computed without a model:
 * a sandwich's moments are omega(A* s_J s_K* A), multiplied out over the
   base;
 * a finitely correlated state's presentation gives its moments back:
-  fcs_moment(extract_fcs(omega), J, K) = omega(s_J s_K*);
+  extract_fcs(omega).model().moment(J, K) = omega(s_J s_K*);
 * a mixture's twists and delta tables equal the double sums that define
   them: omega(alpha_g(s_J) alpha_g(s_K)*) summed over the words of both
   gauge images, and the delta table of row isometries a_i = sum_j z_j s_j
@@ -50,7 +50,6 @@ from cuntzlab import (
     all_words,
     cdim,
     extract_fcs,
-    fcs_moment,
     identity,
     make_cuntz,
     make_induced_product,
@@ -200,7 +199,8 @@ def state_and_unitary(draw):
 def test_level_ranks_are_gauge_invariant(case):
     omega, g = case
     twisted = transform_gauge(omega, g)
-    assert twisted.facts.model is not None
+    # the twist steps the base's model on the same vectors
+    assert twisted.model.inner is omega.model.inner and twisted.model.vector(()) is omega.model.vector(())
     assert cdim(twisted, 3).level_ranks == cdim(omega, 3).level_ranks
 
 
@@ -249,7 +249,7 @@ def test_the_presentation_gives_the_moments_back(omega, data):
     assert isinstance(F, FCSPresentation)
     for _ in range(3):
         J, K = data.draw(_letters(omega.n, 0, 4)), data.draw(_letters(omega.n, 0, 4))
-        assert fcs_moment(F, J, K) == omega.moment(J, K), (J, K)
+        assert F.model().moment(J, K) == omega.moment(J, K), (J, K)
 
 
 @st.composite

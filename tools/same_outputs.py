@@ -10,9 +10,10 @@ fresh interpreter per tree, the two trees side by side:
 
 * the report_exact and report_float corpora of ``bench/corpus.py`` at seeds
   1 and 99, each command in json and in md;
-* ``report``, ``fcs``, ``kappa``, ``pure`` and ``cdim`` (json and md) and
-  ``moments --level 3`` (json) on every spec under ``tests/golden/specs/``
-  and on its twist by the complex unitary G_C;
+* ``report``, ``fcs``, ``kappa``, ``pure`` and ``cdim`` (json and md),
+  ``moments --level 3`` (json) and ``kappa --search-certificates`` (json)
+  on every spec under ``tests/golden/specs/`` and on its twist by the
+  complex unitary G_C;
 * ``selftest --format json``, with each criterion's seconds dropped;
 * exact ``report`` and ``fcs`` (json) on the exact twins of the heavy
   report_float states (dense order 6 and 7 over n = 2, order 4 over n = 3),
@@ -127,6 +128,8 @@ def build_plan(work: Path) -> dict:
                 plan[f"{group}/md/{command}:{path.stem}"] = (str(d), [command, file])
             plan[f"{group}/json/moments:{path.stem}"] = (str(d), ["moments", file, "--level", "3",
                                                                    "--format", "json"])
+            plan[f"{group}/json/kappa_search:{path.stem}"] = (str(d), ["kappa", file, "--search-certificates",
+                                                                        "--format", "json"])
     plan["selftest/json/selftest"] = (str(d), ["selftest", "--format", "json"])
     d = work / "solve"
     d.mkdir()
