@@ -550,6 +550,7 @@ def _code_lookup(support: Sequence[Word]):
 class _PrefixCode(NamedTuple):
     """A validated prefix code with its coefficients, read once per construction."""
 
+    n: int
     code: list
     z: dict
     support: list  # words with a nonzero coefficient, in (length, lex) order
@@ -559,11 +560,18 @@ class _PrefixCode(NamedTuple):
     tails: Callable[[Word], Sequence[Word]]
 
 
-def _read_code(P, z, n: int) -> _PrefixCode:
-    code = _validate_prefix_code(P, n)
+def _read_code(P, z, n: int | None) -> _PrefixCode:
+    """The code P over n letters, n by default its largest letter."""
+    code = list(P)
+    if not code:
+        raise SchemaError("a prefix code needs at least one word")
+    if n is None:
+        # a code of empty words has no letter, and validation refuses it
+        n = max((a for W in code for a in W), default=1)
+    code = _validate_prefix_code(code, n)
     zmap = _align_coefficients(code, z, n)
     support = sorted((w for w in code if not scalar_is_zero(zmap[w], 0.0)), key=lambda w: (len(w), w))
-    return _PrefixCode(code, zmap, support, max((len(w) for w in code), default=0),
+    return _PrefixCode(n, code, zmap, support, max(len(w) for w in code),
                        all(is_exact_scalar(zmap[w]) for w in code), *_code_lookup(support))
 
 
@@ -591,44 +599,53 @@ def _add_scaled(acc: dict, expr: dict, c, conjugated: bool = False) -> None:
 def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
     """Solve for the creation moments of the state fixed by u = sum_W z_W s_W.
 
-    The fixed-point identity omega(u* s_C) = omega(s_C) gives one equation per
-    word C with |C| <= max code length; the homogeneous real-linear system
-    (with the normalization v_empty left free) has solution dimension 1
-    exactly when the state is unique.  When underdetermined, sandwich
-    equations omega(u* s_C u) = omega(s_C) are added; if the dimension is
-    still > 1 the minimum-norm table on the slice v_empty = 1 is returned
-    (the symmetric mixture) together with a warning.
+    A code word's moment is read from the spec: the fixed-point identity
+    omega(u* s_W) = omega(s_W) at a code word W says v_W = conj(z_W) v_empty,
+    so the table holds exactly conj(z_W) there, and v_W enters every other
+    equation as that multiple of v_empty.  The identity at each other word C
+    with |C| <= max code length gives one equation in the unknowns v_C; the
+    homogeneous real-linear system (with the normalization v_empty left free)
+    has solution dimension 1 exactly when the state is unique.  When
+    underdetermined, sandwich equations omega(u* s_C u) = omega(s_C) are
+    added; if the dimension is still > 1 the minimum-norm table on the slice
+    v_empty = 1 is returned (the symmetric mixture) together with a warning.
+    Putting the code words back as unknowns would change none of this: each
+    would be a column with a unit pivot, and on the slice it adds the constant
+    sum_W |z_W|^2 to the norm.
 
     Each equation is two sparse real rows (real and imaginary part) over the
     columns Re v_C, Im v_C, of ints in exact mode (the row scaled by the lcm
     of its coefficients' denominators), and ``kernel_basis`` reduces the
     system one connected block of columns at a time.  The blocks are small:
     for the uniform code of order m the equation of a word C of length l < m is
-    v_C = sum_{|B| = m - l} conj(z_CB) conj(v_B), and a code word W gives
-    v_W = conj(z_W) v_empty.  So length l couples only with length m - l,
-    and v_empty only with the code: the 510 columns of order 7 over two
-    letters split into blocks of 258, 132, 72 and 48.  A progression code
-    stays one block.
+    v_C = sum_{|B| = m - l} conj(z_CB) conj(v_B), so length l couples only
+    with length m - l, and v_empty, whose equation reads Im v_empty = 0, with
+    no other word: the 254 columns of order 7 over two letters split into
+    blocks of 132, 72 and 48 and the two columns of v_empty.  A progression
+    code stays one block.
     """
-    if n is None:
-        n = max(max(W) for W in P)
-    return _solve_low_moments(_read_code(P, z, n), n)
+    return _solve_low_moments(_read_code(P, z, n))
 
 
-def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
+def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
     check_unit([pc.z[w] for w in pc.code])
-    zmap, M, head, tails = pc.z, pc.max_len, pc.head, pc.tails
+    n, zmap, M, head, tails = pc.n, pc.z, pc.max_len, pc.head, pc.tails
     _check_table_words(n, 0, M, f"the fixed-point table of the words up to length {M} over {n} letters exceeds")
     table_words = list(words_upto(n, M))
-    index = {w: i for i, w in enumerate(table_words)}
-    width = 2 * len(table_words)
-    creation_cache: dict[Word, dict] = {}
+    # a code word's moment is given, v_W = conj(z_W) v_empty, so only the
+    # other words are unknowns
+    code = set(pc.code)
+    unknowns = [w for w in table_words if w not in code]
+    index = {w: i for i, w in enumerate(unknowns)}
+    width = 2 * len(unknowns)
+    creation_cache: dict[Word, dict] = {W: {((), False): conj(zmap[W])} for W in pc.support}
+    creation_cache.update((W, {}) for W in code - creation_cache.keys())
 
     def creation_expr(C: Word) -> dict:
-        if len(C) <= M:
-            return {(C, False): 1}
         hit = creation_cache.get(C)
         if hit is None:
+            if len(C) <= M:
+                return {(C, False): 1}
             hit = {}
             W = head(C)
             if W is not None:
@@ -674,10 +691,10 @@ def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
             subtract_peeled(row, D, c)
         return realified(row)
 
-    rows = [r for C in table_words for r in equation(C, [(C, 1)])]
+    rows = [r for C in unknowns for r in equation(C, [(C, 1)])]
     kernel = kernel_basis(rows, width)
     if len(kernel) > 1:
-        rows += [r for C in table_words for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
+        rows += [r for C in unknowns for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
         kernel = kernel_basis(rows, width)
     dim = len(kernel)
     if dim == 0:
@@ -700,20 +717,29 @@ def _solve_low_moments(pc: _PrefixCode, n: int) -> LowMomentSolution:
 
         c, e, f = parts(0)
         n2 = c * c + e * e
+        normalized = n2 != 0
 
         def entry(i: int) -> QQi:
             # v_w / v_empty = f (a + bi)(c - ei) / (d (c^2 + e^2)), reduced as QQi divides
             a, b, d = parts(i)
             return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
 
-        if n2:
-            return LowMomentSolution({w: entry(i) for w, i in index.items()}, dim, warnings)
+        def given(W: Word) -> QQi:
+            a, b, d = gaussian_parts(zmap[W])
+            return _make(a, -b, d)
     else:
         v0 = complex(vec[0], vec[1])
-        if not scalar_is_zero(v0, 1e-12):
-            return LowMomentSolution({w: complex(vec[2 * i], vec[2 * i + 1]) / v0 for w, i in index.items()},
-                                     dim, warnings)
-    raise Inconsistent("solution space is orthogonal to the normalization v_empty = 1")
+        normalized = not scalar_is_zero(v0, 1e-12)
+
+        def entry(i: int) -> complex:
+            return complex(vec[2 * i], vec[2 * i + 1]) / v0
+
+        def given(W: Word) -> complex:
+            return complex(conj(zmap[W]))
+
+    if not normalized:
+        raise Inconsistent("solution space is orthogonal to the normalization v_empty = 1")
+    return LowMomentSolution({w: entry(index[w]) if w in index else given(w) for w in table_words}, dim, warnings)
 
 
 def _detect_code_family(code: set[Word], n: int):
@@ -739,15 +765,13 @@ def make_prefix_code_state(P, z, n: int | None = None) -> MomentFunctional:
     defining system does not pin omega uniquely, the symmetric mixture is
     returned and ``facts.solution_dim`` records the dimension.
     """
-    if n is None:
-        n = max(max(W) for W in P)
     pc = _read_code(P, z, n)
-    code, zmap, support = pc.code, pc.z, pc.support
+    n, code, zmap, support = pc.n, pc.code, pc.z, pc.support
     family, size = _detect_code_family(set(code), n)
     if family == "sub_cuntz" and size == 1:
         return make_cuntz([zmap[(i,)] for i in range(1, n + 1)])
 
-    sol = _solve_low_moments(pc, n)
+    sol = _solve_low_moments(pc)
     model = _suffix_model(n, {w: zmap[w] for w in support}, sol.table)
     # s_W* s_W' = delta_WW' I on a prefix code of nonempty words, so
     # u*u = (sum_W |z_W|^2) I, and _solve_low_moments has checked that sum

@@ -383,6 +383,21 @@ class TestPurity:
     def test_series_state_is_pure(self):
         assert pure(make_split_series_sandwich()).verdict == "Pure"
 
+    @pytest.mark.xfail(strict=True, reason="known wrong answer: the series state's facts declare it pure, but its "
+                                           "moments are those of the mixture sum_l 2^-l omega_(x_l)")
+    def test_series_state_is_a_mixture(self):
+        # omega(s_1 s_1*) = 1/2 while omega_(x_1)(s_1 s_1*) = 1, so omega != omega_(x_1) is a
+        # proper convex combination of 1/2 omega_(x_1) and another state
+        assert pure(make_split_series_sandwich()).verdict != "Pure"
+
+    @pytest.mark.xfail(strict=True, reason="known wrong answer: a mixture's facts say NotPure whatever its "
+                                           "components are")
+    def test_even_mixture_of_a_state_with_itself_is_that_state(self):
+        w = make_cuntz(Z35)
+        m = make_mixture([w, make_cuntz(Z35)], [fr(1, 2), fr(1, 2)])
+        verdicts = (pure(m).verdict, equivalent(m, w).verdict)
+        assert verdicts[0] != "NotPure" and verdicts[1] != "Inequivalent", verdicts
+
     def test_word_state_purity_unknown(self):
         d = pure(make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2))
         assert d.verdict == "Unknown"

@@ -518,6 +518,12 @@ class TestMalformedSpecs:
         assert run(["cdim", spec_file({"family": "cuntz", "n": 2, "z": [["3/5", 0], ["4/5", 0]]})]) == 0
         assert capsys.readouterr().out.startswith("cdim=1 (stabilized)")
 
+    def test_an_empty_prefix_code_is_refused(self, spec_file):
+        # it used to end in a traceback from max() over its empty word list
+        proc = _run_python(None, "report", spec_file({"family": "prefix_code", "n": 2, "code": [], "z": []}))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: state spec (prefix_code): a prefix code needs at least one word\n"
+
     def test_oversized_sub_cuntz_exits_at_once(self, spec_file):
         proc = _run_python(None, "report", spec_file(SUB_CUNTZ_M40), timeout=5)
         assert proc.returncode == 1

@@ -19,6 +19,7 @@ from math import cos, sin
 from cuntzlab import (
     LAZY_PRESETS,
     CuntzElement,
+    EmptyWord,
     EventuallyPeriodicWord,
     GridRepresentation,
     LowerBoundOnly,
@@ -66,9 +67,10 @@ from cuntzlab import (
     words_upto,
 )
 import cuntzlab.moments as moments_mod
+import cuntzlab.linalg as linalg_mod
 from cuntzlab.linalg import rank
 from cuntzlab.moments import _code_lookup, word_model
-from cuntzlab.scalars import DEFAULT_EQ_TOL, conj
+from cuntzlab.scalars import DEFAULT_EQ_TOL, conj, gaussian_parts
 from cuntzlab.symalg import gauge_image
 from cuntzlab.words import is_prefix
 
@@ -1132,3 +1134,172 @@ class TestSolver:
         # norm > 1 on the code cannot extend to a state
         with pytest.raises(NotUnit):
             solve_low_moments([(1, 2)], {(1, 2): 2}, 2)
+
+
+def reference_low_moments(P, z, n):
+    """The fixed-point solve with every code word an unknown as well: the
+    equation of a code word W, v_W = conj(z_W) v_empty, is solved for, not
+    read from the spec.  Returns (table, solution_dim, warnings)."""
+    pc = moments_mod._read_code(P, z, n)
+    moments_mod.check_unit([pc.z[w] for w in pc.code])
+    zmap, M, head, tails = pc.z, pc.max_len, pc.head, pc.tails
+    table_words = list(words_upto(pc.n, M))
+    index = {w: i for i, w in enumerate(table_words)}
+    width = 2 * len(table_words)
+    add = moments_mod._add_scaled
+
+    def creation_expr(C):
+        if len(C) <= M:
+            return {(C, False): 1}
+        expr, W = {}, head(C)
+        if W is not None:
+            add(expr, creation_expr(C[len(W):]), conj(zmap[W]))
+        return expr
+
+    def equation(C, peeled):
+        row = {(C, False): 1}
+        for D, c in peeled:
+            W = head(D)
+            if W is not None:
+                add(row, creation_expr(D[len(W):]), -c * conj(zmap[W]))
+            for W in tails(D):
+                add(row, creation_expr(W[len(D):]), -c * conj(zmap[W]), conjugated=True)
+        re, im = [0] * width, [0] * width
+        for (w, conjugated), c in row.items():
+            if pc.exact:
+                a, b, d = gaussian_parts(c)
+                a, b = Fraction(a, d), Fraction(b, d)
+            else:
+                a, b = complex(c).real, complex(c).imag
+            i = 2 * index[w]
+            re[i] += a
+            im[i] += b
+            re[i + 1] += b if conjugated else -b
+            im[i + 1] += -a if conjugated else a
+        return [re, im]
+
+    rows = [r for C in table_words for r in equation(C, [(C, 1)])]
+    kernel = moments_mod.kernel_basis(rows, width)
+    if len(kernel) > 1:
+        rows += [r for C in table_words for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
+        kernel = moments_mod.kernel_basis(rows, width)
+    dim, warnings = len(kernel), []
+    if dim == 1:
+        vec = kernel[0]
+    else:
+        vec = moments_mod.min_norm_solution(kernel, [[int(j == 0) for j in range(width)],
+                                                     [int(j == 1) for j in range(width)]], [1, 0])
+        warnings.append(f"solution space has dimension {dim}; returning the symmetric minimum-norm table")
+    if pc.exact:
+        v0 = QQi(vec[0], vec[1])
+        return {w: QQi(vec[2 * i], vec[2 * i + 1]) / v0 for w, i in index.items()}, dim, warnings
+    v0 = complex(vec[0], vec[1])
+    return {w: complex(vec[2 * i], vec[2 * i + 1]) / v0 for w, i in index.items()}, dim, warnings
+
+
+def _tensor_power(p):
+    zz = {}
+    for J in product((1, 2), repeat=p):
+        v = q(1)
+        for a in J:
+            v = v * Z35[a - 1]
+        zz[J] = v
+    return list(zz), list(zz.values()), 2
+
+
+def _uniform(n, m, seed, moduli, denom, extra=()):
+    return list(all_words(n, m)), _dense_unit(seed, n**m, moduli, denom, extra)[0], n
+
+
+FIVES = ((3, 4), (4, 3), (5, 0))
+# each exact case: (code, coefficients, n); every coefficient vector is a unit
+ORACLE_CASES = {
+    "uniform_n2_m2": _uniform(2, 2, 1, FIVES, 10),
+    "uniform_n2_m3": _uniform(2, 3, 2, FIVES, 15, ((5, 5),)),
+    "uniform_n2_m4": _uniform(2, 4, 3, FIVES, 20),
+    "uniform_n2_m5": _uniform(2, 5, 5, ((1, 7), (7, 1), (5, 5)), 40),
+    "uniform_n3_m3": _uniform(3, 3, 3, FIVES, 30, ((15, 5),)),
+    "uniform_zeros": (list(all_words(2, 2)), [q(fr(3, 5)), q(0), q(fr(4, 5)), q(0)], 2),
+    "progression_hat": (moments_mod._progression_code(2, 2), hat_parameter(Z35, 2), 2),
+    "progression_generic": (moments_mod._progression_code(2, 2), [q(fr(3, 5)), q(0), q(fr(4, 5))], 2),
+    "progression_open": (moments_mod._progression_code(2, 2), [q(0), q(0), q(1)], 2),
+    "progression_k3_n3": (moments_mod._progression_code(3, 3),
+                          [q(fr(1, 7)), q(fr(2, 7)), q(0, fr(2, 7)), q(0), q(fr(-2, 7)), q(0), q(fr(6, 7))], 3),
+    "suffix_2_11_12": ([(2,), (1, 1), (1, 2)], [q(fr(2, 3)), q(fr(1, 3)), q(0, fr(2, 3))], 2),
+    "suffix_1_21_22": ([(1,), (2, 1), (2, 2)], [q(fr(2, 3)), q(0, fr(-1, 3)), q(fr(2, 3))], 2),
+    "suffix_zero": ([(2,), (1, 1), (1, 2)], [q(0), q(fr(3, 5)), q(0, fr(4, 5))], 2),
+    "one_word_1x4": ([(1,) * 4], [q(1)], 2),
+    "word_123": ([(1, 2, 3)], [q(0, 1)], 3),
+    "tensor_square": _tensor_power(2),
+    "tensor_cube": _tensor_power(3),
+}
+
+
+class TestGivenCodeWordMoments:
+    """The solve reads each code word's moment from the spec; the former full
+    system, which solved for it, gives the same tables, dimensions and warnings."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_exact_solve_matches_the_full_system(self, name):
+        P, z, n = ORACLE_CASES[name]
+        sol = solve_low_moments(P, z, n)
+        table, dim, warnings = reference_low_moments(P, z, n)
+        assert (sol.solution_dim, sol.warnings) == (dim, warnings)
+        assert list(sol.table) == list(table)
+        for w, v in table.items():
+            assert type(sol.table[w]) is QQi and sol.table[w] == v, w
+        for W, c in zip(P, z):
+            assert sol.table[W] == conj(c), W
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_float_solve_matches_the_full_system(self, name):
+        P, z, n = ORACLE_CASES[name]
+        zf = [complex(c) for c in z]
+        sol = solve_low_moments(P, zf, n)
+        table, dim, warnings = reference_low_moments(P, zf, n)
+        assert (sol.solution_dim, sol.warnings) == (dim, warnings)
+        assert list(sol.table) == list(table)
+        for w, v in table.items():
+            assert type(sol.table[w]) is complex and abs(sol.table[w] - v) < 1e-12, w
+        for W, c in zip(P, zf):
+            assert sol.table[W] == c.conjugate(), W
+
+    def test_some_cases_are_underdetermined(self):
+        dims = {name: reference_low_moments(*case)[1] for name, case in ORACLE_CASES.items()}
+        assert dims["tensor_square"] == 2 and dims["tensor_cube"] == 3 and dims["one_word_1x4"] == 4
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_code_words_are_no_columns(self, monkeypatch, mode):
+        # the dense order-7 state over two letters: 255 table words, 128 of them code words
+        widths, blocks = [], []
+        kernel_basis, column_blocks = moments_mod.kernel_basis, linalg_mod._column_blocks
+
+        def spy_kernel(rows, ncols):
+            widths.append(ncols)
+            return kernel_basis(rows, ncols)
+
+        def spy_blocks(rows, ncols):
+            found = column_blocks(rows, ncols)
+            blocks.extend(len(cols) for cols, _ in found)
+            return found
+
+        monkeypatch.setattr(moments_mod, "kernel_basis", spy_kernel)
+        monkeypatch.setattr(linalg_mod, "_column_blocks", spy_blocks)
+        z, zf = _dense_unit(7, 128, ((1, 7), (7, 1), (5, 5)), 80)
+        w = make_sub_cuntz(7, z if mode == "exact" else zf, 2)
+        assert w.facts.solution_dim == 1
+        assert widths == [2 * (255 - 128)]
+        # lengths 1 + 6, 2 + 5 and 3 + 4, then the two columns of v_empty
+        assert max(blocks) == 132 and sorted(blocks, reverse=True)[:3] == [132, 72, 48]
+        assert sum(blocks) == 254
+
+    def test_an_empty_code_or_word_is_refused(self):
+        for n in (None, 2):
+            with pytest.raises(SchemaError, match="a prefix code needs at least one word"):
+                solve_low_moments([], [], n)
+            with pytest.raises(SchemaError, match="a prefix code needs at least one word"):
+                make_prefix_code_state([], [], n)
+            # the default alphabet used to take max() over the empty word's letters
+            for P in ([()], [(), (1,)]):
+                with pytest.raises(EmptyWord):
+                    solve_low_moments(P, [1] * len(P), n)

@@ -49,12 +49,23 @@ def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
             assert spec["family"] == "sub_cuntz" and argv[0] == command
     workdir, argv = plan["solve/json/report:one_word_1x10"]
     assert json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))["code"] == [[1] * 10]
-    # float tables from the minimum-norm step: kernels of more than one vector
-    for name in ("sub_cuntz_power", "one_word_1x10"):
-        workdir, argv = plan[f"solve/json/moments:{name}"]
-        assert argv[0] == "moments" and argv[argv.index("--mode") + 1] == "float"
+    # a float table from the minimum-norm step: a kernel of ten vectors
+    workdir, argv = plan["solve/json/moments:one_word_1x10"]
+    assert argv[0] == "moments" and argv[argv.index("--mode") + 1] == "float"
+    assert (Path(workdir) / argv[1]).is_file()
+    assert sum(label.startswith("solve/") for label in plan) == 8
+
+
+def test_float_moments_on_every_golden_fixed_point_table(tmp_path):
+    plan = same_outputs.build_plan(tmp_path)
+    floats = {label.split(":", 1)[1] for label in plan if label.startswith("golden/json/moments_float:")}
+    assert floats == {"gauge_progression", "gauge_sub_cuntz", "gauge_word_n3", "geometric_progression",
+                      "prefix_code", "progression_a", "progression_b", "progression_open", "sub_cuntz",
+                      "sub_cuntz_power", "sub_cuntz_swapped", "sub_cuntz_twisted"}
+    for name in floats:
+        workdir, argv = plan[f"golden/json/moments_float:{name}"]
+        assert argv == ["moments", f"{name}.json", "--level", "3", "--mode", "float", "--format", "json"]
         assert (Path(workdir) / argv[1]).is_file()
-    assert sum(label.startswith("solve/") for label in plan) == 9
 
 
 def test_selftest_seconds_are_dropped_before_comparing():

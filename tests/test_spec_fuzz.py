@@ -12,7 +12,7 @@ import io
 import json
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuntzlab.cli import run
@@ -64,6 +64,8 @@ def mutants(draw):
 
 @settings(max_examples=500)
 @given(spec=mutants())
+# malformed specs that once ended in a traceback
+@example(spec={"family": "prefix_code", "n": 2, "code": [], "z": []})
 def test_mutated_spec_exits_cleanly(tmp_path_factory, spec):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(spec))

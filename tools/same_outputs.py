@@ -14,14 +14,17 @@ fresh interpreter per tree, the two trees side by side:
   ``moments --level 3`` (json) and ``kappa --search-certificates`` (json)
   on every spec under ``tests/golden/specs/`` and on its twist by the
   complex unitary G_C;
+* ``moments --level 3 --mode float`` (json) on every golden spec that
+  solves a fixed-point table: a prefix-code, sub_cuntz or progression
+  state, or a twist of one;
 * ``selftest --format json``, with each criterion's seconds dropped;
 * exact ``report`` and ``fcs`` (json) on the exact twins of the heavy
   report_float states (dense order 6 and 7 over n = 2, order 4 over n = 3),
   and ``report`` (json) on the one-word code 1^10: the states with the
   largest fixed-point solves;
-* ``moments --level 3 --mode float`` (json) on ``sub_cuntz_power`` and on
-  the code 1^10, whose float fixed-point kernels have more than one vector,
-  so their tables come from the float minimum-norm step.
+* ``moments --level 3 --mode float`` (json) on the code 1^10, whose float
+  fixed-point kernel has ten vectors, so its table comes from the float
+  minimum-norm step (as does the golden ``sub_cuntz_power``'s).
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -59,6 +62,8 @@ SEEDS = (1, 99)
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_SPECS = GOLDEN / "specs"
 GOLDEN_COMMANDS = ("report", "fcs", "kappa", "pure", "cdim")
+# the families whose states solve a fixed-point table (prefix-code states)
+FIXED_POINT_FAMILIES = ("sub_cuntz", "prefix_code", "geometric_progression")
 # the complex unitary of the golden twist tests, block-extended by 1 on n = 3
 G_C = {
     2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
@@ -92,6 +97,13 @@ for label, (workdir, argv) in plan.items():
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(out_records, fh)
 """
+
+
+def solves_fixed_point(spec: dict) -> bool:
+    """Whether the state of ``spec``, or the base it twists, is a prefix-code state."""
+    while spec["family"] == "gauge":
+        spec = spec["base"]
+    return spec["family"] in FIXED_POINT_FAMILIES
 
 
 def _write(path: Path, doc) -> str:
@@ -130,6 +142,9 @@ def build_plan(work: Path) -> dict:
                                                                    "--format", "json"])
             plan[f"{group}/json/kappa_search:{path.stem}"] = (str(d), ["kappa", file, "--search-certificates",
                                                                         "--format", "json"])
+        if solves_fixed_point(spec):
+            plan[f"golden/json/moments_float:{path.stem}"] = (str(d), ["moments", files["golden"], "--level", "3",
+                                                                       "--mode", "float", "--format", "json"])
     plan["selftest/json/selftest"] = (str(d), ["selftest", "--format", "json"])
     d = work / "solve"
     d.mkdir()
@@ -139,11 +154,8 @@ def build_plan(work: Path) -> dict:
             plan[f"solve/json/{command}:{name}"] = (str(d), [command, file, "--format", "json"])
     file = _write(d / "one_word_1x10.json", ONE_WORD)
     plan["solve/json/report:one_word_1x10"] = (str(d), ["report", file, "--format", "json"])
-    power = d / "sub_cuntz_power.json"
-    power.write_text((GOLDEN_SPECS / power.name).read_text(encoding="utf-8"), encoding="utf-8")
-    for name, spec_file in (("sub_cuntz_power", power.name), ("one_word_1x10", file)):
-        argv = ["moments", spec_file, "--level", "3", "--mode", "float", "--format", "json"]
-        plan[f"solve/json/moments:{name}"] = (str(d), argv)
+    plan["solve/json/moments:one_word_1x10"] = (str(d), ["moments", file, "--level", "3", "--mode", "float",
+                                                          "--format", "json"])
     return plan
 
 
