@@ -101,9 +101,11 @@ def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = Non
     that admits nothing stabilizes the subspace for good.
 
     The finished growth is memoized on ``omega`` per (L_max, tol), so cdim,
-    kappa and fcs of one state share it.  Float rank decisions compare
-    against ``tol`` (default DEFAULT_RANK_TOL) relative to max(1, diag); the
-    library never passes it, but bench/tracer.py binds it by name.
+    fcs and the first kappa of one state share it; ``kappa`` keeps its own
+    result beside it, so a later one reads no growth.  Float rank decisions
+    compare against ``tol`` (default DEFAULT_RANK_TOL) relative to
+    max(1, diag); the library never passes it, but bench/tracer.py binds it
+    by name.
     """
     _check_level_cap(L_max)
     key = (L_max, tol)
@@ -409,12 +411,26 @@ def kappa(
     ``None`` with a ``LowerBoundOnly`` interval [low, high] -- never a guess.
     With ``search_certificates`` a bounded prefix-code search (depth
     ``search_depth``) tries to find a minimality certificate first; its
-    failure is reported in the note.  The level cap is checked whatever the
-    facts say.
+    failure is reported in the note.  The level cap and the search depth are
+    checked whatever the facts say.
+
+    kappa is an invariant of the state's GNS representation, so the result is
+    kept on ``omega`` per (L_max, search_certificates, search_depth), beside
+    its Gram growths: ``report`` and every ``equivalent`` pair that reaches
+    the kappa rule share one result, and one minimality check, per state.  A
+    twist keeps the transport of its base's kept result.
     """
     _check_level_cap(L_max)
     if search_depth < 1:
         raise SchemaError(f"the search depth must be at least 1, got {search_depth}")
+    key = (L_max, search_certificates, search_depth)
+    result = omega._kappas.get(key)
+    if result is None:
+        result = omega._kappas[key] = _kappa(omega, L_max, search_certificates, search_depth)
+    return result
+
+
+def _kappa(omega: MomentFunctional, L_max: int, search_certificates: bool, search_depth: int) -> KappaResult:
     facts = omega.facts
     if facts.twist is not None:
         base, g = facts.twist
@@ -583,7 +599,8 @@ def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, L_max: int = 
     overlap-series criterion for induced product states; and separation by
     the certified invariants kappa and purity.  Everything else is Unknown.
     ``L_max`` caps the Gram growth behind kappa, and is checked whichever
-    rule decides.
+    rule decides.  Each state's kappa is the one ``kappa`` keeps on it, so a
+    state met in many pairs has its certificate checked once.
     """
     _check_level_cap(L_max)
     if omega1.n != omega2.n:

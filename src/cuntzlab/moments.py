@@ -79,6 +79,7 @@ from .scalars import (
     DEFAULT_EQ_TOL,
     QQi,
     _make,
+    _self_or_conj,
     abs2,
     conj,
     gaussian_parts,
@@ -210,13 +211,31 @@ class VectorModel:
     __call__ = moment
 
     def gram(self, rows: Sequence[Word], cols: Sequence[Word] | None = None) -> list:
-        """[[moment(J, K) for K in cols] for J in rows], cols defaulting to rows, each vector fetched once."""
+        """[[moment(J, K) for K in cols] for J in rows], each vector fetched once.
+
+        With ``cols`` omitted the matrix is the Hermitian Gram matrix of the
+        rows: only the N(N+1)/2 entries on and above the diagonal are inner
+        products, and each entry below it is the conjugate of its mirror, a
+        mirror that is its own conjugate (an int, Fraction, float or real QQi)
+        reused as it is.
+        """
         xs = [self.vector(J) for J in rows]
-        ys = xs if cols is None else [self.vector(K) for K in cols]
         inner, cast = self.inner, self.cast
-        if cast is None:
-            return [[inner(x, y) for y in ys] for x in xs]
-        return [[cast(inner(x, y), J, K) for K, y in zip(cols or rows, ys)] for J, x in zip(rows, xs)]
+        if cols is not None:
+            ys = [self.vector(K) for K in cols]
+            if cast is None:
+                return [[inner(x, y) for y in ys] for x in xs]
+            return [[cast(inner(x, y), J, K) for K, y in zip(cols, ys)] for J, x in zip(rows, xs)]
+        g: list[list] = []
+        for i, x in enumerate(xs):
+            row = [_self_or_conj(above[i]) for above in g]
+            if cast is None:
+                row.extend(inner(x, y) for y in xs[i:])
+            else:
+                J = rows[i]
+                row.extend(cast(inner(x, y), J, K) for K, y in zip(rows[i:], xs[i:]))
+            g.append(row)
+        return g
 
     def strip(self, v, W: Word):
         """pi(s_W)* v: the letters of W stepped first letter first."""
@@ -303,8 +322,11 @@ class MomentFunctional:
         self.warnings = list(warnings)
         self._memo: dict[tuple[Word, Word], object] = {}
         self.model = source if isinstance(source, VectorModel) else word_model(source, self._memo)
-        # finished Gram growths per (level cap, rank tolerance); see classify.gram_growth
+        # finished Gram growths per (level cap, rank tolerance) and kappa results
+        # per (level cap, search flag, search depth); see classify.gram_growth
+        # and classify.kappa
         self._growths: dict[tuple, object] = {}
+        self._kappas: dict[tuple, object] = {}
 
     def moment(self, J: Word, K: Word = ()) -> object:
         """omega(s_J s_K*), with J and K checked as words over 1..n."""
@@ -355,7 +377,8 @@ def _combine_maps(pairs) -> dict:
 
 def gram_matrix(omega: MomentFunctional, words: Sequence[Word]):
     """Gram matrix of the vectors pi(s_J)* Omega for J in words, each word
-    checked once, read off ``omega.model``."""
+    checked once, read off ``omega.model``: N(N+1)/2 inner products, the
+    entries below the diagonal filled in as conjugates."""
     return omega.model.gram([check_word(J, omega.n) for J in words])
 
 
@@ -1175,6 +1198,10 @@ def positivity_check(omega: MomentFunctional, level: int = 2):
     the estimate is a float numpy eigenvalue for a float state and for an
     exact state that fails, and None for an exact state that passes.  The
     words are listed here, so none is validated again; the entries are the
-    inner products of the vectors of ``omega.model``, as in ``gram_matrix``.
+    inner products of the vectors of ``omega.model``, as in ``gram_matrix``:
+    N(N+1)/2 of them for the N = 1 + n + ... + n^level words, each entry
+    below the diagonal the conjugate of its mirror.  The exact check reads
+    only the entries on and above the diagonal, and the float estimate the
+    Hermitian part.
     """
     return hermitian_psd_check(omega.model.gram(list(words_upto(omega.n, level))))

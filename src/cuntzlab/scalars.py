@@ -37,6 +37,7 @@ DEFAULT_EQ_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-10
 
 _RationalLike = (int, Fraction)
+_SELF_CONJUGATE = (*_RationalLike, float)
 
 
 def _to_fraction(x) -> Fraction:
@@ -269,6 +270,17 @@ def _make(a: int, b: int, d: int) -> QQi:
 def conj(x):
     """Complex conjugate for any supported scalar."""
     return x.conjugate()
+
+
+def _self_or_conj(x):
+    """conj(x), but x itself when it is its own conjugate: an int, Fraction
+    or float, or a QQi with no imaginary part.  ``conjugate()`` builds a new
+    object for a Fraction or QQi, so a Hermitian matrix whose lower entries
+    are read this way off its upper ones shares them instead."""
+    t = type(x)
+    if t is QQi:
+        return x if not x._abd[1] else x.conjugate()
+    return x if t in _SELF_CONJUGATE else x.conjugate()
 
 
 def abs2(x):

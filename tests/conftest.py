@@ -63,16 +63,22 @@ BENCH_CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
 
 
 @pytest.fixture(scope="session")
-def heavy_twins() -> dict:
-    """{name: spec} of the exact twins of the heavy report_float states of
-    ``bench/corpus.py`` (dense order 6 and 7 over n = 2, order 4 over n = 3),
-    built as its ``exact_twin`` builds them.  The corpus is loaded by path,
-    since ``bench/`` is not a package, and registered while it runs, since
-    its dataclasses look their module up; it is loaded when a test first
-    asks for the twins, not while the suite is collected."""
+def bench_corpus():
+    """The module ``bench/corpus.py``.  It is loaded by path, since ``bench/``
+    is not a package, and registered while it runs, since its dataclasses
+    look their module up; it is loaded when a test first asks for it, not
+    while the suite is collected."""
     spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(sys.modules, spec.name, corpus)
         spec.loader.exec_module(corpus)
-    return {name: corpus.sub_cuntz(n, m, z) for name, (n, m, z) in corpus.heavy_float().items()}
+    return corpus
+
+
+@pytest.fixture(scope="session")
+def heavy_twins(bench_corpus) -> dict:
+    """{name: spec} of the exact twins of the heavy report_float states of
+    ``bench/corpus.py`` (dense order 6 and 7 over n = 2, order 4 over n = 3),
+    built as its ``exact_twin`` builds them."""
+    return {name: bench_corpus.sub_cuntz(n, m, z) for name, (n, m, z) in bench_corpus.heavy_float().items()}

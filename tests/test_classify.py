@@ -539,3 +539,64 @@ class TestRepresentationInvariants:
     def test_shift_endo_invariants(self, spec_file, capsys):
         doc = _cli_doc("rep", {"kind": "shift", "n": 2, "word": {"pre": [], "per": [1, 2]}}, spec_file, capsys)
         assert (doc["powers_index"], doc["kappa"]["value"]) == (2, 2)
+
+
+class TestKappaKept:
+    """kappa is kept on the state per (L_max, search_certificates,
+    search_depth), so a state's certificate is checked once however many
+    pairs ask for it."""
+
+    @pytest.fixture
+    def minimality_checks(self, monkeypatch):
+        """The states whose minimality certificate is verified."""
+        import cuntzlab.classify as classify
+
+        checked = []
+
+        def spy(omega, u, _verify=classify.verify_minimality_certificate):
+            checked.append(omega)
+            return _verify(omega, u)
+
+        monkeypatch.setattr(classify, "verify_minimality_certificate", spy)
+        return checked
+
+    def test_a_pairwise_report_checks_each_state_once(self, minimality_checks, capsys):
+        from cuntzlab.cli import run
+        from test_golden import GOLDEN, PAIRWISE
+
+        paths = [str(GOLDEN / "specs" / f"{name}.json") for name in PAIRWISE]
+        assert run(["report", *paths, "--format", "json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "pairwise.json").read_text(encoding="utf-8")
+        assert minimality_checks
+        assert len(minimality_checks) == len({id(omega) for omega in minimality_checks})
+
+    def test_each_key_gets_the_result_of_a_fresh_state(self):
+        # the trivial sandwich of the Cuntz state by (1, 0): only a search finds u = s_1
+        def state():
+            return transform_sandwich(make_cuntz([q(1), q(0)]), [(1, identity(2))])
+
+        w = state()
+        assert kappa(w).value is None
+        assert kappa(w, search_certificates=True) == kappa(state(), search_certificates=True) == (1, Minimal(gen(2, 1)))
+        # a rank that grows at every level: the lower bound names the level cap
+        m = make_mixture([make_cuntz(Z35), make_split_series_sandwich()], [q(fr(1, 2)), q(fr(1, 2))])
+        fresh = make_mixture([make_cuntz(Z35), make_split_series_sandwich()], [q(fr(1, 2)), q(fr(1, 2))])
+        assert kappa(m, 3).certificate.level == 3
+        assert kappa(m, 4) == kappa(fresh, 4)
+        assert kappa(m, 4).certificate.level == 4
+        assert kappa(m, 3) is kappa(m, 3)
+
+    def test_bad_arguments_are_refused_after_a_kept_result(self):
+        omega = make_cuntz(Z35)
+        kappa(omega)
+        with pytest.raises(SchemaError, match="^the level cap must be at least 1, got 0$"):
+            kappa(omega, 0)
+        with pytest.raises(SchemaError, match="^the search depth must be at least 1, got 0$"):
+            kappa(omega, search_depth=0)
+
+    def test_a_twist_reads_its_bases_kept_result(self, minimality_checks):
+        base = make_sub_cuntz(2, {(1, 2): 1}, 2)
+        k = kappa(base)
+        assert isinstance(k.certificate, Minimal) and minimality_checks == [base]
+        twisted = kappa(transform_gauge(base, G_C))
+        assert twisted.value == k.value and minimality_checks == [base]

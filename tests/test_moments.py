@@ -61,6 +61,7 @@ from cuntzlab import (
     positivity_check,
     pure,
     solve_low_moments,
+    state_from_spec,
     transform_gauge,
     transform_sandwich,
     vector_state,
@@ -503,10 +504,11 @@ class TestGramFromVectors:
 
     def test_a_raw_functional_reads_its_memo(self):
         # its word model's inner product reads the memo, one entry per pair
+        # on or above the diagonal
         w = MomentFunctional(2, "sandwich_series", _series_closed_form)
         words = list(words_upto(2, 2))
         assert gram_matrix(w, words) == gram_matrix(make_split_series_sandwich(), words)
-        assert len(w._memo) == len(words) ** 2
+        assert len(w._memo) == len(words) * (len(words) + 1) // 2
 
     def test_every_consumer_steps_the_one_model_of_a_raw_functional(self):
         from cuntzlab import verify_properly_infinite
@@ -1303,3 +1305,64 @@ class TestGivenCodeWordMoments:
             for P in ([()], [(), (1,)]):
                 with pytest.raises(EmptyWord):
                     solve_low_moments(P, [1] * len(P), n)
+
+
+# the complex unitary of the golden twist tests, as spec entries, block-extended by 1 on n = 3
+G_C_SPEC = {
+    2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
+    3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
+}
+
+
+class TestHalfGram:
+    """``model.gram(rows)`` computes the inner products on and above the
+    diagonal and fills each entry below it with the conjugate of its mirror,
+    or with the mirror itself where that is its own conjugate (an int,
+    Fraction, float or real QQi): the full Gram matrix, entry for entry and
+    type for type.  Floats compare with ==, so no rounding apart; only the
+    sign of a zero imaginary part is not compared (the conjugate of x + 0j
+    is x - 0j, and printing drops the sign of a zero)."""
+
+    @staticmethod
+    def _assert_half_is_full(omega):
+        for words in (list(words_upto(omega.n, 2)), list(gram_growth(omega).pivots)):
+            half, full = omega.model.gram(words), omega.model.gram(words, words)
+            for i, (row, want_row) in enumerate(zip(half, full)):
+                assert len(row) == len(words)
+                for j, (x, want) in enumerate(zip(row, want_row)):
+                    assert x == want and type(x) is type(want), (words[i], words[j], x, want)
+                    if j < i and (type(x) in (int, Fraction, float) or type(x) is QQi and x.im == 0):
+                        assert x is half[j][i], (words[i], words[j])
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")))
+    def test_exact_golden_states_and_their_twists(self, name):
+        spec = json.loads((GOLDEN_SPECS / f"{name}.json").read_text(encoding="utf-8"))
+        omega = state_from_spec(spec)
+        self._assert_half_is_full(omega)
+        self._assert_half_is_full(state_from_spec({"family": "gauge", "base": spec, "g": G_C_SPEC[omega.n]}))
+
+    @pytest.mark.parametrize("seed", [1, 99])
+    def test_float_states_of_the_benchmark(self, seed, bench_corpus):
+        specs = bench_corpus.build("report_float", seed).specs
+        assert len(specs) > 16
+        for spec in specs.values():
+            self._assert_half_is_full(state_from_spec(spec, "float"))
+
+    def test_inner_products_on_and_above_the_diagonal_only(self):
+        model = make_cuntz(Z35I).model
+        inner, pairs = model.inner, []
+
+        def spy(x, y):
+            pairs.append((x, y))
+            return inner(x, y)
+
+        model.inner = spy
+        words = list(words_upto(2, 2))
+        G = model.gram(words)
+        assert len(pairs) == len(words) * (len(words) + 1) // 2 == 28
+        model.inner = inner
+        assert G == model.gram(words, words)
+        pairs.clear()
+        model.inner = spy
+        model.gram(words, words)
+        assert len(pairs) == len(words) ** 2

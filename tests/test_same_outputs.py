@@ -94,3 +94,23 @@ def test_twin_drift_is_the_largest_delta_or_none_on_a_shape_change():
                "other": [0, json.dumps({"A": ["1/2"]}), "", None]}
     assert abs(same_outputs.twin_drift(results, [("float", "exact")]) - 1e-10) < 1e-15
     assert same_outputs.twin_drift(results, [("float", "exact"), ("float", "other")]) is None
+
+
+def test_the_golden_pairwise_report_and_its_twist_in_both_formats(tmp_path):
+    from test_golden import PAIRWISE
+
+    assert same_outputs.PAIRWISE == PAIRWISE
+    plan = same_outputs.build_plan(tmp_path)
+    assert sorted(label for label in plan if label.startswith("pairwise/")) == [
+        "pairwise/json/report:golden", "pairwise/json/report:twist",
+        "pairwise/md/report:golden", "pairwise/md/report:twist"]
+    for group, suffix in (("golden", ".json"), ("twist", ".gauge.json")):
+        files = [f"{name}{suffix}" for name in PAIRWISE]
+        workdir, argv = plan[f"pairwise/json/report:{group}"]
+        assert argv == ["report", *files, "--format", "json"]
+        assert plan[f"pairwise/md/report:{group}"] == (workdir, ["report", *files])
+        for file, name in zip(files, PAIRWISE):
+            spec = json.loads((Path(workdir) / file).read_text(encoding="utf-8"))
+            golden = json.loads((same_outputs.GOLDEN_SPECS / f"{name}.json").read_text(encoding="utf-8"))
+            twist = {"family": "gauge", "base": golden, "g": same_outputs.G_C[2]}
+            assert spec == (golden if group == "golden" else twist)

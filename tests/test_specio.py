@@ -266,6 +266,32 @@ class TestParseSpec:
             ": the level-2 moment matrix is not positive semidefinite (smallest eigenvalue estimate -1)"
         )
 
+    @pytest.mark.parametrize("defect, one", [("coupling", 1), ("coupling", 1.0), ("diagonal", 1.0)],
+                             ids=["coupling-exact", "coupling-float", "diagonal-float"])
+    def test_the_gate_refuses_rigged_functionals_in_both_modes(self, spec_file, monkeypatch, defect, one):
+        # a unit diagonal with one coupling omega(s_1 s_2*) = omega(s_2 s_1*) = 2
+        # has the eigenvalue 1 - 2 = -1; so has a diagonal entry -1 (the exact
+        # case of that is the test above).  The exact
+        # check reads the entries on and above the diagonal, the float estimate
+        # the Hermitian part, and the gate's Gram matrix fills the entries
+        # below the diagonal from those above
+        import cuntzlab.specio as specio
+        from cuntzlab.moments import MomentFunctional
+
+        def rigged(J, K):
+            if defect == "coupling" and {J, K} == {(1,), (2,)}:
+                return 2 * one
+            if J == K:
+                return -one if defect == "diagonal" and len(J) == 1 else one
+            return 0 * one
+
+        monkeypatch.setattr(specio, "state_from_spec", lambda *a, **k: MomentFunctional(2, "cuntz", rigged))
+        with pytest.raises(GateFailed) as e:
+            parse_spec(spec_file({"family": "cuntz", "z": [1, 0]}))
+        assert str(e.value).endswith(
+            ": the level-2 moment matrix is not positive semidefinite (smallest eigenvalue estimate -1)"
+        )
+
     @pytest.fixture
     def moment_calls(self, monkeypatch):
         """The states whose checked ``moment()`` or ``moment_of_element`` is called."""

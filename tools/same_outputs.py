@@ -17,6 +17,9 @@ fresh interpreter per tree, the two trees side by side:
 * ``moments --level 3 --mode float`` (json) on every golden spec that
   solves a fixed-point table: a prefix-code, sub_cuntz or progression
   state, or a twist of one;
+* ``report`` (json and md) over the members of the golden pairwise report
+  (``PAIRWISE``, as in ``tests/test_golden.py``) and over their twists by
+  G_C, every pair of each list;
 * ``selftest --format json``, with each criterion's seconds dropped;
 * exact ``report`` and ``fcs`` (json) on the exact twins of the heavy
   report_float states (dense order 6 and 7 over n = 2, order 4 over n = 3),
@@ -72,6 +75,15 @@ G_C = {
 # the one-word code 1^10: a fixed-point system over 4094 columns with a
 # ten-dimensional solution space, whose table is the minimum-norm one
 ONE_WORD = {"family": "prefix_code", "n": 2, "code": [[1] * 10], "z": [1]}
+# the members of tests/golden/pairwise.json, in its order (tests/test_golden.py's PAIRWISE)
+PAIRWISE = [
+    "cuntz", "cuntz_swapped", "cuntz_10", "gauge", "geometric_progression", "gauge_progression",
+    "sandwich_series", "sandwich_user", "sandwich", "shift", "shift_21", "shift_112", "vector_shift",
+    "vector_grid", "vector_lazy", "gauge_shift", "gauge_sub_cuntz", "sub_cuntz", "sub_cuntz",
+    "sub_cuntz_swapped", "sub_cuntz_twisted", "sub_cuntz_power", "progression_a", "progression_a",
+    "progression_b", "progression_open", "induced_product", "induced_shifted", "induced_other",
+    "mixture", "prefix_code",
+]
 CHILD_TIMEOUT_S = 3600
 
 # Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
@@ -145,6 +157,10 @@ def build_plan(work: Path) -> dict:
         if solves_fixed_point(spec):
             plan[f"golden/json/moments_float:{path.stem}"] = (str(d), ["moments", files["golden"], "--level", "3",
                                                                        "--mode", "float", "--format", "json"])
+    for group, suffix in (("golden", ".json"), ("twist", ".gauge.json")):
+        files = [name + suffix for name in PAIRWISE]
+        plan[f"pairwise/json/report:{group}"] = (str(d), ["report", *files, "--format", "json"])
+        plan[f"pairwise/md/report:{group}"] = (str(d), ["report", *files])
     plan["selftest/json/selftest"] = (str(d), ["selftest", "--format", "json"])
     d = work / "solve"
     d.mkdir()
