@@ -14,12 +14,12 @@ so exact work never loads it.
 entry}``.  It splits the columns into the connected components of the
 rows' sparsity graph and reduces each block on its own.  Exact blocks pivot
 in Markowitz order (shortest row, then the column the fewest rows hold), and
-their kernel vectors are then reduced from the last column backwards, which
-restores the whole matrix's reduced-echelon basis.  Float blocks share one
-rank threshold, taken from the largest singular value of any block, as a
-dense SVD of the whole matrix would.  The fixed-point systems of
-``moments`` split into a few such blocks, and arrive in exact mode as rows
-of ints.
+their kernel is read off the reduced rows, one vector per free column; which
+columns are free depends on that order, and no exact caller depends on the
+basis.  Float blocks share one rank threshold, taken from the largest
+singular value of any block, as a dense SVD of the whole matrix would.  The
+fixed-point systems of ``moments`` split into a few such blocks, and arrive
+in exact mode as rows of ints.
 
 Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
 a pivoted L D L* factor grown one pivot at a time: the Gram growth of
@@ -129,15 +129,12 @@ def _cross_factors(pv: int, f, gaussian: bool):
     return pv // g, (f / g if gaussian else f // g)
 
 
-def _divided(values, pv, has_qqi: bool, gaussian: bool) -> list:
-    """Integer (or Gaussian-integer) entries divided by a pivot: Fractions,
-    or QQi when the matrix had a QQi entry, a zero entry made the ring's 0."""
-    zero = QQi(0) if has_qqi else Fraction(0)
-    if gaussian:
-        return [x / pv if x else zero for x in values]
-    if has_qqi:
-        return [QQi(Fraction(x, pv)) if x else zero for x in values]
-    return [Fraction(x, pv) if x else zero for x in values]
+def _divided(x, pv: int, has_qqi: bool):
+    """An integer (or Gaussian-integer) entry divided by an integer pivot: a
+    Fraction, or a QQi when the matrix had a QQi entry."""
+    if type(x) is QQi:
+        return x / pv
+    return QQi(Fraction(x, pv)) if has_qqi else Fraction(x, pv)
 
 
 def rank(rows) -> int:
@@ -165,8 +162,8 @@ def solve(a, b):
 
 def _scaled_to_end_in_one(v, d):
     """v[:d] / v[d] for a kernel vector v of length d + 1, or None when v[d]
-    is zero: exactly, for an exact vector, whose last entry is the int 1 or
-    0, and up to DEFAULT_RANK_TOL for a float one, which has unit norm."""
+    is zero: exactly for an exact vector, and up to DEFAULT_RANK_TOL for a
+    float one, which has unit norm."""
     last = v[d]
     if not last or isinstance(last, (float, complex)) and abs(last) <= DEFAULT_RANK_TOL:
         return None
@@ -187,13 +184,13 @@ def kernel_basis(rows, ncols: int):
     run sparse fraction-free elimination per block, in Markowitz order: the
     shortest active row, and in it the column the fewest rows hold, ties to
     the lowest index.  A block of one column with a row is not reduced; it
-    has no kernel vector.  The kernel vectors that order gives are reduced
-    once more with pivots from the last column backwards and divided by
-    their pivots: the unique basis whose vectors have distinct last nonzero
-    columns, 1 there and 0 at the others'.  The reduced echelon form's
-    kernel vector of a free column f is e_f minus the entries of f in the
-    pivot rows, all at pivot columns before f, so that basis is exactly the
-    one that eliminating the whole matrix gives, ordered by free column.
+    has no kernel vector.  Each column no pivot takes is free and gives one
+    kernel vector, 1 there and 0 at the other free columns (see
+    :func:`_exact_kernel`), ordered by free column.  The order frees other
+    columns than the reduced echelon form does, so this is not the echelon
+    basis: ``rank`` counts the vectors, ``solve`` scales the only one, and
+    ``min_norm_solution`` returns the one minimum-norm point, none of which
+    depends on the basis.
 
     Float rows take the SVD of each block; blocks of equal shape share one
     stacked ``np.linalg.svd`` call.  The singular values of a block-diagonal
@@ -252,17 +249,12 @@ def _column_blocks(rows, ncols: int):
 def _exact_kernel(blocks):
     """(free column, its kernel vector's entries) per free column of each block.
 
-    A block's rows, made integral, are reduced by :func:`_sparse_reduce` in
-    Markowitz order.  A free column g of that order gives the integer kernel
-    vector L e_g - sum_r (L / p_r) R_r[g] e_(c_r) over the pivot rows R_r
-    with an entry at g, p_r the pivot of R_r at column c_r and L their lcm.
-    These vectors span the block's kernel, but which columns are free depends
-    on the order.  Reduced once more, with pivots taken from the last column
-    backwards, and each divided by its pivot, they become the one basis of
-    the kernel whose vectors have distinct last nonzero columns, each 1 there
-    and 0 at the others': the kernel vectors of the reduced echelon form,
-    whose free columns are exactly those last columns.  A block of one
-    column with a row has no kernel vector and is not reduced.
+    A block's rows, made integral, are reduced by :func:`_sparse_reduce`.
+    Each pivot row R_r then holds its pivot p_r at column c_r and otherwise
+    free columns only, so a free column g gives the kernel vector
+    e_g - sum_r (R_r[g] / p_r) e_(c_r): 1 at g and 0 at the other free
+    columns.  A block of one column with a row has no kernel vector and is
+    not reduced.
     """
     found = []
     for cols, rows in blocks:
@@ -273,40 +265,22 @@ def _exact_kernel(blocks):
             continue
         has_qqi, gaussian = _ring([x for row in rows for x in row.values()])
         work = [_integral(row, gaussian) for row in rows]
-        pivots = _sparse_reduce(work, _MARKOWITZ, gaussian)
-        held: dict[int, list] = {}  # free column -> (pivot column, pivot, entry) of the rows holding it
+        pivots = _sparse_reduce(work, gaussian)
+        pivot_cols = {c for _, c in pivots}
+        vectors = {g: [(g, 1)] for g in cols if g not in pivot_cols}
         for r, c in pivots:
             row = work[r]
             pv = gaussian_parts(row[c])[0]
             for j, x in row.items():
                 if j != c:
-                    held.setdefault(j, []).append((c, pv, x))
-        pivot_cols = {c for _, c in pivots}
-        one = QQi(1) if gaussian else 1
-        vectors = []
-        for g in cols:
-            if g not in pivot_cols:
-                terms = held.get(g, ())
-                lead = lcm(*(pv for _, pv, _ in terms))
-                v = {g: lead * one}
-                for c, pv, x in terms:
-                    v[c] = -(lead // pv) * x
-                vectors.append(_without_content(v, gaussian))
-        for r, c in _sparse_reduce(vectors, _LAST_COLUMN, gaussian):
-            v = vectors[r]
-            others = [j for j in v if j != c]
-            found.append((c, [(c, 1), *zip(others, _divided([v[j] for j in others], v[c], has_qqi, gaussian))]))
+                    vectors[j].append((c, _divided(-x, pv, has_qqi)))
+        found += vectors.items()
     return found
 
 
-# pivot orders of _sparse_reduce: (key of a row, the least first; pivot column in the chosen row)
-_MARKOWITZ = (lambda row, k: (len(row), k), lambda row, holders: min(row, key=lambda j: (len(holders[j]), j)))
-_LAST_COLUMN = (lambda row, k: (-max(row), k), lambda row, holders: max(row))
-
-
-def _sparse_reduce(work, order, gaussian: bool):
+def _sparse_reduce(work, gaussian: bool):
     """Fraction-free Gauss-Jordan elimination of nonempty integer rows
-    {column: entry} in place.
+    {column: entry} in place, in Markowitz order.
 
     As in Bareiss (1968, Math. Comp. 22) no fraction is formed on the way:
     a row is updated by cross-multiplication with the pivot row over the
@@ -314,30 +288,25 @@ def _sparse_reduce(work, order, gaussian: bool):
     over the Gaussian integers pivot on an integer, the pivot row first
     multiplied by the conjugate of its pivot.
 
-    ``order`` is (row_key, pick): the next pivot row is the unreduced nonzero
-    row of least ``row_key(row, index)``, its pivot column ``pick(row,
-    holders)``, where ``holders`` maps each column to the rows with an entry
-    there.  :func:`_exact_kernel` reduces a block's rows in Markowitz order,
-    the shortest row and its column held by the fewest rows, and the kernel
-    vectors that gives in last-column order, the row of greatest last column,
-    pivoting there; ties go to the lowest index.  Returns the (row, column)
-    pivots in the order taken; every other row ends empty."""
-    row_key, pick = order
+    The next pivot row is the shortest unreduced nonzero row, and its pivot
+    column the one of its columns the fewest rows hold; ties go to the lowest
+    index.  Returns the (row, column) pivots in the order taken; every other
+    row ends empty."""
     holders: dict[int, set] = {}
     for k, row in enumerate(work):
         for j in row:
             holders.setdefault(j, set()).add(k)
-    queue = [(row_key(row, k), k) for k, row in enumerate(work)]
+    queue = [(len(row), k) for k, row in enumerate(work)]
     heapify(queue)
     pivots = []
     done = set()
     while queue:
-        key, r = heappop(queue)
+        size, r = heappop(queue)
         prow = work[r]
-        if r in done or not prow or key != row_key(prow, r):
+        if r in done or size != len(prow):
             continue  # an entry left behind by a later update of the row
         done.add(r)
-        c = pick(prow, holders)
+        c = min(prow, key=lambda j: (len(holders[j]), j))
         pv = prow[c]
         if gaussian:
             prow, pv = _real_pivot(prow, c)
@@ -361,7 +330,7 @@ def _sparse_reduce(work, order, gaussian: bool):
                         holders[j].discard(k)
             work[k] = row = _without_content(row, gaussian)
             if row and k not in done:
-                heappush(queue, (row_key(row, k), k))
+                heappush(queue, (len(row), k))
         pivots.append((r, c))
     return pivots
 
@@ -657,9 +626,10 @@ def min_norm_solution(basis, constraint_rows, constraint_rhs):
     [C B | -rhs], B the matrix whose columns are the basis.  Its vector of
     largest last entry, scaled to end in 1, gives one such c, p; when that
     entry is zero no c meets them.  Each other vector, less its multiple of
-    p's, ends in 0 and gives a direction along which C B vanishes: an exact
-    kernel has at most one vector not ending in 0, but the orthonormal float
-    one can have several.  Over c = p + N t, with those directions the
+    p's, ends in 0 and gives a direction along which C B vanishes (several
+    vectors, exact or float, can end in a nonzero entry).  The least-norm
+    point is unique, so the answer does not depend on the kernel's basis.
+    Over c = p + N t, with those directions the
     columns of N and G the Gram matrix of the basis, the norm is least where
     (N* G N) t = -N* G p.
 

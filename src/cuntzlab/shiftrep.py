@@ -39,7 +39,7 @@ from .linalg import LDLFactor
 from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, sequence_factory
 from .scalars import conj, is_exact_scalar, scalar_is_zero
 from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
-from .words import EventuallyPeriodicWord, LazyWord, Word
+from .words import EventuallyPeriodicWord, LazyWord, Word, tail_equivalent
 
 __all__ = [
     "StateVector",
@@ -149,6 +149,14 @@ class ShiftRepresentation:
 
     def omega(self) -> StateVector:
         return StateVector.basis(self.generator_key())
+
+    def check_key(self, key):
+        """The key of an eventually periodic word x, when it has x's tail."""
+        if not isinstance(key, EventuallyPeriodicWord) or key.n != self.n:
+            raise SchemaError(f"shift keys are eventually periodic words over n={self.n}; got {key!r}")
+        if not tail_equivalent(key, self.word):
+            raise SchemaError(f"shift key {self.key_str(key)} is not in the tail class of {self.key_str(self.word)}")
+        return key
 
     def _canonical(self, prefix: Word, t: int):
         while prefix and t >= 1 and prefix[-1] == self.word.letter(t):
@@ -269,7 +277,9 @@ def _grid_digit_path(k: int, n: int) -> tuple[int, ...]:
 def vector_state(rep, x) -> MomentFunctional:
     """The state omega(y) = <v, pi(y) v> / <v, v> of a vector in the representation.
 
-    x may be a basis key or a StateVector.  The keys of a lazy word are put in
+    x may be a basis key or a StateVector.  A grid key must be a pair
+    (k >= 1, m) and the key of an eventually periodic word must have that
+    word's tail, else SchemaError.  The keys of a lazy word are put in
     canonical form here, the coefficients of keys that name one vector merged;
     ``up`` and ``down`` keep them canonical.  Moments divide by the squared norm,
     so unnormalized exact vectors stay exact.  They are read off the state's
@@ -284,16 +294,16 @@ def vector_state(rep, x) -> MomentFunctional:
     its horizon.
     """
     v = x if isinstance(x, StateVector) else StateVector.basis(x)
-    if isinstance(rep, GridRepresentation):
-        for key in v.coeffs:
-            rep.check_key(key)
-    elif isinstance(rep, ShiftRepresentation) and rep.lazy:
+    if isinstance(rep, ShiftRepresentation) and rep.lazy:
         # keys that name one vector become one tuple, so the dict inner product is exact
         merged: dict = {}
         for key, c in v.items():
             key = rep._canonical(*key)
             merged[key] = merged.get(key, 0) + c
         v = StateVector(merged)
+    elif isinstance(rep, (GridRepresentation, ShiftRepresentation)):
+        for key in v.coeffs:
+            rep.check_key(key)
     nrm2 = v.norm2()
     if scalar_is_zero(nrm2, None):
         raise SchemaError("the zero vector does not define a state")

@@ -505,10 +505,12 @@ class TestMalformedSpecs:
              TAIL_BOUND_UNKNOWN),
             ("report", {"family": "sandwich", "base": CUNTZ10, "terms": [[1, ELEMENT]], "equivalent_to_cuntz": [1]},
              "state spec (sandwich): equivalent_to_cuntz needs 2 entries, got 1"),
+            ("report", {"family": "vector", "rep": {"kind": "shift", "word": {"per": [1]}}, "key": {"per": [2, 2]}},
+             "state spec (vector): shift key (2)^inf is not in the tail class of (1)^inf"),
         ],
         ids=["typo", "cuntz_n", "lazy_n", "tail_bound", "element_n", "element_terms", "code", "pre", "g",
              "components", "lazy_key", "sub_cuntz_m40", "family_list", "negative_tail_bound",
-             "declared_parameter_length"],
+             "declared_parameter_length", "shift_key_outside_the_tail_class"],
     )
     def test_one_error_line(self, spec_file, capsys, command, spec, message):
         assert run([command, spec_file(spec)]) == 1

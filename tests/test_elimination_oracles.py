@@ -2,10 +2,13 @@
 
 The oracle is sympy (``nullspace``, ``rank``, ``det``, ``LUsolve``,
 ``gauss_jordan_solve``, ``is_positive_semidefinite`` and
-``DomainMatrix.rref_den``).  Outputs must agree entry by entry, not only
-as spans: the nullspace basis built from the reduced echelon form is unique.
-The exact PSD verdict must agree with sympy's on drawn Hermitian matrices,
-and each way the L D L* stream can refuse a matrix has a pinned case.
+``DomainMatrix.rref_den``).  An exact kernel basis is the one the
+elimination gives, and its contract is checked, not the basis itself: its
+vectors are killed by the rows, there are as many as sympy's nullity, they
+span sympy's nullspace, and each has 1 at its own free column and 0 at the
+others'.  The exact PSD verdict must agree with sympy's on drawn Hermitian
+matrices, and each way the L D L* stream can refuse a matrix has a pinned
+case.
 ``LDLFactor`` itself, grown on drawn Hermitian PSD matrices, must take
 sympy's rank in pivots, with the product of its D equal to the determinant
 of the pivots' Gram minor, and ``mat_vec`` must agree with sympy on exact
@@ -18,8 +21,8 @@ with tied and zero rows.  On float Grams whose first entry is the int 1,
 as a float state with omega(1) = 1 gives, the pivots must agree and the
 residuals lie within 1e-12.  ``kernel_basis`` reduces one connected
 block of columns at a time: on shuffled block-diagonal matrices, given as
-list rows and as mapping rows, it must return sympy's nullspace vector for
-vector, and its float twin must span what a dense SVD's kernel spans.
+list rows and as mapping rows, it must keep that contract, and its float
+twin must span what a dense SVD's kernel spans.
 
 Every linear system is read off ``kernel_basis``, so ``rank``, ``solve``
 and ``min_norm_solution`` are checked against sympy in exact mode, and
@@ -28,13 +31,15 @@ case equals its exact rank, every float singular system raises, and every
 float minimum-norm case lies within 1e-12 of its exact answer, although
 its orthonormal kernel can hold several vectors that do not end in 0.  An
 exact block of ``kernel_basis`` is reduced in Markowitz order, which frees
-other columns than the reduced echelon form does, and its basis is then
-restored to the reduced-echelon one.  Sparse systems with kernels of
-dimension two or more must give sympy's nullspace, a pinned case frees
-other columns, and ``reference_exact_kernel``, sympy's per-block reduced
-echelon form, must give the same basis on every fixed-point system that
-building the golden code, progression and mixture states and the
-benchmark's heavy exact states solves.
+other columns than the reduced echelon form does.  No exact answer depends
+on the basis: ``min_norm_solution`` gives one answer on a basis and on an
+invertible recombination of it, and ``solve`` and ``rank`` match sympy on
+systems whose Markowitz order frees other columns.  Sparse systems with
+kernels of dimension two or more keep the contract, a pinned case frees
+other columns, and on every fixed-point system that building the golden
+code, progression and mixture states and the benchmark's heavy exact states
+solves, the basis spans the kernel of ``reference_exact_kernel``, sympy's
+per-block reduced echelon form.
 """
 
 import json
@@ -46,14 +51,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from cuntzlab import Inconsistent, QQi, linalg, moments
 from cuntzlab.linalg import (
-    _MARKOWITZ,
     LDLFactor,
     _integral,
     _sparse_reduce,
@@ -115,11 +119,54 @@ def as_float(rows):
     return [[complex(x) if gaussian else float(x) for x in row] for row in rows]
 
 
+def markowitz_free_columns(rows, ncols):
+    """The free columns of ``kernel_basis``'s exact elimination, ascending:
+    one per kernel vector."""
+    free = []
+    exact_kernel = linalg._exact_kernel
+
+    def spy(blocks):
+        found = exact_kernel(blocks)
+        free.extend(g for g, _ in found)
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_exact_kernel", spy)
+        kernel_basis(rows, ncols)
+    return sorted(free)
+
+
+def rref_free_columns(rows):
+    pivots = to_sympy(rows).rref()[1]
+    return [c for c in range(len(rows[0])) if c not in pivots]
+
+
+def assert_kernel_contract(rows, ncols, basis, reference):
+    """``basis``, the exact kernel of ``rows``, against a reference basis of
+    that kernel: each vector is killed by the rows, there are as many, each
+    has 1 at its own free column and 0 at the others', and each reference
+    vector is the combination of the basis by its entries at those columns,
+    so the two span one space."""
+    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in rows]
+    basis = [as_qqi(v) for v in basis]
+    reference = [as_qqi(v) for v in reference]
+    assert all(sum((x * v[j] for j, x in row.items()), QQi(0)) == 0 for v in basis for row in rows)
+    assert len(basis) == len(reference)
+    free = markowitz_free_columns(rows, ncols)
+    assert [[v[g] for g in free] for v in basis] == [[int(i == k) for k in range(len(free))]
+                                                     for i in range(len(free))]
+    for r in reference:
+        assert r == [sum((r[g] * v[j] for g, v in zip(free, basis)), QQi(0)) for j in range(ncols)]
+
+
+def sympy_nullspace(rows):
+    return [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
+
+
 def assert_matches_sympy(rows):
     ncols = len(rows[0])
     assert rank(rows) == to_sympy(rows).rank()
-    basis = kernel_basis(rows, ncols)
-    assert [as_qqi(v) for v in basis] == [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
+    assert_kernel_contract(rows, ncols, kernel_basis(rows, ncols), sympy_nullspace(rows))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -568,9 +615,9 @@ def as_mapping(rows):
 
 def assert_blocks_match_sympy(rows, ncols):
     assert rank(rows) == to_sympy(rows).rank()
-    expected = [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
-    assert [as_qqi(v) for v in kernel_basis(rows, ncols)] == expected
-    assert [as_qqi(v) for v in kernel_basis(as_mapping(rows), ncols)] == expected
+    basis = kernel_basis(rows, ncols)
+    assert_kernel_contract(rows, ncols, basis, sympy_nullspace(rows))
+    assert kernel_basis(as_mapping(rows), ncols) == basis
 
 
 def float_projector(basis, ncols):
@@ -629,7 +676,7 @@ def test_float_rank_threshold_is_shared_by_the_blocks():
 
 
 # Sparse systems wider than they are tall, so every kernel has two or more
-# vectors for the basis restoration to reduce.
+# vectors, and which columns are free depends on the pivot order.
 
 nonzero_entries = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
 nonzero_gaussian_entries = st.builds(QQi, entries, entries).filter(bool)
@@ -663,20 +710,133 @@ def test_gaussian_sparse_kernels_match_sympy(case):
 # x1 - x2 + x3 = 0 and x0 + x1 = 0: the reduced echelon form pivots on
 # columns 0 and 1 and frees 2 and 3.  The Markowitz order takes the shorter
 # row first, on column 0, which only it holds, then column 2, and frees 1
-# and 3; its kernel vector of column 3, e3 + e2, must lose its entry at
-# column 2, the last column of the other vector, e1 - e0 + e2
+# and 3: its kernel vectors are e1 - e0 + e2 and e3 + e2
 MARKOWITZ_FREES_OTHERS = [[F(0), F(1), F(-1), F(1)], [F(1), F(1), F(0), F(0)]]
 
 
-def test_markowitz_order_frees_other_columns_and_the_basis_is_restored():
+def test_markowitz_order_frees_other_columns():
     work = [_integral(row, False) for row in as_mapping(MARKOWITZ_FREES_OTHERS)]
-    assert [c for _, c in _sparse_reduce(work, _MARKOWITZ, False)] == [0, 2]
-    assert kernel_basis(MARKOWITZ_FREES_OTHERS, 4) == [[-1, 1, 1, 0], [1, -1, 0, 1]]
+    assert [c for _, c in _sparse_reduce(work, False)] == [0, 2]
+    assert rref_free_columns(MARKOWITZ_FREES_OTHERS) == [2, 3]
+    assert kernel_basis(MARKOWITZ_FREES_OTHERS, 4) == [[-1, 1, 1, 0], [0, 0, 1, 1]]
     assert_blocks_match_sympy(MARKOWITZ_FREES_OTHERS, 4)
 
 
+# No exact answer depends on which basis of a kernel it is given.
+
+
+@st.composite
+def recombined(draw, elements, nonzero):
+    """(basis, its recombination, constraint rows, rhs): the basis is the
+    kernel of a sparse wide matrix, recombined by a permutation times a unit
+    upper triangular matrix times a diagonal of nonzero entries."""
+    rows, m = draw(sparse_wide(nonzero))
+    basis = kernel_basis(rows, m)
+    k = len(basis)
+    order = draw(st.permutations(basis))
+    scale = draw(st.lists(nonzero, min_size=k, max_size=k))
+    upper = draw(st.lists(st.lists(elements, min_size=k, max_size=k), min_size=k, max_size=k))
+    mixed = [[scale[i] * order[i][j] + sum((upper[i][l] * order[l][j] for l in range(i + 1, k)), 0) for j in range(m)]
+             for i in range(k)]
+    constraints = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=1, max_size=3))
+    rhs = draw(st.lists(elements, min_size=len(constraints), max_size=len(constraints)))
+    return basis, mixed, constraints, rhs
+
+
+def min_norm_or_none(basis, constraints, rhs):
+    try:
+        return as_qqi(min_norm_solution(basis, constraints, rhs))
+    except Inconsistent:
+        return None
+
+
+@settings(max_examples=60)
+@given(st.one_of(recombined(entries, nonzero_entries), recombined(gaussian_entries, nonzero_gaussian_entries)))
+def test_min_norm_solution_does_not_depend_on_the_basis(case):
+    basis, mixed, constraints, rhs = case
+    found = min_norm_or_none(basis, constraints, rhs)
+    assert min_norm_or_none(mixed, constraints, rhs) == found
+    if found is not None:
+        assert found == min_norm_oracle(basis, constraints, rhs)
+
+
+def placed(draw, width, count):
+    """``count`` drawn columns of ``width``, ascending, and the others."""
+    places = sorted(draw(st.lists(st.integers(0, width - 1), min_size=count, max_size=count, unique=True)))
+    return places, [c for c in range(width) if c not in places]
+
+
+@st.composite
+def beside_markowitz_frees_others(draw, elements, nonzero):
+    """A drawn matrix beside MARKOWITZ_FREES_OTHERS with drawn nonzero
+    entries: its columns, in their order, at drawn places, and the rows
+    shuffled.  The two are blocks of their own, so the Markowitz order still
+    frees 1 and 3 of that case's columns, and the reduced echelon form 2 and 3."""
+    rest = draw(matrices(elements, largest=4))
+    block = [[x and draw(nonzero) for x in row] for row in MARKOWITZ_FREES_OTHERS]
+    width = len(rest[0]) + 4
+    places, others = placed(draw, width, 4)
+    rows = []
+    for part, cols in ((rest, others), (block, places)):
+        for row in part:
+            dense = [row[0] * 0] * width
+            for c, x in zip(cols, row):
+                dense[c] = x
+            rows.append(dense)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=60)
+@given(st.one_of(beside_markowitz_frees_others(entries, nonzero_entries),
+                 beside_markowitz_frees_others(gaussian_entries, nonzero_gaussian_entries)))
+def test_rank_matches_sympy_where_markowitz_frees_other_columns(rows):
+    assert markowitz_free_columns(rows, len(rows[0])) != rref_free_columns(rows)
+    assert_matches_sympy(rows)
+
+
+@st.composite
+def systems_whose_markowitz_order_pivots_on_b(draw, elements, nonzero):
+    """(a, b): a drawn square part beside the regular block [[p, q], [r, s]],
+    its columns in order at drawn places, b = t on the row (p, q) and 0
+    elsewhere, the rows shuffled.  In [a | -b] the Markowitz order takes the
+    row (r, s) first, on p's column; the row (p, q, -t) is then left with
+    q's column, which both rows hold, and b's, which it alone holds: b's
+    column is a pivot and q's is free, where the reduced echelon form frees b's."""
+    k = draw(st.integers(0, 3))
+    rest = draw(st.lists(st.lists(elements, min_size=k, max_size=k), min_size=k, max_size=k))
+    p, q, r, s, t = (draw(nonzero) for _ in range(5))
+    assume(p * s != q * r)
+    places, others = placed(draw, k + 2, 2)
+    zero = t * 0
+    system = []
+    for part, cols, rhs in ((rest, others, [zero] * k), ([[p, q], [r, s]], places, [t, zero])):
+        for row, x in zip(part, rhs):
+            dense = [zero] * (k + 2)
+            for c, y in zip(cols, row):
+                dense[c] = y
+            system.append((dense, x))
+    system = draw(st.permutations(system))
+    return [row for row, _ in system], [x for _, x in system]
+
+
+@settings(max_examples=60)
+@given(st.one_of(systems_whose_markowitz_order_pivots_on_b(entries, nonzero_entries),
+                 systems_whose_markowitz_order_pivots_on_b(gaussian_entries, nonzero_gaussian_entries)))
+def test_solve_matches_sympy_where_markowitz_frees_other_columns(system):
+    a, b = system
+    d = len(a)
+    augmented = [[*a[i], -b[i]] for i in range(d)]
+    assert markowitz_free_columns(augmented, d + 1) != rref_free_columns(augmented)
+    A = to_sympy(a)
+    if A.rank() < d:
+        with pytest.raises(Inconsistent):
+            solve(a, b)
+        return
+    assert as_qqi(solve(a, b)) == [from_sympy(x) for x in A.LUsolve(to_sympy([[x] for x in b]))]
+
+
 def reference_exact_kernel(blocks):
-    """The exact block kernel by sympy: each block's reduced echelon form
+    """An exact block kernel by sympy: each block's reduced echelon form
     R / den, R over the integers from ``DomainMatrix.rref_den``, and one
     kernel vector e_f - sum_r (R[r][f] / den) e_(c_r) per free column f."""
     found = []
@@ -696,7 +856,7 @@ SOLVED_FAMILIES = ("sub_cuntz", "prefix_code", "geometric_progression", "mixture
 GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
 
 
-def test_every_solved_system_gives_the_reference_basis(heavy_twins, monkeypatch):
+def test_every_solved_system_spans_the_reference_kernel(heavy_twins, monkeypatch):
     specs = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN_SPECS.glob("*.json"))]
     specs = [spec for spec in specs if spec["family"] in SOLVED_FAMILIES] + list(heavy_twins.values())
     systems = []
@@ -715,4 +875,5 @@ def test_every_solved_system_gives_the_reference_basis(heavy_twins, monkeypatch)
         found = kernel_basis(rows, ncols)
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_exact_kernel", reference_exact_kernel)
-            assert found == kernel_basis(rows, ncols)
+            reference = kernel_basis(rows, ncols)
+        assert_kernel_contract(rows, ncols, found, reference)

@@ -49,11 +49,12 @@ def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
             assert spec["family"] == "sub_cuntz" and argv[0] == command
     workdir, argv = plan["solve/json/report:one_word_1x10"]
     assert json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))["code"] == [[1] * 10]
-    # a float table from the minimum-norm step: a kernel of ten vectors
+    # exact and float tables from the minimum-norm step: a kernel of ten vectors
     workdir, argv = plan["solve/json/moments:one_word_1x10"]
-    assert argv[0] == "moments" and argv[argv.index("--mode") + 1] == "float"
+    assert argv == ["moments", "one_word_1x10.json", "--level", "3", "--format", "json"]
     assert (Path(workdir) / argv[1]).is_file()
-    assert sum(label.startswith("solve/") for label in plan) == 8
+    assert plan["solve/json/moments_float:one_word_1x10"] == (workdir, [*argv, "--mode", "float"])
+    assert sum(label.startswith("solve/") for label in plan) == 9
 
 
 def test_float_moments_on_every_golden_fixed_point_table(tmp_path):

@@ -85,6 +85,27 @@ class TestShiftRepresentation:
             for K in words_upto(2, 4):
                 assert sh.moment(J, K) == wd.moment(J, K), (J, K)
 
+    def test_a_key_outside_the_tail_class_is_refused(self):
+        # e_(2)^inf is a vector of another shift representation: its state
+        # used to be read in this one
+        rep = ShiftRepresentation(ep((), (1,)))
+        with pytest.raises(SchemaError, match=r"shift key \(2\)\^inf is not in the tail class of \(1\)\^inf"):
+            vector_state(rep, ep((), (2, 2)))
+        with pytest.raises(SchemaError, match="not in the tail class"):
+            vector_state(rep, StateVector({ep((2,), (1,)): q(1), ep((), (1, 2)): q(1)}))
+        with pytest.raises(SchemaError, match="eventually periodic words over n=2"):
+            vector_state(rep, ep((), (1,), n=3))
+        with pytest.raises(SchemaError, match="eventually periodic words over n=2"):
+            vector_state(rep, (1, 0))
+
+    def test_a_key_with_a_rotated_period_is_accepted(self):
+        x = ep((), (1, 2))
+        rep = ShiftRepresentation(x)
+        y = ep((2, 2), (2, 1))
+        assert rep.check_key(y) is y
+        w = vector_state(rep, StateVector({x: q(1), y: q(1)}))
+        assert w.moment((), ()) == 1
+
 
 class TestLazyWords:
     def test_presets_exist(self):

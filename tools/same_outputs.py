@@ -25,9 +25,9 @@ fresh interpreter per tree, the two trees side by side:
   report_float states (dense order 6 and 7 over n = 2, order 4 over n = 3),
   and ``report`` (json) on the one-word code 1^10: the states with the
   largest fixed-point solves;
-* ``moments --level 3 --mode float`` (json) on the code 1^10, whose float
-  fixed-point kernel has ten vectors, so its table comes from the float
-  minimum-norm step (as does the golden ``sub_cuntz_power``'s).
+* ``moments --level 3`` (json), exact and ``--mode float``, on the code
+  1^10, whose fixed-point kernel has ten vectors, so its table comes from
+  the minimum-norm step (as does the golden ``sub_cuntz_power``'s).
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -170,8 +170,9 @@ def build_plan(work: Path) -> dict:
             plan[f"solve/json/{command}:{name}"] = (str(d), [command, file, "--format", "json"])
     file = _write(d / "one_word_1x10.json", ONE_WORD)
     plan["solve/json/report:one_word_1x10"] = (str(d), ["report", file, "--format", "json"])
-    plan["solve/json/moments:one_word_1x10"] = (str(d), ["moments", file, "--level", "3", "--mode", "float",
-                                                          "--format", "json"])
+    moments = ["moments", file, "--level", "3", "--format", "json"]
+    plan["solve/json/moments:one_word_1x10"] = (str(d), moments)
+    plan["solve/json/moments_float:one_word_1x10"] = (str(d), [*moments, "--mode", "float"])
     return plan
 
 
