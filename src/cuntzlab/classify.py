@@ -508,38 +508,44 @@ class EquivDecision(NamedTuple):
     reason: str
 
 
-def _tensor_conjugate(m: int, za: dict, zb: dict, n: int):
+def _tensor_conjugate(m: int, za: dict, zb: dict):
     """Decide whether zb = za, or zb is the swap x2 (x) x1 of some splitting
     za = x1 (x) x2.  Returns (conjugate, split position or 0 for equality).
 
     The swap is compared through pivot cross-products, which stay in exact
-    arithmetic and absorb the reciprocal-scalar freedom of the factors.
+    arithmetic and absorb the reciprocal-scalar freedom of the factors.  The
+    pivot is the first entry of largest modulus (in word order), so at a
+    split after t letters it is za[pr + pc] with |pr| = t.  A pair (R, C)
+    whose cross-product za[R + pc] * za[pr + C] has an exact-zero factor
+    compares za[R + C] (or zb[C + R]) times the pivot with an exact zero,
+    which holds wherever that entry is zero.  So only the rectangle of rows R
+    with za[R + pc] != 0 and columns C with za[pr + C] != 0 is compared in
+    full, and off it only the nonzero entries of za and zb: the work is the
+    tensors' support, not all n^m entries at each split.
     """
-    words_m = list(all_words(n, m))
-    if all(scalars_close(za[w], zb[w]) for w in words_m):
+    support_a = sorted(w for w, c in za.items() if c != 0)
+    support_b = [w for w, c in zb.items() if c != 0]
+    if all(scalars_close(za[w], zb[w]) for w in set(support_a).union(support_b)):
         return True, 0
+    pivot = max(support_a, key=lambda w: abs(complex(za[w])), default=None)
+    if pivot is None or scalar_is_zero(za[pivot]):
+        return False, None
+    piv = za[pivot]
     for t in range(1, m):
-        rows = list(all_words(n, t))
-        cols = list(all_words(n, m - t))
-        pr, pc = max(
-            ((R, C) for R in rows for C in cols),
-            key=lambda rc: abs(complex(za[rc[0] + rc[1]])),
-        )
-        piv = za[pr + pc]
-        if scalar_is_zero(piv):
-            continue
-        rank_one = all(
+        pr, pc = pivot[:t], pivot[t:]
+        rows = [w[:t] for w in support_a if w[t:] == pc]
+        cols = [w[t:] for w in support_a if w[:t] == pr]
+        rectangle = [(R, C) for R in rows for C in cols]
+        # za = x1 (x) x2: every (R, C) of the rectangle or of za's support
+        if not all(
             scalars_close(za[R + C] * piv, za[R + pc] * za[pr + C])
-            for R in rows
-            for C in cols
-        )
-        if not rank_one:
+            for R, C in set(rectangle).union((w[:t], w[t:]) for w in support_a)
+        ):
             continue
         # zb should be the swapped product: zb[C + R] * piv == za[pr + C] * za[R + pc]
         if all(
             scalars_close(zb[C + R] * piv, za[pr + C] * za[R + pc])
-            for R in rows
-            for C in cols
+            for R, C in set(rectangle).union((w[m - t:], w[:m - t]) for w in support_b)
         ):
             return True, t
     return False, None
@@ -598,6 +604,8 @@ def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, L_max: int = 
     for uniquely determined progression states on the same code; the exact
     overlap-series criterion for induced product states; and separation by
     the certified invariants kappa and purity.  Everything else is Unknown.
+    The tensor rule compares only the support of the two tensors at each
+    split (see ``_tensor_conjugate``), not all n^m entries.
     ``L_max`` caps the Gram growth behind kappa, and is checked whichever
     rule decides.  Each state's kappa is the one ``kappa`` keeps on it, so a
     state met in many pairs has its certificate checked once.
@@ -642,7 +650,7 @@ def equivalent(omega1: MomentFunctional, omega2: MomentFunctional, L_max: int = 
                 "uniquely determined word-moment states of different orders are never "
                 "equivalent (conjugate tensors have equal orders)",
             )
-        conjugate, split = _tensor_conjugate(m1, za, zb, omega1.n)
+        conjugate, split = _tensor_conjugate(m1, za, zb)
         if conjugate and split == 0:
             return EquivDecision("Equivalent", "the defining tensors coincide")
         if conjugate:

@@ -9,6 +9,13 @@ eliminating every monomial whose two words both end in the letter n via
 
 The surviving monomials form a linear basis of the dense *-subalgebra, so
 equality of normal forms is equality in O_n.
+
+A product term s_J s_K* . s_L s_M* survives only when one of K, L is a
+prefix of the other, so ``multiply`` indexes the right factor's terms by L
+and by the prefixes of L as long as the left factor's K: each left term
+looks up the L that extend its K and the L that are proper prefixes of it.
+The isometry check u*u = I on a prefix code's u of N terms meets N terms,
+not N^2 pairs.
 """
 
 from __future__ import annotations
@@ -160,17 +167,34 @@ def monomial(n: int, J: Word, K: Word = (), coeff=1) -> CuntzElement:
 
 def multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
     """Product in O_n: (s_J s_K*)(s_L s_M*) reduced through s_K* s_L, which
-    is s_C when L = K.C (I when C is empty), s_C* when K = L.C, and 0 otherwise."""
+    is s_C when L = K.C (I when C is empty), s_C* when K = L.C, and 0 otherwise.
+
+    Only those pairs meet, so y's terms are indexed by L and by each prefix
+    of L as long as some K of x: a term of x finds the L that extend K in one
+    lookup and the L that are proper prefixes of K in |K| lookups.  Its hits
+    are taken in y's term order, so every key sums the products of the
+    all-pairs loop in that loop's order, floats included.
+    """
     x._check_same_algebra(y)
+    lengths = {len(K) for _, K in x.terms}
+    by_word: dict[Word, list] = {}
+    by_prefix: dict[Word, list] = {}
+    for i, ((L, M), cy) in enumerate(y.terms.items()):
+        term = (i, L, M, cy)
+        by_word.setdefault(L, []).append(term)
+        for k in lengths:
+            if k <= len(L):
+                by_prefix.setdefault(L[:k], []).append(term)
     raw: dict[tuple[Word, Word], object] = {}
     for (J, K), cx in x.terms.items():
-        for (L, M), cy in y.terms.items():
-            if L[:len(K)] == K:
-                key = (J + L[len(K):], M)
-            elif K[:len(L)] == L:  # s_C* s_M* = (s_M s_C)*
-                key = (J, M + K[len(L):])
-            else:
-                continue
+        k = len(K)
+        hits = by_prefix.get(K, [])
+        shorter = [term for p in range(k) for term in by_word.get(K[:p], ())]
+        if shorter:
+            hits = sorted(hits + shorter)  # the indices are distinct
+        for _, L, M, cy in hits:
+            # s_C* s_M* = (s_M s_C)* when L is shorter than K
+            key = (J + L[k:], M) if len(L) >= k else (J, M + K[len(L):])
             raw[key] = raw.get(key, 0) + cx * cy
     return CuntzElement(x.n, raw)
 
@@ -189,7 +213,8 @@ def is_isometry_in_plus(u: CuntzElement) -> tuple[bool, bool]:
 def check_unitary(g, n: int) -> None:
     """Raise NotUnitary unless g is an n x n unitary matrix."""
     if len(g) != n or any(len(row) != n for row in g):
-        raise NotUnitary(f"expected an {n} x {n} matrix")
+        got = f"rows of lengths {', '.join(str(len(row)) for row in g)}" if g else "no rows"
+        raise NotUnitary(f"expected a {n} x {n} matrix, got {got}")
     for a in range(n):
         for b in range(n):
             s = sum((conj(g[k][a]) * g[k][b] for k in range(n)), 0)

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuntzlab import (
     LAZY_PRESETS,
@@ -46,8 +48,10 @@ from cuntzlab import (
     verify_minimality_certificate,
     verify_properly_infinite,
 )
+from cuntzlab.classify import _tensor_conjugate
 from cuntzlab.linalg import hermitian_transpose
-from cuntzlab.scalars import conj
+from cuntzlab.scalars import conj, scalar_is_zero, scalars_close
+from cuntzlab.words import all_words
 
 from conftest import fr, q
 
@@ -489,6 +493,118 @@ class TestEquivalence:
         d = equivalent(w, w12)
         assert d.verdict == "Unknown"
         assert "no decision rule" in d.reason
+
+
+def reference_tensor_conjugate(m: int, za: dict, zb: dict, n: int):
+    """Equality, or a swap at some split, compared over every entry: at each
+    split the pivot is the first entry of largest modulus, za must equal the
+    pivot cross-products everywhere, and zb their swap."""
+    words_m = list(all_words(n, m))
+    if all(scalars_close(za[w], zb[w]) for w in words_m):
+        return True, 0
+    for t in range(1, m):
+        rows = list(all_words(n, t))
+        cols = list(all_words(n, m - t))
+        pr, pc = max(((R, C) for R in rows for C in cols), key=lambda rc: abs(complex(za[rc[0] + rc[1]])))
+        piv = za[pr + pc]
+        if scalar_is_zero(piv):
+            continue
+        if not all(scalars_close(za[R + C] * piv, za[R + pc] * za[pr + C]) for R in rows for C in cols):
+            continue
+        if all(scalars_close(zb[C + R] * piv, za[pr + C] * za[R + pc]) for R in rows for C in cols):
+            return True, t
+    return False, None
+
+
+_EXACT_ENTRIES = [q(1), q(0, 1), q(-1), q(fr(3, 5), fr(4, 5)), q(fr(-4, 5), fr(3, 5)), q(fr(1, 2)), q(fr(2, 3), -1)]
+_PERTURBATION = {True: fr(1, 1000), False: 1e-12}
+
+
+def _rotated(z: dict, t: int) -> dict:
+    """The swap x2 (x) x1 of z = x1 (x) x2 split after t letters: w[t:] + w[:t] carries z[w]."""
+    return {w[t:] + w[:t]: c for w, c in z.items()}
+
+
+@st.composite
+def tensor_pairs(draw, exact: bool):
+    """(m, za, zb, n) over n = 2 or 3 and m = 2..4: one-word tensors with
+    phases, rank-one products at every split and their rotations (a word
+    added to one side or not), dense tensors that are not rank one,
+    near-swaps, and sparse sums against rotations of some of their terms
+    (a word added or not)."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 4 if n == 2 else 3))
+    zero = draw(st.sampled_from([0, q(0)] if exact else [0, 0j]))
+    entry = st.sampled_from(_EXACT_ENTRIES if exact else [complex(c) for c in _EXACT_ENTRIES])
+    words = list(all_words(n, m))
+    word = st.sampled_from(words)
+    t = draw(st.integers(1, m - 1))
+    # mostly the rotation at the split drawn, else any rotation (0 is equality)
+    rotation = draw(st.one_of(st.just(t), st.integers(0, m - 1)))
+
+    kind = draw(st.sampled_from(["one_word", "rank_one", "dense", "near_swap", "sparse"]))
+    if kind == "one_word":
+        w = draw(word)
+        za = {w: draw(entry)}
+        zb = {draw(st.one_of(st.just(w[rotation:] + w[:rotation]), word)): draw(entry)}
+    elif kind in ("rank_one", "near_swap"):
+        factors = [[draw(st.one_of(st.just(zero), entry)) for _ in all_words(n, k)] for k in (t, m - t)]
+        for factor in factors:
+            factor[draw(st.integers(0, len(factor) - 1))] = draw(entry)
+        za = {R + C: a * b for R, a in zip(all_words(n, t), factors[0])
+              for C, b in zip(all_words(n, m - t), factors[1])}
+        zb = _rotated(za, rotation)
+        if kind == "near_swap":
+            w = draw(word)
+            zb[w] = zb[w] + _PERTURBATION[exact]
+        else:
+            # a word added to one side, likely off the rectangle the other side spans
+            side = draw(st.sampled_from([None, za, zb]))
+            if side is not None:
+                side[draw(word)] = draw(entry)
+    elif kind == "dense":
+        za = {w: draw(entry) for w in words}
+        zb = _rotated(za, rotation) if draw(st.booleans()) else {w: draw(entry) for w in words}
+    else:
+        za = draw(st.dictionaries(word, entry, min_size=2, max_size=4))
+        # the word of largest modulus alone is the rank-one part a pivot scan sees
+        top = max(sorted(za), key=lambda w: abs(complex(za[w])))
+        kept = draw(st.one_of(st.just({top}), st.sets(st.sampled_from(sorted(za)), min_size=1)))
+        zb = _rotated({w: za[w] for w in kept}, rotation)
+        if draw(st.booleans()):
+            zb[draw(word)] = draw(entry)
+    return m, {w: za.get(w, zero) for w in words}, {w: zb.get(w, zero) for w in words}, n
+
+
+class TestTensorConjugacy:
+    """The support-only scan decides as the all-pairs one above does, split
+    included, in exact and in float arithmetic."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_matches_the_all_pairs_scan(self, exact):
+        @given(tensor_pairs(exact))
+        def check(case):
+            m, za, zb, n = case
+            assert _tensor_conjugate(m, za, zb) == reference_tensor_conjugate(m, za, zb, n)
+
+        check()
+
+    def test_a_swap_of_one_factor_of_a_sum_is_not_conjugate(self):
+        # za = s_11 + s_22 is not a product; zb swaps only its first word
+        za = {w: q(0) for w in all_words(2, 2)}
+        za[(1, 1)] = za[(2, 2)] = q(1)
+        zb = {w: q(0) for w in all_words(2, 2)}
+        zb[(1, 1)] = q(1)
+        assert _tensor_conjugate(2, za, zb) == reference_tensor_conjugate(2, za, zb, 2) == (False, None)
+
+    def test_a_word_outside_the_swapped_rectangle_breaks_the_swap(self):
+        za = {w: q(0) for w in all_words(2, 2)}
+        za[(1, 2)] = q(1)
+        zb = {w: q(0) for w in all_words(2, 2)}
+        zb[(2, 1)] = q(1)
+        assert _tensor_conjugate(2, za, zb) == (True, 1)
+        zb[(2, 2)] = q(fr(1, 1000))
+        assert _tensor_conjugate(2, za, zb) == reference_tensor_conjugate(2, za, zb, 2) == (False, None)
 
 
 def _cli_doc(command, spec, spec_file, capsys) -> dict:

@@ -507,10 +507,14 @@ class TestMalformedSpecs:
              "state spec (sandwich): equivalent_to_cuntz needs 2 entries, got 1"),
             ("report", {"family": "vector", "rep": {"kind": "shift", "word": {"per": [1]}}, "key": {"per": [2, 2]}},
              "state spec (vector): shift key (2)^inf is not in the tail class of (1)^inf"),
+            ("report", {"family": "gauge", "base": CUNTZ10, "g": [[1, 0], [0]]},
+             "state spec (gauge): expected a 2 x 2 matrix, got rows of lengths 2, 1"),
+            ("report", {"family": "gauge", "base": CUNTZ10, "g": []},
+             "state spec (gauge): expected a 2 x 2 matrix, got no rows"),
         ],
         ids=["typo", "cuntz_n", "lazy_n", "tail_bound", "element_n", "element_terms", "code", "pre", "g",
              "components", "lazy_key", "sub_cuntz_m40", "family_list", "negative_tail_bound",
-             "declared_parameter_length", "shift_key_outside_the_tail_class"],
+             "declared_parameter_length", "shift_key_outside_the_tail_class", "g_ragged_rows", "g_no_rows"],
     )
     def test_one_error_line(self, spec_file, capsys, command, spec, message):
         assert run([command, spec_file(spec)]) == 1

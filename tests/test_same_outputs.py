@@ -115,3 +115,36 @@ def test_the_golden_pairwise_report_and_its_twist_in_both_formats(tmp_path):
             golden = json.loads((same_outputs.GOLDEN_SPECS / f"{name}.json").read_text(encoding="utf-8"))
             twist = {"family": "gauge", "base": golden, "g": same_outputs.G_C[2]}
             assert spec == (golden if group == "golden" else twist)
+
+
+def test_equiv_pairs_of_the_tensor_conjugacy_rule(tmp_path):
+    from cuntzlab.scalars import conj
+    from cuntzlab.selftest import _PHASES
+    from cuntzlab.specio import scalar_from_json
+
+    plan = same_outputs.build_plan(tmp_path)
+    equiv = {label: plan[label] for label in plan if label.startswith("equiv/")}
+    assert len(equiv) == 4 * 28 + 6 + 3
+    assert all(argv[0] == "equiv" and argv[-2:] == ["--format", "json"] for _, argv in equiv.values())
+    # selftest's phase-marked word states, every pair of each depth
+    assert [scalar_from_json(c) for c in same_outputs.MARKED_PHASES] == [conj(c) for c in _PHASES]
+    workdir, argv = equiv["equiv/json/phase_d3:0-7"]
+    first, last = (json.loads((Path(workdir) / file).read_text(encoding="utf-8")) for file in argv[1:3])
+    assert first == {"family": "sub_cuntz", "n": 2, "m": 3, "z": [0, 0, 0, 0, 0, 0, [1, 0], 0]}
+    assert last["z"][6] == ["5/13", "-12/13"]
+    assert sum(label.startswith("equiv/json/phase_d") for label in equiv) == 4 * 28
+    # the golden order-2 states, every ordered pair, read from the golden specs
+    workdir, argv = equiv["equiv/json/golden:sub_cuntz_twisted-sub_cuntz"]
+    assert argv[1:3] == ["sub_cuntz_twisted.json", "sub_cuntz.json"]
+    assert json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8")) == json.loads(
+        (same_outputs.GOLDEN_SPECS / "sub_cuntz_twisted.json").read_text(encoding="utf-8"))
+    # a float dense rank-one tensor against its three rotations
+    specs = same_outputs.rank_one_specs()
+    for s in (1, 2, 3):
+        workdir, argv = equiv[f"equiv/json/rank_one_float:rot{s}"]
+        assert argv == ["equiv", "rank_one_rot0.json", f"rank_one_rot{s}.json", "--mode", "float", "--format", "json"]
+        assert json.loads((Path(workdir) / argv[2]).read_text(encoding="utf-8")) == specs[s]
+    z = [complex(*c) for c in specs[0]["z"]]
+    assert all(z) and abs(sum(abs(c) ** 2 for c in z) - 1) < 1e-12
+    # the rotation by two letters swaps x1 (x) x2 to x2 (x) x1
+    assert complex(*specs[2]["z"][0b0111]) == z[0b1101]

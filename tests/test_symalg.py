@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuntzlab import (
     CuntzElement,
@@ -15,8 +17,98 @@ from cuntzlab import (
     multiply,
 )
 from cuntzlab.errors import NotUnitary
+from cuntzlab.specio import state_from_spec
+from cuntzlab.symalg import is_isometry_in_plus
 
 from conftest import fr, q
+
+
+def reference_multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
+    """The product over every pair of terms: (s_J s_K*)(s_L s_M*) is
+    s_(J.C) s_M* when L = K.C, s_J s_(M.C)* when K = L.C, and 0 otherwise."""
+    raw = {}
+    for (J, K), cx in x.terms.items():
+        for (L, M), cy in y.terms.items():
+            if L[:len(K)] == K:
+                key = (J + L[len(K):], M)
+            elif K[:len(L)] == L:
+                key = (J, M + K[len(L):])
+            else:
+                continue
+            raw[key] = raw.get(key, 0) + cx * cy
+    return CuntzElement(x.n, raw)
+
+
+_small = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+_exact_coefficients = st.one_of(st.integers(-3, 3).filter(bool), st.builds(QQi, _small, _small))
+_float_coefficients = st.builds(lambda a, b: complex(a / 7, b / 3), st.integers(-9, 9).filter(bool),
+                                st.integers(-9, 9))
+
+
+@st.composite
+def factor_pairs(draw, coefficients):
+    """(x, y) over n = 2 or 3 whose inner words meet in every way: each L of
+    y extends a K of x, is a proper prefix of one, equals one, or is drawn
+    on its own; empty words included."""
+    n = draw(st.sampled_from([2, 3]))
+    word = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    x = draw(st.dictionaries(st.tuples(word, word), coefficients, min_size=1, max_size=5))
+    inner = [K for _, K in x]
+    y = {}
+    for _ in range(draw(st.integers(1, 7))):
+        K = draw(st.sampled_from(inner))
+        kind = draw(st.sampled_from(["extends", "proper_prefix", "equal", "unrelated"]))
+        if kind == "extends":
+            L = K + draw(word)
+        elif kind == "proper_prefix":
+            L = K[:draw(st.integers(0, max(len(K) - 1, 0)))]
+        elif kind == "equal":
+            L = K
+        else:
+            L = draw(word)
+        y[(L, draw(word))] = draw(coefficients)
+    return CuntzElement(n, x), CuntzElement(n, y)
+
+
+class TestIndexedProduct:
+    """``multiply`` looks up only the terms whose inner words meet; the
+    all-pairs loop above is its oracle."""
+
+    @given(factor_pairs(_exact_coefficients))
+    def test_equals_the_all_pairs_product(self, pair):
+        x, y = pair
+        assert multiply(x, y) == reference_multiply(x, y)
+
+    @given(factor_pairs(_float_coefficients))
+    def test_float_products_sum_in_the_all_pairs_order(self, pair):
+        # the same terms, summed in the same order, give the same floats
+        x, y = pair
+        assert list(multiply(x, y).terms.items()) == list(reference_multiply(x, y).terms.items())
+
+    def test_each_way_two_inner_words_meet(self):
+        # x = s_1 s_12*; y's L: 12 (equal), 121 (extends), 1 and () (proper prefixes), 2 (unrelated)
+        x = monomial(2, (1,), (1, 2))
+        y = CuntzElement(2, {((1, 2), (1,)): 1, ((1, 2, 1), ()): 2, ((1,), (2,)): 3, ((), (1, 1)): 5,
+                             ((2,), ()): 7})
+        assert multiply(x, y) == reference_multiply(x, y) == CuntzElement(
+            2, {((1,), (1,)): 1, ((1, 1), ()): 2, ((1,), (2, 2)): 3, ((1,), (1, 1, 1, 2)): 5})
+
+
+class TestIsometryCheck:
+    """u*u = I on the dense isometries of the heavy report_float states (128,
+    64 and 81 creation terms), and not once one coefficient moves."""
+
+    @pytest.mark.parametrize("name", ["n2_heavy_dense_m6", "n2_heavy_dense_m7", "n3_heavy_dense_m4"])
+    @pytest.mark.parametrize("mode", ["float", "auto"])
+    def test_dense_isometries(self, bench_corpus, name, mode):
+        n, m, z = bench_corpus.heavy_float()[name]
+        u = state_from_spec(bench_corpus.sub_cuntz(n, m, z, exact=mode == "auto"), mode).facts.minimal_isometry
+        assert len(u.terms) == n**m
+        assert is_isometry_in_plus(u) == (True, True)
+        terms = dict(u.terms)
+        key = next(iter(terms))
+        terms[key] += Fraction(1, 1000)
+        assert is_isometry_in_plus(CuntzElement(n, terms)) == (False, True)
 
 
 class TestRelations:

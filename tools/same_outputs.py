@@ -28,6 +28,12 @@ fresh interpreter per tree, the two trees side by side:
 * ``moments --level 3`` (json), exact and ``--mode float``, on the code
   1^10, whose fixed-point kernel has ten vectors, so its table comes from
   the minimum-norm step (as does the golden ``sub_cuntz_power``'s).
+* ``equiv`` (json) on pairs that the tensor-conjugacy rule decides: the
+  phase-marked word states of ``selftest`` at depths 2..5 as ``sub_cuntz``
+  specs, every pair of each depth; the golden ``sub_cuntz``,
+  ``sub_cuntz_swapped`` and ``sub_cuntz_twisted``, every ordered pair; and
+  ``--mode float``, a dense rank-one tensor of order 4 against each of its
+  three rotations.
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -44,6 +50,7 @@ identical, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -84,6 +91,12 @@ PAIRWISE = [
     "progression_b", "progression_open", "induced_product", "induced_shifted", "induced_other",
     "mixture", "prefix_code",
 ]
+# the phase marks of selftest's phase-marked word states, conjugated (the
+# state of phase c has coefficient conj(c) on its word), as spec scalars
+MARKED_PHASES = [[1, 0], [0, -1], [-1, 0], [0, 1], ["3/5", "-4/5"], ["3/5", "4/5"], ["-4/5", "-3/5"],
+                 ["5/13", "-12/13"]]
+# golden sub_cuntz states of order 2 whose tensors are equal or swapped
+TENSOR_GOLDEN = ("sub_cuntz", "sub_cuntz_swapped", "sub_cuntz_twisted")
 CHILD_TIMEOUT_S = 3600
 
 # Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
@@ -116,6 +129,28 @@ def solves_fixed_point(spec: dict) -> bool:
     while spec["family"] == "gauge":
         spec = spec["base"]
     return spec["family"] in FIXED_POINT_FAMILIES
+
+
+def phase_word_spec(d: int, coefficient) -> dict:
+    """The sub_cuntz state of order d over two letters with ``coefficient``
+    on the word 2^(d-1) 1 (index 2^d - 2 in lexicographic order), 0 elsewhere."""
+    z = [0] * 2**d
+    z[2**d - 2] = coefficient
+    return {"family": "sub_cuntz", "n": 2, "m": d, "z": z}
+
+
+def rank_one_specs() -> list[dict]:
+    """A dense rank-one tensor x1 (x) x2 of order 4 over two letters, split
+    after 2, with inexact float entries, followed by its rotations by 1, 2
+    and 3 letters (the rotation by 2 is the swap x2 (x) x1)."""
+    def unit(v):
+        norm = sum(abs(x) ** 2 for x in v) ** 0.5
+        return [x / norm for x in v]
+
+    words = list(itertools.product((1, 2), repeat=4))
+    z = dict(zip(words, (a * b for a in unit([1, 2, 2 + 1j, 3]) for b in unit([1, -1, 1j, 2]))))
+    return [{"family": "sub_cuntz", "n": 2, "m": 4,
+             "z": [[z[w[-s:] + w[:-s]].real, z[w[-s:] + w[:-s]].imag] for w in words]} for s in range(4)]
 
 
 def _write(path: Path, doc) -> str:
@@ -162,6 +197,19 @@ def build_plan(work: Path) -> dict:
         plan[f"pairwise/json/report:{group}"] = (str(d), ["report", *files, "--format", "json"])
         plan[f"pairwise/md/report:{group}"] = (str(d), ["report", *files])
     plan["selftest/json/selftest"] = (str(d), ["selftest", "--format", "json"])
+    for a, b in itertools.permutations(TENSOR_GOLDEN, 2):
+        plan[f"equiv/json/golden:{a}-{b}"] = (str(d), ["equiv", f"{a}.json", f"{b}.json", "--format", "json"])
+    d = work / "equiv"
+    d.mkdir()
+    for depth in range(2, 6):
+        files = [_write(d / f"phase_d{depth}_{i}.json", phase_word_spec(depth, c))
+                 for i, c in enumerate(MARKED_PHASES)]
+        for (i, a), (j, b) in itertools.combinations(enumerate(files), 2):
+            plan[f"equiv/json/phase_d{depth}:{i}-{j}"] = (str(d), ["equiv", a, b, "--format", "json"])
+    first, *rotations = (_write(d / f"rank_one_rot{s}.json", spec) for s, spec in enumerate(rank_one_specs()))
+    for s, file in enumerate(rotations, 1):
+        plan[f"equiv/json/rank_one_float:rot{s}"] = (str(d), ["equiv", first, file, "--mode", "float",
+                                                              "--format", "json"])
     d = work / "solve"
     d.mkdir()
     for name, (n, m, z) in corpus_mod.heavy_float().items():
