@@ -286,10 +286,10 @@ class PropInfCheck(NamedTuple):
 def verify_properly_infinite(omega: MomentFunctional, a=None, cutoff: int = 12) -> PropInfCheck:
     """Check omega(a_1..a_l a_k*..a_1*) = delta_lk for l, k <= cutoff.
 
-    ``a`` may be an isometry sequence attached by a family constructor, a
-    callable i -> a_i, or a plain sequence; omitted, the state's own attached
-    sequence is used.  Each a_i must be an isometry in the creation span,
-    which is checked on the product a_i* a_i.
+    ``a`` may be an isometry sequence attached by a family constructor or a
+    plain sequence; omitted, the state's own attached sequence is used.
+    Each a_i must be an isometry in the creation span, which is checked on
+    the product a_i* a_i.
 
     With P_l = a_1..a_l the entry is <v(P_l), v(P_k)> for v(P) = pi(P)* Omega,
     stepped as v(P_l) = pi(a_l)* v(P_(l-1)) with pi(a)* = sum_W conj(b_W)
@@ -717,19 +717,11 @@ def kappa_rep(rep, L_max: int = 8) -> KappaResult:
     """kappa of an irreducible catalog representation.
 
     The value is kappa of any unit vector state; independence of the choice
-    is asserted by sampling three basis vectors.
+    is asserted on the representation's sample basis vectors.
     """
-    if isinstance(rep, ShiftRepresentation):
-        if rep.lazy:
-            keys = [((), 0), ((), 1), ((), 2)]
-        else:
-            word = rep.word
-            keys = [word, word.shift(), word.prepend((1,))]
-    elif isinstance(rep, GridRepresentation):
-        keys = [(1, 0), (2, 3), (rep.n + 1, -2)]
-    else:
+    if not isinstance(rep, (ShiftRepresentation, GridRepresentation)):
         raise NotInCatalog(f"no kappa rule for representations of type {type(rep).__name__}")
-    results = [kappa(vector_state(rep, key), L_max) for key in keys]
+    results = [kappa(vector_state(rep, key), L_max) for key in rep.sample_keys()]
     if len({r.value for r in results}) != 1:
         raise ValidationFailed("kappa must not depend on the sampled vector")
     return results[0]

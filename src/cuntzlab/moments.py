@@ -76,7 +76,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import EmptyWord, Inconsistent, NotNormalized, NotPrefixFree, NotUnit, SchemaError
 from .linalg import hermitian_psd_check, hermitian_transpose, kernel_basis, mat_vec, min_norm_solution
 from .scalars import (
-    DEFAULT_EQ_TOL,
     QQi,
     _make,
     _self_or_conj,
@@ -137,11 +136,9 @@ class IsometrySequence:
 
 
 def sequence_factory(a, count: int) -> Callable[[int], CuntzElement]:
-    """i -> a_i for an IsometrySequence, a callable, or a list of at least ``count`` elements."""
+    """i -> a_i for an IsometrySequence or a list of at least ``count`` elements."""
     if isinstance(a, IsometrySequence):
         return a.factory
-    if callable(a):
-        return a
     elems = list(a)
     if len(elems) < count:
         raise SchemaError(f"need {count} sequence elements, got {len(elems)}")
@@ -384,11 +381,9 @@ def gram_matrix(omega: MomentFunctional, words: Sequence[Word]):
 
 def check_unit(vec) -> None:
     total = sum((abs2(x) for x in vec), 0)
-    if is_exact_scalar(total) or isinstance(total, Fraction):
-        if total != 1:
-            raise NotUnit(f"parameter vector has squared norm {total}, expected 1")
-    elif abs(float(total) - 1.0) > DEFAULT_EQ_TOL:
-        raise NotUnit(f"parameter vector has squared norm {float(total)!r}, expected 1")
+    if not scalars_close(total, 1):
+        shown = total if is_exact_scalar(total) else repr(float(total))
+        raise NotUnit(f"parameter vector has squared norm {shown}, expected 1")
 
 
 # ---------------------------------------------------------------------------
@@ -978,8 +973,7 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
     if len(weights) != len(states):
         raise SchemaError("weights do not match components")
     total = sum(weights)
-    ok = total == 1 if all(is_exact_scalar(w) for w in weights) else abs(complex(total) - 1) <= DEFAULT_EQ_TOL
-    if not ok or any(complex(w).real <= 0 for w in weights):
+    if not scalars_close(total, 1) or any(complex(w).real <= 0 for w in weights):
         raise SchemaError("weights must be positive and sum to 1")
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
     model = _mixture_model(weights, [s.model for s in states], exact)
@@ -1015,9 +1009,9 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
     this model, so a twist of it steps it again, and each letter costs at
     most n base steps.  Constructing a twist grows no Gram basis.  By the
     twisted model's ``cast``, an exact g gives QQi moments and a float g
-    complex ones (but omega(I), the base's own).  A lazy shift state computes
-    exactly but is still marked inexact (its delta table is evidence to a
-    horizon), and so is its twist.
+    complex ones (but omega(I), the base's own).  The twist is exact when its
+    base and g are: a lazy shift state and its exact twists are exact, only
+    their delta tables are evidence to the word's horizon.
 
     From its base the twist inherits only the Cuntz parameter, moved by g^H
     (alpha_g is inverted by alpha of the conjugate transpose), the purity
@@ -1087,11 +1081,8 @@ def transform_sandwich(
 
     model = _sandwich_model(omega.model, sum((c * Al for c, Al in terms), zero(n)), exact)
     mass = model.moment((), ())
-    if is_exact_scalar(mass):
-        if mass != 1:
-            raise NotNormalized(f"transform has total mass {mass}, expected 1")
-    elif abs(complex(mass) - 1) > DEFAULT_EQ_TOL:
-        raise NotNormalized(f"transform has total mass {complex(mass)}, expected 1")
+    if not scalars_close(mass, 1):
+        raise NotNormalized(f"transform has total mass {mass if is_exact_scalar(mass) else complex(mass)}, expected 1")
 
     facts = StateFacts(
         purity=("Pure", _PURE_IN_PURE) if omega.facts.purity[0] == "Pure" else _UNKNOWN_PURITY,

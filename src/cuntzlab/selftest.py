@@ -178,7 +178,7 @@ def _criterion_conjugate_words(rng: random.Random):
     if dec.verdict != "Equivalent":
         return False, f"{dec.verdict} ({dec.reason}), expected Equivalent"
     cross = w21.moment((1, 2), ())
-    if not (is_exact_scalar(cross) and scalars_close(cross, 0, None)):
+    if not (is_exact_scalar(cross) and scalars_close(cross, 0)):
         return False, f"omega'(s_1 s_2) = {cross!r}, expected exact 0"
     return True, "word states 12 and 21: minimal, cdim 2, equivalent; cross moment vanishes exactly"
 
@@ -245,7 +245,7 @@ def _criterion_delta_tables(rng: random.Random):
     for l in range(12):
         for k in range(12):
             want = 1 if l == k else 0
-            if not scalars_close(chk.table[l][k], want, None):
+            if not scalars_close(chk.table[l][k], want):
                 return False, f"grid table entry ({l + 1},{k + 1}) = {chk.table[l][k]!r}, expected {want}"
     kg = kappa(grid)
     if not (kg.value == inf and isinstance(kg.certificate, ProperlyInfinite) and kg.certificate.status == "proved"):
@@ -325,10 +325,10 @@ def _criterion_structure(rng: random.Random):
         for _ in range(12):
             J = _random_word(rng, 2, 3)
             K = _random_word(rng, 2, 3)
-            if not scalars_close(st.moment(J, K), conj(st.moment(K, J)), None):
+            if not scalars_close(st.moment(J, K), conj(st.moment(K, J))):
                 return False, f"{name}: Hermitian symmetry fails at J={J}, K={K}"
             row = sum((st.moment(J + (i,), K + (i,)) for i in (1, 2)), 0)
-            if not scalars_close(row, st.moment(J, K), None):
+            if not scalars_close(row, st.moment(J, K)):
                 return False, f"{name}: the row identity sum_i omega(s_J s_i (s_K s_i)*) fails at J={J}, K={K}"
         ok, witness = positivity_check(st, 2)
         if not ok:
@@ -347,7 +347,7 @@ def _criterion_structure(rng: random.Random):
     sh = vector_state(ShiftRepresentation(EventuallyPeriodicWord((), (1, 2), 2)), EventuallyPeriodicWord((), (1, 2), 2))
     for J in words_upto(2, 4):
         for K in words_upto(2, 4):
-            if not scalars_close(sub.moment(J, K), sh.moment(J, K), None):
+            if not scalars_close(sub.moment(J, K), sh.moment(J, K)):
                 return False, f"word-state/shift oracle mismatch at J={J}, K={K}"
     if equivalent(sub, sh).verdict != "Equivalent":
         return False, "the word state and its shift realization were not recognized as equivalent"
@@ -357,7 +357,7 @@ def _criterion_structure(rng: random.Random):
     for _ in range(300):
         J = _random_word(rng, 2, 6)
         K = _random_word(rng, 2, 6)
-        if not scalars_close(sub3.moment(J, K), sh3.moment(J, K), None):
+        if not scalars_close(sub3.moment(J, K), sh3.moment(J, K)):
             return False, f"order-3 oracle mismatch at J={J}, K={K}"
 
     for p in (2, 3):

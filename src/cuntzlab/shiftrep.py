@@ -1,15 +1,16 @@
 """Exact simulators of permutative representations of O_n.
 
-Two models are provided:
+Each kind of representation answers one protocol: ``generator_key``,
+``check_key`` (checks a key, or puts a lazy key in canonical form), ``up``,
+``down``, ``key_str``, ``sample_keys`` (the basis vectors ``kappa_rep``
+compares) and ``state_facts`` (a vector state's family label and facts):
 
 * :class:`ShiftRepresentation` -- the shift representation on the tail class
   of a one-sided infinite word x: basis vectors e_y for words y with the same
-  tail as x, with pi(s_i) e_y = e_{i.y} and pi(s_i)* e_y = [y_1 = i] e_{shift y}.
-  Eventually periodic words give a fully exact model.  So do lazily defined
-  words (rule-based, e.g. Thue-Morse), which must not be eventually periodic:
-  their canonical keys name one vector exactly when they are equal tuples, so
-  moments are exact, and only the delta table of the state's isometry
-  sequence is evidence up to the declared horizon.
+  tail as x, pi(s_i) e_y = e_{i.y} and pi(s_i)* e_y = [y_1 = i] e_{shift y}.
+  A lazily defined word (rule-based, e.g. Thue-Morse) gets a
+  :class:`LazyShiftRepresentation`, whose moments are exact too; only the
+  delta table of its states' isometry sequences is evidence to a horizon.
 
 * :class:`GridRepresentation` -- the representation on l^2(N x Z) with
   pi(s_i) e_{k,m} = e_{n(k-1)+i, m+1}; the extra Z-grading rules out any
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotInvariant, NotUnit, SchemaError
 from .linalg import LDLFactor
-from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, sequence_factory
+from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, _combine_maps, sequence_factory
 from .scalars import conj, is_exact_scalar, scalar_is_zero
 from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
 from .words import EventuallyPeriodicWord, LazyWord, Word, tail_equivalent
@@ -44,6 +45,7 @@ from .words import EventuallyPeriodicWord, LazyWord, Word, tail_equivalent
 __all__ = [
     "StateVector",
     "ShiftRepresentation",
+    "LazyShiftRepresentation",
     "GridRepresentation",
     "apply_generator",
     "apply_element",
@@ -51,6 +53,11 @@ __all__ = [
     "dhj_grading",
     "lemma_convergence_check",
 ]
+
+
+def _inner(x: dict, y: dict):
+    """<x, y> of vectors stored as {key: coefficient}, linear in y: a sum over the keys both hold."""
+    return sum((conj(c) * y[k] for k, c in x.items() if k in y), 0)
 
 
 class StateVector:
@@ -99,8 +106,8 @@ class StateVector:
         return StateVector({k: c * v for k, v in self.coeffs.items()})
 
     def inner(self, other: "StateVector"):
-        """<self, other>, linear in the second argument: a sum over the keys both vectors hold."""
-        return sum((conj(c) * other.coeffs[k] for k, c in self.coeffs.items() if k in other.coeffs), 0)
+        """<self, other>, linear in the second argument."""
+        return _inner(self.coeffs, other.coeffs)
 
     def norm2(self):
         return self.inner(self)
@@ -118,37 +125,32 @@ class StateVector:
         return "StateVector(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-class ShiftRepresentation:
-    """Shift representation on the tail class of the word x.
+# a vector state of an irreducible representation is pure
+_SHIFT_PURE = ("Pure", "vector state of an irreducible shift representation")
+_GRID_PURE = ("Pure", "vector state of the irreducible grid representation")
 
-    For eventually periodic x the basis keys are canonical
-    :class:`EventuallyPeriodicWord` objects.  For a :class:`LazyWord` the
-    keys are pairs (prefix, t) standing for prefix . shift^t(x), canonicalized
-    so the prefix cannot be absorbed into the tail.  Since x is not eventually
-    periodic, prefix . shift^t(x) = prefix' . shift^t'(x) forces
-    t + |w| = t' for prefix' = prefix . w, and the last letter of a nonempty w
-    would be letter t' of x, which the canonical form strips: two canonical
-    keys name one vector only when they are equal, and the moments are exact
-    in both cases.  ``exact`` stays False for a lazy word: its delta table is
-    evidence to the horizon only.
+
+class ShiftRepresentation:
+    """Shift representation on the tail class of the eventually periodic word x.
+
+    The basis keys are canonical :class:`EventuallyPeriodicWord` objects with
+    x's tail.  ``ShiftRepresentation(word)`` takes a :class:`LazyWord` too,
+    and then builds a :class:`LazyShiftRepresentation`.
     """
 
-    def __init__(self, word: EventuallyPeriodicWord | LazyWord):
-        if not isinstance(word, (EventuallyPeriodicWord, LazyWord)):
+    def __new__(cls, word: EventuallyPeriodicWord | LazyWord):
+        if isinstance(word, LazyWord):
+            cls = LazyShiftRepresentation
+        elif not isinstance(word, EventuallyPeriodicWord) or cls is LazyShiftRepresentation:
             raise SchemaError("expected an eventually periodic or lazily defined word")
+        return super().__new__(cls)
+
+    def __init__(self, word: EventuallyPeriodicWord | LazyWord):
         self.word = word
         self.n = word.n
-        self.lazy = isinstance(word, LazyWord)
-        self.exact = not self.lazy
-        self.horizon = word.horizon if self.lazy else None
-
-    # -- keys ---------------------------------------------------------------
 
     def generator_key(self):
-        return ((), 0) if self.lazy else self.word
-
-    def omega(self) -> StateVector:
-        return StateVector.basis(self.generator_key())
+        return self.word
 
     def check_key(self, key):
         """The key of an eventually periodic word x, when it has x's tail."""
@@ -158,36 +160,101 @@ class ShiftRepresentation:
             raise SchemaError(f"shift key {self.key_str(key)} is not in the tail class of {self.key_str(self.word)}")
         return key
 
-    def _canonical(self, prefix: Word, t: int):
+    def up(self, key, i: int):
+        """Key of pi(s_i) e_key."""
+        return key.prepend((i,))
+
+    def down(self, key, i: int):
+        """Key of pi(s_i)* e_key, or None when it vanishes."""
+        return key.shift() if key.letter(1) == i else None
+
+    def key_str(self, key) -> str:
+        head = "".join(str(a) for a in key.pre)
+        body = "".join(str(a) for a in key.per)
+        return f"{head}({body})^inf" if head else f"({body})^inf"
+
+    def sample_keys(self) -> list:
+        word = self.word
+        return [word, word.shift(), word.prepend((1,))]
+
+    def state_facts(self, key) -> tuple[str, StateFacts]:
+        """(family, facts) of the state of e_key, or of a superposition for key
+        None: the tail class and shift period, a basis vector's Cuntz parameter
+        at period 1, and its fixed isometry (minimality) when purely periodic."""
+        if key is None:
+            return "shift_vector", StateFacts(purity=_SHIFT_PURE, shift_period=self.word.period_length,
+                                              tail_class=self.word)
+        n = self.n
+        return "shift", StateFacts(
+            purity=_SHIFT_PURE,
+            cuntz=(tuple(1 if j == key.per[0] else 0 for j in range(1, n + 1)), "family")
+            if key.period_length == 1 else None,
+            shift_period=key.period_length,
+            tail_class=key,
+            minimal_isometry=monomial(n, key.per) if key.is_purely_periodic else None,
+        )
+
+
+class LazyShiftRepresentation(ShiftRepresentation):
+    """Shift representation on the tail class of a lazily defined word x.
+
+    The keys are pairs (prefix, t) standing for prefix . shift^t(x),
+    canonicalized so the prefix cannot be absorbed into the tail.  Since x is
+    not eventually periodic, prefix . shift^t(x) = prefix' . shift^t'(x)
+    forces t + |w| = t' for prefix' = prefix . w, and the last letter of a
+    nonempty w would be letter t' of x, which the canonical form strips: two
+    canonical keys name one vector only when they are equal, and the moments
+    are exact.  The delta table of a basis vector's isometry sequence reads
+    the word's letters, so it is evidence up to the word's horizon.
+    """
+
+    def generator_key(self):
+        return ((), 0)
+
+    def check_key(self, key):
+        """The canonical form of the key (prefix, t)."""
+        prefix, t = key
         while prefix and t >= 1 and prefix[-1] == self.word.letter(t):
             prefix = prefix[:-1]
             t -= 1
         return (prefix, t)
 
     def up(self, key, i: int):
-        """Key of pi(s_i) e_key."""
-        if self.lazy:
-            prefix, t = key
-            return self._canonical((i,) + prefix, t)
-        return key.prepend((i,))
+        prefix, t = key
+        return self.check_key(((i,) + prefix, t))
 
     def down(self, key, i: int):
-        """Key of pi(s_i)* e_key, or None when it vanishes."""
-        if self.lazy:
-            prefix, t = key
-            if prefix:
-                return (prefix[1:], t) if prefix[0] == i else None
-            return ((), t + 1) if self.word.letter(t + 1) == i else None
-        return key.shift() if key.letter(1) == i else None
+        prefix, t = key
+        if prefix:
+            return (prefix[1:], t) if prefix[0] == i else None
+        return ((), t + 1) if self.word.letter(t + 1) == i else None
 
     def key_str(self, key) -> str:
-        if self.lazy:
+        prefix, t = key
+        head = "".join(str(a) for a in prefix)
+        return f"{head}.shift^{t}({self.word.name})" if head else f"shift^{t}({self.word.name})"
+
+    def sample_keys(self) -> list:
+        return [((), 0), ((), 1), ((), 2)]
+
+    def state_facts(self, key) -> tuple[str, StateFacts]:
+        """("shift_lazy", facts): a basis vector carries the generators along
+        its letters as an isometry sequence, evidence to the horizon."""
+        seq = None
+        if key is not None:
             prefix, t = key
-            head = "".join(str(a) for a in prefix)
-            return f"{head}.shift^{t}({self.word.name})" if head else f"shift^{t}({self.word.name})"
-        head = "".join(str(a) for a in key.pre)
-        body = "".join(str(a) for a in key.per)
-        return f"{head}({body})^inf" if head else f"({body})^inf"
+            word = self.word
+
+            def letter(i: int):
+                return prefix[i - 1] if i <= len(prefix) else word.letter(t + i - len(prefix))
+
+            seq = IsometrySequence(
+                lambda i: monomial(self.n, (letter(i),)),
+                "evidence",
+                "generators along the letters of the defining word",
+                horizon=word.horizon,
+            )
+        return "shift_lazy", StateFacts(purity=_SHIFT_PURE, sequence=seq)
 
 
 class GridRepresentation:
@@ -197,15 +264,9 @@ class GridRepresentation:
         if not isinstance(n, int) or n < 2:
             raise SchemaError("need an integer alphabet size n >= 2")
         self.n = n
-        self.lazy = False
-        self.exact = True
-        self.horizon = None
 
     def generator_key(self):
         return (1, 0)
-
-    def omega(self) -> StateVector:
-        return StateVector.basis(self.generator_key())
 
     def check_key(self, key):
         k, m = key
@@ -225,6 +286,27 @@ class GridRepresentation:
 
     def key_str(self, key) -> str:
         return f"({key[0]},{key[1]})"
+
+    def sample_keys(self) -> list:
+        return [(1, 0), (2, 3), (self.n + 1, -2)]
+
+    def state_facts(self, key) -> tuple[str, StateFacts]:
+        """(family, facts): a basis vector yields a proved delta-table
+        isometry sequence (proper infiniteness), a superposition only purity."""
+        if key is None:
+            return "grid_vector", StateFacts(purity=_GRID_PURE)
+        path = _grid_digit_path(key[0], self.n)
+
+        def letter(i: int):
+            return path[i - 1] if i <= len(path) else 1
+
+        seq = IsometrySequence(
+            lambda i: monomial(self.n, (letter(i),)),
+            "proved",
+            "digit path of the base vector padded by the first generator; "
+            "the Z-grading makes the delta table exact at every order",
+        )
+        return "grid", StateFacts(purity=_GRID_PURE, sequence=seq)
 
 
 def apply_generator(rep, v: StateVector, i: int, dagger: bool = False) -> StateVector:
@@ -277,41 +359,35 @@ def _grid_digit_path(k: int, n: int) -> tuple[int, ...]:
 def vector_state(rep, x) -> MomentFunctional:
     """The state omega(y) = <v, pi(y) v> / <v, v> of a vector in the representation.
 
-    x may be a basis key or a StateVector.  A grid key must be a pair
-    (k >= 1, m) and the key of an eventually periodic word must have that
-    word's tail, else SchemaError.  The keys of a lazy word are put in
-    canonical form here, the coefficients of keys that name one vector merged;
-    ``up`` and ``down`` keep them canonical.  Moments divide by the squared norm,
-    so unnormalized exact vectors stay exact.  They are read off the state's
-    vector model (``omega.model``): v_J = pi(s_J)* v is the sparse vector
-    under ``apply_generator(..., dagger=True)``, memoized by prefix, and
-    omega(s_J s_K*) = <v_J, v_K> / <v, v>.  The facts record holds what the
-    representation provides: purity (both models are irreducible); for an
-    eventually periodic word the tail class and the shift period, plus a
-    fixed isometry (minimality) for a purely periodic basis vector; a grid
-    basis vector yields a proved delta-table isometry sequence (proper
-    infiniteness), and a lazy word yields the same table as evidence up to
-    its horizon.
+    x may be a basis key or a StateVector.  Each key passes ``rep.check_key``
+    (SchemaError for a grid key that is not a pair (k >= 1, m) or a shift key
+    outside the word's tail class); lazy keys are put in canonical form and
+    the coefficients of keys that name one vector merged.  Moments divide by
+    the squared norm, so unnormalized exact vectors stay exact, and the state
+    is exact when its coefficients are.  They are read off the state's vector
+    model (``omega.model``): v_J = pi(s_J)* v is a map {key: coefficient}
+    stepped through ``rep.down`` and memoized by prefix, and
+    omega(s_J s_K*) = <v_J, v_K> / <v, v>.  ``rep.state_facts`` gives the
+    family label and the facts, from the key of a basis vector or None.
     """
-    v = x if isinstance(x, StateVector) else StateVector.basis(x)
-    if isinstance(rep, ShiftRepresentation) and rep.lazy:
-        # keys that name one vector become one tuple, so the dict inner product is exact
-        merged: dict = {}
-        for key, c in v.items():
-            key = rep._canonical(*key)
-            merged[key] = merged.get(key, 0) + c
-        v = StateVector(merged)
-    elif isinstance(rep, (GridRepresentation, ShiftRepresentation)):
-        for key in v.coeffs:
-            rep.check_key(key)
-    nrm2 = v.norm2()
-    if scalar_is_zero(nrm2, None):
+    v: dict = {}
+    for key, c in (x.items() if isinstance(x, StateVector) else [(x, 1)]):
+        key = rep.check_key(key)
+        v[key] = v[key] + c if key in v else c
+    v = {key: c for key, c in v.items() if not scalar_is_zero(c, 0.0)}
+    nrm2 = _inner(v, v)
+    if scalar_is_zero(nrm2):
         raise SchemaError("the zero vector does not define a state")
+
+    def step(u: dict, i: int) -> dict:
+        # pi(s_i)* is injective on the keys it does not kill, so no two keys merge
+        down = rep.down
+        return {new: c for key, c in u.items() if (new := down(key, i)) is not None}
 
     ratios: dict[int, Fraction] = {}
 
-    def inner(a: StateVector, b: StateVector):
-        val = a.inner(b)
+    def inner(a: dict, b: dict):
+        val = _inner(a, b)
         if type(val) is int and type(nrm2) is int:
             # a Gram matrix repeats a few integer values: one shared Fraction each, not one per entry
             ratio = ratios.get(val)
@@ -322,74 +398,9 @@ def vector_state(rep, x) -> MomentFunctional:
             return val / nrm2
         return complex(val) / complex(nrm2)
 
-    model = VectorModel(
-        v,
-        lambda u, i: apply_generator(rep, u, i, dagger=True),
-        inner,
-        lambda pairs: sum((u.scale(c) for c, u in pairs), StateVector()),
-    )
-
-    n = rep.n
-    exact = rep.exact and all(is_exact_scalar(c) for c in v.coeffs.values())
-    single_key = next(iter(v.coeffs)) if len(v) == 1 else None
-    # a vector state of an irreducible representation is pure
-    shift_pure = ("Pure", "vector state of an irreducible shift representation")
-    grid_pure = ("Pure", "vector state of the irreducible grid representation")
-
-    if isinstance(rep, ShiftRepresentation) and not rep.lazy:
-        if single_key is not None:
-            y = single_key
-            family = "shift"
-            facts = StateFacts(
-                purity=shift_pure,
-                cuntz=(tuple(1 if j == y.per[0] else 0 for j in range(1, n + 1)), "family")
-                if y.period_length == 1 else None,
-                shift_period=y.period_length,
-                tail_class=y,
-                minimal_isometry=monomial(n, y.per) if y.is_purely_periodic else None,
-            )
-        else:
-            family = "shift_vector"
-            facts = StateFacts(purity=shift_pure, shift_period=rep.word.period_length, tail_class=rep.word)
-    elif isinstance(rep, ShiftRepresentation):
-        family = "shift_lazy"
-        seq = None
-        if single_key is not None:
-            prefix, t = single_key
-
-            def lazy_letter(i: int, prefix=prefix, t=t):
-                return prefix[i - 1] if i <= len(prefix) else rep.word.letter(t + i - len(prefix))
-
-            seq = IsometrySequence(
-                lambda i: monomial(n, (lazy_letter(i),)),
-                "evidence",
-                "generators along the letters of the defining word",
-                horizon=rep.horizon,
-            )
-        facts = StateFacts(purity=shift_pure, sequence=seq)
-    elif isinstance(rep, GridRepresentation):
-        if single_key is not None:
-            k, m = single_key
-            path = _grid_digit_path(k, n)
-            family = "grid"
-
-            def grid_letter(i: int, path=path):
-                return path[i - 1] if i <= len(path) else 1
-
-            seq = IsometrySequence(
-                lambda i: monomial(n, (grid_letter(i),)),
-                "proved",
-                "digit path of the base vector padded by the first generator; "
-                "the Z-grading makes the delta table exact at every order",
-            )
-            facts = StateFacts(purity=grid_pure, sequence=seq)
-        else:
-            family = "grid_vector"
-            facts = StateFacts(purity=grid_pure)
-    else:
-        family = "vector"
-        facts = StateFacts()
-    return MomentFunctional(n, family, model, facts=facts, exact=exact)
+    family, facts = rep.state_facts(next(iter(v)) if len(v) == 1 else None)
+    exact = all(is_exact_scalar(c) for c in v.values())
+    return MomentFunctional(rep.n, family, VectorModel(v, step, inner, _combine_maps), facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +459,7 @@ def dhj_grading(rep, M: Sequence[StateVector], depth: int) -> list[list[StateVec
     mode.  Raises NotInvariant unless pi(s_i)* M lies in span(M) for every i.
     """
     vectors = list(M)
-    exact = rep.exact and all(is_exact_scalar(c) for v in vectors for c in v.coeffs.values())
+    exact = all(is_exact_scalar(c) for v in vectors for c in v.coeffs.values())
     total = _invariant_span(rep, vectors)
     levels = [list(total.basis)]
     spanning = levels[0]  # independent spanning set of the current level-k image
@@ -464,8 +475,8 @@ def dhj_grading(rep, M: Sequence[StateVector], depth: int) -> list[list[StateVec
 def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L: int) -> list[float]:
     """Distances || a[l]* v - P_M a[l]* v || for l = 1..L, a[l] = a_1 ... a_l.
 
-    ``a`` may be an IsometrySequence, a callable i -> element, or a list of
-    elements; each a_i must be an isometry inside the creation span.  M must
+    ``a`` may be an IsometrySequence or a list of elements; each a_i must be
+    an isometry inside the creation span.  M must
     be s_i*-invariant (NotInvariant otherwise).  The sequence is expected to
     decrease; its limit is 0 exactly when the subspace the a_i squeeze onto
     sits inside span(M).  Each distance is the norm of a[l]* v's residual

@@ -68,12 +68,12 @@ from .moments import (
     transform_sandwich,
 )
 from .scalars import QQi, format_float
-from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
+from .shiftrep import GridRepresentation, LazyShiftRepresentation, ShiftRepresentation, vector_state
 from .symalg import CuntzElement
 from .words import LAZY_PRESETS, EventuallyPeriodicWord, check_word
 
 __all__ = [
-    "scalar_from_json", "scalar_to_json", "word_from_json", "epword_from_json", "epword_to_json",
+    "scalar_from_json", "scalar_to_json", "word_from_json", "epword_from_json",
     "element_from_json", "element_to_json", "state_from_spec", "rep_from_spec", "parse_spec",
     "fcs_to_json", "certificate_to_json", "value_to_json", "dump_json",
 ]
@@ -237,13 +237,14 @@ def _word(v, path, r):
 
 def _vector_key(v, path, r):
     rep = r.args["rep"]
-    if isinstance(rep, GridRepresentation) or rep.lazy:
-        if not (isinstance(v, (list, tuple)) and len(v) == 2):
-            raise SchemaError("lazy keys are [prefix, offset]" if rep.lazy else "grid keys are [k, m]")
-        if not rep.lazy:
-            return rep.check_key(tuple(v))
+    if type(rep) is ShiftRepresentation:
+        return epword_from_json(v, rep.n, path)
+    lazy = isinstance(rep, LazyShiftRepresentation)
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise SchemaError("lazy keys are [prefix, offset]" if lazy else "grid keys are [k, m]")
+    if lazy:
         return check_word(word_from_json(v[0], f"{path}[0]"), rep.n), _int(0)(v[1], f"{path}[1]", r)
-    return epword_from_json(v, rep.n, path)
+    return rep.check_key(tuple(v))
 
 
 def _term(t, path, r):
@@ -313,10 +314,6 @@ def epword_from_json(v, n: int | None, where: str = "word"):
     then is the largest letter, at least 2."""
     a = _read_keys(v, _EPWORD, "auto", where)
     return EventuallyPeriodicWord(a["pre"], a["per"], n or max((2, *a["pre"], *a["per"])))
-
-
-def epword_to_json(x: EventuallyPeriodicWord):
-    return {"pre": list(x.pre), "per": list(x.per)}
 
 
 def element_from_json(v, mode: str = "auto", where: str = "element") -> CuntzElement:

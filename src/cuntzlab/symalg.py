@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import prod
 
 from .errors import NotUnitary, SchemaError
-from .scalars import DEFAULT_EQ_TOL, conj, is_exact_scalar, format_scalar, scalar_is_zero
+from .scalars import conj, is_exact_scalar, format_scalar, scalar_is_zero, scalars_close
 from .words import Word, all_words, check_word
 
 __all__ = [
@@ -219,11 +219,8 @@ def check_unitary(g, n: int) -> None:
         for b in range(n):
             s = sum((conj(g[k][a]) * g[k][b] for k in range(n)), 0)
             target = 1 if a == b else 0
-            if is_exact_scalar(s):
-                if s != target:
-                    raise NotUnitary(f"g*g != I at entry ({a + 1},{b + 1}): {s}")
-            elif abs(complex(s) - target) > DEFAULT_EQ_TOL:
-                raise NotUnitary(f"g*g != I at entry ({a + 1},{b + 1}): {complex(s)}")
+            if not scalars_close(s, target):
+                raise NotUnitary(f"g*g != I at entry ({a + 1},{b + 1}): {s if is_exact_scalar(s) else complex(s)}")
 
 
 def gauge_image(g, J: Word) -> dict:

@@ -148,3 +148,22 @@ def test_equiv_pairs_of_the_tensor_conjugacy_rule(tmp_path):
     assert all(z) and abs(sum(abs(c) ** 2 for c in z) - 1) < 1e-12
     # the rotation by two letters swaps x1 (x) x2 to x2 (x) x1
     assert complex(*specs[2]["z"][0b0111]) == z[0b1101]
+
+
+def test_rep_on_each_kind_of_representation(tmp_path):
+    from cuntzlab import rep_from_spec
+
+    plan = same_outputs.build_plan(tmp_path)
+    assert sorted(label for label in plan if label.startswith("rep/")) == sorted(
+        f"rep/{fmt}/rep:{name}" for name in same_outputs.REPS for fmt in ("json", "md"))
+    kinds = set()
+    for name in same_outputs.REPS:
+        workdir, argv = plan[f"rep/json/rep:{name}"]
+        assert argv == ["rep", f"{name}.json", "--format", "json"]
+        assert plan[f"rep/md/rep:{name}"] == (workdir, ["rep", f"{name}.json"])
+        rep = rep_from_spec(json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8")))
+        kinds.add((type(rep).__name__, getattr(rep.word, "name", None) if hasattr(rep, "word") else rep.n))
+    # the grid over n = 2 and 3, an eventually periodic shift word and both lazy presets
+    assert kinds >= {("GridRepresentation", 2), ("GridRepresentation", 3),
+                     ("LazyShiftRepresentation", "thue_morse"), ("LazyShiftRepresentation", "sturmian")}
+    assert ("ShiftRepresentation", None) in kinds

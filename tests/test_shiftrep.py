@@ -13,7 +13,9 @@ from cuntzlab import (
     LAZY_PRESETS,
     EventuallyPeriodicWord,
     GridRepresentation,
+    NotInCatalog,
     NotInvariant,
+    StateFacts,
     SchemaError,
     ShiftRepresentation,
     apply_element,
@@ -21,6 +23,7 @@ from cuntzlab import (
     cdim,
     dhj_grading,
     gen,
+    kappa_rep,
     lemma_convergence_check,
     monomial,
     vector_state,
@@ -29,7 +32,7 @@ from cuntzlab import (
 )
 from cuntzlab.cli import run
 from cuntzlab.scalars import DEFAULT_EQ_TOL, is_exact_scalar
-from cuntzlab.shiftrep import LazyWord, StateVector
+from cuntzlab.shiftrep import LazyShiftRepresentation, LazyWord, StateVector
 
 from conftest import fr, q
 
@@ -229,7 +232,7 @@ def _strip_formula(rep, v, J, K):
             u = apply_generator(rep, u, a)
         return u
 
-    if rep.lazy:
+    if isinstance(rep, LazyShiftRepresentation):
         v = sum((lift(*key).scale(c) for key, c in v.items()), StateVector())
     val = strip(v, J).inner(strip(v, K))
     nrm2 = v.norm2()
@@ -284,8 +287,66 @@ class TestVectorStateModel:
         model = vector_state(rep, (6, 0)).model
         # pi(s_2)* e_(6,0) = e_(3,-1) and pi(s_1)* e_(3,-1) = e_(2,-2)
         v = model.vector((2, 1))
-        assert v == StateVector.basis((2, -2))
-        assert model.vector((2, 1)) is v and model.vector((2,)) == StateVector.basis((3, -1))
+        assert v == {(2, -2): 1}
+        assert model.vector((2, 1)) is v and model.vector((2,)) == {(3, -1): 1}
+
+
+SHIFT_PURE = ("Pure", "vector state of an irreducible shift representation")
+GRID_PURE = ("Pure", "vector state of the irreducible grid representation")
+THUE_MORSE = LAZY_PRESETS["thue_morse"](2, 24)
+# (rep, basis key or vector, family, facts without the sequence, the sequence's
+# first letters, status and horizon or None)
+PROTOCOL_CASES = {
+    "shift_basis": lambda: (ShiftRepresentation(X12), ep((), (1, 2, 1)), "shift",
+                            StateFacts(purity=SHIFT_PURE, shift_period=3, tail_class=ep((), (1, 2, 1)),
+                                       minimal_isometry=monomial(2, (1, 2, 1))), None),
+    "shift_basis_period_one": lambda: (ShiftRepresentation(ep((), (2,), n=3)), ep((1,), (2,), n=3), "shift",
+                                       StateFacts(purity=SHIFT_PURE, cuntz=((0, 1, 0), "family"), shift_period=1,
+                                                  tail_class=ep((1,), (2,), n=3)), None),
+    "shift_superposition": lambda: (ShiftRepresentation(X12), StateVector({X12: q(1), X12.shift(): q(0, 1)}),
+                                    "shift_vector", StateFacts(purity=SHIFT_PURE, shift_period=3, tail_class=X12),
+                                    None),
+    # 2 . t is canonical: t starts with 1
+    "lazy_basis": lambda: (ShiftRepresentation(THUE_MORSE), ((2,), 0), "shift_lazy",
+                           StateFacts(purity=SHIFT_PURE), ((2, 1, 2, 2, 1), "evidence", 24)),
+    "lazy_superposition": lambda: (ShiftRepresentation(THUE_MORSE), StateVector({((), 0): 1, ((2,), 0): 1}),
+                                   "shift_lazy", StateFacts(purity=SHIFT_PURE), None),
+    # e_(5,m) = pi(s_1 s_1 s_2) e_(1,m-3), padded by the first generator
+    "grid_basis": lambda: (GridRepresentation(2), (5, 0), "grid", StateFacts(purity=GRID_PURE),
+                           ((1, 1, 2, 1, 1), "proved", None)),
+    "grid_superposition": lambda: (GridRepresentation(3), StateVector({(1, 0): q(1), (4, 1): q(fr(1, 2))}),
+                                   "grid_vector", StateFacts(purity=GRID_PURE), None),
+}
+
+
+class _Foreign:
+    """A representation outside the catalogue that answers the same protocol."""
+
+    def __init__(self, rep):
+        self._rep = rep
+
+    def __getattr__(self, name):
+        return getattr(self._rep, name)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_each_kind_answers_the_representation_protocol(name):
+    rep, x, family, facts, sequence = PROTOCOL_CASES[name]()
+    w = vector_state(rep, x)
+    assert (w.family, w.exact) == (family, True)
+    assert w.facts._replace(sequence=None) == facts
+    if sequence is None:
+        assert w.facts.sequence is None
+    else:
+        letters, status, horizon = sequence
+        seq = w.facts.sequence
+        assert (seq.status, seq.horizon) == (status, horizon)
+        assert [seq.factory(i) for i in range(1, len(letters) + 1)] == [monomial(rep.n, (a,)) for a in letters]
+    keys = rep.sample_keys()
+    assert len(keys) == 3 and [rep.check_key(key) for key in keys] == keys
+    assert rep.check_key(rep.generator_key()) == rep.generator_key()
+    with pytest.raises(NotInCatalog):
+        kappa_rep(_Foreign(rep))
 
 
 class TestStateVector:

@@ -34,6 +34,10 @@ fresh interpreter per tree, the two trees side by side:
   ``sub_cuntz_swapped`` and ``sub_cuntz_twisted``, every ordered pair; and
   ``--mode float``, a dense rank-one tensor of order 4 against each of its
   three rotations.
+* ``rep`` (json and md) on each kind of representation (``REPS``): the grid
+  over n = 2 and 3, shift representations of eventually periodic words, and
+  the lazy Thue-Morse and Sturmian words, so ``kappa_rep`` runs on the
+  sample vectors of each.
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -97,6 +101,15 @@ MARKED_PHASES = [[1, 0], [0, -1], [-1, 0], [0, 1], ["3/5", "-4/5"], ["3/5", "4/5
                  ["5/13", "-12/13"]]
 # golden sub_cuntz states of order 2 whose tensors are equal or swapped
 TENSOR_GOLDEN = ("sub_cuntz", "sub_cuntz_swapped", "sub_cuntz_twisted")
+# one representation spec per kind, for the rep commands
+REPS = {
+    "grid_n2": {"kind": "grid", "n": 2},
+    "grid_n3": {"kind": "grid", "n": 3},
+    "shift_2x112": {"kind": "shift", "n": 2, "word": {"pre": [2], "per": [1, 1, 2]}},
+    "shift_1": {"kind": "shift", "n": 3, "word": {"per": [1]}},
+    "lazy_thue_morse": {"kind": "lazy", "preset": "thue_morse"},
+    "lazy_sturmian": {"kind": "lazy", "preset": "sturmian", "horizon": 64},
+}
 CHILD_TIMEOUT_S = 3600
 
 # Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
@@ -221,6 +234,12 @@ def build_plan(work: Path) -> dict:
     moments = ["moments", file, "--level", "3", "--format", "json"]
     plan["solve/json/moments:one_word_1x10"] = (str(d), moments)
     plan["solve/json/moments_float:one_word_1x10"] = (str(d), [*moments, "--mode", "float"])
+    d = work / "rep"
+    d.mkdir()
+    for name, spec in REPS.items():
+        file = _write(d / f"{name}.json", spec)
+        plan[f"rep/json/rep:{name}"] = (str(d), ["rep", file, "--format", "json"])
+        plan[f"rep/md/rep:{name}"] = (str(d), ["rep", file])
     return plan
 
 
