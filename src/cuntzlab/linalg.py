@@ -4,22 +4,25 @@ Matrices are lists of row lists.  Every linear system is read off one
 primitive, :func:`kernel_basis`: :func:`rank` is the width less the
 dimension of the kernel, :func:`solve` reads x off the kernel of [a | -b],
 and :func:`min_norm_solution` the combinations that meet its constraints.
-Each mode has one engine.  Exact rows run one fraction-free Gauss-Jordan
-elimination, :func:`_sparse_reduce`, on sparse rows of integers (or Gaussian
-integers) and give exact answers; float rows take a stacked numpy SVD.
-numpy is imported only inside the float kernel and the eigenvalue estimates,
-so exact work never loads it.
+Both modes run one elimination, :func:`_sparse_reduce`: a sparse
+Gauss-Jordan elimination in Markowitz order whose kernel is read off the
+reduced rows.  Exact rows are made integers (or Gaussian integers) and
+reduced fraction-free, and give exact answers; float rows are reduced as
+floats, with threshold pivoting and a rank threshold, and their kernel is
+orthonormalized.  numpy is imported only for the smallest-eigenvalue
+estimate in the message of a matrix that fails :func:`hermitian_psd_check`,
+so no work that passes its checks loads it.
 
 :func:`kernel_basis` takes dense list rows or sparse rows ``{column:
 entry}``.  It splits the columns into the connected components of the
-rows' sparsity graph and reduces each block on its own.  Exact blocks pivot
-in Markowitz order (shortest row, then the column the fewest rows hold), and
-their kernel is read off the reduced rows, one vector per free column; which
-columns are free depends on that order, and no exact caller depends on the
+rows' sparsity graph and reduces each block on its own.  Blocks pivot in
+Markowitz order (shortest row, then the column the fewest rows hold), and
+their kernel is read off the reduced rows, one vector per free column;
+which columns are free depends on that order, and no caller depends on the
 basis.  Float blocks share one rank threshold, taken from the largest
-singular value of any block, as a dense SVD of the whole matrix would.  The
-fixed-point systems of ``moments`` split into a few such blocks, and arrive
-in exact mode as rows of ints.
+entry of the whole matrix.  The fixed-point systems of ``moments`` split
+into a few such blocks, and arrive in exact mode as rows of ints and in
+float mode as rows of floats.
 
 Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
 a pivoted L D L* factor grown one pivot at a time: the Gram growth of
@@ -30,13 +33,16 @@ While its inner products are exact it too runs on integers: coordinates and
 rows of L as Gaussian-integer triples (a, b, d) = (a + bi) / d, D and the
 residuals as (num, den) pairs, one gcd per entry, and the public values
 (Fractions and QQi, of the types the rational loop gives) built once each.
+The float branch of :func:`hermitian_psd_check` is a diagonally pivoted
+L D L* of the matrix's Hermitian part shifted by its rank threshold.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 
 from .errors import Inconsistent
 from .scalars import DEFAULT_RANK_TOL, QQi, _raw, abs2, conj, gaussian_parts, is_exact_scalar
@@ -99,10 +105,10 @@ def _integral(row: dict, gaussian: bool) -> dict:
         scaled = ((x if isinstance(x, QQi) else QQi(x)) * den for x in row.values())
     else:
         scaled = (a * (den // d) for a, _, d in parts)
-    return _without_content(dict(zip(row, scaled)), gaussian)
+    return _without_content(gaussian, dict(zip(row, scaled)))
 
 
-def _without_content(row: dict, gaussian: bool) -> dict:
+def _without_content(gaussian: bool, row: dict) -> dict:
     """The integer row {column: entry} divided by the gcd of its (real and
     imaginary) parts."""
     if gaussian:
@@ -114,19 +120,53 @@ def _without_content(row: dict, gaussian: bool) -> dict:
     return {j: x / g for j, x in row.items()} if gaussian else {j: x // g for j, x in row.items()}
 
 
-def _real_pivot(prow: dict, c):
-    """A Gaussian pivot row times the conjugate of its pivot, content divided
-    out, and that pivot, now an integer."""
+def _fewest_holders(cols, holders):
+    """The Markowitz column: the one of ``cols`` the fewest rows hold, ties
+    to the lowest index."""
+    return min(cols, key=lambda j: (len(holders[j]), j))
+
+
+def _exact_pivot(gaussian: bool, prow: dict, holders):
+    """(column, row, pivot) of an integer row: its Markowitz column, and a
+    Gaussian row times the conjugate of its pivot, content divided out, so
+    that the pivot is an integer."""
+    c = _fewest_holders(prow, holders)
+    if not gaussian:
+        return c, prow, prow[c]
     pc = prow[c].conjugate()
-    prow = _without_content({j: x * pc for j, x in prow.items()}, True)
-    return prow, gaussian_parts(prow[c])[0]
+    prow = _without_content(True, {j: x * pc for j, x in prow.items()})
+    return c, prow, gaussian_parts(prow[c])[0]
 
 
-def _cross_factors(pv: int, f, gaussian: bool):
+def _cross_factors(gaussian: bool, pv: int, f):
     """(a, b) with a / b = pv / f in lowest terms: a row with entry f in the
     pivot column becomes a row - b prow, zero there."""
     g = gcd(pv, *gaussian_parts(f)[:2]) if gaussian else gcd(pv, f)
     return pv // g, (f / g if gaussian else f // g)
+
+
+# a float pivot is at least this share of its row's largest |entry|
+_PIVOT_THRESHOLD = 0.1
+
+
+def _float_pivot(eps: float, prow: dict, holders):
+    """(column, row, pivot) of a float row, or None when its largest |entry|
+    is at most eps (the row is null).  The column is the Markowitz choice
+    among the entries at least _PIVOT_THRESHOLD of the largest, so that an
+    update adds to an entry at most 1 / _PIVOT_THRESHOLD times the updated
+    row's entry in the pivot column."""
+    big = max(map(abs, prow.values()))
+    if big <= eps:
+        return None
+    big *= _PIVOT_THRESHOLD
+    c = _fewest_holders([j for j, x in prow.items() if abs(x) >= big], holders)
+    return c, prow, prow[c]
+
+
+def _float_factors(pv, f):
+    """(1, f / pv): a row with entry f in the pivot column becomes
+    row - (f / pv) prow."""
+    return 1, f / pv
 
 
 def _divided(x, pv: int, has_qqi: bool):
@@ -138,9 +178,9 @@ def _divided(x, pv: int, has_qqi: bool):
 
 
 def rank(rows) -> int:
-    """The width of the matrix less the dimension of its kernel: exact rows
-    count the pivots of the fraction-free elimination, float rows the
-    singular values above DEFAULT_RANK_TOL times max(1, the largest)."""
+    """The width of the matrix less the dimension of its kernel: the pivots
+    of the elimination, where a float row counts only while its largest
+    |entry| is above DEFAULT_RANK_TOL times max(1, the matrix's largest)."""
     if not rows or not rows[0]:
         return 0
     return len(rows[0]) - len(kernel_basis(rows, len(rows[0])))
@@ -178,28 +218,30 @@ def kernel_basis(rows, ncols: int):
     sparse once here, and zero entries are dropped.  The columns split into
     the connected components of the rows' sparsity graph (one union-find),
     and the matrix, with its columns permuted, is block diagonal over them:
-    each block is reduced on its own.
+    each block is reduced on its own by :func:`_sparse_reduce`, in Markowitz
+    order: the shortest active row, and in it the column the fewest rows
+    hold, ties to the lowest index.  Each column no pivot takes is free and
+    gives one kernel vector, 1 there and 0 at the other free columns (see
+    :func:`_kernel_of_reduced`), ordered by free column.  The order frees
+    other columns than the reduced echelon form does, so this is not the
+    echelon basis: ``rank`` counts the vectors, ``solve`` scales the only
+    one, and ``min_norm_solution`` returns the one minimum-norm point, none
+    of which depends on the basis.
 
     Exact rows are scaled to integers (ints, already, from ``moments``) and
-    run sparse fraction-free elimination per block, in Markowitz order: the
-    shortest active row, and in it the column the fewest rows hold, ties to
-    the lowest index.  A block of one column with a row is not reduced; it
-    has no kernel vector.  Each column no pivot takes is free and gives one
-    kernel vector, 1 there and 0 at the other free columns (see
-    :func:`_exact_kernel`), ordered by free column.  The order frees other
-    columns than the reduced echelon form does, so this is not the echelon
-    basis: ``rank`` counts the vectors, ``solve`` scales the only one, and
-    ``min_norm_solution`` returns the one minimum-norm point, none of which
-    depends on the basis.
+    reduced fraction-free.  A block of one column with a row is not reduced;
+    it has no kernel vector.
 
-    Float rows take the SVD of each block; blocks of equal shape share one
-    stacked ``np.linalg.svd`` call.  The singular values of a block-diagonal
-    matrix are the union of its blocks', so the rank rule is the whole
-    matrix's: a singular value counts above DEFAULT_RANK_TOL times max(1,
-    the largest singular value of any block).  The kernel vectors are the
-    remaining right singular vectors of each block (any orthonormal basis of
-    the kernel is a valid answer in float), in block order.  A column no row
-    touches is a block of its own whose kernel vector is its unit vector.
+    Float rows (real rows stay floats) are reduced with three differences.
+    A row whose largest |entry| is at most DEFAULT_RANK_TOL times max(1, the
+    largest |entry| of the whole matrix) when it comes up is null: it takes
+    no pivot, and the threshold is shared by the blocks.  The pivot is the
+    Markowitz choice among the row's entries of at least 0.1 of its largest.
+    An update subtracts a multiple of the pivot row.  The kernel vectors of
+    each block are then made orthonormal (see :func:`_orthonormal`), in the
+    order of their free columns; callers read a float vector as a unit one.
+    A column no row touches is a block of its own whose kernel vector is its
+    unit vector.
     """
     exact = matrix_is_exact(row.values() if isinstance(row, dict) else row for row in rows)
     sparse = []
@@ -208,7 +250,11 @@ def kernel_basis(rows, ncols: int):
         if entries:
             sparse.append(entries)
     blocks = _column_blocks(sparse, ncols)
-    found = _exact_kernel(blocks) if exact else _float_kernel(blocks)
+    if exact:
+        found = _exact_kernel(blocks)
+    else:
+        biggest = max((abs(x) for row in sparse for x in row.values()), default=0.0)
+        found = _float_kernel(blocks, DEFAULT_RANK_TOL * max(1.0, biggest))
     found.sort(key=lambda item: item[0])
     zero = 0 if exact else 0.0
     basis = []
@@ -246,52 +292,97 @@ def _column_blocks(rows, ncols: int):
     return list(blocks.values())
 
 
-def _exact_kernel(blocks):
-    """(free column, its kernel vector's entries) per free column of each block.
+def _kernel_of_reduced(cols, work, pivots, one, entry):
+    """{free column g: its kernel vector's entries} of a reduced block.
 
-    A block's rows, made integral, are reduced by :func:`_sparse_reduce`.
-    Each pivot row R_r then holds its pivot p_r at column c_r and otherwise
-    free columns only, so a free column g gives the kernel vector
-    e_g - sum_r (R_r[g] / p_r) e_(c_r): 1 at g and 0 at the other free
-    columns.  A block of one column with a row has no kernel vector and is
-    not reduced.
-    """
+    Each pivot row R_r holds its pivot p_r at column c_r and otherwise free
+    columns only, so a free column g gives the kernel vector
+    e_g - sum_r (R_r[g] / p_r) e_(c_r): ``one`` at g, 0 at the other free
+    columns, and ``entry(R_r[g], p_r)`` at c_r."""
+    pivot_cols = {c for _, c in pivots}
+    vectors = {g: [(g, one)] for g in cols if g not in pivot_cols}
+    for r, c in pivots:
+        row = work[r]
+        p = row[c]
+        for j, x in row.items():
+            if j != c:
+                vectors[j].append((c, entry(x, p)))
+    return vectors
+
+
+def _exact_kernel(blocks):
+    """(free column, its kernel vector's entries) per free column of each
+    block, its rows made integral and reduced fraction-free.  A block of one
+    column with a row has no kernel vector and is not reduced."""
     found = []
     for cols, rows in blocks:
-        if not rows:
-            found.append((cols[0], [(cols[0], 1)]))
-            continue
-        if len(cols) == 1:
+        if len(cols) == 1 and rows:
             continue
         has_qqi, gaussian = _ring([x for row in rows for x in row.values()])
         work = [_integral(row, gaussian) for row in rows]
         pivots = _sparse_reduce(work, gaussian)
-        pivot_cols = {c for _, c in pivots}
-        vectors = {g: [(g, 1)] for g in cols if g not in pivot_cols}
-        for r, c in pivots:
-            row = work[r]
-            pv = gaussian_parts(row[c])[0]
-            for j, x in row.items():
-                if j != c:
-                    vectors[j].append((c, _divided(-x, pv, has_qqi)))
-        found += vectors.items()
+        found += _kernel_of_reduced(cols, work, pivots, 1,
+                                    lambda x, p: _divided(-x, gaussian_parts(p)[0], has_qqi)).items()
     return found
 
 
-def _sparse_reduce(work, gaussian: bool):
-    """Fraction-free Gauss-Jordan elimination of nonempty integer rows
-    {column: entry} in place, in Markowitz order.
+def _float_kernel(blocks, eps: float):
+    """(free column, an orthonormal kernel vector's entries) per free column
+    of each block, its float rows reduced with the rank threshold eps."""
+    found = []
+    for cols, rows in blocks:
+        pivots = _sparse_reduce(rows, eps=eps)
+        found += _orthonormal(_kernel_of_reduced(cols, rows, pivots, 1.0, lambda x, p: -x / p))
+    return found
 
-    As in Bareiss (1968, Math. Comp. 22) no fraction is formed on the way:
-    a row is updated by cross-multiplication with the pivot row over the
-    pivot row's entries, and its content is then divided out by a gcd.  Rows
-    over the Gaussian integers pivot on an integer, the pivot row first
-    multiplied by the conjugate of its pivot.
+
+def _orthonormal(vectors):
+    """[(g, entries)] of the vectors {g: entries}, made orthonormal in
+    increasing g by Gram-Schmidt, each projection taken twice: the vectors
+    have 1 at their own free column and 0 at the others', so they are
+    independent, and a second pass restores the orthogonality the first
+    loses to rounding."""
+    done = []
+    for g in sorted(vectors):
+        v = dict(vectors[g])
+        for _ in range(2):
+            for _, u in done:
+                d = sum(x.conjugate() * v[j] for j, x in u.items() if j in v)
+                if d:
+                    for j, x in u.items():
+                        v[j] = v.get(j, 0.0) - d * x
+        norm = sqrt(sum(abs(x) ** 2 for x in v.values()))
+        done.append((g, {j: x / norm for j, x in v.items()}))
+    return [(g, list(u.items())) for g, u in done]
+
+
+def _sparse_reduce(work, gaussian: bool = False, eps: float | None = None):
+    """Gauss-Jordan elimination of nonempty rows {column: entry} in place,
+    in Markowitz order: integer rows fraction-free, and float rows, when the
+    rank threshold ``eps`` is given, in floating point.
 
     The next pivot row is the shortest unreduced nonzero row, and its pivot
-    column the one of its columns the fewest rows hold; ties go to the lowest
-    index.  Returns the (row, column) pivots in the order taken; every other
+    column the one of its columns the fewest rows hold; ties go to the
+    lowest index.  The pivot column is taken out of every other row that
+    holds it, reduced rows included, so each pivot row ends with its pivot
+    and free columns only.
+
+    As in Bareiss (1968, Math. Comp. 22) no fraction is formed on integer
+    rows: a row is updated by cross-multiplication with the pivot row, and
+    its content is then divided out by a gcd.  Rows over the Gaussian
+    integers pivot on an integer, the pivot row first multiplied by the
+    conjugate of its pivot.  A float row subtracts a multiple of the pivot
+    row, and picks its pivot and is found null by :func:`_float_pivot`; a
+    null row is dropped, and no later update reaches it.
+
+    Returns the (row, column) pivots in the order taken; every other integer
     row ends empty."""
+    if eps is None:
+        pivot = partial(_exact_pivot, gaussian)
+        factors = partial(_cross_factors, gaussian)
+        content = partial(_without_content, gaussian)
+    else:
+        pivot, factors, content = partial(_float_pivot, eps), _float_factors, None
     holders: dict[int, set] = {}
     for k, row in enumerate(work):
         for j in row:
@@ -306,17 +397,20 @@ def _sparse_reduce(work, gaussian: bool):
         if r in done or size != len(prow):
             continue  # an entry left behind by a later update of the row
         done.add(r)
-        c = min(prow, key=lambda j: (len(holders[j]), j))
-        pv = prow[c]
-        if gaussian:
-            prow, pv = _real_pivot(prow, c)
-            work[r] = prow
+        chosen = pivot(prow, holders)
+        if chosen is None:
+            for j in prow:
+                holders[j].discard(r)
+            continue
+        c, prow, pv = chosen
+        work[r] = prow
+        rest = [(j, x) for j, x in prow.items() if j != c]
         for k in holders[c] - {r}:
             row = work[k]
-            a, b = _cross_factors(pv, row[c], gaussian)
+            a, b = factors(pv, row.pop(c))
             if a != 1:
                 row = {j: a * x for j, x in row.items()}
-            for j, x in prow.items():
+            for j, x in rest:
                 y = row.get(j)
                 if y is None:
                     row[j] = -b * x
@@ -328,58 +422,21 @@ def _sparse_reduce(work, gaussian: bool):
                     else:
                         del row[j]
                         holders[j].discard(k)
-            work[k] = row = _without_content(row, gaussian)
+            if content is not None:
+                row = content(row)
+            work[k] = row
             if row and k not in done:
                 heappush(queue, (len(row), k))
         pivots.append((r, c))
     return pivots
 
 
-def _float_kernel(blocks):
-    """(smallest column of the block, a kernel vector's entries) per right
-    singular vector of each block beyond the shared rank threshold."""
-    import numpy as np
-
-    shapes: dict[tuple[int, int], list] = {}
-    found = []
-    for cols, rows in blocks:
-        if rows:
-            shapes.setdefault((len(rows), len(cols)), []).append((cols, rows))
-        else:
-            found.append((cols[0], [(cols[0], 1.0)]))
-    stacks = []
-    for (m, k), group in shapes.items():
-        bs, is_, js, values = [], [], [], []
-        for b, (cols, rows) in enumerate(group):
-            local = {c: j for j, c in enumerate(cols)}
-            for i, row in enumerate(rows):
-                for c, x in row.items():
-                    bs.append(b)
-                    is_.append(i)
-                    js.append(local[c])
-                    values.append(complex(x))
-        a = np.zeros((len(group), m, k), dtype=complex)
-        a[bs, is_, js] = values
-        stacks.append((group, a))
-    # a system whose imaginary parts all lie within 1e-8 of zero is reduced as real
-    if all(np.abs(a.imag).max() <= 1e-8 for _, a in stacks):
-        stacks = [(group, a.real) for group, a in stacks]
-    svds = [(group, *np.linalg.svd(a)[1:]) for group, a in stacks]
-    eps = DEFAULT_RANK_TOL * max(1.0, max((float(s.max()) for _, s, _ in svds), default=0.0))
-    for group, s, vh in svds:
-        for (cols, _), r, v in zip(group, (s > eps).sum(axis=1), vh):
-            found += [(cols[0], list(zip(cols, x))) for x in v[r:].conj().tolist()]
-    return found
-
-
-def _min_eig_estimate(g):
-    """The smallest eigenvalue of the Hermitian part of g by numpy, and the
-    largest entry magnitude (the float check's scale)."""
+def _min_eig_estimate(g) -> float:
+    """The smallest eigenvalue of the Hermitian part of g, by numpy."""
     import numpy as np
 
     approx = np.array([[complex(x) for x in row] for row in g], dtype=complex)
-    min_eig = float(np.linalg.eigvalsh((approx + approx.conj().T) / 2).min())
-    return min_eig, float(np.abs(approx).max())
+    return float(np.linalg.eigvalsh((approx + approx.conj().T) / 2).min())
 
 
 def _real(x):
@@ -559,26 +616,71 @@ class LDLFactor:
 def hermitian_psd_check(g):
     """Decide whether the Hermitian matrix g is positive semidefinite.
 
-    Returns (ok, min_eig_estimate).  Float matrices are decided by the
-    smallest eigenvalue (a float numpy estimate) against -DEFAULT_RANK_TOL
-    times max(1, largest entry magnitude).  Exact matrices stream their rows
-    through an :class:`LDLFactor`: a row with a positive residual becomes a
-    pivot, and g is PSD exactly when no diagonal entry is non-real, no
-    residual is negative, and every zero-residual (null) row stays null: no
-    coordinate along a later pivot, and a zero Schur coupling
-    g_ab - sum_k conj(y_a,k) y_b,k / D_k to every other null row.  Only a
-    failure computes the numpy estimate, for its message; an exact pass
-    returns (True, None) without loading numpy.
+    Returns (ok, min_eig_estimate).  A float matrix passes when its
+    Hermitian part plus eps I, eps = DEFAULT_RANK_TOL times max(1, largest
+    entry magnitude), has an L D L* factor with every pivot positive (see
+    :func:`_shifted_ldl_passes`): its smallest eigenvalue is above -eps.
+    Exact matrices stream their rows through an :class:`LDLFactor`: a row
+    with a positive residual becomes a pivot, and g is PSD exactly when no
+    diagonal entry is non-real, no residual is negative, and every
+    zero-residual (null) row stays null: no coordinate along a later pivot,
+    and a zero Schur coupling g_ab - sum_k conj(y_a,k) y_b,k / D_k to every
+    other null row.  A pass returns (True, None); only a failure computes
+    the smallest eigenvalue of the Hermitian part, by numpy, for its
+    message, so a matrix that passes does not load numpy.
     """
-    d = len(g)
-    if d == 0:
+    if len(g) == 0:
         return True, 0.0
-    if not matrix_is_exact(g):
-        min_eig, scale = _min_eig_estimate(g)
-        return min_eig >= -DEFAULT_RANK_TOL * max(1.0, scale), min_eig
-    if _exact_psd(g):
+    passes = _exact_psd if matrix_is_exact(g) else _shifted_ldl_passes
+    if passes(g):
         return True, None
-    return False, _min_eig_estimate(g)[0]
+    return False, _min_eig_estimate(g)
+
+
+def _shifted_ldl_passes(g) -> bool:
+    """Whether H + eps I is positive definite, H = (g + g*) / 2 and eps =
+    DEFAULT_RANK_TOL times max(1, the largest |entry| of g): whether every
+    pivot of its L D L* factor is positive.
+
+    A row and column that are zero in g would be the pivot eps, coupled to
+    nothing, so they are left out.  The factor of H itself is tried first
+    (:func:`_pivoted_ldl` with no shift): once its pivots are positive and
+    its Schur complement S left has S + eps I diagonally dominant, H + eps I
+    is positive definite, since the Schur complement of H + eps I on the
+    same pivots is at least S + eps I.  A Gram matrix of rank r gets there
+    after about r pivots, so a large one of low rank costs a few passes over
+    its entries.  Where that factor meets a pivot <= 0, the factor of
+    H + eps I decides."""
+    c = [[complex(x) for x in row] for row in g]
+    eps = DEFAULT_RANK_TOL * max(1.0, max((max(map(abs, row)) for row in c if row), default=0.0))
+    live = [i for i, (row, col) in enumerate(zip(c, zip(*c))) if any(row) or any(col)]
+    h = [[(c[a][b] + c[b][a].conjugate()) / 2 for b in live] for a in live]
+    return _pivoted_ldl([row[:] for row in h], eps, 0.0) or _pivoted_ldl(h, eps, eps)
+
+
+def _pivoted_ldl(h, eps: float, shift: float) -> bool:
+    """Whether every pivot of the L D L* factor of h + shift I is positive,
+    the largest diagonal entry left taking the next pivot; h is overwritten
+    by Schur complements.  It stops early, True, once each row left has a
+    diagonal entry above -eps by more than the rest of the row (Gershgorin):
+    the eigenvalues of the matrix the rows left hold are then above -eps."""
+    rest = list(range(len(h)))
+    while rest:
+        if all(h[i][i].real + eps > sum(map(abs, h[i])) - abs(h[i][i]) for i in rest):
+            return True
+        k = max(rest, key=lambda i: h[i][i].real)
+        p = h[k][k].real + shift
+        if not p > 0:
+            return False
+        rest.remove(k)
+        hk = h[k]
+        for i in rest:
+            f = hk[i].conjugate() / p
+            if f:
+                h[i] = [x - f * y for x, y in zip(h[i], hk)]
+            # the column of a pivot is out of the Schur complement
+            h[i][k] = 0j
+    return True
 
 
 def _exact_psd(g) -> bool:

@@ -1186,13 +1186,13 @@ def positivity_check(omega: MomentFunctional, level: int = 2):
     """PSD check of the Gram matrix of {pi(s_J)* Omega : |J| <= level}.
 
     Returns (ok, min_eigenvalue_estimate), as ``hermitian_psd_check`` does:
-    the estimate is a float numpy eigenvalue for a float state and for an
-    exact state that fails, and None for an exact state that passes.  The
-    words are listed here, so none is validated again; the entries are the
-    inner products of the vectors of ``omega.model``, as in ``gram_matrix``:
-    N(N+1)/2 of them for the N = 1 + n + ... + n^level words, each entry
-    below the diagonal the conjugate of its mirror.  The exact check reads
-    only the entries on and above the diagonal, and the float estimate the
-    Hermitian part.
+    the estimate is a float numpy eigenvalue for a state that fails, and
+    None for a state that passes.  The words are listed here, so none is
+    validated again; the entries are the inner products of the vectors of
+    ``omega.model``, as in ``gram_matrix``: N(N+1)/2 of them for the
+    N = 1 + n + ... + n^level words, each entry below the diagonal the
+    conjugate of its mirror.  The exact check reads only the entries on and
+    above the diagonal, and the float check and the estimate the Hermitian
+    part.
     """
     return hermitian_psd_check(omega.model.gram(list(words_upto(omega.n, level))))

@@ -1,7 +1,7 @@
 """Exact simulators of permutative representations of O_n.
 
 Each kind of representation answers one protocol: ``generator_key``,
-``check_key`` (checks a key, or puts a lazy key in canonical form), ``up``,
+``check_key`` (checks a key, and puts a lazy key in canonical form), ``up``,
 ``down``, ``key_str``, ``sample_keys`` (the basis vectors ``kappa_rep``
 compares) and ``state_facts`` (a vector state's family label and facts):
 
@@ -40,7 +40,7 @@ from .linalg import LDLFactor
 from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, _combine_maps, sequence_factory
 from .scalars import conj, is_exact_scalar, scalar_is_zero
 from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
-from .words import EventuallyPeriodicWord, LazyWord, Word, tail_equivalent
+from .words import EventuallyPeriodicWord, LazyWord, Word, check_word, tail_equivalent
 
 __all__ = [
     "StateVector",
@@ -212,8 +212,15 @@ class LazyShiftRepresentation(ShiftRepresentation):
         return ((), 0)
 
     def check_key(self, key):
-        """The canonical form of the key (prefix, t)."""
+        """The canonical form of the key (prefix, t), a word over 1..n and
+        an int t >= 0."""
         prefix, t = key
+        prefix = check_word(prefix, self.n)
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+            raise SchemaError(f"lazy shift keys are pairs (prefix, t >= 0); got {key!r}")
+        return self._canonical(prefix, t)
+
+    def _canonical(self, prefix, t):
         while prefix and t >= 1 and prefix[-1] == self.word.letter(t):
             prefix = prefix[:-1]
             t -= 1
@@ -221,7 +228,7 @@ class LazyShiftRepresentation(ShiftRepresentation):
 
     def up(self, key, i: int):
         prefix, t = key
-        return self.check_key(((i,) + prefix, t))
+        return self._canonical((i,) + prefix, t)
 
     def down(self, key, i: int):
         prefix, t = key
@@ -360,15 +367,16 @@ def vector_state(rep, x) -> MomentFunctional:
     """The state omega(y) = <v, pi(y) v> / <v, v> of a vector in the representation.
 
     x may be a basis key or a StateVector.  Each key passes ``rep.check_key``
-    (SchemaError for a grid key that is not a pair (k >= 1, m) or a shift key
-    outside the word's tail class); lazy keys are put in canonical form and
-    the coefficients of keys that name one vector merged.  Moments divide by
-    the squared norm, so unnormalized exact vectors stay exact, and the state
-    is exact when its coefficients are.  They are read off the state's vector
-    model (``omega.model``): v_J = pi(s_J)* v is a map {key: coefficient}
-    stepped through ``rep.down`` and memoized by prefix, and
-    omega(s_J s_K*) = <v_J, v_K> / <v, v>.  ``rep.state_facts`` gives the
-    family label and the facts, from the key of a basis vector or None.
+    (SchemaError for a grid key that is not a pair (k >= 1, m), a shift key
+    outside the word's tail class, or a lazy key whose prefix leaves the
+    alphabet or whose offset is not an int >= 0); lazy keys are put in
+    canonical form and the coefficients of keys that name one vector merged.
+    Moments divide by the squared norm, so unnormalized exact vectors stay
+    exact, and the state is exact when its coefficients are.  They are read
+    off the state's vector model (``omega.model``): v_J = pi(s_J)* v is a map
+    {key: coefficient} stepped through ``rep.down`` and memoized by prefix,
+    and omega(s_J s_K*) = <v_J, v_K> / <v, v>.  ``rep.state_facts`` gives
+    the family label and the facts, from the key of a basis vector or None.
     """
     v: dict = {}
     for key, c in (x.items() if isinstance(x, StateVector) else [(x, 1)]):

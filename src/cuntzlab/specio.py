@@ -413,5 +413,76 @@ def fcs_to_json(F: FCSPresentation) -> dict:
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON rendering (insertion order, two-space indent)."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """Deterministic JSON rendering (insertion order, two-space indent).
+
+    The text is that of ``json.dumps(obj, indent=2, allow_nan=False)``,
+    rendered here in one recursion: given an indent, the standard library
+    leaves its C encoder for a chain of Python generators.  Strings are
+    escaped to ASCII by the standard library's own function, floats written
+    by ``float.__repr__``, and a nan or an infinity raises ValueError."""
+    out: list[str] = []
+    _render_json(obj, "\n", out.append)
+    return "".join(out)
+
+
+_JSON_STRING = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    if not isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return float.__repr__(x)
+
+
+def _json_key(k) -> str:
+    # the key conversions of json.dumps
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _json_float(k)
+    if k is True or k is False or k is None:
+        return {True: "true", False: "false", None: "null"}[k]
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _render_json(x, newline: str, emit) -> None:
+    """Emit the JSON text of x, its nested lines opened by ``newline``
+    (a line break and the indent of x) and two more spaces."""
+    if isinstance(x, str):
+        emit(_JSON_STRING(x))
+    elif x is None:
+        emit("null")
+    elif x is True:
+        emit("true")
+    elif x is False:
+        emit("false")
+    elif isinstance(x, int):
+        emit(int.__repr__(x))
+    elif isinstance(x, float):
+        emit(_json_float(x))
+    elif isinstance(x, dict):
+        if not x:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            emit(sep + _JSON_STRING(_json_key(k)) + ": ")
+            sep = "," + inner
+            _render_json(v, inner, emit)
+        emit(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in x:
+            emit(sep)
+            sep = "," + inner
+            _render_json(v, inner, emit)
+        emit(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -582,24 +582,46 @@ def _fresh_run(commands):
     return _run_python(_NUMPY_GUARD, json.dumps(commands))
 
 
-class TestExactCommandsNeverLoadNumpy:
-    """numpy is loaded only for float work and exact PSD failure messages."""
+# a failing float gate computes numpy's estimate for its message
+_PSD_FAILURE = """
+import sys
+from cuntzlab.linalg import hermitian_psd_check
+assert "numpy" not in sys.modules, "import cuntzlab.linalg loaded numpy"
+ok, estimate = hermitian_psd_check([[0.0, 1.0], [1.0, 0.0]])
+assert not ok and abs(estimate + 1.0) < 1e-12, (ok, estimate)
+assert "numpy" in sys.modules, "a failing float gate did not load numpy"
+"""
+
+
+def _golden_commands(mode):
+    """report (one per alphabet, since a report compares its states
+    pairwise) and fcs on every golden spec, and under --mode float moments
+    too, each in json."""
+    specs = sorted(str(p) for p in GOLDEN_SPECS.glob("*.json"))
+    alphabets: dict[int, list] = {}
+    for spec in specs:
+        alphabets.setdefault(parse_spec(spec).n, []).append(spec)
+    commands = [["report", *group] for group in alphabets.values()] + [["fcs", spec] for spec in specs]
+    if mode == "float":
+        commands += [["moments", spec] for spec in specs]
+        commands = [[*argv, "--mode", "float"] for argv in commands]
+    return [[*argv, "--format", "json"] for argv in commands]
+
+
+class TestCommandsNeverLoadNumpy:
+    """numpy is loaded only for the message of a failed positivity check."""
 
     def test_import_and_exact_report_and_fcs(self):
-        specs = sorted(str(p) for p in GOLDEN_SPECS.glob("*.json"))
-        # one report per alphabet, since a report compares its states pairwise
-        alphabets: dict[int, list] = {}
-        for spec in specs:
-            alphabets.setdefault(parse_spec(spec).n, []).append(spec)
-        commands = [["report", *group, "--format", "json"] for group in alphabets.values()]
-        commands += [["fcs", spec, "--format", "json"] for spec in specs]
-        proc = _fresh_run(commands)
+        proc = _fresh_run(_golden_commands("exact"))
         assert proc.returncode == 0, proc.stderr
 
-    def test_the_guard_sees_a_float_report_load_numpy(self):
-        proc = _fresh_run([["report", str(GOLDEN_SPECS / "sub_cuntz_twisted.json"), "--mode", "float"]])
-        assert proc.returncode == 1
-        assert "numpy loaded by" in proc.stderr and "'--mode', 'float'" in proc.stderr
+    def test_float_report_fcs_and_moments_and_selftest(self):
+        proc = _fresh_run([*_golden_commands("float"), ["selftest"]])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_the_guard_sees_a_failing_float_gate_load_numpy(self):
+        proc = _run_python(_PSD_FAILURE)
+        assert proc.returncode == 0, proc.stderr
 
     def test_float_report_succeeds(self, capsys):
         assert run(["report", str(GOLDEN_SPECS / "sub_cuntz_twisted.json"), "--mode", "float"]) == 0

@@ -22,7 +22,11 @@ as a float state with omega(1) = 1 gives, the pivots must agree and the
 residuals lie within 1e-12.  ``kernel_basis`` reduces one connected
 block of columns at a time: on shuffled block-diagonal matrices, given as
 list rows and as mapping rows, it must keep that contract, and its float
-twin must span what a dense SVD's kernel spans.
+twin must span what a dense SVD's kernel spans.  On drawn sparse real and
+complex float systems whose singular values keep clear of the rank
+threshold, the float kernel must be orthonormal and span numpy's SVD
+kernel; on drawn matrices whose Hermitian part keeps its smallest
+eigenvalue clear of -eps, the float PSD gate must decide as eigvalsh does.
 
 Every linear system is read off ``kernel_basis``, so ``rank``, ``solve``
 and ``min_norm_solution`` are checked against sympy in exact mode, and
@@ -673,6 +677,117 @@ def test_float_rank_threshold_is_shared_by_the_blocks():
     rows = [[1e12, 0.0], [0.0, 1.0]]
     assert_float_twin_matches_dense_svd(rows, 2)
     assert kernel_basis(as_mapping(rows), 2) == [[0.0, 1.0]]
+
+
+def test_float_pivot_passes_over_a_small_entry():
+    # the Markowitz order alone would pivot on 1e-9, and the update by its
+    # inverse would keep the other row's 1 and 0.3 only to about 1e-7
+    rows = [[1e-9, 1.0, 1.0], [1.0, 1.0, 0.3]]
+    (v,) = kernel_basis(rows, 3)
+    assert max(abs(sum(x * y for x, y in zip(row, v))) for row in rows) < 1e-14
+    assert abs(sum(x * x for x in v) - 1.0) < 1e-15
+
+
+# The float kernel against numpy's SVD, and the float PSD gate against
+# eigvalsh, on drawn systems whose singular values (eigenvalues) keep clear
+# of the rank threshold, so that the two decide alike.
+
+float_values = st.builds(lambda x, negative: -x if negative else x, st.floats(0.05, 4), st.booleans())
+complex_values = st.builds(complex, float_values, float_values)
+
+
+@st.composite
+def float_systems(draw, values):
+    """(rows, ncols): up to seven sparse rows over 1-10 columns, and up to
+    three more that are combinations of them, shuffled; the nonzero singular
+    values lie above 1e-6 and the others below 1e-12 times max(1, the
+    largest)."""
+    ncols = draw(st.integers(1, 10))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        row = [0.0] * ncols
+        for j in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=max(1, ncols // 2), unique=True)):
+            row[j] = draw(values)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+        coefficients = [draw(values) for _ in picked]
+        rows.append([sum((c * row[j] for c, row in zip(coefficients, picked)), 0.0) for j in range(ncols)])
+    rows = draw(st.permutations(rows))
+    s = np.linalg.svd(np.array(rows, dtype=complex).reshape(len(rows), ncols), compute_uv=False)
+    scale = max(1.0, float(s.max(initial=0.0)))
+    assume(all(x > 1e-6 * scale or x < 1e-12 * scale for x in s))
+    return rows, ncols
+
+
+def numpy_kernel(rows, ncols):
+    """An orthonormal basis of the kernel by numpy's SVD, the rank counted at
+    1e-8 times max(1, the largest singular value)."""
+    if not rows:
+        return np.eye(ncols, dtype=complex)
+    _, s, vh = np.linalg.svd(np.array(rows, dtype=complex))
+    r = int(np.sum(s > 1e-8 * max(1.0, s[0])))
+    return vh[r:].conj()
+
+
+@settings(max_examples=80)
+@given(st.one_of(float_systems(float_values), float_systems(complex_values)))
+def test_float_kernel_matches_numpy_svd(case):
+    rows, ncols = case
+    found = np.array(kernel_basis(rows, ncols), dtype=complex).reshape(-1, ncols)
+    expected = numpy_kernel(rows, ncols)
+    assert len(found) == len(expected)
+    if not len(found):
+        return
+    # orthonormal, and each kernel lies in the span of the other
+    assert np.abs(found.conj() @ found.T - np.eye(len(found))).max() < 1e-9
+    for a, b in ((found, expected), (expected, found)):
+        residual = a.T - b.T @ (b.conj() @ a.T)
+        assert np.abs(residual).max() <= 1e-9
+
+
+@st.composite
+def hermitian_gates(draw):
+    """A d x d matrix, as list rows of floats or complex: a Hermitian part
+    with drawn eigenvalues, each 0, in [0.01, 3] or in [-3, -0.01], plus a
+    drawn anti-Hermitian part, with drawn rows and columns set to zero."""
+    d = draw(st.integers(1, 6))
+    values = draw(st.sampled_from([float_values, complex_values]))
+    eigenvalues = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 3), st.floats(-3, -0.01)),
+                                min_size=d, max_size=d))
+    q, _ = np.linalg.qr(np.array([[draw(values) for _ in range(d)] for _ in range(d)], dtype=complex))
+    h = q @ np.diag(eigenvalues) @ q.conj().T
+    a = np.array([[draw(st.one_of(st.just(0.0), values)) for _ in range(d)] for _ in range(d)], dtype=complex)
+    g = h + (a - a.conj().T) / 2
+    zero = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    g[np.array(zero), :] = 0
+    g[:, np.array(zero)] = 0
+    if values is float_values:
+        g = g.real
+    return g.tolist()
+
+
+@settings(max_examples=100)
+@given(hermitian_gates())
+def test_float_gate_decides_as_eigvalsh(g):
+    a = np.array(g, dtype=complex)
+    min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2).min())
+    scale = max(1.0, float(np.abs(a).max()))
+    eps = DEFAULT_RANK_TOL * scale
+    # a zero eigenvalue, eps above the boundary, is kept
+    assume(abs(min_eig + eps) > 1e-11 * scale)
+    ok, estimate = hermitian_psd_check(g)
+    assert ok == (min_eig >= -eps)
+    assert estimate is None if ok else abs(estimate - min_eig) < 1e-12
+
+
+@pytest.mark.parametrize("t, ok", [(1e-11, True), (1e-9, False)])
+def test_float_gate_decides_within_eps_where_no_pivot_of_g_is_positive(t, ok):
+    # zero diagonal and t elsewhere: eigenvalues 19 t and -t, against
+    # eps = 1e-10.  The factor of g itself meets a zero pivot at once, so the
+    # factor of g + eps I decides
+    g = [[0.0 if i == j else t for j in range(20)] for i in range(20)]
+    assert hermitian_psd_check(g)[0] is ok
 
 
 # Sparse systems wider than they are tall, so every kernel has two or more

@@ -119,8 +119,8 @@ class TestPsdCheck:
         assert hermitian_psd_check([[q(2), q(1)], [q(1), q(2)]]) == (True, None)
 
     def test_float_matrix_carries_its_estimate(self):
-        ok, mineig = hermitian_psd_check([[2.0, 1.0], [1.0, 2.0]])
-        assert ok and abs(mineig - 1.0) < 1e-12
+        # a pass, as in exact mode, computes no estimate
+        assert hermitian_psd_check([[2.0, 1.0], [1.0, 2.0]]) == (True, None)
         ok, mineig = hermitian_psd_check([[0.0, 1.0], [1.0, 0.0]])
         assert not ok and abs(mineig + 1.0) < 1e-12
 

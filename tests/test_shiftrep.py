@@ -152,6 +152,16 @@ class TestLazyKeysAreTuples:
             for K in words_upto(2, 3):
                 assert w.moment(J, K) == base.moment(J, K), (J, K)
 
+    @pytest.mark.parametrize("key, message", [
+        (((3,), 0), "letter 3 outside alphabet 1..2"),
+        (((), -1), r"lazy shift keys are pairs \(prefix, t >= 0\); got \(\(\), -1\)"),
+        (((1,), True), r"lazy shift keys are pairs \(prefix, t >= 0\)"),
+    ])
+    def test_a_key_off_the_alphabet_or_before_the_word_is_refused(self, key, message):
+        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 64))
+        with pytest.raises(SchemaError, match=message):
+            vector_state(rep, key)
+
     # the Fibonacci word x agrees with shift^K x beyond the horizon when K is
     # a Fibonacci number, yet x is not eventually periodic: omega(s_K*) = 0
     # for K the first F letters of x

@@ -6,6 +6,8 @@ from math import inf
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuntzlab import (
     GateFailed,
@@ -369,3 +371,18 @@ class TestResultSerialization:
         assert s.index('"b"') < s.index('"a"')  # insertion order kept
         with pytest.raises(ValueError):
             dump_json({"x": float("nan")})
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+    def test_dump_rejects_every_out_of_range_float(self, value):
+        for doc in (value, [1, value], {"a": {"b": value}}):
+            with pytest.raises(ValueError):
+                dump_json(doc)
+
+    @settings(max_examples=200)
+    @given(st.recursive(
+        st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                  st.none()),
+        lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4)),
+        max_leaves=20))
+    def test_dump_renders_what_json_dumps_renders(self, doc):
+        assert dump_json(doc) == json.dumps(doc, indent=2, allow_nan=False)

@@ -47,8 +47,9 @@ gives, for the ``report`` and ``fcs`` commands of each fixed report_float
 member, the largest |delta| between its json output and its exact twin's in
 each tree: the report_exact command of the same label, or for a heavy float
 state the ``solve`` command on its exact twin.  Seeded members have no twin.
-The exit code is 0 when every exact command (no ``--mode float``) is
-identical, 1 otherwise.
+A last line says, for each tree, whether numpy was imported by the end of
+its run.  The exit code is 0 when every exact command (no ``--mode float``)
+is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ for label, (workdir, argv) in plan.items():
             exc = traceback.format_exc().splitlines()[-1]
     out_records[label] = [rc, out.getvalue(), err.getvalue(), exc]
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
-    json.dump(out_records, fh)
+    json.dump({"records": out_records, "numpy_loaded": "numpy" in sys.modules}, fh)
 """
 
 
@@ -390,7 +391,8 @@ def main(argv=None) -> int:
         if child.wait(timeout=CHILD_TIMEOUT_S) != 0:
             print(f"error: the {name} run exited with {child.returncode}", file=sys.stderr)
             return 2
-    results = {name: json.loads((BUILD / f"{name}.json").read_text(encoding="utf-8")) for name in trees}
+    runs = {name: json.loads((BUILD / f"{name}.json").read_text(encoding="utf-8")) for name in trees}
+    results = {name: run["records"] for name, run in runs.items()}
     rows, lines, exact_same = compare(plan, results["parent"], results["change"])
     print(f"parent {rev[:12]} against the working tree: {len(plan)} commands")
     print()
@@ -407,6 +409,9 @@ def main(argv=None) -> int:
     for label, pairs in float_twins(plan).items():
         cells = [twin_drift(results[name], pairs.values()) for name in trees]
         print(f"| {label} | " + " | ".join("differs" if d is None else f"{d:.2g}" for d in cells) + " |")
+    print()
+    loaded = {name: "yes" if run["numpy_loaded"] else "no" for name, run in runs.items()}
+    print(f"numpy loaded: parent {loaded['parent']}, working tree {loaded['change']}")
     return 0 if exact_same else 1
 
 
