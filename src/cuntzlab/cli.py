@@ -68,7 +68,7 @@ def _word_str(J) -> str:
 
 def _element_str(x: CuntzElement) -> str:
     parts = []
-    for (J, K), c in sorted(x.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1])):
+    for J, K, c in x.sorted_terms():
         if scalar_is_zero(c):
             continue
         if not J and not K:

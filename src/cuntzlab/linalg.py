@@ -2,9 +2,8 @@
 
 Matrices are lists of row lists.  Every linear system is read off one
 primitive, :func:`kernel_basis`: :func:`rank` is the width less the
-dimension of the kernel, :func:`solve` reads x off the kernel of [a | -b],
-and :func:`min_norm_solution` the combinations that meet its constraints.
-Both modes run one elimination, :func:`_sparse_reduce`: a sparse
+dimension of the kernel, and :func:`solve` reads x off the kernel of
+[a | -b].  Both modes run one elimination, :func:`_sparse_reduce`: a sparse
 Gauss-Jordan elimination in Markowitz order whose kernel is read off the
 reduced rows.  Exact rows are made integers (or Gaussian integers) and
 reduced fraction-free, and give exact answers; float rows are reduced as
@@ -24,17 +23,18 @@ entry of the whole matrix.  The fixed-point systems of ``moments`` split
 into a few such blocks, and arrive in exact mode as rows of ints and in
 float mode as rows of floats.
 
-Every decision about a Gram matrix runs on one kernel, :class:`LDLFactor`,
-a pivoted L D L* factor grown one pivot at a time: the Gram growth of
-``classify`` admits candidates greedily by residual, the exact branch of
-:func:`hermitian_psd_check` streams a matrix's rows through it, and the
-grading of ``shiftrep`` reads Gram-Schmidt vectors off its unit-lower factor.
-While its inner products are exact it too runs on integers: coordinates and
-rows of L as Gaussian-integer triples (a, b, d) = (a + bi) / d, D and the
-residuals as (num, den) pairs, one gcd per entry, and the public values
-(Fractions and QQi, of the types the rational loop gives) built once each.
-The float branch of :func:`hermitian_psd_check` is a diagonally pivoted
-L D L* of the matrix's Hermitian part shifted by its rank threshold.
+Every decision about a Gram matrix runs on a pivoted L D L* factor.  The
+exact ones run on :class:`LDLFactor`, grown one pivot at a time: the Gram
+growth of ``classify`` admits candidates greedily by residual, the exact
+branch of :func:`hermitian_psd_check` streams a matrix's rows through it,
+and the grading of ``shiftrep`` reads Gram-Schmidt vectors off its
+unit-lower factor.  While its inner products are exact it too runs on
+integers: coordinates and rows of L as Gaussian-integer triples (a, b, d) =
+(a + bi) / d, D and the residuals as (num, den) pairs, one gcd per entry,
+and the public values (Fractions and QQi, of the types the rational loop
+gives) built once each.  The float branch of :func:`hermitian_psd_check`
+runs :func:`_pivoted_ldl` instead: a diagonally pivoted L D L* of the
+matrix's Hermitian part shifted by its rank threshold.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "kernel_basis",
     "rank",
     "hermitian_psd_check",
-    "min_norm_solution",
     "LDLFactor",
 ]
 
@@ -190,25 +189,16 @@ def solve(a, b):
     """Solve the square system a x = b (single right-hand side as a vector).
 
     x is read off the kernel of [a | -b]: a is regular exactly when that
-    kernel is one vector whose last entry is nonzero, and x is that vector
-    scaled to end in 1 (see :func:`_scaled_to_end_in_one`)."""
+    kernel is one vector v whose last entry v[d] is nonzero, exactly for an
+    exact vector and above DEFAULT_RANK_TOL for a float one, which has unit
+    norm; x is v[:d] / v[d]."""
     d = len(a)
     kernel = kernel_basis([[*a[i], -b[i]] for i in range(d)], d + 1)
-    x = _scaled_to_end_in_one(kernel[0], d) if len(kernel) == 1 else None
-    if x is None:
-        raise Inconsistent("singular linear system")
-    return x
-
-
-def _scaled_to_end_in_one(v, d):
-    """v[:d] / v[d] for a kernel vector v of length d + 1, or None when v[d]
-    is zero: exactly for an exact vector, and up to DEFAULT_RANK_TOL for a
-    float one, which has unit norm."""
-    last = v[d]
+    last = kernel[0][d] if len(kernel) == 1 else 0
     if not last or isinstance(last, (float, complex)) and abs(last) <= DEFAULT_RANK_TOL:
-        return None
+        raise Inconsistent("singular linear system")
     # v[:d] as it is when it ends in 1, so an exact int stays an int
-    return v[:d] if last == 1 else [x / last for x in v[:d]]
+    return kernel[0][:d] if last == 1 else [x / last for x in kernel[0][:d]]
 
 
 def kernel_basis(rows, ncols: int):
@@ -224,9 +214,8 @@ def kernel_basis(rows, ncols: int):
     gives one kernel vector, 1 there and 0 at the other free columns (see
     :func:`_kernel_of_reduced`), ordered by free column.  The order frees
     other columns than the reduced echelon form does, so this is not the
-    echelon basis: ``rank`` counts the vectors, ``solve`` scales the only
-    one, and ``min_norm_solution`` returns the one minimum-norm point, none
-    of which depends on the basis.
+    echelon basis: ``rank`` counts the vectors and ``solve`` scales the only
+    one, neither of which depends on the basis.
 
     Exact rows are scaled to integers (ints, already, from ``moments``) and
     reduced fraction-free.  A block of one column with a row is not reduced;
@@ -630,7 +619,7 @@ def hermitian_psd_check(g):
     message, so a matrix that passes does not load numpy.
     """
     if len(g) == 0:
-        return True, 0.0
+        return True, None
     passes = _exact_psd if matrix_is_exact(g) else _shifted_ldl_passes
     if passes(g):
         return True, None
@@ -715,54 +704,3 @@ def _exact_psd(g) -> bool:
             if schur:
                 return False
     return True
-
-
-def min_norm_solution(basis, constraint_rows, constraint_rhs):
-    """Minimize ||sum_i c_i basis_i||^2 subject to constraints on the combination.
-
-    basis: list of kernel vectors (length-m lists).  constraint_rows: rows of a
-    matrix C acting on the *combination vector* x = sum c_i basis_i, with
-    C x = constraint_rhs.  Returns the combination vector x.
-
-    The coefficients c that meet the constraints are read off the kernel of
-    [C B | -rhs], B the matrix whose columns are the basis.  Its vector of
-    largest last entry, scaled to end in 1, gives one such c, p; when that
-    entry is zero no c meets them.  Each other vector, less its multiple of
-    p's, ends in 0 and gives a direction along which C B vanishes (several
-    vectors, exact or float, can end in a nonzero entry).  The least-norm
-    point is unique, so the answer does not depend on the kernel's basis.
-    Over c = p + N t, with those directions the
-    columns of N and G the Gram matrix of the basis, the norm is least where
-    (N* G N) t = -N* G p.
-
-    The Gram entries, the constraint products and x are summed over the
-    nonzero entries of each basis vector alone, in column order: a skipped
-    term is a zero product, so every sum is the dense sum.
-    """
-    r = len(basis)
-    if r == 0:
-        raise Inconsistent("empty solution space")
-    m = len(basis[0])
-    support = [[(k, x) for k, x in enumerate(v) if x] for v in basis]
-    # gram[i][j] = <basis_i, basis_j>; entries are real for real bases
-    gram = [[sum((conj(x) * basis[j][k] for k, x in support[i] if basis[j][k]), 0) for j in range(r)]
-            for i in range(r)]
-    cb = [[sum((row[k] * x for k, x in entries if row[k]), 0) for entries in support] for row in constraint_rows]
-
-    kernel = kernel_basis([[*row, -b] for row, b in zip(cb, constraint_rhs)], r + 1)
-    top = max(kernel, key=lambda v: abs(complex(v[r])), default=None)
-    p = None if top is None else _scaled_to_end_in_one(top, r)
-    if p is None:
-        raise Inconsistent("constraints are unreachable on the solution space")
-    null = [[x - v[r] * y for x, y in zip(v, p)] if v[r] else v[:r] for v in kernel if v is not top]
-    c = p
-    if null:
-        nh = [[conj(x) for x in v] for v in null]  # N*
-        n = hermitian_transpose(nh)
-        t = solve(mat_mul(nh, mat_mul(gram, n)), [-x for x in mat_vec(nh, mat_vec(gram, p))])
-        c = [x + y for x, y in zip(p, mat_vec(n, t))]
-    combination = [0] * m
-    for ci, entries in zip(c, support):
-        for k, x in entries:
-            combination[k] = combination[k] + ci * x
-    return combination

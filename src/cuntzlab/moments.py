@@ -74,7 +74,7 @@ from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotNormalized, NotPrefixFree, NotUnit, SchemaError
-from .linalg import hermitian_psd_check, hermitian_transpose, kernel_basis, mat_vec, min_norm_solution
+from .linalg import hermitian_psd_check, hermitian_transpose, kernel_basis, mat_vec, solve
 from .scalars import (
     QQi,
     _make,
@@ -623,13 +623,13 @@ def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
     equation as that multiple of v_empty.  The identity at each other word C
     with |C| <= max code length gives one equation in the unknowns v_C; the
     homogeneous real-linear system (with the normalization v_empty left free)
-    has solution dimension 1 exactly when the state is unique.  When
-    underdetermined, sandwich equations omega(u* s_C u) = omega(s_C) are
-    added; if the dimension is still > 1 the minimum-norm table on the slice
-    v_empty = 1 is returned (the symmetric mixture) together with a warning.
-    Putting the code words back as unknowns would change none of this: each
-    would be a column with a unit pivot, and on the slice it adds the constant
-    sum_W |z_W|^2 to the norm.
+    has solution dimension 1 exactly when the state is unique.  The sandwich
+    identities omega(u* s_C u) = omega(s_C) follow from these equations (see
+    ``_solve_low_moments``), so they add nothing.  When the dimension is > 1
+    the minimum-norm table on the slice v_empty = 1 is returned (the
+    symmetric mixture) together with a warning.  Putting the code words back
+    as unknowns would change none of this: each would be a column with a unit
+    pivot, and on the slice it adds the constant sum_W |z_W|^2 to the norm.
 
     Each equation is two sparse real rows (real and imaginary part) over the
     columns Re v_C, Im v_C, of ints in exact mode (the row scaled by the lcm
@@ -646,6 +646,31 @@ def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
 
 
 def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
+    """The fixed-point table, reduced once.
+
+    The fixed-point row of a word X, |X| <= M, reads c(X) = F(X) with
+    F(X) = sum_{W <= X} conj(z_W) c(X - W) + sum_{W > X} conj(z_W) conj(c(W - X))
+    over the code words W that are a prefix of X, or that X is a proper prefix
+    of; every word it names has length at most M.  Its kernel already meets
+    every sandwich identity omega(u* s_C u) = omega(s_C):
+
+    * Extend a solution c to the words longer than M by the code-word peel:
+      c(Y) = conj(z_W) c(Y - W) for the code word W that is a prefix of Y,
+      and c(Y) = 0 when no code word is.  Then c(X) = F(X) holds for every
+      word X, since no code word extends a word longer than M.
+    * At X = empty it reads c(empty) = sum_W |z_W|^2 conj(c(empty)), so
+      Im c(empty) = 0 on the whole kernel.
+    * Expanding sum_B z_B F(XB) shows that D(X) = sum_B z_B c(XB) - c(X)
+      satisfies D(X) = conj(z_W) D(X - W) for the code word W <= X, and
+      D(X) = 0 when there is none.
+    * D(empty) = (sum_B |z_B|^2 - 1) c(empty) = 0, so D = 0 everywhere: each
+      sandwich row vanishes on the kernel.
+
+    Since Im v_empty = 0 on the kernel, the least-norm point on v_empty = 1
+    is P e_0, the projection of the first unit vector onto the kernel,
+    scaled to v_empty = 1: with B the kernel vectors as columns, P e_0 =
+    B t for the solution t of (B^T B) t = B^T e_0, the kernel's column 0.
+    """
     check_unit([pc.z[w] for w in pc.code])
     n, zmap, M, head, tails = pc.n, pc.z, pc.max_len, pc.head, pc.tails
     _check_table_words(n, 0, M, f"the fixed-point table of the words up to length {M} over {n} letters exceeds")
@@ -656,29 +681,11 @@ def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
     unknowns = [w for w in table_words if w not in code]
     index = {w: i for i, w in enumerate(unknowns)}
     width = 2 * len(unknowns)
-    creation_cache: dict[Word, dict] = {W: {((), False): conj(zmap[W])} for W in pc.support}
-    creation_cache.update((W, {}) for W in code - creation_cache.keys())
+    given_expr: dict[Word, dict] = {W: {((), False): conj(zmap[W])} for W in pc.support}
+    given_expr.update((W, {}) for W in code - given_expr.keys())
 
     def creation_expr(C: Word) -> dict:
-        hit = creation_cache.get(C)
-        if hit is None:
-            if len(C) <= M:
-                return {(C, False): 1}
-            hit = {}
-            W = head(C)
-            if W is not None:
-                _add_scaled(hit, creation_expr(C[len(W):]), conj(zmap[W]))
-            creation_cache[C] = hit
-        return hit
-
-    def subtract_peeled(row: dict, D: Word, c) -> None:
-        # row -= c omega(u* s_D): the code word W <= D leaves s_{D - W}, and a
-        # code word W extending D leaves s_{W - D}*
-        W = head(D)
-        if W is not None:
-            _add_scaled(row, creation_expr(D[len(W):]), -c * conj(zmap[W]))
-        for W in tails(D):
-            _add_scaled(row, creation_expr(W[len(D):]), -c * conj(zmap[W]), conjugated=True)
+        return given_expr.get(C, {(C, False): 1})
 
     def realified(row: dict):
         # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i:
@@ -701,19 +708,18 @@ def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
                     acc[j] = acc[j] + x if j in acc else x
         return [{j: x for j, x in re.items() if x}, {j: x for j, x in im.items() if x}]
 
-    def equation(C: Word, peeled) -> list:
-        # v_C - sum of c omega(u* s_D) over (D, c): the fixed-point equation takes
-        # D = C, the sandwich omega(u* s_C u) the words D = C B with c = z_B
+    def equation(C: Word) -> list:
+        # v_C - omega(u* s_C): the code word W <= C leaves s_{C - W}, and a
+        # code word W extending C leaves s_{W - C}*
         row = {(C, False): 1}
-        for D, c in peeled:
-            subtract_peeled(row, D, c)
+        W = head(C)
+        if W is not None:
+            _add_scaled(row, creation_expr(C[len(W):]), -conj(zmap[W]))
+        for W in tails(C):
+            _add_scaled(row, creation_expr(W[len(C):]), -conj(zmap[W]), conjugated=True)
         return realified(row)
 
-    rows = [r for C in unknowns for r in equation(C, [(C, 1)])]
-    kernel = kernel_basis(rows, width)
-    if len(kernel) > 1:
-        rows += [r for C in unknowns for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
-        kernel = kernel_basis(rows, width)
+    kernel = kernel_basis([r for C in unknowns for r in equation(C)], width)
     dim = len(kernel)
     if dim == 0:
         raise Inconsistent("fixed-point system has no nonzero solution")
@@ -722,8 +728,13 @@ def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
     if dim == 1:
         vec = kernel[0]
     else:
-        vec = min_norm_solution(kernel, [[1 if j == 0 else 0 for j in range(width)],
-                                         [1 if j == 1 else 0 for j in range(width)]], [1, 0])
+        # P e_0 = B t with (B^T B) t = B^T e_0; the entries below divide by v_empty
+        support = [[(k, x) for k, x in enumerate(v) if x] for v in kernel]
+        gram = [[sum((x * v[k] for k, x in entries if v[k]), 0) for v in kernel] for entries in support]
+        vec = [0] * width
+        for t, entries in zip(solve(gram, [v[0] for v in kernel]), support):
+            for k, x in entries:
+                vec[k] = vec[k] + t * x
         warnings.append(f"solution space has dimension {dim}; returning the symmetric minimum-norm table")
 
     if pc.exact:

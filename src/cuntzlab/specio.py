@@ -326,7 +326,7 @@ def element_from_json(v, mode: str = "auto", where: str = "element") -> CuntzEle
 
 def element_to_json(x: CuntzElement):
     out = []
-    for (J, K), c in sorted(x.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0][0], len(kv[0][1]), kv[0][1])):
+    for J, K, c in x.sorted_terms():
         s = scalar_to_json(c)
         out.append({"J": list(J), "K": list(K), "re": s[0], "im": s[1]})
     return {"n": x.n, "terms": out}

@@ -28,22 +28,20 @@ threshold, the float kernel must be orthonormal and span numpy's SVD
 kernel; on drawn matrices whose Hermitian part keeps its smallest
 eigenvalue clear of -eps, the float PSD gate must decide as eigvalsh does.
 
-Every linear system is read off ``kernel_basis``, so ``rank``, ``solve``
-and ``min_norm_solution`` are checked against sympy in exact mode, and
-their float twins against the exact answers: the float rank of each named
-case equals its exact rank, every float singular system raises, and every
-float minimum-norm case lies within 1e-12 of its exact answer, although
-its orthonormal kernel can hold several vectors that do not end in 0.  An
-exact block of ``kernel_basis`` is reduced in Markowitz order, which frees
-other columns than the reduced echelon form does.  No exact answer depends
-on the basis: ``min_norm_solution`` gives one answer on a basis and on an
-invertible recombination of it, and ``solve`` and ``rank`` match sympy on
-systems whose Markowitz order frees other columns.  Sparse systems with
-kernels of dimension two or more keep the contract, a pinned case frees
-other columns, and on every fixed-point system that building the golden
-code, progression and mixture states and the benchmark's heavy exact states
-solves, the basis spans the kernel of ``reference_exact_kernel``, sympy's
-per-block reduced echelon form.
+Every linear system is read off ``kernel_basis``, so ``rank`` and
+``solve`` are checked against sympy in exact mode, and their float twins
+against the exact answers: the float rank of each named case equals its
+exact rank, and every float singular system raises.  ``min_norm_oracle``
+is sympy's least-norm point on an affine slice of a span, the oracle of
+the minimum-norm fixed-point tables in ``test_moments.py``.  An exact
+block of ``kernel_basis`` is reduced in Markowitz order, which frees other
+columns than the reduced echelon form does.  No exact answer depends on
+the basis: ``solve`` and ``rank`` match sympy on systems whose Markowitz
+order frees other columns.  Sparse systems with kernels of dimension two
+or more keep the contract, a pinned case frees other columns, and every
+golden or heavy benchmark spec that solves a fixed-point table reduces
+exactly one system, whose basis spans the kernel of
+``reference_exact_kernel``, sympy's per-block reduced echelon form.
 """
 
 import json
@@ -68,7 +66,6 @@ from cuntzlab.linalg import (
     hermitian_psd_check,
     kernel_basis,
     mat_vec,
-    min_norm_solution,
     rank,
     solve,
 )
@@ -238,43 +235,6 @@ def min_norm_oracle(basis, constraint_rows, rhs):
     sol, params = lhs.gauss_jordan_solve(target)
     x = W * sol.subs({p: 0 for p in params})
     return [from_sympy(v) for v in x]
-
-
-MIN_NORM_CASES = {
-    "affine_line": ([[F(1), F(0)], [F(0), F(1)]], [[F(1), F(1)]], [1]),
-    "redundant_constraints": ([[F(1), F(0), F(1)], [F(0), F(1), F(1)]], [[F(1), F(0), F(0)], [F(2), F(0), F(0)]],
-                              [2, 4]),
-    "zero_constraint_row": ([[F(1), F(2), F(0)], [F(0), F(1), F(-1)]], [[F(0)] * 3, [F(1), F(1), F(1)]], [0, 3]),
-    "kernel_of_rank_deficient": (kernel_basis(RANK_DEFICIENT + [[F(0)] * 3], 3) + [[F(0), F(1), F(0)]],
-                                 [[F(1), F(0), F(0)]], [1]),
-    "gaussian": ([[QQi(1), QQi(0, 1), QQi(0)], [QQi(0), QQi(1), QQi(1, -1)]], [[QQi(1), QQi(1), QQi(0)]],
-                 [QQi(0, 2)]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MIN_NORM_CASES))
-def test_min_norm_solution_matches_sympy(name):
-    basis, constraints, rhs = MIN_NORM_CASES[name]
-    assert as_qqi(min_norm_solution(basis, constraints, rhs)) == min_norm_oracle(basis, constraints, rhs)
-
-
-@pytest.mark.parametrize("name", sorted(MIN_NORM_CASES))
-def test_float_min_norm_solution_is_the_exact_one(name):
-    # the float kernel of [C B | -rhs] is orthonormal: several of its vectors
-    # can end in a nonzero entry, and each must lose its multiple of p
-    basis, constraints, rhs = MIN_NORM_CASES[name]
-    exact = min_norm_solution(basis, constraints, rhs)
-    got = min_norm_solution(as_float(basis), as_float(constraints), as_float([rhs])[0])
-    assert all(isinstance(x, (float, complex)) for x in got)
-    assert max(abs(complex(x) - complex(y)) for x, y in zip(got, exact)) < 1e-12
-
-
-def test_min_norm_solution_of_the_solver_system():
-    # the fixed-point table slice v_empty = 1 of a two-dimensional kernel,
-    # as solve_low_moments poses it: constraints pick coordinates 0 and 1
-    basis = [[F(1), F(0), F(1, 2), F(0)], [F(0), F(0), F(1), F(1)]]
-    constraints = [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert as_qqi(min_norm_solution(basis, constraints, [1, 0])) == min_norm_oracle(basis, constraints, [1, 0])
 
 
 def sympy_psd(g):
@@ -837,44 +797,6 @@ def test_markowitz_order_frees_other_columns():
     assert_blocks_match_sympy(MARKOWITZ_FREES_OTHERS, 4)
 
 
-# No exact answer depends on which basis of a kernel it is given.
-
-
-@st.composite
-def recombined(draw, elements, nonzero):
-    """(basis, its recombination, constraint rows, rhs): the basis is the
-    kernel of a sparse wide matrix, recombined by a permutation times a unit
-    upper triangular matrix times a diagonal of nonzero entries."""
-    rows, m = draw(sparse_wide(nonzero))
-    basis = kernel_basis(rows, m)
-    k = len(basis)
-    order = draw(st.permutations(basis))
-    scale = draw(st.lists(nonzero, min_size=k, max_size=k))
-    upper = draw(st.lists(st.lists(elements, min_size=k, max_size=k), min_size=k, max_size=k))
-    mixed = [[scale[i] * order[i][j] + sum((upper[i][l] * order[l][j] for l in range(i + 1, k)), 0) for j in range(m)]
-             for i in range(k)]
-    constraints = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=1, max_size=3))
-    rhs = draw(st.lists(elements, min_size=len(constraints), max_size=len(constraints)))
-    return basis, mixed, constraints, rhs
-
-
-def min_norm_or_none(basis, constraints, rhs):
-    try:
-        return as_qqi(min_norm_solution(basis, constraints, rhs))
-    except Inconsistent:
-        return None
-
-
-@settings(max_examples=60)
-@given(st.one_of(recombined(entries, nonzero_entries), recombined(gaussian_entries, nonzero_gaussian_entries)))
-def test_min_norm_solution_does_not_depend_on_the_basis(case):
-    basis, mixed, constraints, rhs = case
-    found = min_norm_or_none(basis, constraints, rhs)
-    assert min_norm_or_none(mixed, constraints, rhs) == found
-    if found is not None:
-        assert found == min_norm_oracle(basis, constraints, rhs)
-
-
 def placed(draw, width, count):
     """``count`` drawn columns of ``width``, ascending, and the others."""
     places = sorted(draw(st.lists(st.integers(0, width - 1), min_size=count, max_size=count, unique=True)))
@@ -974,17 +896,25 @@ GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
 def test_every_solved_system_spans_the_reference_kernel(heavy_twins, monkeypatch):
     specs = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN_SPECS.glob("*.json"))]
     specs = [spec for spec in specs if spec["family"] in SOLVED_FAMILIES] + list(heavy_twins.values())
-    systems = []
+    systems, solves = [], []
+    solve_low_moments = moments._solve_low_moments
 
     def spy(rows, ncols):
         systems.append(([dict(row) for row in rows], ncols))
         return kernel_basis(rows, ncols)
 
+    def counted(pc):
+        solves.append(pc)
+        return solve_low_moments(pc)
+
     monkeypatch.setattr(moments, "kernel_basis", spy)
+    monkeypatch.setattr(moments, "_solve_low_moments", counted)
     for spec in specs:
+        before = len(systems), len(solves)
         state_from_spec(spec)
+        # exactly one system per fixed-point solve, and the golden mixture of Cuntz states solves none
+        assert len(systems) - before[0] == len(solves) - before[1] == (spec["family"] != "mixture"), spec
     monkeypatch.undo()
-    assert len(systems) >= len(specs)
     for rows, ncols in systems:
         assert all(type(x) is int for row in rows for x in row.values())
         found = kernel_basis(rows, ncols)

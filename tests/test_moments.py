@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -69,13 +70,14 @@ from cuntzlab import (
 )
 import cuntzlab.moments as moments_mod
 import cuntzlab.linalg as linalg_mod
-from cuntzlab.linalg import rank
+from cuntzlab.linalg import kernel_basis, rank
 from cuntzlab.moments import _code_lookup, word_model
 from cuntzlab.scalars import DEFAULT_EQ_TOL, conj, gaussian_parts
 from cuntzlab.symalg import gauge_image
 from cuntzlab.words import is_prefix
 
 from conftest import fr, q
+from test_elimination_oracles import min_norm_oracle
 
 Z35 = [q(fr(3, 5)), q(fr(4, 5))]
 Z35I = [q(fr(3, 5)), q(0, fr(4, 5))]
@@ -107,6 +109,16 @@ class TestCuntzStates:
         w = make_cuntz(Z35)
         x = multiply(monomial(2, (1, 2), (2, 1)), monomial(2, (2, 1), (2,)))
         # omega(s_12 s_2*) = conj(z_1 z_2) z_2 = 48/125
+        assert w.moment_of_element(x) == fr(48, 125)
+
+    def test_moment_of_element_reads_the_model(self, monkeypatch):
+        # not the checked moment(): the certificate check that calls it reads the model
+        def refuse(self, *args):
+            raise AssertionError("moment() called")
+
+        w = make_cuntz(Z35)
+        monkeypatch.setattr(MomentFunctional, "moment", refuse)
+        x = multiply(monomial(2, (1, 2), (2, 1)), monomial(2, (2, 1), (2,)))
         assert w.moment_of_element(x) == fr(48, 125)
 
     def test_unit_vector_required(self):
@@ -1138,11 +1150,25 @@ class TestSolver:
             solve_low_moments([(1, 2)], {(1, 2): 2}, 2)
 
 
-def reference_low_moments(P, z, n):
-    """The fixed-point solve with every code word an unknown as well: the
-    equation of a code word W, v_W = conj(z_W) v_empty, is solved for, not
-    read from the spec.  Returns (table, solution_dim, warnings)."""
-    pc = moments_mod._read_code(P, z, n)
+class Reference(NamedTuple):
+    table: dict
+    solution_dim: int
+    warnings: list
+    words: list  # the table words; word i holds columns 2i (real part) and 2i + 1 (imaginary part)
+    sandwich_rows: list  # dense rows of omega(u* s_C u) = omega(s_C), two per table word C
+
+
+def reference_low_moments(P, z, n, mode="exact"):
+    """The fixed-point solve as it was before the sandwich rows were found to
+    follow from the fixed-point rows: every code word is an unknown as well
+    (its equation v_W = conj(z_W) v_empty is solved for, not read from the
+    spec), and when the fixed-point kernel has more than one vector the
+    sandwich rows omega(u* s_C u) = omega(s_C) of every table word C are added
+    and the whole system is reduced a second time.  z is exact; in float mode
+    the system is built on its float rendering.  A kernel of more than one
+    vector gives the minimum-norm table on v_empty = 1: in exact mode sympy's
+    (``min_norm_oracle``), in float mode the exact twin's, as complex."""
+    pc = moments_mod._read_code(P, z if mode == "exact" else [complex(c) for c in z], n)
     moments_mod.check_unit([pc.z[w] for w in pc.code])
     zmap, M, head, tails = pc.z, pc.max_len, pc.head, pc.tails
     table_words = list(words_upto(pc.n, M))
@@ -1181,22 +1207,24 @@ def reference_low_moments(P, z, n):
         return [re, im]
 
     rows = [r for C in table_words for r in equation(C, [(C, 1)])]
-    kernel = moments_mod.kernel_basis(rows, width)
+    sandwich = [r for C in table_words for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
+    kernel = kernel_basis(rows, width)
     if len(kernel) > 1:
-        rows += [r for C in table_words for r in equation(C, [(C + B, zmap[B]) for B in pc.support])]
-        kernel = moments_mod.kernel_basis(rows, width)
+        kernel = kernel_basis(rows + sandwich, width)
     dim, warnings = len(kernel), []
-    if dim == 1:
-        vec = kernel[0]
-    else:
-        vec = moments_mod.min_norm_solution(kernel, [[int(j == 0) for j in range(width)],
-                                                     [int(j == 1) for j in range(width)]], [1, 0])
+    if dim > 1:
         warnings.append(f"solution space has dimension {dim}; returning the symmetric minimum-norm table")
-    if pc.exact:
-        v0 = QQi(vec[0], vec[1])
-        return {w: QQi(vec[2 * i], vec[2 * i + 1]) / v0 for w, i in index.items()}, dim, warnings
-    v0 = complex(vec[0], vec[1])
-    return {w: complex(vec[2 * i], vec[2 * i + 1]) / v0 for w, i in index.items()}, dim, warnings
+        if mode == "float":
+            table = {w: complex(v) for w, v in reference_low_moments(P, z, n).table.items()}
+            return Reference(table, dim, warnings, table_words, sandwich)
+        vec = [x.re for x in min_norm_oracle(kernel, [[int(j == 0) for j in range(width)],
+                                                      [int(j == 1) for j in range(width)]], [1, 0])]
+    else:
+        vec = kernel[0]
+    scalar = QQi if pc.exact else complex
+    v0 = scalar(vec[0], vec[1])
+    table = {w: scalar(vec[2 * i], vec[2 * i + 1]) / v0 for w, i in index.items()}
+    return Reference(table, dim, warnings, table_words, sandwich)
 
 
 def _tensor_power(p):
@@ -1245,7 +1273,7 @@ class TestGivenCodeWordMoments:
     def test_exact_solve_matches_the_full_system(self, name):
         P, z, n = ORACLE_CASES[name]
         sol = solve_low_moments(P, z, n)
-        table, dim, warnings = reference_low_moments(P, z, n)
+        table, dim, warnings, *_ = reference_low_moments(P, z, n)
         assert (sol.solution_dim, sol.warnings) == (dim, warnings)
         assert list(sol.table) == list(table)
         for w, v in table.items():
@@ -1258,7 +1286,7 @@ class TestGivenCodeWordMoments:
         P, z, n = ORACLE_CASES[name]
         zf = [complex(c) for c in z]
         sol = solve_low_moments(P, zf, n)
-        table, dim, warnings = reference_low_moments(P, zf, n)
+        table, dim, warnings, *_ = reference_low_moments(P, z, n, "float")
         assert (sol.solution_dim, sol.warnings) == (dim, warnings)
         assert list(sol.table) == list(table)
         for w, v in table.items():
@@ -1267,8 +1295,52 @@ class TestGivenCodeWordMoments:
             assert sol.table[W] == c.conjugate(), W
 
     def test_some_cases_are_underdetermined(self):
-        dims = {name: reference_low_moments(*case)[1] for name, case in ORACLE_CASES.items()}
-        assert dims["tensor_square"] == 2 and dims["tensor_cube"] == 3 and dims["one_word_1x4"] == 4
+        dims = {name: reference_low_moments(*case).solution_dim for name, case in ORACLE_CASES.items()}
+        assert {name: d for name, d in dims.items() if d > 1} == {
+            "progression_open": 2, "one_word_1x4": 4, "tensor_square": 2, "tensor_cube": 3}
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_each_case_reduces_one_system(self, monkeypatch, mode):
+        calls = []
+        kernel_basis = moments_mod.kernel_basis
+
+        def spy(rows, ncols):
+            calls.append(ncols)
+            return kernel_basis(rows, ncols)
+
+        monkeypatch.setattr(moments_mod, "kernel_basis", spy)
+        dims = {}
+        for name, (P, z, n) in ORACLE_CASES.items():
+            calls.clear()
+            omega = make_prefix_code_state(P, z if mode == "exact" else [complex(c) for c in z], n)
+            assert len(calls) == 1, name
+            dims[name] = omega.facts.solution_dim
+        assert [name for name, d in dims.items() if d > 1] == [
+            "progression_open", "one_word_1x4", "tensor_square", "tensor_cube"]
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(["tensor_square", "tensor_cube", "one_word_1x4"]), st.data())
+    def test_the_table_does_not_depend_on_the_kernel_basis(self, name, data):
+        # the kernel recombined by a permutation times a unit upper triangular
+        # matrix times a diagonal of nonzero entries
+        P, z, n = ORACLE_CASES[name]
+        expected = solve_low_moments(P, z, n)
+        kernel_basis = moments_mod.kernel_basis
+        small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+        nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+        def recombined(rows, ncols):
+            basis = data.draw(st.permutations(kernel_basis(rows, ncols)))
+            k = len(basis)
+            scale = data.draw(st.lists(nonzero, min_size=k, max_size=k))
+            upper = data.draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=k, max_size=k))
+            return [[scale[i] * basis[i][j] + sum((upper[i][l] * basis[l][j] for l in range(i + 1, k)), 0)
+                     for j in range(ncols)] for i in range(k)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments_mod, "kernel_basis", recombined)
+            got = solve_low_moments(P, z, n)
+        assert (got.table, got.solution_dim, got.warnings) == (expected.table, expected.solution_dim, expected.warnings)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_code_words_are_no_columns(self, monkeypatch, mode):
@@ -1305,6 +1377,114 @@ class TestGivenCodeWordMoments:
             for P in ([()], [(), (1,)]):
                 with pytest.raises(EmptyWord):
                     solve_low_moments(P, [1] * len(P), n)
+
+
+# (a, b) with a^2 + b^2 = 1: a split of one coefficient c into (c a, c b) keeps the norm
+CIRCLE = [(fr(3, 5), fr(4, 5)), (fr(5, 13), fr(12, 13)), (fr(8, 17), fr(15, 17)), (1, 0)]
+PHASES = [q(1), q(0, 1), q(-1), q(0, -1), q(fr(3, 5), fr(4, 5)), q(fr(5, 13), fr(-12, 13))]
+
+
+@st.composite
+def unit_vectors(draw, size):
+    """``size`` Gaussian rationals of norm 1, some of them 0: one coefficient
+    split ``size - 1`` times along CIRCLE, each part turned by a phase."""
+    v = [q(1)]
+    while len(v) < size:
+        i = draw(st.integers(0, len(v) - 1))
+        a, b = draw(st.sampled_from(CIRCLE))
+        v[i:i + 1] = [v[i] * a, v[i] * b]
+    return draw(st.permutations([c * draw(st.sampled_from(PHASES)) for c in v]))
+
+
+@st.composite
+def uniform_codes(draw):
+    n = draw(st.integers(2, 3))
+    P = list(all_words(n, draw(st.integers(1, 3 if n == 2 else 2))))
+    return P, draw(unit_vectors(len(P))), n
+
+
+@st.composite
+def progression_codes(draw):
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    P = moments_mod._progression_code(k, n)
+    return P, draw(unit_vectors(len(P))), n
+
+
+@st.composite
+def incomplete_codes(draw):
+    """Some leaves of a tree grown from the empty word by splitting a drawn
+    leaf into its n children, to depth 3."""
+    n, leaves = draw(st.integers(2, 3)), [()]
+    for _ in range(draw(st.integers(1, 4))):
+        growing = [w for w in leaves if len(w) < 3]
+        if growing:
+            w = draw(st.sampled_from(growing))
+            leaves.remove(w)
+            leaves += [w + (a,) for a in range(1, n + 1)]
+    P = draw(st.lists(st.sampled_from(sorted(leaves)), min_size=1, unique=True))
+    return P, draw(unit_vectors(len(P))), n
+
+
+@st.composite
+def tensor_powers(draw):
+    n, p = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    x = draw(unit_vectors(n))
+    P = list(all_words(n, p))
+    z = []
+    for W in P:
+        c = q(1)
+        for a in W:
+            c = c * x[a - 1]
+        z.append(c)
+    return P, z, n
+
+
+@st.composite
+def one_word_powers(draw):
+    n = draw(st.integers(2, 3))
+    a = tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=2)))
+    return [a * draw(st.integers(2, 4 // len(a)))], [draw(st.sampled_from(PHASES))], n
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@settings(max_examples=100)
+@given(case=st.one_of(uniform_codes(), progression_codes(), incomplete_codes(), tensor_powers(), one_word_powers()))
+def test_the_sandwich_rows_follow_from_the_fixed_point_rows(mode, case):
+    """Every fixed-point kernel vector has Im v_empty = 0, every sandwich row
+    of the former solve vanishes on it, and the table, its dimension and its
+    warnings are the former solve's (see ``moments._solve_low_moments``)."""
+    P, z, n = case
+    exact = mode == "exact"
+    zz = z if exact else [complex(c) for c in z]
+    kernels = []
+    kernel_basis = moments_mod.kernel_basis
+
+    def spy(rows, ncols):
+        kernels.append(kernel_basis(rows, ncols))
+        return kernels[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments_mod, "kernel_basis", spy)
+        sol = solve_low_moments(P, zz, n)
+    ref = reference_low_moments(P, z, n, mode)
+    (kernel,) = kernels
+    code = dict(zip(P, zz))
+    unknowns = [w for w in ref.words if w not in code]
+    for v in kernel:
+        assert v[1] == 0
+        # the kernel vector over the former columns: a code word's v_W is conj(z_W) v_empty
+        values = dict(zip(unknowns, (complex(x, y) if not exact else QQi(x, y) for x, y in zip(v[::2], v[1::2]))))
+        full = []
+        for w in ref.words:
+            c = values[w] if w in values else conj(code[w]) * values[()]
+            full += [c.real, c.imag] if not exact else [c.re, c.im]
+        for row in ref.sandwich_rows:
+            residual = sum(x * y for x, y in zip(row, full) if x)
+            assert residual == 0 if exact else abs(residual) < 1e-9
+    assert (sol.solution_dim, sol.warnings) == (ref.solution_dim, ref.warnings)
+    assert list(sol.table) == list(ref.table)
+    for w, v in ref.table.items():
+        assert sol.table[w] == v if exact else abs(sol.table[w] - v) < 1e-12, w
 
 
 # the complex unitary of the golden twist tests, as spec entries, block-extended by 1 on n = 3

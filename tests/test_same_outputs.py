@@ -6,6 +6,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+from cuntzlab.specio import state_from_spec
+from cuntzlab.words import words_upto
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
 same_outputs = importlib.util.module_from_spec(_spec)
@@ -54,7 +57,15 @@ def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
     assert argv == ["moments", "one_word_1x10.json", "--level", "3", "--format", "json"]
     assert (Path(workdir) / argv[1]).is_file()
     assert plan["solve/json/moments_float:one_word_1x10"] == (workdir, [*argv, "--mode", "float"])
-    assert sum(label.startswith("solve/") for label in plan) == 9
+    # and two underdetermined codes with non-real minimum-norm tables, exact and float
+    for name, (family, dim) in {"one_word_12x2": ("prefix_code", 2), "tensor_cube": ("sub_cuntz", 3)}.items():
+        workdir, argv = plan[f"solve/json/moments:{name}"]
+        assert argv == ["moments", f"{name}.json", "--level", "3", "--format", "json"]
+        omega = state_from_spec(json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8")))
+        assert omega.family == family and omega.facts.solution_dim == dim
+        assert any(complex(omega.moment(J, ())).imag for J in words_upto(2, 4))
+        assert plan[f"solve/json/moments_float:{name}"] == (workdir, [*argv, "--mode", "float"])
+    assert sum(label.startswith("solve/") for label in plan) == 13
 
 
 def test_float_moments_on_every_golden_fixed_point_table(tmp_path):

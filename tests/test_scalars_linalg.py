@@ -2,14 +2,11 @@
 
 from fractions import Fraction
 
-import pytest
-
-from cuntzlab import Inconsistent, QQi
+from cuntzlab import QQi
 from cuntzlab.linalg import (
     hermitian_psd_check,
     kernel_basis,
     mat_mul,
-    min_norm_solution,
     rank,
 )
 from cuntzlab.scalars import (
@@ -118,43 +115,14 @@ class TestPsdCheck:
     def test_exact_pass_carries_no_estimate(self):
         assert hermitian_psd_check([[q(2), q(1)], [q(1), q(2)]]) == (True, None)
 
+    def test_empty_matrix_passes_with_no_estimate(self):
+        assert hermitian_psd_check([]) == (True, None)
+
     def test_float_matrix_carries_its_estimate(self):
         # a pass, as in exact mode, computes no estimate
         assert hermitian_psd_check([[2.0, 1.0], [1.0, 2.0]]) == (True, None)
         ok, mineig = hermitian_psd_check([[0.0, 1.0], [1.0, 0.0]])
         assert not ok and abs(mineig + 1.0) < 1e-12
-
-
-class TestMinNormSolution:
-    def test_min_norm_point_on_affine_line(self):
-        # minimize |x|^2 + |y|^2  subject to  x + y = 1  ->  (1/2, 1/2)
-        sol = min_norm_solution(
-            [[q(1), q(0)], [q(0), q(1)]],
-            [[q(1), q(1)]],
-            [q(1)],
-        )
-        assert sol == [q(fr(1, 2)), q(fr(1, 2))]
-
-    def test_redundant_constraints_are_reduced_not_fatal(self):
-        # the same constraint twice must not make the minimum-norm step singular
-        sol = min_norm_solution(
-            [[q(1), q(0)], [q(0), q(1)]],
-            [[q(1), q(1)], [q(2), q(2)]],
-            [q(1), q(2)],
-        )
-        assert sol == [q(fr(1, 2)), q(fr(1, 2))]
-
-    def test_zero_constraint_row_with_zero_rhs_is_dropped(self):
-        sol = min_norm_solution(
-            [[q(1)]],
-            [[q(0)], [q(1)]],
-            [q(0), q(3)],
-        )
-        assert sol == [q(3)]
-
-    def test_unreachable_constraint_raises(self):
-        with pytest.raises(Inconsistent):
-            min_norm_solution([[q(1)]], [[q(0)]], [q(1)])
 
 
 class TestMatMul:

@@ -294,15 +294,19 @@ class TestParseSpec:
 
     @pytest.fixture
     def moment_calls(self, monkeypatch):
-        """The states whose checked ``moment()`` or ``moment_of_element`` is called."""
+        """The states whose checked ``moment()`` is called.  ``moment_of_element``
+        reads ``model.moment`` (pinned in ``tests/test_moments.py``), so the
+        certificate check that calls it reads the model."""
         from cuntzlab.moments import MomentFunctional
 
         calls = []
-        for name in ("moment", "moment_of_element"):
-            def spy(self, *args, _read=getattr(MomentFunctional, name)):
-                calls.append(self)
-                return _read(self, *args)
-            monkeypatch.setattr(MomentFunctional, name, spy)
+        read = MomentFunctional.moment
+
+        def spy(self, *args):
+            calls.append(self)
+            return read(self, *args)
+
+        monkeypatch.setattr(MomentFunctional, "moment", spy)
         return calls
 
     def test_the_gate_of_a_modelled_state_reads_the_model(self, spec_file, no_word_model, moment_calls):

@@ -27,7 +27,9 @@ fresh interpreter per tree, the two trees side by side:
   largest fixed-point solves;
 * ``moments --level 3`` (json), exact and ``--mode float``, on the code
   1^10, whose fixed-point kernel has ten vectors, so its table comes from
-  the minimum-norm step (as does the golden ``sub_cuntz_power``'s).
+  the minimum-norm step (as does the golden ``sub_cuntz_power``'s), and on
+  two underdetermined codes with non-real tables (``MIN_NORM_CODES``): the
+  one-word code (12)^2 with z = i and the tensor cube of (3/5, 4i/5).
 * ``equiv`` (json) on pairs that the tensor-conjugacy rule decides: the
   phase-marked word states of ``selftest`` at depths 2..5 as ``sub_cuntz``
   specs, every pair of each depth; the golden ``sub_cuntz``,
@@ -87,6 +89,15 @@ G_C = {
 # the one-word code 1^10: a fixed-point system over 4094 columns with a
 # ten-dimensional solution space, whose table is the minimum-norm one
 ONE_WORD = {"family": "prefix_code", "n": 2, "code": [[1] * 10], "z": [1]}
+# underdetermined codes whose minimum-norm tables are not real: the one-word
+# code (12)^2 with z = i (a kernel of two vectors) and the tensor cube of
+# (3/5, 4i/5) (three), its coefficients in lexicographic word order
+MIN_NORM_CODES = {
+    "one_word_12x2": {"family": "prefix_code", "n": 2, "code": [[1, 2, 1, 2]], "z": [[0, 1]]},
+    "tensor_cube": {"family": "sub_cuntz", "n": 2, "m": 3,
+                    "z": [["27/125", 0], [0, "36/125"], [0, "36/125"], ["-48/125", 0],
+                          [0, "36/125"], ["-48/125", 0], ["-48/125", 0], [0, "-64/125"]]},
+}
 # the members of tests/golden/pairwise.json, in its order (tests/test_golden.py's PAIRWISE)
 PAIRWISE = [
     "cuntz", "cuntz_swapped", "cuntz_10", "gauge", "geometric_progression", "gauge_progression",
@@ -235,6 +246,10 @@ def build_plan(work: Path) -> dict:
     moments = ["moments", file, "--level", "3", "--format", "json"]
     plan["solve/json/moments:one_word_1x10"] = (str(d), moments)
     plan["solve/json/moments_float:one_word_1x10"] = (str(d), [*moments, "--mode", "float"])
+    for name, spec in MIN_NORM_CODES.items():
+        moments = ["moments", _write(d / f"{name}.json", spec), "--level", "3", "--format", "json"]
+        plan[f"solve/json/moments:{name}"] = (str(d), moments)
+        plan[f"solve/json/moments_float:{name}"] = (str(d), [*moments, "--mode", "float"])
     d = work / "rep"
     d.mkdir()
     for name, spec in REPS.items():
