@@ -75,9 +75,14 @@ class GramGrowth(NamedTuple):
     span reached so far; ``level_ranks[L]`` is the rank over all words of
     length <= L.  ``lower`` and ``dvals`` are the L and D of the factor
     G = L D L* of their (positive definite) Gram matrix G (see
-    :class:`~cuntzlab.linalg.LDLFactor`), through which ``fcs.presentation``
-    solves the metric.  A growth is shared by every caller that asks for the
-    same state, level cap and tolerance, so all of it is immutable.
+    :class:`~cuntzlab.linalg.LDLFactor`).  ``children`` holds a pair
+    (p + (i,), y) for each child of a pivot p that the growth scored: y is
+    its forward solve L y = r, r_k = omega(s_{p_k} s_{p i}*), as it stood when
+    the child was admitted (then y runs along the pivots before it) or
+    dropped (along the pivots admitted by then).  ``fcs.presentation`` reads
+    its matrices off these and the factor.  A growth is shared by every
+    caller that asks for the same state, level cap and tolerance, so all of
+    it is immutable.
     """
 
     pivots: tuple
@@ -86,6 +91,7 @@ class GramGrowth(NamedTuple):
     last_level: int
     lower: tuple
     dvals: tuple
+    children: tuple
 
 
 def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = None) -> GramGrowth:
@@ -127,6 +133,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
     factor.admit(factor.score(()))
     level_ranks = [1]
     frontier: list[Word] = [()]
+    children: list[tuple] = []
     stabilized = False
     level = 0
     for level in range(1, L_max + 1):
@@ -136,7 +143,13 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
         added: list[Word] = []
         while True:
             # residuals only shrink, so a candidate that fails once is out for good
-            cands = [c for c in cands if factor.admissible(c)]
+            kept = []
+            for c in cands:
+                if factor.admissible(c):
+                    kept.append(c)
+                else:
+                    children.append((c.item, tuple(c.y)))
+            cands = kept
             if not cands:
                 break
             best = max(cands, key=lambda c: c.res2)
@@ -146,6 +159,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
                 best = next(c for c in cands if c.res2 >= floor)
             cands.remove(best)
             factor.admit(best)
+            children.append((best.item, tuple(best.y)))
             for c in cands:
                 factor.catch_up(c)
             added.append(best.item)
@@ -155,7 +169,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
             break
         frontier = added
     return GramGrowth(tuple(factor.pivots), tuple(level_ranks), stabilized, level, tuple(map(tuple, factor.lower)),
-                      tuple(factor.dvals))
+                      tuple(factor.dvals), tuple(children))
 
 
 class CdimResult(NamedTuple):

@@ -13,11 +13,19 @@ where the first letter of J acts first.  A presentation is therefore a
 stepped by v -> A_i v, read through <a, G b>.  The Cuntz relation
 sum_i s_i s_i* = I survives the compression as sum_i A_i^H G A_i = G, which
 doubles as the validation identity for extracted presentations.
+
+The matrices are read off the Gram growth that found the basis
+(:func:`~cuntzlab.classify.gram_growth`): the growth scored every child
+p + (i,) of a pivot p and kept its forward solve against the factor
+G = L D L*, so column p of A_i is a unit vector when the child became a
+pivot, and otherwise that forward solve, continued along the pivots admitted
+after the child was dropped, and one back substitution.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
 from .classify import GramGrowth, LowerBoundOnly, gram_growth
@@ -67,7 +75,8 @@ class FCSPresentation(NamedTuple):
         zero = metric[0][0] * 0
 
         def apply(rows, v: list) -> list:
-            return [sum((a * x for a, x in zip(row, v) if a and x), zero) for row in rows]
+            nz = [(j, x) for j, x in enumerate(v) if x]
+            return [sum([row[j] * x for j, x in nz if row[j]], zero) for row in rows]
 
         def inner(a: list, b: list):
             return sum((conj(x) * y for x, y in zip(a, apply(metric, b)) if x and y), zero)
@@ -91,14 +100,12 @@ def check_row_isometry(F: FCSPresentation) -> bool:
     )
 
 
-def _solve(growth: GramGrowth, rhs) -> list:
-    """x with G x = rhs, in O(d^2) from the growth's factor G = L D L*: the
-    forward solve L z = rhs, then the back solve L* x = D^-1 z.  Zero
-    products are skipped; exact factors and columns are often sparse."""
+def _back_solve(growth: GramGrowth, z: list) -> list:
+    """x with L* x = D^-1 z, through the growth's factor G = L D L*: with z
+    the forward solve L z = r of a right-hand side r, x solves G x = r in
+    O(d^2).  Zero products are skipped; exact factors and columns are often
+    sparse."""
     lower, dvals = growth.lower, growth.dvals
-    z: list = []
-    for row, r in zip(lower, rhs):
-        z.append(r - sum((lj * zj for lj, zj in zip(row, z) if lj and zj), 0))
     d = len(dvals)
     x: list = [0] * d
     for k in reversed(range(d)):
@@ -110,14 +117,33 @@ def _solve(growth: GramGrowth, rhs) -> list:
 def _matrices(growth: GramGrowth, omega: MomentFunctional) -> tuple:
     """A_1..A_n, the matrices of pi(s_i)* on the pivot basis of ``omega``'s
     growth: column p of A_i solves G x = (omega(s_q s_{p i}*))_q over the
-    pivots q, one O(d^2) solve per column, the right-hand sides read as one
-    block ``omega.model.gram(pivots, children)`` per letter.  They compress
-    omega only when the growth has stabilized."""
-    pivots = growth.pivots
+    pivots q.  The growth scored every child p + (i,) and kept its forward
+    solve y (``GramGrowth.children``).  A child that became pivot k gets the
+    k-th unit vector, in the mode's own one and zero.  A dropped child's
+    forward solve continues along the pivots admitted after it was dropped,
+    the only inner products read here, and one back substitution L* x =
+    D^-1 y ends it.  They compress omega only when the growth has
+    stabilized."""
+    pivots, lower = growth.pivots, growth.lower
+    d = len(pivots)
+    index = {p: k for k, p in enumerate(pivots)}
+    coords = dict(growth.children)
+    moment = omega.model.moment
+    one, zero = (Fraction(1), Fraction(0)) if omega.exact else (1.0, 0.0)
     out = []
     for i in range(1, omega.n + 1):
-        block = omega.model.gram(pivots, [p + (i,) for p in pivots])
-        cols = [_solve(growth, column) for column in zip(*block)]
+        cols = []
+        for p in pivots:
+            child = p + (i,)
+            k = index.get(child)
+            if k is not None:
+                cols.append([one if j == k else zero for j in range(d)])
+                continue
+            z = list(coords[child])
+            for k in range(len(z), d):
+                r = moment(pivots[k], child)
+                z.append(r - sum((lj * zj for lj, zj in zip(lower[k], z) if lj and zj), 0))
+            cols.append(_back_solve(growth, z))
         out.append(tuple(zip(*cols)))
     return tuple(out)
 
@@ -128,12 +154,17 @@ def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation
     Once a level adds no pivots the pivot span is closed under every
     pi(s_i)* (new vectors only arise by one more letter), so the matrices
     A_i are filled in by solving the metric against the children's
-    correlation vectors, each column by two triangular solves through the
-    growth's factor G = L D L* (``_matrices``).  The compressed row relation
-    sum_i A_i^H G A_i = G is checked, exactly for an exact state; a failure
-    raises ValidationFailed (in float mode this usually signals tolerance
-    trouble; rerun in exact mode).
+    correlation vectors, read off the growth's record of each child's
+    forward solve and its factor G = L D L* (``_matrices``).  ``growth``
+    must therefore be a growth of ``omega`` itself, one that
+    :func:`~cuntzlab.classify.gram_growth` memoized on it; any other raises
+    ValueError.  The compressed row relation sum_i A_i^H G A_i = G is
+    checked, exactly for an exact state; a failure raises ValidationFailed
+    (in float mode this usually signals tolerance trouble; rerun in exact
+    mode).
     """
+    if not any(growth is g for g in omega._growths.values()):
+        raise ValueError("the growth was not grown from this state; pass gram_growth(omega)")
     pivots = growth.pivots
     F = FCSPresentation(
         d=len(pivots),

@@ -79,9 +79,11 @@ def mat_vec(rows, v):
 
 
 def mat_mul(a, b):
-    """The product a b.  Zero products are skipped; exact factors are often sparse."""
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col) if x and y), 0) for col in cols] for row in a]
+    """The product a b.  Each column of b lists its nonzero (index, entry)
+    pairs once, and only products of two nonzero entries are summed, in
+    index order; exact factors are often sparse."""
+    cols = [[(j, y) for j, y in enumerate(col) if y] for col in zip(*b)]
+    return [[sum([row[j] * y for j, y in nz if row[j]], 0) for nz in cols] for row in a]
 
 
 def hermitian_transpose(rows):

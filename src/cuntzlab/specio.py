@@ -434,6 +434,11 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
+# the renderers of a pair's numbers, keyed by exact type: a bool or another
+# int subclass takes the general path
+_JSON_NUMBER = {int: int.__repr__, float: _json_float}
+
+
 def _json_key(k) -> str:
     # the key conversions of json.dumps
     if isinstance(k, str):
@@ -478,6 +483,12 @@ def _render_json(x, newline: str, emit) -> None:
             emit("[]")
             return
         inner = newline + "  "
+        if len(x) == 2:
+            # a pair of numbers, the [re, im] of a scalar, in one emit
+            a, b = _JSON_NUMBER.get(type(x[0])), _JSON_NUMBER.get(type(x[1]))
+            if a and b:
+                emit("[" + inner + a(x[0]) + "," + inner + b(x[1]) + newline + "]")
+                return
         sep = "[" + inner
         for v in x:
             emit(sep)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -23,10 +24,10 @@ from cuntzlab import (
     parse_spec,
     words_upto,
 )
-from cuntzlab.fcs import _solve, presentation
+from cuntzlab.fcs import _matrices, presentation
 from cuntzlab.linalg import solve
 from cuntzlab.moments import MomentFunctional, VectorModel
-from cuntzlab.scalars import scalars_close
+from cuntzlab.scalars import conj, scalars_close
 from cuntzlab.selftest import random_exact_unit
 
 from conftest import fr, q
@@ -106,10 +107,28 @@ class TestPresentation:
         assert presentation(omega, gram_growth(omega)) == extract_fcs(omega)
 
     def test_a_failed_row_relation_raises(self):
-        # the Cuntz state's moments solved against the word state 12's growth
+        # the word state 12 with one dropped child's recorded coordinates
+        # perturbed, the perturbed growth memoized as the state's own
         word = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
+        growth = gram_growth(word)
+        k = next(k for k, (child, _) in enumerate(growth.children) if child not in growth.pivots)
+        child, y = growth.children[k]
+        children = list(growth.children)
+        children[k] = (child, (y[0] + 1, *y[1:]))
+        bad = growth._replace(children=tuple(children))
+        key = next(key for key, g in word._growths.items() if g is growth)
+        word._growths[key] = bad
         with pytest.raises(ValidationFailed, match="row relation"):
-            presentation(make_cuntz(Z35), gram_growth(word))
+            presentation(word, bad)
+
+    def test_a_growth_of_another_state_is_refused(self):
+        word = make_prefix_code_state([(1, 2)], {(1, 2): 1}, 2)
+        growth = gram_growth(word)
+        with pytest.raises(ValueError, match="not grown from this state"):
+            presentation(make_cuntz(Z35), growth)
+        # an equal growth that is not the one memoized on the state is refused too
+        with pytest.raises(ValueError, match="not grown from this state"):
+            presentation(word, growth._replace())
 
 
 def _typed(x):
@@ -142,6 +161,7 @@ class TestRawTwin:
         assert twin.model is not omega.model and twin.model.vector((1,)) == {(1,): 1}
         for read in (gram_growth, extract_fcs):
             assert _typed(read(twin)) == _typed(read(omega)), read.__name__
+        assert _typed(gram_growth(twin).children) == _typed(gram_growth(omega).children)
         assert twin._memo and not omega._memo
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_SPECS.glob("*.json")))
@@ -162,14 +182,6 @@ class TestUnstabilizedInput:
         assert "still growing" in out.note
 
 
-def _fcs_columns(omega):
-    """The right-hand sides extract_fcs solves: one per letter and pivot."""
-    pivots = gram_growth(omega).pivots
-    for i in range(1, omega.n + 1):
-        for p in pivots:
-            yield [omega.model.moment(q, p + (i,)) for q in pivots]
-
-
 def _dense_state(m: int, exact: bool):
     """A sub_cuntz state of order m over n = 2 with every coefficient nonzero."""
     rng = random.Random(m)
@@ -180,8 +192,40 @@ def _dense_state(m: int, exact: bool):
     return make_sub_cuntz(m, [x / norm for x in z], 2)
 
 
+def _columns(omega):
+    """(child, presentation column, full-solve column) for every letter i and
+    pivot p, child = p + (i,): column p of A_i beside the solution of the
+    pivots' Gram against the child's correlation vector."""
+    growth = gram_growth(omega)
+    assert growth.stabilized
+    pivots = growth.pivots
+    F = presentation(omega, growth)
+    gram = omega.model.gram(pivots)
+    for A, i in zip(F.A, range(1, omega.n + 1)):
+        for c, p in enumerate(pivots):
+            child = p + (i,)
+            rhs = [omega.model.moment(q, child) for q in pivots]
+            yield child, [row[c] for row in A], solve(gram, rhs)
+
+
+class _Spy:
+    """A model that records each moment read through it and refuses gram."""
+
+    def __init__(self, model):
+        self.model = model
+        self.read: list = []
+
+    def moment(self, J, K):
+        self.read.append((J, K))
+        return self.model.moment(J, K)
+
+    def gram(self, *args):
+        raise AssertionError("model.gram was called")
+
+
 class TestFactorSolve:
-    """The growth's L D L* solve against a full elimination of its Gram."""
+    """The presentation's columns, read off the growth, against a full
+    elimination of the pivots' Gram."""
 
     def test_oracle_cases_are_not_trivial(self):
         assert len(STABILIZED) >= 20
@@ -190,20 +234,66 @@ class TestFactorSolve:
     @pytest.mark.parametrize("name", [*STABILIZED, "dense_order_4"])
     def test_exact_columns_equal_full_solve(self, name):
         omega = _dense_state(4, True) if name == "dense_order_4" else golden_state(name)
-        growth = gram_growth(omega)
-        assert growth.stabilized
-        for rhs in _fcs_columns(omega):
-            assert _solve(growth, rhs) == solve(omega.model.gram(growth.pivots), rhs)
+        pivots = gram_growth(omega).pivots
+        for child, got, want in _columns(omega):
+            assert got == want, child
+            if child in pivots:
+                unit = [Fraction(q == child) for q in pivots]
+                assert _typed(got) == _typed(unit), child
 
     @pytest.mark.parametrize("name", ["gauge_shift", "sub_cuntz_twisted", "mixture", "dense_order_5"])
     def test_float_columns_close_to_full_solve(self, name):
         omega = _dense_state(5, False) if name == "dense_order_5" else golden_state(name, "float")
         assert not omega.exact
-        growth = gram_growth(omega)
-        assert growth.stabilized
-        for rhs in _fcs_columns(omega):
-            got, want = _solve(growth, rhs), solve(omega.model.gram(growth.pivots), rhs)
+        pivots = gram_growth(omega).pivots
+        for child, got, want in _columns(omega):
             assert all(scalars_close(a, b, 1e-12) for a, b in zip(got, want)), (got, want)
+            if child in pivots:
+                unit = [float(q == child) for q in pivots]
+                assert _typed(got) == _typed(unit), child
+
+    # dense_order_4 drops its children only once all nine pivots are in; the
+    # shift states drop some before the last pivot, so _matrices reads more
+    @pytest.mark.parametrize("name", ["dense_order_4", "shift_112", "gauge_word_n3"])
+    def test_matrices_read_only_what_the_growth_left(self, name):
+        omega = _dense_state(4, True) if name == "dense_order_4" else golden_state(name)
+        growth = gram_growth(omega)
+        pivots, d = growth.pivots, len(growth.pivots)
+        spy = _Spy(omega.model)
+        A = _matrices(growth, SimpleNamespace(n=omega.n, exact=omega.exact, model=spy))
+        dropped = {child: y for child, y in growth.children if child not in pivots}
+        assert len(spy.read) == sum(d - len(y) for y in dropped.values())
+        assert (name == "dense_order_4") == (not spy.read)
+        scored = {(pivots[k], child) for child, y in growth.children for k in range(len(y))}
+        assert not scored & set(spy.read)
+        assert sorted(spy.read) == sorted((pivots[k], child) for child, y in dropped.items() for k in range(len(y), d))
+        assert A == presentation(omega, growth).A
+
+
+def _generator_model(F):
+    """F.model() with every step and inner product summed by one generator
+    over the nonzero pairs, the form it once had."""
+    A, metric = F.A, F.metric
+    zero = metric[0][0] * 0
+
+    def apply(rows, v):
+        return [sum((a * x for a, x in zip(row, v) if a and x), zero) for row in rows]
+
+    def inner(a, b):
+        return sum((conj(x) * y for x, y in zip(a, apply(metric, b)) if x and y), zero)
+
+    return VectorModel(list(F.omega), lambda v, i: apply(A[i - 1], v), inner, None)
+
+
+class TestPresentationModel:
+    @pytest.mark.parametrize("name", ["dense_order_5", "sub_cuntz_twisted"])
+    def test_float_moments_are_the_generator_form_bit_for_bit(self, name):
+        omega = _dense_state(5, False) if name == "dense_order_5" else golden_state(name, "float")
+        F = extract_fcs(omega)
+        model, reference = F.model(), _generator_model(F)
+        for J in words_upto(2, 3):
+            for K in words_upto(2, 3):
+                assert repr(model.moment(J, K)) == repr(reference.moment(J, K)), (J, K)
 
 
 @st.composite

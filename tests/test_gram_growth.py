@@ -180,6 +180,31 @@ def test_exact_factor_multiplies_back_to_the_gram(name):
     assert all(dk > 0 for dk in g.dvals)
 
 
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_exact_growth_records_each_scored_child(name):
+    spec, L_max = STATES[name]
+    omega = state_from_spec(spec)
+    g = gram_growth(omega, L_max)
+    d = len(g.pivots)
+    words = [child for child, _ in g.children]
+    assert len(set(words)) == len(words)
+    if g.stabilized:
+        assert set(words) == {p + (i,) for p in g.pivots for i in range(1, omega.n + 1)}
+    for child, y in g.children:
+        # y is the forward solve L y = r along the first len(y) pivots
+        for k, yk in enumerate(y):
+            r = omega.moment(g.pivots[k], child)
+            assert r == yk + sum((g.lower[k][j] * y[j] for j in range(k)), 0), (child, k)
+        res2 = _real(omega.moment(child, child)) - sum((_real(conj(yk) * yk) / dk for yk, dk in zip(y, g.dvals)), 0)
+        if child in g.pivots:
+            # an admitted child ran along the pivots before it, and its residual is its D
+            k = g.pivots.index(child)
+            assert len(y) == k and res2 == g.dvals[k] > 0
+        else:
+            # a dropped child lies in the span of the pivots it met
+            assert len(y) <= d and res2 == 0, child
+
+
 def test_growth_is_shared_and_immutable():
     omega = state_from_spec(STATES["n2_prefix_code"][0])
     g = gram_growth(omega, 8)
@@ -188,6 +213,7 @@ def test_growth_is_shared_and_immutable():
     assert isinstance(g.pivots, tuple) and isinstance(g.level_ranks, tuple)
     assert not hasattr(g, "gram")  # the metric is read off the model when a presentation needs it
     assert isinstance(g.dvals, tuple) and all(isinstance(row, tuple) for row in g.lower)
+    assert isinstance(g.children, tuple) and all(isinstance(y, tuple) for _, y in g.children)
     with pytest.raises(AttributeError):
         g.pivots = ()
 

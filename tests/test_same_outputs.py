@@ -38,6 +38,11 @@ def test_the_command_set_covers_every_golden_spec_and_its_twist(tmp_path):
             workdir, argv = plan[f"{group}/json/kappa_search:{name}"]
             assert argv[0] == "kappa" and "--search-certificates" in argv and argv[-2:] == ["--format", "json"]
             assert (Path(workdir) / argv[1]).is_file()
+            workdir, argv = plan[f"{group}/json/fcs_float:{name}"]
+            assert argv == ["fcs", argv[1], "--mode", "float", "--format", "json"]
+            assert argv[1] == plan[f"{group}/json/fcs:{name}"][1][1]
+    for group in ("golden", "twist"):
+        assert sum(label.startswith(f"{group}/json/fcs_float:") for label in plan) == len(specs) == 31
     workdir, argv = plan["twist/json/fcs:gauge_word_n3"]
     twist = json.loads((Path(workdir) / argv[1]).read_text(encoding="utf-8"))
     assert len(twist["g"]) == 3

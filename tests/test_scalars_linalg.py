@@ -1,6 +1,10 @@
 """Gaussian-rational scalars and the exact/float linear algebra kernel."""
 
+import random
 from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuntzlab import QQi
 from cuntzlab.linalg import (
@@ -129,3 +133,73 @@ class TestMatMul:
     def test_exact_product(self):
         a = [[q(0, 1), q(0)], [q(0), q(0, -1)]]
         assert mat_mul(a, a) == [[q(-1), q(0)], [q(0), q(-1)]]
+
+
+def _naive_product(a, b):
+    """The product by the textbook triple loop, every term summed."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), 0) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _generator_product(a, b):
+    """The product summed by one generator per entry over the nonzero pairs,
+    the form mat_mul once had: float sums must come out bit for bit alike."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), 0) for col in cols] for row in a]
+
+
+def _bits(m):
+    """The entries by repr, so that a float's every bit, the sign of zero
+    included, takes part in ==."""
+    return [[repr(x) for x in row] for row in m]
+
+
+# mostly zeros, so the products are sparse
+_EXACT = st.one_of(st.just(0), st.just(0), st.integers(-5, 5),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=7))
+_GAUSSIAN = st.one_of(st.just(QQi(0)), st.builds(lambda re, im: QQi(re, im), _EXACT, _EXACT))
+# ratios of integers to a prime are inexact in binary, so the sums round
+# differently in another order
+_FLOAT = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3, allow_nan=False),
+                   st.integers(-10**6, 10**6).map(lambda k: k / 7919))
+_COMPLEX = st.one_of(st.just(0j), st.builds(complex, _FLOAT, _FLOAT))
+
+
+@st.composite
+def _factors(draw, entries):
+    """Two matrices a (r x k) and b (k x c), rectangular as often as square."""
+    r, k, c = (draw(st.integers(1, 6)) for _ in range(3))
+    a = [[draw(entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    return a, b
+
+
+class TestMatMulOracle:
+    @given(st.one_of(_factors(_EXACT), _factors(_GAUSSIAN)))
+    def test_exact_product_equals_the_triple_loop(self, ab):
+        a, b = ab
+        got = mat_mul(a, b)
+        assert got == _naive_product(a, b)
+        assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
+
+    @given(st.one_of(_factors(_FLOAT), _factors(_COMPLEX)))
+    def test_float_product_is_the_generator_form_bit_for_bit(self, ab):
+        a, b = ab
+        got = mat_mul(a, b)
+        assert _bits(got) == _bits(_generator_product(a, b))
+        assert all(scalars_close(x, y, 1e-9) for gr, nr in zip(got, _naive_product(a, b)) for x, y in zip(gr, nr))
+
+    def test_dense_float_products_keep_the_generator_form_order(self):
+        # dense rows of inexact entries: a sum in any other order rounds differently
+        rng = random.Random(7919)
+        for r, k, c in ((6, 6, 6), (5, 7, 3), (1, 9, 4)):
+            for entry in (lambda: rng.uniform(-1, 1), lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))):
+                a = [[entry() for _ in range(k)] for _ in range(r)]
+                b = [[entry() for _ in range(c)] for _ in range(k)]
+                assert _bits(mat_mul(a, b)) == _bits(_generator_product(a, b))
+
+    def test_rectangular_shapes(self):
+        a = [[1, 0, fr(1, 2)]]  # 1 x 3
+        b = [[2, 0], [0, 5], [4, q(0, 1)]]  # 3 x 2
+        assert mat_mul(a, b) == [[4, q(0, fr(1, 2))]]
+        assert mat_mul(b, [[1], [q(0, 1)]]) == [[2], [q(0, 5)], [3]]  # 3 x 2 times 2 x 1

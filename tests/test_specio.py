@@ -6,7 +6,7 @@ from math import inf
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import (
@@ -34,6 +34,8 @@ from cuntzlab.specio import (
 from conftest import fr, q
 
 GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
+# the parts of a rendered scalar [re, im]
+_NUMBER = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestScalarParsing:
@@ -386,7 +388,22 @@ class TestResultSerialization:
     @given(st.recursive(
         st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
                   st.none()),
-        lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4)),
+        lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4),
+                                   st.tuples(_NUMBER, _NUMBER).map(list), st.tuples(children, children).map(list)),
         max_leaves=20))
+    @example([True, 1])
+    @example([1, "a"])
+    @example([[1, 2.5], [-0.0, 3]])
     def test_dump_renders_what_json_dumps_renders(self, doc):
         assert dump_json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+    def test_a_pair_of_numbers_is_one_emit(self):
+        from cuntzlab.specio import _render_json
+
+        # any other two-item list is five: open, item, separator, item, close
+        for doc, emits in (([1, 2.5], 1), ([-0.0, 7], 1), ([True, 1], 5), ([1, "a"], 5), ([1, None], 5),
+                           ([[1, 2], [3.0, 4]], 5)):
+            out: list = []
+            _render_json(doc, "\n", out.append)
+            assert len(out) == emits, doc
+            assert "".join(out) == json.dumps(doc, indent=2), doc

@@ -14,6 +14,8 @@ fresh interpreter per tree, the two trees side by side:
   ``moments --level 3`` (json) and ``kappa --search-certificates`` (json)
   on every spec under ``tests/golden/specs/`` and on its twist by the
   complex unitary G_C;
+* ``fcs --mode float`` (json) on every golden spec and on its twist, so a
+  change to float presentations shows up per family;
 * ``moments --level 3 --mode float`` (json) on every golden spec that
   solves a fixed-point table: a prefix-code, sub_cuntz or progression
   state, or a twist of one;
@@ -214,6 +216,8 @@ def build_plan(work: Path) -> dict:
                                                                    "--format", "json"])
             plan[f"{group}/json/kappa_search:{path.stem}"] = (str(d), ["kappa", file, "--search-certificates",
                                                                         "--format", "json"])
+            plan[f"{group}/json/fcs_float:{path.stem}"] = (str(d), ["fcs", file, "--mode", "float",
+                                                                     "--format", "json"])
         if solves_fixed_point(spec):
             plan[f"golden/json/moments_float:{path.stem}"] = (str(d), ["moments", files["golden"], "--level", "3",
                                                                        "--mode", "float", "--format", "json"])
