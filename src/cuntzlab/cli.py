@@ -1,9 +1,13 @@
 """Command-line interface.
 
-Every command reads JSON spec files (see specio), prints a deterministic
-markdown summary or a JSON document, and exits 0 on success, 1 on errors,
-2 on an option the command does not take, and 3 when --strict is set and
-the answer is unresolved.  ``_COMMANDS`` lists the options of each command.
+Every command reads JSON spec files (see specio) and returns its markdown
+lines, its JSON document and its exit code; ``run`` alone prints the lines
+or the document, as ``--format`` asks, and returns the code: 0 on success,
+1 on errors (one ``error:`` line on stderr, nothing on stdout), 2 on an
+option the command does not take, and 3 when --strict is set and the answer
+is unresolved.  Each result (a certificate, κ, cdim) has one renderer that
+returns its text and its JSON fields together.  ``_COMMANDS`` lists the
+options of each command.
 Exact arithmetic is the default whenever all inputs are Gaussian rationals;
 inputs with inexact floats are accepted only under ``--mode float``.  The
 delta-table re-check of ``kappa`` runs to the cutoff its certificate claims
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from math import inf
 
 from .classify import (
     EquivalentToCuntz,
@@ -35,14 +40,7 @@ from .errors import CuntzLabError, SchemaError
 from .fcs import FCSPresentation, extract_fcs
 from .moments import MomentFunctional
 from .scalars import format_scalar, scalar_is_zero
-from .specio import (
-    certificate_to_json,
-    dump_json,
-    fcs_to_json,
-    parse_spec,
-    scalar_to_json,
-    value_to_json,
-)
+from .specio import dump_json, element_to_json, parse_spec, scalar_to_json
 from .symalg import CuntzElement
 from .words import words_upto
 
@@ -84,42 +82,54 @@ def _element_str(x: CuntzElement) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _certificate_str(cert) -> str:
-    if isinstance(cert, Minimal):
-        return f"Minimal; u = {_element_str(cert.u)}"
-    if isinstance(cert, ProperlyInfinite):
-        if cert.status == "proved":
-            return "ProperlyInfinite, proved"
-        return f"ProperlyInfinite, evidence to cutoff {cert.cutoff}"
-    if isinstance(cert, ShiftPeriod):
-        return f"ShiftPeriod d={cert.d}"
-    if isinstance(cert, EquivalentToCuntz):
-        zs = ", ".join(format_scalar(c) for c in cert.z)
-        return f"EquivalentToCuntz; z = ({zs}); provenance {cert.provenance}"
-    if isinstance(cert, LowerBoundOnly):
-        where = f" at level {cert.level}" if cert.level is not None else ""
-        note = f"; {cert.note}" if cert.note else ""
-        return f"LowerBoundOnly in [{cert.low}, {format_value(cert.high)}]{where}{note}"
-    return type(cert).__name__
+def _value_json(value, unresolved=None):
+    """kappa-like values: an integer, "infinite", or ``unresolved`` for None."""
+    if value is None:
+        return unresolved
+    return "infinite" if value == inf else value
 
 
-def _kappa_str(res) -> str:
-    return f"κ={format_value(res.value)} ({_certificate_str(res.certificate)})"
+def _certificate(cert) -> tuple[str, dict]:
+    """The markdown text of a certificate and its JSON fields, its kind first."""
+    doc = {"certificate": cert.kind}
+    match cert:
+        case Minimal(u=u):
+            doc["u"] = element_to_json(u)
+            return f"Minimal; u = {_element_str(u)}", doc
+        case ProperlyInfinite(a=a, cutoff=cutoff, status=status):
+            doc["status"] = status
+            if cutoff is not None:
+                doc["cutoff"] = cutoff
+            if a is not None:
+                doc["sequence"] = a.description
+            return "ProperlyInfinite, " + ("proved" if status == "proved" else f"evidence to cutoff {cutoff}"), doc
+        case ShiftPeriod(d=d):
+            doc["d"] = d
+            return f"ShiftPeriod d={d}", doc
+        case EquivalentToCuntz(z=z, provenance=provenance):
+            doc.update(z=[scalar_to_json(c) for c in z], provenance=provenance)
+            return f"EquivalentToCuntz; z = ({', '.join(map(format_scalar, z))}); provenance {provenance}", doc
+        case LowerBoundOnly(low=low, high=high, level=level, note=note):
+            doc.update(interval=[low, _value_json(high)], note=note)
+            where = ""
+            if level is not None:
+                doc["level"] = level
+                where = f" at level {level}"
+            return f"LowerBoundOnly in [{low}, {format_value(high)}]{where}{'; ' + note if note else ''}", doc
 
 
-def _kappa_doc(res) -> dict:
-    return {"value": value_to_json(res.value), **certificate_to_json(res.certificate)}
+def _kappa(res) -> tuple[str, dict]:
+    text, doc = _certificate(res.certificate)
+    return f"κ={format_value(res.value)} ({text})", {"value": _value_json(res.value), **doc}
 
 
-def _cdim_doc(res) -> dict:
-    return {"value": res.value, "status": res.status, "levels": list(res.level_ranks)}
-
-
-def _cdim_str(res) -> str:
+def _cdim(res) -> tuple[str, dict]:
     levels = ", ".join(str(r) for r in res.level_ranks)
     if res.status == "stabilized":
-        return f"cdim={res.value} (stabilized); levels {levels}"
-    return f"cdim>={res.value} (lower bound at level {len(res.level_ranks) - 1}); levels {levels}"
+        text = f"cdim={res.value} (stabilized); levels {levels}"
+    else:
+        text = f"cdim>={res.value} (lower bound at level {len(res.level_ranks) - 1}); levels {levels}"
+    return text, {"value": res.value, "status": res.status, "levels": list(res.level_ranks)}
 
 
 def _require_state(obj, command: str) -> MomentFunctional:
@@ -128,31 +138,27 @@ def _require_state(obj, command: str) -> MomentFunctional:
     return obj
 
 
-def _emit(lines: list[str], doc, args) -> None:
-    if args.format == "json":
-        print(dump_json(doc))
-    else:
-        for line in lines:
-            print(line)
+def _strict(args, unresolved: bool) -> int:
+    return EXIT_UNRESOLVED if args.strict and unresolved else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its markdown lines, its JSON document and its exit code
 # ---------------------------------------------------------------------------
 
 
-def _cmd_cdim(args) -> int:
+def _cmd_cdim(args):
     omega = _require_state(parse_spec(args.spec, args.mode), "cdim")
     res = cdim(omega, args.max_level)
-    doc = {"cdim": {**_cdim_doc(res), "pivot_words": [list(p) for p in res.pivot_words]}}
-    lines = [_cdim_str(res)]
+    text, doc = _cdim(res)
+    lines = [text]
     if res.pivot_words:
         lines.append("pivot words: " + ", ".join(_word_str(p) for p in res.pivot_words))
-    _emit(lines, doc, args)
-    return EXIT_UNRESOLVED if args.strict and res.status != "stabilized" else EXIT_OK
+    doc["pivot_words"] = [list(p) for p in res.pivot_words]
+    return lines, {"cdim": doc}, _strict(args, res.status != "stabilized")
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args):
     omega = _require_state(parse_spec(args.spec, args.mode), "kappa")
     res = kappa(omega, args.max_level, search_certificates=args.search_certificates, search_depth=args.search_depth)
     cres = cdim(omega, args.max_level)
@@ -160,7 +166,8 @@ def _cmd_kappa(args) -> int:
         cdim_part = f"cdim {cres.value} (stabilized)"
     else:
         cdim_part = f"cdim lower bound {cres.value} at level {len(cres.level_ranks) - 1}"
-    lines = [f"{_kappa_str(res)}; {cdim_part}"]
+    text, doc = _kappa(res)
+    lines = [f"{text}; {cdim_part}"]
     if (
         isinstance(res.certificate, ProperlyInfinite)
         and res.certificate.status == "evidence"
@@ -168,26 +175,25 @@ def _cmd_kappa(args) -> int:
     ):
         check = verify_properly_infinite(omega, cutoff=res.certificate.cutoff)
         lines.append(f"delta table re-checked to cutoff {check.cutoff}: status {check.status}")
-    _emit(lines, {"kappa": _kappa_doc(res), "cdim": _cdim_doc(cres)}, args)
-    return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
+    return lines, {"kappa": doc, "cdim": _cdim(cres)[1]}, _strict(args, res.value is None)
 
 
-def _cmd_equiv(args) -> int:
+def _verdict(dec, args):
+    unresolved = dec.verdict == "Unknown"
+    return [f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, _strict(args, unresolved)
+
+
+def _cmd_equiv(args):
     omega1 = _require_state(parse_spec(args.spec1, args.mode), "equiv")
     omega2 = _require_state(parse_spec(args.spec2, args.mode), "equiv")
-    dec = equivalent(omega1, omega2, args.max_level)
-    _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, args)
-    return EXIT_UNRESOLVED if args.strict and dec.verdict == "Unknown" else EXIT_OK
+    return _verdict(equivalent(omega1, omega2, args.max_level), args)
 
 
-def _cmd_pure(args) -> int:
-    omega = _require_state(parse_spec(args.spec, args.mode), "pure")
-    dec = pure(omega)
-    _emit([f"{dec.verdict} ({dec.reason})"], {"verdict": dec.verdict, "reason": dec.reason}, args)
-    return EXIT_UNRESOLVED if args.strict and dec.verdict == "Unknown" else EXIT_OK
+def _cmd_pure(args):
+    return _verdict(pure(_require_state(parse_spec(args.spec, args.mode), "pure")), args)
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args):
     if args.level < 0:
         raise SchemaError(f"the word length must be at least 0, got {args.level}")
     omega = _require_state(parse_spec(args.spec, args.mode), "moments")
@@ -200,11 +206,10 @@ def _cmd_moments(args) -> int:
             rows.append(f"| {_word_str(J)} | {_word_str(K)} | {format_scalar(v)} |")
             doc_rows.append({"J": list(J), "K": list(K), "value": scalar_to_json(v)})
     lines = [f"moments omega(s_J s_K*) up to level {args.level} (n={omega.n})", "", "| J | K | value |", "|---|---|---|"] + rows
-    _emit(lines, {"n": omega.n, "level": args.level, "moments": doc_rows}, args)
-    return EXIT_OK
+    return lines, {"n": omega.n, "level": args.level, "moments": doc_rows}, EXIT_OK
 
 
-def _cmd_fcs(args) -> int:
+def _cmd_fcs(args):
     omega = _require_state(parse_spec(args.spec, args.mode), "fcs")
     out = extract_fcs(omega, args.max_level)
     if isinstance(out, FCSPresentation):
@@ -212,30 +217,34 @@ def _cmd_fcs(args) -> int:
             f"d={out.d}; pivot words: " + ", ".join(_word_str(p) for p in out.pivot_words),
             f"row relation sum_i A_i^H G A_i = G verified; stabilized at level {out.level}",
         ]
-        _emit(lines, fcs_to_json(out), args)
-        return EXIT_OK
+        doc = {
+            "d": out.d,
+            "A": [[[scalar_to_json(x) for x in row] for row in A] for A in out.A],
+            "omega": [scalar_to_json(x) for x in out.omega],
+            "metric": [[scalar_to_json(x) for x in row] for row in out.metric],
+        }
+        return lines, doc, EXIT_OK
     lines = [f"not finitely correlated within level {args.max_level}: rank >= {out.low} ({out.note})"]
-    _emit(lines, {"lower_bound": out.low, "level": out.level, "note": out.note}, args)
-    return EXIT_UNRESOLVED if args.strict else EXIT_OK
+    return lines, {"lower_bound": out.low, "level": out.level, "note": out.note}, _strict(args, True)
 
 
-def _cmd_rep(args) -> int:
+def _cmd_rep(args):
     rep = parse_spec(args.spec)
     if isinstance(rep, MomentFunctional):
         raise CuntzLabError("rep expects a representation spec, not a state spec")
     res = kappa_rep(rep, args.max_level)
+    text, doc = _kappa(res)
     # the endomorphism's powers index is the number of generators, its kappa the representation's
     lines = [
-        _kappa_str(res),
+        text,
         f"endomorphism invariants: powers index {rep.n}, κ {format_value(res.value)}",
         f"spectrum bucket: {format_value(res.value)}",
     ]
-    doc = {"kappa": _kappa_doc(res), "powers_index": rep.n, "bucket": value_to_json(res.value, "unresolved")}
-    _emit(lines, doc, args)
-    return EXIT_UNRESOLVED if args.strict and res.value is None else EXIT_OK
+    doc = {"kappa": doc, "powers_index": rep.n, "bucket": _value_json(res.value, "unresolved")}
+    return lines, doc, _strict(args, res.value is None)
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     from .selftest import GATE_SEED, run_all
 
     seed = GATE_SEED if args.seed is None else args.seed
@@ -251,27 +260,28 @@ def _cmd_selftest(args) -> int:
         doc_rows.append({"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": round(r.seconds, 3)})
     ok = n_pass == len(results)
     lines.append(f"{n_pass} passed, {len(results) - n_pass} failed (seed {seed})")
-    _emit(lines, {"ok": ok, "seed": seed, "results": doc_rows}, args)
-    return EXIT_OK if ok else EXIT_ERROR
+    return lines, {"ok": ok, "seed": seed, "results": doc_rows}, EXIT_OK if ok else EXIT_ERROR
 
 
 def _report_state(omega: MomentFunctional, args, label: str):
     cres = cdim(omega, args.max_level)
     kres = kappa(omega, args.max_level)
     pdec = pure(omega)
+    cdim_text, cdim_doc = _cdim(cres)
+    kappa_text, kappa_doc = _kappa(kres)
     doc = {
-        "cdim": _cdim_doc(cres),
-        "kappa": _kappa_doc(kres),
+        "cdim": cdim_doc,
+        "kappa": kappa_doc,
         "pure": {"Pure": True, "NotPure": False}.get(pdec.verdict),
         "pure_reason": pdec.reason,
-        "bucket": value_to_json(kres.value, "unresolved"),
+        "bucket": _value_json(kres.value, "unresolved"),
     }
     lines = [
         f"## {label}",
         "",
         f"family: {omega.family} (n={omega.n}, {'exact' if omega.exact else 'float'})",
-        _cdim_str(cres),
-        _kappa_str(kres),
+        cdim_text,
+        kappa_text,
         f"purity: {pdec.verdict} ({pdec.reason})",
         f"spectrum bucket: {format_value(kres.value)}",
     ]
@@ -281,7 +291,7 @@ def _report_state(omega: MomentFunctional, args, label: str):
     return doc, lines, unresolved
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     states = []
     for path in args.specs:
         states.append((path, _require_state(parse_spec(path, args.mode), "report")))
@@ -295,20 +305,17 @@ def _cmd_report(args) -> int:
         lines.append("")
         unresolved = unresolved or u
     if len(states) == 1:
-        out_doc = docs[0]
-    else:
-        pairwise = []
-        lines.append("## pairwise equivalence")
-        lines.append("")
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                dec = equivalent(states[i][1], states[j][1], args.max_level)
-                pairwise.append({"i": i, "j": j, "verdict": dec.verdict, "reason": dec.reason})
-                lines.append(f"{states[i][0]} vs {states[j][0]}: {dec.verdict} ({dec.reason})")
-                unresolved = unresolved or dec.verdict == "Unknown"
-        out_doc = {"states": docs, "pairwise": pairwise}
-    _emit(lines, out_doc, args)
-    return EXIT_UNRESOLVED if args.strict and unresolved else EXIT_OK
+        return lines, docs[0], _strict(args, unresolved)
+    pairwise = []
+    lines.append("## pairwise equivalence")
+    lines.append("")
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            dec = equivalent(states[i][1], states[j][1], args.max_level)
+            pairwise.append({"i": i, "j": j, "verdict": dec.verdict, "reason": dec.reason})
+            lines.append(f"{states[i][0]} vs {states[j][0]}: {dec.verdict} ({dec.reason})")
+            unresolved = unresolved or dec.verdict == "Unknown"
+    return lines, {"states": docs, "pairwise": pairwise}, _strict(args, unresolved)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        lines, doc, code = args.fn(args)
     except CuntzLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    print(dump_json(doc) if args.format == "json" else "\n".join(lines))
+    return code
 
 
 def main() -> None:

@@ -207,22 +207,16 @@ class VectorModel:
     # a model is a moment function, so it can be a state's source
     __call__ = moment
 
-    def gram(self, rows: Sequence[Word], cols: Sequence[Word] | None = None) -> list:
-        """[[moment(J, K) for K in cols] for J in rows], each vector fetched once.
+    def gram(self, rows: Sequence[Word]) -> list:
+        """[[moment(J, K) for K in rows] for J in rows], each vector fetched once.
 
-        With ``cols`` omitted the matrix is the Hermitian Gram matrix of the
-        rows: only the N(N+1)/2 entries on and above the diagonal are inner
-        products, and each entry below it is the conjugate of its mirror, a
-        mirror that is its own conjugate (an int, Fraction, float or real QQi)
-        reused as it is.
+        The matrix is Hermitian: only the N(N+1)/2 entries on and above the
+        diagonal are inner products, and each entry below it is the conjugate
+        of its mirror, a mirror that is its own conjugate (an int, Fraction,
+        float or real QQi) reused as it is.
         """
         xs = [self.vector(J) for J in rows]
         inner, cast = self.inner, self.cast
-        if cols is not None:
-            ys = [self.vector(K) for K in cols]
-            if cast is None:
-                return [[inner(x, y) for y in ys] for x in xs]
-            return [[cast(inner(x, y), J, K) for K, y in zip(cols, ys)] for J, x in zip(rows, xs)]
         g: list[list] = []
         for i, x in enumerate(xs):
             row = [_self_or_conj(above[i]) for above in g]

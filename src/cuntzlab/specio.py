@@ -1,4 +1,4 @@
-"""JSON schemas for states, representations, elements, and results.
+"""Reading state and representation specs, and the JSON of what they share.
 
 Scalars travel as ``[re, im]`` pairs whose parts are integers, rational
 strings like ``"3/5"``, or floats; a bare number abbreviates a real scalar.
@@ -35,25 +35,22 @@ specs are discriminated by ``"kind"``::
     {"kind": "shift", ["n": 2], "word": {...}}    # n defaults to max(2, letters)
     {"kind": "grid", "n": 2}
     {"kind": "lazy", ["n": 2], "preset": "thue_morse", ["horizon": 256]}
+
+A spec nested too deeply for the readers' recursion is refused with a
+SchemaError.  Results are rendered by the CLI; this module keeps only the
+JSON that specs and results share (``scalar_to_json``, ``element_to_json``)
+and ``dump_json``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import inf, isfinite
+from math import isfinite
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .classify import (
-    EquivalentToCuntz,
-    LowerBoundOnly,
-    Minimal,
-    ProperlyInfinite,
-    ShiftPeriod,
-)
 from .errors import CuntzLabError, GateFailed, SchemaError
-from .fcs import FCSPresentation
 from .moments import (
     MomentFunctional,
     make_cuntz,
@@ -74,8 +71,7 @@ from .words import LAZY_PRESETS, EventuallyPeriodicWord, check_word
 
 __all__ = [
     "scalar_from_json", "scalar_to_json", "word_from_json", "epword_from_json",
-    "element_from_json", "element_to_json", "state_from_spec", "rep_from_spec", "parse_spec",
-    "fcs_to_json", "certificate_to_json", "value_to_json", "dump_json",
+    "element_from_json", "element_to_json", "state_from_spec", "rep_from_spec", "parse_spec", "dump_json",
 ]
 
 # ---------------------------------------------------------------------------
@@ -347,6 +343,7 @@ def parse_spec(path: str, mode: str = "auto"):
     table; a non-positive table raises GateFailed with the smallest
     eigenvalue estimate as witness.
     """
+    too_deep = f"{path}: the spec nests too deeply"
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -354,11 +351,16 @@ def parse_spec(path: str, mode: str = "auto"):
         raise SchemaError(f"cannot read {path}: {e}") from e
     except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to convert
         raise SchemaError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError:
+        raise SchemaError(too_deep) from None
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a JSON object at the top level")
-    if "kind" in obj:
-        return rep_from_spec(obj)
-    omega = state_from_spec(obj, mode)
+    try:
+        if "kind" in obj:
+            return rep_from_spec(obj)
+        omega = state_from_spec(obj, mode)
+    except RecursionError:  # the readers take a few frames per level of nesting
+        raise SchemaError(too_deep) from None
     ok, min_eig = positivity_check(omega, level=2)
     if not ok:
         raise GateFailed(
@@ -366,50 +368,6 @@ def parse_spec(path: str, mode: str = "auto"):
             f"(smallest eigenvalue estimate {format_float(min_eig)})"
         )
     return omega
-
-
-# ---------------------------------------------------------------------------
-# Result serialization
-# ---------------------------------------------------------------------------
-
-
-def value_to_json(value, unresolved=None):
-    """kappa-like values: an integer, "infinite", or ``unresolved`` for None."""
-    if value is None:
-        return unresolved
-    return "infinite" if value == inf else value
-
-
-def certificate_to_json(cert) -> dict:
-    """Flatten a certificate into the report-JSON shape keyed by its kind."""
-    if isinstance(cert, Minimal):
-        fields = {"u": element_to_json(cert.u)}
-    elif isinstance(cert, ProperlyInfinite):
-        fields = {"status": cert.status}
-        if cert.cutoff is not None:
-            fields["cutoff"] = cert.cutoff
-        if cert.a is not None:
-            fields["sequence"] = cert.a.description
-    elif isinstance(cert, ShiftPeriod):
-        fields = {"d": cert.d}
-    elif isinstance(cert, EquivalentToCuntz):
-        fields = {"z": [scalar_to_json(c) for c in cert.z], "provenance": cert.provenance}
-    elif isinstance(cert, LowerBoundOnly):
-        fields = {"interval": [cert.low, value_to_json(cert.high)], "note": cert.note}
-        if cert.level is not None:
-            fields["level"] = cert.level
-    else:
-        raise SchemaError(f"unknown certificate type {type(cert).__name__}")
-    return {"certificate": cert.kind, **fields}
-
-
-def fcs_to_json(F: FCSPresentation) -> dict:
-    return {
-        "d": F.d,
-        "A": [[[scalar_to_json(x) for x in row] for row in A] for A in F.A],
-        "omega": [scalar_to_json(x) for x in F.omega],
-        "metric": [[scalar_to_json(x) for x in row] for row in F.metric],
-    }
 
 
 def dump_json(obj) -> str:

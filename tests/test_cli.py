@@ -5,11 +5,24 @@ import json
 import os
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 import pytest
 
 import cuntzlab.cli as cli
+from cuntzlab import (
+    CdimResult,
+    EquivalentToCuntz,
+    IsometrySequence,
+    KappaResult,
+    LowerBoundOnly,
+    Minimal,
+    ProperlyInfinite,
+    ShiftPeriod,
+    gen,
+    monomial,
+)
 from cuntzlab.cli import run
 from cuntzlab.specio import parse_spec
 
@@ -40,6 +53,12 @@ TRIVIAL_SANDWICH = {
 }
 EVEN_MIXTURE = {"family": "mixture", "components": [{"family": "cuntz", "z": [1, 0]}, {"family": "cuntz", "z": [0, 1]}],
                 "weights": [["1/2", 0], ["1/2", 0]]}
+
+
+def _nested_gauge(depth: int) -> str:
+    """The JSON text of CUNTZ35 twisted by the swap ``depth`` times, built as
+    text since json.dumps recurses too."""
+    return '{"family": "gauge", "base": ' * depth + json.dumps(CUNTZ35) + ', "g": [[0, 1], [1, 0]]}' * depth
 
 
 def _run_python(code, *args, timeout=60):
@@ -375,6 +394,27 @@ class TestErrors:
         assert "--mode float" in capsys.readouterr().err
         assert run(["cdim", path, "--mode", "float"]) == 0
 
+    @pytest.mark.parametrize("depth", [400, 3000])
+    def test_a_spec_nested_too_deeply_is_refused(self, tmp_path, capsys, depth):
+        # 400 deep overruns the spec readers, 3000 deep the JSON decoder itself
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_gauge(depth))
+        for command in ("cdim", "report", "fcs", "kappa", "moments"):
+            assert run([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {path}: the spec nests too deeply\n")
+
+    def test_a_spec_nested_100_deep_keeps_its_answer(self, tmp_path, capsys):
+        # an even number of swaps gives the Cuntz state back
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_gauge(100))
+        assert run(["kappa", str(path)]) == 0
+        assert capsys.readouterr().out == ("κ=1 (EquivalentToCuntz; z = (3/5, 4/5); provenance family); "
+                                           "cdim 1 (stabilized)\n")
+        for command in ("cdim", "report", "fcs", "moments"):
+            assert run([command, str(path)]) == 0
+            assert capsys.readouterr().out
+
 
 class TestSeedPlumbing:
     def test_selftest_seed_reaches_run_all(self, monkeypatch, capsys):
@@ -389,6 +429,117 @@ class TestSeedPlumbing:
         assert run(["selftest"]) == 0
         assert seeds == [7, 20260814, 20260814]
         assert capsys.readouterr().out.splitlines()[-1] == "0 passed, 0 failed (seed 20260814)"
+
+
+class TestResultRendering:
+    """Each result has one renderer, which returns its markdown text and its
+    JSON fields together."""
+
+    def test_values(self):
+        assert cli._value_json(2) == 2
+        assert cli._value_json(inf) == "infinite"
+        assert cli._value_json(None) is None
+        assert cli._value_json(None, "unresolved") == "unresolved"
+
+    def test_certificates(self):
+        u = monomial(2, (1,), (), q(fr(3, 5))) + monomial(2, (2,), (), q(fr(4, 5)))
+        sequence = IsometrySequence(lambda i: gen(2, 1), "evidence", "a_i = s_1")
+        cases = [
+            (Minimal(u=u), "Minimal; u = (3/5) s[1] + (4/5) s[2]",
+             {"certificate": "minimal", "u": {"n": 2, "terms": [{"J": [1], "K": [], "re": "3/5", "im": 0},
+                                                                {"J": [2], "K": [], "re": "4/5", "im": 0}]}}),
+            (ProperlyInfinite(a=None, cutoff=None, status="proved"), "ProperlyInfinite, proved",
+             {"certificate": "properly_infinite", "status": "proved"}),
+            (ProperlyInfinite(a=sequence, cutoff=12, status="evidence"), "ProperlyInfinite, evidence to cutoff 12",
+             {"certificate": "properly_infinite", "status": "evidence", "cutoff": 12, "sequence": "a_i = s_1"}),
+            (ShiftPeriod(d=3), "ShiftPeriod d=3", {"certificate": "shift_period", "d": 3}),
+            (EquivalentToCuntz(z=(q(fr(3, 5)), q(0, fr(4, 5))), provenance="user"),
+             "EquivalentToCuntz; z = (3/5, 4/5i); provenance user",
+             {"certificate": "equivalent_to_cuntz", "z": [["3/5", 0], [0, "4/5"]], "provenance": "user"}),
+            (LowerBoundOnly(1, 2, level=2, note="n"), "LowerBoundOnly in [1, 2] at level 2; n",
+             {"certificate": "lower_bound_only", "interval": [1, 2], "note": "n", "level": 2}),
+            (LowerBoundOnly(1), "LowerBoundOnly in [1, infinite]",
+             {"certificate": "lower_bound_only", "interval": [1, "infinite"], "note": ""}),
+        ]
+        for cert, text, doc in cases:
+            out = cli._certificate(cert)
+            assert out == (text, doc)
+            assert list(out[1]) == list(doc), cert  # the JSON keys keep their order, the kind first
+
+    def test_kappa_and_cdim(self):
+        assert cli._kappa(KappaResult(inf, ProperlyInfinite(a=None, status="proved"))) == (
+            "κ=infinite (ProperlyInfinite, proved)",
+            {"value": "infinite", "certificate": "properly_infinite", "status": "proved"})
+        assert cli._kappa(KappaResult(None, LowerBoundOnly(1, 2, level=2))) == (
+            "κ=unresolved (LowerBoundOnly in [1, 2] at level 2)",
+            {"value": None, "certificate": "lower_bound_only", "interval": [1, 2], "note": "", "level": 2})
+        assert cli._cdim(CdimResult(2, "stabilized", (1, 2, 2), ((), (1,)))) == (
+            "cdim=2 (stabilized); levels 1, 2, 2", {"value": 2, "status": "stabilized", "levels": [1, 2, 2]})
+        assert cli._cdim(CdimResult(3, "lower_bound", (1, 3), ())) == (
+            "cdim>=3 (lower bound at level 1); levels 1, 3", {"value": 3, "status": "lower_bound", "levels": [1, 3]})
+
+
+class TestExitCodes:
+    """run prints what a command returns and returns its exit code: the same
+    code in md and in json, 3 under --strict on an unresolved answer, and on
+    an error one line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "command, specs, options, code",
+        [
+            ("cdim", [CUNTZ35], ["--strict"], 0),
+            ("cdim", [SERIES], ["--max-level", "2", "--strict"], 3),
+            ("kappa", [WORD12], ["--strict"], 0),
+            ("kappa", [SANDWICH], ["--strict"], 3),
+            ("kappa", [SANDWICH], [], 0),
+            ("equiv", [WORD12, WORD21], ["--strict"], 0),
+            ("equiv", [WORD12, EVEN_MIXTURE], ["--strict"], 3),
+            ("pure", [CUNTZ35], ["--strict"], 0),
+            ("pure", [WORD12], ["--strict"], 3),
+            ("fcs", [CUNTZ35], ["--strict"], 0),
+            ("fcs", [SERIES], ["--max-level", "2", "--strict"], 3),
+            ("rep", [GRID_REP], ["--strict"], 0),
+            ("report", [CUNTZ35], ["--strict"], 0),
+            ("report", [CUNTZ35, SANDWICH], ["--strict"], 3),
+            ("moments", [CUNTZ35], [], 0),
+            ("moments", [GRID_REP], [], 1),
+            ("rep", [CUNTZ35], ["--strict"], 1),
+            ("cdim", [{"family": "cuntz", "z": [1, 1]}], ["--strict"], 1),
+            ("report", [CUNTZ35, {"family": "nope"}], [], 1),
+        ],
+    )
+    def test_md_and_json_share_the_exit_code(self, spec_file, capsys, command, specs, options, code):
+        argv = [command, *map(spec_file, specs), *options]
+        assert run(argv) == code
+        md = capsys.readouterr()
+        assert run([*argv, "--format", "json"]) == code
+        js = capsys.readouterr()
+        assert md.err == js.err
+        if code == 1:
+            assert md.out == js.out == ""
+            assert md.err.startswith("error: ") and md.err.count("\n") == 1
+        else:
+            assert md.err == "" and md.out.endswith("\n") and not md.out.startswith("{")
+            assert json.loads(js.out)
+
+    def test_an_option_the_command_does_not_take_exits_two(self, spec_file, capsys):
+        for fmt in ([], ["--format", "json"]):
+            with pytest.raises(SystemExit) as e:
+                run(["moments", spec_file(CUNTZ35), "--strict", *fmt])
+            assert e.value.code == 2
+            assert capsys.readouterr().out == ""
+
+    def test_a_failed_criterion_exits_one(self, monkeypatch, capsys):
+        import cuntzlab.selftest as selftest
+
+        failed = selftest.CriterionResult("gate", False, "off by one", 0.5)
+        monkeypatch.setattr(selftest, "run_all", lambda seed: [failed])
+        assert run(["selftest", "--seed", "5"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["[ 1/1] FAIL gate (0.50s) - off by one",
+                                                        "0 passed, 1 failed (seed 5)"]
+        assert run(["selftest", "--seed", "5", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "ok": False, "seed": 5, "results": [{"name": "gate", "ok": False, "detail": "off by one", "seconds": 0.5}]}
 
 
 # the options of each command, 33 settable values in all; every other option exits 2

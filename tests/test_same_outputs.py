@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from cuntzlab.specio import state_from_spec
 from cuntzlab.words import words_upto
 
@@ -183,3 +185,44 @@ def test_rep_on_each_kind_of_representation(tmp_path):
     assert kinds >= {("GridRepresentation", 2), ("GridRepresentation", 3),
                      ("LazyShiftRepresentation", "thue_morse"), ("LazyShiftRepresentation", "sturmian")}
     assert ("ShiftRepresentation", None) in kinds
+
+
+def test_strict_commands_on_every_golden_spec_its_twist_and_each_rep(tmp_path):
+    plan = same_outputs.build_plan(tmp_path)
+    strict = {label: plan[label] for label in plan if label.startswith("strict/")}
+    specs = sorted(p.stem for p in same_outputs.GOLDEN_SPECS.glob("*.json"))
+    assert len(strict) == 2 * len(specs) * 5 + len(same_outputs.REPS)
+    for name in specs:
+        for stem in (name, f"{name}.gauge"):
+            for command in ("report", "cdim", "kappa", "fcs", "pure"):
+                workdir, argv = strict[f"strict/md/{command}:{stem}"]
+                assert argv == [command, f"{stem}.json", "--strict"]
+                assert (Path(workdir) / argv[1]).is_file()
+    for name in same_outputs.REPS:
+        workdir, argv = strict[f"strict/md/rep:{name}"]
+        assert argv == ["rep", f"{name}.json", "--strict"] and (Path(workdir) / argv[1]).is_file()
+
+
+def test_failing_commands_in_both_formats(tmp_path):
+    from cuntzlab import rep_from_spec
+
+    plan = same_outputs.build_plan(tmp_path)
+    errors = {label: plan[label] for label in plan if label.startswith("errors/")}
+    assert sorted(errors) == sorted(f"errors/{fmt}/{name}" for name in same_outputs.ERRORS for fmt in ("json", "md"))
+    for name, want in same_outputs.ERRORS.items():
+        workdir, argv = errors[f"errors/md/{name}"]
+        assert argv == want and errors[f"errors/json/{name}"] == (workdir, [*argv, "--format", "json"])
+    workdir = Path(errors["errors/md/cdim:rep_spec"][0])
+    assert rep_from_spec(json.loads((workdir / "grid.json").read_text(encoding="utf-8"))).n == 2
+    assert state_from_spec(json.loads((workdir / "cuntz.json").read_text(encoding="utf-8"))).family == "cuntz"
+    assert not (workdir / "missing.json").exists()
+    assert json.loads((workdir / "unknown_family.json").read_text(encoding="utf-8")) == {"family": "unknown"}
+    with pytest.raises(json.JSONDecodeError):
+        json.loads((workdir / "not_json.json").read_text(encoding="utf-8"))
+    # the nested gauge specs: the Cuntz state twisted by the swap, depth times
+    text = (workdir / "deep_400.json").read_text(encoding="utf-8")
+    assert text == same_outputs.nested_gauge(400) and text.count('"gauge"') == 400
+    assert (workdir / "deep_3000.json").read_text(encoding="utf-8").count('"gauge"') == 3000
+    assert json.loads(same_outputs.nested_gauge(2)) == {
+        "family": "gauge", "base": {"family": "gauge", "base": {"family": "cuntz", "z": [1, 0]},
+                                    "g": [[0, 1], [1, 0]]}, "g": [[0, 1], [1, 0]]}

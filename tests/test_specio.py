@@ -1,8 +1,7 @@
-"""JSON spec parsing, result serialization, and the positivity gate."""
+"""JSON spec parsing, the JSON shared with results, and the positivity gate."""
 
 import json
 from fractions import Fraction
-from math import inf
 from pathlib import Path
 
 import pytest
@@ -20,14 +19,12 @@ from cuntzlab import (
 )
 from cuntzlab.shiftrep import GridRepresentation, ShiftRepresentation
 from cuntzlab.specio import (
-    certificate_to_json,
     dump_json,
     element_from_json,
     element_to_json,
     epword_from_json,
     scalar_from_json,
     scalar_to_json,
-    value_to_json,
     word_from_json,
 )
 
@@ -336,41 +333,6 @@ class TestParseSpec:
 
 
 class TestResultSerialization:
-    def test_values(self):
-        assert value_to_json(2) == 2
-        assert value_to_json(inf) == "infinite"
-        assert value_to_json(None) is None
-
-    def test_certificates(self):
-        from cuntzlab import (
-            EquivalentToCuntz,
-            LowerBoundOnly,
-            Minimal,
-            ProperlyInfinite,
-            ShiftPeriod,
-        )
-
-        out = certificate_to_json(Minimal(u=monomial(2, (1, 2))))
-        assert out["certificate"] == "minimal"
-        assert out["u"]["terms"][0]["J"] == [1, 2]
-
-        out = certificate_to_json(ShiftPeriod(d=3))
-        assert out == {"certificate": "shift_period", "d": 3}
-
-        out = certificate_to_json(
-            EquivalentToCuntz(z=(QQi(1), QQi(0)), provenance="user")
-        )
-        assert out["certificate"] == "equivalent_to_cuntz"
-        assert out["provenance"] == "user"
-
-        out = certificate_to_json(LowerBoundOnly(1, 2, level=2, note="n"))
-        assert out["certificate"] == "lower_bound_only"
-        assert out["interval"] == [1, 2]
-
-        out = certificate_to_json(ProperlyInfinite(a=None, cutoff=12, status="proved"))
-        assert out["certificate"] == "properly_infinite"
-        assert out["status"] == "proved"
-
     def test_dump_preserves_order_and_rejects_nan(self):
         s = dump_json({"b": 1, "a": [2]})
         assert json.loads(s) == {"b": 1, "a": [2]}

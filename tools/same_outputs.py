@@ -42,6 +42,14 @@ fresh interpreter per tree, the two trees side by side:
   over n = 2 and 3, shift representations of eventually periodic words, and
   the lazy Thue-Morse and Sturmian words, so ``kappa_rep`` runs on the
   sample vectors of each.
+* ``report``, ``cdim``, ``kappa``, ``fcs`` and ``pure`` with ``--strict``
+  (md) on every golden spec and on its twist, and ``rep --strict`` on each
+  spec of ``REPS``: the exit code 3 of an unresolved answer;
+* failing commands (``ERRORS``, json and md): a representation spec given
+  to ``cdim``, a state spec given to ``rep``, a bound below its least
+  value, a missing file, a file that is not JSON, an unknown family, an
+  option the command does not take (exit 2), and a gauge spec nested 400
+  and 3000 deep (``DEEP``).
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -124,6 +132,22 @@ REPS = {
     "lazy_thue_morse": {"kind": "lazy", "preset": "thue_morse"},
     "lazy_sturmian": {"kind": "lazy", "preset": "sturmian", "horizon": 64},
 }
+# the failing command lines, on the spec files of ``error_files``
+ERRORS = {
+    "cdim:rep_spec": ["cdim", "grid.json"],
+    "rep:state_spec": ["rep", "cuntz.json"],
+    "moments:level_-1": ["moments", "cuntz.json", "--level", "-1"],
+    "cdim:max_level_0": ["cdim", "cuntz.json", "--max-level", "0"],
+    "kappa:search_depth_0": ["kappa", "cuntz.json", "--search-depth", "0"],
+    "cdim:missing_file": ["cdim", "missing.json"],
+    "cdim:not_json": ["cdim", "not_json.json"],
+    "cdim:unknown_family": ["cdim", "unknown_family.json"],
+    "moments:strict": ["moments", "cuntz.json", "--strict"],
+    "cdim:deep_400": ["cdim", "deep_400.json"],
+    "cdim:deep_3000": ["cdim", "deep_3000.json"],
+}
+# the depths of the nested gauge specs: past the spec readers' recursion, and past the JSON decoder's
+DEEP = (400, 3000)
 CHILD_TIMEOUT_S = 3600
 
 # Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
@@ -180,6 +204,23 @@ def rank_one_specs() -> list[dict]:
              "z": [[z[w[-s:] + w[:-s]].real, z[w[-s:] + w[:-s]].imag] for w in words]} for s in range(4)]
 
 
+def nested_gauge(depth: int) -> str:
+    """The JSON text of the Cuntz state (1, 0) twisted by the swap ``depth``
+    times, built as text since json.dumps recurses too."""
+    base = '{"family": "cuntz", "z": [1, 0]}'
+    return '{"family": "gauge", "base": ' * depth + base + ', "g": [[0, 1], [1, 0]]}' * depth
+
+
+def error_files(d: Path) -> None:
+    """The spec files that ``ERRORS`` reads, written under ``d``."""
+    _write(d / "grid.json", REPS["grid_n2"])
+    _write(d / "cuntz.json", {"family": "cuntz", "z": [["3/5", 0], ["4/5", 0]]})
+    _write(d / "unknown_family.json", {"family": "unknown"})
+    (d / "not_json.json").write_text('{"family": "cuntz", "z": [1, 0]', encoding="utf-8")
+    for depth in DEEP:
+        (d / f"deep_{depth}.json").write_text(nested_gauge(depth), encoding="utf-8")
+
+
 def _write(path: Path, doc) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path.name
@@ -208,6 +249,9 @@ def build_plan(work: Path) -> dict:
         n = json.loads((GOLDEN / f"{path.stem}.moments.json").read_text(encoding="utf-8"))["n"]
         twist = {"family": "gauge", "base": spec, "g": G_C[n]}
         files = {"golden": _write(d / path.name, spec), "twist": _write(d / f"{path.stem}.gauge.json", twist)}
+        for file in files.values():
+            for command in GOLDEN_COMMANDS:
+                plan[f"strict/md/{command}:{Path(file).stem}"] = (str(d), [command, file, "--strict"])
         for group, file in files.items():
             for command in GOLDEN_COMMANDS:
                 plan[f"{group}/json/{command}:{path.stem}"] = (str(d), [command, file, "--format", "json"])
@@ -260,6 +304,13 @@ def build_plan(work: Path) -> dict:
         file = _write(d / f"{name}.json", spec)
         plan[f"rep/json/rep:{name}"] = (str(d), ["rep", file, "--format", "json"])
         plan[f"rep/md/rep:{name}"] = (str(d), ["rep", file])
+        plan[f"strict/md/rep:{name}"] = (str(d), ["rep", file, "--strict"])
+    d = work / "errors"
+    d.mkdir()
+    error_files(d)
+    for name, argv in ERRORS.items():
+        plan[f"errors/json/{name}"] = (str(d), [*argv, "--format", "json"])
+        plan[f"errors/md/{name}"] = (str(d), argv)
     return plan
 
 
@@ -350,7 +401,7 @@ def compare(plan: dict, parent: dict, change: dict) -> tuple[list, list, bool]:
         if drift is None:
             what = f"exit {old[0]} -> {new[0]}" if old[0] != new[0] else "text differs"
             if old[3] != new[3]:
-                what = f"exception {old[3]!r} -> {new[3]!r}"
+                what = f"exception {old[3]!r} -> {new[3]!r}, exit {old[0]} -> {new[0]}"
             lines.append(f"- `{label}`: {what}")
         else:
             row[2] += drift[0]
