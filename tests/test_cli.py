@@ -11,22 +11,9 @@ from pathlib import Path
 import pytest
 
 import cuntzlab.cli as cli
-from cuntzlab import (
-    CdimResult,
-    EquivalentToCuntz,
-    IsometrySequence,
-    KappaResult,
-    LowerBoundOnly,
-    Minimal,
-    ProperlyInfinite,
-    ShiftPeriod,
-    gen,
-    monomial,
-)
+from cuntzlab import CdimResult, KappaResult, LowerBoundOnly, ProperlyInfinite
 from cuntzlab.cli import run
 from cuntzlab.specio import parse_spec
-
-from conftest import fr, q
 
 CUNTZ35 = {"family": "cuntz", "z": [["3/5", 0], ["4/5", 0]]}
 WORD12 = {"family": "prefix_code", "n": 2, "code": [[1, 2]], "z": [1]}
@@ -433,38 +420,8 @@ class TestSeedPlumbing:
 
 class TestResultRendering:
     """Each result has one renderer, which returns its markdown text and its
-    JSON fields together."""
-
-    def test_values(self):
-        assert cli._value_json(2) == 2
-        assert cli._value_json(inf) == "infinite"
-        assert cli._value_json(None) is None
-        assert cli._value_json(None, "unresolved") == "unresolved"
-
-    def test_certificates(self):
-        u = monomial(2, (1,), (), q(fr(3, 5))) + monomial(2, (2,), (), q(fr(4, 5)))
-        sequence = IsometrySequence(lambda i: gen(2, 1), "evidence", "a_i = s_1")
-        cases = [
-            (Minimal(u=u), "Minimal; u = (3/5) s[1] + (4/5) s[2]",
-             {"certificate": "minimal", "u": {"n": 2, "terms": [{"J": [1], "K": [], "re": "3/5", "im": 0},
-                                                                {"J": [2], "K": [], "re": "4/5", "im": 0}]}}),
-            (ProperlyInfinite(a=None, cutoff=None, status="proved"), "ProperlyInfinite, proved",
-             {"certificate": "properly_infinite", "status": "proved"}),
-            (ProperlyInfinite(a=sequence, cutoff=12, status="evidence"), "ProperlyInfinite, evidence to cutoff 12",
-             {"certificate": "properly_infinite", "status": "evidence", "cutoff": 12, "sequence": "a_i = s_1"}),
-            (ShiftPeriod(d=3), "ShiftPeriod d=3", {"certificate": "shift_period", "d": 3}),
-            (EquivalentToCuntz(z=(q(fr(3, 5)), q(0, fr(4, 5))), provenance="user"),
-             "EquivalentToCuntz; z = (3/5, 4/5i); provenance user",
-             {"certificate": "equivalent_to_cuntz", "z": [["3/5", 0], [0, "4/5"]], "provenance": "user"}),
-            (LowerBoundOnly(1, 2, level=2, note="n"), "LowerBoundOnly in [1, 2] at level 2; n",
-             {"certificate": "lower_bound_only", "interval": [1, 2], "note": "n", "level": 2}),
-            (LowerBoundOnly(1), "LowerBoundOnly in [1, infinite]",
-             {"certificate": "lower_bound_only", "interval": [1, "infinite"], "note": ""}),
-        ]
-        for cert, text, doc in cases:
-            out = cli._certificate(cert)
-            assert out == (text, doc)
-            assert list(out[1]) == list(doc), cert  # the JSON keys keep their order, the kind first
+    JSON fields together; the value and certificate renderers are tested with
+    the rest of the result JSON in test_specio."""
 
     def test_kappa_and_cdim(self):
         assert cli._kappa(KappaResult(inf, ProperlyInfinite(a=None, status="proved"))) == (

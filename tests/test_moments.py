@@ -495,6 +495,22 @@ class TestGramFromVectors:
                 want = w.moment(J, K)
                 assert x == want and type(x) is type(want), (J, K)
 
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_a_rectangular_block_is_the_moments(self, name):
+        # rows against cols lie below the diagonal of the Gram matrix of
+        # cols + rows, so each entry of the block is a mirrored conjugate
+        w = self.STATES[name]()
+        rows, cols = list(words_upto(2, 2)), [(2,), (1, 2, 1), (), (2, 2)]
+        G = w.model.gram(cols + rows)
+        assert w._memo == {}
+        block = [row[:len(cols)] for row in G[len(cols):]]
+        assert [len(row) for row in block] == [len(cols)] * len(rows)
+        for J, row in zip(rows, block):
+            for K, x in zip(cols, row):
+                want = w.moment(J, K)
+                assert x == want and type(x) is type(want), (J, K)
+        assert [row[:len(cols)] for row in G[:len(cols)]] == w.model.gram(cols)
+
     def test_the_float_twist_reads_its_exact_unit_next_to_complex_zeros(self):
         # omega(I) is the base's own; every other moment of a float twist is complex
         model = self.STATES["float_twist"]().model

@@ -2,16 +2,25 @@
 
 import json
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cuntzlab.cli as cli
 from cuntzlab import (
+    EquivalentToCuntz,
     GateFailed,
+    IsometrySequence,
+    LowerBoundOnly,
+    Minimal,
+    ProperlyInfinite,
     QQi,
     SchemaError,
+    ShiftPeriod,
+    gen,
     monomial,
     parse_spec,
     rep_from_spec,
@@ -333,6 +342,40 @@ class TestParseSpec:
 
 
 class TestResultSerialization:
+    """The JSON of results, written by the renderers in cli.py with the
+    formats they share with specs, and dump_json."""
+
+    def test_values(self):
+        assert cli._value_json(2) == 2
+        assert cli._value_json(inf) == "infinite"
+        assert cli._value_json(None) is None
+        assert cli._value_json(None, "unresolved") == "unresolved"
+
+    def test_certificates(self):
+        u = monomial(2, (1,), (), q(fr(3, 5))) + monomial(2, (2,), (), q(fr(4, 5)))
+        sequence = IsometrySequence(lambda i: gen(2, 1), "evidence", "a_i = s_1")
+        cases = [
+            (Minimal(u=u), "Minimal; u = (3/5) s[1] + (4/5) s[2]",
+             {"certificate": "minimal", "u": {"n": 2, "terms": [{"J": [1], "K": [], "re": "3/5", "im": 0},
+                                                                {"J": [2], "K": [], "re": "4/5", "im": 0}]}}),
+            (ProperlyInfinite(a=None, cutoff=None, status="proved"), "ProperlyInfinite, proved",
+             {"certificate": "properly_infinite", "status": "proved"}),
+            (ProperlyInfinite(a=sequence, cutoff=12, status="evidence"), "ProperlyInfinite, evidence to cutoff 12",
+             {"certificate": "properly_infinite", "status": "evidence", "cutoff": 12, "sequence": "a_i = s_1"}),
+            (ShiftPeriod(d=3), "ShiftPeriod d=3", {"certificate": "shift_period", "d": 3}),
+            (EquivalentToCuntz(z=(q(fr(3, 5)), q(0, fr(4, 5))), provenance="user"),
+             "EquivalentToCuntz; z = (3/5, 4/5i); provenance user",
+             {"certificate": "equivalent_to_cuntz", "z": [["3/5", 0], [0, "4/5"]], "provenance": "user"}),
+            (LowerBoundOnly(1, 2, level=2, note="n"), "LowerBoundOnly in [1, 2] at level 2; n",
+             {"certificate": "lower_bound_only", "interval": [1, 2], "note": "n", "level": 2}),
+            (LowerBoundOnly(1), "LowerBoundOnly in [1, infinite]",
+             {"certificate": "lower_bound_only", "interval": [1, "infinite"], "note": ""}),
+        ]
+        for cert, text, doc in cases:
+            out = cli._certificate(cert)
+            assert out == (text, doc)
+            assert list(out[1]) == list(doc), cert  # the JSON keys keep their order, the kind first
+
     def test_dump_preserves_order_and_rejects_nan(self):
         s = dump_json({"b": 1, "a": [2]})
         assert json.loads(s) == {"b": 1, "a": [2]}
