@@ -76,9 +76,6 @@ from .scalars import QQi
 from .shiftrep import (
     GridRepresentation,
     ShiftRepresentation,
-    StateVector,
-    apply_element,
-    apply_generator,
     dhj_grading,
     lemma_convergence_check,
     vector_state,
@@ -104,8 +101,7 @@ __all__ = [
     "make_split_series_sandwich", "make_sub_cuntz", "positivity_check",
     "solve_low_moments", "transform_gauge", "transform_sandwich",
     # representations
-    "GridRepresentation", "ShiftRepresentation", "StateVector",
-    "apply_element", "apply_generator", "dhj_grading", "lemma_convergence_check", "vector_state",
+    "GridRepresentation", "ShiftRepresentation", "dhj_grading", "lemma_convergence_check", "vector_state",
     # compression
     "FCSPresentation", "check_row_isometry", "extract_fcs",
     # invariants

@@ -16,9 +16,11 @@ compares) and ``state_facts`` (a vector state's family label and facts):
   pi(s_i) e_{k,m} = e_{n(k-1)+i, m+1}; the extra Z-grading rules out any
   finite-dimensional invariant subspace.
 
-Vectors are finitely supported combinations of basis keys
-(:class:`StateVector`), operators act exactly, and :func:`vector_state` turns
-a vector into a :class:`~cuntzlab.moments.MomentFunctional` whose
+A vector is a plain dict {key: coefficient} of finite support, and a basis
+key stands for its basis vector.  Each key passes ``check_key`` on the way
+in, keys that name one vector merge and zeros drop; pi(s_i) and pi(s_i)*
+move each key by ``up`` and ``down``.  :func:`vector_state` turns a vector
+into a :class:`~cuntzlab.moments.MomentFunctional` whose
 :class:`~cuntzlab.moments.StateFacts` hold what the representation proves.
 The grading of the representation space generated by an s_i*-invariant
 subspace is computed by :func:`dhj_grading`, and
@@ -32,6 +34,7 @@ in float mode the Gram growth's rank rule decides which vectors are new.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import sqrt
 from typing import Iterable, Sequence
 
@@ -39,16 +42,13 @@ from .errors import NotInvariant, NotUnit, SchemaError
 from .linalg import LDLFactor
 from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, _combine_maps, sequence_factory
 from .scalars import conj, is_exact_scalar, scalar_is_zero
-from .symalg import CuntzElement, adjoint, is_isometry_in_plus, monomial
+from .symalg import adjoint, is_isometry_in_plus, monomial
 from .words import EventuallyPeriodicWord, LazyWord, Word, check_word, tail_equivalent
 
 __all__ = [
-    "StateVector",
     "ShiftRepresentation",
     "LazyShiftRepresentation",
     "GridRepresentation",
-    "apply_generator",
-    "apply_element",
     "vector_state",
     "dhj_grading",
     "lemma_convergence_check",
@@ -60,69 +60,9 @@ def _inner(x: dict, y: dict):
     return sum((conj(c) * y[k] for k, c in x.items() if k in y), 0)
 
 
-class StateVector:
-    """A finitely supported vector: a map from basis keys to coefficients.
-
-    Zero coefficients are never stored.  The inner product is linear in the
-    second argument and sums over equal keys, so two keys must name the same
-    basis vector exactly when they are equal.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        clean = {}
-        for k, c in (coeffs or {}).items():
-            if not scalar_is_zero(c, 0.0):
-                clean[k] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
-
-    @classmethod
-    def basis(cls, key) -> "StateVector":
-        return cls({key: 1})
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return StateVector(out)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "StateVector":
-        return self.scale(-1)
-
-    def scale(self, c) -> "StateVector":
-        return StateVector({k: c * v for k, v in self.coeffs.items()})
-
-    def inner(self, other: "StateVector"):
-        """<self, other>, linear in the second argument."""
-        return _inner(self.coeffs, other.coeffs)
-
-    def norm2(self):
-        return self.inner(self)
-
-    def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        parts = [f"{c!r}*e[{k!r}]" for k, c in self.coeffs.items()]
-        return "StateVector(" + (" + ".join(parts) if parts else "0") + ")"
+def _combine(pairs) -> dict:
+    """sum c x over (c, x) pairs of vectors, without the keys whose coefficient is exactly zero."""
+    return {k: c for k, c in _combine_maps(pairs).items() if not scalar_is_zero(c, 0.0)}
 
 
 # a vector state of an irreducible representation is pure
@@ -316,41 +256,34 @@ class GridRepresentation:
         return "grid", StateFacts(purity=_GRID_PURE, sequence=seq)
 
 
-def apply_generator(rep, v: StateVector, i: int, dagger: bool = False) -> StateVector:
-    """pi(s_i) v, or pi(s_i)* v when dagger=True."""
-    if not (1 <= i <= rep.n):
-        raise SchemaError(f"generator index {i} outside 1..{rep.n}")
-    out: dict = {}
-    for key, c in v.items():
-        new = rep.down(key, i) if dagger else rep.up(key, i)
-        if new is not None:
-            out[new] = out.get(new, 0) + c
-    return StateVector(out)
+def _vector(rep, x) -> dict:
+    """The map {key: coefficient} of a basis key or of a {key: coefficient}
+    dict: each key passes ``rep.check_key``, the coefficients of keys that
+    name one vector are merged, and zeros are dropped."""
+    v: dict = {}
+    for key, c in (x.items() if isinstance(x, dict) else [(x, 1)]):
+        key = rep.check_key(key)
+        v[key] = v[key] + c if key in v else c
+    return {key: c for key, c in v.items() if not scalar_is_zero(c, 0.0)}
 
 
-def _strip_word(rep, v: StateVector, K: Word) -> StateVector:
-    # pi(s_K)* v: strip the letters of K from the front, first letter first
-    for a in K:
-        v = apply_generator(rep, v, a, dagger=True)
-        if not v.coeffs:
-            break
-    return v
-
-def _raise_word(rep, v: StateVector, J: Word) -> StateVector:
-    # pi(s_J) v: apply the letters right-to-left so the word reads off in order
-    for a in reversed(J):
-        v = apply_generator(rep, v, a)
-    return v
+def _down(rep, u: dict, i: int) -> dict:
+    """pi(s_i)* u: injective on the keys it does not kill, so no two keys merge."""
+    down = rep.down
+    return {new: c for key, c in u.items() if (new := down(key, i)) is not None}
 
 
-def apply_element(rep, x: CuntzElement, v: StateVector) -> StateVector:
-    """pi(x) v for x in the *-algebra (finite combination of s_J s_K*)."""
-    if x.n != rep.n:
-        raise SchemaError(f"element over n={x.n}, representation over n={rep.n}")
-    out = StateVector({})
-    for (J, K), c in x.terms.items():
-        out = out + _raise_word(rep, _strip_word(rep, v, K), J).scale(c)
-    return out
+def _up(rep, u: dict, i: int) -> dict:
+    """pi(s_i) u: an isometry, so no two keys merge."""
+    up = rep.up
+    return {up(key, i): c for key, c in u.items()}
+
+
+def _strip(rep, u: dict, J: Word) -> dict:
+    """pi(s_J)* u: the letters of J stripped from the front, first letter first."""
+    for a in J:
+        u = _down(rep, u, a)
+    return u
 
 
 def _grid_digit_path(k: int, n: int) -> tuple[int, ...]:
@@ -366,31 +299,22 @@ def _grid_digit_path(k: int, n: int) -> tuple[int, ...]:
 def vector_state(rep, x) -> MomentFunctional:
     """The state omega(y) = <v, pi(y) v> / <v, v> of a vector in the representation.
 
-    x may be a basis key or a StateVector.  Each key passes ``rep.check_key``
-    (SchemaError for a grid key that is not a pair (k >= 1, m), a shift key
-    outside the word's tail class, or a lazy key whose prefix leaves the
-    alphabet or whose offset is not an int >= 0); lazy keys are put in
-    canonical form and the coefficients of keys that name one vector merged.
-    Moments divide by the squared norm, so unnormalized exact vectors stay
+    x is a basis key or a superposition, a dict {key: coefficient}.  Each
+    key passes ``rep.check_key`` (SchemaError for a grid key that is not a
+    pair (k >= 1, m), a shift key outside the word's tail class, or a lazy
+    key whose prefix leaves the alphabet or whose offset is not an int >= 0);
+    lazy keys are put in canonical form, the coefficients of keys that name
+    one vector merged and zeros dropped.  Moments divide by the squared norm, so unnormalized exact vectors stay
     exact, and the state is exact when its coefficients are.  They are read
     off the state's vector model (``omega.model``): v_J = pi(s_J)* v is a map
     {key: coefficient} stepped through ``rep.down`` and memoized by prefix,
     and omega(s_J s_K*) = <v_J, v_K> / <v, v>.  ``rep.state_facts`` gives
     the family label and the facts, from the key of a basis vector or None.
     """
-    v: dict = {}
-    for key, c in (x.items() if isinstance(x, StateVector) else [(x, 1)]):
-        key = rep.check_key(key)
-        v[key] = v[key] + c if key in v else c
-    v = {key: c for key, c in v.items() if not scalar_is_zero(c, 0.0)}
+    v = _vector(rep, x)
     nrm2 = _inner(v, v)
     if scalar_is_zero(nrm2):
         raise SchemaError("the zero vector does not define a state")
-
-    def step(u: dict, i: int) -> dict:
-        # pi(s_i)* is injective on the keys it does not kill, so no two keys merge
-        down = rep.down
-        return {new: c for key, c in u.items() if (new := down(key, i)) is not None}
 
     ratios: dict[int, Fraction] = {}
 
@@ -408,7 +332,7 @@ def vector_state(rep, x) -> MomentFunctional:
 
     family, facts = rep.state_facts(next(iter(v)) if len(v) == 1 else None)
     exact = all(is_exact_scalar(c) for c in v.values())
-    return MomentFunctional(rep.n, family, VectorModel(v, step, inner, _combine_maps), facts=facts, exact=exact)
+    return MomentFunctional(rep.n, family, VectorModel(v, partial(_down, rep), inner, _combine_maps), facts=facts, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +347,17 @@ class _OrthogonalSpan:
     arithmetic (|b_k|^2 = D_k)."""
 
     def __init__(self):
-        self.factor = LDLFactor(StateVector.inner)
-        self.basis: list[StateVector] = []
+        self.factor = LDLFactor(_inner)
+        self.basis: list[dict] = []
 
-    def residual(self, c) -> StateVector:
+    def residual(self, c) -> dict:
         r = c.item
         for yj, dj, b in zip(c.y, self.factor.dvals, self.basis):
             if yj:
-                r = r - b.scale(yj / dj)
+                r = _combine([(1, r), (-(yj / dj), b)])
         return r
 
-    def extend(self, vectors: Iterable[StateVector]) -> list[StateVector]:
+    def extend(self, vectors: Iterable[dict]) -> list[dict]:
         """Admit the vectors in order; returns the b of each admitted one."""
         start = len(self.basis)
         for v in vectors:
@@ -444,63 +368,68 @@ class _OrthogonalSpan:
         return self.basis[start:]
 
 
-def _invariant_span(rep, vectors: Sequence[StateVector]) -> _OrthogonalSpan:
+def _invariant_span(rep, vectors: Sequence[dict]) -> _OrthogonalSpan:
     """The span of M, after checking that pi(s_i)* maps M into it."""
     span = _OrthogonalSpan()
     if not span.extend(vectors):
         raise SchemaError("M must span a nonzero subspace")
     for v in vectors:
         for i in range(1, rep.n + 1):
-            c = span.factor.score(apply_generator(rep, v, i, dagger=True))
+            c = span.factor.score(_down(rep, v, i))
             if span.factor.admissible(c):
-                key = rep.key_str(next(iter(span.residual(c).coeffs)))
+                key = rep.key_str(next(iter(span.residual(c))))
                 raise NotInvariant(f"pi(s_{i})* maps the subspace outside itself (residual on {key})")
     return span
 
 
-def dhj_grading(rep, M: Sequence[StateVector], depth: int) -> list[list[StateVector]]:
+def dhj_grading(rep, M: Sequence, depth: int) -> list[list[dict]]:
     """Orthogonal grading H_0, ..., H_depth generated by the invariant subspace M.
 
+    Each vector of M is a basis key or a dict, read as by :func:`vector_state`.
     H_0 = span(M) and H_k is the orthogonal complement of the previous levels
     inside span{pi(s_J) v : |J| = k, v in M}; the levels are returned as
     orthonormal bases in float mode and unnormalized orthogonal bases in exact
     mode.  Raises NotInvariant unless pi(s_i)* M lies in span(M) for every i.
     """
-    vectors = list(M)
-    exact = all(is_exact_scalar(c) for v in vectors for c in v.coeffs.values())
+    vectors = [_vector(rep, x) for x in M]
+    exact = all(is_exact_scalar(c) for v in vectors for c in v.values())
     total = _invariant_span(rep, vectors)
     levels = [list(total.basis)]
     spanning = levels[0]  # independent spanning set of the current level-k image
     for _ in range(depth):
-        images = [apply_generator(rep, b, i) for b in spanning for i in range(1, rep.n + 1)]
+        images = [_up(rep, b, i) for b in spanning for i in range(1, rep.n + 1)]
         spanning = _OrthogonalSpan().extend(images)
         levels.append(total.extend(images))
     if not exact:
-        levels = [[b.scale(1.0 / sqrt(abs(complex(b.norm2())))) for b in level] for level in levels]
+        levels = [[_combine([(1.0 / sqrt(abs(complex(_inner(b, b)))), b)]) for b in level] for level in levels]
     return levels
 
 
-def lemma_convergence_check(rep, M: Sequence[StateVector], a, v: StateVector, L: int) -> list[float]:
+def lemma_convergence_check(rep, M: Sequence, a, v, L: int) -> list[float]:
     """Distances || a[l]* v - P_M a[l]* v || for l = 1..L, a[l] = a_1 ... a_l.
 
-    ``a`` may be an IsometrySequence or a list of elements; each a_i must be
-    an isometry inside the creation span.  M must
-    be s_i*-invariant (NotInvariant otherwise).  The sequence is expected to
-    decrease; its limit is 0 exactly when the subspace the a_i squeeze onto
-    sits inside span(M).  Each distance is the norm of a[l]* v's residual
+    M and v are read as in :func:`dhj_grading`.  ``a`` may be an
+    IsometrySequence or a list of elements over the representation's n; each
+    a_i = sum_J c_J s_J must be an isometry inside the creation span, so
+    a_i* w = sum_J conj(c_J) pi(s_J)* w.  M must be s_i*-invariant
+    (NotInvariant otherwise).  The sequence is expected to decrease; its limit
+    is 0 exactly when the subspace the a_i squeeze onto sits inside span(M).
+    Each distance is the norm of a[l]* v's residual
     vector against M's factor: exactly sqrt(res2) for exact vectors, and in
     float it keeps the digits that sqrt(res2) loses to cancellation near 0.
     """
     factory = sequence_factory(a, L)
-    span = _invariant_span(rep, list(M))
+    span = _invariant_span(rep, [_vector(rep, x) for x in M])
     norms = []
-    w = v
+    w = _vector(rep, v)
     for l in range(1, L + 1):
         al = factory(l)
         isometry, in_plus = is_isometry_in_plus(al)
         if not (isometry and in_plus):
             raise NotUnit(f"a_{l} is not an isometry in the creation span")
-        w = apply_element(rep, adjoint(al), w)
+        if al.n != rep.n:
+            raise SchemaError(f"element over n={al.n}, representation over n={rep.n}")
+        w = _combine((c, _strip(rep, w, J)) for (_, J), c in adjoint(al).terms.items())
         r = span.residual(span.factor.score(w))
-        norms.append(sqrt(abs(complex(span.factor.inner(r, r)))))
+        norms.append(sqrt(abs(complex(_inner(r, r)))))
     return norms

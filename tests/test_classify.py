@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cuntzlab import (
     LAZY_PRESETS,
+    AlphabetMismatch,
     CuntzElement,
     EquivalentToCuntz,
     EventuallyPeriodicWord,
@@ -21,7 +22,6 @@ from cuntzlab import (
     SchemaError,
     ShiftPeriod,
     ShiftRepresentation,
-    StateVector,
     VectorModel,
     adjoint,
     cdim,
@@ -287,7 +287,7 @@ class TestDeltaTableThroughTheModel:
         "grid_list": lambda: (vector_state(GridRepresentation(3), (1, 0)), [gen(3, 1)] * 4, 4, "evidence"),
         "induced_mixed_lengths": lambda: (_induced(), [MIXED] * 4, 4, "failed"),
         "grid_mixed_lengths": lambda: (
-            vector_state(GridRepresentation(2), StateVector({(1, 0): q(1), (4, 1): q(0, 2)})), [MIXED] * 4, 4,
+            vector_state(GridRepresentation(2), {(1, 0): q(1), (4, 1): q(0, 2)}), [MIXED] * 4, 4,
             "failed"),
         "grid_wrong_letter": lambda: (vector_state(GridRepresentation(2), (1, 0)), [gen(2, 2)] * 3, 3, "failed"),
         "twisted_induced_transported": lambda: (
@@ -441,6 +441,10 @@ class TestPurity:
 class TestEquivalence:
     def test_same_cuntz_parameters(self):
         assert equivalent(make_cuntz(Z35), make_cuntz(Z35)).verdict == "Equivalent"
+
+    def test_states_over_different_alphabets_are_refused(self):
+        with pytest.raises(AlphabetMismatch, match="^states live on O_2 and O_3$"):
+            equivalent(make_cuntz([1, 0]), make_cuntz([1, 0, 0]))
 
     def test_different_cuntz_parameters(self):
         assert (

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from math import inf
 from pathlib import Path
 
 import pytest
 
+import cuntzlab
 import cuntzlab.cli as cli
-from cuntzlab import CdimResult, KappaResult, LowerBoundOnly, ProperlyInfinite
+from cuntzlab import CdimResult, CuntzLabError, KappaResult, LowerBoundOnly, ProperlyInfinite, errors
 from cuntzlab.cli import run
 from cuntzlab.specio import parse_spec
 
@@ -295,6 +297,11 @@ class TestErrors:
         assert run(["cdim", "/nonexistent.json"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_every_error_of_the_package_is_a_cuntzlab_error(self):
+        # run turns a CuntzLabError into one error line and exit 1
+        for name in errors.__all__:
+            assert issubclass(getattr(errors, name), CuntzLabError), name
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -401,6 +408,11 @@ class TestErrors:
         for command in ("cdim", "report", "fcs", "moments"):
             assert run([command, str(path)]) == 0
             assert capsys.readouterr().out
+
+
+def test_version_is_the_project_version():
+    meta = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    assert cuntzlab.__version__ == meta["project"]["version"] == "0.1.0"
 
 
 class TestSeedPlumbing:

@@ -29,7 +29,6 @@ from cuntzlab import (
     ProperlyInfinite,
     ShiftPeriod,
     ShiftRepresentation,
-    StateVector,
     VectorModel,
     MomentFunctional,
     NotNormalized,
@@ -748,7 +747,7 @@ class TestGaugeThroughPresentation:
     VECTOR_BASES = {
         "grid": lambda: vector_state(GridRepresentation(2), (1, 0)),
         "grid_superposition": lambda: vector_state(
-            GridRepresentation(2), StateVector({(1, 0): q(1), (2, 0): q(0, 1), (3, 2): q(fr(1, 2))})),
+            GridRepresentation(2), {(1, 0): q(1), (2, 0): q(0, 1), (3, 2): q(fr(1, 2))}),
         "lazy_shift": lambda: vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 32)), ((), 0)),
         "shift": lambda: vector_state(ShiftRepresentation(EventuallyPeriodicWord((1,), (1, 2), 2)),
                                       EventuallyPeriodicWord((1,), (1, 2), 2)),

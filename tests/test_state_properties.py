@@ -45,7 +45,6 @@ from cuntzlab import (
     GridRepresentation,
     QQi,
     ShiftRepresentation,
-    StateVector,
     adjoint,
     all_words,
     cdim,
@@ -113,7 +112,7 @@ def _superposition(draw, rep, keys):
     coeffs = {key: draw(gaussians) for key in keys}
     if all(c == 0 for c in coeffs.values()):
         coeffs[keys[0]] = QQi(1)
-    return vector_state(rep, StateVector(coeffs))
+    return vector_state(rep, coeffs)
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import pytest
 
 from cuntzlab import (
+    AlphabetMismatch,
     EmptyWord,
     EventuallyPeriodicWord,
     SchemaError,
@@ -93,6 +94,10 @@ class TestTailEquivalence:
 
     def test_preperiod_never_matters(self):
         assert tail_equivalent(ep((2, 2, 2), (1,)), ep((), (1,)))
+
+    def test_words_over_different_alphabets_are_refused(self):
+        with pytest.raises(AlphabetMismatch, match="^words over different alphabets: 2 vs 3$"):
+            tail_equivalent(ep((), (1,)), ep((), (1,), n=3))
 
 
 class TestValidation:
