@@ -20,8 +20,8 @@ their kernel is read off the reduced rows, one vector per free column;
 which columns are free depends on that order, and no caller depends on the
 basis.  Float blocks share one rank threshold, taken from the largest
 entry of the whole matrix.  The fixed-point systems of ``moments`` split
-into a few such blocks, and arrive in exact mode as rows of ints and in
-float mode as rows of floats.
+into a few such blocks, and arrive in exact mode as rows of ints and
+Fractions and in float mode as rows of floats.
 
 Every decision about a Gram matrix runs on a pivoted L D L* factor.  The
 exact ones run on :class:`LDLFactor`, grown one pivot at a time: the Gram
@@ -219,8 +219,7 @@ def kernel_basis(rows, ncols: int):
     echelon basis: ``rank`` counts the vectors and ``solve`` scales the only
     one, neither of which depends on the basis.
 
-    Exact rows are scaled to integers (ints, already, from ``moments``) and
-    reduced fraction-free.  A block of one column with a row is not reduced;
+    Exact rows are scaled to integers and reduced fraction-free.  A block of one column with a row is not reduced;
     it has no kernel vector.
 
     Float rows (real rows stay floats) are reduced with three differences.

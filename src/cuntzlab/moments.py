@@ -70,14 +70,12 @@ presentation is a model too (``fcs.FCSPresentation.model``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyWord, Inconsistent, NotNormalized, NotPrefixFree, NotUnit, SchemaError
 from .linalg import hermitian_psd_check, hermitian_transpose, kernel_basis, mat_vec, solve
 from .scalars import (
     QQi,
-    _make,
     _self_or_conj,
     abs2,
     conj,
@@ -491,15 +489,12 @@ def _suffix_model(n: int, z: dict, table: dict) -> VectorModel:
 # ---------------------------------------------------------------------------
 
 
-class LowMomentSolution:
+class LowMomentSolution(NamedTuple):
     """Solved creation moments v_C = omega(s_C) for |C| <= max code length."""
 
-    __slots__ = ("table", "solution_dim", "warnings")
-
-    def __init__(self, table, solution_dim, warnings):
-        self.table = table
-        self.solution_dim = solution_dim
-        self.warnings = warnings
+    table: dict
+    solution_dim: int
+    warnings: list
 
 
 def _validate_prefix_code(P, n: int):
@@ -600,14 +595,6 @@ def _check_table_words(n: int, lo: int, hi: int, what: str) -> None:
         raise SchemaError(f"{what} {_MAX_TABLE_WORDS} words")
 
 
-def _add_scaled(acc: dict, expr: dict, c, conjugated: bool = False) -> None:
-    """acc += c * expr (or c * conj(expr)) for R-linear expressions
-    {(word, conjugated): coefficient} in the unknowns v_word."""
-    for (w, f), v in expr.items():
-        key = (w, f != conjugated)
-        acc[key] = acc.get(key, 0) + c * (conj(v) if conjugated else v)
-
-
 def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
     """Solve for the creation moments of the state fixed by u = sum_W z_W s_W.
 
@@ -626,9 +613,11 @@ def solve_low_moments(P, z, n: int | None = None) -> LowMomentSolution:
     pivot, and on the slice it adds the constant sum_W |z_W|^2 to the norm.
 
     Each equation is two sparse real rows (real and imaginary part) over the
-    columns Re v_C, Im v_C, of ints in exact mode (the row scaled by the lcm
-    of its coefficients' denominators), and ``kernel_basis`` reduces the
-    system one connected block of columns at a time.  The blocks are small:
+    columns Re v_C, Im v_C: of ints and Fractions in exact mode, which
+    ``kernel_basis`` scales to integers, and of floats in float mode.  A
+    table entry is read back in the mode's scalar type (QQi or complex) as
+    its coordinates over v_empty's.  ``kernel_basis`` reduces the system one
+    connected block of columns at a time.  The blocks are small:
     for the uniform code of order m the equation of a word C of length l < m is
     v_C = sum_{|B| = m - l} conj(z_CB) conj(v_B), so length l couples only
     with length m - l, and v_empty, whose equation reads Im v_empty = 0, with
@@ -675,32 +664,30 @@ def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
     unknowns = [w for w in table_words if w not in code]
     index = {w: i for i, w in enumerate(unknowns)}
     width = 2 * len(unknowns)
-    given_expr: dict[Word, dict] = {W: {((), False): conj(zmap[W])} for W in pc.support}
-    given_expr.update((W, {}) for W in code - given_expr.keys())
+    if pc.exact:
+        scalar = QQi
 
-    def creation_expr(C: Word) -> dict:
-        return given_expr.get(C, {(C, False): 1})
+        def parts(c):
+            # (a + bi)/d as ints when d = 1, as Fractions otherwise
+            a, b, d = gaussian_parts(c)
+            return (a, b) if d == 1 else (Fraction(a, d), Fraction(b, d))
+    else:
+        scalar = complex
 
-    def realified(row: dict):
-        # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i:
-        # two sparse rows {column: entry}.  An exact coefficient is (a + bi)/d, and the
-        # homogeneous rows are scaled by the lcm of the d, so their entries are ints.
-        re, im = {}, {}
-        if pc.exact:
-            den = lcm(*(gaussian_parts(c)[2] for c in row.values()))
-        for (w, conjugated), c in row.items():
-            if pc.exact:
-                a, b, d = gaussian_parts(c)
-                a, b = a * (den // d), b * (den // d)
-            else:
-                cc = complex(c)
-                a, b = cc.real, cc.imag
-            i = 2 * index[w]
-            for acc, j, x in ((re, i, a), (im, i, b), (re, i + 1, b if conjugated else -b),
-                              (im, i + 1, -a if conjugated else a)):
-                if x:
-                    acc[j] = acc[j] + x if j in acc else x
-        return [{j: x for j, x in re.items() if x}, {j: x for j, x in im.items() if x}]
+        def parts(c):
+            c = complex(c)
+            return c.real, c.imag
+
+    def add(row: dict, X: Word, c, conjugated: bool) -> None:
+        # row += c v_X, or c conj(v_X); a code word X is conj(z_X) v_empty,
+        # and a code word with coefficient 0 names the moment 0
+        if X in code:
+            z = zmap[X]
+            if not z:
+                return
+            c, X = c * (z if conjugated else conj(z)), ()
+        key = (X, conjugated)
+        row[key] = row[key] + c if key in row else c
 
     def equation(C: Word) -> list:
         # v_C - omega(u* s_C): the code word W <= C leaves s_{C - W}, and a
@@ -708,10 +695,20 @@ def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
         row = {(C, False): 1}
         W = head(C)
         if W is not None:
-            _add_scaled(row, creation_expr(C[len(W):]), -conj(zmap[W]))
+            add(row, C[len(W):], -conj(zmap[W]), False)
         for W in tails(C):
-            _add_scaled(row, creation_expr(W[len(C):]), -conj(zmap[W]), conjugated=True)
-        return realified(row)
+            add(row, W[len(C):], -conj(zmap[W]), True)
+        # (a + bi)(x + s iy) = (a x - s b y) + i (b x + s a y), columns 2i, 2i+1 for (x, y) of word i:
+        # two sparse rows {column: entry}
+        re, im = {}, {}
+        for (w, conjugated), c in row.items():
+            a, b = parts(c)
+            i = 2 * index[w]
+            for acc, j, x in ((re, i, a), (im, i, b), (re, i + 1, b if conjugated else -b),
+                              (im, i + 1, -a if conjugated else a)):
+                if x:
+                    acc[j] = acc[j] + x if j in acc else x
+        return [{j: x for j, x in re.items() if x}, {j: x for j, x in im.items() if x}]
 
     kernel = kernel_basis([r for C in unknowns for r in equation(C)], width)
     dim = len(kernel)
@@ -731,38 +728,18 @@ def _solve_low_moments(pc: _PrefixCode) -> LowMomentSolution:
                 vec[k] = vec[k] + t * x
         warnings.append(f"solution space has dimension {dim}; returning the symmetric minimum-norm table")
 
-    if pc.exact:
-        def parts(i: int):
-            # word i's int or Fraction coordinates as (a + bi)/d
-            re, im = vec[2 * i], vec[2 * i + 1]
-            p, q = re.denominator, im.denominator
-            return (re.numerator, im.numerator, p) if p == q else (re.numerator * q, im.numerator * p, p * q)
-
-        c, e, f = parts(0)
-        n2 = c * c + e * e
-        normalized = n2 != 0
-
-        def entry(i: int) -> QQi:
-            # v_w / v_empty = f (a + bi)(c - ei) / (d (c^2 + e^2)), reduced as QQi divides
-            a, b, d = parts(i)
-            return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
-
-        def given(W: Word) -> QQi:
-            a, b, d = gaussian_parts(zmap[W])
-            return _make(a, -b, d)
-    else:
-        v0 = complex(vec[0], vec[1])
-        normalized = not scalar_is_zero(v0, 1e-12)
-
-        def entry(i: int) -> complex:
-            return complex(vec[2 * i], vec[2 * i + 1]) / v0
-
-        def given(W: Word) -> complex:
-            return complex(conj(zmap[W]))
-
-    if not normalized:
+    v0 = scalar(vec[0], vec[1])
+    if scalar_is_zero(v0, 1e-12):
         raise Inconsistent("solution space is orthogonal to the normalization v_empty = 1")
-    return LowMomentSolution({w: entry(index[w]) if w in index else given(w) for w in table_words}, dim, warnings)
+
+    def entry(w: Word):
+        # a solved word is its coordinates over v_empty's; a code word's moment is conj(z_W)
+        if w in index:
+            i = 2 * index[w]
+            return scalar(vec[i], vec[i + 1]) / v0
+        return scalar(*parts(conj(zmap[w])))
+
+    return LowMomentSolution({w: entry(w) for w in table_words}, dim, warnings)
 
 
 def _detect_code_family(code: set[Word], n: int):
@@ -978,7 +955,9 @@ def make_mixture(states: Sequence[MomentFunctional], weights) -> MomentFunctiona
     if len(weights) != len(states):
         raise SchemaError("weights do not match components")
     total = sum(weights)
-    if not scalars_close(total, 1) or any(complex(w).real <= 0 for w in weights):
+    # an exact weight is real exactly, a float one to within DEFAULT_EQ_TOL
+    real = all(scalar_is_zero(w.im if type(w) is QQi else complex(w).imag) for w in weights)
+    if not real or not scalars_close(total, 1) or any(complex(w).real <= 0 for w in weights):
         raise SchemaError("weights must be positive and sum to 1")
     exact = all(s.exact for s in states) and all(is_exact_scalar(w) for w in weights)
     model = _mixture_model(weights, [s.model for s in states], exact)

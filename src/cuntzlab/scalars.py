@@ -64,7 +64,11 @@ class QQi:
     __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        re, im = _to_fraction(re), _to_fraction(im)
+        # an int or Fraction already has its numerator and denominator
+        if not isinstance(re, _RationalLike):
+            re = _to_fraction(re)
+        if not isinstance(im, _RationalLike):
+            im = _to_fraction(im)
         p, q = re.denominator, im.denominator
         d = lcm(p, q)
         # both coordinates are in lowest terms, so (a, b, d) is already reduced

@@ -154,11 +154,10 @@ class LazyShiftRepresentation(ShiftRepresentation):
     def check_key(self, key):
         """The canonical form of the key (prefix, t), a word over 1..n and
         an int t >= 0."""
-        prefix, t = key
-        prefix = check_word(prefix, self.n)
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        if not _is_pair(key) or not _is_int(key[1]) or key[1] < 0:
             raise SchemaError(f"lazy shift keys are pairs (prefix, t >= 0); got {key!r}")
-        return self._canonical(prefix, t)
+        prefix, t = key
+        return self._canonical(check_word(prefix, self.n), t)
 
     def _canonical(self, prefix, t):
         while prefix and t >= 1 and prefix[-1] == self.word.letter(t):
@@ -216,10 +215,9 @@ class GridRepresentation:
         return (1, 0)
 
     def check_key(self, key):
-        k, m = key
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1 or not isinstance(m, int) or isinstance(m, bool):
+        if not _is_pair(key) or not (_is_int(key[0]) and _is_int(key[1])) or key[0] < 1:
             raise SchemaError(f"grid keys are pairs (k >= 1, m in Z); got {key!r}")
-        return (k, m)
+        return tuple(key)
 
     def up(self, key, i: int):
         k, m = key
@@ -254,6 +252,14 @@ class GridRepresentation:
             "the Z-grading makes the delta table exact at every order",
         )
         return "grid", StateFacts(purity=_GRID_PURE, sequence=seq)
+
+
+def _is_pair(key) -> bool:
+    return isinstance(key, (list, tuple)) and len(key) == 2
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _vector(rep, x) -> dict:

@@ -220,7 +220,7 @@ _preset = _valid(lambda v: isinstance(v, str) and v in LAZY_PRESETS, "one of " +
 def _lazy_word(a: dict, n):
     if n != 2:
         raise SchemaError(f'"n" must be 2 for the binary preset {a["preset"]!r}, got {n!r}')
-    return LAZY_PRESETS[a["preset"]](n, a["horizon"])
+    return LAZY_PRESETS[a["preset"]](a["horizon"])
 
 
 def _word(v, path, r):

@@ -253,9 +253,10 @@ def _sturmian_letter(i: int) -> int:
     return _beatty_golden(i + 1) - _beatty_golden(i)
 
 
-LAZY_PRESETS: dict[str, Callable[[int, int], LazyWord]] = {
-    "thue_morse": lambda n=2, horizon=256: LazyWord(_thue_morse_letter, 2, horizon, "thue_morse"),
-    "sturmian": lambda n=2, horizon=256: LazyWord(_sturmian_letter, 2, horizon, "sturmian"),
+# binary words: a preset takes only its horizon
+LAZY_PRESETS: dict[str, Callable[[int], LazyWord]] = {
+    "thue_morse": lambda horizon=256: LazyWord(_thue_morse_letter, 2, horizon, "thue_morse"),
+    "sturmian": lambda horizon=256: LazyWord(_sturmian_letter, 2, horizon, "sturmian"),
 }
 
 

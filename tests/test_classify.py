@@ -121,7 +121,7 @@ class TestKappaCertificates:
     def test_lazy_shift_state_evidence_only(self):
         from cuntzlab import LAZY_PRESETS
 
-        w = vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 64)), ((), 0))
+        w = vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](64)), ((), 0))
         k = kappa(w)
         assert k.value == inf
         assert isinstance(k.certificate, ProperlyInfinite)
@@ -278,7 +278,7 @@ class TestDeltaTableThroughTheModel:
         "induced_own": lambda: (_induced(), None, 5, "proved"),
         "grid_own": lambda: (vector_state(GridRepresentation(2), (5, 0)), None, 5, "proved"),
         "lazy_own": lambda: (
-            vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 16)), ((), 0)), None, 5, "evidence"),
+            vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](16)), ((), 0)), None, 5, "evidence"),
         "induced_list": lambda: (
             _induced(),
             [CuntzElement(2, {((j,), ()): _induced().facts.induced.at(i)[j - 1] for j in (1, 2)})

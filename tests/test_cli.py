@@ -320,6 +320,15 @@ class TestErrors:
         assert run(["pure", spec_file(spec)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("second", [[0, 1], [1, 0]], ids=["two_states", "one_state_twice"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
+    def test_weights_that_are_not_real_are_refused(self, spec_file, capsys, second, mode):
+        # they sum to 1; the mixture of two states used to fail the positivity gate, of one state twice to pass
+        spec = {"family": "mixture", "components": [{"family": "cuntz", "z": [1, 0]}, {"family": "cuntz", "z": second}],
+                "weights": [["1/2", "1/10"], ["1/2", "-1/10"]]}
+        assert run(["pure", spec_file(spec), *mode]) == 1
+        assert capsys.readouterr() == ("", "error: state spec (mixture): weights must be positive and sum to 1\n")
+
     @pytest.mark.parametrize(
         "name, data",
         [

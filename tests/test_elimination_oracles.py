@@ -46,7 +46,7 @@ exactly one system, whose basis spans the kernel of
 
 import json
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -875,11 +875,15 @@ def test_solve_matches_sympy_where_markowitz_frees_other_columns(system):
 def reference_exact_kernel(blocks):
     """An exact block kernel by sympy: each block's reduced echelon form
     R / den, R over the integers from ``DomainMatrix.rref_den``, and one
-    kernel vector e_f - sum_r (R[r][f] / den) e_(c_r) per free column f."""
+    kernel vector e_f - sum_r (R[r][f] / den) e_(c_r) per free column f.
+    A row of int and Fraction entries is first scaled by the lcm of their
+    denominators, which leaves the kernel as it is."""
     found = []
     for cols, rows in blocks:
         local = {c: j for j, c in enumerate(cols)}
-        entries = {i: {local[c]: ZZ(x) for c, x in row.items()} for i, row in enumerate(rows)}
+        scales = [lcm(*(Fraction(x).denominator for x in row.values())) for row in rows]
+        entries = {i: {local[c]: ZZ(int(x * s)) for c, x in row.items()}
+                   for i, (row, s) in enumerate(zip(rows, scales))}
         rref, den, pivots = DomainMatrix(entries, (len(rows), len(cols)), ZZ).rref_den()
         rref = rref.to_list()
         for free in range(len(cols)):
@@ -916,7 +920,7 @@ def test_every_solved_system_spans_the_reference_kernel(heavy_twins, monkeypatch
         assert len(systems) - before[0] == len(solves) - before[1] == (spec["family"] != "mixture"), spec
     monkeypatch.undo()
     for rows, ncols in systems:
-        assert all(type(x) is int for row in rows for x in row.values())
+        assert all(type(x) in (int, Fraction) for row in rows for x in row.values())
         found = kernel_basis(rows, ncols)
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_exact_kernel", reference_exact_kernel)

@@ -579,6 +579,26 @@ class TestMixture:
         with pytest.raises(SchemaError):
             make_mixture(parts[:1], [fr(1, 2)])
 
+    def test_weights_that_are_not_real_are_refused(self):
+        # 1/2 + i/10 and 1/2 - i/10 sum to 1, and would give omega(s_1 s_1*) = 1/2 + i/10
+        exact = [make_cuntz([q(1), q(0)]), make_cuntz([q(0), q(1)])]
+        floats = [make_cuntz([1.0, 0.0]), make_cuntz([0.0, 1.0])]
+        for parts in (exact, exact[:1] * 2):
+            with pytest.raises(SchemaError, match="weights must be positive and sum to 1"):
+                make_mixture(parts, [q(fr(1, 2), fr(1, 10)), q(fr(1, 2), fr(-1, 10))])
+        # an exact imaginary part is refused however small, a float one beyond DEFAULT_EQ_TOL
+        with pytest.raises(SchemaError, match="weights must be positive and sum to 1"):
+            make_mixture(exact, [q(fr(1, 2), fr(1, 10**30)), q(fr(1, 2), fr(-1, 10**30))])
+        for parts in (floats, floats[:1] * 2):
+            with pytest.raises(SchemaError, match="weights must be positive and sum to 1"):
+                make_mixture(parts, [0.5 + 0.1j, 0.5 - 0.1j])
+        with pytest.raises(SchemaError, match="weights must be positive and sum to 1"):
+            make_mixture(floats, [0.5 + 1e-8j, 0.5 - 1e-8j])
+        m = make_mixture(floats, [0.5 + 1e-12j, 0.5 - 1e-12j])
+        assert abs(m.moment((1,), (1,)) - 0.5) < 1e-9
+        # a real weight that is a QQi is accepted
+        assert make_mixture(exact, [q(fr(1, 2)), q(fr(1, 2))]).moment((1,), (1,)) == fr(1, 2)
+
 
 class TestSandwich:
     def test_compression_by_one_isometry(self):
@@ -748,7 +768,7 @@ class TestGaugeThroughPresentation:
         "grid": lambda: vector_state(GridRepresentation(2), (1, 0)),
         "grid_superposition": lambda: vector_state(
             GridRepresentation(2), {(1, 0): q(1), (2, 0): q(0, 1), (3, 2): q(fr(1, 2))}),
-        "lazy_shift": lambda: vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 32)), ((), 0)),
+        "lazy_shift": lambda: vector_state(ShiftRepresentation(LAZY_PRESETS["thue_morse"](32)), ((), 0)),
         "shift": lambda: vector_state(ShiftRepresentation(EventuallyPeriodicWord((1,), (1, 2), 2)),
                                       EventuallyPeriodicWord((1,), (1, 2), 2)),
     }
@@ -1177,7 +1197,12 @@ def reference_low_moments(P, z, n, mode="exact"):
     table_words = list(words_upto(pc.n, M))
     index = {w: i for i, w in enumerate(table_words)}
     width = 2 * len(table_words)
-    add = moments_mod._add_scaled
+
+    def add(acc, expr, c, conjugated=False):
+        # acc += c * expr, or c * conj(expr), over expressions {(word, conjugated): coefficient}
+        for (w, f), v in expr.items():
+            key = (w, f != conjugated)
+            acc[key] = acc.get(key, 0) + c * (conj(v) if conjugated else v)
 
     def creation_expr(C):
         if len(C) <= M:

@@ -7,14 +7,14 @@ sides converted to QQi.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cuntzlab import QQi
-from cuntzlab.scalars import scalars_close
+from cuntzlab.scalars import _to_fraction, scalars_close
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60))
 rationals = st.one_of(st.integers(-50, 50), fractions)
@@ -171,6 +171,28 @@ class TestCanonicalRepresentation:
     def test_zero_has_one_form(self, x):
         assert (qqi(x) - qqi(x))._abd == (0, 0, 1)
         assert (qqi(x) * 0)._abd == (0, 0, 1)
+
+
+def abd_via_fractions(re, im):
+    """The triple of re + i im read through ``_to_fraction``: both parts as
+    Fractions in lowest terms, over the lcm of their denominators."""
+    re, im = _to_fraction(re), _to_fraction(im)
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+# every kind of part QQi takes: int, Fraction, bool, integer-valued float and rational string
+parts = st.one_of(st.integers(-10**20, 10**20), fractions, st.booleans(),
+                  st.integers(-2**53, 2**53).map(float), fractions.map(str), st.integers(-50, 50).map(str))
+
+
+class TestConstruction:
+    @given(parts, parts)
+    def test_every_kind_of_part_gives_the_triple_of_its_fractions(self, re, im):
+        abd = QQi(re, im)._abd
+        assert abd == abd_via_fractions(re, im)
+        assert all(type(x) is int for x in abd)
+        assert_canonical(QQi(re, im))
 
 
 class TestImmutability:

@@ -223,6 +223,12 @@ def test_failing_commands_in_both_formats(tmp_path):
     text = (workdir / "deep_400.json").read_text(encoding="utf-8")
     assert text == same_outputs.nested_gauge(400) and text.count('"gauge"') == 400
     assert (workdir / "deep_3000.json").read_text(encoding="utf-8").count('"gauge"') == 3000
+    # mixtures whose weights sum to 1 but are not real, of two Cuntz states and of one twice
+    for name, second in (("complex_weights", [0, 1]), ("complex_weights_equal", [1, 0])):
+        spec = json.loads((workdir / f"{name}.json").read_text(encoding="utf-8"))
+        assert spec["family"] == "mixture" and spec["weights"] == [["1/2", "1/10"], ["1/2", "-1/10"]]
+        assert [c["z"] for c in spec["components"]] == [[1, 0], second]
+    assert len(errors) == 2 * 13
     assert json.loads(same_outputs.nested_gauge(2)) == {
         "family": "gauge", "base": {"family": "gauge", "base": {"family": "cuntz", "z": [1, 0]},
                                     "g": [[0, 1], [1, 0]]}, "g": [[0, 1], [1, 0]]}

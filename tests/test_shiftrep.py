@@ -1,6 +1,7 @@
 """Exact simulator for permutative representations on shift and grid spaces."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import sqrt
@@ -151,14 +152,22 @@ class TestLazyWords:
     def test_presets_exist(self):
         assert set(LAZY_PRESETS) == {"sturmian", "thue_morse"}
 
+    @pytest.mark.parametrize("name", ["sturmian", "thue_morse"])
+    def test_a_preset_is_binary_and_takes_only_its_horizon(self, name):
+        lw = LAZY_PRESETS[name](64)
+        assert (lw.n, lw.horizon, lw.name) == (2, 64, name)
+        assert LAZY_PRESETS[name]().horizon == 256
+        with pytest.raises(TypeError):
+            LAZY_PRESETS[name](3, 64)
+
     def test_thue_morse_prefix(self):
-        lw = LAZY_PRESETS["thue_morse"](2, 64)
+        lw = LAZY_PRESETS["thue_morse"](64)
         assert isinstance(lw, LazyWord)
         # fixed point of 1 -> 12, 2 -> 21
         assert [lw.letter(i) for i in range(1, 9)] == [1, 2, 2, 1, 2, 1, 1, 2]
 
     def test_lazy_vector_state_diagonal_moments(self):
-        lw = LAZY_PRESETS["thue_morse"](2, 64)
+        lw = LAZY_PRESETS["thue_morse"](64)
         w = vector_state(ShiftRepresentation(lw), ((), 0))
         assert w.family == "shift_lazy"
         assert w.moment((1,), (1,)) == 1  # starts with 1
@@ -166,7 +175,7 @@ class TestLazyWords:
         assert w.moment((1, 2, 2), (1, 2, 2)) == 1
 
     def test_aperiodic_word_never_stabilizes(self):
-        lw = LAZY_PRESETS["sturmian"](2, 256)
+        lw = LAZY_PRESETS["sturmian"](256)
         w = vector_state(ShiftRepresentation(lw), ((), 0))
         r = cdim(w, L_max=5)
         assert r.status == "lower_bound"
@@ -181,7 +190,7 @@ class TestLazyKeysAreTuples:
     def test_keys_that_name_one_vector_merge_at_entry(self):
         # Thue-Morse starts with 1, so 1 . shift^1(t) is t itself: the vector
         # is 2 e_t, whose state is that of e_t
-        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 64))
+        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](64))
         w = vector_state(rep, {((1,), 1): 1, ((), 0): 1})
         base = vector_state(rep, ((), 0))
         assert w.moment((1,), (1,)) == 1
@@ -193,9 +202,11 @@ class TestLazyKeysAreTuples:
         (((3,), 0), "letter 3 outside alphabet 1..2"),
         (((), -1), r"lazy shift keys are pairs \(prefix, t >= 0\); got \(\(\), -1\)"),
         (((1,), True), r"lazy shift keys are pairs \(prefix, t >= 0\)"),
+        (((), 0, 1), r"lazy shift keys are pairs \(prefix, t >= 0\); got \(\(\), 0, 1\)"),
+        (5, r"lazy shift keys are pairs \(prefix, t >= 0\); got 5"),
     ])
     def test_a_key_off_the_alphabet_or_before_the_word_is_refused(self, key, message):
-        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 64))
+        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](64))
         with pytest.raises(SchemaError, match=message):
             vector_state(rep, key)
 
@@ -204,7 +215,7 @@ class TestLazyKeysAreTuples:
     # for K the first F letters of x
     @pytest.mark.parametrize("horizon, length", [(16, 13), (64, 55), (256, 233)])
     def test_sturmian_long_repetitions_are_told_apart(self, horizon, length):
-        lw = LAZY_PRESETS["sturmian"](2, horizon)
+        lw = LAZY_PRESETS["sturmian"](horizon)
         w = vector_state(ShiftRepresentation(lw), ((), 0))
         assert w.moment((), lw.prefix(length)) == 0
 
@@ -218,7 +229,7 @@ class TestLazyKeysAreTuples:
     @settings(max_examples=12)
     @given(preset=st.sampled_from(sorted(LAZY_PRESETS)), horizon=st.integers(1, 64))
     def test_delta_table_is_exactly_delta(self, preset, horizon):
-        w = vector_state(ShiftRepresentation(LAZY_PRESETS[preset](2, horizon)), ((), 0))
+        w = vector_state(ShiftRepresentation(LAZY_PRESETS[preset](horizon)), ((), 0))
         check = verify_properly_infinite(w, cutoff=horizon)
         assert check.status == "evidence"
         assert check.table == tuple(tuple(int(l == k) for k in range(horizon)) for l in range(horizon))
@@ -235,6 +246,11 @@ class TestGridRepresentation:
         g = GridRepresentation(2)
         assert g.down((1, 0), 1) == (1, -1)
         assert g.down((1, 0), 2) is None
+
+    @pytest.mark.parametrize("key", [(1, 0, 0), 5, (0, 0), (True, 0)])
+    def test_a_key_that_is_not_a_pair_k_m_is_refused(self, key):
+        with pytest.raises(SchemaError, match=rf"grid keys are pairs \(k >= 1, m in Z\); got {re.escape(repr(key))}$"):
+            vector_state(GridRepresentation(2), key)
 
     def test_base_vector_moments_are_kronecker(self):
         w = vector_state(GridRepresentation(2), (1, 0))
@@ -298,9 +314,9 @@ VECTOR_CASES = {
     "shift_basis": lambda: (ShiftRepresentation(X12), X12),
     "shift_superposition": lambda: (
         ShiftRepresentation(X12), {X12: q(1), X12.prepend((1, 2)): q(0, fr(2, 3)), X12.shift(): q(-1)}),
-    "lazy_basis": lambda: (ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 24)), ((), 0)),
+    "lazy_basis": lambda: (ShiftRepresentation(LAZY_PRESETS["thue_morse"](24)), ((), 0)),
     "lazy_superposition": lambda: (
-        ShiftRepresentation(LAZY_PRESETS["sturmian"](2, 24)),
+        ShiftRepresentation(LAZY_PRESETS["sturmian"](24)),
         {((), 0): q(1), ((1,), 2): q(fr(1, 2), 1), ((), 3): q(2)}),
     "grid_basis": lambda: (GridRepresentation(3), (7, -1)),
     "grid_superposition": lambda: (
@@ -335,7 +351,7 @@ class TestVectorStateModel:
 
 SHIFT_PURE = ("Pure", "vector state of an irreducible shift representation")
 GRID_PURE = ("Pure", "vector state of the irreducible grid representation")
-THUE_MORSE = LAZY_PRESETS["thue_morse"](2, 24)
+THUE_MORSE = LAZY_PRESETS["thue_morse"](24)
 # (rep, basis key or vector, family, facts without the sequence, the sequence's
 # first letters, status and horizon or None)
 PROTOCOL_CASES = {
@@ -460,7 +476,7 @@ class TestGradingAndConvergence:
         # Thue-Morse t = 1 2 2 1 2 ...: the key ((), 1) is the tail 2 2 1 2 ...,
         # s_2* strips its 2, s_1 prepends 1; the tail t itself starts with 1,
         # so s_2* kills the second term
-        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](2, 64))
+        rep = ShiftRepresentation(LAZY_PRESETS["thue_morse"](64))
         assert rep.down(((), 1), 2) == ((), 2) and rep.up(((), 2), 1) == ((1,), 2)
         assert rep.down(((), 0), 2) is None
         v = {((), 1): q(fr(3, 5)), ((), 0): q(fr(4, 5))}

@@ -48,8 +48,9 @@ fresh interpreter per tree, the two trees side by side:
 * failing commands (``ERRORS``, json and md): a representation spec given
   to ``cdim``, a state spec given to ``rep``, a bound below its least
   value, a missing file, a file that is not JSON, an unknown family, an
-  option the command does not take (exit 2), and a gauge spec nested 400
-  and 3000 deep (``DEEP``).
+  option the command does not take (exit 2), a gauge spec nested 400
+  and 3000 deep (``DEEP``), and ``pure`` on two mixtures whose weights
+  sum to 1 but are not real, of two Cuntz states and of one twice.
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -145,6 +146,8 @@ ERRORS = {
     "moments:strict": ["moments", "cuntz.json", "--strict"],
     "cdim:deep_400": ["cdim", "deep_400.json"],
     "cdim:deep_3000": ["cdim", "deep_3000.json"],
+    "pure:complex_weights": ["pure", "complex_weights.json"],
+    "pure:complex_weights_equal": ["pure", "complex_weights_equal.json"],
 }
 # the depths of the nested gauge specs: past the spec readers' recursion, and past the JSON decoder's
 DEEP = (400, 3000)
@@ -211,6 +214,13 @@ def nested_gauge(depth: int) -> str:
     return '{"family": "gauge", "base": ' * depth + base + ', "g": [[0, 1], [1, 0]]}' * depth
 
 
+def complex_weight_mixture(second: list) -> dict:
+    """The mixture of the Cuntz states (1, 0) and ``second`` with the weights
+    1/2 + i/10 and 1/2 - i/10, which sum to 1 but are not real."""
+    return {"family": "mixture", "components": [{"family": "cuntz", "z": [1, 0]}, {"family": "cuntz", "z": second}],
+            "weights": [["1/2", "1/10"], ["1/2", "-1/10"]]}
+
+
 def error_files(d: Path) -> None:
     """The spec files that ``ERRORS`` reads, written under ``d``."""
     _write(d / "grid.json", REPS["grid_n2"])
@@ -219,6 +229,8 @@ def error_files(d: Path) -> None:
     (d / "not_json.json").write_text('{"family": "cuntz", "z": [1, 0]', encoding="utf-8")
     for depth in DEEP:
         (d / f"deep_{depth}.json").write_text(nested_gauge(depth), encoding="utf-8")
+    for name, second in (("complex_weights", [0, 1]), ("complex_weights_equal", [1, 0])):
+        _write(d / f"{name}.json", complex_weight_mixture(second))
 
 
 def _write(path: Path, doc) -> str:
