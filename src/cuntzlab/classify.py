@@ -33,9 +33,9 @@ from fractions import Fraction
 from math import inf, lcm
 from typing import NamedTuple
 
-from .errors import AlphabetMismatch, NotInCatalog, NotUnit, SchemaError, ValidationFailed
+from .errors import AlphabetMismatch, NotInCatalog, SchemaError, ValidationFailed
 from .linalg import LDLFactor, hermitian_transpose, mat_vec
-from .moments import IsometrySequence, MomentFunctional, _check_table_words, _progression_code, sequence_factory
+from .moments import IsometrySequence, MomentFunctional, _check_table_words, _progression_code, isometries
 from .scalars import abs2, conj, scalar_is_zero, scalars_close
 from .shiftrep import GridRepresentation, ShiftRepresentation, vector_state
 from .symalg import CuntzElement, gauge_apply, is_isometry_in_plus
@@ -302,8 +302,9 @@ def verify_properly_infinite(omega: MomentFunctional, a=None, cutoff: int = 12) 
 
     ``a`` may be an isometry sequence attached by a family constructor or a
     plain sequence; omitted, the state's own attached sequence is used.
-    Each a_i must be an isometry in the creation span, which is checked on
-    the product a_i* a_i.
+    ``moments.isometries`` reads a_1..a_cutoff and refuses a cutoff below 1,
+    a short list, an element over another n and one that is not an isometry
+    in the creation span (checked on the product a_i* a_i).
 
     With P_l = a_1..a_l the entry is <v(P_l), v(P_k)> for v(P) = pi(P)* Omega,
     stepped as v(P_l) = pi(a_l)* v(P_(l-1)) with pi(a)* = sum_W conj(b_W)
@@ -314,16 +315,9 @@ def verify_properly_infinite(omega: MomentFunctional, a=None, cutoff: int = 12) 
     seq = a if a is not None else flagged
     if seq is None:
         raise SchemaError("no isometry sequence supplied and the state carries none")
-    factory = sequence_factory(seq, cutoff)
     model = omega.model
     vectors = [model.vector(())]
-    for i in range(1, cutoff + 1):
-        ai = factory(i)
-        isometry, in_plus = is_isometry_in_plus(ai)
-        if not (isometry and in_plus):
-            raise NotUnit(f"sequence element {i} is not an isometry in the creation span")
-        if ai.n != omega.n:
-            raise SchemaError(f"elements over different algebras: n={omega.n} vs n={ai.n}")
+    for ai in isometries(seq, cutoff, omega.n):
         vectors.append(model.adjoint_image(ai, vectors[-1]))
 
     table = []
@@ -368,11 +362,8 @@ def _transport_certificate(cert: Certificate, g) -> Certificate:
         return Minimal(gauge_apply(gH, cert.u))
     if isinstance(cert, ProperlyInfinite) and cert.a is not None:
         seq = cert.a
-        moved = IsometrySequence(
-            lambda i: gauge_apply(gH, seq.factory(i)),
-            seq.status,
-            seq.description + " (composed with the inverse gauge twist)",
-        )
+        moved = seq._replace(factory=lambda i: gauge_apply(gH, seq.factory(i)),
+                             description=seq.description + " (composed with the inverse gauge twist)")
         return ProperlyInfinite(moved, cert.cutoff, cert.status)
     if isinstance(cert, EquivalentToCuntz):
         return EquivalentToCuntz(tuple(mat_vec(gH, list(cert.z))), cert.provenance)

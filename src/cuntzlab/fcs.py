@@ -62,10 +62,6 @@ class FCSPresentation(NamedTuple):
     pivot_words: tuple = ()
     level: int | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.A)
-
     def model(self) -> VectorModel:
         """The presented state as a vector model: it starts at Omega, steps
         v -> A_i v and reads <a, G b>.  Zero products are skipped, as exact

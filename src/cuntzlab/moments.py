@@ -65,6 +65,11 @@ family constructor hands its model to ``MomentFunctional`` as the moment
 function; any other function is read through its ``word_model``, whose
 inner products fill the state's ``_memo``.  A finitely correlated
 presentation is a model too (``fcs.FCSPresentation.model``).
+
+A sequence of isometries a_1, a_2, ... (an :class:`IsometrySequence` or a
+list) is read by :func:`isometries`, which checks each element; the delta
+table and the DHJ distances both read theirs there and step it by
+``VectorModel.adjoint_image``.
 """
 
 from __future__ import annotations
@@ -84,12 +89,12 @@ from .scalars import (
     scalar_is_zero,
     scalars_close,
 )
-from .symalg import CuntzElement, check_unitary, zero
+from .symalg import CuntzElement, check_unitary, is_isometry_in_plus, zero
 from .words import EventuallyPeriodicWord, Word, all_words, check_word, is_prefix, words_upto
 
 __all__ = [
     "IsometrySequence",
-    "sequence_factory",
+    "isometries",
     "InducingBlocks",
     "VectorModel",
     "StateFacts",
@@ -114,7 +119,7 @@ __all__ = [
 ]
 
 
-class IsometrySequence:
+class IsometrySequence(NamedTuple):
     """A sequence a_1, a_2, ... of isometries in the creation span.
 
     ``factory(i)`` returns a_i.  ``status`` records whether the delta table
@@ -123,24 +128,31 @@ class IsometrySequence:
     evidence holds when the sequence is read off a word known only that far.
     """
 
-    __slots__ = ("factory", "status", "description", "horizon")
-
-    def __init__(self, factory: Callable[[int], CuntzElement], status: str, description: str,
-                 horizon: int | None = None):
-        self.factory = factory
-        self.status = status
-        self.description = description
-        self.horizon = horizon
+    factory: Callable[[int], CuntzElement]
+    status: str
+    description: str
+    horizon: int | None = None
 
 
-def sequence_factory(a, count: int) -> Callable[[int], CuntzElement]:
-    """i -> a_i for an IsometrySequence or a list of at least ``count`` elements."""
+def isometries(a, count: int, n: int) -> list[CuntzElement]:
+    """[a_1, ..., a_count] of an IsometrySequence or of a list of at least
+    ``count`` elements, each checked to lie over O_n and to be an isometry in
+    the creation span (a_i* a_i = I and no annihilation term)."""
+    if count < 1:
+        raise SchemaError(f"need at least 1 sequence element, asked for {count}")
     if isinstance(a, IsometrySequence):
-        return a.factory
-    elems = list(a)
-    if len(elems) < count:
-        raise SchemaError(f"need {count} sequence elements, got {len(elems)}")
-    return lambda i: elems[i - 1]
+        elems = [a.factory(i) for i in range(1, count + 1)]
+    else:
+        elems = list(a)[:count]
+        if len(elems) < count:
+            raise SchemaError(f"need {count} sequence elements, got {len(elems)}")
+    for i, ai in enumerate(elems, 1):
+        if ai.n != n:
+            raise SchemaError(f"elements over different algebras: n={n} vs n={ai.n}")
+        isometry, in_plus = is_isometry_in_plus(ai)
+        if not (isometry and in_plus):
+            raise NotUnit(f"a_{i} is not an isometry in the creation span")
+    return elems
 
 
 class InducingBlocks(NamedTuple):
@@ -154,20 +166,6 @@ class InducingBlocks(NamedTuple):
         if t <= len(self.pre):
             return self.pre[t - 1]
         return self.rep[(t - len(self.pre) - 1) % len(self.rep)]
-
-
-def _walk_prefixes(vectors: dict, J: Word, step: Callable):
-    """v_J from the longest prefix of J in ``vectors`` (which holds ()), by
-    v_{Ji} = step(v_J, i), memoizing every longer prefix on the way."""
-    v = vectors.get(J)
-    if v is None:
-        known = len(J) - 1
-        while J[:known] not in vectors:
-            known -= 1
-        v = vectors[J[:known]]
-        for t in range(known, len(J)):
-            v = vectors[J[:t + 1]] = step(v, J[t])
-    return v
 
 
 class VectorModel:
@@ -194,8 +192,18 @@ class VectorModel:
         self._vectors: dict[Word, object] = {(): start}
 
     def vector(self, J: Word):
-        """v_J = pi(s_J)* Omega, memoized with every prefix of J."""
-        return _walk_prefixes(self._vectors, J, self.step)
+        """v_J = pi(s_J)* Omega from the longest prefix of J already held, by
+        v_{Ji} = step(v_J, i), memoizing every longer prefix on the way."""
+        vectors = self._vectors
+        v = vectors.get(J)
+        if v is None:
+            known = len(J) - 1
+            while J[:known] not in vectors:
+                known -= 1
+            v = vectors[J[:known]]
+            for t in range(known, len(J)):
+                v = vectors[J[:t + 1]] = self.step(v, J[t])
+        return v
 
     def moment(self, J: Word, K: Word):
         """omega(s_J s_K*) = <v_J, v_K>, cast."""
@@ -904,6 +912,8 @@ def make_induced_product(pre_blocks, rep_blocks, n: int) -> MomentFunctional:
     vectors e_0, e_1, ... with Omega = e_0 and pi(s_i)* e_t = z^(t+1)_i e_(t+1),
     so v_J = z_J e_|J|; a vector is the map {depth t: coefficient of e_t}.
     """
+    if n < 2:
+        raise SchemaError(f"alphabet size must be >= 2, got {n}")
     pre = tuple(tuple(b) for b in pre_blocks)
     rep = tuple(tuple(b) for b in rep_blocks)
     if not rep:
@@ -1013,7 +1023,8 @@ def transform_gauge(omega: MomentFunctional, g) -> MomentFunctional:
         z, provenance = base.cuntz
         cuntz = (tuple(mat_vec(hermitian_transpose(g), list(z))), provenance)
     verdict, reason = base.purity
-    if verdict != "Unknown":
+    # a twist of a twist already carries the phrase
+    if verdict != "Unknown" and base.twist is None:
         reason += "; composition with a gauge automorphism preserves purity"
     model = omega.model.twisted(g, g_exact)
     facts = StateFacts(purity=(verdict, reason), cuntz=cuntz, twist=(omega, g))

@@ -47,7 +47,7 @@ def _to_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, float) and x == int(x):
+    if isinstance(x, float) and x.is_integer():
         return Fraction(int(x))
     raise TypeError(f"not exactly representable: {x!r}")
 

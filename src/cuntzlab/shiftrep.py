@@ -25,10 +25,12 @@ into a :class:`~cuntzlab.moments.MomentFunctional` whose
 The grading of the representation space generated by an s_i*-invariant
 subspace is computed by :func:`dhj_grading`, and
 :func:`lemma_convergence_check` tracks how fast a[l]* v approaches such a
-subspace.  Both admit vectors in order into the L D L* factor of their
-inner products (:class:`~cuntzlab.linalg.LDLFactor`) and read orthogonal
-vectors off its unit-lower factor: Gram-Schmidt's in exact arithmetic, and
-in float mode the Gram growth's rank rule decides which vectors are new.
+subspace, reading its sequence through ``moments.isometries`` and stepping
+v's vector model by ``adjoint_image``, as the delta table does.  Both admit
+vectors in order into the L D L* factor of their inner products
+(:class:`~cuntzlab.linalg.LDLFactor`) and read orthogonal vectors off its
+unit-lower factor: Gram-Schmidt's in exact arithmetic, and in float mode
+the Gram growth's rank rule decides which vectors are new.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from functools import partial
 from math import sqrt
 from typing import Iterable, Sequence
 
-from .errors import NotInvariant, NotUnit, SchemaError
+from .errors import NotInvariant, SchemaError
 from .linalg import LDLFactor
-from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, _combine_maps, sequence_factory
+from .moments import IsometrySequence, MomentFunctional, StateFacts, VectorModel, _combine_maps, isometries
 from .scalars import conj, is_exact_scalar, scalar_is_zero
-from .symalg import adjoint, is_isometry_in_plus, monomial
+from .symalg import monomial
 from .words import EventuallyPeriodicWord, LazyWord, Word, check_word, tail_equivalent
 
 __all__ = [
@@ -285,13 +287,6 @@ def _up(rep, u: dict, i: int) -> dict:
     return {up(key, i): c for key, c in u.items()}
 
 
-def _strip(rep, u: dict, J: Word) -> dict:
-    """pi(s_J)* u: the letters of J stripped from the front, first letter first."""
-    for a in J:
-        u = _down(rep, u, a)
-    return u
-
-
 def _grid_digit_path(k: int, n: int) -> tuple[int, ...]:
     # e_{k,m} = pi(s_{p_1}) ... pi(s_{p_r}) e_{1, m-r} for this letter path
     path = []
@@ -414,28 +409,23 @@ def dhj_grading(rep, M: Sequence, depth: int) -> list[list[dict]]:
 def lemma_convergence_check(rep, M: Sequence, a, v, L: int) -> list[float]:
     """Distances || a[l]* v - P_M a[l]* v || for l = 1..L, a[l] = a_1 ... a_l.
 
-    M and v are read as in :func:`dhj_grading`.  ``a`` may be an
-    IsometrySequence or a list of elements over the representation's n; each
-    a_i = sum_J c_J s_J must be an isometry inside the creation span, so
-    a_i* w = sum_J conj(c_J) pi(s_J)* w.  M must be s_i*-invariant
-    (NotInvariant otherwise).  The sequence is expected to decrease; its limit
-    is 0 exactly when the subspace the a_i squeeze onto sits inside span(M).
-    Each distance is the norm of a[l]* v's residual
-    vector against M's factor: exactly sqrt(res2) for exact vectors, and in
-    float it keeps the digits that sqrt(res2) loses to cancellation near 0.
+    M and v are read as in :func:`dhj_grading`, and ``a`` as in
+    ``verify_properly_infinite``: ``moments.isometries`` reads a_1..a_L
+    and checks each.  a[l]* v = a_l* a[l-1]* v is stepped by v's vector
+    model, as the delta table is.  M must be s_i*-invariant (NotInvariant
+    otherwise).  The sequence is expected to decrease; its limit is 0
+    exactly when the subspace the a_i squeeze onto sits inside span(M).
+    Each distance is the norm of a[l]* v's residual vector against M's
+    factor: exactly sqrt(res2) for exact vectors, and in float it keeps the
+    digits that sqrt(res2) loses to cancellation near 0.
     """
-    factory = sequence_factory(a, L)
+    elements = isometries(a, L, rep.n)
     span = _invariant_span(rep, [_vector(rep, x) for x in M])
-    norms = []
     w = _vector(rep, v)
-    for l in range(1, L + 1):
-        al = factory(l)
-        isometry, in_plus = is_isometry_in_plus(al)
-        if not (isometry and in_plus):
-            raise NotUnit(f"a_{l} is not an isometry in the creation span")
-        if al.n != rep.n:
-            raise SchemaError(f"element over n={al.n}, representation over n={rep.n}")
-        w = _combine((c, _strip(rep, w, J)) for (_, J), c in adjoint(al).terms.items())
+    model = VectorModel(w, partial(_down, rep), _inner, _combine)
+    norms = []
+    for al in elements:
+        w = model.adjoint_image(al, w)
         r = span.residual(span.factor.score(w))
         norms.append(sqrt(abs(complex(_inner(r, r)))))
     return norms

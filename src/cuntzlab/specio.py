@@ -377,7 +377,9 @@ def dump_json(obj) -> str:
     rendered here in one recursion: given an indent, the standard library
     leaves its C encoder for a chain of Python generators.  Strings are
     escaped to ASCII by the standard library's own function, floats written
-    by ``float.__repr__``, and a nan or an infinity raises ValueError."""
+    by ``float.__repr__``, and a nan or an infinity raises ValueError.  Keys
+    must be strings, as every document the commands render has: a key of
+    another type raises TypeError, where ``json.dumps`` would convert it."""
     out: list[str] = []
     _render_json(obj, "\n", out.append)
     return "".join(out)
@@ -395,19 +397,6 @@ def _json_float(x: float) -> str:
 # the renderers of a pair's numbers, keyed by exact type: a bool or another
 # int subclass takes the general path
 _JSON_NUMBER = {int: int.__repr__, float: _json_float}
-
-
-def _json_key(k) -> str:
-    # the key conversions of json.dumps
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _json_float(k)
-    if k is True or k is False or k is None:
-        return {True: "true", False: "false", None: "null"}[k]
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def _render_json(x, newline: str, emit) -> None:
@@ -432,7 +421,7 @@ def _render_json(x, newline: str, emit) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for k, v in x.items():
-            emit(sep + _JSON_STRING(_json_key(k)) + ": ")
+            emit(sep + _JSON_STRING(k) + ": ")
             sep = "," + inner
             _render_json(v, inner, emit)
         emit(newline + "}")

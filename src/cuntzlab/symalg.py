@@ -105,9 +105,6 @@ class CuntzElement:
     def __rmul__(self, scalar):
         return CuntzElement(self.n, {key: scalar * c for key, c in self.terms.items()})
 
-    def adjoint(self) -> "CuntzElement":
-        return adjoint(self)
-
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:

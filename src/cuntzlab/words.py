@@ -64,19 +64,6 @@ def is_prefix(a: Word, b: Word) -> bool:
     return len(a) <= len(b) and b[: len(a)] == tuple(a)
 
 
-def _prefix_function(w: Word) -> list[int]:
-    # classic KMP failure table: pi[i] = length of the longest proper border of w[:i+1]
-    pi = [0] * len(w)
-    k = 0
-    for i in range(1, len(w)):
-        while k and w[i] != w[k]:
-            k = pi[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
 def primitive_root(word: Word) -> tuple[Word, int]:
     """Shortest word r and exponent e with word = r^e.
 
@@ -86,10 +73,10 @@ def primitive_root(word: Word) -> tuple[Word, int]:
     w = tuple(word)
     if not w:
         raise EmptyWord("the empty word has no primitive root")
-    pi = _prefix_function(w)
-    p = len(w) - pi[-1]
-    if len(w) % p == 0:
-        return w[:p], len(w) // p
+    n = len(w)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and w[p:] == w[:-p]:
+            return w[:p], n // p
     return w, 1
 
 

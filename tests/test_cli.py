@@ -418,6 +418,15 @@ class TestErrors:
             assert run([command, str(path)]) == 0
             assert capsys.readouterr().out
 
+    def test_a_spec_nested_100_deep_names_the_twist_once_in_its_purity_reason(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_gauge(100))
+        assert run(["pure", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "Pure",
+            "reason": "a Cuntz state is a vector state of an irreducible representation; "
+                      "composition with a gauge automorphism preserves purity"}
+
 
 def test_version_is_the_project_version():
     meta = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())

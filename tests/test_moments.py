@@ -23,6 +23,7 @@ from cuntzlab import (
     EmptyWord,
     EventuallyPeriodicWord,
     GridRepresentation,
+    IsometrySequence,
     LowerBoundOnly,
     Minimal,
     PropInfCheck,
@@ -290,6 +291,37 @@ class TestInducedProduct:
     def test_blocks_must_be_units(self):
         with pytest.raises(NotUnit):
             make_induced_product([], [[q(1), q(1)]], 2)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_an_alphabet_below_two_letters_is_refused(self, n):
+        # the state's own isometry sequence would be over O_1, which CuntzElement refuses
+        with pytest.raises(SchemaError, match=f"^alphabet size must be >= 2, got {n}$"):
+            make_induced_product([], [[q(1)] * n], n)
+
+
+class TestIsometries:
+    def test_a_sequence_is_read_to_the_count(self):
+        calls = []
+
+        def factory(i):
+            calls.append(i)
+            return gen(2, 2 - i % 2)
+
+        seq = IsometrySequence(factory, "evidence", "s_1, s_2, s_1, ...")
+        assert moments_mod.isometries(seq, 3, 2) == [gen(2, 1), gen(2, 2), gen(2, 1)]
+        assert calls == [1, 2, 3]
+
+    def test_a_list_is_cut_to_the_count_and_only_that_part_is_checked(self):
+        a = [gen(2, 1), gen(2, 2), monomial(2, (1,), (1,))]
+        assert moments_mod.isometries(a, 2, 2) == a[:2]
+        with pytest.raises(NotUnit, match="^a_3 is not an isometry in the creation span$"):
+            moments_mod.isometries(a, 3, 2)
+
+    def test_the_record_is_a_named_tuple(self):
+        seq = IsometrySequence(gen, "proved", "d")
+        assert seq._fields == ("factory", "status", "description", "horizon") and seq.horizon is None
+        moved = seq._replace(description="e")
+        assert moved == (gen, "proved", "e", None)
 
 
 def _induced_formula(blocks, exact, J, K):

@@ -203,6 +203,18 @@ def test_strict_commands_on_every_golden_spec_its_twist_and_each_rep(tmp_path):
         assert argv == ["rep", f"{name}.json", "--strict"] and (Path(workdir) / argv[1]).is_file()
 
 
+def test_each_demo_runs_as_a_script(tmp_path):
+    plan = same_outputs.build_plan(tmp_path)
+    demos = {label: plan[label] for label in plan if label.startswith("demos/")}
+    scripts = sorted((ROOT / "demos").glob("*.py"))
+    assert sorted(demos) == [f"demos/stdout/{path.stem}" for path in scripts] and len(demos) == 5
+    for path in scripts:
+        workdir, argv = demos[f"demos/stdout/{path.stem}"]
+        assert argv == [str(path)] and Path(workdir).is_dir()
+    assert "demos/stdout/02_certificates" in demos and "demos/stdout/05_dhj_grading" in demos
+    assert len(plan) == 1788
+
+
 def test_failing_commands_in_both_formats(tmp_path):
     from cuntzlab import rep_from_spec
 

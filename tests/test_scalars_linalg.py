@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -46,6 +47,15 @@ class TestQQi:
 
     def test_fraction_strings_accepted(self):
         assert QQi("3/5", "4/5") == QQi(fr(3, 5), fr(4, 5))
+
+    @pytest.mark.parametrize("x", [float("inf"), -float("inf"), float("nan"), 0.5])
+    def test_a_float_that_is_not_an_integer_is_refused(self, x):
+        for args in ((x,), (0, x)):
+            with pytest.raises(TypeError, match="^not exactly representable: "):
+                QQi(*args)
+
+    def test_an_integral_float_is_its_integer(self):
+        assert QQi(2.0, -0.0) == QQi(2) and QQi(0, -3.0) == QQi(0, -3)
 
     def test_interops_with_ints_and_fractions(self):
         assert QQi(1, 1) * 2 == QQi(2, 2)

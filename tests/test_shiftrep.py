@@ -446,7 +446,7 @@ class TestGradingAndConvergence:
 
     def test_an_element_over_another_alphabet_is_refused(self):
         rep = ShiftRepresentation(self.X)
-        with pytest.raises(SchemaError, match="^element over n=3, representation over n=2$"):
+        with pytest.raises(SchemaError, match="^elements over different algebras: n=2 vs n=3$"):
             lemma_convergence_check(rep, [self.X], [monomial(3, (1,))], self.X, 1)
 
     def test_an_element_that_is_not_a_creation_isometry_is_refused(self):
@@ -481,6 +481,48 @@ class TestGradingAndConvergence:
         assert rep.down(((), 0), 2) is None
         v = {((), 1): q(fr(3, 5)), ((), 0): q(fr(4, 5))}
         assert raise_by(rep, lower_by(rep, v, 2), 1) == {((1,), 2): q(fr(3, 5))}
+
+
+class TestOneSequenceReader:
+    """The delta table and the DHJ distances read their sequence through
+    ``moments.isometries``, so each bad sequence is refused by both with one
+    message."""
+
+    X = ep((), (1,))
+    # (sequence, count) -> (error, message)
+    CASES = {
+        "count_0": (([gen(2, 1)] * 2, 0), SchemaError, "need at least 1 sequence element, asked for 0"),
+        "count_-3": (([gen(2, 1)] * 2, -3), SchemaError, "need at least 1 sequence element, asked for -3"),
+        "short_list": (([gen(2, 1)] * 2, 3), SchemaError, "need 3 sequence elements, got 2"),
+        "other_n": (([gen(2, 1), monomial(3, (1,))], 2), SchemaError,
+                    "elements over different algebras: n=2 vs n=3"),
+        "projection": (([gen(2, 1), monomial(2, (1,), (1,))], 2), NotUnit,
+                       "a_2 is not an isometry in the creation span"),
+        "not_isometry": (([gen(2, 1) + gen(2, 2)], 1), NotUnit, "a_1 is not an isometry in the creation span"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_both_callers_refuse_with_one_message(self, name):
+        (seq, count), error, message = self.CASES[name]
+        rep = ShiftRepresentation(self.X)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            verify_properly_infinite(vector_state(rep, self.X), seq, cutoff=count)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            lemma_convergence_check(rep, [self.X], seq, self.X, count)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_a_count_below_one_is_refused_for_the_state_s_own_sequence(self, count):
+        # the grid state carries a proved sequence, which once gave an empty "proved" table
+        omega = vector_state(GridRepresentation(2), (1, 0))
+        with pytest.raises(SchemaError, match=f"^need at least 1 sequence element, asked for {count}$"):
+            verify_properly_infinite(omega, cutoff=count)
+        with pytest.raises(SchemaError, match=f"^need at least 1 sequence element, asked for {count}$"):
+            lemma_convergence_check(ShiftRepresentation(self.X), [self.X], omega.facts.sequence, self.X, count)
+
+    def test_the_first_element_is_read_at_count_one(self):
+        rep = ShiftRepresentation(self.X)
+        assert verify_properly_infinite(vector_state(rep, self.X), [gen(2, 1)], cutoff=1).table == ((1,),)
+        assert lemma_convergence_check(rep, [self.X], [gen(2, 1)], self.X, 1) == [0.0]
 
 
 def gram_schmidt(vectors, seed=()):

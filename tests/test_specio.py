@@ -376,6 +376,12 @@ class TestResultSerialization:
             assert out == (text, doc)
             assert list(out[1]) == list(doc), cert  # the JSON keys keep their order, the kind first
 
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+    def test_dump_refuses_a_key_that_is_not_a_string(self, key):
+        # json.dumps would convert the first four; no rendered document has such a key
+        with pytest.raises(TypeError):
+            dump_json({"a": {key: 1}})
+
     def test_dump_preserves_order_and_rejects_nan(self):
         s = dump_json({"b": 1, "a": [2]})
         assert json.loads(s) == {"b": 1, "a": [2]}

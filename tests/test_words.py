@@ -11,6 +11,7 @@ from cuntzlab import (
     tail_equivalent,
     words_upto,
 )
+from cuntzlab.words import primitive_root
 
 
 def ep(pre, per, n=2):
@@ -38,6 +39,15 @@ class TestCanonicalForm:
     def test_period_reduced_to_primitive_root(self):
         assert ep((), (1, 2, 1, 2)) == ep((), (1, 2))
         assert ep((), (1, 1, 1)) == ep((), (1,))
+
+    def test_primitive_root_is_the_shortest_root_of_every_short_word(self):
+        # the oracle tries each length r and rebuilds the word as a power of its first r letters
+        for length in range(1, 9):
+            for w in all_words(3 if length <= 6 else 2, length):
+                r = next(r for r in range(1, length + 1) if length % r == 0 and w[:r] * (length // r) == w)
+                assert primitive_root(w) == (w[:r], length // r), w
+        with pytest.raises(EmptyWord):
+            primitive_root(())
 
     def test_rotated_period_absorbed(self):
         # 1 (2 1)^inf = (1 2)^inf

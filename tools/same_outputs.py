@@ -50,7 +50,10 @@ fresh interpreter per tree, the two trees side by side:
   value, a missing file, a file that is not JSON, an unknown family, an
   option the command does not take (exit 2), a gauge spec nested 400
   and 3000 deep (``DEEP``), and ``pure`` on two mixtures whose weights
-  sum to 1 but are not real, of two Cuntz states and of one twice.
+  sum to 1 but are not real, of two Cuntz states and of one twice;
+* each script under ``demos/`` (the working tree's files, run as
+  ``__main__``), so the delta tables, the DHJ distances and the other
+  printed results of the demos are compared too.
 
 Each command's stdout, stderr and exit code (or traceback) are compared.
 A json output that moved is read as numbers: the table counts the numbers
@@ -90,6 +93,7 @@ SEEDS = (1, 99)
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_SPECS = GOLDEN / "specs"
 GOLDEN_COMMANDS = ("report", "fcs", "kappa", "pure", "cdim")
+DEMOS = ROOT / "demos"
 # the families whose states solve a fixed-point table (prefix-code states)
 FIXED_POINT_FAMILIES = ("sub_cuntz", "prefix_code", "geometric_progression")
 # the complex unitary of the golden twist tests, block-extended by 1 on n = 3
@@ -154,9 +158,10 @@ DEEP = (400, 3000)
 CHILD_TIMEOUT_S = 3600
 
 # Runs in a fresh interpreter with the tree's src/ on sys.path: argv[1] is
-# the plan (workdir and commands), argv[2] the result file.
+# the plan (workdir and commands, or for a demos/ label the script's path),
+# argv[2] the result file.
 CHILD = r"""
-import contextlib, io, json, os, sys, traceback
+import contextlib, io, json, os, runpy, sys, traceback
 with open(sys.argv[1], encoding="utf-8") as fh:
     plan = json.load(fh)
 import cuntzlab.cli as cli
@@ -167,7 +172,11 @@ for label, (workdir, argv) in plan.items():
     rc, exc = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = cli.run(argv)
+            if label.startswith("demos/"):
+                runpy.run_path(argv[0], run_name="__main__")
+                rc = 0
+            else:
+                rc = cli.run(argv)
         except SystemExit as e:
             rc = e.code if isinstance(e.code, int) else 1
         except Exception:
@@ -323,6 +332,10 @@ def build_plan(work: Path) -> dict:
     for name, argv in ERRORS.items():
         plan[f"errors/json/{name}"] = (str(d), [*argv, "--format", "json"])
         plan[f"errors/md/{name}"] = (str(d), argv)
+    d = work / "demos"
+    d.mkdir()
+    for path in sorted(DEMOS.glob("*.py")):
+        plan[f"demos/stdout/{path.stem}"] = (str(d), [str(path)])
     return plan
 
 
