@@ -79,10 +79,15 @@ class GramGrowth(NamedTuple):
     (p + (i,), y) for each child of a pivot p that the growth scored: y is
     its forward solve L y = r, r_k = omega(s_{p_k} s_{p i}*), as it stood when
     the child was admitted (then y runs along the pivots before it) or
-    dropped (along the pivots admitted by then).  ``fcs.presentation`` reads
-    its matrices off these and the factor.  A growth is shared by every
-    caller that asks for the same state, level cap and tolerance, so all of
-    it is immutable.
+    dropped (along the pivots admitted by then).  ``columns[j]`` holds the
+    moments the growth read to score and catch up pivot p_j:
+    omega(s_{p_k} s_{p_j}*) for k < j, then the diagonal omega(s_{p_j} s_{p_j}*)
+    as read, before its real part is taken.  They are column j of the
+    pivots' Gram matrix on and above the diagonal, the very values
+    ``omega.model.gram(pivots)`` would read there.  ``fcs.presentation``
+    reads its matrices off the children and the factor, and its metric off
+    the columns.  A growth is shared by every caller that asks for the same
+    state, level cap and tolerance, so all of it is immutable.
     """
 
     pivots: tuple
@@ -92,6 +97,7 @@ class GramGrowth(NamedTuple):
     lower: tuple
     dvals: tuple
     children: tuple
+    columns: tuple
 
 
 def gram_growth(omega: MomentFunctional, L_max: int = 8, tol: float | None = None) -> GramGrowth:
@@ -130,7 +136,9 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
     factor = LDLFactor(omega.model.moment)
     if tol is not None:
         factor.rank_tol = tol
-    factor.admit(factor.score(()))
+    first = factor.score(())
+    factor.admit(first)
+    columns = [(first.raw,)]
     level_ranks = [1]
     frontier: list[Word] = [()]
     children: list[tuple] = []
@@ -159,6 +167,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
                 best = next(c for c in cands if c.res2 >= floor)
             cands.remove(best)
             factor.admit(best)
+            columns.append((*best.r, best.raw))
             children.append((best.item, tuple(best.y)))
             for c in cands:
                 factor.catch_up(c)
@@ -169,7 +178,7 @@ def _grow(omega: MomentFunctional, L_max: int, tol: float | None) -> GramGrowth:
             break
         frontier = added
     return GramGrowth(tuple(factor.pivots), tuple(level_ranks), stabilized, level, tuple(map(tuple, factor.lower)),
-                      tuple(factor.dvals), tuple(children))
+                      tuple(factor.dvals), tuple(children), tuple(columns))
 
 
 class CdimResult(NamedTuple):

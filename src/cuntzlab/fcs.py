@@ -19,7 +19,8 @@ The matrices are read off the Gram growth that found the basis
 p + (i,) of a pivot p and kept its forward solve against the factor
 G = L D L*, so column p of A_i is a unit vector when the child became a
 pivot, and otherwise that forward solve, continued along the pivots admitted
-after the child was dropped, and one back substitution.
+after the child was dropped, and one back substitution.  The metric is the
+pivots' Gram matrix as the growth read it while scoring them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .classify import GramGrowth, LowerBoundOnly, gram_growth
 from .errors import ValidationFailed
 from .linalg import hermitian_transpose, mat_mul
 from .moments import MomentFunctional, VectorModel
-from .scalars import conj, scalars_close
+from .scalars import _self_or_conj, conj, scalars_close
 
 __all__ = [
     "FCSPresentation",
@@ -144,6 +145,17 @@ def _matrices(growth: GramGrowth, omega: MomentFunctional) -> tuple:
     return tuple(out)
 
 
+def _metric(columns: tuple) -> tuple:
+    """The Hermitian matrix whose upper triangle holds ``columns``, column j
+    the entries (0, j)..(j, j); each entry below the diagonal is the
+    conjugate of its mirror, or the mirror itself when that is its own
+    conjugate."""
+    d = len(columns)
+    return tuple(
+        tuple(_self_or_conj(x) for x in columns[i][:i]) + tuple(columns[j][i] for j in range(i, d)) for i in range(d)
+    )
+
+
 def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation:
     """The presentation a stabilized Gram growth of ``omega`` proves.
 
@@ -151,7 +163,12 @@ def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation
     pi(s_i)* (new vectors only arise by one more letter), so the matrices
     A_i are filled in by solving the metric against the children's
     correlation vectors, read off the growth's record of each child's
-    forward solve and its factor G = L D L* (``_matrices``).  ``growth``
+    forward solve and its factor G = L D L* (``_matrices``).  The metric is
+    the pivots' Gram matrix as the growth read it (``GramGrowth.columns``):
+    on and above the diagonal the moments its scores and catch-ups read,
+    and below it their conjugates, read as ``VectorModel.gram`` reads them,
+    so each entry is the value, type and bits ``omega.model.gram(pivots)``
+    gives, and no inner product is read twice.  ``growth``
     must therefore be a growth of ``omega`` itself, one that
     :func:`~cuntzlab.classify.gram_growth` memoized on it; any other raises
     ValueError.  The compressed row relation sum_i A_i^H G A_i = G is
@@ -166,7 +183,7 @@ def presentation(omega: MomentFunctional, growth: GramGrowth) -> FCSPresentation
         d=len(pivots),
         A=_matrices(growth, omega),
         omega=tuple(1 if j == 0 else 0 for j in range(len(pivots))),
-        metric=tuple(map(tuple, omega.model.gram(pivots))),
+        metric=_metric(growth.columns),
         pivot_words=pivots,
         level=growth.last_level,
     )

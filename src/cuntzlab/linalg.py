@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, sqrt
+from operator import mul
 
 from .errors import Inconsistent
 from .scalars import DEFAULT_RANK_TOL, QQi, _raw, abs2, conj, gaussian_parts, is_exact_scalar
@@ -214,7 +215,10 @@ def kernel_basis(rows, ncols: int):
     order: the shortest active row, and in it the column the fewest rows
     hold, ties to the lowest index.  Each column no pivot takes is free and
     gives one kernel vector, 1 there and 0 at the other free columns (see
-    :func:`_kernel_of_reduced`), ordered by free column.  The order frees
+    :func:`_kernel_of_reduced`), ordered by free column.  Only a block that
+    ends with free columns takes the Jordan step that makes each pivot row
+    hold its pivot and free columns only; a block of full column rank has no
+    kernel vector and stops at the forward elimination.  The order frees
     other columns than the reduced echelon form does, so this is not the
     echelon basis: ``rank`` counts the vectors and ``solve`` scales the only
     one, neither of which depends on the basis.
@@ -291,6 +295,8 @@ def _kernel_of_reduced(cols, work, pivots, one, entry):
     columns, and ``entry(R_r[g], p_r)`` at c_r."""
     pivot_cols = {c for _, c in pivots}
     vectors = {g: [(g, one)] for g in cols if g not in pivot_cols}
+    if not vectors:
+        return vectors  # a full-rank block skipped the Jordan step
     for r, c in pivots:
         row = work[r]
         p = row[c]
@@ -353,17 +359,23 @@ def _sparse_reduce(work, gaussian: bool = False, eps: float | None = None):
 
     The next pivot row is the shortest unreduced nonzero row, and its pivot
     column the one of its columns the fewest rows hold; ties go to the
-    lowest index.  The pivot column is taken out of every other row that
-    holds it, reduced rows included, so each pivot row ends with its pivot
-    and free columns only.
+    lowest index.  The pivot column is taken out of every row not yet taken
+    as a pivot row, so the pivot rows end upper triangular: each holds its
+    pivot, the columns of later pivots and free columns.  A block that ends
+    with free columns then takes the Jordan step once, last pivot first:
+    each pivot column is taken out of the earlier pivot rows that hold it,
+    so each pivot row ends with its pivot and free columns only.  A block
+    with no free column has no kernel vector to read, and skips it.
 
     As in Bareiss (1968, Math. Comp. 22) no fraction is formed on integer
     rows: a row is updated by cross-multiplication with the pivot row, and
-    its content is then divided out by a gcd.  Rows over the Gaussian
-    integers pivot on an integer, the pivot row first multiplied by the
-    conjugate of its pivot.  A float row subtracts a multiple of the pivot
-    row, and picks its pivot and is found null by :func:`_float_pivot`; a
-    null row is dropped, and no later update reaches it.
+    its content is then divided out by a gcd, so an update rescales the
+    row, its own pivot included; the Jordan step re-reads each pivot.  Rows
+    over the Gaussian integers pivot on an integer, the pivot row first
+    multiplied by the conjugate of its pivot.  A float row subtracts a
+    multiple of the pivot row, and picks its pivot and is found null by
+    :func:`_float_pivot`; a null row is dropped, and no later update
+    reaches it.
 
     Returns the (row, column) pivots in the order taken; every other integer
     row ends empty."""
@@ -380,6 +392,8 @@ def _sparse_reduce(work, gaussian: bool = False, eps: float | None = None):
     queue = [(len(row), k) for k, row in enumerate(work)]
     heapify(queue)
     pivots = []
+    # the earlier pivot rows that hold each pivot's column
+    above = []
     done = set()
     while queue:
         size, r = heappop(queue)
@@ -395,30 +409,47 @@ def _sparse_reduce(work, gaussian: bool = False, eps: float | None = None):
         c, prow, pv = chosen
         work[r] = prow
         rest = [(j, x) for j, x in prow.items() if j != c]
+        held = []
         for k in holders[c] - {r}:
-            row = work[k]
-            a, b = factors(pv, row.pop(c))
-            if a != 1:
-                row = {j: a * x for j, x in row.items()}
-            for j, x in rest:
-                y = row.get(j)
-                if y is None:
-                    row[j] = -b * x
-                    holders[j].add(k)
-                else:
-                    y -= b * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-                        holders[j].discard(k)
-            if content is not None:
-                row = content(row)
-            work[k] = row
-            if row and k not in done:
+            if k in done:
+                held.append(k)
+                continue
+            work[k] = row = _eliminate(work[k], c, pv, rest, factors, content, holders, k)
+            if row:
                 heappush(queue, (len(row), k))
         pivots.append((r, c))
+        above.append(held)
+    if len(holders) > len(pivots):  # some column of the block is free
+        for (r, c), held in zip(reversed(pivots), reversed(above)):
+            prow = work[r]
+            pv = prow[c]
+            if gaussian:
+                pv = gaussian_parts(pv)[0]
+            rest = [(j, x) for j, x in prow.items() if j != c]
+            for k in held:
+                work[k] = _eliminate(work[k], c, pv, rest, factors, content, holders, k)
     return pivots
+
+
+def _eliminate(row: dict, c: int, pv, rest: list, factors, content, holders, k: int) -> dict:
+    """Row k, {column: entry}, with column c taken out by the pivot pv and
+    the pivot row's other entries ``rest``, holders kept."""
+    a, b = factors(pv, row.pop(c))
+    if a != 1:
+        row = {j: a * x for j, x in row.items()}
+    for j, x in rest:
+        y = row.get(j)
+        if y is None:
+            row[j] = -b * x
+            holders[j].add(k)
+        else:
+            y -= b * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+                holders[j].discard(k)
+    return row if content is None else content(row)
 
 
 def _min_eig_estimate(g) -> float:
@@ -431,6 +462,8 @@ def _min_eig_estimate(g) -> float:
 
 def _real(x):
     """Real part: Fraction for exact scalars, float otherwise."""
+    if type(x) is complex:
+        return x.real
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     return x.re if isinstance(x, QQi) else complex(x).real
@@ -438,17 +471,21 @@ def _real(x):
 
 class Candidate:
     """An item scored by an LDLFactor: coordinates ``y`` along its pivots,
-    squared residual ``res2`` (squared distance from their span).  An exact
-    candidate, one whose diag is a Fraction, also holds y as integer
-    triples ``_ys``; that is None for a float candidate and once an exact
-    one has met a non-exact value."""
+    squared residual ``res2`` (squared distance from their span), and the
+    inner products its steps read, ``r`` along the pivots (r_k =
+    inner(p_k, item)) and ``raw`` = inner(item, item), whose real part is
+    ``diag``.  An exact candidate, one whose diag is a Fraction, also holds
+    y as integer triples ``_ys``; that is None for a float candidate and
+    once an exact one has met a non-exact value."""
 
-    __slots__ = ("item", "y", "diag", "res2", "_ys")
+    __slots__ = ("item", "r", "raw", "y", "diag", "res2", "_ys")
 
-    def __init__(self, item, diag):
+    def __init__(self, item, raw):
         self.item = item
+        self.r: list = []
+        self.raw = raw
         self.y: list = []
-        self.diag = diag
+        self.diag = diag = _real(raw)
         self.res2 = diag
         self._ys: list | None = [] if isinstance(diag, Fraction) else None
 
@@ -468,6 +505,11 @@ class LDLFactor:
       admitted since, taking |y_k|^2 / D_k off res2;
     * ``admit(c)``: the row L_c,j = conj(y_j) / D_j and D_c = res2.
 
+    A candidate keeps the inner products its score and catch-ups read, r_k
+    = inner(p_k, c) and inner(c, c) as read (``Candidate.r`` and ``raw``),
+    so a caller can have the Gram matrix of the pivots without reading an
+    entry again.
+
     In vector terms c = sum_j (y_j / D_j) b_j + b_c with b_c orthogonal to
     the pivots and |b_c|^2 = res2.  ``admissible`` is the rank rule: an exact
     res2 must be positive, a float one above ``rank_tol`` (DEFAULT_RANK_TOL)
@@ -485,7 +527,9 @@ class LDLFactor:
     state whose omega(1) is the int 1 starts with an exact pivot) ends the
     integer steps of its candidate, and a pivot admitted from such a
     candidate those of the factor: from there the steps run the generic
-    loop on the public values, as a float factor does throughout.
+    loop on the public values, as a float factor does throughout: y_k =
+    r_k - sum(map(mul, L_k, y)), summed from 0 in index order on the
+    builtin products.
     """
 
     rank_tol = DEFAULT_RANK_TOL
@@ -500,7 +544,7 @@ class LDLFactor:
         self._dvals: list = []
 
     def score(self, item) -> Candidate:
-        c = Candidate(item, _real(self.inner(item, item)))
+        c = Candidate(item, self.inner(item, item))
         self.catch_up(c)
         return c
 
@@ -515,7 +559,8 @@ class LDLFactor:
 
     def _step(self, c: Candidate, k: int, r) -> None:
         """The step along pivot k in the scalars' own arithmetic."""
-        v = r - sum((lj * yj for lj, yj in zip(self.lower[k], c.y)), 0)
+        c.r.append(r)
+        v = r - sum(map(mul, self.lower[k], c.y), 0)
         c.y.append(v)
         c.res2 = c.res2 - abs2(v) / self.dvals[k]
 
@@ -536,6 +581,7 @@ class LDLFactor:
                 c.res2, c._ys = Fraction(n, m), None
                 self._step(c, k, r)
                 return k + 1
+            c.r.append(r)
             ar, br, dr = gaussian_parts(r)
             # sum_j L_k,j y_j = (x + wi) / den
             x = w = 0

@@ -289,6 +289,8 @@ def _self_or_conj(x):
 
 def abs2(x):
     """|x|^2, exact (Fraction) for exact scalars, float otherwise."""
+    if type(x) is complex:
+        return x.real * x.real + x.imag * x.imag
     if isinstance(x, QQi):
         return x.abs2()
     if isinstance(x, _RationalLike):

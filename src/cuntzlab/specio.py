@@ -123,18 +123,26 @@ def scalar_from_json(v, mode: str = "auto", where: str = "scalar"):
     )
 
 
+_INEXACT = (complex, float)
+
+
 def _fraction_to_json(f: Fraction):
     return f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def scalar_to_json(x):
-    """Render a scalar as ``[re, im]`` with exact parts kept exact."""
-    if isinstance(x, QQi):
-        return [_fraction_to_json(x.re), _fraction_to_json(x.im)]
-    if isinstance(x, (int, Fraction)):
-        return [_fraction_to_json(Fraction(x)), 0]
-    c = complex(x)
-    return [float(format_float(c.real)), float(format_float(c.imag))]
+    """Render a scalar as ``[re, im]`` with exact parts kept exact, and the
+    parts of an inexact one as the floats their ``format_float`` renderings
+    read back as.  A complex or float is tested first, and each part takes
+    one pass: its 12-significant-digit rendering read back, a -0.0 made 0.0
+    (a rounding never turns a nonzero part into a zero)."""
+    if type(x) not in _INEXACT:
+        if isinstance(x, QQi):
+            return [_fraction_to_json(x.re), _fraction_to_json(x.im)]
+        if isinstance(x, (int, Fraction)):
+            return [_fraction_to_json(Fraction(x)), 0]
+        x = complex(x)
+    return [float(f"{x.real:.12g}") or 0.0, float(f"{x.imag:.12g}") or 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +444,13 @@ def _render_json(x, newline: str, emit) -> None:
             if a and b:
                 emit("[" + inner + a(x[0]) + "," + inner + b(x[1]) + newline + "]")
                 return
+        if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float for v in x):
+            # a row of float scalars' [re, im] pairs in one join
+            pair = inner + "  "
+            emit("[" + inner + ("," + inner).join(
+                ["[" + pair + _json_float(a) + "," + pair + _json_float(b) + inner + "]" for a, b in x]
+            ) + newline + "]")
+            return
         sep = "[" + inner
         for v in x:
             emit(sep)

@@ -62,7 +62,11 @@ def _normalized(n: int, raw: dict[tuple[Word, Word], object]) -> dict[tuple[Word
 
 
 class CuntzElement:
-    """A normal-form element of the dense *-subalgebra of O_n."""
+    """A normal-form element of the dense *-subalgebra of O_n.
+
+    The constructor checks n and every word of ``terms``.  The arithmetic
+    builds its results from the words of elements it was given, already
+    checked, through ``_checked``, which only normalizes."""
 
     __slots__ = ("n", "terms")
 
@@ -74,6 +78,15 @@ class CuntzElement:
             raw[(check_word(J, n), check_word(K, n))] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", _normalized(n, raw))
+
+    @classmethod
+    def _checked(cls, n: int, raw: dict[tuple[Word, Word], object]) -> "CuntzElement":
+        """The element of ``raw``, whose words are tuples over 1..n that an
+        element over n already holds, so none is checked again."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "n", n)
+        object.__setattr__(x, "terms", _normalized(n, raw))
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("CuntzElement is immutable")
@@ -89,7 +102,7 @@ class CuntzElement:
         raw = dict(self.terms)
         for key, c in other.terms.items():
             raw[key] = raw.get(key, 0) + c
-        return CuntzElement(self.n, raw)
+        return CuntzElement._checked(self.n, raw)
 
     def __sub__(self, other: "CuntzElement") -> "CuntzElement":
         return self + (-1) * other
@@ -100,10 +113,10 @@ class CuntzElement:
     def __mul__(self, other):
         if isinstance(other, CuntzElement):
             return multiply(self, other)
-        return CuntzElement(self.n, {key: c * other for key, c in self.terms.items()})
+        return CuntzElement._checked(self.n, {key: c * other for key, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        return CuntzElement(self.n, {key: scalar * c for key, c in self.terms.items()})
+        return CuntzElement._checked(self.n, {key: scalar * c for key, c in self.terms.items()})
 
     # -- inspection ----------------------------------------------------------
 
@@ -193,11 +206,11 @@ def multiply(x: CuntzElement, y: CuntzElement) -> CuntzElement:
             # s_C* s_M* = (s_M s_C)* when L is shorter than K
             key = (J + L[k:], M) if len(L) >= k else (J, M + K[len(L):])
             raw[key] = raw.get(key, 0) + cx * cy
-    return CuntzElement(x.n, raw)
+    return CuntzElement._checked(x.n, raw)
 
 
 def adjoint(x: CuntzElement) -> CuntzElement:
-    return CuntzElement(x.n, {(K, J): conj(c) for (J, K), c in x.terms.items()})
+    return CuntzElement._checked(x.n, {(K, J): conj(c) for (J, K), c in x.terms.items()})
 
 
 def is_isometry_in_plus(u: CuntzElement) -> tuple[bool, bool]:

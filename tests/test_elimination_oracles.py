@@ -926,3 +926,119 @@ def test_every_solved_system_spans_the_reference_kernel(heavy_twins, monkeypatch
             mp.setattr(linalg, "_exact_kernel", reference_exact_kernel)
             reference = kernel_basis(rows, ncols)
         assert_kernel_contract(rows, ncols, found, reference)
+
+
+# The deferred Jordan step.  A pivot column is taken out of the rows not yet
+# taken as pivots only; a block that ends with free columns then takes each
+# pivot column out of the earlier pivot rows, last pivot first, and a block
+# of full column rank skips that step, having no kernel vector to read.
+
+int_entries = st.integers(-5, 5).filter(bool)
+
+
+@st.composite
+def dense_block(draw, elements, full_rank):
+    """A dense block of drawn nonzero entries: of full column rank (k x k,
+    with up to one more row), or with free columns (k rows over k + 1 or
+    k + 2 columns, with up to one more row repeating the first); k <= 3."""
+    k = draw(st.integers(2, 3) if full_rank else st.integers(1, 3))
+    width = k if full_rank else k + draw(st.integers(1, 2))
+    block = draw(st.lists(st.lists(elements, min_size=width, max_size=width), min_size=k, max_size=k))
+    assume(to_sympy(block).rank() == k)
+    if draw(st.booleans()):
+        block.append(draw(st.lists(elements, min_size=width, max_size=width)) if full_rank else list(block[0]))
+    return block
+
+
+@st.composite
+def mixed_rank_blocks(draw, elements):
+    """(rows, ncols): two to four dense blocks in one matrix, at least one
+    of full column rank and one with free columns, with rows and columns
+    shuffled."""
+    kinds = draw(st.lists(st.booleans(), min_size=2, max_size=4).filter(lambda ks: len(set(ks)) == 2))
+    blocks = [draw(dense_block(elements, full_rank)) for full_rank in kinds]
+    ncols = sum(len(b[0]) for b in blocks)
+    order = draw(st.permutations(range(ncols)))
+    rows, start = [], 0
+    for b in blocks:
+        for row in b:
+            dense = [0] * ncols
+            for j, x in enumerate(row):
+                dense[order[start + j]] = x
+            rows.append(dense)
+        start += len(b[0])
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=40)
+@given(mixed_rank_blocks(int_entries))
+def test_int_blocks_of_mixed_rank_match_sympy(case):
+    assert_blocks_match_sympy(*case)
+
+
+@settings(max_examples=40)
+@given(mixed_rank_blocks(nonzero_entries))
+def test_rational_blocks_of_mixed_rank_match_sympy(case):
+    assert_blocks_match_sympy(*case)
+
+
+@settings(max_examples=25)
+@given(mixed_rank_blocks(nonzero_gaussian_entries))
+def test_gaussian_blocks_of_mixed_rank_match_sympy(case):
+    assert_blocks_match_sympy(*case)
+
+
+@settings(max_examples=25)
+@given(mixed_rank_blocks(nonzero_gaussian_entries))
+def test_float_blocks_of_mixed_rank_match_dense_svd(case):
+    assert_float_twin_matches_dense_svd(*case)
+
+
+@settings(max_examples=40)
+@given(st.booleans().flatmap(lambda full_rank: st.tuples(
+    st.just(full_rank), dense_block(st.one_of(int_entries, nonzero_gaussian_entries), full_rank))))
+def test_only_a_block_with_free_columns_takes_the_jordan_step(case):
+    full_rank, block = case
+    has_qqi, gaussian = linalg._ring([x for row in block for x in row])
+    work = [_integral(row, gaussian) for row in as_mapping(block)]
+    pivots = _sparse_reduce(work, gaussian)
+    assert len(pivots) == len(block) - (len(block) > to_sympy(block).rank())
+    pivot_cols = {c for _, c in pivots}
+    # each pivot row holds no pivot column before its own
+    for k, (r, c) in enumerate(pivots):
+        assert c in work[r] and not {c2 for _, c2 in pivots[:k]} & set(work[r])
+    held = [set(work[r]) & pivot_cols for r, _ in pivots]
+    if full_rank:
+        # upper triangular, unreduced: a dense block's first pivot row keeps every column
+        assert held[0] == pivot_cols
+    else:
+        assert held == [{c} for _, c in pivots]
+
+
+# a dense Gaussian block with one free column whose Jordan step rescales
+# the row of the second pivot, taking out the third pivot's column, before
+# it takes the second pivot's column out of the first pivot row: that step
+# must read the rescaled pivot, not the one the row had when it was taken
+RESCALED_PIVOT = [[QQi(2), QQi(1), QQi(-1), QQi(1)], [QQi(1), QQi(0, 1), QQi(1, 1), QQi(2)],
+                  [QQi(-1), QQi(2), QQi(-1), QQi(0, 1)]]
+
+
+def test_the_jordan_step_reads_each_pivot_after_its_row_is_rescaled():
+    has_qqi, gaussian = linalg._ring([x for row in RESCALED_PIVOT for x in row])
+    work = [_integral(row, gaussian) for row in as_mapping(RESCALED_PIVOT)]
+    taken = []
+    exact_pivot = linalg._exact_pivot
+
+    def spy(gaussian, prow, holders):
+        chosen = exact_pivot(gaussian, prow, holders)
+        taken.append(chosen[2])
+        return chosen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_exact_pivot", spy)
+        pivots = _sparse_reduce(work, gaussian)
+    assert len(pivots) == 3
+    assert [gaussian_parts(work[r][c])[0] for r, c in pivots] != taken
+    assert_blocks_match_sympy(RESCALED_PIVOT, 4)
+    assert kernel_basis(RESCALED_PIVOT, 4) == [[QQi(F(-13, 25), F(9, 25)), QQi(F(-14, 25), F(2, 25)),
+                                                QQi(F(-3, 5), F(4, 5)), 1]]

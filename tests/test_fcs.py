@@ -1,8 +1,10 @@
 """Finitely correlated presentations extracted from stabilized states."""
 
 import functools
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -22,8 +24,10 @@ from cuntzlab import (
     make_prefix_code_state,
     make_sub_cuntz,
     parse_spec,
+    state_from_spec,
     words_upto,
 )
+from cuntzlab import fcs
 from cuntzlab.fcs import _matrices, presentation
 from cuntzlab.linalg import solve
 from cuntzlab.moments import MomentFunctional, VectorModel
@@ -309,3 +313,105 @@ def test_exact_presentation_round_trips_every_short_moment(case):
     name, J, K = case
     omega = golden_state(name)
     assert extract_fcs(omega).model().moment(J, K) == omega.moment(J, K)
+
+
+# the complex unitary of the golden twist tests, block-extended by 1 on n = 3
+G_C = {
+    2: [[["3/5", 0], [0, "4/5"]], [[0, "4/5"], ["3/5", 0]]],
+    3: [[["3/5", 0], [0, "4/5"], 0], [[0, "4/5"], ["3/5", 0], 0], [0, 0, 1]],
+}
+HEAVY_FLOAT = ["n2_heavy_dense_m6", "n2_heavy_dense_m7", "n3_heavy_dense_m4"]
+
+
+def _metric_case(name: str, bench_corpus):
+    """A golden state, its twist by G_C (``name:twist``), or a heavy float
+    state of the benchmark, built from its spec."""
+    if name in HEAVY_FLOAT:
+        n, m, z = bench_corpus.heavy_float()[name]
+        return state_from_spec(bench_corpus.sub_cuntz(n, m, z, exact=False), "float")
+    base, _, twist = name.partition(":")
+    spec = json.loads((GOLDEN_SPECS / f"{base}.json").read_text(encoding="utf-8"))
+    if twist:
+        spec = {"family": "gauge", "base": spec, "g": G_C[golden_state(base).n]}
+    return state_from_spec(spec)
+
+
+def _same_scalar(a, b) -> bool:
+    """Same type and value, and for a float or complex the same repr of both parts."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (float, complex)):
+        return repr((a.real, a.imag)) == repr((b.real, b.imag))
+    return a == b
+
+
+GOLDEN_NAMES = sorted(p.stem for p in GOLDEN_SPECS.glob("*.json"))
+
+
+class TestMetricRecord:
+    """The metric of a presentation is the pivots' Gram matrix as the growth
+    read it: each entry the value ``model.gram(pivots)`` gives, with no
+    inner product read twice."""
+
+    @pytest.mark.parametrize("name", [*GOLDEN_NAMES, *(f"{name}:twist" for name in GOLDEN_NAMES), *HEAVY_FLOAT])
+    def test_metric_is_the_model_gram_entry_for_entry(self, name, bench_corpus):
+        omega = _metric_case(name, bench_corpus)
+        F = extract_fcs(omega)
+        if not hasattr(F, "metric"):
+            assert not gram_growth(omega).stabilized
+            return
+        gram = omega.model.gram(F.pivot_words)
+        assert len(F.metric) == len(gram) == F.d
+        for i, (got, want) in enumerate(zip(F.metric, gram)):
+            assert len(got) == len(want)
+            for j, (a, b) in enumerate(zip(got, want)):
+                assert _same_scalar(a, b), (i, j, a, b)
+
+    def test_most_cases_have_a_metric(self, bench_corpus):
+        names = [*GOLDEN_NAMES, *(f"{name}:twist" for name in GOLDEN_NAMES), *HEAVY_FLOAT]
+        presented = [name for name in names if hasattr(extract_fcs(_metric_case(name, bench_corpus)), "metric")]
+        assert len(presented) >= 40 and set(HEAVY_FLOAT) <= set(presented)
+
+    @staticmethod
+    def _pivot_pairs(omega, read):
+        """{pair of pivot words: times its inner product was read} while
+        ``read(omega)`` runs, counted through the model's ``inner``."""
+        model, reads = omega.model, []
+        inner = model.inner
+
+        def counted(a, b):
+            reads.append((id(a), id(b)))
+            return inner(a, b)
+
+        model.inner = counted
+        try:
+            read(omega)
+        finally:
+            model.inner = inner
+        word = {id(v): J for J, v in model._vectors.items()}
+        assert len(word) == len(model._vectors)  # one vector object per word
+        pivots = set(gram_growth(omega).pivots)
+        return Counter(frozenset((word[a], word[b])) for a, b in reads if {word[a], word[b]} <= pivots)
+
+    def test_the_presentation_of_the_dense_order_7_state_reads_no_pivot_pair_twice(self, bench_corpus):
+        omega = _metric_case("n2_heavy_dense_m7", bench_corpus)
+        pairs = self._pivot_pairs(omega, lambda w: presentation(w, gram_growth(w)))
+        d = len(gram_growth(omega).pivots)
+        # the growth reads every pair of the d pivots once, and the metric none again
+        assert d > 20 and len(pairs) == d * (d + 1) // 2
+        assert max(pairs.values()) == 1
+
+    def test_fcs_reads_pivot_pairs_again_only_in_its_round_trips(self, bench_corpus):
+        # extract_fcs checks twenty seeded moments against the state's own
+        # model; those reads may meet a pivot pair, as at (), (1, 2)
+        omega = _metric_case("n2_heavy_dense_m7", bench_corpus)
+        rng = random.Random(fcs._ROUND_TRIP_SEED)
+        growth_pairs = self._pivot_pairs(omega, lambda w: presentation(w, gram_growth(w)))
+        pairs = self._pivot_pairs(omega, extract_fcs)
+        max_len = min(gram_growth(omega).last_level + 2, 10)
+        trips = Counter()
+        for _ in range(fcs._ROUND_TRIP_COUNT):
+            J = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
+            K = tuple(rng.randint(1, omega.n) for _ in range(rng.randint(0, max_len)))
+            trips[frozenset((J, K))] += 1
+        assert pairs == {p: t for p, t in trips.items() if p in growth_pairs}

@@ -37,11 +37,21 @@ from cuntzlab.specio import (
     word_from_json,
 )
 
+from cuntzlab.scalars import format_float
+
 from conftest import fr, q
 
 GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
 # the parts of a rendered scalar [re, im]
 _NUMBER = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+# floats whose renderings take each form: a signed zero, a subnormal, an
+# exponent, a long integral part and a small fraction
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 123456789012.0, 1e-7]
+_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+# the [re, im] pair of a float scalar, the row a float matrix renders, and
+# such pairs mixed with other values in one list
+_FLOAT_PAIR = st.tuples(_FLOAT, _FLOAT).map(list)
+_FLOAT_ROW = st.lists(_FLOAT_PAIR, min_size=1, max_size=6)
 
 
 class TestScalarParsing:
@@ -83,6 +93,17 @@ class TestScalarSerialization:
     def test_integers_stay_integers(self):
         assert scalar_to_json(QQi(2, 0)) == [2, 0]
         assert scalar_to_json(QQi(fr(1, 2), 0)) == ["1/2", 0]
+
+    @given(st.one_of(st.builds(complex, _FLOAT, _FLOAT), _FLOAT))
+    @example(complex(-0.0, -0.0))
+    @example(complex(5e-324, -1e-7))
+    @example(-0.0)
+    @example(123456789012.0)
+    def test_an_inexact_scalar_renders_as_its_parts_format_float_reads(self, x):
+        want = [float(format_float(complex(x).real)), float(format_float(complex(x).imag))]
+        got = scalar_to_json(x)
+        assert type(got) is list and all(type(p) is float for p in got)
+        assert repr(got) == repr(want)
 
     def test_floats_round_trip_through_float_mode(self):
         out = scalar_to_json(0.6 + 0.25j)
@@ -400,11 +421,17 @@ class TestResultSerialization:
         st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
                   st.none()),
         lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4),
-                                   st.tuples(_NUMBER, _NUMBER).map(list), st.tuples(children, children).map(list)),
+                                   st.tuples(_NUMBER, _NUMBER).map(list), st.tuples(children, children).map(list),
+                                   _FLOAT_ROW, st.lists(st.one_of(_FLOAT_PAIR, children), max_size=4)),
         max_leaves=20))
     @example([True, 1])
     @example([1, "a"])
     @example([[1, 2.5], [-0.0, 3]])
+    @example([[x, -x] for x in _EDGE_FLOATS])
+    @example({"metric": [[[1.0, 0.0], [0.5, -0.25]], [[0.5, 0.25], [1e16, 5e-324]]], "omega": [[1, 0], [0, 0]]})
+    @example([[1.0, 2.0], [3.0, 4], [5.0, 6.0]])
+    @example([[1.0, 2.0], [3.0, 4.0, 5.0]])
+    @example([[1.0, 2.0], (3.0, 4.0)])
     def test_dump_renders_what_json_dumps_renders(self, doc):
         assert dump_json(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
@@ -412,8 +439,10 @@ class TestResultSerialization:
         from cuntzlab.specio import _render_json
 
         # any other two-item list is five: open, item, separator, item, close
+        # a list of float pairs is one emit too, and any other list one per item, a separator between
         for doc, emits in (([1, 2.5], 1), ([-0.0, 7], 1), ([True, 1], 5), ([1, "a"], 5), ([1, None], 5),
-                           ([[1, 2], [3.0, 4]], 5)):
+                           ([[1, 2], [3.0, 4]], 5), ([[1.0, 2.5], [-0.0, 1e16], [5e-324, 1e-7]], 1),
+                           ([[1.0, 2.5], [3.0, 4]], 5)):
             out: list = []
             _render_json(doc, "\n", out.append)
             assert len(out) == emits, doc

@@ -16,7 +16,7 @@ from cuntzlab import (
     monomial,
     multiply,
 )
-from cuntzlab.errors import NotUnitary
+from cuntzlab.errors import NotUnitary, SchemaError
 from cuntzlab.specio import state_from_spec
 from cuntzlab.symalg import is_isometry_in_plus
 
@@ -256,3 +256,71 @@ class TestScalarStructure:
         a = monomial(2, (1,), ())
         b = monomial(2, (1,), (), -1)
         assert (a + b).is_zero()
+
+
+@st.composite
+def same_algebra_pairs(draw, coefficients):
+    """Two drawn elements over one n = 2 or 3, and a drawn scalar."""
+    n = draw(st.sampled_from([2, 3]))
+    word = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    terms = st.dictionaries(st.tuples(word, word), coefficients, max_size=5)
+    return CuntzElement(n, draw(terms)), CuntzElement(n, draw(terms)), draw(coefficients)
+
+
+class TestCheckedWords:
+    """Arithmetic builds its results from the already checked words of its
+    operands and does not check them again; each result is the element the
+    public constructor builds of the same terms, which still checks them."""
+
+    @given(same_algebra_pairs(st.one_of(_exact_coefficients, _float_coefficients)))
+    def test_each_result_is_the_publicly_built_element(self, case):
+        x, y, c = case
+        n = x.n
+        summed = dict(x.terms)
+        for key, b in y.terms.items():
+            summed[key] = summed.get(key, 0) + b
+        # x - y is x + (-1) y, each step built and normalized
+        minus_y = CuntzElement(n, {key: -1 * b for key, b in y.terms.items()})
+        differenced = dict(x.terms)
+        for key, b in minus_y.terms.items():
+            differenced[key] = differenced.get(key, 0) + b
+        cases = [
+            (x + y, CuntzElement(n, summed)),
+            (x - y, CuntzElement(n, differenced)),
+            (-x, CuntzElement(n, {key: -1 * a for key, a in x.terms.items()})),
+            (x * c, CuntzElement(n, {key: a * c for key, a in x.terms.items()})),
+            (c * x, CuntzElement(n, {key: c * a for key, a in x.terms.items()})),
+            (multiply(x, y), reference_multiply(x, y)),
+            (adjoint(x), CuntzElement(n, {(K, J): a.conjugate() for (J, K), a in x.terms.items()})),
+        ]
+        for got, want in cases:
+            assert type(got) is CuntzElement and got.n == n
+            # the same terms in the same order, so floats summed alike
+            assert list(got.terms.items()) == list(want.terms.items())
+            with pytest.raises(AttributeError):
+                got.n = 5
+
+    def test_arithmetic_checks_no_word(self, monkeypatch):
+        import cuntzlab.symalg as symalg
+
+        x = CuntzElement(2, {((1,), ()): q(fr(3, 5)), ((2,), (1,)): q(fr(4, 5))})
+        y = CuntzElement(2, {((1, 2), ()): q(fr(1, 2)), ((2,), ()): q(0, 1), ((), (1,)): 3})
+        checked = []
+        check_word = symalg.check_word
+        monkeypatch.setattr(symalg, "check_word", lambda w, n: checked.append(w) or check_word(w, n))
+        for result in (multiply(x, y), x + y, x - y, -x, 2 * x, x * q(0, 1), adjoint(y)):
+            assert result.terms
+        assert checked == []
+        CuntzElement(2, {((1, 2), (2,)): 1})
+        assert checked == [(1, 2), (2,)]
+
+    @pytest.mark.parametrize("word", [(3,), (0,), (1, -1), (True,), (1.0,), ("1",)])
+    def test_the_public_constructor_still_refuses_a_bad_word(self, word):
+        with pytest.raises(SchemaError, match="outside alphabet 1..2"):
+            CuntzElement(2, {(word, ()): 1})
+        with pytest.raises(SchemaError, match="outside alphabet 1..2"):
+            CuntzElement(2, {((1,), word): 1})
+
+    def test_the_public_constructor_still_refuses_a_small_alphabet(self):
+        with pytest.raises(SchemaError, match="alphabet size must be >= 2, got 1"):
+            CuntzElement(1, {})
